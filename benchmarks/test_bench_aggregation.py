@@ -138,7 +138,7 @@ def test_parallel_grouped_aggregate_beats_serial(benchmark):
         assert serial_db.execute(FANOUT_GROUP_SQL).rows() == expected
 
     parallel_db = _aggregation_database(
-        parallelism=PARALLEL_WORKERS, parallel_mode="process", scheduler="steal"
+        parallelism=PARALLEL_WORKERS, parallel_mode="process"
     )
 
     def parallel_run():

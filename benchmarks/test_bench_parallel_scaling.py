@@ -14,9 +14,7 @@ multi-core; see ROADMAP).  Three series:
   vs the serial executor.  Threads on one core cannot beat serial wall-clock
   (the GIL serializes the join work), but the steal scheduler shares one trie
   build across its persistent pool, so its *overhead* — partitioning, task
-  dispatch, merge — is gated at <= 1.5x the serial wall time.  (The retired
-  ``range`` scheduler rebuilt tries per worker and was gated relatively;
-  with it removed the gate is re-anchored on this steal-only baseline.);
+  dispatch, merge — is gated at <= 1.5x the serial wall time;
 * inter-query: the shared JOB query subset pushed through
   ``Database.execute_many`` with 1 and 4 workers.
 
@@ -159,7 +157,6 @@ def test_zipf_steal_overhead_bounded_at_four_workers(benchmark, zipf_join_databa
     steal_seconds = min(benchmark.stats.stats.data)
 
     detail = outcome.report.details["parallel"][0]
-    assert detail["scheduler"] == "steal"
     assert detail["shards"] == 4
     ratio = steal_seconds / serial_seconds
     print(
@@ -256,8 +253,7 @@ def test_multicore_wall_clock_speedup(benchmark):
 
     def parallel_run():
         options = FreeJoinOptions(
-            parallelism=MULTICORE_WORKERS, parallel_mode="process",
-            scheduler="steal",
+            parallelism=MULTICORE_WORKERS, parallel_mode="process"
         )
         outcome = database.execute(ZIPF_SQL, freejoin_options=options)
         assert outcome.scalar() == expected

@@ -49,8 +49,8 @@ def main() -> None:
 
     # --- Layer 2: one explosive query, parallelized across workers -------- #
     # parallel_mode="thread" keeps the demo deterministic at small scale;
-    # the default scheduler="steal" decomposes the join into fine-grained
-    # tasks served by a persistent work-stealing pool, and the per-worker
+    # the scheduler decomposes the join into fine-grained tasks served by
+    # a persistent work-stealing pool, and the per-worker
     # accounting below (tasks, steals, outputs) is the point of the demo.
     serial = database.execute(workload.query("q13").sql, name="q13")
     sharded_db = Database(workload.catalog, parallelism=shards, parallel_mode="thread")
@@ -59,7 +59,7 @@ def main() -> None:
     print(f"q13 serial:   {serial.report.summary()}")
     print(f"q13 parallel: {sharded.report.summary()}")
     for pipeline in sharded.report.details.get("parallel", []):
-        print(f"  scheduler={pipeline['scheduler']} mode={pipeline['mode']} "
+        print(f"  mode={pipeline['mode']} "
               f"workers={pipeline['shards']} tasks={pipeline.get('tasks', '-')} "
               f"steals={pipeline.get('steals', '-')}")
         for worker in pipeline["per_shard"]:

@@ -9,19 +9,17 @@ tables holding all attributes.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import kernels
 from repro.binaryjoin.hash_table import JoinHashTable
-from repro.engine.output import CountSink, OutputSink, RowSink
+from repro.engine.output import OutputSink
+from repro.engine.pipeline import PhysicalPipeline, RowPath, make_sink, run_plan
 from repro.engine.report import RunReport
 from repro.errors import PlanError
-from repro.optimizer.binary_plan import BinaryPlan, Pipeline
+from repro.optimizer.binary_plan import BinaryPlan
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.storage.table import Table
 
 
 @dataclass
@@ -29,9 +27,8 @@ class BinaryJoinOptions:
     """Knobs of the binary join engine.
 
     ``parallelism > 1`` parallelizes each pipeline's probe loop over the
-    left-most relation's row offsets: ``scheduler="steal"`` (the only
-    scheduler) decomposes the offsets into fine-grained tasks for the
-    persistent work-stealing pool (:mod:`repro.parallel.scheduler`).
+    left-most relation's row offsets, decomposed into fine-grained tasks for
+    the persistent work-stealing pool (:mod:`repro.parallel.scheduler`).
     ``parallel_mode`` selects the backend (``"auto"``, ``"process"`` or
     ``"thread"``).
     """
@@ -39,22 +36,52 @@ class BinaryJoinOptions:
     output: str = "rows"  # "rows" or "count"
     parallelism: Optional[int] = None  # None = inherit the session setting
     parallel_mode: str = "auto"
-    scheduler: Optional[str] = None  # None = "steal"
     #: Optional :class:`repro.parallel.cancellation.DeadlineToken`; the probe
     #: loop ticks it per left-relation row, so an expired or cancelled query
     #: aborts mid-pipeline with ``DeadlineExceeded``/``QueryCancelled``.
     deadline: Optional[object] = None
 
     def make_sink(self, variables: Sequence[str]) -> OutputSink:
-        if self.output == "rows":
-            return RowSink(variables)
-        if self.output == "count":
-            return CountSink(variables)
-        raise PlanError(f"unknown output mode {self.output!r}")
+        return make_sink(self.output, variables)
+
+
+@dataclass
+class BinaryRowPath(RowPath):
+    """The pipelined hash-join probe loop (Figure 2a) over built hash tables.
+
+    Task ranges address the left-most relation's row offsets.
+    """
+
+    output_variables: Tuple[str, ...]
+
+    name = "binary"
+
+    def build(self, atoms: Sequence[Atom], interrupt=None):
+        atoms = list(atoms)
+        return atoms, BinaryJoinEngine._build_hash_tables(atoms, interrupt=interrupt)
+
+    def run(self, state, sink, start, stop, sub, interrupt, factorize=False):
+        atoms, hash_tables = state
+        BinaryJoinEngine._run_pipeline(
+            atoms,
+            hash_tables,
+            list(self.output_variables),
+            sink,
+            offset_range=None if start is None else (start, stop),
+            interrupt=interrupt,
+        )
+
+    def plan_tasks(self, pipeline, state, shared_build):
+        return pipeline, pipeline.atoms[0].size
 
 
 class BinaryJoinEngine:
-    """Traditional binary hash join over left-deep pipelines."""
+    """Traditional binary hash join over left-deep pipelines.
+
+    As a plan policy: the left-most relation of each pipeline drives, the
+    rest are probed in pipeline order, and :class:`BinaryRowPath` is the
+    row-at-a-time reference.
+    """
 
     name = "binary"
 
@@ -79,155 +106,30 @@ class BinaryJoinEngine:
         and ship those instead of rows.
         """
         options = options or self.options
-        pipelines = binary_plan.decompose()
-        atoms: Dict[str, Atom] = {atom.name: atom for atom in query.atoms}
+        return run_plan(
+            self.name, query, binary_plan.decompose(), options, self._lower, sink
+        )
 
-        build_seconds = 0.0
-        join_seconds = 0.0
-        other_seconds = 0.0
-        final_result = None
+    @staticmethod
+    def _lower(pipeline, atoms, output_variables, mode, use_kernels) -> PhysicalPipeline:
+        """Lower one pipeline in plan order (no hash tables on the kernel path).
 
-        kernel_stats = kernels.new_stats()
-        kernel_fallbacks: List[str] = []
-        parallel_details: List[Dict[str, object]] = []
-        for pipeline in pipelines:
-            pipeline_atoms = self._resolve(pipeline, atoms)
-            output_variables = self._output_variables(pipeline, pipeline_atoms, query)
-            sink_mode = options.output if pipeline.is_final else "rows"
-            final_sink = sink if pipeline.is_final else None
-            if final_sink is not None:
-                sink_mode = "rows"
-
-            if (options.parallelism or 1) > 1:
-                from repro.core.engine import resolve_scheduler
-                from repro.parallel.scheduler import run_binary_pipeline_steal
-
-                resolve_scheduler(options.scheduler)
-                shard_run = run_binary_pipeline_steal(
-                    pipeline_atoms,
-                    output_variables,
-                    output=sink_mode,
-                    workers=options.parallelism,
-                    mode=options.parallel_mode,
-                    interrupt=options.deadline,
-                    stream=final_sink,
-                )
-                build_seconds += shard_run.build_seconds
-                join_seconds += shard_run.join_seconds
-                parallel_details.append(shard_run.details())
-                kernels.merge_stats(kernel_stats, shard_run.extra.get("kernels_stats"))
-                kernel_fallbacks.extend(shard_run.extra.get("kernels_fallbacks", ()))
-                result = shard_run.result
-            else:
-                if final_sink is not None:
-                    pipeline_sink = final_sink
-                elif pipeline.is_final:
-                    pipeline_sink = options.make_sink(output_variables)
-                else:
-                    pipeline_sink = RowSink(output_variables)
-
-                # Vectorized path: compile the pipeline into a batch kernel
-                # program (no hash tables needed — probes run against cached
-                # sorted indexes).  Count mode compresses dangling matches
-                # into multiplicities; row mode expands fully, which keeps
-                # the output byte-identical to the probe recursion.  Sinks
-                # that accept factorized batches (streaming sinks, aggregate
-                # folds) get output-only probes emitted as factors instead
-                # of frontier expansions.
-                factorize = pipeline.is_final and getattr(
-                    pipeline_sink, "accepts_factorized", False
-                )
-                program, reason = kernels.try_compile(
-                    pipeline_atoms[0],
-                    pipeline_atoms[1:],
-                    output_variables,
-                    compress=(sink_mode == "count"),
-                    stats=kernel_stats,
-                )
-                if program is not None:
-                    started = time.perf_counter()
-                    try:
-                        kernels.execute_program(
-                            program,
-                            pipeline_sink,
-                            interrupt=options.deadline,
-                            stats=kernel_stats,
-                            factorize=factorize,
-                        )
-                    except kernels.KernelFrontierExplosion as exc:
-                        # Nothing reached the sink yet (guard invariant), so
-                        # the probe loop can re-run the pipeline from scratch.
-                        program, reason = None, str(exc)
-                    join_seconds += time.perf_counter() - started
-                if program is None:
-                    kernel_fallbacks.append(reason)
-                    started = time.perf_counter()
-                    hash_tables = self._build_hash_tables(
-                        pipeline_atoms, interrupt=options.deadline
-                    )
-                    build_seconds += time.perf_counter() - started
-
-                    started = time.perf_counter()
-                    self._run_pipeline(
-                        pipeline_atoms,
-                        hash_tables,
-                        output_variables,
-                        pipeline_sink,
-                        interrupt=options.deadline,
-                    )
-                    join_seconds += time.perf_counter() - started
-                result = pipeline_sink.result()
-
-            if pipeline.is_final:
-                final_result = result
-            else:
-                started = time.perf_counter()
-                atoms[pipeline.output_name] = self._materialize(
-                    pipeline.output_name, result
-                )
-                other_seconds += time.perf_counter() - started
-
-        assert final_result is not None
-        details: Dict[str, object] = {
-            "num_pipelines": len(pipelines),
-            "options": options,
-            "kernels": kernels.kernel_report(kernel_stats, kernel_fallbacks),
-        }
-        if parallel_details:
-            details["parallel"] = parallel_details
-        return RunReport(
-            engine=self.name,
-            result=final_result,
-            build_seconds=build_seconds,
-            join_seconds=join_seconds,
-            other_seconds=other_seconds,
-            details=details,
+        Count mode compresses dangling matches into multiplicities; row mode
+        expands fully, which keeps the output byte-identical to the probe
+        recursion.
+        """
+        if mode not in ("rows", "count"):
+            raise PlanError(f"unknown output mode {mode!r}")
+        return PhysicalPipeline(
+            [atoms[name] for name in pipeline.items],
+            output_variables,
+            BinaryRowPath(output_variables),
+            compress=(mode == "count"),
         )
 
     # ------------------------------------------------------------------ #
     # Pipeline machinery
     # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _resolve(pipeline: Pipeline, atoms: Dict[str, Atom]) -> List[Atom]:
-        missing = [name for name in pipeline.items if name not in atoms]
-        if missing:
-            raise PlanError(
-                f"pipeline {pipeline!r} references unmaterialized relations {missing}"
-            )
-        return [atoms[name] for name in pipeline.items]
-
-    @staticmethod
-    def _output_variables(
-        pipeline: Pipeline, pipeline_atoms: List[Atom], query: ConjunctiveQuery
-    ) -> List[str]:
-        if pipeline.is_final:
-            return list(query.output_variables)
-        seen: Dict[str, None] = {}
-        for atom in pipeline_atoms:
-            for var in atom.variables:
-                seen.setdefault(var, None)
-        return list(seen)
 
     @staticmethod
     def _build_hash_tables(
@@ -292,9 +194,3 @@ class BinaryJoinEngine:
             for var, column in zip(left.variables, left_columns):
                 bindings[var] = column[offset]
             probe_level(1)
-
-    @staticmethod
-    def _materialize(name: str, result) -> Atom:
-        variables = list(result.variables)
-        table = Table.from_rows(name, variables, list(result.iter_rows()))
-        return Atom(name, table, variables)

@@ -15,23 +15,21 @@ robustness results (Sections 5.2 and 5.4).
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro import kernels
 from repro.core.colt import TrieStrategy, build_tries
 from repro.core.convert import binary_to_free_join
-from repro.core.executor import FreeJoinExecutor
+from repro.core.executor import ExecutorStats, FreeJoinExecutor
 from repro.core.factor import factor_plan
 from repro.core.plan import FreeJoinPlan
-from repro.engine.output import CountSink, FactorizedSink, OutputSink, RowSink
+from repro.engine.output import OutputSink, RowSink
+from repro.engine.pipeline import PhysicalPipeline, PipelineState, RowPath, run_plan
 from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.optimizer.binary_plan import BinaryPlan, Pipeline
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
-from repro.storage.table import Table
 
 
 @dataclass
@@ -59,21 +57,14 @@ class FreeJoinOptions:
         ``"rows"``, ``"count"``, or ``"factorized"`` (Figure 19).
     parallelism:
         Number of intra-query workers.  With ``parallelism > 1`` every
-        pipeline's root cover iteration is partitioned across that many
-        workers (see :mod:`repro.parallel.scheduler`).  ``None`` (the default)
-        inherits the session's setting; an explicit 1 forces the serial
-        path even on a parallel session.  Factorized output always runs
-        serially.
+        pipeline's root cover iteration is decomposed into fine-grained
+        tasks for the persistent work-stealing pool (see
+        :mod:`repro.parallel.scheduler`).  ``None`` (the default) inherits
+        the session's setting; an explicit 1 forces the serial path even on
+        a parallel session.  Factorized output always runs serially.
     parallel_mode:
         ``"auto"`` (processes for large inputs, threads for small ones),
         ``"process"``, or ``"thread"``.
-    scheduler:
-        How parallel work is dispatched.  ``"steal"`` (the only scheduler)
-        decomposes the root cover into fine-grained tasks executed by a
-        persistent work-stealing pool over shared-memory columns
-        (:mod:`repro.parallel.scheduler`).  ``None`` inherits the session's
-        setting.  (The legacy static range sharder, ``"range"``, has been
-        removed.)
     deadline:
         Optional :class:`repro.parallel.cancellation.DeadlineToken`.  The
         executor ticks it at every trie-expansion boundary and the steal
@@ -92,77 +83,148 @@ class FreeJoinOptions:
     output: str = "rows"
     parallelism: Optional[int] = None
     parallel_mode: str = "auto"
-    scheduler: Optional[str] = None
     deadline: Optional[object] = None
 
-    def make_sink(self, variables: Sequence[str]) -> OutputSink:
-        """Create the output sink matching the ``output`` mode."""
-        if self.output == "rows":
-            return RowSink(variables)
-        if self.output == "count":
-            return CountSink(variables)
-        if self.output == "factorized":
-            return FactorizedSink(variables)
-        raise PlanError(f"unknown output mode {self.output!r}")
 
+def _cover_entry_total(trie) -> int:
+    """Entries the root cover will iterate, without forcing the trie.
 
-def resolve_scheduler(scheduler: Optional[str]) -> str:
-    """Resolve a scheduler knob (``None`` means the default, ``"steal"``).
-
-    ``"steal"`` is the only scheduler; the deprecated static range sharder
-    (``"range"``) has been removed, and selecting it is an error.
+    Forcing builds the full hash map plus one child node per key — wasted
+    work in a parent whose process workers rebuild their own tries.  A
+    last-level cover iterates its tuples; an already-forced level knows its
+    key count; otherwise the count is the distinct key count of the level's
+    columns (exactly what forcing would find, at a fraction of the cost).
     """
-    resolved = scheduler or "steal"
-    if resolved != "steal":
-        raise PlanError(
-            f"unknown scheduler {resolved!r}; the only scheduler is 'steal' "
-            f"(the legacy 'range' sharder was removed)"
+    if trie.levels_remaining() == 1:
+        return trie.tuple_count()
+    if trie.is_forced():
+        return trie.key_count()
+    atom = trie.atom
+    columns = [atom.table.column(atom.column_for(var)).values for var in trie.vars]
+    if len(columns) == 1:
+        return len(set(columns[0]))
+    return len(set(zip(*columns)))
+
+
+def _preforce_shared_tries(plan: FreeJoinPlan, tries) -> None:
+    """Force shared tries' first levels once, before thread workers start.
+
+    Thread workers share one trie build, but COLT forcing is lazy: if all
+    workers hit the same unforced level at the same instant they each build
+    an (equivalent) map concurrently, re-paying the build K times under the
+    GIL — exactly the duplicated cost sharing is meant to remove.  Forcing
+    the contended levels up front makes the build genuinely once-per-query.
+
+    A root level is contended unless the relation sits alone in its first
+    node *and* is single-level (then it is only ever iterated as a leaf
+    vector, which never forces).  Deeper levels are keyed by bindings that
+    differ across tasks, so their forcing rarely collides.
+    """
+    first_node: Dict[str, int] = {}
+    for index, node in enumerate(plan.nodes):
+        for subatom in node.subatoms:
+            first_node.setdefault(subatom.relation, index)
+    for relation, trie in tries.items():
+        if trie.levels_remaining() == 1 and len(plan.nodes[first_node[relation]]) == 1:
+            continue
+        trie.force()
+
+
+@dataclass
+class FreeJoinRowPath(RowPath):
+    """The paper's Free Join algorithm over COLT tries (Figure 7).
+
+    ``cover`` is the root cover relation steal task ranges were computed
+    over, pinned once per query by :meth:`plan_tasks`; serial runs leave it
+    unset and the executor chooses per node.
+    """
+
+    plan: FreeJoinPlan
+    output_variables: Tuple[str, ...]
+    schemas: Dict[str, List[Tuple[str, ...]]]
+    trie_strategy: TrieStrategy
+    dynamic_cover: bool
+    batch_size: int
+    cover: Optional[str] = None
+
+    name = "freejoin"
+
+    def key_parts(self) -> tuple:
+        return (
+            repr(self.plan),
+            tuple(sorted((name, tuple(levels)) for name, levels in self.schemas.items())),
+            str(self.trie_strategy),
+            self.batch_size,
+            self.dynamic_cover,
         )
-    return resolved
 
+    def build(self, atoms: Sequence[Atom], interrupt=None):
+        return build_tries(
+            {atom.name: atom for atom in atoms}, self.schemas, self.trie_strategy
+        )
 
-def _run_parallel_pipeline(
-    options: FreeJoinOptions,
-    plan: FreeJoinPlan,
-    output_variables,
-    pipeline_atoms,
-    schemas,
-    sink_mode: str,
-    shard_count: int,
-    stream=None,
-):
-    """Dispatch one pipeline to the configured parallel scheduler.
+    def _executor(self, sink: OutputSink, interrupt=None, factorize=False):
+        return FreeJoinExecutor(
+            self.plan,
+            self.output_variables,
+            sink,
+            dynamic_cover=self.dynamic_cover,
+            batch_size=self.batch_size,
+            factorize=factorize,
+            interrupt=interrupt,
+        )
 
-    ``stream`` is an optional :class:`~repro.engine.streaming.StreamingSink`
-    for the final pipeline: the steal scheduler forwards each task's rows to
-    it as workers finish, so the consumer sees the first batch while the
-    join is still running.  When the sink is a
-    :class:`~repro.engine.streaming.StreamingAggregateSink`, steal tasks
-    fold their rows into per-group partials worker-side and the parent
-    merges them — grouped aggregates stream group deltas without the row
-    bag ever crossing the worker boundary.
-    """
-    resolve_scheduler(options.scheduler)
-    from repro.parallel.scheduler import run_freejoin_pipeline_steal
+    def run(self, state, sink, start, stop, sub, interrupt, factorize=False):
+        executor = self._executor(sink, interrupt, factorize)
+        if start is None:
+            executor.run(state)
+        else:
+            executor.run_task(state, start, stop, sub, self.cover)
+        return executor.stats.as_dict()
 
-    return run_freejoin_pipeline_steal(
-        plan,
-        output_variables,
-        pipeline_atoms,
-        schemas,
-        trie_strategy=options.trie_strategy,
-        batch_size=options.batch_size,
-        dynamic_cover=options.dynamic_cover,
-        output=sink_mode,
-        workers=shard_count,
-        mode=options.parallel_mode,
-        interrupt=options.deadline,
-        stream=stream,
-    )
+    def plan_tasks(self, pipeline: PhysicalPipeline, state: PipelineState, shared_build):
+        """Choose the root cover ONCE and pin it into every task.
+
+        Dynamic cover selection keys off ``key_count()`` estimates that
+        shrink as forcing progresses, so letting each task re-choose could
+        switch the iterated relation mid-query and corrupt the partition.
+        The choice uses the unforced estimates (no forcing happens during
+        it), matching what the first task would have seen.  Task ranges then
+        address the cover's root entries in first-occurrence order — the
+        same partition the kernels' driver index groups by, so kernel and
+        trie tasks can mix in one run.
+        """
+        tries = state.get()
+        prober = self._executor(RowSink(self.output_variables))
+        root = prober._nodes[0]
+        position = prober._choose_cover(root, dict(tries))
+        if shared_build:
+            _preforce_shared_tries(self.plan, tries)
+        if position is None:
+            # Probe-only root: one unit of work, owned by the first task.
+            return replace(pipeline, skip_kernels="probe-only-root"), 1
+        cover = root.cover_plans[position].relation
+        levels = self.plan.subatoms_of(cover)
+        atoms = {atom.name: atom for atom in pipeline.atoms}
+        pinned = replace(
+            pipeline,
+            atoms=[atoms[cover]]
+            + [atoms[name] for name in self.plan.relations() if name != cover],
+            row_path=replace(self, cover=cover),
+            group_vars=None if len(levels) == 1 else tuple(levels[0].variables),
+            allow_sub=len(self.plan.nodes) >= 2,
+        )
+        return pinned, _cover_entry_total(tries[cover])
 
 
 class FreeJoinEngine:
-    """Execute conjunctive queries with the Free Join algorithm."""
+    """Execute conjunctive queries with the Free Join algorithm.
+
+    The engine is a plan policy: it converts each left-deep pipeline of the
+    binary plan to a (factored) Free Join plan, picks the batch driver, and
+    hands :func:`repro.engine.pipeline.run_plan` the lowered pipelines with
+    :class:`FreeJoinRowPath` as the row-at-a-time reference.
+    """
 
     name = "freejoin"
 
@@ -194,152 +256,24 @@ class FreeJoinEngine:
         report's ``result`` is then the sink's placeholder, not the rows.
         """
         options = options or self.options
-        pipelines = binary_plan.decompose()
-        atoms: Dict[str, Atom] = {atom.name: atom for atom in query.atoms}
+        plans: List[str] = []
 
-        build_seconds = 0.0
-        join_seconds = 0.0
-        other_seconds = 0.0
-        plans_used: List[str] = []
-        parallel_details: List[Dict[str, object]] = []
-        final_result = None
-
-        kernel_stats = kernels.new_stats()
-        kernel_fallbacks: List[str] = []
-        for pipeline in pipelines:
-            started = time.perf_counter()
+        def lower(pipeline, atoms, output_variables, mode, use_kernels):
             plan = self._plan_for_pipeline(pipeline, atoms, options)
-            plans_used.append(repr(plan))
+            plans.append(repr(plan))
             pipeline_atoms = {name: atoms[name] for name in pipeline.items}
-            schemas = self._schemas(plan, pipeline_atoms)
-            other_seconds += time.perf_counter() - started
+            return self._lower(plan, pipeline_atoms, output_variables, options)
 
-            output_variables = self._pipeline_output_variables(
-                pipeline, pipeline_atoms, query
+        return self._with_stats(
+            run_plan(
+                self.name,
+                query,
+                binary_plan.decompose(),
+                options,
+                lower,
+                sink,
+                {"plans": plans},
             )
-            sink_mode = options.output if pipeline.is_final else "rows"
-            shard_count = options.parallelism or 1
-            # Factorized output interleaves groups in ways shards cannot
-            # reproduce; it always takes the serial path.  A caller-provided
-            # final sink forces row mode for the parallel dispatch (workers
-            # ship plain rows that the parent forwards incrementally).
-            final_sink = sink if pipeline.is_final else None
-            if final_sink is not None:
-                sink_mode = "rows"
-            if shard_count > 1 and sink_mode in ("rows", "count"):
-                shard_run = _run_parallel_pipeline(
-                    options,
-                    plan,
-                    output_variables,
-                    pipeline_atoms,
-                    schemas,
-                    sink_mode,
-                    shard_count,
-                    stream=final_sink,
-                )
-                build_seconds += shard_run.build_seconds
-                join_seconds += shard_run.join_seconds
-                parallel_details.append(shard_run.details())
-                kernels.merge_stats(kernel_stats, shard_run.extra.get("kernels_stats"))
-                kernel_fallbacks.extend(shard_run.extra.get("kernels_fallbacks", ()))
-                result = shard_run.result
-            else:
-                if final_sink is not None:
-                    pipeline_sink = final_sink
-                elif pipeline.is_final:
-                    pipeline_sink = options.make_sink(output_variables)
-                else:
-                    pipeline_sink = RowSink(output_variables)
-
-                # Factorized output (Fig. 19) is vectorized too: when the
-                # final sink understands factorized batches the kernel
-                # executor holds output-only probes out of the frontier and
-                # emits shared prefixes plus flat factor columns — the
-                # Cartesian product is never enumerated.
-                if final_sink is not None:
-                    factorize = pipeline.is_final and getattr(
-                        final_sink, "accepts_factorized", False
-                    )
-                else:
-                    factorize = (
-                        pipeline.is_final and options.output == "factorized"
-                    )
-                driver_name = self._kernel_driver_name(plan, pipeline_atoms)
-                probes = [
-                    pipeline_atoms[name]
-                    for name in plan.relations()
-                    if name != driver_name
-                ]
-                program, reason = kernels.try_compile(
-                    pipeline_atoms[driver_name],
-                    probes,
-                    output_variables,
-                    compress=True,
-                    stats=kernel_stats,
-                )
-                if program is not None:
-                    started = time.perf_counter()
-                    try:
-                        kernels.execute_program(
-                            program,
-                            pipeline_sink,
-                            interrupt=options.deadline,
-                            stats=kernel_stats,
-                            factorize=factorize,
-                        )
-                    except kernels.KernelFrontierExplosion as exc:
-                        # Nothing reached the sink yet (guard invariant), so
-                        # the trie executor can re-run the pipeline from
-                        # scratch.
-                        program, reason = None, str(exc)
-                    join_seconds += time.perf_counter() - started
-                if program is None:
-                    kernel_fallbacks.append(reason)
-                    started = time.perf_counter()
-                    tries = build_tries(
-                        pipeline_atoms, schemas, options.trie_strategy
-                    )
-                    build_seconds += time.perf_counter() - started
-
-                    executor = FreeJoinExecutor(
-                        plan,
-                        output_variables,
-                        pipeline_sink,
-                        dynamic_cover=options.dynamic_cover,
-                        batch_size=options.batch_size,
-                        factorize=factorize,
-                        interrupt=options.deadline,
-                    )
-                    started = time.perf_counter()
-                    executor.run(tries)
-                    join_seconds += time.perf_counter() - started
-                result = pipeline_sink.result()
-
-            if pipeline.is_final:
-                final_result = result
-            else:
-                started = time.perf_counter()
-                atoms[pipeline.output_name] = self._materialize(
-                    pipeline.output_name, result
-                )
-                other_seconds += time.perf_counter() - started
-
-        assert final_result is not None
-        details: Dict[str, object] = {
-            "plans": plans_used,
-            "num_pipelines": len(pipelines),
-            "options": options,
-            "kernels": kernels.kernel_report(kernel_stats, kernel_fallbacks),
-        }
-        if parallel_details:
-            details["parallel"] = parallel_details
-        return RunReport(
-            engine=self.name,
-            result=final_result,
-            build_seconds=build_seconds,
-            join_seconds=join_seconds,
-            other_seconds=other_seconds,
-            details=details,
         )
 
     def run_with_plan(
@@ -352,88 +286,66 @@ class FreeJoinEngine:
 
         This entry point is used by tests and by the Generic Join comparison:
         any valid Free Join plan (including Generic Join-shaped plans) can be
-        executed directly, without going through a binary plan.
+        executed directly, without going through a binary plan.  Serially it
+        exercises the trie executor directly — the kernels never claim it
+        (fallback reason ``"hand-written-plan"``); parallel runs go through
+        the steal scheduler like any other pipeline.
         """
         options = options or self.options
         plan.validate(query)
-        atoms = {atom.name: atom for atom in query.atoms}
-        schemas = self._schemas(plan, atoms)
+        serial = (options.parallelism or 1) <= 1 or options.output == "factorized"
 
-        shard_count = options.parallelism or 1
-        if shard_count > 1 and options.output in ("rows", "count"):
-            shard_run = _run_parallel_pipeline(
-                options,
-                plan,
-                query.output_variables,
-                atoms,
-                schemas,
-                options.output,
-                shard_count,
+        def lower(pipeline, atoms, output_variables, mode, use_kernels):
+            lowered = self._lower(plan, atoms, output_variables, options)
+            if serial:
+                lowered.skip_kernels = "hand-written-plan"
+            return lowered
+
+        whole = Pipeline("__result", [atom.name for atom in query.atoms], is_final=True)
+        return self._with_stats(
+            run_plan(
+                self.name, query, [whole], options, lower, None, {"plans": [repr(plan)]}
             )
-            return RunReport(
-                engine=self.name,
-                result=shard_run.result,
-                build_seconds=shard_run.build_seconds,
-                join_seconds=shard_run.join_seconds,
-                details={
-                    "plans": [repr(plan)],
-                    "options": options,
-                    "stats": shard_run.stats,
-                    "kernels": kernels.kernel_report(
-                        shard_run.extra.get("kernels_stats"),
-                        list(shard_run.extra.get("kernels_fallbacks", ())),
-                    ),
-                    "parallel": [shard_run.details()],
-                },
-            )
-
-        started = time.perf_counter()
-        tries = build_tries(atoms, schemas, options.trie_strategy)
-        build_seconds = time.perf_counter() - started
-
-        sink = options.make_sink(query.output_variables)
-        executor = FreeJoinExecutor(
-            plan,
-            query.output_variables,
-            sink,
-            dynamic_cover=options.dynamic_cover,
-            batch_size=options.batch_size,
-            factorize=(options.output == "factorized"),
-            interrupt=options.deadline,
-        )
-        started = time.perf_counter()
-        executor.run(tries)
-        join_seconds = time.perf_counter() - started
-
-        return RunReport(
-            engine=self.name,
-            result=sink.result(),
-            build_seconds=build_seconds,
-            join_seconds=join_seconds,
-            details={
-                "plans": [repr(plan)],
-                "options": options,
-                "stats": executor.stats,
-                # Hand-written plans exercise the trie executor directly;
-                # the kernels never claim this entry point.
-                "kernels": kernels.kernel_report(None, ["hand-written-plan"]),
-            },
         )
 
     # ------------------------------------------------------------------ #
-    # Pipeline helpers
+    # The plan policy
     # ------------------------------------------------------------------ #
 
     @staticmethod
-    def _kernel_driver_name(plan: FreeJoinPlan, pipeline_atoms: Dict[str, Atom]) -> str:
-        """The batch driver relation: smallest cover of the root node.
+    def _with_stats(report: RunReport) -> RunReport:
+        """Present the row path's work counters as :class:`ExecutorStats`."""
+        report.details["stats"] = ExecutorStats(**report.details.get("stats", {}))
+        return report
+
+    @staticmethod
+    def _lower(
+        plan: FreeJoinPlan,
+        atoms: Dict[str, Atom],
+        output_variables: Sequence[str],
+        options: FreeJoinOptions,
+    ) -> PhysicalPipeline:
+        """Lower one Free Join plan: smallest root cover drives, the rest probe.
 
         Mirrors dynamic cover selection (Section 4.4) — iterate the root
-        cover with the fewest tuples, probe everything else.
+        cover with the fewest tuples, probe everything else.  Parallel runs
+        re-pin the driver to the cover the trie executor would choose
+        (:meth:`FreeJoinRowPath.plan_tasks`), because their task ranges must
+        address the same entries on the kernel and the trie path.
         """
-        covers = plan.covers(0)
-        candidates = [s.relation for s in covers] or plan.relations()[:1]
-        return min(candidates, key=lambda name: pipeline_atoms[name].size)
+        relations = plan.relations()
+        covers = [s.relation for s in plan.covers(0)] or relations[:1]
+        driver = min(covers, key=lambda name: atoms[name].size)
+        row_path = FreeJoinRowPath(
+            plan,
+            tuple(output_variables),
+            FreeJoinEngine._schemas(plan, atoms),
+            options.trie_strategy,
+            options.dynamic_cover,
+            options.batch_size,
+        )
+        ordered = [atoms[driver]] + [atoms[n] for n in relations if n != driver]
+        return PhysicalPipeline(ordered, tuple(output_variables), row_path)
 
     def _plan_for_pipeline(
         self,
@@ -441,11 +353,6 @@ class FreeJoinEngine:
         atoms: Dict[str, Atom],
         options: FreeJoinOptions,
     ) -> FreeJoinPlan:
-        missing = [name for name in pipeline.items if name not in atoms]
-        if missing:
-            raise PlanError(
-                f"pipeline {pipeline!r} references unmaterialized relations {missing}"
-            )
         plan = binary_to_free_join(pipeline.items, atoms)
         if options.factor:
             plan = factor_plan(plan)
@@ -461,28 +368,3 @@ class FreeJoinEngine:
                 raise PlanError(f"plan {plan!r} never mentions relation {name!r}")
             schemas[name] = levels
         return schemas
-
-    @staticmethod
-    def _pipeline_output_variables(
-        pipeline: Pipeline,
-        pipeline_atoms: Dict[str, Atom],
-        query: ConjunctiveQuery,
-    ) -> List[str]:
-        if pipeline.is_final:
-            return list(query.output_variables)
-        seen: Dict[str, None] = {}
-        for name in pipeline.items:
-            for var in pipeline_atoms[name].variables:
-                seen.setdefault(var, None)
-        return list(seen)
-
-    @staticmethod
-    def _materialize(name: str, result) -> Atom:
-        """Materialize an intermediate result as a flat table-backed atom.
-
-        This is the paper's "simple strategy": store tuples containing all
-        attributes in a plain vector (Section 5.2).
-        """
-        variables = list(result.variables)
-        table = Table.from_rows(name, variables, list(result.iter_rows()))
-        return Atom(name, table, variables)

@@ -220,46 +220,6 @@ class FreeJoinExecutor:
                 raise ExecutionError(f"no trie provided for relation {relation!r}")
         self._join(dict(tries), 0, {}, 1)
 
-    def run_sharded(
-        self, tries: Dict[str, GHT], shard_index: int, shard_count: int
-    ) -> None:
-        """Execute shard ``shard_index`` of ``shard_count`` over ``tries``.
-
-        The root node's cover trie is restricted to a contiguous slice of its
-        entries; the recursion below the root is unchanged.  The union of all
-        shards' outputs equals (as a bag) the output of :meth:`run`, and with
-        static cover selection the concatenation of shard outputs in shard
-        order reproduces the serial output order exactly.  Each shard must run
-        on its own trie instances (COLT forcing mutates trie nodes), which is
-        how the parallel subsystem uses this entry point: one trie build per
-        worker.
-        """
-        if shard_count <= 1:
-            self.run(tries)
-            return
-        if not 0 <= shard_index < shard_count:
-            raise ExecutionError(
-                f"shard index {shard_index} out of range for {shard_count} shards"
-            )
-        for relation in self.plan.relations():
-            if relation not in tries:
-                raise ExecutionError(f"no trie provided for relation {relation!r}")
-
-        from repro.parallel.sharding import ShardView
-
-        working = dict(tries)
-        info = self._nodes[0]
-        cover_position = self._choose_cover(info, working)
-        if cover_position is None:
-            # Probe-only root node: nothing to partition, the whole plan is
-            # one unit of work.  Shard 0 runs it, the others are empty.
-            if shard_index == 0:
-                self._join(working, 0, {}, 1)
-            return
-        relation = info.cover_plans[cover_position].relation
-        working[relation] = ShardView(working[relation], shard_index, shard_count)
-        self._join(working, 0, {}, 1)
-
     def run_task(
         self,
         tries: Dict[str, GHT],
@@ -286,13 +246,13 @@ class FreeJoinExecutor:
         the choice once per query; when ``cover`` is omitted this method pins
         its own choice for the duration of the task.
 
-        Like :meth:`run_sharded`, each concurrent task must run over trie
-        instances that are safe to share with its siblings: worker processes
-        build their own tries, worker threads may share one build (forcing the
-        same node twice is redundant but yields an equivalent map).
+        Each concurrent task must run over trie instances that are safe to
+        share with its siblings: worker processes build their own tries,
+        worker threads may share one build (forcing the same node twice is
+        redundant but yields an equivalent map).
         """
-        # Imported here, as in run_sharded: importing the parallel package at
-        # module top would be circular (parallel.scheduler imports this module).
+        # Imported here: importing the parallel package at module top would
+        # be circular (its scheduler reaches this module through the engines).
         from repro.parallel.sharding import RangeView
 
         for relation in self.plan.relations():

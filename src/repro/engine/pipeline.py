@@ -1,0 +1,322 @@
+"""One physical pipeline driver: what every plan policy lowers to.
+
+Binary join, Generic Join and Free Join are points in one plan space run by
+one algorithm (the paper's thesis, Figure 9), and on the production path
+they differ only in *policy*: which atom drives a pipeline, how a bushy plan
+decomposes, and which paper algorithm is the row-at-a-time reference.  An
+engine therefore *lowers* each pipeline of its plan to a
+:class:`PhysicalPipeline` — ordered atoms with the driver first, output
+variables, what a task range addresses, and a picklable :class:`RowPath`
+wrapping the engine's own algorithm — and this module owns everything
+around it:
+
+* :func:`run_range` is the only place outside :mod:`repro.kernels` that
+  compiles and executes a kernel program, catches
+  :class:`~repro.kernels.KernelFrontierExplosion`, and falls back to the row
+  path.  The serial plan loop calls it over the full range, the steal
+  scheduler's task context over one task's range.
+* :func:`run_plan` is the one plan loop behind every ``Engine.run``:
+  resolve → lower → serial :func:`run_range` or
+  :func:`repro.parallel.scheduler.run_pipeline_steal` → materialize
+  intermediates → assemble the :class:`~repro.engine.report.RunReport` with
+  ``details["kernels"]`` and (parallel runs only) ``details["parallel"]``.
+
+``REPRO_KERNELS`` is read once per query, here, and the answer rides with
+the pipeline to every worker.
+"""
+
+from __future__ import annotations
+
+import time
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro import kernels
+from repro.engine.output import CountSink, FactorizedSink, OutputSink, RowSink
+from repro.engine.report import RunReport
+from repro.errors import PlanError
+from repro.query.atoms import Atom
+from repro.storage.table import Table
+
+_SINKS = {"rows": RowSink, "count": CountSink, "factorized": FactorizedSink}
+
+
+def make_sink(output: str, variables: Sequence[str]) -> OutputSink:
+    """Create the output sink for an ``output`` mode."""
+    try:
+        return _SINKS[output](variables)
+    except KeyError:
+        raise PlanError(f"unknown output mode {output!r}") from None
+
+
+class RowPath:
+    """An engine's paper algorithm, behind the interface the driver runs.
+
+    Instances are created per query by the engine's ``lower()`` and must
+    pickle: the steal scheduler ships them to process workers inside the
+    pipeline description.
+    """
+
+    #: Engine name; the leading part of the context-cache key.
+    name = ""
+
+    def key_parts(self) -> tuple:
+        """Every option that shapes :meth:`build`'s result (cache-key parts)."""
+        return ()
+
+    def build(self, atoms: Sequence[Atom], interrupt=None):
+        """Build the algorithm's state (tries, hash tables) over ``atoms``."""
+        raise NotImplementedError
+
+    def run(
+        self, state, sink: OutputSink, start, stop, sub, interrupt, factorize=False
+    ) -> Optional[Dict[str, int]]:
+        """Run entries ``[start, stop)`` (``None`` bounds: everything) into ``sink``.
+
+        ``sub`` is a steal task's sub-root split.  Returns the algorithm's
+        work counters, if it keeps any.
+        """
+        raise NotImplementedError
+
+    def plan_tasks(
+        self, pipeline: "PhysicalPipeline", state: "PipelineState", shared_build: bool
+    ) -> Tuple["PhysicalPipeline", int]:
+        """Fix what steal task ranges address: ``(pipeline, entry_total)``.
+
+        Called once per (uncached) parallel query, in the parent.  The
+        returned pipeline is the one every task runs; ``shared_build`` says
+        that thread workers will share ``state`` on the row path, so building
+        contended parts up front is work the query needs anyway.
+        """
+        raise NotImplementedError
+
+
+@dataclass
+class PhysicalPipeline:
+    """One left-deep pipeline as the driver sees it: what ``lower()`` decided."""
+
+    #: Driver first, then the probed atoms in plan order.
+    atoms: List[Atom]
+    output_variables: Tuple[str, ...]
+    row_path: RowPath
+    #: What a task range addresses: distinct driver groups over this variable
+    #: prefix in first-occurrence order, or plain driver rows (``None``).
+    group_vars: Optional[Tuple[str, ...]] = None
+    #: Whether probes that feed nothing downstream fold into multiplicities.
+    compress: bool = True
+    #: Whether a tiny entry total may be split one level below the root.
+    allow_sub: bool = False
+    #: Why the kernels never claim this pipeline (``None``: they may).
+    skip_kernels: Optional[str] = None
+
+    def key_parts(self) -> tuple:
+        """What distinguishes this pipeline's contexts, beyond table content."""
+        return (
+            tuple((atom.name, atom.variables) for atom in self.atoms),
+            self.output_variables,
+            self.compress,
+            self.row_path.key_parts(),
+        )
+
+
+class PipelineState:
+    """A row path's built state, built on first use.
+
+    Kernel-served runs never need it, so neither the serial loop nor a
+    kernel-serving steal worker pays for tries or hash tables unless a range
+    actually falls back.
+    """
+
+    def __init__(self, row_path: RowPath, atoms: Sequence[Atom]) -> None:
+        self._row_path = row_path
+        self._atoms = atoms
+        self._built = None
+        self.build_seconds = 0.0
+
+    def get(self, interrupt=None):
+        if self._built is None:
+            started = time.perf_counter()
+            self._built = self._row_path.build(self._atoms, interrupt)
+            self.build_seconds += time.perf_counter() - started
+        return self._built
+
+
+def run_range(
+    pipeline: PhysicalPipeline,
+    state: PipelineState,
+    sink: OutputSink,
+    span: Optional[Tuple[int, int, Optional[Tuple[int, int]]]] = None,
+    interrupt=None,
+    stats: Optional[Dict[str, int]] = None,
+    kernels_off: Optional[str] = None,
+    factorize: bool = False,
+) -> Tuple[Optional[Dict[str, int]], Optional[str]]:
+    """Run one range of ``pipeline`` into ``sink``: kernels, else the row path.
+
+    ``span`` is ``(start, stop, sub)`` for a steal task and ``None`` for the
+    whole pipeline; a full run needs no group addressing, so it compiles the
+    plain row-addressed program.  ``kernels_off`` is the per-query reason the
+    vectorized path is disabled, if it is.  ``factorize`` lets the *row path*
+    emit factorized groups; the kernels factorize whenever the sink accepts
+    it.  Returns ``(row-path counters, fallback reason)`` — both ``None``
+    when the kernels served the range.
+    """
+    start, stop, sub = span or (None, None, None)
+    reason = kernels_off or pipeline.skip_kernels
+    if reason is None and sub is not None:
+        reason = "sub-entry-task"
+    if reason is None:
+        try:
+            program = kernels.compile_program(
+                pipeline.atoms[0],
+                pipeline.atoms[1:],
+                pipeline.output_variables,
+                group_vars=pipeline.group_vars if span is not None else None,
+                compress=pipeline.compress,
+                stats=stats,
+            )
+            kernels.execute_program(
+                program,
+                sink,
+                start=start,
+                stop=stop,
+                interrupt=interrupt,
+                stats=stats,
+                factorize=getattr(sink, "accepts_factorized", False),
+            )
+            return None, None
+        except (kernels.KernelCompileError, kernels.KernelFrontierExplosion) as exc:
+            # An explosion is raised only while the sink is still untouched
+            # (the guard invariant), so the row path can re-run the range
+            # from scratch.
+            reason = str(exc)
+    counters = pipeline.row_path.run(
+        state.get(interrupt), sink, start, stop, sub, interrupt, factorize
+    )
+    return counters, reason
+
+
+def run_plan(
+    engine: str,
+    query,
+    pipelines,
+    options,
+    lower: Callable[..., PhysicalPipeline],
+    sink: Optional[OutputSink] = None,
+    details: Optional[Dict[str, object]] = None,
+) -> RunReport:
+    """Execute a decomposed plan: the one loop behind every ``Engine.run``.
+
+    ``pipelines`` are :class:`~repro.optimizer.binary_plan.Pipeline`\\ s in
+    dependency order, the last one final, and ``lower(pipeline, atoms,
+    output_variables, mode, use_kernels)`` is the engine's plan policy for
+    one of them (``atoms`` maps every base and already materialized relation
+    by name).  Non-final pipelines materialize "simplistically" — all
+    attributes in a flat table (Section 5.2) — and later pipelines see them
+    as atoms.  ``sink`` overrides the final pipeline's sink; a
+    caller-provided sink always receives rows (parallel workers ship rows,
+    batches or aggregate partials the parent forwards).  Factorized output
+    interleaves groups in ways tasks cannot reproduce, so it always runs
+    serially.
+    """
+    kernels_off = kernels.disabled_reason()
+    atoms: Dict[str, Atom] = {atom.name: atom for atom in query.atoms}
+    workers = options.parallelism or 1
+    build_seconds = join_seconds = other_seconds = 0.0
+    kernel_stats = kernels.new_stats()
+    fallbacks: List[str] = []
+    counters: Dict[str, int] = {}
+    parallel: List[Dict[str, object]] = []
+    result = None
+    for pipeline in pipelines:
+        started = time.perf_counter()
+        missing = [name for name in pipeline.items if name not in atoms]
+        if missing:
+            raise PlanError(
+                f"pipeline {pipeline!r} references unmaterialized relations {missing}"
+            )
+        final_sink = sink if pipeline.is_final else None
+        if pipeline.is_final:
+            output_variables = tuple(query.output_variables)
+            mode = options.output if final_sink is None else "rows"
+        else:
+            output_variables = tuple(
+                dict.fromkeys(v for name in pipeline.items for v in atoms[name].variables)
+            )
+            mode = "rows"
+        lowered = lower(pipeline, atoms, output_variables, mode, kernels_off is None)
+        other_seconds += time.perf_counter() - started
+
+        if workers > 1 and mode in ("rows", "count"):
+            from repro.parallel.scheduler import run_pipeline_steal
+
+            run = run_pipeline_steal(
+                lowered,
+                output=mode,
+                workers=workers,
+                mode=options.parallel_mode,
+                kernels_off=kernels_off,
+                interrupt=options.deadline,
+                stream=final_sink,
+            )
+            build_seconds += run.build_seconds
+            join_seconds += run.join_seconds
+            parallel.append(run.details())
+            kernels.merge_stats(kernel_stats, run.extra.get("kernels_stats"))
+            fallbacks.extend(run.extra.get("kernels_fallbacks", ()))
+            kernels.merge_stats(counters, run.stats)
+            result = run.result
+        else:
+            if final_sink is not None:
+                pipeline_sink = final_sink
+                factorize = getattr(final_sink, "accepts_factorized", False)
+            else:
+                pipeline_sink = make_sink(mode, output_variables)
+                factorize = mode == "factorized"
+            state = PipelineState(lowered.row_path, lowered.atoms)
+            started = time.perf_counter()
+            row_counters, reason = run_range(
+                lowered,
+                state,
+                pipeline_sink,
+                None,
+                options.deadline,
+                kernel_stats,
+                kernels_off,
+                factorize,
+            )
+            elapsed = time.perf_counter() - started
+            build_seconds += state.build_seconds
+            join_seconds += elapsed - state.build_seconds
+            if reason:
+                fallbacks.append(reason)
+            kernels.merge_stats(counters, row_counters)
+            result = pipeline_sink.result()
+
+        if not pipeline.is_final:
+            started = time.perf_counter()
+            variables = list(result.variables)
+            table = Table.from_rows(
+                pipeline.output_name, variables, list(result.iter_rows())
+            )
+            atoms[pipeline.output_name] = Atom(pipeline.output_name, table, variables)
+            other_seconds += time.perf_counter() - started
+
+    report_details: Dict[str, object] = dict(details or {})
+    report_details.update(
+        num_pipelines=len(pipelines),
+        options=options,
+        kernels=kernels.kernel_report(kernel_stats, fallbacks),
+    )
+    if counters:
+        report_details["stats"] = counters
+    if parallel:
+        report_details["parallel"] = parallel
+    return RunReport(
+        engine=engine,
+        result=result,
+        build_seconds=build_seconds,
+        join_seconds=join_seconds,
+        other_seconds=other_seconds,
+        details=report_details,
+    )

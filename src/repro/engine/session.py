@@ -80,7 +80,6 @@ class Database:
         freejoin_options: Optional[FreeJoinOptions] = None,
         parallelism: int = 1,
         parallel_mode: str = "auto",
-        scheduler: str = "steal",
         router=None,
         feedback_path=None,
     ) -> None:
@@ -90,10 +89,8 @@ class Database:
         engine splits each join across that many workers unless the
         per-query options ask for a different value.  ``parallel_mode``
         selects the worker backend (``"auto"``, ``"process"``, ``"thread"``)
-        and ``scheduler`` the dispatch strategy: ``"steal"`` (the only
-        scheduler) uses the persistent work-stealing pool over
-        shared-memory columns (:mod:`repro.parallel.scheduler`).  The
-        legacy static range sharder has been removed.
+        of the persistent work-stealing pool over shared-memory columns
+        (:mod:`repro.parallel.scheduler`).
 
         ``default_engine="auto"`` (or ``engine="auto"`` per query) routes
         through the session's :class:`~repro.router.policy.QueryRouter`,
@@ -120,17 +117,11 @@ class Database:
                 f"unknown parallel mode {parallel_mode!r}; "
                 f"choose 'auto', 'process' or 'thread'"
             )
-        if scheduler != "steal":
-            raise QueryError(
-                f"unknown scheduler {scheduler!r}; the only scheduler is 'steal' "
-                f"(the legacy 'range' sharder was removed)"
-            )
         self.catalog = catalog or Catalog()
         self.default_engine = default_engine
         self.freejoin_options = freejoin_options or FreeJoinOptions()
         self.parallelism = parallelism
         self.parallel_mode = parallel_mode
-        self.scheduler = scheduler
         self.statistics_cache = StatisticsCache()
         self.feedback_path = feedback_path
         if feedback_path is not None and router is not None:
@@ -698,7 +689,6 @@ class Database:
             if opts.parallelism is not None
             else self.parallelism,
             parallel_mode=self.parallel_mode,
-            scheduler=self.scheduler,
             mode=mode,
             collect_rows=collect_rows,
             statistics_cache=self.statistics_cache,
@@ -791,7 +781,6 @@ class Database:
                 parallel_mode=options.parallel_mode
                 if options.parallel_mode != "auto"
                 else self.parallel_mode,
-                scheduler=options.scheduler or self.scheduler,
                 deadline=deadline if deadline is not None else options.deadline,
             )
             return FreeJoinEngine(options).run(logical.query, binary_plan, sink=sink)
@@ -800,7 +789,6 @@ class Database:
                 output=output_mode,
                 parallelism=session_parallelism,
                 parallel_mode=self.parallel_mode,
-                scheduler=self.scheduler,
                 deadline=deadline,
             )
             return BinaryJoinEngine(options).run(logical.query, binary_plan, sink=sink)
@@ -809,7 +797,6 @@ class Database:
                 output=output_mode,
                 parallelism=session_parallelism,
                 parallel_mode=self.parallel_mode,
-                scheduler=self.scheduler,
                 deadline=deadline,
             )
             return GenericJoinEngine(options).run(logical.query, binary_plan, sink=sink)

@@ -13,12 +13,12 @@ front and execution is strictly tuple-at-a-time (no vectorization).
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
-from repro.engine.output import CountSink, OutputSink, RowSink
+from repro.engine.output import OutputSink
+from repro.engine.pipeline import PhysicalPipeline, RowPath, run_plan
 from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.genericjoin.trie import HashTrie, build_hash_trie
@@ -26,7 +26,8 @@ from repro.genericjoin.variable_order import (
     default_variable_order,
     variable_order_from_binary_plan,
 )
-from repro.optimizer.binary_plan import BinaryPlan
+from repro.optimizer.binary_plan import BinaryPlan, Pipeline
+from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 
 
@@ -35,32 +36,89 @@ class GenericJoinOptions:
     """Knobs of the Generic Join engine.
 
     ``parallelism > 1`` parallelizes the first variable's intersection (the
-    iteration over the smallest trie level): ``scheduler="steal"`` (the only
-    scheduler) decomposes it into fine-grained tasks for the persistent
-    work-stealing pool (:mod:`repro.parallel.scheduler`).  ``parallel_mode``
-    selects the backend (``"auto"``, ``"process"`` or ``"thread"``).
+    iteration over the smallest trie level), decomposed into fine-grained
+    tasks for the persistent work-stealing pool
+    (:mod:`repro.parallel.scheduler`).  ``parallel_mode`` selects the backend
+    (``"auto"``, ``"process"`` or ``"thread"``).
     """
 
     output: str = "rows"  # "rows" or "count"
     variable_order: Optional[Sequence[str]] = None
     parallelism: Optional[int] = None  # None = inherit the session setting
     parallel_mode: str = "auto"
-    scheduler: Optional[str] = None  # None = "steal"
     #: Optional :class:`repro.parallel.cancellation.DeadlineToken`; the
     #: intersection loop ticks it per candidate value, so an expired or
     #: cancelled query aborts mid-recursion.
     deadline: Optional[object] = None
 
-    def make_sink(self, variables: Sequence[str]) -> OutputSink:
-        if self.output == "rows":
-            return RowSink(variables)
-        if self.output == "count":
-            return CountSink(variables)
-        raise PlanError(f"unknown output mode {self.output!r}")
+
+@dataclass
+class GenericRowPath(RowPath):
+    """The Generic Join recursion (Figure 2b) over eagerly built hash tries.
+
+    Task ranges address the distinct first-variable values of the smallest
+    participant, in first-occurrence order — the entry iteration the
+    recursion slices.  ``atom_order`` is the query's atom order, which breaks
+    the recursion's smallest-level ties (the pipeline lists the driver
+    first).
+    """
+
+    output_variables: Tuple[str, ...]
+    order: Tuple[str, ...]
+    atom_order: Tuple[str, ...]
+
+    name = "generic"
+
+    def key_parts(self) -> tuple:
+        return (self.order, self.atom_order)
+
+    def build(self, atoms: Sequence[Atom], interrupt=None):
+        atoms = sorted(atoms, key=lambda atom: self.atom_order.index(atom.name))
+        tries: Dict[str, HashTrie] = {}
+        for atom in atoms:
+            # Check between relations: each eager trie build is an
+            # uninterruptible O(rows) scan, so deadline enforcement in the
+            # build phase is per-relation granular.
+            if interrupt is not None:
+                interrupt.check()
+            tries[atom.name] = build_hash_trie(atom, self.order)
+        return atoms, tries
+
+    def run(self, state, sink, start, stop, sub, interrupt, factorize=False):
+        atoms, tries = state
+        GenericJoinEngine._execute_atoms(
+            atoms,
+            self.output_variables,
+            self.order,
+            tries,
+            sink,
+            entry_range=None if start is None else (start, stop),
+            interrupt=interrupt,
+        )
+
+    def plan_tasks(self, pipeline, state, shared_build):
+        if pipeline.group_vars is None:
+            # No atom binds the first variable: the recursion skips it, so
+            # the whole join is the one entry of the one task.
+            return replace(pipeline, skip_kernels="no-first-variable-participant"), 1
+        # The first intersection iterates the smallest participant level;
+        # only the *count* matters here — each worker's own (identically
+        # built) tries define the iteration order the ranges slice.
+        variable = pipeline.group_vars[0]
+        return pipeline, min(
+            len(set(atom.table.column(atom.column_for(variable)).values))
+            for atom in pipeline.atoms
+            if atom.has_variable(variable)
+        )
 
 
 class GenericJoinEngine:
-    """Worst-case optimal Generic Join over eagerly built hash tries."""
+    """Worst-case optimal Generic Join over eagerly built hash tries.
+
+    As a plan policy: the whole query is one pipeline, driven by the atom
+    with the smallest first-variable frontier, and :class:`GenericRowPath`
+    is the row-at-a-time reference.
+    """
 
     name = "generic"
 
@@ -98,131 +156,52 @@ class GenericJoinEngine:
             order = default_variable_order(query)
         self._check_order(query, order)
 
-        output_mode = "rows" if sink is not None else options.output
-        if (options.parallelism or 1) > 1 and output_mode in ("rows", "count"):
-            from repro.core.engine import resolve_scheduler
-            from repro.parallel.scheduler import run_generic_steal
+        def lower(pipeline, atoms, output_variables, mode, use_kernels):
+            if mode not in ("rows", "count"):
+                raise PlanError(f"unknown output mode {mode!r}")
+            return self._lower(list(query.atoms), output_variables, order, use_kernels)
 
-            resolve_scheduler(options.scheduler)
-            shard_run = run_generic_steal(
-                list(query.atoms),
-                query.output_variables,
-                order,
-                output=output_mode,
-                workers=options.parallelism,
-                mode=options.parallel_mode,
-                interrupt=options.deadline,
-                stream=sink,
-            )
-            kernel_stats = kernels.new_stats()
-            kernels.merge_stats(kernel_stats, shard_run.extra.get("kernels_stats"))
-            return RunReport(
-                engine=self.name,
-                result=shard_run.result,
-                build_seconds=shard_run.build_seconds,
-                join_seconds=shard_run.join_seconds,
-                details={
-                    "variable_order": order,
-                    "options": options,
-                    "kernels": kernels.kernel_report(
-                        kernel_stats,
-                        list(shard_run.extra.get("kernels_fallbacks", ())),
-                    ),
-                    # One entry per sharded unit, matching the list shape the
-                    # pipelined engines report.
-                    "parallel": [shard_run.details()],
-                },
-            )
-
-        kernel_stats = kernels.new_stats()
-        kernel_fallbacks: List[str] = []
-        program = None
-        atoms = list(query.atoms)
-        if atoms:
-            driver = self._kernel_driver(atoms, order)
-            probes = [atom for atom in atoms if atom is not driver]
-            # Bag semantics only: the kernel iterates driver *rows* and
-            # carries multiplicities, where the trie recursion iterates
-            # distinct values — same bag, different row grouping.
-            program, reason = kernels.try_compile(
-                driver,
-                probes,
-                query.output_variables,
-                compress=True,
-                stats=kernel_stats,
-            )
-            if program is None:
-                kernel_fallbacks.append(reason)
-
-        build_seconds = 0.0
-        join_seconds = 0.0
-        if program is not None:
-            if sink is None:
-                sink = options.make_sink(query.output_variables)
-            started = time.perf_counter()
-            try:
-                kernels.execute_program(
-                    program,
-                    sink,
-                    interrupt=options.deadline,
-                    stats=kernel_stats,
-                    factorize=getattr(sink, "accepts_factorized", False),
-                )
-            except kernels.KernelFrontierExplosion as exc:
-                # Skew blew the frontier past the guard before anything was
-                # emitted; the sink is untouched, so the trie recursion can
-                # take over from scratch.
-                program = None
-                kernel_fallbacks.append(str(exc))
-            join_seconds += time.perf_counter() - started
-        if program is None:
-            started = time.perf_counter()
-            tries: Dict[str, HashTrie] = {}
-            for atom in query.atoms:
-                # Check between relations: each eager trie build is an
-                # uninterruptible O(rows) scan, so deadline enforcement in the
-                # build phase is per-relation granular.
-                if options.deadline is not None:
-                    options.deadline.check()
-                tries[atom.name] = build_hash_trie(atom, order)
-            build_seconds += time.perf_counter() - started
-
-            if sink is None:
-                sink = options.make_sink(query.output_variables)
-            started = time.perf_counter()
-            self._execute(query, order, tries, sink, interrupt=options.deadline)
-            join_seconds += time.perf_counter() - started
-
-        return RunReport(
-            engine=self.name,
-            result=sink.result(),
-            build_seconds=build_seconds,
-            join_seconds=join_seconds,
-            details={
-                "variable_order": order,
-                "options": options,
-                "kernels": kernels.kernel_report(kernel_stats, kernel_fallbacks),
-            },
+        whole = Pipeline("__result", [atom.name for atom in query.atoms], is_final=True)
+        return run_plan(
+            self.name, query, [whole], options, lower, sink, {"variable_order": order}
         )
 
     @staticmethod
-    def _kernel_driver(atoms: Sequence, order: Sequence[str]):
-        """The batch driver: smallest first-variable frontier.
+    def _lower(
+        atoms: List[Atom],
+        output_variables: Tuple[str, ...],
+        order: Sequence[str],
+        use_kernels: bool,
+    ) -> PhysicalPipeline:
+        """Lower the query: the smallest first-variable frontier drives.
 
         Mirrors the recursion's optimal-intersection heuristic at position 0
         (iterate the relation with the fewest distinct first-variable
-        values); ties keep atom order, like the recursion's stable sort.
+        values); ties keep atom order, like the recursion's stable sort, so
+        the driver's group count equals the recursion's entry count.  Bag
+        semantics only: the kernel iterates driver *rows* and carries
+        multiplicities, where the trie recursion iterates distinct values —
+        same bag, different row grouping.
         """
-        if not order or not kernels.enabled():
-            return atoms[0]
-        participants = [atom for atom in atoms if atom.has_variable(order[0])]
+        row_path = GenericRowPath(
+            output_variables, tuple(order), tuple(atom.name for atom in atoms)
+        )
+        participants = [atom for atom in atoms if order and atom.has_variable(order[0])]
         if not participants:
-            return atoms[0]
-        return min(
-            participants,
-            key=lambda atom: kernels.column_distinct_count(
-                atom.table.column(atom.column_for(order[0]))
-            ),
+            return PhysicalPipeline(atoms, output_variables, row_path)
+        driver = participants[0]
+        if use_kernels:
+            driver = min(
+                participants,
+                key=lambda atom: kernels.column_distinct_count(
+                    atom.table.column(atom.column_for(order[0]))
+                ),
+            )
+        return PhysicalPipeline(
+            [driver] + [atom for atom in atoms if atom is not driver],
+            output_variables,
+            row_path,
+            group_vars=(order[0],),
         )
 
     # ------------------------------------------------------------------ #
@@ -238,19 +217,6 @@ class GenericJoinEngine:
         if duplicates:
             raise PlanError(f"variable order contains duplicates: {list(order)}")
 
-    def _execute(
-        self,
-        query: ConjunctiveQuery,
-        order: Sequence[str],
-        tries: Dict[str, HashTrie],
-        sink: OutputSink,
-        interrupt=None,
-    ) -> None:
-        self._execute_atoms(
-            list(query.atoms), query.output_variables, order, tries, sink,
-            interrupt=interrupt,
-        )
-
     @staticmethod
     def _execute_atoms(
         atoms: Sequence,
@@ -258,20 +224,17 @@ class GenericJoinEngine:
         order: Sequence[str],
         tries: Dict[str, HashTrie],
         sink: OutputSink,
-        shard: Optional[Tuple[int, int]] = None,
         entry_range: Optional[Tuple[int, int]] = None,
         interrupt=None,
     ) -> None:
         """Run the Generic Join recursion over pre-built tries.
 
-        ``shard`` (shard_index, shard_count) restricts the *first* variable's
-        intersection to a contiguous slice of the smallest level's entries;
-        the union of the slices reproduces the serial output (see
-        :mod:`repro.parallel.sharding`).  ``entry_range`` is the
-        task-granular variant used by the work-stealing scheduler: an
-        explicit half-open slice ``[start, stop)`` of the same iteration.
-        The smallest-level choice uses full level sizes, so every task (and
-        every worker's private trie build) slices the same iteration order.
+        ``entry_range`` restricts the *first* variable's intersection to a
+        half-open slice ``[start, stop)`` of the smallest level's entries —
+        one work-stealing task; the union of the slices reproduces the
+        serial output.  The smallest-level choice uses full level sizes, so
+        every task (and every worker's private trie build) slices the same
+        iteration order.
         """
         # For every variable, the atoms that contain it (their trie level is
         # keyed on it when the recursion reaches that variable).
@@ -310,12 +273,7 @@ class GenericJoinEngine:
             saved_remaining = {name: remaining[name] for name in names}
 
             entries = saved[smallest].items()
-            if position == 0 and shard is not None:
-                from repro.parallel.sharding import shard_bounds
-
-                start, stop = shard_bounds(len(entries), shard[0], shard[1])
-                entries = itertools.islice(iter(entries), start, stop)
-            elif position == 0 and entry_range is not None:
+            if position == 0 and entry_range is not None:
                 start, stop = entry_range
                 entries = itertools.islice(iter(entries), start, stop)
 

@@ -26,7 +26,7 @@ Every engine reports kernel activity under ``RunReport.details["kernels"]``
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional
 
 try:  # pragma: no cover
     import numpy as _np
@@ -60,6 +60,7 @@ __all__ = [
     "column_distinct_count",
     "compile_batch_predicate",
     "compile_program",
+    "disabled_reason",
     "enabled",
     "execute_program",
     "factor_step_indices",
@@ -67,49 +68,29 @@ __all__ = [
     "kernel_report",
     "merge_stats",
     "new_stats",
-    "try_compile",
 ]
 
 _OFF_VALUES = ("off", "0", "false", "disabled", "no")
 
 
-def enabled() -> bool:
-    """Whether the vectorized path is available and not disabled.
+def disabled_reason() -> Optional[str]:
+    """Why the vectorized path is off, or ``None`` when it is on.
 
-    ``REPRO_KERNELS=off`` (checked per query, so tests can toggle it) forces
-    the row-at-a-time fallback; a missing numpy disables kernels outright.
+    ``REPRO_KERNELS=off`` forces the row-at-a-time fallback (reason
+    ``"disabled"``); a missing numpy disables kernels outright.  The pipeline
+    driver asks once per query, so tests and benchmarks can toggle the
+    variable between queries.
     """
     if _np is None:
-        return False
-    return os.environ.get("REPRO_KERNELS", "").strip().lower() not in _OFF_VALUES
+        return "numpy-unavailable"
+    if os.environ.get("REPRO_KERNELS", "").strip().lower() in _OFF_VALUES:
+        return "disabled"
+    return None
 
 
-def try_compile(
-    driver,
-    probes: Sequence,
-    output_variables: Sequence[str],
-    *,
-    group_vars: Optional[Sequence[str]] = None,
-    compress: bool = True,
-    stats: Optional[dict] = None,
-) -> Tuple[Optional[KernelProgram], Optional[str]]:
-    """Compile a pipeline, returning ``(program, None)`` or ``(None, reason)``."""
-    if _np is None:
-        return None, "numpy-unavailable"
-    if not enabled():
-        return None, "disabled"
-    try:
-        program = compile_program(
-            driver,
-            probes,
-            output_variables,
-            group_vars=group_vars,
-            compress=compress,
-            stats=stats,
-        )
-    except KernelCompileError as exc:
-        return None, str(exc)
-    return program, None
+def enabled() -> bool:
+    """Whether the vectorized path is available and not disabled."""
+    return disabled_reason() is None
 
 
 def kernel_caches_clear() -> None:

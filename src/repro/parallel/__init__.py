@@ -3,13 +3,12 @@
 Two layers, mirroring how a multi-core engine would serve the paper's
 workloads in production:
 
-* :mod:`repro.parallel.scheduler` — *intra-query* parallelism: the root
-  cover is decomposed into fine-grained tasks executed by a persistent
-  work-stealing pool whose process workers attach inputs through the
-  shared-memory column plane (:mod:`repro.storage.shm`); per-task/per-worker
-  stats (steals, queue depths, attach times) are merged into
-  ``RunReport.details["parallel"]``.  (The legacy static range sharder,
-  ``scheduler="range"``, has been removed.)
+* :mod:`repro.parallel.scheduler` — *intra-query* parallelism: a lowered
+  pipeline's root cover is decomposed into fine-grained tasks executed by a
+  persistent work-stealing pool whose process workers attach inputs through
+  the shared-memory column plane (:mod:`repro.storage.shm`);
+  per-task/per-worker stats (steals, queue depths, attach times) are merged
+  into ``RunReport.details["parallel"]``.
 * :mod:`repro.parallel.workload` — *inter-query* parallelism: a workload of
   SQL queries evaluated concurrently with per-query timeout and error
   capture, returning a JSON-serializable
@@ -33,9 +32,7 @@ from repro.parallel.scheduler import (
     active_pools,
     decompose_entries,
     get_pool,
-    run_binary_pipeline_steal,
-    run_freejoin_pipeline_steal,
-    run_generic_steal,
+    run_pipeline_steal,
     shutdown_pools,
 )
 from repro.parallel.sharding import (
@@ -76,9 +73,7 @@ __all__ = [
     "get_pool",
     "normalize_queries",
     "resolve_mode",
-    "run_binary_pipeline_steal",
-    "run_freejoin_pipeline_steal",
-    "run_generic_steal",
+    "run_pipeline_steal",
     "shard_bounds",
     "shard_offsets",
     "shutdown_pools",

@@ -1,11 +1,12 @@
 """Work-stealing task scheduler for intra-query parallelism.
 
-A static range sharder (one contiguous range of the root cover per worker —
-the retired ``scheduler="range"`` path) leaves workers wildly unbalanced on
-the skewed inputs the paper's workloads are built from (Zipf keys,
-hub-and-spoke joins): one hot key can put almost all of the join under a
-single shard while the other workers idle.  This module is a task-queue
-scheduler instead:
+One contiguous range of the root cover per worker leaves workers wildly
+unbalanced on the skewed inputs the paper's workloads are built from (Zipf
+keys, hub-and-spoke joins): one hot key can put almost all of the join under
+a single range while the other workers idle.  This module is a task-queue
+scheduler instead, and it schedules exactly one thing — a
+:class:`~repro.engine.pipeline.PhysicalPipeline`, whatever plan policy
+lowered it (:func:`run_pipeline_steal`):
 
 * the root cover is decomposed into *many* fine-grained tasks (contiguous
   entry ranges; about :data:`TASKS_PER_WORKER` per worker), and when the root
@@ -73,29 +74,19 @@ import queue as queue_module
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.colt import TrieStrategy, build_tries
-from repro.core.executor import ExecutorStats, FreeJoinExecutor
-from repro.core.plan import FreeJoinPlan
 from repro.engine.aggregates import AggregateSpec, PartialAggregateSink
 from repro.engine.output import (
     ColumnBatchSink,
-    CountSink,
     JoinResult,
-    OutputSink,
-    RowSink,
     replay_batches,
 )
+from repro.engine.pipeline import PhysicalPipeline, PipelineState, make_sink, run_range
 from repro.errors import DeadlineExceeded, ExecutionError, QueryCancelled
 from repro.kernels import (
-    KernelCompileError,
-    KernelFrontierExplosion,
-    column_distinct_count,
-    compile_program as kernel_compile,
-    enabled as kernels_enabled,
-    execute_program as kernel_execute,
+    kernel_caches_clear,
     merge_stats as kernel_merge_stats,
     new_stats as kernel_new_stats,
 )
@@ -106,7 +97,7 @@ from repro.parallel.context_cache import (
     context_cache_budget,
     context_cache_key,
 )
-from repro.parallel.sharding import entry_count, shard_offsets
+from repro.parallel.sharding import shard_offsets
 from repro.query.atoms import Atom
 from repro.storage.shm import AttachmentCache, ShmTableHandle, export_table
 
@@ -149,16 +140,6 @@ def _fork_context():
     return multiprocessing.get_context()
 
 
-def _make_sink(output: str, variables: Sequence[str]) -> OutputSink:
-    if output == "rows":
-        return RowSink(variables)
-    if output == "count":
-        return CountSink(variables)
-    raise ExecutionError(
-        f"parallel execution supports outputs ('rows', 'count'), got {output!r}"
-    )
-
-
 @dataclass
 class ShardedRunResult:
     """A merged parallel run: the combined result plus per-worker accounting.
@@ -169,25 +150,25 @@ class ShardedRunResult:
     """
 
     result: JoinResult
-    stats: Optional[ExecutorStats]
+    #: Merged row-path work counters (empty when the kernels served every task).
+    stats: Dict[str, int]
     build_seconds: float
     join_seconds: float
     mode: str
     shard_count: int
     shard_details: List[Dict[str, object]] = field(default_factory=list)
-    scheduler: str = "steal"
     extra: Dict[str, object] = field(default_factory=dict)
 
     def details(self) -> Dict[str, object]:
         """Summary suitable for :attr:`RunReport.details` / JSON reports."""
         record: Dict[str, object] = {
             "mode": self.mode,
-            "scheduler": self.scheduler,
             "shards": self.shard_count,
             "per_shard": self.shard_details,
         }
         record.update(self.extra)
         return record
+
 
 #: Target number of tasks dealt per worker.  More tasks mean finer-grained
 #: stealing (better balance under skew) at the cost of per-task overhead.
@@ -318,7 +299,7 @@ def _task_sink(
         return PartialAggregateSink(aggregate)
     if batches:
         return ColumnBatchSink(output_variables)
-    return _make_sink(output, output_variables)
+    return make_sink(output, output_variables)
 
 
 def _task_outcome(
@@ -379,81 +360,34 @@ def _forward_stream(stream, outcome: Dict[str, object]) -> None:
     outcome["multiplicities"] = []
 
 
-class _FreeJoinTaskContext:
-    """Per-worker Free Join state: one (lazy) trie set, reused across tasks.
+class _TaskContext:
+    """Per-worker state of one pipeline, reused across tasks and queries.
 
-    Contexts are the unit the fingerprint-keyed cache stores; the extra
-    attributes (``attachments``, ``entry_total``, ``allow_sub``) let a cached
-    context be rehydrated without re-probing the cover or re-attaching
-    segments.
+    Contexts are the unit the fingerprint-keyed cache stores: the pinned
+    pipeline description (what task ranges address), its row-path state
+    (built on first use — kernel-serving workers never need it), the entry
+    total (so a cache hit skips task planning entirely) and, in process
+    workers, the shared-memory attachments the atoms' columns point into,
+    pinned while the context sits in a cache.
     """
-
-    #: Shared-memory attachments this context's tries point into (process
-    #: workers only); pinned while the context sits in a cache.
-    attachments: Tuple = ()
-    #: Root-cover entry count / sub-split flag, remembered so a cache hit
-    #: skips the cover probe entirely.
-    entry_total: Optional[int] = None
-    allow_sub: bool = False
 
     def __init__(
         self,
-        plan: FreeJoinPlan,
-        output_variables: Tuple[str, ...],
-        tries,
-        *,
-        dynamic_cover: bool,
-        batch_size: int,
+        pipeline: PhysicalPipeline,
+        entry_total: int,
         output: str,
-        cover: Optional[str] = None,
+        kernels_off: Optional[str],
+        state: Optional[PipelineState] = None,
+        attachments: Tuple = (),
         attach_seconds: float = 0.0,
-        atoms: Optional[Dict[str, Atom]] = None,
-        schemas=None,
-        trie_strategy=None,
-        use_kernels: bool = False,
     ) -> None:
-        self.plan = plan
-        self.output_variables = output_variables
-        self.tries = tries
-        self.dynamic_cover = dynamic_cover
-        self.batch_size = batch_size
+        self.pipeline = pipeline
+        self.entry_total = entry_total
         self.output = output
-        self.cover = cover
+        self.kernels_off = kernels_off
+        self.state = state or PipelineState(pipeline.row_path, pipeline.atoms)
+        self.attachments = attachments
         self.attach_seconds = attach_seconds
-        if atoms is None and tries is not None:
-            atoms = {name: trie.atom for name, trie in tries.items()}
-        self.atoms = atoms
-        self.schemas = schemas
-        self.trie_strategy = trie_strategy
-        self.use_kernels = use_kernels
-
-    def _ensure_tries(self):
-        # Kernel-serving workers skip the trie build; the first task that
-        # actually needs the row path (sub-entry split, compile fallback)
-        # builds it here.
-        if self.tries is None:
-            self.tries = build_tries(self.atoms, self.schemas, self.trie_strategy)
-        return self.tries
-
-    def _compile_kernel(self, stats):
-        levels = self.plan.subatoms_of(self.cover)
-        group_vars = None if len(levels) == 1 else tuple(levels[0].variables)
-        driver = self.atoms[self.cover]
-        probes = [
-            self.atoms[name] for name in self.plan.relations() if name != self.cover
-        ]
-        try:
-            program = kernel_compile(
-                driver,
-                probes,
-                self.output_variables,
-                group_vars=group_vars,
-                compress=True,
-                stats=stats,
-            )
-        except KernelCompileError as exc:
-            return None, str(exc)
-        return program, None
 
     def run_task(
         self,
@@ -462,315 +396,24 @@ class _FreeJoinTaskContext:
         aggregate: Optional[AggregateSpec] = None,
         batches: bool = False,
     ) -> Dict[str, object]:
-        sink = _task_sink(self.output, self.output_variables, aggregate, batches)
-        fallback = None
-        if self.use_kernels:
-            # Task ranges address the cover's root entries in
-            # first-occurrence order — the same partition the driver index
-            # groups by, so kernel and trie tasks can even mix in one run.
-            if task.sub is not None:
-                fallback = "sub-entry-task"
-            elif self.cover is None:
-                fallback = "probe-only-root"
-            else:
-                stats = kernel_new_stats()
-                program, fallback = self._compile_kernel(stats)
-                if program is not None:
-                    try:
-                        kernel_execute(
-                            program,
-                            sink,
-                            start=task.start,
-                            stop=task.stop,
-                            interrupt=interrupt,
-                            stats=stats,
-                            factorize=getattr(sink, "accepts_factorized", False),
-                        )
-                    except KernelFrontierExplosion as exc:
-                        # The task's sink is untouched (guard invariant);
-                        # re-run its range on the trie path.
-                        fallback = str(exc)
-                    else:
-                        outcome = _task_outcome(task, sink, self.output, None)
-                        outcome["kernels"] = stats
-                        return outcome
-        executor = FreeJoinExecutor(
-            self.plan,
-            self.output_variables,
+        sink = _task_sink(
+            self.output, self.pipeline.output_variables, aggregate, batches
+        )
+        stats = kernel_new_stats()
+        counters, fallback = run_range(
+            self.pipeline,
+            self.state,
             sink,
-            dynamic_cover=self.dynamic_cover,
-            batch_size=self.batch_size,
-            factorize=False,
-            interrupt=interrupt,
+            (task.start, task.stop, task.sub),
+            interrupt,
+            stats,
+            self.kernels_off,
         )
-        executor.run_task(
-            self._ensure_tries(), task.start, task.stop, task.sub, self.cover
-        )
-        outcome = _task_outcome(task, sink, self.output, executor.stats.as_dict())
+        outcome = _task_outcome(task, sink, self.output, counters)
+        outcome["kernels"] = stats
         if fallback:
             outcome["kernel_fallback"] = fallback
         return outcome
-
-
-class _BinaryTaskContext:
-    """Per-worker binary join state: hash tables built once per query."""
-
-    attachments: Tuple = ()
-    entry_total: Optional[int] = None
-    allow_sub: bool = False
-
-    def __init__(
-        self,
-        pipeline_atoms: List[Atom],
-        output_variables: List[str],
-        output: str,
-        attach_seconds: float = 0.0,
-        use_kernels: bool = False,
-    ) -> None:
-        from repro.binaryjoin.executor import BinaryJoinEngine
-
-        self.pipeline_atoms = pipeline_atoms
-        self.output_variables = output_variables
-        self.output = output
-        self.attach_seconds = attach_seconds
-        self.use_kernels = use_kernels
-        self._hash_tables = None
-        if not use_kernels:
-            self._hash_tables = BinaryJoinEngine._build_hash_tables(pipeline_atoms)
-
-    @property
-    def hash_tables(self):
-        if self._hash_tables is None:
-            from repro.binaryjoin.executor import BinaryJoinEngine
-
-            self._hash_tables = BinaryJoinEngine._build_hash_tables(
-                self.pipeline_atoms
-            )
-        return self._hash_tables
-
-    def run_task(
-        self,
-        task: StealTask,
-        interrupt: Optional[DeadlineToken] = None,
-        aggregate: Optional[AggregateSpec] = None,
-        batches: bool = False,
-    ) -> Dict[str, object]:
-        from repro.binaryjoin.executor import BinaryJoinEngine
-
-        sink = _task_sink(self.output, self.output_variables, aggregate, batches)
-        fallback = None
-        if self.use_kernels:
-            stats = kernel_new_stats()
-            # Row mode expands fully (byte-identical to the probe loop's
-            # order within each offset range); count mode compresses —
-            # unless the task folds aggregates, which consume rows.
-            compress = self.output == "count" and aggregate is None
-            try:
-                program = kernel_compile(
-                    self.pipeline_atoms[0],
-                    self.pipeline_atoms[1:],
-                    self.output_variables,
-                    compress=compress,
-                    stats=stats,
-                )
-            except KernelCompileError as exc:
-                program, fallback = None, str(exc)
-            if program is not None:
-                try:
-                    kernel_execute(
-                        program,
-                        sink,
-                        start=task.start,
-                        stop=task.stop,
-                        interrupt=interrupt,
-                        stats=stats,
-                        factorize=getattr(sink, "accepts_factorized", False),
-                    )
-                except KernelFrontierExplosion as exc:
-                    # The task's sink is untouched (guard invariant);
-                    # re-run its range on the probe loop.
-                    fallback = str(exc)
-                else:
-                    outcome = _task_outcome(task, sink, self.output, None)
-                    outcome["kernels"] = stats
-                    return outcome
-        BinaryJoinEngine._run_pipeline(
-            self.pipeline_atoms,
-            self.hash_tables,
-            self.output_variables,
-            sink,
-            offset_range=(task.start, task.stop),
-            interrupt=interrupt,
-        )
-        outcome = _task_outcome(task, sink, self.output, None)
-        if fallback:
-            outcome["kernel_fallback"] = fallback
-        return outcome
-
-
-class _GenericTaskContext:
-    """Per-worker Generic Join state: eager hash tries built once per query."""
-
-    attachments: Tuple = ()
-    entry_total: Optional[int] = None
-    allow_sub: bool = False
-
-    def __init__(
-        self,
-        atoms: List[Atom],
-        output_variables: Tuple[str, ...],
-        order: List[str],
-        output: str,
-        attach_seconds: float = 0.0,
-        use_kernels: bool = False,
-    ) -> None:
-        self.atoms = atoms
-        self.output_variables = output_variables
-        self.order = order
-        self.output = output
-        self.attach_seconds = attach_seconds
-        self.use_kernels = use_kernels
-        self._tries = None
-        if not use_kernels:
-            self._tries = self._build_tries()
-
-    def _build_tries(self):
-        from repro.genericjoin.trie import build_hash_trie
-
-        return {atom.name: build_hash_trie(atom, self.order) for atom in self.atoms}
-
-    @property
-    def tries(self):
-        if self._tries is None:
-            self._tries = self._build_tries()
-        return self._tries
-
-    def _compile_kernel(self, stats):
-        # Task ranges address distinct first-variable values of the smallest
-        # participant, in first-occurrence order — the entry iteration the
-        # recursion slices.  The driver must be that same atom (stable min,
-        # like the recursion's stable sort) so its group count equals the
-        # scheduler's entry total.
-        if not self.order:
-            return None, "no-variable-order"
-        participants = [
-            atom for atom in self.atoms if atom.has_variable(self.order[0])
-        ]
-        if not participants:
-            return None, "no-first-variable-participant"
-        driver = min(
-            participants,
-            key=lambda atom: column_distinct_count(
-                atom.table.column(atom.column_for(self.order[0]))
-            ),
-        )
-        probes = [atom for atom in self.atoms if atom is not driver]
-        try:
-            program = kernel_compile(
-                driver,
-                probes,
-                self.output_variables,
-                group_vars=(self.order[0],),
-                compress=True,
-                stats=stats,
-            )
-        except KernelCompileError as exc:
-            return None, str(exc)
-        return program, None
-
-    def run_task(
-        self,
-        task: StealTask,
-        interrupt: Optional[DeadlineToken] = None,
-        aggregate: Optional[AggregateSpec] = None,
-        batches: bool = False,
-    ) -> Dict[str, object]:
-        from repro.genericjoin.executor import GenericJoinEngine
-
-        sink = _task_sink(self.output, self.output_variables, aggregate, batches)
-        fallback = None
-        if self.use_kernels:
-            stats = kernel_new_stats()
-            program, fallback = self._compile_kernel(stats)
-            if program is not None:
-                try:
-                    kernel_execute(
-                        program,
-                        sink,
-                        start=task.start,
-                        stop=task.stop,
-                        interrupt=interrupt,
-                        stats=stats,
-                        factorize=getattr(sink, "accepts_factorized", False),
-                    )
-                except KernelFrontierExplosion as exc:
-                    # The task's sink is untouched (guard invariant);
-                    # re-run its range on the intersection recursion.
-                    fallback = str(exc)
-                else:
-                    outcome = _task_outcome(task, sink, self.output, None)
-                    outcome["kernels"] = stats
-                    return outcome
-        GenericJoinEngine._execute_atoms(
-            self.atoms,
-            self.output_variables,
-            self.order,
-            self.tries,
-            sink,
-            entry_range=(task.start, task.stop),
-            interrupt=interrupt,
-        )
-        outcome = _task_outcome(task, sink, self.output, None)
-        if fallback:
-            outcome["kernel_fallback"] = fallback
-        return outcome
-
-
-def _cover_entry_total(trie) -> int:
-    """Entries the root cover will iterate, without forcing the trie.
-
-    Forcing builds the full hash map plus one child node per key — wasted
-    work in a parent whose process workers rebuild their own tries.  A
-    last-level cover iterates its tuples; an already-forced level knows its
-    key count; otherwise the count is the distinct key count of the level's
-    columns (exactly what forcing would find, at a fraction of the cost).
-    """
-    if trie.levels_remaining() == 1:
-        return trie.tuple_count()
-    is_forced = getattr(trie, "is_forced", None)
-    if is_forced is not None and is_forced():
-        return trie.key_count()
-    atom = trie.atom
-    columns = [atom.table.column(atom.column_for(var)).values for var in trie.vars]
-    if len(columns) == 1:
-        return len(set(columns[0]))
-    return len(set(zip(*columns)))
-
-
-def _preforce_shared_tries(plan: FreeJoinPlan, tries) -> None:
-    """Force shared tries' first levels once, before thread workers start.
-
-    Thread workers share one trie build, but COLT forcing is lazy: if all
-    workers hit the same unforced level at the same instant they each build
-    an (equivalent) map concurrently, re-paying the build K times under the
-    GIL — exactly the duplicated cost sharing is meant to remove.  Forcing
-    the contended levels up front makes the build genuinely once-per-query.
-
-    A root level is contended unless the relation sits alone in its first
-    node *and* is single-level (then it is only ever iterated as a leaf
-    vector, which never forces).  Deeper levels are keyed by bindings that
-    differ across tasks, so their forcing rarely collides.
-    """
-    first_node: Dict[str, int] = {}
-    for index, node in enumerate(plan.nodes):
-        for subatom in node.subatoms:
-            first_node.setdefault(subatom.relation, index)
-    for relation, trie in tries.items():
-        if trie.levels_remaining() == 1 and len(plan.nodes[first_node[relation]]) == 1:
-            continue
-        force = getattr(trie, "force", None)
-        if force is not None:
-            force()
 
 
 def _unpin_attachments(attachments) -> None:
@@ -791,14 +434,14 @@ def _attach_atoms(
     Ownership of the pins passes to the built context; on failure the caller
     unpins via :func:`_unpin_attachments`.
     """
-    atoms: Dict[str, Atom] = {}
+    atoms: List[Atom] = []
     attachments = []
     try:
         for name, variables, handle in specs:
             attachment = cache.attach_entry(handle)
             attachment.pins += 1
             attachments.append(attachment)
-            atoms[name] = Atom(name, attachment.table, variables)
+            atoms.append(Atom(name, attachment.table, variables))
     except Exception:
         _unpin_attachments(attachments)
         raise
@@ -811,67 +454,25 @@ def _build_worker_context(setup: Dict[str, object], cache: AttachmentCache):
     The returned context records (and pins) the attachments its structures
     point into, so the context cache can exempt them from the attachment LRU
     for as long as the context stays cached, and release them on eviction.
+    Kernel-serving workers defer the row-path build to the first task that
+    actually needs it (if any); with kernels off it is setup work.
     """
-    kind = setup["kind"]
     started = time.perf_counter()
     atoms, attachments = _attach_atoms(setup["atoms"], cache)
-    attach_seconds = time.perf_counter() - started
-    use_kernels = bool(setup.get("use_kernels"))
-    try:
-        context = _make_worker_context(
-            kind, setup, atoms, attach_seconds, use_kernels
-        )
-    except Exception:
-        _unpin_attachments(attachments)
-        raise
-    context.attachments = tuple(attachments)
-    return context
-
-
-def _make_worker_context(kind, setup, atoms, attach_seconds, use_kernels):
-    if kind == "freejoin":
-        # Kernel-serving workers defer the trie build to the first task
-        # that actually needs the row path (if any).
-        tries = (
-            None
-            if use_kernels
-            else build_tries(atoms, setup["schemas"], setup["trie_strategy"])
-        )
-        context = _FreeJoinTaskContext(
-            setup["plan"],
-            setup["output_variables"],
-            tries,
-            dynamic_cover=setup["dynamic_cover"],
-            batch_size=setup["batch_size"],
-            output=setup["output"],
-            cover=setup["cover"],
-            attach_seconds=attach_seconds,
-            atoms=atoms,
-            schemas=setup["schemas"],
-            trie_strategy=setup["trie_strategy"],
-            use_kernels=use_kernels,
-        )
-    elif kind == "binary":
-        ordered = [atoms[name] for name in setup["atom_order"]]
-        context = _BinaryTaskContext(
-            ordered,
-            setup["output_variables"],
-            setup["output"],
-            attach_seconds,
-            use_kernels=use_kernels,
-        )
-    elif kind == "generic":
-        ordered = [atoms[name] for name in setup["atom_order"]]
-        context = _GenericTaskContext(
-            ordered,
-            setup["output_variables"],
-            setup["order"],
-            setup["output"],
-            attach_seconds,
-            use_kernels=use_kernels,
-        )
-    else:
-        raise ExecutionError(f"unknown steal context kind {kind!r}")
+    context = _TaskContext(
+        replace(setup["pipeline"], atoms=atoms),
+        setup["entry_total"],
+        setup["output"],
+        setup["kernels_off"],
+        attachments=tuple(attachments),
+        attach_seconds=time.perf_counter() - started,
+    )
+    if context.kernels_off:
+        try:
+            context.state.get()
+        except Exception:
+            _unpin_attachments(attachments)
+            raise
     return context
 
 
@@ -965,8 +566,7 @@ class ThreadStealPool:
     Under CPython the GIL serializes the join work itself, so the thread
     backend's value is determinism and *shared state*: all workers execute
     over one trie/hash-table build (handed to them through the job's runner
-    closure), which is what makes steal mode cheaper than range mode's
-    per-worker rebuilds even on one core.
+    closure) instead of one build per worker.
     """
 
     backend = "thread"
@@ -1172,7 +772,12 @@ def _process_worker_main(
         except (EOFError, OSError):  # pragma: no cover - parent died
             return
         if message[0] == "stop":
+            # Drop everything that still points into the attached buffers —
+            # cached contexts, then kernel programs/indexes (whose atoms keep
+            # attached tables alive) — so close_all() can release every view
+            # and the segments close without "exported pointers exist" noise.
             contexts.clear()
+            kernel_caches_clear()
             cache.close_all()
             return
         _kind, query_id, setup = message
@@ -1515,7 +1120,8 @@ _REGISTRY_LOCK = threading.Lock()
 #: are keyed by the same fingerprint-derived keys as the worker caches.
 _LOCAL_CONTEXTS = ContextCache()
 _LOCAL_LOCK = threading.Lock()
-_PLAN_CACHE: Dict[str, Tuple[Optional[str], int, bool]] = {}
+#: key -> (atom names, pinned pipeline stripped of its atoms, entry total)
+_PLAN_CACHE: Dict[str, Tuple[Tuple[str, ...], PhysicalPipeline, int]] = {}
 _PLAN_CACHE_CAPACITY = 256
 _CACHES_PID = os.getpid()
 
@@ -1654,7 +1260,7 @@ atexit.register(shutdown_pools)
 
 @dataclass
 class _StealRun:
-    """Everything the entry points hand to the shared driver."""
+    """Everything :func:`run_pipeline_steal` hands to :func:`_drive`."""
 
     tasks: List[StealTask]
     workers: int
@@ -1663,7 +1269,6 @@ class _StealRun:
     setup_factory: Callable[[], Dict[str, object]]
     output_variables: Tuple[str, ...]
     output: str
-    merge_stats: bool
     build_seconds: float = 0.0
     interrupt: Optional[DeadlineToken] = None
     #: Optional StreamingSink; task rows are forwarded to it as tasks
@@ -1673,11 +1278,7 @@ class _StealRun:
 
 
 def _short_circuit(
-    variables: Sequence[str],
-    output: str,
-    workers: int,
-    merge_stats: bool,
-    build_seconds: float,
+    variables: Sequence[str], output: str, workers: int, build_seconds: float
 ) -> ShardedRunResult:
     """An empty/zero-key cover: no worker is spawned, stats still populated."""
     if output == "count":
@@ -1688,13 +1289,12 @@ def _short_circuit(
         result = JoinResult(variables=tuple(variables), rows=[], multiplicities=[])
     return ShardedRunResult(
         result=result,
-        stats=ExecutorStats() if merge_stats else None,
+        stats={},
         build_seconds=build_seconds,
         join_seconds=0.0,
         mode="inline",
         shard_count=workers,
         shard_details=[],
-        scheduler="steal",
         extra={
             "tasks": 0,
             "steals": 0,
@@ -1777,13 +1377,12 @@ def _merge(
     rows: List[tuple] = []
     multiplicities: List[int] = []
     count = 0
-    stats = ExecutorStats() if run.merge_stats else None
+    stats: Dict[str, int] = {}
     for outcome in outcomes:
         rows.extend(outcome["rows"])
         multiplicities.extend(outcome["multiplicities"])
         count += outcome["count"]
-        if stats is not None and outcome.get("stats"):
-            stats.merge(ExecutorStats.from_dict(outcome["stats"]))
+        kernel_merge_stats(stats, outcome.get("stats"))
     if run.stream is not None:
         # Rows were forwarded to the streaming sink as tasks completed; the
         # merged result is the sink's count-only placeholder.
@@ -1867,7 +1466,6 @@ def _merge(
         mode=backend_label,
         shard_count=run.workers,
         shard_details=per_shard,
-        scheduler="steal",
         extra=extra,
     )
 
@@ -1889,419 +1487,135 @@ def _context_bytes_estimate(atoms: Sequence[Atom]) -> int:
 
 
 # --------------------------------------------------------------------------- #
-# Public entry points (one per engine)
+# The public entry point
 # --------------------------------------------------------------------------- #
 
 
-def run_freejoin_pipeline_steal(
-    plan: FreeJoinPlan,
-    output_variables: Sequence[str],
-    atoms: Dict[str, Atom],
-    schemas: Dict[str, List[Tuple[str, ...]]],
+def run_pipeline_steal(
+    pipeline: PhysicalPipeline,
     *,
-    trie_strategy: TrieStrategy = TrieStrategy.COLT,
-    batch_size: int = 1,
-    dynamic_cover: bool = True,
     output: str = "rows",
     workers: int = 2,
     mode: str = "auto",
-    tasks_per_worker: Optional[int] = None,
+    kernels_off: Optional[str] = None,
     interrupt: Optional[DeadlineToken] = None,
     stream=None,
 ) -> ShardedRunResult:
-    """Run one Free Join (pipeline) plan through the work-stealing scheduler.
+    """Run one lowered pipeline through the work-stealing scheduler.
+
+    The pipeline's row path fixes what task ranges address
+    (:meth:`~repro.engine.pipeline.RowPath.plan_tasks`), the entry total is
+    decomposed into tasks, and every task is one
+    :func:`~repro.engine.pipeline.run_range` call in whichever worker gets to
+    it.  ``kernels_off`` is the query's kernels-disabled reason, decided once
+    in the parent: every worker of this run executes the same path regardless
+    of when it forked.
 
     Repeated queries over unchanged tables hit the fingerprint-keyed context
-    cache: the thread/inline backends reuse a parent-side context (tries
-    already built and pre-forced), the process backend skips the parent's
-    cover probe via the plan cache while each worker reuses its own cached
-    context, skipping attach and trie build entirely.
+    cache: the thread/inline backends reuse a parent-side context (state
+    built, task plan pinned), the process backend skips the parent's task
+    planning via the plan cache while each worker reuses its own cached
+    context, skipping attach and build entirely.
     """
     if output not in _STEAL_OUTPUTS:
         raise ExecutionError(
             f"steal scheduling supports outputs {_STEAL_OUTPUTS}, got {output!r}"
         )
-    output_variables = tuple(output_variables)
-    input_tuples = sum(atom.size for atom in atoms.values())
-    backend = _steal_backend(mode, workers, input_tuples)
+    atoms = {atom.name: atom for atom in pipeline.atoms}
+    backend = _steal_backend(
+        mode, workers, sum(atom.size for atom in pipeline.atoms)
+    )
+    # Thread workers (and the inline single task) run over one context in
+    # this process; process workers build their own from attached columns.
+    shared = backend != "process"
     budget = context_cache_budget()
-    # Decided once, in the parent: every worker of this run executes the
-    # same path regardless of when it forked (env toggles are per-query).
-    use_kernels = kernels_enabled()
     cache_key = None
     if budget > 0:
         cache_key = context_cache_key(
-            "freejoin",
+            pipeline.row_path.name,
             atoms,
-            repr(plan),
-            output_variables,
-            tuple(sorted((name, tuple(levels)) for name, levels in schemas.items())),
-            str(trie_strategy),
-            batch_size,
-            dynamic_cover,
+            pipeline.key_parts(),
             output,
-            use_kernels,
+            kernels_off is None,
         )
-    cache_telemetry = {"hits": 0, "misses": 0, "evictions": 0}
+    nbytes = _context_bytes_estimate(pipeline.atoms)
+    telemetry = {"hits": 0, "misses": 0, "evictions": 0}
 
     build_started = time.perf_counter()
-    context = _local_context_get(cache_key) if backend != "process" else None
-    plan_info = _plan_cache_get(cache_key) if backend == "process" else None
+    state = None
+    context = _local_context_get(cache_key) if shared else None
+    planned = None if shared else _plan_cache_get(cache_key)
     if context is not None:
-        # Warm parent-side context: tries are built, forced, and the cover
-        # choice is pinned; nothing to probe.
-        tries = context.tries
-        cover_relation = context.cover
-        entry_total = context.entry_total
-        allow_sub = context.allow_sub
-        cache_telemetry["hits"] = 1
-    elif plan_info is not None:
-        tries = None
-        cover_relation, entry_total, allow_sub = plan_info
+        telemetry["hits"] = 1
+        pipeline, entry_total = context.pipeline, context.entry_total
+    elif planned is not None:
+        # The plan cache holds descriptions only; re-attach this query's atoms.
+        names, pipeline, entry_total = planned
+        pipeline = replace(pipeline, atoms=[atoms[name] for name in names])
     else:
-        if cache_key is not None and backend != "process":
-            cache_telemetry["misses"] = 1
-        tries = build_tries(atoms, schemas, trie_strategy)
-        # Choose the root cover ONCE, here, and pin it into every task:
-        # dynamic cover selection keys off key_count() estimates that shrink
-        # as forcing progresses, so letting each task re-choose could switch
-        # the iterated relation mid-query and corrupt the partition.  The
-        # choice below uses the unforced estimates (no forcing happens
-        # during it), matching what the first task would have seen.
-        prober = FreeJoinExecutor(
-            plan,
-            output_variables,
-            RowSink(output_variables),
-            dynamic_cover=dynamic_cover,
-            batch_size=1,
-            factorize=False,
+        telemetry["misses"] = int(shared and cache_key is not None)
+        state = PipelineState(pipeline.row_path, pipeline.atoms)
+        pipeline, entry_total = pipeline.row_path.plan_tasks(
+            pipeline, state, shared and kernels_off is not None
         )
-        root_info = prober._nodes[0]
-        cover_position = prober._choose_cover(root_info, dict(tries))
-        if cover_position is None:
-            cover_relation = None
-            entry_total = 1  # probe-only root: one unit of work
-            allow_sub = False
-        else:
-            cover_relation = root_info.cover_plans[cover_position].relation
-            if backend == "thread" and not use_kernels:
-                # Thread workers share these tries, so forcing the cover's
-                # root level here is work the query needs anyway.
-                entry_total = entry_count(tries[cover_relation])
-            else:
-                # Process workers rebuild from attached columns; a full
-                # force in the parent would be thrown away.  The entry count
-                # of the cover's first level is just its distinct key count.
-                entry_total = _cover_entry_total(tries[cover_relation])
-            allow_sub = len(plan.nodes) >= 2
-        if backend == "process":
-            _plan_cache_put(cache_key, (cover_relation, entry_total, allow_sub))
+        if not shared:
+            names = tuple(atom.name for atom in pipeline.atoms)
+            _plan_cache_put(
+                cache_key, (names, replace(pipeline, atoms=[]), entry_total)
+            )
     build_seconds = time.perf_counter() - build_started
 
-    tasks = decompose_entries(entry_total, workers, tasks_per_worker, allow_sub)
+    tasks = decompose_entries(entry_total, workers, allow_sub=pipeline.allow_sub)
     if not tasks:
-        return _short_circuit(output_variables, output, workers, True, build_seconds)
+        return _short_circuit(
+            pipeline.output_variables, output, workers, build_seconds
+        )
     if interrupt is not None and interrupt.at is not None:
         for task in tasks:
             task.deadline = interrupt.at
-    if (
-        backend == "thread"
-        and len(tasks) > 1
-        and context is None
-        and tries is not None
-        and not use_kernels
-    ):
-        # Kernel runs never touch the shared tries except on rare per-task
-        # fallbacks; pre-forcing would be pure overhead there.
-        build_started = time.perf_counter()
-        _preforce_shared_tries(plan, tries)
-        build_seconds += time.perf_counter() - build_started
-
-    cached_context = context
 
     def context_factory():
-        nonlocal cached_context
-        if cached_context is not None:
-            return cached_context
-        # Inline fallback of the process backend after a plan-cache hit:
-        # tries were never built in this parent, build them now.
-        local_tries = tries if tries is not None else build_tries(
-            atoms, schemas, trie_strategy
-        )
-        cached_context = _FreeJoinTaskContext(
-            plan,
-            output_variables,
-            local_tries,
-            dynamic_cover=dynamic_cover,
-            batch_size=batch_size,
-            output=output,
-            cover=cover_relation,
-            atoms=dict(atoms),
-            schemas=schemas,
-            trie_strategy=trie_strategy,
-            use_kernels=use_kernels,
-        )
-        cached_context.entry_total = entry_total
-        cached_context.allow_sub = allow_sub
-        cache_telemetry["evictions"] += _local_context_put(
-            cache_key,
-            cached_context,
-            _context_bytes_estimate(list(atoms.values())),
-            budget,
-        )
-        return cached_context
+        nonlocal context
+        if context is None:
+            context = _TaskContext(pipeline, entry_total, output, kernels_off, state)
+            if kernels_off:
+                # Every task will need the row path: build it once, here,
+                # not racily in whichever workers start first.
+                context.state.get(interrupt)
+            telemetry["evictions"] += _local_context_put(
+                cache_key, context, nbytes, budget
+            )
+        return context
 
     def setup_factory():
         return {
-            "kind": "freejoin",
-            "plan": plan,
-            "output_variables": output_variables,
-            "schemas": schemas,
-            "trie_strategy": trie_strategy,
-            "batch_size": batch_size,
-            "dynamic_cover": dynamic_cover,
+            "pipeline": replace(pipeline, atoms=[]),
+            "atoms": _atom_specs(pipeline.atoms),
+            "entry_total": entry_total,
             "output": output,
-            "cover": cover_relation,
-            "atoms": _atom_specs(list(atoms.values())),
-            "use_kernels": use_kernels,
+            "kernels_off": kernels_off,
             "context_key": cache_key,
-            "context_bytes": _context_bytes_estimate(list(atoms.values())),
+            "context_bytes": nbytes,
             "cache_budget": budget,
             "deadline": interrupt.at if interrupt is not None else None,
         }
 
     extra: Dict[str, object] = {}
-    if cache_key is not None and (backend != "process" or len(tasks) == 1):
+    if cache_key is not None and (shared or len(tasks) == 1):
         # Parent-side telemetry: thread/inline backends always, and the
         # process backend's single-task inline fallback (which runs its
         # context parent-side, so worker deltas never arrive).
-        extra["context_cache"] = cache_telemetry
-    result = _drive(
+        extra["context_cache"] = telemetry
+    return _drive(
         _StealRun(
             tasks=tasks,
             workers=workers,
             backend=backend,
             context_factory=context_factory,
             setup_factory=setup_factory,
-            output_variables=output_variables,
+            output_variables=pipeline.output_variables,
             output=output,
-            merge_stats=True,
             build_seconds=build_seconds,
-            interrupt=interrupt,
-            stream=stream,
-            extra=extra,
-        )
-    )
-    return result
-
-
-def run_binary_pipeline_steal(
-    pipeline_atoms: List[Atom],
-    output_variables: List[str],
-    *,
-    output: str = "rows",
-    workers: int = 2,
-    mode: str = "auto",
-    tasks_per_worker: Optional[int] = None,
-    interrupt: Optional[DeadlineToken] = None,
-    stream=None,
-) -> ShardedRunResult:
-    """Run one binary-join pipeline with its probe loop task-decomposed."""
-    if output not in _STEAL_OUTPUTS:
-        raise ExecutionError(
-            f"steal scheduling supports outputs {_STEAL_OUTPUTS}, got {output!r}"
-        )
-    input_tuples = sum(atom.size for atom in pipeline_atoms)
-    backend = _steal_backend(mode, workers, input_tuples)
-    budget = context_cache_budget()
-    use_kernels = kernels_enabled()
-    atoms_by_name = {atom.name: atom for atom in pipeline_atoms}
-    cache_key = None
-    if budget > 0:
-        cache_key = context_cache_key(
-            "binary",
-            atoms_by_name,
-            tuple(atom.name for atom in pipeline_atoms),
-            tuple(tuple(atom.variables) for atom in pipeline_atoms),
-            tuple(output_variables),
-            output,
-            use_kernels,
-        )
-    entry_total = pipeline_atoms[0].size
-    tasks = decompose_entries(entry_total, workers, tasks_per_worker, allow_sub=False)
-    if not tasks:
-        return _short_circuit(output_variables, output, workers, False, 0.0)
-    if interrupt is not None and interrupt.at is not None:
-        for task in tasks:
-            task.deadline = interrupt.at
-    cache_telemetry = {"hits": 0, "misses": 0, "evictions": 0}
-
-    def context_factory():
-        context = _local_context_get(cache_key)
-        if context is not None:
-            cache_telemetry["hits"] = 1
-            return context
-        if cache_key is not None:
-            cache_telemetry["misses"] = 1
-        context = _BinaryTaskContext(
-            list(pipeline_atoms),
-            list(output_variables),
-            output,
-            use_kernels=use_kernels,
-        )
-        cache_telemetry["evictions"] += _local_context_put(
-            cache_key, context, _context_bytes_estimate(pipeline_atoms), budget
-        )
-        return context
-
-    def setup_factory():
-        return {
-            "kind": "binary",
-            "atom_order": [atom.name for atom in pipeline_atoms],
-            "output_variables": list(output_variables),
-            "output": output,
-            "atoms": _atom_specs(pipeline_atoms),
-            "use_kernels": use_kernels,
-            "context_key": cache_key,
-            "context_bytes": _context_bytes_estimate(pipeline_atoms),
-            "cache_budget": budget,
-            "deadline": interrupt.at if interrupt is not None else None,
-        }
-
-    extra: Dict[str, object] = {}
-    if cache_key is not None and (backend != "process" or len(tasks) == 1):
-        # Parent-side telemetry: thread/inline backends always, and the
-        # process backend's single-task inline fallback (which runs its
-        # context parent-side, so worker deltas never arrive).
-        extra["context_cache"] = cache_telemetry
-    return _drive(
-        _StealRun(
-            tasks=tasks,
-            workers=workers,
-            backend=backend,
-            context_factory=context_factory,
-            setup_factory=setup_factory,
-            output_variables=tuple(output_variables),
-            output=output,
-            merge_stats=False,
-            build_seconds=0.0,
-            interrupt=interrupt,
-            stream=stream,
-            extra=extra,
-        )
-    )
-
-
-def run_generic_steal(
-    atoms: List[Atom],
-    output_variables: Sequence[str],
-    order: Sequence[str],
-    *,
-    output: str = "rows",
-    workers: int = 2,
-    mode: str = "auto",
-    tasks_per_worker: Optional[int] = None,
-    interrupt: Optional[DeadlineToken] = None,
-    stream=None,
-) -> ShardedRunResult:
-    """Run one Generic Join with the first intersection task-decomposed."""
-    if output not in _STEAL_OUTPUTS:
-        raise ExecutionError(
-            f"steal scheduling supports outputs {_STEAL_OUTPUTS}, got {output!r}"
-        )
-    atoms = list(atoms)
-    order = list(order)
-    input_tuples = sum(atom.size for atom in atoms)
-    backend = _steal_backend(mode, workers, input_tuples)
-    budget = context_cache_budget()
-    use_kernels = kernels_enabled()
-    atoms_by_name = {atom.name: atom for atom in atoms}
-    cache_key = None
-    if budget > 0:
-        cache_key = context_cache_key(
-            "generic",
-            atoms_by_name,
-            tuple(atom.name for atom in atoms),
-            tuple(tuple(atom.variables) for atom in atoms),
-            tuple(output_variables),
-            tuple(order),
-            output,
-            use_kernels,
-        )
-
-    # The first variable's intersection iterates the smallest participant
-    # level; its entry count is that atom's distinct count on the variable.
-    # Only the *count* matters here — each worker's own (identically built)
-    # tries define the iteration order the ranges slice.  The plan cache
-    # remembers it so repeated queries skip the distinct-count scan.
-    plan_info = _plan_cache_get(cache_key)
-    if plan_info is not None:
-        _cover, entry_total, _allow_sub = plan_info
-    else:
-        entry_total = 1
-        if order:
-            participants = [atom for atom in atoms if atom.has_variable(order[0])]
-            if participants:
-                entry_total = min(
-                    len(set(atom.table.column(atom.column_for(order[0])).values))
-                    for atom in participants
-                )
-        _plan_cache_put(cache_key, (None, entry_total, False))
-    tasks = decompose_entries(entry_total, workers, tasks_per_worker, allow_sub=False)
-    if not tasks:
-        return _short_circuit(output_variables, output, workers, False, 0.0)
-    if interrupt is not None and interrupt.at is not None:
-        for task in tasks:
-            task.deadline = interrupt.at
-    cache_telemetry = {"hits": 0, "misses": 0, "evictions": 0}
-
-    def context_factory():
-        context = _local_context_get(cache_key)
-        if context is not None:
-            cache_telemetry["hits"] = 1
-            return context
-        if cache_key is not None:
-            cache_telemetry["misses"] = 1
-        context = _GenericTaskContext(
-            atoms, tuple(output_variables), order, output, use_kernels=use_kernels
-        )
-        cache_telemetry["evictions"] += _local_context_put(
-            cache_key, context, _context_bytes_estimate(atoms), budget
-        )
-        return context
-
-    def setup_factory():
-        return {
-            "kind": "generic",
-            "atom_order": [atom.name for atom in atoms],
-            "output_variables": tuple(output_variables),
-            "order": order,
-            "output": output,
-            "atoms": _atom_specs(atoms),
-            "use_kernels": use_kernels,
-            "context_key": cache_key,
-            "context_bytes": _context_bytes_estimate(atoms),
-            "cache_budget": budget,
-            "deadline": interrupt.at if interrupt is not None else None,
-        }
-
-    extra: Dict[str, object] = {}
-    if cache_key is not None and (backend != "process" or len(tasks) == 1):
-        # Parent-side telemetry: thread/inline backends always, and the
-        # process backend's single-task inline fallback (which runs its
-        # context parent-side, so worker deltas never arrive).
-        extra["context_cache"] = cache_telemetry
-    return _drive(
-        _StealRun(
-            tasks=tasks,
-            workers=workers,
-            backend=backend,
-            context_factory=context_factory,
-            setup_factory=setup_factory,
-            output_variables=tuple(output_variables),
-            output=output,
-            merge_stats=False,
-            build_seconds=0.0,
             interrupt=interrupt,
             stream=stream,
             extra=extra,

@@ -128,10 +128,8 @@ class ShardView(RangeView):
 
     The slice is computed lazily on first iteration (from the wrapped trie's
     entry count), so constructing the view is free when the executor ends up
-    never iterating it.  This is the unit
-    :meth:`repro.core.executor.PlanExecutor.run_sharded` partitions with; the
-    work-stealing scheduler uses it for sub-root tasks, whose entry counts
-    only the worker holding the sub-trie can know.
+    never iterating it.  The work-stealing scheduler uses it for sub-root
+    tasks, whose entry counts only the worker holding the sub-trie can know.
     """
 
     def __init__(self, base: GHT, shard_index: int, shard_count: int) -> None:

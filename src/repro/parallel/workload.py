@@ -68,7 +68,7 @@ class QueryExecution:
     error: str = ""
     #: The run's ``RunReport.details["parallel"]`` summary (one record per
     #: parallel pipeline; JSON-ready), or ``None`` for serial executions.
-    #: Carries scheduler/steal/queue counters and — on steal runs — the
+    #: Carries task/steal/queue counters and the
     #: ``context_cache`` hit/miss telemetry, so workload drivers can assert
     #: warm-cache behavior without re-running queries.
     parallel: Optional[List[Dict[str, object]]] = None
@@ -211,7 +211,6 @@ def _execute_single(
     collect_rows: bool,
     timeout: Optional[float],
     statistics_cache=None,
-    scheduler: str = "steal",
     router=None,
 ) -> Dict[str, object]:
     """Run one query on a fresh Database; never raises.
@@ -236,7 +235,6 @@ def _execute_single(
             freejoin_options=freejoin_options,
             parallelism=parallelism,
             parallel_mode=parallel_mode,
-            scheduler=scheduler,
             router=router,
         )
         if statistics_cache is not None:
@@ -316,7 +314,6 @@ def _query_worker(
     parallel_mode: str,
     collect_rows: bool,
     statistics_cache=None,
-    scheduler: str = "steal",
     timeout: Optional[float] = None,
     router=None,
 ) -> None:
@@ -333,8 +330,7 @@ def _query_worker(
         record = _execute_single(
             catalog, name, sql, engine, freejoin_options, parallelism,
             parallel_mode, collect_rows, timeout=timeout,
-            statistics_cache=statistics_cache, scheduler=scheduler,
-            router=router,
+            statistics_cache=statistics_cache, router=router,
         )
         try:
             connection.send(record)
@@ -391,7 +387,6 @@ def _run_process_backend(
     parallel_mode: str,
     collect_rows: bool,
     statistics_cache=None,
-    scheduler: str = "steal",
     router=None,
 ) -> Dict[str, QueryExecution]:
     context = multiprocessing.get_context(
@@ -433,7 +428,7 @@ def _run_process_backend(
         _drive_process_workers(
             context, pending, active, records, max_workers, timeout, engine,
             freejoin_options, parallelism, parallel_mode, collect_rows,
-            catalog, statistics_cache, finalize, terminate, scheduler, router,
+            catalog, statistics_cache, finalize, terminate, router,
         )
     finally:
         # An exception (including KeyboardInterrupt) must not orphan the
@@ -449,8 +444,7 @@ def _run_process_backend(
 def _drive_process_workers(
     context, pending, active, records, max_workers, timeout, engine,
     freejoin_options, parallelism, parallel_mode, collect_rows,
-    catalog, statistics_cache, finalize, terminate, scheduler="steal",
-    router=None,
+    catalog, statistics_cache, finalize, terminate, router=None,
 ) -> None:
     while pending or active:
         while pending and len(active) < max_workers:
@@ -464,7 +458,7 @@ def _drive_process_workers(
                 args=(
                     sender, catalog, name, sql, engine, freejoin_options,
                     parallelism, parallel_mode, collect_rows, statistics_cache,
-                    scheduler, timeout, router,
+                    timeout, router,
                 ),
             )
             now = time.perf_counter()
@@ -540,7 +534,6 @@ def _run_thread_backend(
     parallel_mode: str,
     collect_rows: bool,
     statistics_cache=None,
-    scheduler: str = "steal",
     router=None,
 ) -> Dict[str, QueryExecution]:
     records: Dict[str, QueryExecution] = {}
@@ -549,7 +542,7 @@ def _run_thread_backend(
             name: pool.submit(
                 _execute_single, catalog, name, sql, engine, freejoin_options,
                 parallelism, parallel_mode, collect_rows, timeout,
-                statistics_cache, scheduler, router,
+                statistics_cache, router,
             )
             for name, sql in queries
         }
@@ -576,7 +569,6 @@ def execute_workload(
     freejoin_options=None,
     parallelism: int = 1,
     parallel_mode: str = "auto",
-    scheduler: str = "steal",
     mode: str = "auto",
     collect_rows: bool = True,
     statistics_cache=None,
@@ -585,10 +577,9 @@ def execute_workload(
     """Evaluate ``queries`` over ``catalog`` concurrently.
 
     See the module docstring for backend/timeout semantics.  ``parallelism``
-    (and the ``scheduler`` strategy) is forwarded to each worker's session,
-    so intra-query parallelism composes with inter-query concurrency
-    (workers times intra-query workers processes in total — size
-    accordingly).
+    is forwarded to each worker's session, so intra-query parallelism
+    composes with inter-query concurrency (workers times intra-query workers
+    processes in total — size accordingly).
 
     ``engine="auto"`` routes each query through ``router`` (a
     :class:`~repro.router.policy.QueryRouter`; each worker session builds a
@@ -622,7 +613,7 @@ def execute_workload(
         for table_name in catalog.table_names():
             if re.search(rf"\b{re.escape(table_name)}\b", referenced):
                 statistics_cache.for_table(catalog.get(table_name))
-        if parallelism > 1 and scheduler == "steal":
+        if parallelism > 1:
             # Same pre-fork warming for the shared-memory column plane: the
             # forked query workers inherit the export cache, so their steal
             # pools attach the parent's segments instead of each worker
@@ -642,14 +633,12 @@ def execute_workload(
     if resolved == "process":
         records = _run_process_backend(
             catalog, normalized, max_workers, timeout, engine, freejoin_options,
-            parallelism, parallel_mode, collect_rows, statistics_cache, scheduler,
-            router,
+            parallelism, parallel_mode, collect_rows, statistics_cache, router,
         )
     else:
         records = _run_thread_backend(
             catalog, normalized, max_workers, timeout, engine, freejoin_options,
-            parallelism, parallel_mode, collect_rows, statistics_cache, scheduler,
-            router,
+            parallelism, parallel_mode, collect_rows, statistics_cache, router,
         )
     wall_seconds = time.perf_counter() - started
 

@@ -233,7 +233,6 @@ class AsyncDatabase:
             if parallelism is not None
             else self.database.parallelism,
             parallel_mode=self.database.parallel_mode,
-            scheduler=self.database.scheduler,
             router=self.database.router,
         )
         session.statistics_cache = self.database.statistics_cache

@@ -2,9 +2,9 @@
 
 The work-stealing scheduler (:mod:`repro.parallel.scheduler`) runs persistent
 worker processes that outlive any single query.  Shipping base tables to those
-workers through pipes (or relying on fork-time copy-on-write, as the range
-sharder does) either re-serializes every table per query or forces a fresh
-fork per query.  This module instead publishes each table's columns into one
+workers through pipes (or relying on fork-time copy-on-write) either
+re-serializes every table per query or forces a fresh fork per query.  This
+module instead publishes each table's columns into one
 ``multiprocessing.shared_memory`` segment that any worker can *attach*:
 
 * ``INT`` columns are packed as native 64-bit integers and attached as a
@@ -358,6 +358,11 @@ class Attachment:
         dangles over released views and must never be reused, though the
         mapping itself stays open for the surviving exports.
         """
+        # The kernels memoize zero-copy numpy views of the packed columns on
+        # the column objects; each is an export of the cast memoryview and
+        # would make its release() fail.
+        for column in self.table.columns:
+            column._kernel = None
         released = 0
         failed = False
         for view in self._views:

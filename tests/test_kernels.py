@@ -24,11 +24,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
+from repro.engine.options import ExecOptions
+from repro.engine.output import RowSink
+from repro.engine.pipeline import PhysicalPipeline, PipelineState, RowPath, run_range
 from repro.engine.session import Database
 from repro.engine.streaming import collapse_grouped_batches
 from repro.errors import DeadlineExceeded
 from repro.parallel import scheduler
 from repro.parallel.cancellation import DeadlineToken
+from repro.query.atoms import Atom
 from repro.storage.table import Table
 
 ENGINES = ("freejoin", "binary", "generic")
@@ -402,17 +406,104 @@ def test_frontier_guard_falls_back_to_row_path(engine, monkeypatch):
     assert Counter(outcome.rows()) == expected
 
 
-def test_frontier_guard_falls_back_on_parallel_session(monkeypatch):
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_frontier_guard_falls_back_on_parallel_session(engine, backend, monkeypatch):
+    """Every policy on every backend takes the one fallback block per task:
+    same bag as the row path, reason in telemetry, pools still warm."""
     from repro.kernels import executor as kernel_executor
 
+    options = ExecOptions(engine=engine)
     database = _skewed_catalog()
     with kernels_off():
-        expected = Counter(database.execute(SKEWED_SQL).rows())
-    monkeypatch.setattr(kernel_executor, "FRONTIER_GUARD_ROWS", 8)
-    parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
-    outcome = parallel.execute(SKEWED_SQL)
-    assert Counter(outcome.rows()) == expected
+        expected = Counter(database.execute(SKEWED_SQL, options=options).rows())
+    # Process workers fork with their pool: start without pools so the
+    # workers of this run inherit the patched guard.
     scheduler.shutdown_pools()
+    monkeypatch.setattr(kernel_executor, "FRONTIER_GUARD_ROWS", 8)
+    parallel = Database(database.catalog, parallelism=2, parallel_mode=backend)
+    outcome = parallel.execute(SKEWED_SQL, options=options)
+    assert Counter(outcome.rows()) == expected
+    kernel_record = outcome.report.details["kernels"]
+    assert "frontier-explosion" in kernel_record["fallbacks"]
+    assert kernel_record["mode"] in ("fallback", "mixed")
+    # A fallback is not a failure: the pool that served the query survives.
+    assert [key for key in scheduler.active_pools() if key[0] == backend]
+    assert Counter(parallel.execute(SKEWED_SQL, options=options).rows()) == expected
+    scheduler.shutdown_pools()
+
+
+class _RecordingSink(RowSink):
+    """A row sink that logs every delivery into a shared event list."""
+
+    def __init__(self, variables, log):
+        super().__init__(variables)
+        self.log = log
+
+    def on_row(self, row, multiplicity=1):
+        self.log.append("sink")
+        super().on_row(row, multiplicity)
+
+    def on_rows(self, rows, multiplicities=None):
+        self.log.append("sink")
+        super().on_rows(rows, multiplicities)
+
+    def on_batch(self, columns, multiplicities=None):
+        self.log.append("sink")
+        super().on_batch(columns, multiplicities)
+
+
+class _RecordingRowPath(RowPath):
+    """A stub row path that logs when it is built and when it starts."""
+
+    def __init__(self, log):
+        self.log = log
+
+    def build(self, atoms, interrupt=None):
+        self.log.append("build")
+        return list(atoms)
+
+    def run(self, state, sink, start, stop, sub, interrupt, factorize=False):
+        self.log.append("row-path")
+        sink.on_row((0, 0), 1)
+
+
+def test_run_range_hands_the_row_path_an_untouched_sink(monkeypatch):
+    """The guard invariant the single fallback block relies on: a frontier
+    explosion aborts before anything reached the sink, so the row path
+    re-runs the range from scratch without duplicating output."""
+    from repro.kernels import executor as kernel_executor
+
+    r = Table.from_columns("r", {"k": [1] * 10, "a": list(range(10))})
+    s = Table.from_columns("s", {"k": [1] * 10, "b": list(range(10))})
+    log = []
+    pipeline = PhysicalPipeline(
+        [Atom("r", r, ["k", "a"]), Atom("s", s, ["k", "b"])],
+        ("a", "b"),
+        _RecordingRowPath(log),
+        compress=False,
+    )
+
+    def run():
+        del log[:]
+        sink = _RecordingSink(("a", "b"), log)
+        state = PipelineState(pipeline.row_path, pipeline.atoms)
+        stats = kernels.new_stats()
+        _counters, reason = run_range(pipeline, state, sink, None, None, stats)
+        return sink.result().rows, reason, stats
+
+    # Guard above the 100-row output: the kernels serve the range alone.
+    rows, reason, stats = run()
+    assert reason is None and len(rows) == 100
+    assert set(log) == {"sink"}
+
+    # Guard below it: explosion, then build + row path, and only then output.
+    monkeypatch.setattr(kernel_executor, "FRONTIER_GUARD_ROWS", 8)
+    rows, reason, stats = run()
+    assert reason == "frontier-explosion"
+    assert log == ["build", "row-path", "sink"]
+    assert rows == [(0, 0)]
+    assert stats["rows_out"] == 0
 
 
 def test_kernel_path_deadline_aborts_on_parallel_session():

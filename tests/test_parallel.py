@@ -5,8 +5,6 @@ The contract under test (see :mod:`repro.parallel`):
 * sharded execution returns the same bag of rows as the serial path for all
   three engines, for ``rows`` and ``count`` sinks, with vectorization on and
   off — and with static cover selection the row *order* is byte-identical;
-* merged :class:`ExecutorStats` partition the serial counters
-  (``sum(shard.outputs) == serial.outputs``);
 * ``Database.execute_many`` returns per-query results identical to serial
   :meth:`Database.execute` calls, captures errors per query, and enforces
   timeouts in process mode.
@@ -20,16 +18,12 @@ import pytest
 
 from repro.core.colt import build_tries
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
-from repro.core.executor import ExecutorStats, FreeJoinExecutor
-from repro.engine.output import RowSink
 from repro.engine.session import Database
-from repro.errors import ExecutionError
 from repro.optimizer.join_order import optimize_query
 from repro.parallel.sharding import ShardView, entry_count, shard_bounds, shard_offsets
 from repro.parallel.workload import normalize_queries
 from repro.query.builder import QueryBuilder
 from repro.storage.table import Table
-from repro.workloads.synthetic import triangle_instance, triangle_query
 
 ENGINES = ("freejoin", "binary", "generic")
 
@@ -120,7 +114,7 @@ def test_shard_view_slices_iteration_and_delegates_probes(tiny_tables):
 
 
 # --------------------------------------------------------------------------- #
-# run_sharded: bag parity, order parity, stats invariants
+# Plan/atoms/schemas of a query's first pipeline (shared with test_scheduler)
 # --------------------------------------------------------------------------- #
 
 
@@ -133,76 +127,6 @@ def freejoin_plan_and_atoms(query):
     atoms = {a.name: a for a in query.atoms}
     schemas = FreeJoinEngine._schemas(free_plan, atoms)
     return free_plan, atoms, schemas
-
-
-@pytest.mark.parametrize("dynamic_cover", [False, True])
-@pytest.mark.parametrize("batch_size", [1, 4])
-def test_run_sharded_partitions_serial_execution(dynamic_cover, batch_size):
-    tables = triangle_instance(80, domain=15, skew=0.5, seed=11)
-    query = triangle_query(tables)
-    free_plan, atoms, schemas = freejoin_plan_and_atoms(query)
-
-    def run(shard=None, shard_count=1):
-        tries = build_tries(atoms, schemas)
-        sink = RowSink(query.output_variables)
-        executor = FreeJoinExecutor(
-            free_plan, query.output_variables, sink,
-            dynamic_cover=dynamic_cover, batch_size=batch_size,
-        )
-        if shard is None:
-            executor.run(tries)
-        else:
-            executor.run_sharded(tries, shard, shard_count)
-        return sink.result(), executor.stats
-
-    serial_result, serial_stats = run()
-    shard_count = 3
-    shard_rows, merged = [], ExecutorStats()
-    output_sum = 0
-    for index in range(shard_count):
-        result, stats = run(shard=index, shard_count=shard_count)
-        shard_rows.extend(result.rows)
-        merged.merge(stats)
-        output_sum += stats.outputs
-
-    # The shard outputs partition the serial output bag...
-    assert sorted(shard_rows, key=repr) == sorted(serial_result.rows, key=repr)
-    # ...and the merged stats reproduce the serial counters exactly: the
-    # shards split the root iteration, they do not repeat or drop work.
-    assert output_sum == serial_stats.outputs
-    assert merged.outputs == serial_stats.outputs
-    if not dynamic_cover:
-        # Static cover: enumeration order is deterministic, so concatenating
-        # shards in shard order is byte-identical to the serial output.
-        assert shard_rows == serial_result.rows
-        assert merged.iterations == serial_stats.iterations
-        assert merged.probes == serial_stats.probes
-        assert merged.failed_probes == serial_stats.failed_probes
-
-
-def test_run_sharded_single_shard_matches_run():
-    tables = triangle_instance(40, domain=10, skew=0.3, seed=5)
-    query = triangle_query(tables)
-    free_plan, atoms, schemas = freejoin_plan_and_atoms(query)
-    tries = build_tries(atoms, schemas)
-    sink = RowSink(query.output_variables)
-    executor = FreeJoinExecutor(free_plan, query.output_variables, sink)
-    executor.run_sharded(tries, 0, 1)
-    reference_sink = RowSink(query.output_variables)
-    reference = FreeJoinExecutor(free_plan, query.output_variables, reference_sink)
-    reference.run(build_tries(atoms, schemas))
-    assert sink.result().rows == reference_sink.result().rows
-
-
-def test_run_sharded_rejects_bad_shard_index():
-    tables = triangle_instance(20, domain=6, skew=0.3, seed=5)
-    query = triangle_query(tables)
-    free_plan, atoms, schemas = freejoin_plan_and_atoms(query)
-    executor = FreeJoinExecutor(
-        free_plan, query.output_variables, RowSink(query.output_variables)
-    )
-    with pytest.raises(ExecutionError):
-        executor.run_sharded(build_tries(atoms, schemas), 4, 3)
 
 
 # --------------------------------------------------------------------------- #

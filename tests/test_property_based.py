@@ -200,7 +200,7 @@ def test_random_queries_parallel_matches_serial(shape, length, rows, skew, seed)
     )
     query = workload.query
     plan = optimize_query(query)
-    parallel = dict(parallelism=3, parallel_mode="thread", scheduler="steal")
+    parallel = dict(parallelism=3, parallel_mode="thread")
     runs = [
         (FreeJoinEngine, FreeJoinOptions),
         (BinaryJoinEngine, BinaryJoinOptions),

@@ -13,7 +13,10 @@ from __future__ import annotations
 import gc
 import glob
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -304,3 +307,47 @@ def test_broken_process_pool_is_replaced_on_next_use():
     replacement = scheduler.active_pools()[("process", 2)]
     assert replacement is not pool
     scheduler.shutdown_pools()
+
+
+# --------------------------------------------------------------------------- #
+# Silent shutdown of the process backend
+# --------------------------------------------------------------------------- #
+
+
+_CLOSE_SCRIPT = """
+import os, sys
+from repro.engine.options import ExecOptions
+from repro.engine.session import Database
+from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
+
+database = Database(parallelism=2, parallel_mode="process")
+for table in fanout_tables(rows=1500, keys=60, skew=1.2, seed=1).values():
+    database.register(table)
+outcome = database.execute(FANOUT_SQL, options=ExecOptions(engine=sys.argv[1]))
+assert outcome.report.details["parallel"][0]["mode"] == "process"
+database.close()
+print(os.getpid())
+"""
+
+
+@pytest.mark.parametrize("engine", ["freejoin", "binary", "generic"])
+def test_process_backend_exits_silently_after_close(engine):
+    """Workers release every export of the shared buffers before closing.
+
+    The kernels memoize zero-copy numpy views on attached columns; a segment
+    closed while one survives dies with ``BufferError: cannot close exported
+    pointers exist`` from ``SharedMemory.__del__`` at interpreter exit — one
+    traceback per worker and table on an otherwise clean run.
+    """
+    source = Path(__file__).resolve().parents[1] / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", _CLOSE_SCRIPT, engine],
+        env={**os.environ, "PYTHONPATH": str(source)},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stderr == ""
+    pid = completed.stdout.split()[-1]
+    assert glob.glob(f"/dev/shm/{shm.SEGMENT_PREFIX}_{pid}_*") == []
