@@ -32,6 +32,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.workloads.job import generate_job_workload
 from repro.workloads.lsqb import generate_lsqb_workload
@@ -98,9 +99,11 @@ def run_queries(database, workload, engine, query_names, freejoin_options=None,
         query = workload.query(name)
         outcome = database.execute(
             query.sql,
-            engine=engine,
-            freejoin_options=freejoin_options,
-            bad_estimates=bad_estimates,
+            options=ExecOptions(
+                engine=engine,
+                freejoin_options=freejoin_options,
+                bad_estimates=bad_estimates,
+            ),
             name=name,
         )
         total += outcome.report.total_seconds

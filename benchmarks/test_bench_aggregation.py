@@ -30,6 +30,7 @@ import time
 import pytest
 
 from benchmarks.conftest import BENCH_SMOKE, JOB_SEED
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.engine.streaming import collapse_grouped_batches
 from repro.workloads.synthetic import FANOUT_GROUP_SQL, fanout_tables
@@ -84,7 +85,7 @@ def test_first_group_batch_beats_materialized_aggregate(benchmark):
     full_median, _ = _median(materialized)
 
     def first_group_batch():
-        stream = database.execute_iter(FANOUT_GROUP_SQL, batch_rows=256)
+        stream = database.execute_iter(FANOUT_GROUP_SQL, options=ExecOptions(batch_rows=256))
         batch = stream.next_batch()
         assert batch, "grouped stream must yield a non-empty first batch"
         stream.close()
@@ -111,7 +112,7 @@ def test_streamed_grouped_aggregate_matches_materialized():
     companion of the latency gate — a fast-but-wrong stream must not pass)."""
     database = _aggregation_database()
     expected = database.execute(FANOUT_GROUP_SQL).rows()
-    batches = list(database.execute_iter(FANOUT_GROUP_SQL, batch_rows=256))
+    batches = list(database.execute_iter(FANOUT_GROUP_SQL, options=ExecOptions(batch_rows=256)))
     assert collapse_grouped_batches(batches, [0]) == expected
 
 
@@ -142,7 +143,7 @@ def test_parallel_grouped_aggregate_beats_serial(benchmark):
     )
 
     def parallel_run():
-        stream = parallel_db.execute_iter(FANOUT_GROUP_SQL, batch_rows=256)
+        stream = parallel_db.execute_iter(FANOUT_GROUP_SQL, options=ExecOptions(batch_rows=256))
         batches = list(stream)
         assert collapse_grouped_batches(batches, [0]) == expected
         return stream

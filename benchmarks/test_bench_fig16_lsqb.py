@@ -3,6 +3,7 @@
 import pytest
 
 from benchmarks.conftest import ENGINES, LSQB_SCALE_FACTORS
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.experiments.figures import run_fig16, format_figure
 
@@ -19,7 +20,9 @@ def test_fig16_engine_by_scale_factor(benchmark, lsqb_workloads, engine, scale_f
     def run():
         total = 0.0
         for name in LSQB_QUERIES:
-            outcome = database.execute(workload.query(name).sql, engine=engine, name=name)
+            outcome = database.execute(
+                workload.query(name).sql, options=ExecOptions(engine=engine), name=name
+            )
             total += outcome.report.total_seconds
         return total
 

@@ -4,6 +4,7 @@ import pytest
 
 from benchmarks.conftest import LSQB_SCALE_FACTORS
 from repro.core.engine import FreeJoinOptions
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.experiments.figures import run_fig19, format_figure
 
@@ -21,8 +22,9 @@ def test_fig19_output_mode(benchmark, lsqb_workloads, variant):
         total = 0.0
         for name in FACTORIZED_QUERIES:
             outcome = database.execute(
-                workload.query(name).sql, engine="freejoin",
-                freejoin_options=options, name=name,
+                workload.query(name).sql,
+                options=ExecOptions(engine="freejoin", freejoin_options=options),
+                name=name,
             )
             total += outcome.report.total_seconds
         return total

@@ -29,7 +29,7 @@ import time
 import pytest
 
 from benchmarks.conftest import BENCH_SMOKE, JOB_QUERIES, JOB_SEED, run_queries
-from repro.core.engine import FreeJoinOptions
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.storage.table import Table
 from repro.workloads.synthetic import zipf_sample
@@ -82,12 +82,14 @@ def test_intra_query_sharding_baselines(benchmark, job_workload, engine, shards)
     )
     serial = Database(job_workload.catalog)
     expected = serial.execute(
-        job_workload.query(INTRA_QUERY).sql, engine=engine, name=INTRA_QUERY
+        job_workload.query(INTRA_QUERY).sql, options=ExecOptions(engine=engine), name=INTRA_QUERY
     ).rows()
 
     outcome = benchmark.pedantic(
         lambda: database.execute(
-            job_workload.query(INTRA_QUERY).sql, engine=engine, name=INTRA_QUERY
+            job_workload.query(INTRA_QUERY).sql,
+            options=ExecOptions(engine=engine),
+            name=INTRA_QUERY,
         ),
         rounds=1, iterations=1,
     )
@@ -137,9 +139,10 @@ def test_zipf_steal_overhead_bounded_at_four_workers(benchmark, zipf_join_databa
     def serial_run():
         assert database.execute(ZIPF_SQL).scalar() == expected
 
+    stealing = Database(database.catalog, parallelism=4, parallel_mode="thread")
+
     def steal_run():
-        options = FreeJoinOptions(parallelism=4, parallel_mode="thread")
-        outcome = database.execute(ZIPF_SQL, freejoin_options=options)
+        outcome = stealing.execute(ZIPF_SQL)
         assert outcome.scalar() == expected
         return outcome
 
@@ -251,11 +254,12 @@ def test_multicore_wall_clock_speedup(benchmark):
     def serial_run():
         assert database.execute(ZIPF_SQL).scalar() == expected
 
+    parallel = Database(
+        database.catalog, parallelism=MULTICORE_WORKERS, parallel_mode="process"
+    )
+
     def parallel_run():
-        options = FreeJoinOptions(
-            parallelism=MULTICORE_WORKERS, parallel_mode="process"
-        )
-        outcome = database.execute(ZIPF_SQL, freejoin_options=options)
+        outcome = parallel.execute(ZIPF_SQL)
         assert outcome.scalar() == expected
         return outcome
 

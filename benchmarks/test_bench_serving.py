@@ -25,6 +25,7 @@ import statistics
 import time
 
 from benchmarks.conftest import BENCH_SMOKE, JOB_QUERIES, JOB_SEED
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.kernels import kernel_caches_clear
 from repro.parallel import scheduler
@@ -123,7 +124,7 @@ def test_deadline_token_overhead_is_bounded(benchmark):
         assert database.execute(CACHE_SQL).scalar() == expected
 
     def with_deadline():
-        assert database.execute(CACHE_SQL, timeout=3600.0).scalar() == expected
+        assert database.execute(CACHE_SQL, options=ExecOptions(timeout=3600.0)).scalar() == expected
 
     plain_median, _ = _timed(plain)
     benchmark.pedantic(with_deadline, rounds=ROUNDS, iterations=1)

@@ -20,6 +20,7 @@ import statistics
 import time
 
 from benchmarks.conftest import BENCH_SMOKE, JOB_SEED
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
 
@@ -64,7 +65,7 @@ def test_time_to_first_batch_beats_materialization(benchmark):
     full_median, _ = _median(materialized)
 
     def first_batch():
-        stream = database.execute_iter(FANOUT_SQL, batch_rows=1024)
+        stream = database.execute_iter(FANOUT_SQL, options=ExecOptions(batch_rows=1024))
         batch = stream.next_batch()
         assert batch, "large-output query must yield a non-empty first batch"
         stream.close()
@@ -98,7 +99,7 @@ def test_full_stream_drain_overhead_is_bounded(benchmark):
 
     def drain():
         total = 0
-        for batch in database.execute_iter(FANOUT_SQL, batch_rows=4096):
+        for batch in database.execute_iter(FANOUT_SQL, options=ExecOptions(batch_rows=4096)):
             total += len(batch)
         assert total == expected_count
         return total

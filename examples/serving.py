@@ -44,7 +44,9 @@ async def serve(scale: float, concurrency: int) -> None:
         for label in ("cold", "warm"):
             started = time.perf_counter()
             results = await adb.gather_many(
-                queries, max_concurrency=concurrency, timeout=30.0,
+                queries,
+                max_concurrency=concurrency,
+                options=ExecOptions(timeout=30.0),
                 return_exceptions=True,
             )
             wall = time.perf_counter() - started

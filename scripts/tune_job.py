@@ -4,6 +4,7 @@
 import sys
 import time
 
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.workloads.job import generate_job_workload
 
@@ -20,7 +21,7 @@ for q in wl.queries:
     for engine in engines:
         t0 = time.perf_counter()
         try:
-            out = db.execute(q.sql, engine=engine, name=q.name)
+            out = db.execute(q.sql, options=ExecOptions(engine=engine), name=q.name)
             wall = time.perf_counter() - t0
             times[engine] = round(out.report.total_seconds, 3)
             counts[engine] = out.join_result.count()

@@ -25,9 +25,8 @@ and Suciu.  The package provides:
   deltas to subscribers.
 
 Per-query knobs (engine, timeout, parallelism, streaming batch shape)
-travel in one :class:`ExecOptions` accepted as ``options=`` by every entry
-point; the legacy loose keyword arguments still work but emit a
-``DeprecationWarning``.
+travel in one frozen :class:`ExecOptions` accepted as ``options=`` by every
+entry point — the only spelling there is.
 
 Quickstart::
 

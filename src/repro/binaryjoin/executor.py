@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.binaryjoin.hash_table import JoinHashTable
 from repro.engine.output import OutputSink
-from repro.engine.pipeline import PhysicalPipeline, RowPath, make_sink, run_plan
+from repro.engine.pipeline import PhysicalPipeline, RowPath, RunContext, make_sink, run_plan
 from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.optimizer.binary_plan import BinaryPlan
@@ -24,22 +24,13 @@ from repro.query.conjunctive import ConjunctiveQuery
 
 @dataclass
 class BinaryJoinOptions:
-    """Knobs of the binary join engine.
+    """Knobs of the binary join engine: the output mode, nothing else.
 
-    ``parallelism > 1`` parallelizes each pipeline's probe loop over the
-    left-most relation's row offsets, decomposed into fine-grained tasks for
-    the persistent work-stealing pool (:mod:`repro.parallel.scheduler`).
-    ``parallel_mode`` selects the backend (``"auto"``, ``"process"`` or
-    ``"thread"``).
+    How a run executes (workers, backend, deadline) arrives per run as a
+    :class:`~repro.engine.pipeline.RunContext`.
     """
 
     output: str = "rows"  # "rows" or "count"
-    parallelism: Optional[int] = None  # None = inherit the session setting
-    parallel_mode: str = "auto"
-    #: Optional :class:`repro.parallel.cancellation.DeadlineToken`; the probe
-    #: loop ticks it per left-relation row, so an expired or cancelled query
-    #: aborts mid-pipeline with ``DeadlineExceeded``/``QueryCancelled``.
-    deadline: Optional[object] = None
 
     def make_sink(self, variables: Sequence[str]) -> OutputSink:
         return make_sink(self.output, variables)
@@ -94,8 +85,15 @@ class BinaryJoinEngine:
         binary_plan: BinaryPlan,
         options: Optional[BinaryJoinOptions] = None,
         sink: Optional[OutputSink] = None,
+        *,
+        context: RunContext = RunContext(),
     ) -> RunReport:
         """Execute ``query`` following ``binary_plan``.
+
+        With ``context.workers > 1`` each pipeline's probe loop is split
+        over the left-most relation's row offsets into tasks for the
+        work-stealing pool; the probe loop ticks ``context.deadline`` per
+        left-relation row.
 
         ``sink`` overrides the final pipeline's sink; an incremental sink
         (:class:`~repro.engine.streaming.StreamingSink`) receives rows while
@@ -107,7 +105,7 @@ class BinaryJoinEngine:
         """
         options = options or self.options
         return run_plan(
-            self.name, query, binary_plan.decompose(), options, self._lower, sink
+            self.name, query, binary_plan.decompose(), options, self._lower, sink, context=context
         )
 
     @staticmethod

@@ -24,7 +24,7 @@ from repro.core.executor import ExecutorStats, FreeJoinExecutor
 from repro.core.factor import factor_plan
 from repro.core.plan import FreeJoinPlan
 from repro.engine.output import OutputSink, RowSink
-from repro.engine.pipeline import PhysicalPipeline, PipelineState, RowPath, run_plan
+from repro.engine.pipeline import PhysicalPipeline, PipelineState, RowPath, RunContext, run_plan
 from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.optimizer.binary_plan import BinaryPlan, Pipeline
@@ -55,25 +55,9 @@ class FreeJoinOptions:
         (Section 4.4) instead of the first cover subatom.
     output:
         ``"rows"``, ``"count"``, or ``"factorized"`` (Figure 19).
-    parallelism:
-        Number of intra-query workers.  With ``parallelism > 1`` every
-        pipeline's root cover iteration is decomposed into fine-grained
-        tasks for the persistent work-stealing pool (see
-        :mod:`repro.parallel.scheduler`).  ``None`` (the default) inherits
-        the session's setting; an explicit 1 forces the serial path even on
-        a parallel session.  Factorized output always runs serially.
-    parallel_mode:
-        ``"auto"`` (processes for large inputs, threads for small ones),
-        ``"process"``, or ``"thread"``.
-    deadline:
-        Optional :class:`repro.parallel.cancellation.DeadlineToken`.  The
-        executor ticks it at every trie-expansion boundary and the steal
-        scheduler pushes it into its workers (thread workers share the
-        token, process workers probe a fork-inherited cancel cell), so an
-        expired or cancelled query aborts mid-execution with
-        ``DeadlineExceeded`` / ``QueryCancelled``.  Normally set per query
-        by :meth:`repro.engine.session.Database.execute` (``timeout=``) or
-        the async serving layer, not in long-lived option objects.
+
+    How a run executes (workers, backend, deadline) is not an engine option:
+    it arrives per run as a :class:`~repro.engine.pipeline.RunContext`.
     """
 
     trie_strategy: TrieStrategy = TrieStrategy.COLT
@@ -81,9 +65,6 @@ class FreeJoinOptions:
     factor: bool = True
     dynamic_cover: bool = True
     output: str = "rows"
-    parallelism: Optional[int] = None
-    parallel_mode: str = "auto"
-    deadline: Optional[object] = None
 
 
 def _cover_entry_total(trie) -> int:
@@ -241,8 +222,16 @@ class FreeJoinEngine:
         binary_plan: BinaryPlan,
         options: Optional[FreeJoinOptions] = None,
         sink: Optional[OutputSink] = None,
+        *,
+        context: RunContext = RunContext(),
     ) -> RunReport:
         """Execute ``query`` following ``binary_plan`` and return a report.
+
+        ``context`` says how to run: with ``context.workers > 1`` every
+        pipeline's root cover iteration is decomposed into fine-grained
+        tasks for the persistent work-stealing pool (factorized output
+        always runs serially), and ``context.deadline`` is ticked at every
+        trie-expansion boundary, in the parent and in every steal worker.
 
         ``sink`` overrides the final pipeline's output sink.  Passing an
         incremental sink (:class:`~repro.engine.streaming.StreamingSink`)
@@ -273,6 +262,7 @@ class FreeJoinEngine:
                 lower,
                 sink,
                 {"plans": plans},
+                context,
             )
         )
 
@@ -281,6 +271,8 @@ class FreeJoinEngine:
         query: ConjunctiveQuery,
         plan: FreeJoinPlan,
         options: Optional[FreeJoinOptions] = None,
+        *,
+        context: RunContext = RunContext(),
     ) -> RunReport:
         """Execute a hand-written Free Join plan over the whole query.
 
@@ -293,7 +285,7 @@ class FreeJoinEngine:
         """
         options = options or self.options
         plan.validate(query)
-        serial = (options.parallelism or 1) <= 1 or options.output == "factorized"
+        serial = context.workers <= 1 or options.output == "factorized"
 
         def lower(pipeline, atoms, output_variables, mode, use_kernels):
             lowered = self._lower(plan, atoms, output_variables, options)
@@ -304,7 +296,7 @@ class FreeJoinEngine:
         whole = Pipeline("__result", [atom.name for atom in query.atoms], is_final=True)
         return self._with_stats(
             run_plan(
-                self.name, query, [whole], options, lower, None, {"plans": [repr(plan)]}
+                self.name, query, [whole], options, lower, None, {"plans": [repr(plan)]}, context
             )
         )
 

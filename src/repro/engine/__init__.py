@@ -7,7 +7,7 @@ would create an import cycle; import it from ``repro`` or from
 ``repro.engine.session`` instead.
 """
 
-from repro.engine.options import ExecOptions, resolve_options
+from repro.engine.options import ExecOptions
 from repro.engine.output import (
     CountSink,
     FactorizedSink,
@@ -25,7 +25,6 @@ from repro.engine.streaming import (
 
 __all__ = [
     "ExecOptions",
-    "resolve_options",
     "CountSink",
     "FactorizedSink",
     "JoinResult",

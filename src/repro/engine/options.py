@@ -1,34 +1,31 @@
 """The unified execution-options contract shared by every query entry point.
 
-``execute``, ``execute_iter``, ``execute_many``,
-``AsyncDatabase.execute``/``execute_stream`` and ``Database.subscribe`` all
-grew their own keyword arguments over time — the same knob spelled slightly
-differently on six signatures.  :class:`ExecOptions` consolidates them into
-one frozen dataclass accepted as ``options=`` everywhere:
+``execute``, ``execute_iter``, ``execute_many``, ``subscribe``,
+``AsyncDatabase.execute``/``execute_stream`` and ``gather_many`` take their
+per-query knobs one way only — a frozen :class:`ExecOptions` passed as
+``options=``:
 
     db.execute(sql, options=ExecOptions(engine="binary", timeout=0.5))
     db.execute_iter(sql, options=ExecOptions(batch_rows=256))
     db.subscribe(sql, options=ExecOptions(engine="freejoin"))
 
-The legacy loose kwargs keep working through :func:`resolve_options`: every
-public entry point folds them into an ``ExecOptions`` and emits a
-``DeprecationWarning`` naming the legacy spellings, and passing the *same*
-knob both ways raises :class:`~repro.errors.QueryError` instead of silently
-preferring one — the migration must never change semantics behind a caller's
-back.  Internal callers always pass a resolved ``ExecOptions`` (or call the
-``_execute*`` internals directly), so the deprecation fires only on real
-legacy call sites.
+Values are validated once, at construction.  The session resolves the
+options once per query (``Database._prepare`` in
+:mod:`repro.engine.session`) against its own defaults and the router's
+decision, and hands the engine a
+:class:`~repro.engine.pipeline.RunContext`; nothing below the session reads
+an ``ExecOptions``.
 
 Fields not meaningful for a given entry point are simply ignored there
 (``batch_rows`` by ``execute``), except where silence would be misleading:
 ``execute_many`` rejects ``deadline``/``bad_estimates`` because its
-per-query worker processes cannot honor them.
+per-query worker processes cannot honor them, and ``subscribe`` rejects
+``timeout``/``deadline`` because a standing query has no budget.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import QueryError
@@ -36,6 +33,21 @@ from repro.errors import QueryError
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.core.engine import FreeJoinOptions
     from repro.parallel.cancellation import DeadlineToken
+
+#: Engines selectable by name (the session's plan-policy table has one
+#: entry per name).
+ENGINES = ("freejoin", "binary", "generic")
+#: The routed pseudo-engine: the session's :class:`~repro.router.policy.QueryRouter`
+#: picks one of :data:`ENGINES` (and a worker count) per query.
+AUTO_ENGINE = "auto"
+
+
+def check_engine(name: str) -> None:
+    """Reject anything but one of :data:`ENGINES` or :data:`AUTO_ENGINE`."""
+    if name not in ENGINES and name != AUTO_ENGINE:
+        raise QueryError(
+            f"unknown engine {name!r}; choose from {ENGINES + (AUTO_ENGINE,)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -58,15 +70,16 @@ class ExecOptions:
         wins over ``timeout`` (callers that want to *cancel* pass one).
     parallelism:
         Intra-query worker count, overriding both the session default and a
-        router decision.
+        router decision — on every engine.
     batch_rows / max_batches:
         Streaming delivery: rows per batch and queue bound (used by
         ``execute_iter``, ``execute_stream`` and ``subscribe``).
     bad_estimates:
         Optimize with adversarial cardinality estimates (the paper's Fig. 15
-        experiment; ``execute`` only).
+        experiment; ``execute`` and ``execute_iter``).
     freejoin_options:
-        Per-query :class:`~repro.core.engine.FreeJoinOptions`.
+        Per-query :class:`~repro.core.engine.FreeJoinOptions` (plan knobs
+        only; how the run executes is not theirs to say).
     """
 
     engine: Optional[str] = None
@@ -79,6 +92,10 @@ class ExecOptions:
     freejoin_options: Optional[FreeJoinOptions] = None
 
     def __post_init__(self) -> None:
+        if self.engine is not None:
+            check_engine(self.engine)
+        if self.timeout is not None and self.timeout <= 0:
+            raise QueryError(f"timeout must be positive, got {self.timeout}")
         if self.parallelism is not None and self.parallelism < 1:
             raise QueryError(
                 f"parallelism must be at least 1, got {self.parallelism}"
@@ -104,47 +121,3 @@ class ExecOptions:
         if self.timeout is not None:
             return DeadlineToken.after(self.timeout)
         return DeadlineToken() if always else None
-
-
-#: The all-unset options every legacy kwarg is compared against.
-_DEFAULTS = ExecOptions()
-
-
-def resolve_options(
-    options: Optional[ExecOptions], caller: str, **legacy
-) -> ExecOptions:
-    """Fold legacy keyword arguments into one :class:`ExecOptions`.
-
-    ``legacy`` maps field names to the values the entry point's loose kwargs
-    received; a value equal to the field default counts as "not passed"
-    (the defaults are all inert, so this cannot change semantics).  Any
-    genuinely passed legacy kwarg emits a single ``DeprecationWarning``
-    naming the offending spellings; a knob passed both ways raises
-    :class:`~repro.errors.QueryError`.
-    """
-    provided = {
-        key: value
-        for key, value in legacy.items()
-        if value != getattr(_DEFAULTS, key)
-    }
-    if not provided:
-        return options if options is not None else _DEFAULTS
-    warnings.warn(
-        f"{caller}: keyword argument(s) {sorted(provided)} are deprecated; "
-        f"pass options=ExecOptions(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    if options is None:
-        return replace(_DEFAULTS, **provided)
-    conflicts = [
-        key
-        for key in sorted(provided)
-        if getattr(options, key) != getattr(_DEFAULTS, key)
-    ]
-    if conflicts:
-        raise QueryError(
-            f"{caller}: {conflicts} passed both as legacy keyword(s) and in "
-            f"options=; set each knob exactly once"
-        )
-    return replace(options, **provided)

@@ -22,14 +22,16 @@ around it:
   ``details["kernels"]`` and (parallel runs only) ``details["parallel"]``.
 
 ``REPRO_KERNELS`` is read once per query, here, and the answer rides with
-the pipeline to every worker.
+the pipeline to every worker.  *How* a run executes — worker count, worker
+backend, deadline — arrives as one :class:`RunContext`, resolved once by the
+session; the engines' options objects say only *what plan* to run.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.engine.output import CountSink, FactorizedSink, OutputSink, RowSink
@@ -37,6 +39,9 @@ from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.query.atoms import Atom
 from repro.storage.table import Table
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.parallel.cancellation import DeadlineToken
 
 _SINKS = {"rows": RowSink, "count": CountSink, "factorized": FactorizedSink}
 
@@ -47,6 +52,29 @@ def make_sink(output: str, variables: Sequence[str]) -> OutputSink:
         return _SINKS[output](variables)
     except KeyError:
         raise PlanError(f"unknown output mode {output!r}") from None
+
+
+@dataclass(frozen=True)
+class RunContext:
+    """How one run executes; the same three values on every plan policy.
+
+    :meth:`repro.engine.session.Database.run_join` builds one per query from
+    what the ``ExecOptions``, the router's decision and the session defaults
+    resolve to; callers driving an engine directly pass their own.  The
+    default is a serial run with no deadline.
+    """
+
+    #: Intra-query workers.  Above 1, every ``rows``/``count`` pipeline is
+    #: decomposed into tasks for the persistent work-stealing pool
+    #: (:mod:`repro.parallel.scheduler`).
+    workers: int = 1
+    #: Worker backend: ``"auto"`` (processes for large inputs, threads for
+    #: small ones), ``"process"`` or ``"thread"``.
+    parallel_mode: str = "auto"
+    #: Ticked at every kernel chunk, trie expansion and probe row, and pushed
+    #: into steal workers, so an expired or cancelled query aborts
+    #: mid-execution with ``DeadlineExceeded`` / ``QueryCancelled``.
+    deadline: Optional[DeadlineToken] = None
 
 
 class RowPath:
@@ -204,6 +232,7 @@ def run_plan(
     lower: Callable[..., PhysicalPipeline],
     sink: Optional[OutputSink] = None,
     details: Optional[Dict[str, object]] = None,
+    context: RunContext = RunContext(),
 ) -> RunReport:
     """Execute a decomposed plan: the one loop behind every ``Engine.run``.
 
@@ -211,17 +240,17 @@ def run_plan(
     dependency order, the last one final, and ``lower(pipeline, atoms,
     output_variables, mode, use_kernels)`` is the engine's plan policy for
     one of them (``atoms`` maps every base and already materialized relation
-    by name).  Non-final pipelines materialize "simplistically" — all
-    attributes in a flat table (Section 5.2) — and later pipelines see them
-    as atoms.  ``sink`` overrides the final pipeline's sink; a
-    caller-provided sink always receives rows (parallel workers ship rows,
-    batches or aggregate partials the parent forwards).  Factorized output
-    interleaves groups in ways tasks cannot reproduce, so it always runs
-    serially.
+    by name).  ``options`` carries the policy's plan knobs (of which this
+    loop reads ``output`` only) and ``context`` says how to run.  Non-final
+    pipelines materialize "simplistically" — all attributes in a flat table
+    (Section 5.2) — and later pipelines see them as atoms.  ``sink``
+    overrides the final pipeline's sink; a caller-provided sink always
+    receives rows (parallel workers ship rows, batches or aggregate partials
+    the parent forwards).  Factorized output interleaves groups in ways
+    tasks cannot reproduce, so it always runs serially.
     """
     kernels_off = kernels.disabled_reason()
     atoms: Dict[str, Atom] = {atom.name: atom for atom in query.atoms}
-    workers = options.parallelism or 1
     build_seconds = join_seconds = other_seconds = 0.0
     kernel_stats = kernels.new_stats()
     fallbacks: List[str] = []
@@ -247,16 +276,16 @@ def run_plan(
         lowered = lower(pipeline, atoms, output_variables, mode, kernels_off is None)
         other_seconds += time.perf_counter() - started
 
-        if workers > 1 and mode in ("rows", "count"):
+        if context.workers > 1 and mode in ("rows", "count"):
             from repro.parallel.scheduler import run_pipeline_steal
 
             run = run_pipeline_steal(
                 lowered,
                 output=mode,
-                workers=workers,
-                mode=options.parallel_mode,
+                workers=context.workers,
+                mode=context.parallel_mode,
                 kernels_off=kernels_off,
-                interrupt=options.deadline,
+                interrupt=context.deadline,
                 stream=final_sink,
             )
             build_seconds += run.build_seconds
@@ -280,7 +309,7 @@ def run_plan(
                 state,
                 pipeline_sink,
                 None,
-                options.deadline,
+                context.deadline,
                 kernel_stats,
                 kernels_off,
                 factorize,

@@ -19,14 +19,15 @@ import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
-from repro.binaryjoin.executor import BinaryJoinEngine, BinaryJoinOptions
+from repro.binaryjoin.executor import BinaryJoinEngine
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
 from repro.engine.aggregates import aggregate_result, finalize_output
-from repro.engine.options import ExecOptions, resolve_options
+from repro.engine.options import AUTO_ENGINE, ENGINES, ExecOptions, check_engine
 from repro.engine.output import JoinResult
+from repro.engine.pipeline import RunContext
 from repro.engine.report import RunReport
 from repro.errors import QueryError
-from repro.genericjoin.executor import GenericJoinEngine, GenericJoinOptions
+from repro.genericjoin.executor import GenericJoinEngine
 from repro.optimizer.binary_plan import BinaryPlan
 from repro.optimizer.join_order import optimize_query
 from repro.optimizer.statistics import StatisticsCache
@@ -35,14 +36,15 @@ from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.parallel.cancellation import DeadlineToken
     from repro.views.standing import StandingQuery
 
-#: Engines selectable by name.
-ENGINES = ("freejoin", "binary", "generic")
-#: The routed pseudo-engine: the session's :class:`~repro.router.policy.QueryRouter`
-#: picks one of :data:`ENGINES` (and a worker count) per query.
-AUTO_ENGINE = "auto"
+#: Name → plan policy, one per name in :data:`ENGINES`.  The three are points
+#: in one plan space run by one driver (:func:`repro.engine.pipeline.run_plan`):
+#: choosing an engine — by name or through the router — chooses a plan, never
+#: how the run is configured.
+_PLAN_POLICIES = {
+    policy.name: policy for policy in (FreeJoinEngine, BinaryJoinEngine, GenericJoinEngine)
+}
 
 
 @dataclass
@@ -86,8 +88,9 @@ class Database:
         """Create a session.
 
         ``parallelism`` is the session-wide intra-query worker count: every
-        engine splits each join across that many workers unless the
-        per-query options ask for a different value.  ``parallel_mode``
+        engine splits each join across that many workers unless the query's
+        ``ExecOptions.parallelism`` (or, for routed queries, the router)
+        says otherwise.  ``parallel_mode``
         selects the worker backend (``"auto"``, ``"process"``, ``"thread"``)
         of the persistent work-stealing pool over shared-memory columns
         (:mod:`repro.parallel.scheduler`).
@@ -105,11 +108,7 @@ class Database:
         a restarted process routes warm.  Mutually exclusive with passing a
         pre-built ``router``.
         """
-        if default_engine not in ENGINES and default_engine != AUTO_ENGINE:
-            raise QueryError(
-                f"unknown engine {default_engine!r}; choose from "
-                f"{ENGINES + (AUTO_ENGINE,)}"
-            )
+        check_engine(default_engine)
         if parallelism < 1:
             raise QueryError(f"parallelism must be at least 1, got {parallelism}")
         if parallel_mode not in ("auto", "process", "thread"):
@@ -220,24 +219,13 @@ class Database:
     # ------------------------------------------------------------------ #
 
     def execute(
-        self,
-        sql: str,
-        engine: Optional[str] = None,
-        bad_estimates: bool = False,
-        freejoin_options: Optional[FreeJoinOptions] = None,
-        name: str = "",
-        timeout: Optional[float] = None,
-        deadline: Optional[DeadlineToken] = None,
-        *,
-        options: Optional[ExecOptions] = None,
+        self, sql: str, *, options: Optional[ExecOptions] = None, name: str = ""
     ) -> QueryOutcome:
         """Parse, plan, optimize and execute a SQL query.
 
         Per-query knobs travel in ``options``
-        (:class:`~repro.engine.options.ExecOptions`); the loose keyword
-        arguments are a deprecated legacy spelling kept working through
-        :func:`~repro.engine.options.resolve_options` (they fold into the
-        same ``ExecOptions``, with a ``DeprecationWarning``).
+        (:class:`~repro.engine.options.ExecOptions`); unset fields mean the
+        session's defaults.
 
         ``options.timeout`` gives the query a budget in seconds, enforced
         *cooperatively and mid-execution*: executors (and, on parallel
@@ -255,48 +243,76 @@ class Database:
         decision lands under ``report.details["router"]``, and the
         completed wall-clock is fed back to the router.
         ``options.parallelism`` overrides both the session default and the
-        router's worker choice.
+        router's worker choice, on every engine.
         """
-        opts = resolve_options(
-            options,
-            "Database.execute",
-            engine=engine,
-            bad_estimates=bad_estimates,
-            freejoin_options=freejoin_options,
-            timeout=timeout,
-            deadline=deadline,
-        )
-        return self._execute(sql, opts, name=name)
+        return self._execute(sql, options or ExecOptions(), name=name)
 
-    def _execute(self, sql: str, opts: ExecOptions, name: str = "") -> QueryOutcome:
-        """Options-driven execute internals (no legacy-kwarg shim)."""
-        engine_name = opts.engine or self.default_engine
-        if engine_name not in ENGINES and engine_name != AUTO_ENGINE:
-            raise QueryError(
-                f"unknown engine {engine_name!r}; choose from "
-                f"{ENGINES + (AUTO_ENGINE,)}"
-            )
+    def _execute(
+        self, sql: str, opts: ExecOptions, name: str = "", max_workers: Optional[int] = None
+    ) -> QueryOutcome:
+        """:meth:`execute` for internal callers; ``max_workers`` as in :meth:`_prepare`."""
         deadline = opts.resolve_deadline()
+        logical, binary_plan, run = self._prepare(sql, opts, name, max_workers)
+        return self._finish(logical, binary_plan, run(deadline))
 
+    def _prepare(self, sql: str, opts: ExecOptions, name: str, max_workers: Optional[int]):
+        """Plan, optimize and route ``sql``; the one resolution of ``opts``.
+
+        Returns ``(logical, binary_plan, run)``.  ``run(deadline, sink=None)``
+        executes the join through :meth:`run_join`, feeds a routed query's
+        wall-clock back to the router and stamps the decision under
+        ``report.details["router"]``; :meth:`execute` calls it at once,
+        :meth:`execute_iter` on its producer thread.
+
+        The precedence rule for the worker count, stated once: an explicit
+        ``opts.parallelism`` wins; else a routed query runs with what the
+        router decided; else the session's ``parallelism``.  ``max_workers``
+        (the serving layer's admission gate) stands in for the session's
+        value in both places it is read — as the router's cap and as the
+        unrouted default — and never limits an explicit ``opts.parallelism``.
+        """
         logical = Planner(self.catalog).plan_sql(sql, name=name)
         binary_plan = optimize_query(
             logical.query,
             bad_estimates=opts.bad_estimates,
             statistics_cache=self.statistics_cache,
         )
-        engine_name, decision = self._route_if_auto(engine_name, logical, binary_plan)
-        started = time.perf_counter()
-        report = self.run_join(
-            logical,
-            binary_plan,
-            engine_name,
-            opts.freejoin_options,
-            deadline=deadline,
-            parallelism=self._effective_parallelism(opts, decision),
-        )
-        if decision is not None:
-            self.router.observe(decision, time.perf_counter() - started)
-            report.details["router"] = decision.as_dict()
+        engine_name = opts.engine or self.default_engine
+        workers = self.parallelism if max_workers is None else max_workers
+        decision = None
+        if engine_name == AUTO_ENGINE:
+            decision = self.router.route(
+                logical,
+                binary_plan,
+                statistics_cache=self.statistics_cache,
+                max_workers=workers,
+            )
+            engine_name, workers = decision.engine, decision.parallelism
+        if opts.parallelism is not None:
+            workers = opts.parallelism
+
+        def run(deadline, sink=None) -> RunReport:
+            started = time.perf_counter()
+            report = self.run_join(
+                logical,
+                binary_plan,
+                engine_name,
+                opts.freejoin_options,
+                deadline=deadline,
+                sink=sink,
+                parallelism=workers,
+            )
+            if decision is not None:
+                self.router.observe(decision, time.perf_counter() - started)
+                report.details["router"] = decision.as_dict()
+            return report
+
+        return logical, binary_plan, run
+
+    def _finish(
+        self, logical: LogicalQuery, binary_plan: BinaryPlan, report: RunReport
+    ) -> QueryOutcome:
+        """Everything after the join: residuals, left-outer, aggregate, finalize."""
         join_result = self._apply_residuals(report.result, logical)
         if logical.left_joins:
             join_result = self._extend_left_outer(join_result, logical, report)
@@ -310,33 +326,19 @@ class Database:
             join_result=join_result,
         )
 
-    @staticmethod
-    def _effective_parallelism(opts: ExecOptions, decision) -> Optional[int]:
-        """Explicit per-query parallelism wins over a router decision."""
-        if opts.parallelism is not None:
-            return opts.parallelism
-        return decision.parallelism if decision is not None else None
-
     def execute_iter(
         self,
         sql: str,
         *,
-        batch_rows: Optional[int] = None,
-        max_batches: Optional[int] = None,
-        engine: Optional[str] = None,
-        name: str = "",
-        timeout: Optional[float] = None,
-        deadline: Optional[DeadlineToken] = None,
-        freejoin_options: Optional[FreeJoinOptions] = None,
-        executor=None,
         options: Optional[ExecOptions] = None,
+        name: str = "",
+        executor=None,
     ):
         """Execute a query and stream its result rows in batches.
 
         Per-query knobs travel in ``options``
-        (:class:`~repro.engine.options.ExecOptions`); the loose keyword
-        arguments are the deprecated legacy spelling (``batch_rows`` and
-        ``max_batches`` default to 1024 and 8 when unset either way).
+        (:class:`~repro.engine.options.ExecOptions`; ``batch_rows`` and
+        ``max_batches`` default to 1024 and 8 when unset).
 
         ``executor`` optionally runs the producer on a caller-owned
         ``concurrent.futures`` executor instead of a dedicated thread (the
@@ -385,22 +387,17 @@ class Database:
         exactly the rows :meth:`execute` would return (as a bag — parallel
         completion order may differ).
         """
-        opts = resolve_options(
-            options,
-            "Database.execute_iter",
-            batch_rows=batch_rows,
-            max_batches=max_batches,
-            engine=engine,
-            timeout=timeout,
-            deadline=deadline,
-            freejoin_options=freejoin_options,
-        )
-        return self._execute_iter(sql, opts, name=name, executor=executor)
+        return self._execute_iter(sql, options or ExecOptions(), name=name, executor=executor)
 
     def _execute_iter(
-        self, sql: str, opts: ExecOptions, name: str = "", executor=None
+        self,
+        sql: str,
+        opts: ExecOptions,
+        name: str = "",
+        executor=None,
+        max_workers: Optional[int] = None,
     ):
-        """Options-driven execute_iter internals (no legacy-kwarg shim)."""
+        """:meth:`execute_iter` for internal callers; ``max_workers`` as in :meth:`_prepare`."""
         from repro.engine.streaming import (
             DEFAULT_BATCH_ROWS,
             DEFAULT_MAX_BATCHES,
@@ -410,20 +407,17 @@ class Database:
             StreamingTopKSink,
         )
 
-        engine_name = opts.engine or self.default_engine
-        if engine_name not in ENGINES and engine_name != AUTO_ENGINE:
-            raise QueryError(
-                f"unknown engine {engine_name!r}; choose from "
-                f"{ENGINES + (AUTO_ENGINE,)}"
-            )
-        batch_rows = opts.batch_rows or DEFAULT_BATCH_ROWS
-        max_batches = opts.max_batches or DEFAULT_MAX_BATCHES
-        freejoin_options = opts.freejoin_options
         # Always arm a token (without a deadline when no timeout): early
         # close cancels the producer through it.
         token = opts.resolve_deadline(always=True)
-
-        logical = Planner(self.catalog).plan_sql(sql, name=name)
+        logical, binary_plan, run = self._prepare(sql, opts, name, max_workers)
+        delivery = dict(
+            batch_rows=opts.batch_rows or DEFAULT_BATCH_ROWS,
+            max_batches=opts.max_batches or DEFAULT_MAX_BATCHES,
+            interrupt=token,
+        )
+        variables = logical.query.output_variables
+        transform = None
 
         # Delta streaming requires every group key to be *readable from the
         # delivered rows* (last-write-wins is keyed on the selected group
@@ -453,39 +447,8 @@ class Database:
             # while the join is still running.
             from repro.engine.aggregates import aggregate_spec
 
-            spec = aggregate_spec(logical, tuple(logical.query.output_variables))
-            binary_plan = optimize_query(
-                logical.query, statistics_cache=self.statistics_cache
-            )
-            sink = StreamingAggregateSink(
-                spec,
-                batch_rows=batch_rows,
-                max_batches=max_batches,
-                interrupt=token,
-            )
-            engine_name, decision = self._route_if_auto(
-                engine_name, logical, binary_plan
-            )
-
-            def run_grouped():
-                started = time.perf_counter()
-                report = self.run_join(
-                    logical,
-                    binary_plan,
-                    engine_name,
-                    freejoin_options,
-                    deadline=token,
-                    sink=sink,
-                    parallelism=self._effective_parallelism(opts, decision),
-                )
-                if decision is not None:
-                    self.router.observe(decision, time.perf_counter() - started)
-                    report.details["router"] = decision.as_dict()
-                return report
-
-            return StreamingResult(sink, token, run_grouped, executor=executor)
-
-        if (
+            sink = StreamingAggregateSink(aggregate_spec(logical, tuple(variables)), **delivery)
+        elif (
             not logical.has_aggregates()
             and not logical.group_by
             and not logical.left_joins
@@ -498,96 +461,33 @@ class Database:
             # fold into a pruned candidate set *mid-join*; the finalize
             # pass sorts the survivors and delivers the ordered prefix —
             # identical to execute()'s final table.
-            binary_plan = optimize_query(
-                logical.query, statistics_cache=self.statistics_cache
-            )
-            variables = logical.query.output_variables
             sink = StreamingTopKSink(
                 variables,
                 limit=logical.limit,
                 order_by=logical.order_by,
                 transform=self._batch_transform(logical, variables),
-                batch_rows=batch_rows,
-                max_batches=max_batches,
-                interrupt=token,
+                **delivery,
             )
-            engine_name, decision = self._route_if_auto(
-                engine_name, logical, binary_plan
-            )
-
-            def run_topk():
-                started = time.perf_counter()
-                report = self.run_join(
-                    logical,
-                    binary_plan,
-                    engine_name,
-                    freejoin_options,
-                    deadline=token,
-                    sink=sink,
-                    parallelism=self._effective_parallelism(opts, decision),
-                )
-                if decision is not None:
-                    self.router.observe(decision, time.perf_counter() - started)
-                    report.details["router"] = decision.as_dict()
-                return report
-
-            return StreamingResult(sink, token, run_topk, executor=executor)
-
-        if logical.has_aggregates() or logical.group_by or needs_post:
+        elif logical.has_aggregates() or logical.group_by or needs_post:
             # Residual-filtered aggregates (filters run on materialized join
             # rows in execute()), aggregate-free group-bys, left-outer
             # extensions, and HAVING/ORDER BY-without-LIMIT/DISTINCT queries
             # keep the materialize-then-stream fallback: only delivery
             # streams.
-            sink = StreamingSink(
-                logical.output_labels(),
-                batch_rows=batch_rows,
-                max_batches=max_batches,
-                interrupt=token,
-            )
+            sink = StreamingSink(logical.output_labels(), **delivery)
 
-            def run_aggregate():
-                outcome = self._execute(
-                    sql,
-                    replace(opts, engine=engine_name, deadline=token, timeout=None),
-                    name=name,
-                )
-                sink.emit_rows(outcome.table.to_rows())
-                return outcome.report
+            def run_materialized():
+                report = run(token)
+                sink.emit_rows(self._finish(logical, binary_plan, report).table.to_rows())
+                return report
 
-            return StreamingResult(sink, token, run_aggregate, executor=executor)
-
-        binary_plan = optimize_query(
-            logical.query, statistics_cache=self.statistics_cache
-        )
-        variables = logical.query.output_variables
-        sink = StreamingSink(
-            variables,
-            batch_rows=batch_rows,
-            max_batches=max_batches,
-            interrupt=token,
-        )
-        transform = self._batch_transform(logical, variables)
-        engine_name, decision = self._route_if_auto(engine_name, logical, binary_plan)
-
-        def run_streaming():
-            started = time.perf_counter()
-            report = self.run_join(
-                logical,
-                binary_plan,
-                engine_name,
-                freejoin_options,
-                deadline=token,
-                sink=sink,
-                parallelism=self._effective_parallelism(opts, decision),
-            )
-            if decision is not None:
-                self.router.observe(decision, time.perf_counter() - started)
-                report.details["router"] = decision.as_dict()
-            return report
+            return StreamingResult(sink, token, run_materialized, executor=executor)
+        else:
+            sink = StreamingSink(variables, **delivery)
+            transform = self._batch_transform(logical, variables)
 
         return StreamingResult(
-            sink, token, run_streaming, transform=transform, executor=executor
+            sink, token, lambda: run(token, sink), transform=transform, executor=executor
         )
 
     @staticmethod
@@ -628,9 +528,6 @@ class Database:
         self,
         queries: Iterable,
         max_workers: Optional[int] = None,
-        timeout: Optional[float] = None,
-        engine: Optional[str] = None,
-        freejoin_options: Optional[FreeJoinOptions] = None,
         mode: str = "auto",
         collect_rows: bool = True,
         *,
@@ -641,14 +538,14 @@ class Database:
         ``queries`` may contain SQL strings, ``(name, sql)`` pairs, or
         objects with ``name``/``sql`` attributes (benchmark queries).  Each
         query runs in its own worker — a process (with an enforced per-query
-        ``timeout``) or a thread (timeout recorded, not enforced), chosen by
-        ``mode`` — and errors are captured per query instead of aborting the
-        workload.  Returns a :class:`repro.parallel.workload.WorkloadOutcome`
-        whose per-query status/seconds/rows serialize to JSON.
+        ``timeout``) or a thread (aborted cooperatively through its deadline
+        token), chosen by ``mode`` — and errors are captured per query
+        instead of aborting the workload.  Returns a
+        :class:`repro.parallel.workload.WorkloadOutcome` whose per-query
+        status/seconds/rows serialize to JSON.
 
         Per-query knobs (engine, timeout, parallelism, Free Join options)
-        travel in ``options``; the loose ``timeout``/``engine``/
-        ``freejoin_options`` kwargs are the deprecated legacy spelling.
+        travel in ``options`` and apply to every query of the workload.
         ``options.deadline`` and ``options.bad_estimates`` are rejected: a
         deadline token cannot cross the per-query worker boundary, and the
         workload runner optimizes with real estimates only.
@@ -658,13 +555,7 @@ class Database:
         """
         from repro.parallel.workload import execute_workload
 
-        opts = resolve_options(
-            options,
-            "Database.execute_many",
-            timeout=timeout,
-            engine=engine,
-            freejoin_options=freejoin_options,
-        )
+        opts = options or ExecOptions()
         if opts.deadline is not None:
             raise QueryError(
                 "execute_many cannot honor a shared deadline token across "
@@ -672,27 +563,8 @@ class Database:
             )
         if opts.bad_estimates:
             raise QueryError("execute_many does not support bad_estimates")
-        engine_name = opts.engine or self.default_engine
-        if engine_name not in ENGINES and engine_name != AUTO_ENGINE:
-            raise QueryError(
-                f"unknown engine {engine_name!r}; choose from "
-                f"{ENGINES + (AUTO_ENGINE,)}"
-            )
         return execute_workload(
-            self.catalog,
-            queries,
-            max_workers=max_workers,
-            timeout=opts.timeout,
-            engine=engine_name,
-            freejoin_options=opts.freejoin_options or self.freejoin_options,
-            parallelism=opts.parallelism
-            if opts.parallelism is not None
-            else self.parallelism,
-            parallel_mode=self.parallel_mode,
-            mode=mode,
-            collect_rows=collect_rows,
-            statistics_cache=self.statistics_cache,
-            router=self.router,
+            self, queries, opts, max_workers=max_workers, mode=mode, collect_rows=collect_rows
         )
 
     # ------------------------------------------------------------------ #
@@ -757,71 +629,41 @@ class Database:
     ) -> RunReport:
         """Run only the join (no residual filters, no aggregation).
 
-        ``sink`` overrides the final pipeline's output sink on every engine;
+        ``engine_name`` selects a plan policy; everything about *how* the
+        run executes goes down as one
+        :class:`~repro.engine.pipeline.RunContext`: ``parallelism`` workers
+        (the session's when ``None`` — :meth:`_prepare` passes what the
+        query's options, the router and the session resolve to), the
+        session's ``parallel_mode``, and ``deadline``.  ``freejoin_options``
+        are plan knobs and reach the Free Join policy only.
+
+        ``sink`` overrides the final pipeline's output sink on every policy;
         :meth:`execute_iter` passes a
         :class:`~repro.engine.streaming.StreamingSink` here to stream rows
-        out while the join is still running.  ``parallelism`` overrides the
-        worker count for this run (the router passes its per-query choice);
-        per-query Free Join options still win over it.
+        out while the join is still running.
         """
-        output_mode = "rows" if sink is not None else self._output_mode(logical)
-        session_parallelism = (
-            parallelism if parallelism is not None else self.parallelism
+        policy = _PLAN_POLICIES.get(engine_name)
+        if policy is None:
+            raise QueryError(f"unknown engine {engine_name!r}; choose from {ENGINES}")
+        if policy is FreeJoinEngine:
+            engine = policy(freejoin_options or self.freejoin_options)
+        else:
+            engine = policy()
+        options = engine.options
+        if sink is None and options.output == "rows":
+            # The cheapest sink the SELECT list allows; any other value
+            # ("factorized") is the caller asking for that sink.
+            options = replace(options, output=self._output_mode(logical))
+        context = RunContext(
+            self.parallelism if parallelism is None else parallelism,
+            self.parallel_mode,
+            deadline,
         )
-        if engine_name == "freejoin":
-            options = freejoin_options or self.freejoin_options
-            # replace() keeps every other field as the caller set it — a
-            # hand-rolled copy here would silently reset fields added later.
-            options = replace(
-                options,
-                output=output_mode if options.output == "rows" else options.output,
-                parallelism=options.parallelism
-                if options.parallelism is not None
-                else session_parallelism,
-                parallel_mode=options.parallel_mode
-                if options.parallel_mode != "auto"
-                else self.parallel_mode,
-                deadline=deadline if deadline is not None else options.deadline,
-            )
-            return FreeJoinEngine(options).run(logical.query, binary_plan, sink=sink)
-        if engine_name == "binary":
-            options = BinaryJoinOptions(
-                output=output_mode,
-                parallelism=session_parallelism,
-                parallel_mode=self.parallel_mode,
-                deadline=deadline,
-            )
-            return BinaryJoinEngine(options).run(logical.query, binary_plan, sink=sink)
-        if engine_name == "generic":
-            options = GenericJoinOptions(
-                output=output_mode,
-                parallelism=session_parallelism,
-                parallel_mode=self.parallel_mode,
-                deadline=deadline,
-            )
-            return GenericJoinEngine(options).run(logical.query, binary_plan, sink=sink)
-        raise QueryError(f"unknown engine {engine_name!r}")
+        return engine.run(logical.query, binary_plan, options, sink, context=context)
 
     # ------------------------------------------------------------------ #
     # Helpers
     # ------------------------------------------------------------------ #
-
-    def _route_if_auto(self, engine_name: str, logical, binary_plan):
-        """Resolve the ``"auto"`` pseudo-engine into a concrete engine.
-
-        Returns ``(engine_name, decision)`` where ``decision`` is the
-        :class:`~repro.router.policy.RoutingDecision` for routed queries and
-        ``None`` when the caller named an engine explicitly.
-        """
-        if engine_name != AUTO_ENGINE:
-            return engine_name, None
-        decision = self.router.route(
-            logical,
-            binary_plan,
-            statistics_cache=self.statistics_cache,
-            max_workers=self.parallelism,
-        )
-        return decision.engine, decision
 
     @staticmethod
     def _output_mode(logical: LogicalQuery) -> str:

@@ -812,9 +812,7 @@ def _time_factorized_star(
         for attempt in range(max(1, repeats) + 1):
             sink = FactorizedSink(query.output_variables)
             started = time_module.perf_counter()
-            FreeJoinEngine(FreeJoinOptions(parallelism=1)).run(
-                query, plan, sink=sink
-            )
+            FreeJoinEngine().run(query, plan, sink=sink)
             elapsed = time_module.perf_counter() - started
             if attempt and (best is None or elapsed < best):
                 best = elapsed

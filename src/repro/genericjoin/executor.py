@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
 from repro.engine.output import OutputSink
-from repro.engine.pipeline import PhysicalPipeline, RowPath, run_plan
+from repro.engine.pipeline import PhysicalPipeline, RowPath, RunContext, run_plan
 from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.genericjoin.trie import HashTrie, build_hash_trie
@@ -33,23 +33,14 @@ from repro.query.conjunctive import ConjunctiveQuery
 
 @dataclass
 class GenericJoinOptions:
-    """Knobs of the Generic Join engine.
+    """Knobs of the Generic Join engine: output mode and variable order.
 
-    ``parallelism > 1`` parallelizes the first variable's intersection (the
-    iteration over the smallest trie level), decomposed into fine-grained
-    tasks for the persistent work-stealing pool
-    (:mod:`repro.parallel.scheduler`).  ``parallel_mode`` selects the backend
-    (``"auto"``, ``"process"`` or ``"thread"``).
+    How a run executes (workers, backend, deadline) arrives per run as a
+    :class:`~repro.engine.pipeline.RunContext`.
     """
 
     output: str = "rows"  # "rows" or "count"
     variable_order: Optional[Sequence[str]] = None
-    parallelism: Optional[int] = None  # None = inherit the session setting
-    parallel_mode: str = "auto"
-    #: Optional :class:`repro.parallel.cancellation.DeadlineToken`; the
-    #: intersection loop ticks it per candidate value, so an expired or
-    #: cancelled query aborts mid-recursion.
-    deadline: Optional[object] = None
 
 
 @dataclass
@@ -131,8 +122,15 @@ class GenericJoinEngine:
         binary_plan: Optional[BinaryPlan] = None,
         options: Optional[GenericJoinOptions] = None,
         sink: Optional[OutputSink] = None,
+        *,
+        context: RunContext = RunContext(),
     ) -> RunReport:
         """Execute ``query`` with Generic Join.
+
+        With ``context.workers > 1`` the first variable's intersection (the
+        iteration over the smallest trie level) is split into tasks for the
+        work-stealing pool; the intersection loop ticks ``context.deadline``
+        per candidate value.
 
         The variable order is taken from ``options.variable_order`` when
         given, otherwise derived from ``binary_plan`` (the same order Free
@@ -163,7 +161,7 @@ class GenericJoinEngine:
 
         whole = Pipeline("__result", [atom.name for atom in query.atoms], is_final=True)
         return run_plan(
-            self.name, query, [whole], options, lower, sink, {"variable_order": order}
+            self.name, query, [whole], options, lower, sink, {"variable_order": order}, context
         )
 
     @staticmethod

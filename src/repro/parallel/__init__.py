@@ -14,11 +14,11 @@ workloads in production:
   capture, returning a JSON-serializable
   :class:`~repro.parallel.workload.WorkloadOutcome`.
 
-The engines reach the first layer through their ``parallelism`` option
-(:class:`~repro.core.engine.FreeJoinOptions`,
-:class:`~repro.binaryjoin.executor.BinaryJoinOptions`,
-:class:`~repro.genericjoin.executor.GenericJoinOptions`); sessions reach the
-second through :meth:`repro.engine.session.Database.execute_many`.
+Every plan policy reaches the first layer the same way — a
+:class:`~repro.engine.pipeline.RunContext` with ``workers > 1`` makes
+:func:`repro.engine.pipeline.run_plan` hand each pipeline to the steal
+scheduler; sessions reach the second through
+:meth:`repro.engine.session.Database.execute_many`.
 """
 
 from repro.parallel.scheduler import (

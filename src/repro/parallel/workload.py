@@ -25,9 +25,12 @@ Backends:
   the error surfaces.
 
 ``mode="auto"`` picks ``process`` when the platform can fork and more than
-one worker is requested, ``thread`` otherwise.  Either way each worker
-evaluates its query with a fresh :class:`Database` over the shared catalog,
-so results are identical to serial execution query by query.
+one worker is requested, ``thread`` otherwise.  Thread workers run on the
+caller's session — the per-query ``ExecOptions`` are frozen and passed per
+call, so concurrent queries share nothing they did not already share (the
+statistics cache and the router); each process worker rebuilds a session of
+its own from :func:`_session_spec`.  Either way results are identical to
+serial execution query by query.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import signal
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.engine.options import ExecOptions
@@ -200,51 +203,42 @@ def normalize_queries(queries: Iterable) -> List[Tuple[str, str]]:
     return normalized
 
 
+def _failure_record(name: str, sql: str, engine: str, status: str, started: float, error: str):
+    """The plain-dict record of a query that produced no result."""
+    return {
+        "name": name,
+        "sql": sql,
+        "engine": engine,
+        "status": status,
+        "seconds": time.perf_counter() - started,
+        "row_count": 0,
+        "columns": (),
+        "rows": None,
+        "error": error,
+        "parallel": None,
+    }
+
+
 def _execute_single(
-    catalog,
-    name: str,
-    sql: str,
-    engine: Optional[str],
-    freejoin_options,
-    parallelism: int,
-    parallel_mode: str,
-    collect_rows: bool,
-    timeout: Optional[float],
-    statistics_cache=None,
-    router=None,
+    database, name: str, sql: str, options: ExecOptions, collect_rows: bool
 ) -> Dict[str, object]:
-    """Run one query on a fresh Database; never raises.
+    """Run one query on ``database``; never raises.
 
     Returns a plain-dict record (pickle-friendly for the process backend).
-    A fresh session per worker keeps the statistics cache and any engine
-    options strictly local, so concurrent queries cannot observe each other.
+    ``options`` is frozen and passed per call, so concurrent queries on one
+    session cannot observe each other's knobs.
 
-    ``timeout`` is enforced cooperatively: the query runs under a deadline
-    token and aborts mid-execution with ``DeadlineExceeded`` when the budget
-    runs out, which is recorded as a ``"timeout"`` execution.  This holds on
-    every backend — a thread worker is freed promptly instead of letting the
-    losing query finish in the background.
+    ``options.timeout`` is enforced cooperatively: the query runs under a
+    deadline token and aborts mid-execution with ``DeadlineExceeded`` when
+    the budget runs out, which is recorded as a ``"timeout"`` execution.
+    This holds on every backend — a thread worker is freed promptly instead
+    of letting the losing query finish in the background.
     """
-    from repro.engine.session import Database
     from repro.errors import DeadlineExceeded, QueryCancelled
 
     started = time.perf_counter()
     try:
-        database = Database(
-            catalog,
-            freejoin_options=freejoin_options,
-            parallelism=parallelism,
-            parallel_mode=parallel_mode,
-            router=router,
-        )
-        if statistics_cache is not None:
-            # Reuse the caller's per-table statistics: the cache is keyed by
-            # table identity, which survives fork (copy-on-write) and thread
-            # sharing, so pre-analyzed tables are never re-scanned per query.
-            database.statistics_cache = statistics_cache
-        outcome = database.execute(
-            sql, name=name, options=ExecOptions(engine=engine, timeout=timeout)
-        )
+        outcome = database._execute(sql, options, name=name)
         seconds = time.perf_counter() - started
         if collect_rows:
             rows = outcome.table.to_rows()
@@ -253,7 +247,7 @@ def _execute_single(
             rows = None
             row_count = outcome.table.num_rows
         status = STATUS_OK
-        if timeout is not None and seconds > timeout:
+        if options.timeout is not None and seconds > options.timeout:
             # The deadline check is strided, so a query can still finish a
             # hair over budget; record the overrun either way.
             status = STATUS_TIMEOUT
@@ -276,48 +270,42 @@ def _execute_single(
             "router": outcome.report.details.get("router"),
         }
     except (DeadlineExceeded, QueryCancelled) as exc:
-        return {
-            "name": name,
-            "sql": sql,
-            "engine": engine or "",
-            "status": STATUS_TIMEOUT,
-            "seconds": time.perf_counter() - started,
-            "row_count": 0,
-            "columns": (),
-            "rows": None,
-            "error": f"aborted after exceeding {timeout} s: {exc}",
-            "parallel": None,
-        }
+        return _failure_record(
+            name, sql, options.engine, STATUS_TIMEOUT, started,
+            f"aborted after exceeding {options.timeout} s: {exc}",
+        )
     except Exception as exc:  # noqa: BLE001 - the whole point is capture
-        return {
-            "name": name,
-            "sql": sql,
-            "engine": engine or "",
-            "status": STATUS_ERROR,
-            "seconds": time.perf_counter() - started,
-            "row_count": 0,
-            "columns": (),
-            "rows": None,
-            "error": f"{type(exc).__name__}: {exc}",
-            "parallel": None,
-        }
+        return _failure_record(
+            name, sql, options.engine, STATUS_ERROR, started, f"{type(exc).__name__}: {exc}"
+        )
+
+
+def _session_spec(database) -> Tuple[Dict[str, object], object]:
+    """What a process worker rebuilds its session from; every value pickles.
+
+    The session itself may not (standing queries hold locks), and a worker
+    must not inherit its subscriptions anyway.  Returns ``Database`` keyword
+    arguments plus the statistics cache — keyed by table identity, which
+    survives fork (copy-on-write), so pre-analyzed tables are never
+    re-scanned per query.
+    """
+    init = {
+        "catalog": database.catalog,
+        "default_engine": database.default_engine,
+        "freejoin_options": database.freejoin_options,
+        "parallelism": database.parallelism,
+        "parallel_mode": database.parallel_mode,
+        "router": database.router,
+    }
+    return init, database.statistics_cache
 
 
 def _query_worker(
-    connection,
-    catalog,
-    name: str,
-    sql: str,
-    engine: Optional[str],
-    freejoin_options,
-    parallelism: int,
-    parallel_mode: str,
-    collect_rows: bool,
-    statistics_cache=None,
-    timeout: Optional[float] = None,
-    router=None,
+    connection, spec, name: str, sql: str, options: ExecOptions, collect_rows: bool
 ) -> None:
     """Process entry point: run one query and ship the record back."""
+    from repro.engine.session import Database
+
     try:
         # Become a process-group leader so a hard timeout can kill this
         # worker *and* any intra-query shard/pool processes it forked, in one
@@ -327,11 +315,10 @@ def _query_worker(
     except (AttributeError, OSError):  # pragma: no cover - platform-specific
         pass
     try:
-        record = _execute_single(
-            catalog, name, sql, engine, freejoin_options, parallelism,
-            parallel_mode, collect_rows, timeout=timeout,
-            statistics_cache=statistics_cache, router=router,
-        )
+        init, statistics_cache = spec
+        database = Database(**init)
+        database.statistics_cache = statistics_cache
+        record = _execute_single(database, name, sql, options, collect_rows)
         try:
             connection.send(record)
         finally:
@@ -377,24 +364,46 @@ class _ActiveWorker:
 
 
 def _run_process_backend(
-    catalog,
+    database,
     queries: List[Tuple[str, str]],
+    options: ExecOptions,
     max_workers: int,
-    timeout: Optional[float],
-    engine: Optional[str],
-    freejoin_options,
-    parallelism: int,
-    parallel_mode: str,
     collect_rows: bool,
-    statistics_cache=None,
-    router=None,
 ) -> Dict[str, QueryExecution]:
     context = multiprocessing.get_context(
         "fork" if "fork" in multiprocessing.get_all_start_methods() else None
     )
+    timeout = options.timeout
+    spec = _session_spec(database)
     pending = deque(queries)
     active: Dict[object, _ActiveWorker] = {}
     records: Dict[str, QueryExecution] = {}
+
+    def start(name: str, sql: str) -> None:
+        receiver, sender = context.Pipe(duplex=False)
+        # Not daemonic: a query worker may itself fork intra-query shard
+        # processes (parallelism > 1), which daemonic processes cannot.
+        # The loop below always joins or terminates every worker.
+        process = context.Process(
+            target=_query_worker, args=(sender, spec, name, sql, options, collect_rows)
+        )
+        now = time.perf_counter()
+        process.start()
+        sender.close()
+        # The worker aborts itself cooperatively at `timeout`; the hard
+        # kill below is the backstop for a worker stuck in code that
+        # never ticks its deadline token, so it fires after a short
+        # grace period on top of the budget.
+        grace = None
+        if timeout is not None:
+            grace = timeout + min(1.0, 0.5 * timeout + 0.1)
+        active[receiver] = _ActiveWorker(
+            process=process,
+            name=name,
+            sql=sql,
+            started=now,
+            deadline=(now + grace) if grace is not None else None,
+        )
 
     def finalize(record: Dict[str, object]) -> None:
         rows = record.pop("rows")
@@ -425,11 +434,44 @@ def _run_process_backend(
             process.join()
 
     try:
-        _drive_process_workers(
-            context, pending, active, records, max_workers, timeout, engine,
-            freejoin_options, parallelism, parallel_mode, collect_rows,
-            catalog, statistics_cache, finalize, terminate, router,
-        )
+        while pending or active:
+            while pending and len(active) < max_workers:
+                start(*pending.popleft())
+
+            wait_for: Optional[float] = None
+            now = time.perf_counter()
+            deadlines = [w.deadline for w in active.values() if w.deadline is not None]
+            if deadlines:
+                wait_for = max(0.0, min(deadlines) - now)
+            ready = multiprocessing.connection.wait(list(active), timeout=wait_for)
+
+            for connection in ready:
+                worker = active.pop(connection)
+                try:
+                    record = connection.recv()
+                except (EOFError, OSError):
+                    record = _failure_record(
+                        worker.name, worker.sql, options.engine, STATUS_ERROR, worker.started,
+                        "worker exited without reporting a result",
+                    )
+                finalize(record)
+                connection.close()
+                worker.process.join()
+
+            now = time.perf_counter()
+            for connection, worker in list(active.items()):
+                if worker.deadline is not None and now >= worker.deadline:
+                    terminate(worker.process)
+                    connection.close()
+                    del active[connection]
+                    records[worker.name] = QueryExecution(
+                        name=worker.name,
+                        sql=worker.sql,
+                        engine=options.engine,
+                        status=STATUS_TIMEOUT,
+                        seconds=now - worker.started,
+                        error=f"terminated after exceeding {timeout} s",
+                    )
     finally:
         # An exception (including KeyboardInterrupt) must not orphan the
         # non-daemonic workers: they sit in their own process groups (so the
@@ -441,109 +483,17 @@ def _run_process_backend(
     return records
 
 
-def _drive_process_workers(
-    context, pending, active, records, max_workers, timeout, engine,
-    freejoin_options, parallelism, parallel_mode, collect_rows,
-    catalog, statistics_cache, finalize, terminate, router=None,
-) -> None:
-    while pending or active:
-        while pending and len(active) < max_workers:
-            name, sql = pending.popleft()
-            receiver, sender = context.Pipe(duplex=False)
-            # Not daemonic: a query worker may itself fork intra-query shard
-            # processes (parallelism > 1), which daemonic processes cannot.
-            # The scheduler below always joins or terminates every worker.
-            process = context.Process(
-                target=_query_worker,
-                args=(
-                    sender, catalog, name, sql, engine, freejoin_options,
-                    parallelism, parallel_mode, collect_rows, statistics_cache,
-                    timeout, router,
-                ),
-            )
-            now = time.perf_counter()
-            process.start()
-            sender.close()
-            # The worker aborts itself cooperatively at `timeout`; the hard
-            # kill below is the backstop for a worker stuck in code that
-            # never ticks its deadline token, so it fires after a short
-            # grace period on top of the budget.
-            grace = None
-            if timeout is not None:
-                grace = timeout + min(1.0, 0.5 * timeout + 0.1)
-            active[receiver] = _ActiveWorker(
-                process=process,
-                name=name,
-                sql=sql,
-                started=now,
-                deadline=(now + grace) if grace is not None else None,
-            )
-
-        wait_for: Optional[float] = None
-        now = time.perf_counter()
-        deadlines = [w.deadline for w in active.values() if w.deadline is not None]
-        if deadlines:
-            wait_for = max(0.0, min(deadlines) - now)
-        ready = multiprocessing.connection.wait(list(active), timeout=wait_for)
-
-        for connection in ready:
-            worker = active.pop(connection)
-            try:
-                record = connection.recv()
-            except (EOFError, OSError):
-                record = {
-                    "name": worker.name,
-                    "sql": worker.sql,
-                    "engine": engine or "",
-                    "status": STATUS_ERROR,
-                    "seconds": time.perf_counter() - worker.started,
-                    "row_count": 0,
-                    "columns": (),
-                    "rows": None,
-                    "error": "worker exited without reporting a result",
-                    "parallel": None,
-                }
-            finalize(record)
-            connection.close()
-            worker.process.join()
-
-        now = time.perf_counter()
-        for connection, worker in list(active.items()):
-            if worker.deadline is not None and now >= worker.deadline:
-                terminate(worker.process)
-                connection.close()
-                del active[connection]
-                records[worker.name] = QueryExecution(
-                    name=worker.name,
-                    sql=worker.sql,
-                    engine=engine or "",
-                    status=STATUS_TIMEOUT,
-                    seconds=now - worker.started,
-                    error=f"terminated after exceeding {timeout} s",
-                )
-
-
 def _run_thread_backend(
-    catalog,
+    database,
     queries: List[Tuple[str, str]],
+    options: ExecOptions,
     max_workers: int,
-    timeout: Optional[float],
-    engine: Optional[str],
-    freejoin_options,
-    parallelism: int,
-    parallel_mode: str,
     collect_rows: bool,
-    statistics_cache=None,
-    router=None,
 ) -> Dict[str, QueryExecution]:
     records: Dict[str, QueryExecution] = {}
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         futures = {
-            name: pool.submit(
-                _execute_single, catalog, name, sql, engine, freejoin_options,
-                parallelism, parallel_mode, collect_rows, timeout,
-                statistics_cache, router,
-            )
+            name: pool.submit(_execute_single, database, name, sql, options, collect_rows)
             for name, sql in queries
         }
         for name, future in futures.items():
@@ -561,92 +511,75 @@ def _run_thread_backend(
 
 
 def execute_workload(
-    catalog,
+    database,
     queries: Iterable,
+    options: ExecOptions,
     max_workers: Optional[int] = None,
-    timeout: Optional[float] = None,
-    engine: Optional[str] = None,
-    freejoin_options=None,
-    parallelism: int = 1,
-    parallel_mode: str = "auto",
     mode: str = "auto",
     collect_rows: bool = True,
-    statistics_cache=None,
-    router=None,
 ) -> WorkloadOutcome:
-    """Evaluate ``queries`` over ``catalog`` concurrently.
+    """Evaluate ``queries`` on ``database`` concurrently, all with ``options``.
 
-    See the module docstring for backend/timeout semantics.  ``parallelism``
-    is forwarded to each worker's session, so intra-query parallelism
-    composes with inter-query concurrency (workers times intra-query workers
-    processes in total — size accordingly).
+    See the module docstring for backend/timeout semantics.  Intra-query
+    parallelism (``options.parallelism``, else the session's) composes with
+    inter-query concurrency — workers times intra-query workers processes in
+    total, so size accordingly.
 
-    ``engine="auto"`` routes each query through ``router`` (a
-    :class:`~repro.router.policy.QueryRouter`; each worker session builds a
-    fresh one when ``None``); per-query routing decisions land on
-    :attr:`QueryExecution.router`.  On the thread backend the shared router
-    learns from every completion; process workers get a pickled copy, so
-    observations made there stay in the worker (the statistics-cache rule).
+    ``engine="auto"`` routes each query through the session's router;
+    per-query routing decisions land on :attr:`QueryExecution.router`.  On
+    the thread backend the shared router learns from every completion;
+    process workers get a copy, so observations made there stay in the
+    worker (the statistics-cache rule).
     """
     normalized = normalize_queries(queries)
     # Resolve the engine label up front so every record — including timeout
     # and worker-crash records built by the scheduler, not the worker —
-    # names the engine that (would have) run.  ``None`` means the session
-    # default, which is the freejoin engine.
-    engine = engine or "freejoin"
+    # names the engine that (would have) run.
+    options = replace(options, engine=options.engine or database.default_engine)
     if max_workers is None:
         max_workers = min(8, multiprocessing.cpu_count() or 1, max(1, len(normalized)))
     if max_workers < 1:
         raise QueryError(f"max_workers must be at least 1, got {max_workers}")
-    if timeout is not None and timeout <= 0:
-        raise QueryError(f"timeout must be positive, got {timeout}")
     resolved = resolve_workload_mode(mode, max_workers)
+    if not normalized:
+        return WorkloadOutcome(
+            executions=[], wall_seconds=0.0, max_workers=max_workers,
+            mode=resolved, timeout=options.timeout,
+        )
+    catalog = database.catalog
 
-    if resolved == "process" and statistics_cache is not None:
+    if resolved == "process":
         # Warm the cache before forking: the copy-on-write image then hands
         # every worker pre-analyzed table statistics (the cache is keyed by
         # table identity, which fork preserves), instead of each worker
         # re-scanning every base table its query touches.  Only tables the
         # workload's SQL actually names are analyzed — a catalog may hold
         # large tables no query touches.
-        referenced = " ".join(sql for _, sql in normalized)
-        for table_name in catalog.table_names():
-            if re.search(rf"\b{re.escape(table_name)}\b", referenced):
-                statistics_cache.for_table(catalog.get(table_name))
-        if parallelism > 1:
+        text = " ".join(sql for _, sql in normalized)
+        referenced = [
+            catalog.get(table_name)
+            for table_name in catalog.table_names()
+            if re.search(rf"\b{re.escape(table_name)}\b", text)
+        ]
+        for table in referenced:
+            database.statistics_cache.for_table(table)
+        if (options.parallelism or database.parallelism) > 1:
             # Same pre-fork warming for the shared-memory column plane: the
             # forked query workers inherit the export cache, so their steal
             # pools attach the parent's segments instead of each worker
             # re-exporting every base table its query touches.
             from repro.storage.shm import export_table
 
-            for table_name in catalog.table_names():
-                if re.search(rf"\b{re.escape(table_name)}\b", referenced):
-                    export_table(catalog.get(table_name))
+            for table in referenced:
+                export_table(table)
 
     started = time.perf_counter()
-    if not normalized:
-        return WorkloadOutcome(
-            executions=[], wall_seconds=0.0, max_workers=max_workers,
-            mode=resolved, timeout=timeout,
-        )
-    if resolved == "process":
-        records = _run_process_backend(
-            catalog, normalized, max_workers, timeout, engine, freejoin_options,
-            parallelism, parallel_mode, collect_rows, statistics_cache, router,
-        )
-    else:
-        records = _run_thread_backend(
-            catalog, normalized, max_workers, timeout, engine, freejoin_options,
-            parallelism, parallel_mode, collect_rows, statistics_cache, router,
-        )
-    wall_seconds = time.perf_counter() - started
-
-    executions = [records[name] for name, _ in normalized]
+    backend = _run_process_backend if resolved == "process" else _run_thread_backend
+    records = backend(database, normalized, options, max_workers, collect_rows)
     return WorkloadOutcome(
-        executions=executions,
-        wall_seconds=wall_seconds,
+        executions=[records[name] for name, _ in normalized],
+        wall_seconds=time.perf_counter() - started,
         max_workers=max_workers,
         mode=resolved,
-        timeout=timeout,
+        timeout=options.timeout,
     )

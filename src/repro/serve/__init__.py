@@ -13,7 +13,11 @@ Public surface::
             ...
         async for deltas in db.subscribe_stream("SELECT x, SUM(y) ..."):
             ...
-        results = await db.gather_many(queries, max_concurrency=4)
+        results = await db.gather_many(queries, max_concurrency=4,
+                                       options=ExecOptions(timeout=0.5))
+
+Every query runs on the one wrapped session; per-query knobs travel only
+in ``options=``.
 
 See :mod:`repro.serve.async_db` for the semantics and
 :mod:`repro.parallel.cancellation` for how deadlines reach the executors.

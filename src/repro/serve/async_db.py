@@ -1,14 +1,16 @@
 """An asyncio facade over :class:`~repro.engine.session.Database`.
 
 :class:`AsyncDatabase` turns the synchronous session into a serving layer:
-queries run on a bounded thread pool (each on a fresh ``Database`` over the
-shared catalog and statistics cache, mirroring ``execute_many``'s isolation
-model), the event loop stays free, and every query carries a
+queries run on a bounded thread pool, all on the one wrapped session (their
+knobs travel per call in a frozen
+:class:`~repro.engine.options.ExecOptions`, so concurrent requests share
+only what is meant to be shared: catalog, statistics cache, router, pools
+and caches), the event loop stays free, and every query carries a
 :class:`~repro.parallel.cancellation.DeadlineToken` that makes the two
 serving guarantees real:
 
-* **deadlines** — ``await db.execute(sql, timeout=0.1)`` aborts the join
-  *mid-execution* once the budget is spent, raising
+* **deadlines** — ``await db.execute(sql, options=ExecOptions(timeout=0.1))``
+  aborts the join *mid-execution* once the budget is spent, raising
   :class:`~repro.errors.DeadlineExceeded`; on parallel sessions the token is
   pushed into the steal pools so in-flight tasks die with it.
 * **cancellation** — cancelling the awaiting asyncio task flips the token,
@@ -32,10 +34,12 @@ Two more serving-layer pieces compose with the pool:
   :class:`~repro.errors.AdmissionRejected` (load shedding) instead of
   queueing toward a slow ``DeadlineExceeded``.  The gate also feeds
   queue-depth-aware worker sizing: under concurrent load each admitted
-  query gets a proportionally smaller intra-query worker slice.
-* **routing** — per-query sessions share the wrapped database's
-  :class:`~repro.router.policy.QueryRouter`, so ``engine="auto"`` requests
-  served concurrently all train (and consult) one feedback store.
+  query gets a proportionally smaller intra-query worker slice — a cap on
+  what the router may choose and the default for unrouted queries; an
+  explicit ``ExecOptions.parallelism`` is not capped.
+* **routing** — ``engine="auto"`` requests served concurrently all train
+  (and consult) the wrapped database's one
+  :class:`~repro.router.policy.QueryRouter`.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from typing import TYPE_CHECKING, AsyncIterator, Dict, Iterable, List, Optional, Union
 
-from repro.engine.options import ExecOptions, resolve_options
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database, QueryOutcome
 from repro.errors import DeadlineExceeded, QueryError
 from repro.parallel.workload import normalize_queries
@@ -150,19 +154,14 @@ class AsyncDatabase:
         self,
         sql: str,
         *,
-        engine: Optional[str] = None,
-        name: str = "",
-        timeout: Optional[float] = None,
-        freejoin_options=None,
-        query_class: Optional[str] = None,
         options: Optional[ExecOptions] = None,
+        name: str = "",
+        query_class: Optional[str] = None,
     ) -> QueryOutcome:
         """Execute one query off-loop; deadline-enforced, cancellation-safe.
 
         Per-query knobs travel in ``options``
-        (:class:`~repro.engine.options.ExecOptions`); the loose
-        ``engine``/``timeout``/``freejoin_options`` kwargs are the deprecated
-        legacy spelling.
+        (:class:`~repro.engine.options.ExecOptions`).
 
         Raises :class:`~repro.errors.DeadlineExceeded` when the budget
         expires mid-query.  If the awaiting task is cancelled, the query's
@@ -176,13 +175,7 @@ class AsyncDatabase:
         """
         if self._closed:
             raise QueryError("AsyncDatabase is closed")
-        opts = resolve_options(
-            options,
-            "AsyncDatabase.execute",
-            engine=engine,
-            timeout=timeout,
-            freejoin_options=freejoin_options,
-        )
+        opts = options or ExecOptions()
         ticket = self._admit(sql, query_class)
         try:
             token = opts.resolve_deadline(always=True)
@@ -216,30 +209,8 @@ class AsyncDatabase:
         """The gate's telemetry snapshot, or ``None`` without a gate."""
         return self.admission.snapshot() if self.admission is not None else None
 
-    def _make_session(
-        self, freejoin_options, parallelism: Optional[int] = None
-    ) -> Database:
-        # A fresh session per query over the shared catalog + statistics
-        # cache (the execute_many isolation model): per-query state like
-        # engine options never leaks across concurrent requests, while the
-        # process-wide pools, shm exports and context caches are still
-        # shared, which is where the warm-path speedups live.  The router is
-        # shared too, so concurrent "auto" queries train one feedback store.
-        session = Database(
-            self.database.catalog,
-            default_engine=self.database.default_engine,
-            freejoin_options=freejoin_options or self.database.freejoin_options,
-            parallelism=parallelism
-            if parallelism is not None
-            else self.database.parallelism,
-            parallel_mode=self.database.parallel_mode,
-            router=self.database.router,
-        )
-        session.statistics_cache = self.database.statistics_cache
-        return session
-
     def _admitted_workers(self, ticket: Optional[AdmissionTicket]) -> Optional[int]:
-        """Queue-depth-aware per-query worker count (None = session default)."""
+        """Queue-depth-aware worker cap (None = the session's own)."""
         if ticket is None:
             return None
         return self.admission.suggest_workers(self.database.parallelism)
@@ -247,15 +218,9 @@ class AsyncDatabase:
     def _execute_blocking(
         self, sql, opts: ExecOptions, name, token, ticket=None
     ) -> QueryOutcome:
-        # Explicit per-query parallelism wins over the gate's suggestion.
-        workers = (
-            opts.parallelism
-            if opts.parallelism is not None
-            else self._admitted_workers(ticket)
-        )
-        session = self._make_session(opts.freejoin_options, parallelism=workers)
-        outcome = session._execute(
-            sql, replace(opts, deadline=token, timeout=None), name=name
+        cap = self._admitted_workers(ticket)
+        outcome = self.database._execute(
+            sql, replace(opts, deadline=token, timeout=None), name=name, max_workers=cap
         )
         if ticket is not None:
             # Routed queries already carry a "router" record; admitted
@@ -264,7 +229,8 @@ class AsyncDatabase:
             detail["admission"] = {
                 "query_class": ticket.query_class,
                 "depth_at_admit": ticket.depth_at_admit,
-                "workers": workers,
+                # Explicit per-query parallelism wins over the gate's cap.
+                "workers": cap if opts.parallelism is None else opts.parallelism,
             }
         return outcome
 
@@ -272,21 +238,15 @@ class AsyncDatabase:
         self,
         sql: str,
         *,
-        batch_rows: Optional[int] = None,
-        max_batches: Optional[int] = None,
-        engine: Optional[str] = None,
-        name: str = "",
-        timeout: Optional[float] = None,
-        freejoin_options=None,
-        query_class: Optional[str] = None,
         options: Optional[ExecOptions] = None,
+        name: str = "",
+        query_class: Optional[str] = None,
     ) -> AsyncIterator[List[tuple]]:
         """Stream a query's result rows in batches of ``options.batch_rows``.
 
         Per-query knobs travel in ``options``
-        (:class:`~repro.engine.options.ExecOptions`); the loose keyword
-        arguments are the deprecated legacy spelling (``batch_rows`` and
-        ``max_batches`` default to 1024 and 8 when unset either way).
+        (:class:`~repro.engine.options.ExecOptions`; ``batch_rows`` and
+        ``max_batches`` default to 1024 and 8 when unset).
 
         A true execution stream: the join runs on one serving-pool slot
         (counted against ``max_concurrency`` like any other query) and
@@ -315,25 +275,12 @@ class AsyncDatabase:
         """
         if self._closed:
             raise QueryError("AsyncDatabase is closed")
-        opts = resolve_options(
-            options,
-            "AsyncDatabase.execute_stream",
-            batch_rows=batch_rows,
-            max_batches=max_batches,
-            engine=engine,
-            timeout=timeout,
-            freejoin_options=freejoin_options,
-        )
+        opts = options or ExecOptions()
         ticket = self._admit(sql, query_class)
         try:
             token = opts.resolve_deadline(always=True)
             loop = asyncio.get_running_loop()
-            workers = (
-                opts.parallelism
-                if opts.parallelism is not None
-                else self._admitted_workers(ticket)
-            )
-            session = self._make_session(opts.freejoin_options, parallelism=workers)
+            cap = self._admitted_workers(ticket)
 
             def open_stream():
                 # The producer occupies one serving slot (self._executor), so
@@ -341,11 +288,12 @@ class AsyncDatabase:
                 # ones.  Batch fetches below use the default executor instead —
                 # taking a second serving slot per get would deadlock a
                 # max_concurrency=1 server against its own producer.
-                return session.execute_iter(
+                return self.database._execute_iter(
                     sql,
+                    replace(opts, deadline=token, timeout=None),
                     name=name,
                     executor=self._executor,
-                    options=replace(opts, deadline=token, timeout=None),
+                    max_workers=cap,
                 )
 
             # Planning (and a cold statistics scan) happens inside
@@ -376,9 +324,8 @@ class AsyncDatabase:
     ) -> AsyncIterator[List[tuple]]:
         """Subscribe to a standing query and stream its delta batches.
 
-        Wraps :meth:`Database.subscribe` on the underlying session (the
-        subscription outlives any per-query serving session, so it lives on
-        ``self.database`` itself): the first yielded batch carries the seed
+        Wraps :meth:`Database.subscribe` on the underlying session: the
+        first yielded batch carries the seed
         snapshot, every later one the group deltas of an append — rows
         upsert by group key, same contract as
         :meth:`~repro.views.StandingQuery.next_batch`.
@@ -412,16 +359,16 @@ class AsyncDatabase:
         self,
         queries: Iterable,
         *,
+        options: Optional[ExecOptions] = None,
         max_concurrency: Optional[int] = None,
-        timeout: Optional[float] = None,
-        engine: Optional[str] = None,
         return_exceptions: bool = False,
     ) -> List[Union[QueryOutcome, BaseException]]:
         """Run a workload concurrently with bounded concurrency.
 
         ``queries`` accepts the same shapes as
         :meth:`Database.execute_many` (SQL strings, ``(name, sql)`` pairs,
-        objects with ``name``/``sql``).  ``timeout`` applies per query.
+        objects with ``name``/``sql``).  ``options`` applies to every query;
+        ``options.timeout`` is a per-query budget.
 
         With an admission gate configured, a query rejected by the gate
         (:class:`~repro.errors.AdmissionRejected` — load shedding, expected
@@ -441,6 +388,8 @@ class AsyncDatabase:
         from repro.errors import AdmissionRejected
 
         normalized = normalize_queries(queries)
+        opts = options or ExecOptions()
+        timeout = opts.timeout
         limit = max_concurrency or self.max_concurrency
         if limit < 1:
             raise QueryError(f"max_concurrency must be at least 1, got {limit}")
@@ -467,9 +416,7 @@ class AsyncDatabase:
                             )
                     try:
                         return await self.execute(
-                            sql,
-                            name=name,
-                            options=ExecOptions(timeout=remaining, engine=engine),
+                            sql, name=name, options=replace(opts, timeout=remaining)
                         )
                     except AdmissionRejected:
                         if attempt == ADMISSION_RETRIES:

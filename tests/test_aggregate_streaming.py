@@ -29,6 +29,7 @@ from repro.engine.aggregates import (
     _AggregateState,
     fold_group,
 )
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.engine.streaming import (
     StreamingAggregateSink,
@@ -213,8 +214,10 @@ def test_streaming_factorized_aggregate_folds_without_expansion(grouped_db):
     expected = grouped_db.execute(GROUP_SQL).rows()
     stream = grouped_db.execute_iter(
         GROUP_SQL,
-        batch_rows=128,
-        freejoin_options=FreeJoinOptions(output="factorized", parallelism=1),
+        options=ExecOptions(
+            batch_rows=128,
+            freejoin_options=FreeJoinOptions(output="factorized"),
+        ),
     )
     batches = list(stream)
     assert collapse_grouped_batches(batches, [0]) == expected
@@ -281,7 +284,7 @@ def test_first_group_batch_arrives_before_join_completes(
     grouped_db, grouped_expected, configure
 ):
     database = Database(grouped_db.catalog, **configure)
-    stream = database.execute_iter(GROUP_SQL, batch_rows=64, max_batches=4)
+    stream = database.execute_iter(GROUP_SQL, options=ExecOptions(batch_rows=64, max_batches=4))
     batches = []
     first_batch_finished = None
     for batch in stream:
@@ -300,7 +303,7 @@ def test_streamed_grouped_aggregate_matches_serial_per_engine(
     grouped_db, grouped_expected, engine
 ):
     batches = list(
-        grouped_db.execute_iter(GROUP_SQL, engine=engine, batch_rows=97)
+        grouped_db.execute_iter(GROUP_SQL, options=ExecOptions(engine=engine, batch_rows=97))
     )
     assert collapse_grouped_batches(batches, [0]) == grouped_expected
 
@@ -311,7 +314,7 @@ def test_streamed_grouped_aggregate_matches_serial_per_engine(
 ])
 def test_partial_merge_telemetry_present(grouped_db, grouped_expected, configure):
     database = Database(grouped_db.catalog, **configure)
-    stream = database.execute_iter(GROUP_SQL, batch_rows=128)
+    stream = database.execute_iter(GROUP_SQL, options=ExecOptions(batch_rows=128))
     batches = list(stream)
     assert collapse_grouped_batches(batches, [0]) == grouped_expected
     detail = stream.report.details["parallel"][0]
@@ -337,7 +340,7 @@ def test_grouped_stream_single_group(grouped_db):
         "WHERE r.k = s.k AND r.k = 3 GROUP BY r.k"
     )
     expected = grouped_db.execute(sql).rows()
-    batches = list(grouped_db.execute_iter(sql, batch_rows=32))
+    batches = list(grouped_db.execute_iter(sql, options=ExecOptions(batch_rows=32)))
     assert collapse_grouped_batches(batches, [0]) == expected
 
 
@@ -350,7 +353,9 @@ def test_aggregate_stream_empty_input_yields_empty_aggregate_row(grouped_db):
 
 def test_grouped_stream_consumer_break_cancels_cleanly(grouped_db, grouped_expected):
     database = Database(grouped_db.catalog, parallelism=2, parallel_mode="thread")
-    with database.execute_iter(GROUP_SQL, batch_rows=8, max_batches=2) as stream:
+    with database.execute_iter(
+        GROUP_SQL, options=ExecOptions(batch_rows=8, max_batches=2)
+    ) as stream:
         next(iter(stream))
     assert stream.finished, "close() must wait for the producer to unwind"
     # Pools survived; the next query runs normally.
@@ -367,7 +372,7 @@ def test_async_grouped_stream_delivers_deltas(grouped_db, grouped_expected):
     async def main():
         async with AsyncDatabase(grouped_db, max_concurrency=2) as adb:
             batches = []
-            async for batch in adb.execute_stream(GROUP_SQL, batch_rows=64):
+            async for batch in adb.execute_stream(GROUP_SQL, options=ExecOptions(batch_rows=64)):
                 batches.append(batch)
             return batches
 
@@ -380,7 +385,7 @@ def test_grouped_stream_backpressures_producer(grouped_db):
     """A stalled grouped consumer bounds the delta queue like a row stream."""
     import time
 
-    stream = grouped_db.execute_iter(GROUP_SQL, batch_rows=8, max_batches=2)
+    stream = grouped_db.execute_iter(GROUP_SQL, options=ExecOptions(batch_rows=8, max_batches=2))
     iterator = iter(stream)
     next(iterator)
     time.sleep(0.3)
@@ -468,9 +473,11 @@ def test_streamed_grouped_aggregates_match_serial_fuzz(r, s, engine):
     # repeat freely, so SUM/AVG/COUNT are multiplicity-weighted.
     database.register(Table.from_rows("fr", ["x", "y"], r))
     database.register(Table.from_rows("fs", ["y", "w"], s))
-    expected = database.execute(FUZZ_SQL, engine=engine).rows()
+    expected = database.execute(FUZZ_SQL, options=ExecOptions(engine=engine)).rows()
     batches = list(
-        database.execute_iter(FUZZ_SQL, engine=engine, batch_rows=3, max_batches=2)
+        database.execute_iter(
+            FUZZ_SQL, options=ExecOptions(engine=engine, batch_rows=3, max_batches=2)
+        )
     )
     assert collapse_grouped_batches(batches, [0]) == expected
     if batches:
@@ -487,14 +494,14 @@ def test_parallel_grouped_aggregates_match_serial_fuzz(r, s):
     database.register(Table.from_rows("fr", ["x", "y"], r))
     database.register(Table.from_rows("fs", ["y", "w"], s))
     expected = database.execute(FUZZ_SQL).rows()
-    batches = list(database.execute_iter(FUZZ_SQL, batch_rows=4))
+    batches = list(database.execute_iter(FUZZ_SQL, options=ExecOptions(batch_rows=4)))
     assert collapse_grouped_batches(batches, [0]) == expected
 
 
 def test_process_grouped_aggregate_matches_serial(grouped_db, grouped_expected):
     """Process-steal partial folding == serial (deterministic heavy case)."""
     database = Database(grouped_db.catalog, parallelism=3, parallel_mode="process")
-    batches = list(database.execute_iter(GROUP_SQL, batch_rows=256))
+    batches = list(database.execute_iter(GROUP_SQL, options=ExecOptions(batch_rows=256)))
     assert collapse_grouped_batches(batches, [0]) == grouped_expected
 
 
@@ -511,7 +518,7 @@ def test_unselected_group_key_falls_back_to_materialized(grouped_db):
     expected = grouped_db.execute(sql).rows()
     assert len(expected) == FANOUT_KEYS  # one row per (unselected) group
     streamed = [
-        row for batch in grouped_db.execute_iter(sql, batch_rows=7)
+        row for batch in grouped_db.execute_iter(sql, options=ExecOptions(batch_rows=7))
         for row in batch
     ]
     assert streamed == expected
@@ -542,7 +549,7 @@ def test_multi_key_group_by_collapse_matches_serial_order(grouped_db):
         "WHERE r.k = s.k GROUP BY r.k, r.b"
     )
     expected = database.execute(sql).rows()
-    stream = database.execute_iter(sql, batch_rows=16)
+    stream = database.execute_iter(sql, options=ExecOptions(batch_rows=16))
     batches = list(stream)
     key_positions = stream.sink.spec.key_positions()
     assert key_positions == [1, 0]

@@ -26,12 +26,13 @@ from contextlib import contextmanager
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.binaryjoin.executor import BinaryJoinEngine, BinaryJoinOptions
-from repro.core.engine import FreeJoinEngine, FreeJoinOptions
+from repro.binaryjoin.executor import BinaryJoinEngine
+from repro.core.engine import FreeJoinEngine
+from repro.engine.options import ExecOptions
 from repro.engine.output import FactorizedSink, RowSink
 from repro.engine.session import Database
 from repro.engine.streaming import StreamingTopKSink
-from repro.genericjoin.executor import GenericJoinEngine, GenericJoinOptions
+from repro.genericjoin.executor import GenericJoinEngine
 from repro.optimizer.join_order import optimize_query
 from repro.query.builder import QueryBuilder
 from repro.storage.table import Table
@@ -70,19 +71,8 @@ def star_query(r, s, t):
 
 
 def run_engine(name, query, plan, sink):
-    if name == "freejoin":
-        report = FreeJoinEngine(FreeJoinOptions(parallelism=1)).run(
-            query, plan, sink=sink
-        )
-    elif name == "binary":
-        report = BinaryJoinEngine(BinaryJoinOptions(parallelism=1)).run(
-            query, plan, sink=sink
-        )
-    else:
-        report = GenericJoinEngine(GenericJoinOptions(parallelism=1)).run(
-            query, plan, sink=sink
-        )
-    return report
+    engines = {"freejoin": FreeJoinEngine, "binary": BinaryJoinEngine, "generic": GenericJoinEngine}
+    return engines[name]().run(query, plan, sink=sink)
 
 
 # --------------------------------------------------------------------------- #
@@ -143,10 +133,10 @@ def test_streamed_batches_match_serial_rows_on_all_backends(r, s, t):
         for enabled in (True, False):
             with kernels_enabled(enabled):
                 expected = sorted(
-                    serial.execute(STAR_SQL, engine=engine).rows(), key=repr
+                    serial.execute(STAR_SQL, options=ExecOptions(engine=engine)).rows(), key=repr
                 )
                 for label, db in backends.items():
-                    with db.execute_iter(STAR_SQL, engine=engine) as stream:
+                    with db.execute_iter(STAR_SQL, options=ExecOptions(engine=engine)) as stream:
                         streamed = sorted(
                             itertools.chain.from_iterable(stream), key=repr
                         )
@@ -167,7 +157,9 @@ def test_factorized_stream_delivers_first_batch_before_completion():
     s = [(x, b) for x in range(fan) for b in range(fan)]
     t = [(x, c) for x in range(fan) for c in range(fan)]
     db = _register_star(Database(), r, s, t)
-    stream = db.execute_iter(STAR_SQL, engine="freejoin", batch_rows=64, max_batches=2)
+    stream = db.execute_iter(
+        STAR_SQL, options=ExecOptions(engine="freejoin", batch_rows=64, max_batches=2)
+    )
     try:
         first = stream.next_batch()
         assert first, "no batch delivered"
@@ -216,7 +208,7 @@ def test_order_by_limit_streams_through_topk_sink():
         "ORDER BY weights.w DESC, edges.src LIMIT 7"
     )
     expected = db.execute(sql).rows()
-    with db.execute_iter(sql, batch_rows=3) as stream:
+    with db.execute_iter(sql, options=ExecOptions(batch_rows=3)) as stream:
         assert isinstance(stream.sink, StreamingTopKSink)
         streamed = list(itertools.chain.from_iterable(stream))
     assert streamed == expected
@@ -230,7 +222,7 @@ def test_bare_limit_streams_through_topk_sink():
         "WHERE edges.dst = weights.dst LIMIT 9"
     )
     expected = db.execute(sql).rows()
-    with db.execute_iter(sql, batch_rows=4) as stream:
+    with db.execute_iter(sql, options=ExecOptions(batch_rows=4)) as stream:
         assert isinstance(stream.sink, StreamingTopKSink)
         streamed = list(itertools.chain.from_iterable(stream))
     assert streamed == expected

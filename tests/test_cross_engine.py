@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.engine import FreeJoinOptions
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.optimizer.binary_plan import BinaryPlan
 from repro.workloads.synthetic import (
@@ -81,7 +82,9 @@ class TestBenchmarkWorkloadsEndToEnd:
         db = Database(workload.catalog)
         for bench_query in workload.queries[:10]:
             results = {
-                engine: sorted(db.execute(bench_query.sql, engine=engine).rows())
+                engine: sorted(
+                    db.execute(bench_query.sql, options=ExecOptions(engine=engine)).rows()
+                )
                 for engine in ("freejoin", "binary", "generic")
             }
             assert results["freejoin"] == results["binary"] == results["generic"], (
@@ -95,7 +98,7 @@ class TestBenchmarkWorkloadsEndToEnd:
         db = Database(workload.catalog)
         for bench_query in workload.queries:
             counts = {
-                engine: db.execute(bench_query.sql, engine=engine).scalar()
+                engine: db.execute(bench_query.sql, options=ExecOptions(engine=engine)).scalar()
                 for engine in ("freejoin", "binary", "generic")
             }
             assert len(set(counts.values())) == 1, (

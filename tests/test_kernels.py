@@ -116,18 +116,16 @@ def test_kernels_match_row_path_on_all_engines(data):
     """Counts, row bags and residual-filtered bags agree per engine."""
     database = _database(_tables(data.draw))
     for engine in ENGINES:
+        options = ExecOptions(engine=engine)
         fast = {
-            "count": database.execute(COUNT_SQL, engine=engine).scalar(),
-            "rows": _bag(database.execute(ROWS_SQL, engine=engine)),
-            "residual": _bag(database.execute(RESIDUAL_SQL, engine=engine)),
+            "count": database.execute(COUNT_SQL, options=options).scalar(),
+            "rows": _bag(database.execute(ROWS_SQL, options=options)),
+            "residual": _bag(database.execute(RESIDUAL_SQL, options=options)),
         }
         with kernels_off():
-            assert database.execute(COUNT_SQL, engine=engine).scalar() == fast["count"]
-            assert _bag(database.execute(ROWS_SQL, engine=engine)) == fast["rows"]
-            assert (
-                _bag(database.execute(RESIDUAL_SQL, engine=engine))
-                == fast["residual"]
-            )
+            assert database.execute(COUNT_SQL, options=options).scalar() == fast["count"]
+            assert _bag(database.execute(ROWS_SQL, options=options)) == fast["rows"]
+            assert _bag(database.execute(RESIDUAL_SQL, options=options)) == fast["residual"]
 
 
 @settings(
@@ -143,31 +141,31 @@ def test_kernels_match_row_path_streaming_and_grouped(data):
         streamed = Counter(
             row
             for batch in database.execute_iter(
-                ROWS_SQL, engine=engine, batch_rows=3
+                ROWS_SQL, options=ExecOptions(engine=engine, batch_rows=3)
             )
             for row in batch
         )
         grouped = sorted(
             collapse_grouped_batches(
-                list(database.execute_iter(GROUPED_SQL, engine=engine)), [0]
+                list(database.execute_iter(GROUPED_SQL, options=ExecOptions(engine=engine))), [0]
             ),
             key=repr,
         )
         direct_grouped = sorted(
-            database.execute(GROUPED_SQL, engine=engine).rows(), key=repr
+            database.execute(GROUPED_SQL, options=ExecOptions(engine=engine)).rows(), key=repr
         )
         assert grouped == direct_grouped
         with kernels_off():
             reference = Counter(
                 row
                 for batch in database.execute_iter(
-                    ROWS_SQL, engine=engine, batch_rows=3
+                    ROWS_SQL, options=ExecOptions(engine=engine, batch_rows=3)
                 )
                 for row in batch
             )
             assert streamed == reference
             assert direct_grouped == sorted(
-                database.execute(GROUPED_SQL, engine=engine).rows(), key=repr
+                database.execute(GROUPED_SQL, options=ExecOptions(engine=engine)).rows(), key=repr
             )
 
 
@@ -188,12 +186,14 @@ def test_parallel_kernels_match_row_path(engine, backend):
     tables = _skewed_null_tables()
     serial = _database(tables)
     with kernels_off():
-        expected_rows = _bag(serial.execute(ROWS_SQL, engine=engine))
-        expected_count = serial.execute(COUNT_SQL, engine=engine).scalar()
+        expected_rows = _bag(serial.execute(ROWS_SQL, options=ExecOptions(engine=engine)))
+        expected_count = serial.execute(COUNT_SQL, options=ExecOptions(engine=engine)).scalar()
     parallel = Database(serial.catalog, parallelism=3, parallel_mode=backend)
-    report = parallel.execute(ROWS_SQL, engine=engine)
+    report = parallel.execute(ROWS_SQL, options=ExecOptions(engine=engine))
     assert _bag(report) == expected_rows
-    assert parallel.execute(COUNT_SQL, engine=engine).scalar() == expected_count
+    assert parallel.execute(
+        COUNT_SQL, options=ExecOptions(engine=engine)
+    ).scalar() == expected_count
     assert report.report.details["kernels"]["mode"] == "vectorized"
 
 
@@ -204,8 +204,8 @@ def test_empty_relations_all_engines():
     }
     database = _database(tables)
     for engine in ENGINES:
-        assert database.execute(COUNT_SQL, engine=engine).scalar() == 0
-        assert database.execute(ROWS_SQL, engine=engine).rows() == []
+        assert database.execute(COUNT_SQL, options=ExecOptions(engine=engine)).scalar() == 0
+        assert database.execute(ROWS_SQL, options=ExecOptions(engine=engine)).rows() == []
 
 
 def test_triangle_query_matches_row_path():
@@ -220,9 +220,11 @@ def test_triangle_query_matches_row_path():
         "b": [5, 6, 7, 5], "a": [10, 20, 99, 10],
     }))
     for engine in ENGINES:
-        fast = database.execute(TRIANGLE_SQL, engine=engine).scalar()
+        fast = database.execute(TRIANGLE_SQL, options=ExecOptions(engine=engine)).scalar()
         with kernels_off():
-            assert database.execute(TRIANGLE_SQL, engine=engine).scalar() == fast
+            assert database.execute(
+                TRIANGLE_SQL, options=ExecOptions(engine=engine)
+            ).scalar() == fast
 
 
 # --------------------------------------------------------------------------- #
@@ -233,7 +235,9 @@ def test_triangle_query_matches_row_path():
 def test_every_engine_reports_kernel_telemetry():
     database = _database(_skewed_null_tables())
     for engine in ENGINES:
-        detail = database.execute(ROWS_SQL, engine=engine).report.details["kernels"]
+        detail = database.execute(
+            ROWS_SQL, options=ExecOptions(engine=engine)
+        ).report.details["kernels"]
         assert detail["mode"] == "vectorized"
         assert detail["batches"] >= 1
         assert detail["rows_in"] >= 1
@@ -242,7 +246,7 @@ def test_every_engine_reports_kernel_telemetry():
         assert total_programs >= 1
         with kernels_off():
             fallback = database.execute(
-                ROWS_SQL, engine=engine
+                ROWS_SQL, options=ExecOptions(engine=engine)
             ).report.details["kernels"]
         assert fallback["mode"] == "fallback"
         assert fallback["fallbacks"] == ["disabled"]
@@ -291,7 +295,7 @@ def test_kernel_loop_ticks_deadline_every_chunk(engine):
     """Ticks >= driver_rows / CHUNK_ROWS: no chunk runs unchecked."""
     database = _chunky_catalog()
     token = _CountingToken()
-    outcome = database.execute(COUNT_SQL, engine=engine, deadline=token)
+    outcome = database.execute(COUNT_SQL, options=ExecOptions(engine=engine, deadline=token))
     detail = outcome.report.details["kernels"]
     assert detail["mode"] == "vectorized"
     assert detail["batches"] >= 20_000 // kernels.CHUNK_ROWS
@@ -306,9 +310,9 @@ def test_kernel_path_deadline_aborts_mid_execution(engine):
     database = _chunky_catalog()
     expired = DeadlineToken(at=time.monotonic() - 1.0)
     with pytest.raises(DeadlineExceeded):
-        database.execute(COUNT_SQL, engine=engine, deadline=expired)
+        database.execute(COUNT_SQL, options=ExecOptions(engine=engine, deadline=expired))
     # The session still serves after the abort.
-    assert database.execute(COUNT_SQL, engine=engine).scalar() > 0
+    assert database.execute(COUNT_SQL, options=ExecOptions(engine=engine)).scalar() > 0
 
 
 def test_kernel_path_deadline_aborts_inside_one_fanout_chunk():
@@ -325,7 +329,7 @@ def test_kernel_path_deadline_aborts_inside_one_fanout_chunk():
     sql = "SELECT p.x, q.y FROM p, q WHERE p.k = q.k"  # 2.25M output rows
     started = time.monotonic()
     with pytest.raises(DeadlineExceeded):
-        database.execute(sql, timeout=0.05)
+        database.execute(sql, options=ExecOptions(timeout=0.05))
     # Well under the multi-second full materialization.
     assert time.monotonic() - started < 1.0
     # The session still serves (and the kernels still get it right).
@@ -381,9 +385,9 @@ def test_adaptive_step_order_tames_skewed_intermediates(engine, monkeypatch):
 
     database = _skewed_catalog()
     with kernels_off():
-        expected = Counter(database.execute(SKEWED_SQL, engine=engine).rows())
+        expected = Counter(database.execute(SKEWED_SQL, options=ExecOptions(engine=engine)).rows())
     monkeypatch.setattr(kernel_executor, "FRONTIER_GUARD_ROWS", 10_000)
-    outcome = database.execute(SKEWED_SQL, engine=engine)
+    outcome = database.execute(SKEWED_SQL, options=ExecOptions(engine=engine))
     assert outcome.report.details["kernels"]["mode"] == "vectorized"
     assert Counter(outcome.rows()) == expected
 
@@ -396,10 +400,10 @@ def test_frontier_guard_falls_back_to_row_path(engine, monkeypatch):
 
     database = _skewed_catalog()
     with kernels_off():
-        expected = Counter(database.execute(SKEWED_SQL, engine=engine).rows())
+        expected = Counter(database.execute(SKEWED_SQL, options=ExecOptions(engine=engine)).rows())
     # Below the output size: no step order can stay under the cap.
     monkeypatch.setattr(kernel_executor, "FRONTIER_GUARD_ROWS", 8)
-    outcome = database.execute(SKEWED_SQL, engine=engine)
+    outcome = database.execute(SKEWED_SQL, options=ExecOptions(engine=engine))
     kernel_record = outcome.report.details["kernels"]
     assert kernel_record["mode"] in ("fallback", "mixed")
     assert "frontier-explosion" in kernel_record["fallbacks"]
@@ -511,7 +515,7 @@ def test_kernel_path_deadline_aborts_on_parallel_session():
     parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
     expired = DeadlineToken(at=time.monotonic() - 1.0)
     with pytest.raises(DeadlineExceeded):
-        parallel.execute(COUNT_SQL, deadline=expired)
+        parallel.execute(COUNT_SQL, options=ExecOptions(deadline=expired))
     assert parallel.execute(COUNT_SQL).scalar() > 0
     scheduler.shutdown_pools()
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.options import ExecOptions
 from repro.engine.output import CountSink, FactorizedSink, JoinResult, RowSink
 from repro.engine.session import Database
 from repro.errors import ExecutionError, QueryError
@@ -135,7 +136,7 @@ class TestDatabaseSession:
             "WHERE r.movie_id = m.id AND r.stars > 3 GROUP BY m.year"
         )
         results = {
-            engine: sorted(movie_db.execute(sql, engine=engine).rows())
+            engine: sorted(movie_db.execute(sql, options=ExecOptions(engine=engine)).rows())
             for engine in ("freejoin", "binary", "generic")
         }
         assert results["freejoin"] == results["binary"] == results["generic"]
@@ -149,13 +150,15 @@ class TestDatabaseSession:
 
     def test_bad_estimates_flag_changes_only_the_plan(self, movie_db):
         sql = "SELECT COUNT(*) FROM movies AS m, ratings AS r WHERE r.movie_id = m.id"
-        good = movie_db.execute(sql, bad_estimates=False)
-        bad = movie_db.execute(sql, bad_estimates=True)
+        good = movie_db.execute(sql, options=ExecOptions(bad_estimates=False))
+        bad = movie_db.execute(sql, options=ExecOptions(bad_estimates=True))
         assert good.scalar() == bad.scalar() == 5
 
     def test_unknown_engine_rejected(self, movie_db):
         with pytest.raises(QueryError):
-            movie_db.execute("SELECT COUNT(*) FROM movies AS m", engine="spark")
+            movie_db.execute(
+                "SELECT COUNT(*) FROM movies AS m", options=ExecOptions(engine="spark")
+            )
         with pytest.raises(QueryError):
             Database(default_engine="spark")
 
@@ -173,7 +176,9 @@ class TestDatabaseSession:
 
         outcome = movie_db.execute(
             "SELECT COUNT(*) FROM movies AS m, ratings AS r WHERE r.movie_id = m.id",
-            engine="freejoin",
-            freejoin_options=FreeJoinOptions(trie_strategy=TrieStrategy.SIMPLE, batch_size=4),
+            options=ExecOptions(
+                engine="freejoin",
+                freejoin_options=FreeJoinOptions(trie_strategy=TrieStrategy.SIMPLE, batch_size=4),
+            ),
         )
         assert outcome.scalar() == 5

@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.colt import build_tries
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.optimizer.join_order import optimize_query
 from repro.parallel.sharding import ShardView, entry_count, shard_bounds, shard_offsets
@@ -137,8 +138,8 @@ def freejoin_plan_and_atoms(query):
 @pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("sql", [COUNT_SQL, ROWS_SQL], ids=["count", "rows"])
 def test_parallel_database_matches_serial(star_database, engine, sql):
-    serial = star_database.execute(sql, engine=engine)
-    parallel = parallel_database(star_database, 4).execute(sql, engine=engine)
+    serial = star_database.execute(sql, options=ExecOptions(engine=engine))
+    parallel = parallel_database(star_database, 4).execute(sql, options=ExecOptions(engine=engine))
     assert sorted(parallel.rows(), key=repr) == sorted(serial.rows(), key=repr)
     assert parallel.join_result.count() == serial.join_result.count()
     assert parallel.report.details.get("parallel"), "parallel path was not taken"
@@ -147,9 +148,9 @@ def test_parallel_database_matches_serial(star_database, engine, sql):
 @pytest.mark.parametrize("batch_size", [1, 16], ids=["tuple-at-a-time", "vectorized"])
 def test_parallel_freejoin_vectorization_parity(star_database, batch_size):
     options = FreeJoinOptions(batch_size=batch_size)
-    serial = star_database.execute(ROWS_SQL, freejoin_options=options)
+    serial = star_database.execute(ROWS_SQL, options=ExecOptions(freejoin_options=options))
     parallel = parallel_database(star_database, 4).execute(
-        ROWS_SQL, freejoin_options=options
+        ROWS_SQL, options=ExecOptions(freejoin_options=options)
     )
     assert sorted(parallel.rows(), key=repr) == sorted(serial.rows(), key=repr)
 
@@ -164,9 +165,9 @@ def test_parallel_more_shards_than_entries(star_database):
 
 def test_factorized_output_falls_back_to_serial(star_database):
     options = FreeJoinOptions(output="factorized")
-    serial = star_database.execute(ROWS_SQL, freejoin_options=options)
+    serial = star_database.execute(ROWS_SQL, options=ExecOptions(freejoin_options=options))
     parallel = parallel_database(star_database, 4).execute(
-        ROWS_SQL, freejoin_options=options
+        ROWS_SQL, options=ExecOptions(freejoin_options=options)
     )
     assert sorted(parallel.rows(), key=repr) == sorted(serial.rows(), key=repr)
     assert "parallel" not in parallel.report.details
@@ -208,12 +209,12 @@ def test_normalize_queries_accepts_all_shapes():
 def test_execute_many_matches_serial(star_database, engine, mode):
     queries = [("count", COUNT_SQL), ("rows", ROWS_SQL)]
     outcome = star_database.execute_many(
-        queries, max_workers=2, engine=engine, mode=mode
+        queries, max_workers=2, options=ExecOptions(engine=engine), mode=mode
     )
     assert outcome.all_ok()
     assert outcome.mode == mode
     for name, sql in queries:
-        serial = star_database.execute(sql, engine=engine)
+        serial = star_database.execute(sql, options=ExecOptions(engine=engine))
         execution = outcome.query(name)
         assert execution.engine == engine
         assert execution.rows == serial.rows()
@@ -247,7 +248,7 @@ def test_execute_many_timeout_terminates_process_workers():
         [("boom", "SELECT COUNT(*) FROM big, other WHERE big.k = other.k"),
          ("fine", "SELECT COUNT(*) FROM big WHERE big.v < 10")],
         max_workers=2,
-        timeout=0.05,
+        options=ExecOptions(timeout=0.05),
         mode="process",
     )
     boom = outcome.query("boom")

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.engine.options import ExecOptions
+from repro.engine.pipeline import RunContext
 from repro.engine.session import Database
 from repro.storage.table import Table
 from repro.workloads.synthetic import random_tables
@@ -155,10 +157,10 @@ def instances():
         database = _database(maker())
         references = {}
         for engine in ENGINES:
+            options = ExecOptions(engine=engine)
             references[engine] = {
-                "rows": sorted(database.execute(ROWS_SQL, engine=engine).rows(),
-                               key=repr),
-                "count": database.execute(COUNT_SQL, engine=engine).scalar(),
+                "rows": sorted(database.execute(ROWS_SQL, options=options).rows(), key=repr),
+                "count": database.execute(COUNT_SQL, options=options).scalar(),
             }
         result[name] = (database, references)
     return result
@@ -175,9 +177,9 @@ def instances():
 def test_skewed_parallel_matches_serial(instances, engine, backend, instance):
     serial, references = instances[instance]
     parallel = Database(serial.catalog, parallelism=4, parallel_mode=backend)
-    rows = parallel.execute(ROWS_SQL, engine=engine)
+    rows = parallel.execute(ROWS_SQL, options=ExecOptions(engine=engine))
     assert sorted(rows.rows(), key=repr) == references[engine]["rows"]
-    count = parallel.execute(COUNT_SQL, engine=engine)
+    count = parallel.execute(COUNT_SQL, options=ExecOptions(engine=engine))
     assert count.scalar() == references[engine]["count"]
     assert rows.report.details["parallel"], "parallel path was not taken"
 
@@ -190,10 +192,10 @@ def test_skewed_vectorized_parallel_matches_serial(instances, batch_size):
     parallel = Database(serial.catalog, parallelism=4, parallel_mode="thread")
     options = FreeJoinOptions(batch_size=batch_size)
     serial_rows = sorted(
-        serial.execute(ROWS_SQL, freejoin_options=options).rows(), key=repr
+        serial.execute(ROWS_SQL, options=ExecOptions(freejoin_options=options)).rows(), key=repr
     )
     parallel_rows = sorted(
-        parallel.execute(ROWS_SQL, freejoin_options=options).rows(), key=repr
+        parallel.execute(ROWS_SQL, options=ExecOptions(freejoin_options=options)).rows(), key=repr
     )
     assert parallel_rows == serial_rows
 
@@ -216,10 +218,9 @@ def _run_hot_block(hot_block, backend):
     from repro.core.engine import FreeJoinEngine, FreeJoinOptions
 
     query, plan, reference = hot_block
-    options = FreeJoinOptions(
-        parallelism=4, parallel_mode=backend, dynamic_cover=False,
+    report = FreeJoinEngine(FreeJoinOptions(dynamic_cover=False)).run_with_plan(
+        query, plan, context=RunContext(workers=4, parallel_mode=backend)
     )
-    report = FreeJoinEngine(options).run_with_plan(query, plan)
     # Static cover + task-order merging: byte-identical to serial, not just
     # the same bag.
     assert list(report.result.iter_rows()) == reference

@@ -17,12 +17,13 @@ from __future__ import annotations
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.binaryjoin.executor import BinaryJoinEngine, BinaryJoinOptions
+from repro.binaryjoin.executor import BinaryJoinEngine
 from repro.core.colt import TrieStrategy, build_trie
 from repro.core.convert import binary_to_free_join
-from repro.core.engine import FreeJoinEngine, FreeJoinOptions
+from repro.core.engine import FreeJoinEngine
 from repro.core.factor import factor_plan
-from repro.genericjoin.executor import GenericJoinEngine, GenericJoinOptions
+from repro.genericjoin.executor import GenericJoinEngine
+from repro.engine.pipeline import RunContext
 from repro.optimizer.binary_plan import BinaryPlan
 from repro.optimizer.join_order import optimize_query
 from repro.query.atoms import Atom
@@ -200,15 +201,10 @@ def test_random_queries_parallel_matches_serial(shape, length, rows, skew, seed)
     )
     query = workload.query
     plan = optimize_query(query)
-    parallel = dict(parallelism=3, parallel_mode="thread")
-    runs = [
-        (FreeJoinEngine, FreeJoinOptions),
-        (BinaryJoinEngine, BinaryJoinOptions),
-        (GenericJoinEngine, GenericJoinOptions),
-    ]
-    for engine_cls, options_cls in runs:
-        serial = engine_cls(options_cls(parallelism=1)).run(query, plan)
-        sharded = engine_cls(options_cls(**parallel)).run(query, plan)
+    parallel = RunContext(workers=3, parallel_mode="thread")
+    for engine_cls in (FreeJoinEngine, BinaryJoinEngine, GenericJoinEngine):
+        serial = engine_cls().run(query, plan)
+        sharded = engine_cls().run(query, plan, context=parallel)
         assert sharded.result.same_bag(serial.result), (
             f"{engine_cls.name} parallel/steal output diverged on "
             f"{shape}(length={length}, rows={rows}, skew={skew}, seed={seed})"

@@ -16,6 +16,7 @@ import pickle
 
 import pytest
 
+from repro.engine.options import ExecOptions
 from repro.engine.session import AUTO_ENGINE, Database, ENGINES
 from repro.errors import AdmissionRejected, QueryError
 from repro.optimizer.join_order import optimize_query
@@ -223,12 +224,12 @@ def test_router_rejects_bad_configuration():
 def test_auto_engine_matches_every_explicit_engine(triangle_db):
     for sql in (ACYCLIC_COUNT_SQL, ACYCLIC_ROWS_SQL, TRIANGLE_SQL):
         expected = {
-            engine: sorted(triangle_db.execute(sql, engine=engine).rows())
+            engine: sorted(triangle_db.execute(sql, options=ExecOptions(engine=engine)).rows())
             for engine in ENGINES
         }
         reference = next(iter(expected.values()))
         assert all(rows == reference for rows in expected.values())
-        outcome = triangle_db.execute(sql, engine="auto")
+        outcome = triangle_db.execute(sql, options=ExecOptions(engine="auto"))
         assert sorted(outcome.rows()) == reference
         detail = outcome.report.details["router"]
         assert detail["engine"] in ENGINES
@@ -243,11 +244,13 @@ def test_auto_engine_default_and_validation(triangle_db):
     with pytest.raises(QueryError):
         Database(default_engine="vectorwise")
     with pytest.raises(QueryError):
-        triangle_db.execute(ACYCLIC_COUNT_SQL, engine="vectorwise")
+        triangle_db.execute(ACYCLIC_COUNT_SQL, options=ExecOptions(engine="vectorwise"))
 
 
 def test_auto_engine_streams_and_learns(triangle_db):
-    stream = triangle_db.execute_iter(ACYCLIC_ROWS_SQL, engine="auto", batch_rows=2)
+    stream = triangle_db.execute_iter(
+        ACYCLIC_ROWS_SQL, options=ExecOptions(engine="auto", batch_rows=2)
+    )
     rows = sorted(tuple(row) for batch in stream for row in batch)
     assert rows == sorted(
         tuple(row) for row in triangle_db.execute(ACYCLIC_ROWS_SQL).rows()
@@ -259,7 +262,7 @@ def test_auto_engine_streams_and_learns(triangle_db):
 def test_execute_many_routes_with_auto(triangle_db):
     outcome = triangle_db.execute_many(
         [("count", ACYCLIC_COUNT_SQL), ("tri", TRIANGLE_SQL)],
-        engine="auto",
+        options=ExecOptions(engine="auto"),
         mode="thread",
     )
     assert outcome.all_ok()
@@ -373,7 +376,7 @@ def test_async_database_releases_ticket_on_stream_close(triangle_db):
 
     async def main():
         async with AsyncDatabase(triangle_db, admission=gate) as server:
-            stream = server.execute_stream(ACYCLIC_ROWS_SQL, batch_rows=2)
+            stream = server.execute_stream(ACYCLIC_ROWS_SQL, options=ExecOptions(batch_rows=2))
             async for _ in stream:
                 break  # early close must still release the ticket
             await stream.aclose()
@@ -405,7 +408,7 @@ def test_feedback_path_persists_and_reloads(tmp_path, triangle_db):
     """What one session's router learned, the next session starts with."""
     path = tmp_path / "feedback.json"
     first = Database(triangle_db.catalog, feedback_path=str(path))
-    first.execute(ACYCLIC_COUNT_SQL, engine="auto")
+    first.execute(ACYCLIC_COUNT_SQL, options=ExecOptions(engine="auto"))
     learned = first.router.feedback.as_dict()
     assert learned["entries"], "the routed query must have been observed"
     first.close()  # saves
@@ -458,7 +461,7 @@ def test_async_database_close_persists_feedback(tmp_path, triangle_db):
         async with AsyncDatabase(
             catalog=triangle_db.catalog, feedback_path=str(path)
         ) as server:
-            outcome = await server.execute(ACYCLIC_COUNT_SQL, engine="auto")
+            outcome = await server.execute(ACYCLIC_COUNT_SQL, options=ExecOptions(engine="auto"))
             return outcome.scalar()
 
     assert asyncio.run(main()) == triangle_db.execute(ACYCLIC_COUNT_SQL).scalar()
@@ -508,7 +511,7 @@ def test_gather_many_admission_retry_honors_deadline(triangle_db):
                 started = time.perf_counter()
                 with pytest.raises(AdmissionRejected):
                     await server.gather_many(
-                        [("q", ACYCLIC_COUNT_SQL)], timeout=0.1
+                        [("q", ACYCLIC_COUNT_SQL)], options=ExecOptions(timeout=0.1)
                     )
                 return time.perf_counter() - started
             finally:

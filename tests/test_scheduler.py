@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.colt import build_tries
 from repro.core.executor import ExecutorStats, FreeJoinExecutor
+from repro.engine.options import ExecOptions
 from repro.engine.output import RowSink
 from repro.engine.session import Database
 from repro.errors import ExecutionError
@@ -309,7 +310,7 @@ def empty_root_database():
 def test_empty_root_cover_is_correct_on_all_engines(empty_root_database, engine):
     parallel = Database(empty_root_database.catalog, parallelism=4,
                         parallel_mode="thread")
-    assert parallel.execute(EMPTY_SQL, engine=engine).rows() == []
+    assert parallel.execute(EMPTY_SQL, options=ExecOptions(engine=engine)).rows() == []
 
 
 @pytest.mark.parametrize("engine", ["freejoin", "binary", "generic"])
@@ -318,7 +319,7 @@ def test_empty_table_joined_with_rows_is_correct(engine):
     database.register(Table.from_columns("r", {"x": [], "y": []}))
     database.register(Table.from_columns("s", {"y": [1, 2], "z": [3, 4]}))
     parallel = Database(database.catalog, parallelism=4, parallel_mode="thread")
-    assert parallel.execute(EMPTY_SQL, engine=engine).rows() == []
+    assert parallel.execute(EMPTY_SQL, options=ExecOptions(engine=engine)).rows() == []
 
 
 def test_empty_root_cover_short_circuits_without_workers(empty_root_database):

@@ -18,6 +18,7 @@ import time
 
 import pytest
 
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.errors import DeadlineExceeded, QueryCancelled, QueryError
 from repro.parallel import scheduler
@@ -135,7 +136,7 @@ def test_deadline_aborts_mid_execution_without_leaks(slow_catalog, configure):
 
     started = time.perf_counter()
     with pytest.raises(DeadlineExceeded):
-        database.execute(SLOW_SQL, timeout=0.05)
+        database.execute(SLOW_SQL, options=ExecOptions(timeout=0.05))
     aborted_after = time.perf_counter() - started
     assert aborted_after < full_seconds / 2, (
         f"deadline abort took {aborted_after:.2f}s vs {full_seconds:.2f}s full run"
@@ -167,7 +168,7 @@ def test_steal_scheduler_enforces_deadlines_on_both_backends(slow_catalog, paral
 
     started = time.perf_counter()
     with pytest.raises(DeadlineExceeded):
-        database.execute(SLOW_SQL, timeout=0.05)
+        database.execute(SLOW_SQL, options=ExecOptions(timeout=0.05))
     aborted_after = time.perf_counter() - started
     assert aborted_after < full_seconds / 2, (
         f"deadline abort took {aborted_after:.2f}s vs "
@@ -181,7 +182,7 @@ def test_deadline_stops_scheduler_sibling_tasks(slow_catalog):
     """After an abort the pool is drained — no task keeps running behind it."""
     database = Database(slow_catalog.catalog, parallelism=2, parallel_mode="thread")
     with pytest.raises(DeadlineExceeded):
-        database.execute(SLOW_SQL, timeout=0.05)
+        database.execute(SLOW_SQL, options=ExecOptions(timeout=0.05))
     pool = scheduler.active_pools().get(("thread", 2))
     assert pool is not None and not pool.broken
     # The pool is idle again: every worker deque drained, job completed.
@@ -210,7 +211,7 @@ def test_async_deadline_surfaces_deadline_exceeded(slow_catalog):
     async def main():
         async with AsyncDatabase(slow_catalog) as adb:
             with pytest.raises(DeadlineExceeded):
-                await adb.execute(SLOW_SQL, timeout=0.05)
+                await adb.execute(SLOW_SQL, options=ExecOptions(timeout=0.05))
             # The serving layer stays healthy after the abort.
             return (await adb.execute(FAST_SQL)).scalar()
 
@@ -245,7 +246,7 @@ def test_async_execute_stream_batches(slow_catalog):
         async with AsyncDatabase(slow_catalog) as adb:
             batches = []
             async for batch in adb.execute_stream(
-                "SELECT small.k, small.v FROM small", batch_rows=25
+                "SELECT small.k, small.v FROM small", options=ExecOptions(batch_rows=25)
             ):
                 batches.append(batch)
             return batches
@@ -292,7 +293,7 @@ def test_gather_many_timeout_cancels_siblings(slow_catalog):
             with pytest.raises(DeadlineExceeded):
                 await adb.gather_many(
                     [("fast", FAST_SQL), ("slow", SLOW_SQL), ("slow2", SLOW_SQL)],
-                    timeout=0.05,
+                    options=ExecOptions(timeout=0.05),
                 )
             return time.perf_counter() - started
 
@@ -305,7 +306,7 @@ def test_gather_many_return_exceptions(slow_catalog):
         async with AsyncDatabase(slow_catalog) as adb:
             return await adb.gather_many(
                 [("ok", FAST_SQL), ("slow", SLOW_SQL), ("bad", "SELECT nope FROM")],
-                timeout=0.05,
+                options=ExecOptions(timeout=0.05),
                 return_exceptions=True,
             )
 

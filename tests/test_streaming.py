@@ -25,6 +25,7 @@ import time
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.engine.streaming import StreamingSink
 from repro.errors import DeadlineExceeded, QueryError
@@ -198,7 +199,7 @@ def test_first_batch_arrives_before_join_completes(
     fanout_db, fanout_expected, configure
 ):
     database = Database(fanout_db.catalog, **configure)
-    stream = database.execute_iter(FANOUT_SQL, batch_rows=256, max_batches=4)
+    stream = database.execute_iter(FANOUT_SQL, options=ExecOptions(batch_rows=256, max_batches=4))
     rows = []
     first_batch_finished = None
     for batch in stream:
@@ -219,7 +220,9 @@ def test_streamed_rows_match_materialized_per_engine(
     fanout_db, fanout_expected, engine
 ):
     rows = []
-    for batch in fanout_db.execute_iter(FANOUT_SQL, engine=engine, batch_rows=997):
+    for batch in fanout_db.execute_iter(
+        FANOUT_SQL, options=ExecOptions(engine=engine, batch_rows=997)
+    ):
         rows.extend(batch)
     assert sorted(rows) == fanout_expected
 
@@ -231,7 +234,7 @@ def test_streaming_applies_residuals_and_projection(fanout_db):
     )
     expected = sorted(fanout_db.execute(sql).rows())
     rows = []
-    for batch in fanout_db.execute_iter(sql, batch_rows=64):
+    for batch in fanout_db.execute_iter(sql, options=ExecOptions(batch_rows=64)):
         rows.extend(batch)
     assert sorted(rows) == expected
 
@@ -242,7 +245,7 @@ def test_streaming_aggregate_streams_progressive_deltas(fanout_db):
 
     sql = "SELECT COUNT(*) FROM r, s WHERE r.k = s.k"
     expected = fanout_db.execute(sql).scalar()
-    batches = list(fanout_db.execute_iter(sql, batch_rows=1024))
+    batches = list(fanout_db.execute_iter(sql, options=ExecOptions(batch_rows=1024)))
     # Progressive: more than just the final snapshot arrived, counts only grow.
     assert len(batches) > 1
     counts = [row[0] for batch in batches for row in batch]
@@ -266,8 +269,10 @@ def test_streaming_factorized_output_expands_correctly(fanout_db, fanout_expecte
     rows = []
     stream = fanout_db.execute_iter(
         FANOUT_SQL,
-        batch_rows=512,
-        freejoin_options=FreeJoinOptions(output="factorized", parallelism=1),
+        options=ExecOptions(
+            batch_rows=512,
+            freejoin_options=FreeJoinOptions(output="factorized"),
+        ),
     )
     for batch in stream:
         rows.extend(batch)
@@ -280,7 +285,7 @@ def test_streaming_factorized_output_expands_correctly(fanout_db, fanout_expecte
 
 
 def test_slow_consumer_backpressures_the_join(fanout_db):
-    stream = fanout_db.execute_iter(FANOUT_SQL, batch_rows=100, max_batches=2)
+    stream = fanout_db.execute_iter(FANOUT_SQL, options=ExecOptions(batch_rows=100, max_batches=2))
     iterator = iter(stream)
     next(iterator)
     time.sleep(0.3)
@@ -302,7 +307,9 @@ def test_consumer_break_cancels_and_pools_stay_warm(
 ):
     baseline = _leaked_segments()
     database = Database(fanout_db.catalog, **configure)
-    with database.execute_iter(FANOUT_SQL, batch_rows=100, max_batches=2) as stream:
+    with database.execute_iter(
+        FANOUT_SQL, options=ExecOptions(batch_rows=100, max_batches=2)
+    ) as stream:
         next(iter(stream))
     assert stream.finished, "close() must wait for the producer to unwind"
     # The pools survived the cancellation and immediately serve new queries.
@@ -350,7 +357,7 @@ def test_process_stream_close_interrupts_steal_workers(fanout_db):
         parallelism=2,
         parallel_mode="process",
     )
-    stream = database.execute_iter(FANOUT_SQL, batch_rows=100, max_batches=2)
+    stream = database.execute_iter(FANOUT_SQL, options=ExecOptions(batch_rows=100, max_batches=2))
     time.sleep(0.2)  # let the workers fork and start joining
     started = time.perf_counter()
     stream.close()
@@ -362,7 +369,7 @@ def test_process_stream_close_interrupts_steal_workers(fanout_db):
 
 def test_stalled_consumer_hits_delivery_deadline(fanout_db):
     stream = fanout_db.execute_iter(
-        FANOUT_SQL, batch_rows=100, max_batches=2, timeout=0.4
+        FANOUT_SQL, options=ExecOptions(batch_rows=100, max_batches=2, timeout=0.4)
     )
     iterator = iter(stream)
     next(iterator)
@@ -386,7 +393,7 @@ def test_async_execute_stream_first_batch_before_completion(
         async with AsyncDatabase(fanout_db, max_concurrency=1) as adb:
             rows = []
             first_seen = asyncio.Event()
-            async for batch in adb.execute_stream(FANOUT_SQL, batch_rows=256):
+            async for batch in adb.execute_stream(FANOUT_SQL, options=ExecOptions(batch_rows=256)):
                 if not first_seen.is_set():
                     first_seen.set()
                     # With ~200k output rows and a 256-row batch size the
@@ -404,7 +411,7 @@ def test_async_execute_stream_timeout_covers_delivery(fanout_db):
     async def main():
         async with AsyncDatabase(fanout_db, max_concurrency=1) as adb:
             agen = adb.execute_stream(
-                FANOUT_SQL, batch_rows=100, max_batches=2, timeout=0.4
+                FANOUT_SQL, options=ExecOptions(batch_rows=100, max_batches=2, timeout=0.4)
             )
             try:
                 await agen.__anext__()
@@ -426,7 +433,7 @@ def test_async_execute_stream_timeout_covers_delivery(fanout_db):
 def test_async_execute_stream_break_frees_the_slot(fanout_db):
     async def main():
         async with AsyncDatabase(fanout_db, max_concurrency=1) as adb:
-            async for _batch in adb.execute_stream(FANOUT_SQL, batch_rows=100):
+            async for _batch in adb.execute_stream(FANOUT_SQL, options=ExecOptions(batch_rows=100)):
                 break
             started = time.perf_counter()
             outcome = await adb.execute(
@@ -465,6 +472,6 @@ def test_streamed_matches_materialized_on_random_instances(r, s, t):
     )
     expected = sorted(database.execute(sql).rows())
     streamed = []
-    for batch in database.execute_iter(sql, batch_rows=3, max_batches=2):
+    for batch in database.execute_iter(sql, options=ExecOptions(batch_rows=3, max_batches=2)):
         streamed.extend(batch)
     assert sorted(streamed) == expected

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.parallel import scheduler
 from repro.storage import shm
@@ -92,7 +93,7 @@ def test_thread_mode_timeout_aborts_mid_flight_and_frees_workers(row_at_a_time):
 
     started = time.perf_counter()
     outcome = database.execute_many(
-        [("boom", slow_sql)], max_workers=1, timeout=0.05, mode="thread"
+        [("boom", slow_sql)], max_workers=1, options=ExecOptions(timeout=0.05), mode="thread"
     )
     wall = time.perf_counter() - started
     boom = outcome.query("boom")
@@ -126,7 +127,7 @@ def test_process_mode_timeout_cancels_intra_query_steal_tasks(row_at_a_time):
 
     started = time.perf_counter()
     outcome = parallel.execute_many(
-        [("boom", slow_sql)], max_workers=1, timeout=0.1, mode="process"
+        [("boom", slow_sql)], max_workers=1, options=ExecOptions(timeout=0.1), mode="process"
     )
     wall = time.perf_counter() - started
     assert outcome.query("boom").status == "timeout"
@@ -146,7 +147,7 @@ def test_per_query_timeout_actually_fires(row_at_a_time):
         [("boom", "SELECT COUNT(*) FROM big, other WHERE big.k = other.k"),
          ("fine", "SELECT COUNT(*) FROM big WHERE big.v < 5")],
         max_workers=2,
-        timeout=0.05,
+        options=ExecOptions(timeout=0.05),
         mode="process",
     )
     boom = outcome.query("boom")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.engine.options import ExecOptions
 from repro.errors import WorkloadError
 from repro.query.hypergraph import classify_query
 from repro.query.planner import Planner
@@ -109,7 +110,7 @@ class TestJobWorkload:
         workload = generate_job_workload(scale=0.15, seed=42)
         db = Database(workload.catalog)
         for query in workload.queries[:6]:
-            outcome = db.execute(query.sql, engine="generic", name=query.name)
+            outcome = db.execute(query.sql, options=ExecOptions(engine="generic"), name=query.name)
             assert outcome.join_result.count() > 0, query.name
 
 
