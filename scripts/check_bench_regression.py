@@ -55,11 +55,10 @@ the ``kernels`` figure:
   (default 0.6) of its own row-at-a-time wall (variants ``factorized`` vs
   ``factorized-row-path``);
 * **fallback budget** — the figure's fallback sweep over the headline
-  queries (plus a ``LEFT OUTER JOIN``) must report **zero** occurrences of
-  every budgeted reason (``factorized-output``, ``left-outer-extension``):
-  those paths are vectorized now, and a fallback reappearing means a
-  regression to row-at-a-time execution that no timing gate would catch on
-  small CI workloads.
+  queries must report **zero** occurrences of every budgeted reason
+  (``factorized-output``): that path is vectorized now, and a fallback
+  reappearing means a regression to row-at-a-time execution that no timing
+  gate would catch on small CI workloads.
 """
 
 from __future__ import annotations
@@ -86,7 +85,7 @@ def load_figures(path: str) -> Dict[str, float]:
 
 
 #: Kernel fallback reasons that must never fire on the headline workloads.
-FALLBACK_BUDGET_REASONS = ("factorized-output", "left-outer-extension")
+FALLBACK_BUDGET_REASONS = ("factorized-output",)
 
 
 def _wall_ratio_check(

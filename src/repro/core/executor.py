@@ -548,7 +548,9 @@ class FreeJoinExecutor:
             prefix_variables = list(self.output_variables)
         else:
             prefix_variables = [v for v in self.output_variables if v in available]
-        prefix = tuple(bindings[v] for v in prefix_variables)
+        # One group per call, in the one factorized shape: a one-row prefix
+        # plus one flat column set per independent factor.
+        prefix_columns = [[bindings[v]] for v in prefix_variables]
         factors = []
         for info in self._nodes[depth:]:
             subatom = info.subatoms[0]
@@ -557,20 +559,26 @@ class FreeJoinExecutor:
                 raise ExecutionError(
                     f"relation {subatom.relation!r} consumed before factorized output"
                 )
-            single = len(subatom.variables) == 1
-            rows: List[tuple] = []
+            keys: list = []
             for key, child in trie.iter_entries():
                 self.stats.iterations += 1
-                row = (key,) if single else key
                 if child is None:
-                    rows.append(row)
+                    keys.append(key)
                 elif child.is_leaf():
-                    rows.extend([row] * child.tuple_count())
+                    keys.extend([key] * child.tuple_count())
                 else:
                     raise ExecutionError(
                         f"factorized output expected a final level for "
                         f"{subatom.relation!r}, found deeper structure"
                     )
-            factors.append((tuple(subatom.variables), rows))
+            if len(subatom.variables) == 1:
+                columns = [keys]
+            elif keys:
+                columns = [list(column) for column in zip(*keys)]
+            else:
+                columns = [[] for _ in subatom.variables]
+            factors.append((tuple(subatom.variables), columns, [0, len(keys)]))
         self.stats.outputs += 1
-        self.sink.on_group(prefix, prefix_variables, factors, multiplicity)
+        self.sink.on_factorized_batch(
+            prefix_variables, prefix_columns, factors, [multiplicity]
+        )

@@ -1,4 +1,4 @@
-"""Post-join aggregation and projection — serial pass and partial plane.
+"""Everything after the join: partial aggregates and the post-join pass.
 
 The paper's benchmark queries (JOB, LSQB) are full joins followed by a simple
 aggregate — typically ``MIN`` over a few columns or ``COUNT(*)`` — and an
@@ -6,8 +6,17 @@ optional group-by (Section 5.1).  Aggregation is performed after the join, on
 the join result, matching the paper's setup where selection/aggregation time
 is excluded from the measured join time.
 
-Beyond the serial post-pass (:func:`aggregate_result`), this module provides
-the **partial-aggregate plane** the streaming/parallel paths are built on:
+**The post-join pass** (:func:`post_join`) is the one place a join result
+becomes a result table, in a fixed order: residual predicates → LEFT OUTER
+JOIN extensions → :func:`aggregate_result` (projection / aggregation /
+group-by) → :func:`finalize_output` (HAVING / DISTINCT / ORDER BY / LIMIT).
+``execute()``, the streaming materialize fallback and standing-query
+re-execution all run it; streams that deliver mid-join apply the same
+compiled residual mask + projection (:func:`compile_row_pass`) per batch and
+the same ORDER BY / LIMIT tail (:func:`order_and_limit`) per prune.
+
+**The partial-aggregate plane** is what the streaming/parallel paths fold
+through:
 
 * :class:`_AggregateState` is *mergeable*: :meth:`~_AggregateState.combine`
   folds two running states into one (``AVG`` is carried as sum + count, so
@@ -19,11 +28,11 @@ the **partial-aggregate plane** the streaming/parallel paths are built on:
 * :class:`GroupedAggregateState` holds per-group-key partials: fold join
   rows in, combine other partials, finalize output rows in the same
   deterministic group-key order as the serial pass.
+* :func:`fold_factorized_batch` folds factorized batches straight off their
+  factor columns, without enumerating a Cartesian product.
 * :class:`PartialAggregateSink` is the worker-side
   :class:`~repro.engine.output.OutputSink` the steal scheduler installs so a
-  task folds its emitted rows into a partial instead of materializing them;
-  :func:`fold_group` folds factorized groups without expanding their
-  Cartesian products into rows.
+  task folds its output into a partial instead of materializing it.
 
 The serial pass and the partial plane share one fold implementation, so
 streamed/parallel grouped aggregates are equal to the serial results by
@@ -33,11 +42,19 @@ construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import compress
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.datatypes import Row, Value
-from repro.engine.output import JoinResult, OutputSink, _factorized_group_count
+from repro.engine.output import (
+    Factor,
+    JoinResult,
+    OutputSink,
+    _factorized_group_count,
+    expand_factorized_batch,
+)
 from repro.errors import ExecutionError, QueryError
+from repro.kernels.predicates import compile_batch_predicate
 from repro.query.planner import LogicalQuery
 from repro.storage.table import Table
 
@@ -126,6 +143,9 @@ class AggregateSpec:
     items: Tuple[Tuple[Optional[str], Optional[str], str], ...]
     group_by: Tuple[str, ...]
     variables: Tuple[str, ...]
+    #: :meth:`LogicalQuery.only_count_star` of the query the spec came from:
+    #: the one aggregation a count-only join result can feed.
+    count_star_only: bool = False
 
     def labels(self) -> List[str]:
         """Output column labels, in SELECT order."""
@@ -199,6 +219,7 @@ def aggregate_spec(
         items=tuple((item.function, item.variable, item.label) for item in items),
         group_by=group_variables,
         variables=variables,
+        count_star_only=logical.only_count_star(),
     )
 
 
@@ -273,12 +294,17 @@ class GroupedAggregateState:
     def fold_rows(
         self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
     ) -> List[Row]:
-        """Fold many rows; returns the touched group keys (with repeats)."""
+        """Fold many rows; returns the touched group keys (with repeats).
+
+        Rows with a non-positive multiplicity are not in the bag and touch
+        nothing.
+        """
         if multiplicities is None:
             return [self.fold_row(row) for row in rows]
         return [
             self.fold_row(row, multiplicity)
             for row, multiplicity in zip(rows, multiplicities)
+            if multiplicity > 0
         ]
 
     def payload(self) -> List[Tuple[Row, Tuple[Tuple, ...]]]:
@@ -336,80 +362,23 @@ class GroupedAggregateState:
         return [self.finalize_key(key) for key in sorted(self.groups, key=repr)]
 
 
-def fold_group(
-    state: GroupedAggregateState,
-    prefix: Row,
-    prefix_variables: Sequence[str],
-    factors: Sequence[Tuple[Tuple[str, ...], List[Row]]],
-    multiplicity: int = 1,
-) -> Optional[List[Row]]:
-    """Fold a factorized group into ``state`` without expanding it.
-
-    Works whenever every group-by variable is bound by the prefix (the group
-    key is then shared by the whole Cartesian product): ``COUNT``/``SUM``/
-    ``AVG`` weight each value by the product of the *other* factors' sizes,
-    ``MIN``/``MAX`` scan each factor's values once — the product of factor
-    sizes is never enumerated.  Returns the touched group keys, or ``None``
-    when the caller must fall back to row expansion (a group key living
-    inside a factor, or an aggregate variable the group does not bind).
-    """
-    prefix_index = {var: i for i, var in enumerate(prefix_variables)}
-    if any(var not in prefix_index for var in state.spec.group_by):
-        return None
-    factor_index: Dict[str, Tuple[int, int]] = {}
-    for position, (factor_vars, _rows) in enumerate(factors):
-        for offset, var in enumerate(factor_vars):
-            factor_index[var] = (position, offset)
-    for function, variable, _label in state.spec.items:
-        if function is None or variable is None:
-            continue
-        if variable not in prefix_index and variable not in factor_index:
-            return None
-
-    sizes = [len(rows) for _vars, rows in factors]
-    total = multiplicity
-    for size in sizes:
-        total *= size
-    if total == 0:
-        return []
-    key = tuple(prefix[prefix_index[var]] for var in state.spec.group_by)
-    states = state.group_states(key)
-    for (function, variable, _label), item_state in zip(state.spec.items, states):
-        if function is None:
-            continue
-        if variable is None:
-            item_state.update_count_star(total)
-            continue
-        if variable in prefix_index:
-            item_state.update(prefix[prefix_index[variable]], total)
-            continue
-        position, offset = factor_index[variable]
-        weight = multiplicity
-        for other, size in enumerate(sizes):
-            if other != position:
-                weight *= size
-        for factor_row in factors[position][1]:
-            item_state.update(factor_row[offset], weight)
-    return [key]
-
-
 def fold_factorized_batch(
     state: GroupedAggregateState,
     prefix_variables: Sequence[str],
     prefix_columns: Sequence[Sequence[Value]],
-    factors: Sequence[Tuple[Tuple[str, ...], Sequence[Sequence[Value]], Sequence[int]]],
+    factors: Sequence[Factor],
     multiplicities: Optional[Sequence[int]] = None,
 ) -> Optional[List[Row]]:
-    """Fold a columnar factorized batch into ``state`` without expansion.
+    """Fold a factorized batch into ``state`` without expanding it.
 
-    The columnar counterpart of :func:`fold_group` for the batch contract
-    (:meth:`~repro.engine.output.OutputSink.on_factorized_batch`): every
-    group-by variable must be bound by the prefix columns and every
-    aggregate input by the prefix or a factor.  Aggregate values are read
-    straight off the flat factor columns, weighted by the other factors'
-    segment sizes — the Cartesian product is never enumerated.  Returns
-    the touched group keys, or ``None`` when the caller must fall back to
-    per-group handling.
+    Works whenever every group-by variable is bound by the prefix columns
+    (the group key is then shared by a group's whole Cartesian product) and
+    every aggregate input by the prefix or a factor: ``COUNT``/``SUM``/
+    ``AVG`` weight each value by the product of the *other* factors'
+    segment sizes, ``MIN``/``MAX`` scan each factor's values once — the
+    product is never enumerated.  Returns the touched group keys, or
+    ``None`` when the caller must expand the batch into rows instead (a
+    group key living inside a factor, or an unbound aggregate input).
     """
     prefix_index = {var: i for i, var in enumerate(prefix_variables)}
     if any(var not in prefix_index for var in state.spec.group_by):
@@ -472,50 +441,32 @@ def fold_join_result(
 ) -> List[Row]:
     """Fold a materialized :class:`JoinResult` into ``state``.
 
-    Handles all three result shapes — factorized groups (folded without
-    Cartesian expansion whenever :func:`fold_group` allows), flat rows with
-    multiplicities, and count-only results (legal only for grouping-free
-    ``COUNT(*)``-only specs) — and returns the touched group keys (with
-    repeats).  This is the one fold the serial pass (:func:`_aggregate`) and
-    the standing-query plane (:mod:`repro.views`) share, which is what makes
-    an incrementally maintained snapshot byte-identical to ``execute()``'s.
+    Handles all three result shapes — factorized batches (folded without
+    Cartesian expansion whenever :func:`fold_factorized_batch` allows), flat
+    rows with multiplicities, and count-only results (legal only for
+    grouping-free ``COUNT(*)``-only specs) — and returns the touched group
+    keys (with repeats).  This is the one fold the serial pass
+    (:func:`_aggregate`) and the standing-query plane (:mod:`repro.views`)
+    share, which is what makes an incrementally maintained snapshot
+    byte-identical to ``execute()``'s.
     """
     touched: List[Row] = []
-    if result.groups is not None:
-        expander = _RowExpander(
-            state.spec.variables,
-            lambda row, multiplicity: touched.append(
-                state.fold_row(row, multiplicity)
-            ),
-        )
-        for group in result.groups:
-            keys = fold_group(
-                state,
-                group.prefix,
-                group.prefix_variables,
-                group.factors,
-                group.multiplicity,
-            )
+    if result.batches is not None:
+        for batch in result.batches:
+            keys = fold_factorized_batch(state, *batch)
             if keys is None:
-                expander.on_group(
-                    group.prefix,
-                    group.prefix_variables,
-                    group.factors,
-                    group.multiplicity,
-                )
-            else:
-                touched.extend(keys)
+                keys = [
+                    state.fold_row(row, multiplicity)
+                    for row, multiplicity in expand_factorized_batch(
+                        state.spec.variables, *batch
+                    )
+                ]
+            touched.extend(keys)
         return touched
     if result.rows or result.count_only is None:
-        for row, multiplicity in zip(result.rows, result.multiplicities):
-            touched.append(state.fold_row(row, multiplicity))
-        return touched
+        return state.fold_rows(result.rows, result.multiplicities)
     # Count-only sink: a bare total can only feed grouping-free COUNT(*).
-    count_star_only = not state.spec.group_by and all(
-        function == "COUNT" and variable is None
-        for function, variable, _label in state.spec.items
-    )
-    if not count_star_only:
+    if not state.spec.count_star_only:
         raise ExecutionError(
             "cannot compute value aggregates from a count-only join result"
         )
@@ -526,17 +477,6 @@ def fold_join_result(
     return touched
 
 
-class _RowExpander(OutputSink):
-    """Expand factorized groups into rows aimed at a fold callback."""
-
-    def __init__(self, variables: Sequence[str], fold) -> None:
-        super().__init__(variables)
-        self._fold = fold
-
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        self._fold(row, multiplicity)
-
-
 class PartialAggregateSink(OutputSink):
     """A sink that folds reported join rows into grouped partial aggregates.
 
@@ -544,9 +484,8 @@ class PartialAggregateSink(OutputSink):
     an aggregate sink: the task ships its (tiny) serialized partial to the
     parent instead of its raw rows, which is what makes parallel grouped
     aggregation cheap — the row bag never crosses the worker boundary.
-    Factorized groups are folded via :func:`fold_group` /
-    :func:`fold_factorized_batch` (no expansion) whenever the group key
-    lives in the prefix.
+    Factorized batches are folded via :func:`fold_factorized_batch` (no
+    expansion) whenever the group key lives in the prefix.
     """
 
     accepts_factorized = True
@@ -557,44 +496,24 @@ class PartialAggregateSink(OutputSink):
         self.state = GroupedAggregateState(spec)
         #: Number of row/group reports folded (telemetry, not a row count).
         self.folded = 0
-        self._expander = _RowExpander(spec.variables, self._fold_row)
-
-    def _fold_row(self, row: Row, multiplicity: int) -> None:
-        self.state.fold_row(row, multiplicity)
-        self.folded += 1
 
     def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity <= 0:
-            return
-        self._fold_row(row, multiplicity)
+        if multiplicity > 0:
+            self.state.fold_row(row, multiplicity)
+            self.folded += 1
 
     def on_rows(self, rows, multiplicities=None) -> None:
-        """Fold a kernel batch without materializing it."""
-        self.state.fold_rows(rows, multiplicities)
-        self.folded += len(rows)
-
-    def on_group(self, prefix, prefix_variables, factors, multiplicity: int = 1) -> None:
-        if multiplicity <= 0:
-            return
-        touched = fold_group(self.state, prefix, prefix_variables, factors, multiplicity)
-        if touched is None:
-            # Group key (or an aggregate input) lives inside a factor: the
-            # expander enumerates rows and re-raises the sink's own missing-
-            # variable diagnostics.
-            self._expander.on_group(prefix, prefix_variables, factors, multiplicity)
-            return
-        self.folded += 1
+        self.folded += len(self.state.fold_rows(rows, multiplicities))
 
     def on_factorized_batch(
         self, prefix_variables, prefix_columns, factors, multiplicities=None
     ) -> None:
-        """Fold a columnar factorized batch straight off the factor columns."""
         touched = fold_factorized_batch(
             self.state, prefix_variables, prefix_columns, factors, multiplicities
         )
         if touched is None:
-            # Unfoldable shape: fall back to the per-group conversion, which
-            # routes through on_group (fold_group, then row expansion).
+            # Group key (or an aggregate input) inside a factor: the default
+            # expands the batch into rows (and raises for unbound variables).
             super().on_factorized_batch(
                 prefix_variables, prefix_columns, factors, multiplicities
             )
@@ -616,8 +535,145 @@ class PartialAggregateSink(OutputSink):
 
 
 # --------------------------------------------------------------------------- #
-# The serial post-pass
+# The post-join pass
 # --------------------------------------------------------------------------- #
+
+
+def output_mode(logical: LogicalQuery) -> str:
+    """The cheapest sink mode that still supports the query's post-join pass."""
+    if (
+        logical.only_count_star()
+        and not logical.residual_predicates
+        and not logical.left_joins
+    ):
+        return "count"
+    return "rows"
+
+
+def compile_row_pass(
+    logical: LogicalQuery, variables: Sequence[str], project: bool = True
+) -> Optional[Callable]:
+    """Compile the query's residual mask + SELECT projection, once per query.
+
+    Returns ``row_pass(rows, multiplicities=None) -> (rows, multiplicities)``
+    over rows laid out as ``variables`` — or ``None`` when it would be the
+    identity.  Residual predicates (cross-table, non-equality) become one
+    batch mask (:func:`repro.kernels.predicates.compile_batch_predicate`), so
+    there are no per-row environment dicts; multiplicities, when given, are
+    filtered in step.  Streams apply the closure to every delivered batch;
+    :func:`post_join` applies it once, mask only (``project=False``: the
+    projection waits for the left-outer extension and the aggregation).
+    """
+    variables = list(variables)
+    mask_batch = compile_batch_predicate(logical.residual_predicates, variables)
+    positions = None
+    if project and not logical.select_star:
+        positions = [variables.index(item.variable) for item in logical.select_items]
+        if positions == list(range(len(variables))):
+            positions = None
+    if mask_batch is None and positions is None:
+        return None
+
+    def row_pass(rows, multiplicities=None):
+        if mask_batch is not None:
+            mask = mask_batch(rows)
+            rows = list(compress(rows, mask))
+            if multiplicities is not None:
+                multiplicities = list(compress(multiplicities, mask))
+        if positions is not None:
+            rows = [tuple(row[p] for p in positions) for row in rows]
+        return rows, multiplicities
+
+    return row_pass
+
+
+def _flat_rows(result: JoinResult, stage: str) -> Tuple[List[Row], List[int]]:
+    """The result's rows and multiplicities, expanding factorized batches."""
+    if result.batches is not None:
+        rows = list(result.iter_rows())
+        return rows, [1] * len(rows)
+    if result.count_only is not None and not result.rows:
+        raise QueryError(
+            f"{stage} require materialized join rows; "
+            "this is an internal sink-selection bug"
+        )
+    return result.rows, result.multiplicities
+
+
+def _apply_residuals(result: JoinResult, logical: LogicalQuery) -> JoinResult:
+    """Drop the join rows the query's residual predicates reject."""
+    if not logical.residual_predicates:
+        return result
+    row_pass = compile_row_pass(logical, result.variables, project=False)
+    rows, multiplicities = row_pass(*_flat_rows(result, "residual predicates"))
+    return JoinResult(result.variables, rows, multiplicities)
+
+
+def _extend_left_outer(
+    result: JoinResult, logical: LogicalQuery, details: Dict[str, object]
+) -> JoinResult:
+    """Extend the core join result with each LEFT OUTER JOIN table.
+
+    For every :class:`~repro.query.planner.LeftJoinSpec` (in FROM-clause
+    order) the core rows probe a hash index of the optional table: matching
+    optional rows are appended (one output row per match, in optional-table
+    order, preserving bag multiplicities), unmatched or NULL-keyed core rows
+    get one NULL-padded row in place.  One summary per extension lands under
+    ``details["post_join"]``.
+    """
+    variables = list(result.variables)
+    rows, multiplicities = _flat_rows(result, "left-outer extensions")
+    summary = []
+    for spec in logical.left_joins:
+        index: Dict[Row, List[Row]] = {}
+        for optional_row in spec.table.to_rows():
+            key = tuple(optional_row[column] for _var, column in spec.keys)
+            if None not in key:  # NULL never matches in SQL equality
+                index.setdefault(key, []).append(tuple(optional_row))
+        key_positions = [variables.index(var) for var, _column in spec.keys]
+        padding = (None,) * len(spec.variables)
+        extended_rows: List[Row] = []
+        extended_multiplicities: List[int] = []
+        matched = 0
+        for row, multiplicity in zip(rows, multiplicities):
+            key = tuple(row[position] for position in key_positions)
+            matches = None if None in key else index.get(key)
+            if matches:
+                matched += multiplicity
+                extended_rows.extend(row + optional_row for optional_row in matches)
+                extended_multiplicities.extend([multiplicity] * len(matches))
+            else:
+                extended_rows.append(row + padding)
+                extended_multiplicities.append(multiplicity)
+        rows, multiplicities = extended_rows, extended_multiplicities
+        variables.extend(spec.variables)
+        summary.append(
+            {
+                "alias": spec.alias,
+                "matched_core_rows": matched,
+                "rows_after": sum(multiplicities),
+            }
+        )
+    details["post_join"] = {"left_joins": summary}
+    return JoinResult(tuple(variables), rows, multiplicities)
+
+
+def post_join(
+    result: JoinResult, logical: LogicalQuery, details: Dict[str, object]
+) -> Tuple[JoinResult, Table]:
+    """Everything after the join, in SQL's fixed order.
+
+    Residual predicates filter the join rows, LEFT OUTER JOIN extensions
+    widen them (``details`` — the run report's — receives their summary),
+    :func:`aggregate_result` applies the SELECT list and
+    :func:`finalize_output` HAVING / DISTINCT / ORDER BY / LIMIT.  Returns
+    the post-join :class:`JoinResult` (what the SELECT list saw) and the
+    final table.
+    """
+    result = _apply_residuals(result, logical)
+    if logical.left_joins:
+        result = _extend_left_outer(result, logical, details)
+    return result, finalize_output(aggregate_result(result, logical), logical)
 
 
 def aggregate_result(result: JoinResult, logical: LogicalQuery) -> Table:
@@ -644,11 +700,7 @@ def _aggregate(result: JoinResult, logical: LogicalQuery) -> Table:
 
     # Fast path: COUNT(*) only, no grouping — use the result's count directly
     # so count-only sinks do not need materialized rows.
-    only_count_star = (
-        not logical.group_by
-        and all(item.function == "COUNT" and item.variable is None for item in items)
-    )
-    if only_count_star:
+    if logical.only_count_star():
         total = result.count()
         return Table.from_rows(
             "result", [item.label for item in items], [tuple(total for _ in items)]
@@ -730,27 +782,37 @@ def order_rows(rows: List[Row], order_by) -> List[Row]:
     return rows
 
 
+def order_and_limit(rows: List[Row], order_by, limit: Optional[int]) -> List[Row]:
+    """The ORDER BY + LIMIT tail of the final pass.
+
+    A LIMIT without ORDER BY would expose engine-dependent row order, so the
+    rows are put in canonical order first — making LIMIT deterministic
+    across engines at the cost of not preserving arrival order (which SQL
+    does not promise anyway).  Because the order is total, the kept rows are
+    a closed prefix — ``tail(A | B) == tail(tail(A) | B)`` — which is what
+    lets :class:`~repro.engine.streaming.StreamingTopKSink` prune candidates
+    mid-join with this same function.
+    """
+    rows = order_rows(rows, order_by)
+    if limit is not None:
+        if not order_by:
+            rows = sorted(rows, key=_canonical_row_key)
+        rows = rows[:limit]
+    return rows
+
+
 def finalize_output(table: Table, logical: LogicalQuery) -> Table:
     """Apply HAVING, DISTINCT, ORDER BY and LIMIT to the final table.
 
-    Runs after :func:`aggregate_result` (and after the session's left-outer
-    extension), in SQL's logical order: HAVING filters finalized groups,
-    DISTINCT dedups (first occurrence wins), ORDER BY sorts, LIMIT
-    truncates.  A LIMIT without ORDER BY would expose engine-dependent row
-    order, so the rows are put in canonical order first — making LIMIT
-    deterministic across engines at the cost of not preserving arrival
-    order (which SQL does not promise anyway).  Queries without any of
+    The last step of :func:`post_join`, in SQL's logical order: HAVING
+    filters finalized groups, DISTINCT dedups (first occurrence wins),
+    :func:`order_and_limit` sorts and truncates.  Queries without any of
     these features return ``table`` unchanged.
     """
     if not logical.needs_final_pass():
         return table
-    rows = table.to_rows()
-    rows = apply_having(rows, logical.having)
+    rows = apply_having(table.to_rows(), logical.having)
     if logical.distinct:
         rows = list(dict.fromkeys(rows))
-    rows = order_rows(rows, logical.order_by)
-    if logical.limit is not None:
-        if not logical.order_by:
-            rows = sorted(rows, key=_canonical_row_key)
-        rows = rows[: logical.limit]
+    rows = order_and_limit(rows, logical.order_by, logical.limit)
     return Table.from_rows(table.name, list(table.column_names), rows)

@@ -1,4 +1,4 @@
-"""Join output sinks: flat rows, counts, and factorized representations.
+"""Join output sinks: flat rows, counts, and the factorized representation.
 
 All three join engines report their results through a *sink*.  The sink
 decides how much of the output to materialize:
@@ -6,40 +6,56 @@ decides how much of the output to materialize:
 * :class:`RowSink` materializes every output row (with bag multiplicities),
 * :class:`CountSink` only counts output rows — the cheapest option, used by
   ``COUNT(*)`` queries and by benchmark drivers that do not need the rows,
-* :class:`FactorizedSink` stores the output in factorized form: a shared
-  prefix plus independent factors whose Cartesian product is the output.
-  This reproduces the paper's factorized-output optimization (Section 4.4,
-  Figure 19) where large outputs are compressed instead of enumerated.
+* :class:`FactorizedSink` keeps the output factorized (Section 4.4,
+  Figure 19): it stores the batches it is handed and never enumerates a
+  Cartesian product.
 
-The engines report results per *group*: a fully bound prefix row plus zero or
-more factors.  A plain output row is a group with no factors.
+**One factorized shape.**  Factorized output is a *batch of groups* in
+columnar form, ``(prefix_variables, prefix_columns, factors,
+multiplicities)``: the prefix columns hold one value per group, and each
+factor is ``(variables, columns, offsets)`` with *flat* columns segmented by
+``groups + 1`` offsets — group ``i`` owns ``[offsets[i], offsets[i + 1])`` of
+every column of that factor.  A group stands for prefix x factor1 x factor2
+x ..., repeated ``multiplicities[i]`` times (``None`` means all 1).  A flat
+columnar batch is the same shape with no factors.  The kernels emit many
+groups per batch, the row path (``FreeJoinExecutor``) one group per batch,
+the steal scheduler ships these batches across the worker boundary, and
+exactly one function — :func:`expand_factorized_batch` — ever enumerates
+the product.
 
-Sinks consume results through a **columnar batch contract**:
+**One chain of defaults.**  A sink's producer surface is four entry points,
+each defaulting to the one before it::
 
-* :meth:`OutputSink.on_batch` receives per-variable value columns (one
-  column per output variable, all the same length) plus an optional
-  multiplicity vector.  The kernel executor emits whole decoded frontiers
-  through this entry point, so sinks that store columns (counts, streams,
-  aggregate folds) never pay for row tuples they immediately discard.
-* :meth:`OutputSink.on_factorized_batch` receives a batch of factorized
-  groups in columnar form: prefix columns (one value per group) plus flat
-  factor columns segmented by an offsets vector.  Sinks that understand
-  factorization (:class:`FactorizedSink`, :class:`CountSink`, the
-  streaming and aggregate sinks) advertise ``accepts_factorized = True``
-  and consume the groups without ever expanding the Cartesian product.
+    on_row  <-  on_rows  <-  on_batch  <-  on_factorized_batch
 
-Both batch methods have default implementations that adapt down to the
-legacy row surface (:meth:`on_row` / :meth:`on_group`), so hand-written
-sinks and uncovered shapes keep working unchanged.
+``on_row`` takes one tuple (the row path's per-tuple call), ``on_rows`` a
+list of tuples, ``on_batch`` one value column per output variable (zipped
+into tuples), ``on_factorized_batch`` the shape above (a factor-free batch
+is handed to ``on_batch``, anything else goes through the expander in
+bounded slices).  A sink therefore implements ``on_row`` and overrides the
+others only to be *cheaper* — a count multiplies segment sizes, an aggregate
+folds factor columns — never to be correct.  Sinks that gain from
+unexpanded groups advertise ``accepts_factorized``; producers only factorize
+into those.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.datatypes import Row, Value
 from repro.errors import ExecutionError
+
+#: One factor of a factorized batch: ``(variables, flat columns, offsets)``.
+Factor = Tuple[Tuple[str, ...], Sequence[Sequence[Value]], Sequence[int]]
+
+#: The one factorized shape: ``(prefix_variables, prefix_columns, factors,
+#: multiplicities)`` — the argument list of ``on_factorized_batch``.
+FactorizedBatch = Tuple[
+    Sequence[str], Sequence[Sequence[Value]], Sequence[Factor], Optional[Sequence[int]]
+]
 
 
 def _factorized_group_count(prefix_columns, factors, multiplicities) -> int:
@@ -53,13 +69,76 @@ def _factorized_group_count(prefix_columns, factors, multiplicities) -> int:
     return 0
 
 
-class OutputSink:
-    """Interface implemented by all sinks."""
+def count_factorized_batch(prefix_columns, factors, multiplicities) -> int:
+    """Flat rows one factorized batch stands for, without enumerating them."""
+    groups = _factorized_group_count(prefix_columns, factors, multiplicities)
+    if not factors:
+        return groups if multiplicities is None else sum(multiplicities)
+    total = 0
+    for i in range(groups):
+        count = 1 if multiplicities is None else multiplicities[i]
+        for _vars, _columns, offsets in factors:
+            count *= offsets[i + 1] - offsets[i]
+        total += count
+    return total
 
-    #: Whether the sink consumes :meth:`on_factorized_batch` without needing
-    #: the producer to expand the Cartesian product first.  Engines only
-    #: emit factorized batches into sinks that advertise this.
+
+def expand_factorized_batch(
+    variables: Sequence[str],
+    prefix_variables: Sequence[str],
+    prefix_columns: Sequence[Sequence[Value]],
+    factors: Sequence[Factor],
+    multiplicities: Optional[Sequence[int]] = None,
+) -> Iterator[Tuple[Row, int]]:
+    """Lazily enumerate one factorized batch as ``(row, multiplicity)`` pairs.
+
+    The one place a factorized Cartesian product is enumerated: rows come
+    out laid out as ``variables``, group by group, factors varying
+    right-most fastest; groups with a non-positive multiplicity are skipped.
+    Being a generator, it holds one group's factor rows at a time — a
+    consumer that takes it in slices never materializes a large product.
+    """
+    layout = list(prefix_variables)
+    for factor_variables, _columns, _offsets in factors:
+        layout.extend(factor_variables)
+    missing = [var for var in variables if var not in layout]
+    if missing:
+        raise ExecutionError(
+            f"factorized batch does not bind output variables {missing}"
+        )
+    positions = [layout.index(var) for var in variables]
+    if positions == list(range(len(layout))):
+        positions = None
+    for i in range(_factorized_group_count(prefix_columns, factors, multiplicities)):
+        multiplicity = 1 if multiplicities is None else multiplicities[i]
+        if multiplicity <= 0:
+            continue
+        prefix = tuple(column[i] for column in prefix_columns)
+        segments = [
+            zip(*(column[offsets[i] : offsets[i + 1]] for column in columns))
+            if columns
+            else itertools.repeat((), offsets[i + 1] - offsets[i])
+            for _vars, columns, offsets in factors
+        ]
+        for choice in itertools.product(*segments):
+            row = prefix
+            for part in choice:
+                row += part
+            if positions is not None:
+                row = tuple([row[p] for p in positions])
+            yield row, multiplicity
+
+
+class OutputSink:
+    """Interface implemented by all sinks (see the module docstring)."""
+
+    #: Whether the sink gains from :meth:`on_factorized_batch` groups left
+    #: unexpanded.  Producers only factorize into sinks that advertise this.
     accepts_factorized = False
+
+    #: Rows the default :meth:`on_factorized_batch` expands per
+    #: :meth:`on_rows` call — all of a large product it ever holds at once.
+    expand_rows = 1024
 
     def __init__(self, variables: Sequence[str]) -> None:
         #: Output variables, in the order rows are reported.
@@ -72,12 +151,7 @@ class OutputSink:
     def on_rows(
         self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
     ) -> None:
-        """Report a batch of rows (``multiplicities=None`` means all 1).
-
-        The batch kernels emit whole frontiers through this entry point;
-        the default simply replays :meth:`on_row`, so existing sinks work
-        unchanged while the common ones override it with bulk appends.
-        """
+        """Report many rows at once (``multiplicities=None`` means all 1)."""
         if multiplicities is None:
             for row in rows:
                 self.on_row(row, 1)
@@ -93,10 +167,8 @@ class OutputSink:
         """Report a columnar batch: one value column per output variable.
 
         ``columns`` aligns with :attr:`variables` (same order, equal
-        lengths); ``multiplicities=None`` means all 1.  The default zips
-        the columns into row tuples and replays :meth:`on_rows`, so
-        row-oriented sinks work unchanged while columnar consumers
-        override it and skip the tuple build entirely.
+        lengths).  A batch without columns has one empty row per
+        multiplicity.
         """
         if columns:
             rows: Sequence[Row] = list(zip(*columns))
@@ -110,87 +182,19 @@ class OutputSink:
         self,
         prefix_variables: Sequence[str],
         prefix_columns: Sequence[Sequence[Value]],
-        factors: Sequence[
-            Tuple[Tuple[str, ...], Sequence[Sequence[Value]], Sequence[int]]
-        ],
+        factors: Sequence[Factor],
         multiplicities: Optional[Sequence[int]] = None,
     ) -> None:
-        """Report a batch of factorized groups in columnar form.
-
-        ``prefix_columns`` hold one value per group (aligned with
-        ``prefix_variables``); each factor is ``(variables, columns,
-        offsets)`` where the columns are *flat* concatenations of every
-        group's factor rows and ``offsets`` has ``groups + 1`` boundaries —
-        group ``i`` owns the slice ``[offsets[i], offsets[i + 1])``.  The
-        group represents prefix x factor1 x factor2 x ..., repeated
-        ``multiplicities[i]`` times.
-
-        The default converts each group to a legacy :meth:`on_group` call
-        (which itself defaults to Cartesian expansion), so every existing
-        sink keeps its semantics; factorization-aware sinks override this
-        and advertise :attr:`accepts_factorized`.
-        """
-        total = _factorized_group_count(prefix_columns, factors, multiplicities)
-        for i in range(total):
-            prefix = tuple(column[i] for column in prefix_columns)
-            group_factors = []
-            for factor_vars, factor_columns, offsets in factors:
-                lo, hi = offsets[i], offsets[i + 1]
-                rows = [
-                    tuple(column[j] for column in factor_columns)
-                    for j in range(lo, hi)
-                ]
-                group_factors.append((tuple(factor_vars), rows))
-            multiplicity = 1 if multiplicities is None else multiplicities[i]
-            self.on_group(prefix, prefix_variables, group_factors, multiplicity)
-
-    def on_group(
-        self,
-        prefix: Row,
-        prefix_variables: Sequence[str],
-        factors: Sequence[Tuple[Tuple[str, ...], List[Row]]],
-        multiplicity: int = 1,
-    ) -> None:
-        """Report a factorized group.
-
-        ``prefix`` binds ``prefix_variables``; each factor is a pair of
-        (variables, rows) and the group represents the Cartesian product of
-        the prefix with all factors, repeated ``multiplicity`` times.
-
-        The default implementation expands the product into flat rows, so
-        sinks that do not care about factorization only implement ``on_row``.
-        """
-        index = {var: i for i, var in enumerate(prefix_variables)}
-        factor_slots = []
-        for position, (factor_vars, _factor_rows) in enumerate(factors):
-            for offset, var in enumerate(factor_vars):
-                index[var] = (position, offset)
-            factor_slots.append(factor_vars)
-
-        missing = [v for v in self.variables if v not in index]
-        if missing:
-            raise ExecutionError(
-                f"factorized group does not bind output variables {missing}"
-            )
-
-        def expand(position: int, chosen: List[Row]) -> None:
-            if position == len(factors):
-                row = []
-                for var in self.variables:
-                    slot = index[var]
-                    if isinstance(slot, int):
-                        row.append(prefix[slot])
-                    else:
-                        factor_position, offset = slot
-                        row.append(chosen[factor_position][offset])
-                self.on_row(tuple(row), multiplicity)
-                return
-            for factor_row in factors[position][1]:
-                chosen.append(factor_row)
-                expand(position + 1, chosen)
-                chosen.pop()
-
-        expand(0, [])
+        """Report a batch of factorized groups (the module docstring's shape)."""
+        if not factors and tuple(prefix_variables) == self.variables:
+            self.on_batch(prefix_columns, multiplicities)
+            return
+        pairs = expand_factorized_batch(
+            self.variables, prefix_variables, prefix_columns, factors, multiplicities
+        )
+        while chunk := list(itertools.islice(pairs, self.expand_rows)):
+            rows, chunk_multiplicities = zip(*chunk)
+            self.on_rows(rows, None if multiplicities is None else chunk_multiplicities)
 
     def result(self) -> "JoinResult":
         """Finalize and return the collected result."""
@@ -222,21 +226,6 @@ class RowSink(OutputSink):
             if multiplicity > 0:
                 self._rows.append(row)
                 self._multiplicities.append(multiplicity)
-
-    def on_batch(
-        self,
-        columns: Sequence[Sequence[Value]],
-        multiplicities: Optional[Sequence[int]] = None,
-    ) -> None:
-        if not columns:
-            super().on_batch(columns, multiplicities)
-            return
-        rows = list(zip(*columns))
-        if multiplicities is None:
-            self._rows.extend(rows)
-            self._multiplicities.extend([1] * len(rows))
-        else:
-            self.on_rows(rows, multiplicities)
 
     def result(self) -> "JoinResult":
         return JoinResult(
@@ -276,29 +265,14 @@ class CountSink(OutputSink):
         elif columns:
             self._count += len(columns[0])
 
-    def on_group(self, prefix, prefix_variables, factors, multiplicity: int = 1) -> None:
-        total = multiplicity
-        for _vars, rows in factors:
-            total *= len(rows)
-        self._count += total
-
     def on_factorized_batch(
         self,
         prefix_variables: Sequence[str],
         prefix_columns: Sequence[Sequence[Value]],
-        factors: Sequence[
-            Tuple[Tuple[str, ...], Sequence[Sequence[Value]], Sequence[int]]
-        ],
+        factors: Sequence[Factor],
         multiplicities: Optional[Sequence[int]] = None,
     ) -> None:
-        total_groups = _factorized_group_count(
-            prefix_columns, factors, multiplicities
-        )
-        for i in range(total_groups):
-            count = 1 if multiplicities is None else multiplicities[i]
-            for _vars, _columns, offsets in factors:
-                count *= offsets[i + 1] - offsets[i]
-            self._count += count
+        self._count += count_factorized_batch(prefix_columns, factors, multiplicities)
 
     def result(self) -> "JoinResult":
         return JoinResult(
@@ -307,146 +281,39 @@ class CountSink(OutputSink):
         )
 
 
-@dataclass
-class FactorizedGroup:
-    """One group of a factorized result: prefix x factor1 x factor2 x ..."""
-
-    prefix: Row
-    prefix_variables: Tuple[str, ...]
-    factors: List[Tuple[Tuple[str, ...], List[Row]]]
-    multiplicity: int = 1
-
-    def count(self) -> int:
-        """Number of flat rows this group represents."""
-        total = self.multiplicity
-        for _vars, rows in self.factors:
-            total *= len(rows)
-        return total
-
-
 class FactorizedSink(OutputSink):
-    """Stores the output in factorized form (Section 4.4, Figure 19)."""
+    """Keeps the output factorized (Section 4.4, Figure 19).
 
-    accepts_factorized = True
+    The batches it is handed are stored verbatim — no per-group copy, no
+    Cartesian expansion — and :meth:`result` hands them to a
+    :class:`JoinResult` that counts, folds or lazily expands them.  The
+    steal scheduler also gives one to every worker task of a stream whose
+    consumer accepts factorized batches: the stored batches are picklable
+    lists, cross the worker boundary as they are, and the parent replays
+    them into the streaming sink.
 
-    def __init__(self, variables: Sequence[str]) -> None:
-        super().__init__(variables)
-        self._groups: List[FactorizedGroup] = []
-
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        self._groups.append(
-            FactorizedGroup(row, self.variables, [], multiplicity)
-        )
-
-    def on_batch(
-        self,
-        columns: Sequence[Sequence[Value]],
-        multiplicities: Optional[Sequence[int]] = None,
-    ) -> None:
-        rows = list(zip(*columns)) if columns else []
-        if multiplicities is None:
-            for row in rows:
-                self._groups.append(FactorizedGroup(row, self.variables, []))
-        else:
-            for row, multiplicity in zip(rows, multiplicities):
-                self._groups.append(
-                    FactorizedGroup(row, self.variables, [], multiplicity)
-                )
-
-    def on_group(self, prefix, prefix_variables, factors, multiplicity: int = 1) -> None:
-        self._groups.append(
-            FactorizedGroup(
-                tuple(prefix),
-                tuple(prefix_variables),
-                [(tuple(vars_), list(rows)) for vars_, rows in factors],
-                multiplicity,
-            )
-        )
-
-    def on_factorized_batch(
-        self,
-        prefix_variables: Sequence[str],
-        prefix_columns: Sequence[Sequence[Value]],
-        factors: Sequence[
-            Tuple[Tuple[str, ...], Sequence[Sequence[Value]], Sequence[int]]
-        ],
-        multiplicities: Optional[Sequence[int]] = None,
-    ) -> None:
-        prefix_vars = tuple(prefix_variables)
-        total_groups = _factorized_group_count(
-            prefix_columns, factors, multiplicities
-        )
-        for i in range(total_groups):
-            prefix = tuple(column[i] for column in prefix_columns)
-            group_factors = []
-            for factor_vars, factor_columns, offsets in factors:
-                lo, hi = offsets[i], offsets[i + 1]
-                # zip over column slices row-builds at C speed — this loop
-                # is the whole cost of accepting a factorized batch.
-                if factor_columns:
-                    rows = list(
-                        zip(*(column[lo:hi] for column in factor_columns))
-                    )
-                else:
-                    rows = [()] * (hi - lo)
-                group_factors.append((tuple(factor_vars), rows))
-            multiplicity = 1 if multiplicities is None else multiplicities[i]
-            self._groups.append(
-                FactorizedGroup(prefix, prefix_vars, group_factors, multiplicity)
-            )
-
-    def result(self) -> "JoinResult":
-        return JoinResult(variables=self.variables, rows=[], multiplicities=[], groups=self._groups)
-
-
-class ColumnBatchSink(OutputSink):
-    """Collects batches *as batches*, for replay into another sink.
-
-    The steal scheduler gives every worker task one of these when the query
-    streams into a batch-aware consumer: the task keeps kernel output in
-    columnar (and factorized) form, the batches cross the worker boundary
-    verbatim — picklable lists, no Cartesian expansion — and the parent
-    replays them into the streaming sink with :func:`replay_batches`.
-
-    Row-path producers (trie recursion, probe loops) still work: their rows
-    are buffered and flushed as a ``("rows", ...)`` batch.
+    Row-at-a-time producers (trie recursion, probe loops) still work: their
+    rows are buffered and stored as one factor-free batch.
     """
 
     accepts_factorized = True
 
     def __init__(self, variables: Sequence[str]) -> None:
         super().__init__(variables)
-        self._batches: List[Tuple] = []
+        self._batches: List[FactorizedBatch] = []
         self._rows: List[Row] = []
         self._multiplicities: List[int] = []
-        #: Physical rows represented (factorized groups count their
-        #: expansion), for the scheduler's per-task ``outputs`` telemetry.
-        self.rows_delivered = 0
 
     def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity <= 0:
-            return
-        self._rows.append(row)
-        self._multiplicities.append(multiplicity)
-        self.rows_delivered += 1
-
-    def on_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
-    ) -> None:
-        if multiplicities is None:
-            self._rows.extend(rows)
-            self._multiplicities.extend([1] * len(rows))
-            self.rows_delivered += len(rows)
-        else:
-            for row, multiplicity in zip(rows, multiplicities):
-                if multiplicity > 0:
-                    self._rows.append(row)
-                    self._multiplicities.append(multiplicity)
-                    self.rows_delivered += 1
+        if multiplicity > 0:
+            self._rows.append(row)
+            self._multiplicities.append(multiplicity)
 
     def _flush_rows(self) -> None:
+        """Store the buffered rows as one factor-free batch (keeps arrival order)."""
         if self._rows:
-            self._batches.append(("rows", self._rows, self._multiplicities))
+            columns = [list(column) for column in zip(*self._rows)]
+            self._batches.append((self.variables, columns, [], self._multiplicities))
             self._rows = []
             self._multiplicities = []
 
@@ -455,77 +322,34 @@ class ColumnBatchSink(OutputSink):
         columns: Sequence[Sequence[Value]],
         multiplicities: Optional[Sequence[int]] = None,
     ) -> None:
-        self._flush_rows()
-        self._batches.append(("batch", [list(c) for c in columns], multiplicities))
-        if columns:
-            self.rows_delivered += len(columns[0])
-        elif multiplicities is not None:
-            self.rows_delivered += len(multiplicities)
+        self.on_factorized_batch(self.variables, columns, [], multiplicities)
 
     def on_factorized_batch(
         self,
         prefix_variables: Sequence[str],
         prefix_columns: Sequence[Sequence[Value]],
-        factors: Sequence[
-            Tuple[Tuple[str, ...], Sequence[Sequence[Value]], Sequence[int]]
-        ],
+        factors: Sequence[Factor],
         multiplicities: Optional[Sequence[int]] = None,
     ) -> None:
         self._flush_rows()
         self._batches.append(
-            (
-                "factorized",
-                tuple(prefix_variables),
-                [list(c) for c in prefix_columns],
-                [
-                    (tuple(vars_), [list(c) for c in columns], list(offsets))
-                    for vars_, columns, offsets in factors
-                ],
-                multiplicities,
-            )
+            (tuple(prefix_variables), prefix_columns, factors, multiplicities)
         )
-        for i in range(
-            _factorized_group_count(prefix_columns, factors, multiplicities)
-        ):
-            count = 1
-            for _vars, _columns, offsets in factors:
-                count *= offsets[i + 1] - offsets[i]
-            self.rows_delivered += count
-
-    def batches(self) -> List[Tuple]:
-        """The collected batches (flushing any buffered row tail)."""
-        self._flush_rows()
-        return self._batches
 
     def result(self) -> "JoinResult":
-        """Expand everything into a flat :class:`JoinResult` (fallback path)."""
-        sink = RowSink(self.variables)
-        replay_batches(sink, self.batches())
-        return sink.result()
-
-
-def replay_batches(sink: OutputSink, batches: Sequence[Tuple]) -> None:
-    """Replay :class:`ColumnBatchSink` batches into another sink."""
-    for batch in batches:
-        tag = batch[0]
-        if tag == "rows":
-            sink.on_rows(batch[1], batch[2])
-        elif tag == "batch":
-            sink.on_batch(batch[1], batch[2])
-        elif tag == "factorized":
-            sink.on_factorized_batch(batch[1], batch[2], batch[3], batch[4])
-        else:  # pragma: no cover - protocol corruption
-            raise ExecutionError(f"unknown replay batch tag {tag!r}")
+        self._flush_rows()
+        return JoinResult(variables=self.variables, batches=self._batches)
 
 
 @dataclass
 class JoinResult:
-    """The result of a join: flat rows, a count, or factorized groups."""
+    """The result of a join: flat rows, a count, or factorized batches."""
 
     variables: Tuple[str, ...]
     rows: List[Row] = field(default_factory=list)
     multiplicities: List[int] = field(default_factory=list)
-    groups: Optional[List[FactorizedGroup]] = None
+    #: Factorized batches exactly as the sink received them (else ``None``).
+    batches: Optional[List[FactorizedBatch]] = None
     count_only: Optional[int] = None
 
     # ------------------------------------------------------------------ #
@@ -536,61 +360,34 @@ class JoinResult:
         """Total number of output rows (respecting bag multiplicities)."""
         if self.count_only is not None:
             return self.count_only
-        if self.groups is not None:
-            return sum(group.count() for group in self.groups)
+        if self.batches is not None:
+            return sum(
+                count_factorized_batch(prefix_columns, factors, multiplicities)
+                for _vars, prefix_columns, factors, multiplicities in self.batches
+            )
         return sum(self.multiplicities)
 
     def is_factorized(self) -> bool:
         """Whether the result is stored in factorized form."""
-        return self.groups is not None
+        return self.batches is not None
 
     # ------------------------------------------------------------------ #
     # Row access
     # ------------------------------------------------------------------ #
 
     def iter_rows(self) -> Iterator[Row]:
-        """Iterate over flat output rows, expanding factorized groups."""
-        if self.count_only is not None and not self.rows and self.groups is None:
-            raise ExecutionError("count-only results have no rows to iterate")
-        if self.groups is not None:
-            yield from self._iter_group_rows()
+        """Iterate over flat output rows, expanding factorized batches lazily."""
+        if self.batches is not None:
+            for batch in self.batches:
+                for row, multiplicity in expand_factorized_batch(self.variables, *batch):
+                    for _ in range(multiplicity):
+                        yield row
             return
+        if self.count_only is not None and not self.rows:
+            raise ExecutionError("count-only results have no rows to iterate")
         for row, multiplicity in zip(self.rows, self.multiplicities):
             for _ in range(multiplicity):
                 yield row
-
-    def _iter_group_rows(self) -> Iterator[Row]:
-        for group in self.groups or []:
-            index: Dict[str, object] = {
-                var: i for i, var in enumerate(group.prefix_variables)
-            }
-            for position, (factor_vars, _rows) in enumerate(group.factors):
-                for offset, var in enumerate(factor_vars):
-                    index[var] = (position, offset)
-
-            def build(chosen: List[Row]) -> Row:
-                values: List[Value] = []
-                for var in self.variables:
-                    slot = index[var]
-                    if isinstance(slot, int):
-                        values.append(group.prefix[slot])
-                    else:
-                        factor_position, offset = slot
-                        values.append(chosen[factor_position][offset])
-                return tuple(values)
-
-            def expand(position: int, chosen: List[Row]) -> Iterator[Row]:
-                if position == len(group.factors):
-                    row = build(chosen)
-                    for _ in range(group.multiplicity):
-                        yield row
-                    return
-                for factor_row in group.factors[position][1]:
-                    chosen.append(factor_row)
-                    yield from expand(position + 1, chosen)
-                    chosen.pop()
-
-            yield from expand(0, [])
 
     def to_rows(self) -> List[Row]:
         """Materialize all flat output rows."""

@@ -21,7 +21,12 @@ from typing import TYPE_CHECKING, Iterable, List, Optional
 
 from repro.binaryjoin.executor import BinaryJoinEngine
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
-from repro.engine.aggregates import aggregate_result, finalize_output
+from repro.engine.aggregates import (
+    aggregate_spec,
+    compile_row_pass,
+    output_mode,
+    post_join,
+)
 from repro.engine.options import AUTO_ENGINE, ENGINES, ExecOptions, check_engine
 from repro.engine.output import JoinResult
 from repro.engine.pipeline import RunContext
@@ -312,12 +317,8 @@ class Database:
     def _finish(
         self, logical: LogicalQuery, binary_plan: BinaryPlan, report: RunReport
     ) -> QueryOutcome:
-        """Everything after the join: residuals, left-outer, aggregate, finalize."""
-        join_result = self._apply_residuals(report.result, logical)
-        if logical.left_joins:
-            join_result = self._extend_left_outer(join_result, logical, report)
-        table = aggregate_result(join_result, logical)
-        table = finalize_output(table, logical)
+        """Everything after the join (:func:`~repro.engine.aggregates.post_join`)."""
+        join_result, table = post_join(report.result, logical, report.details)
         return QueryOutcome(
             table=table,
             report=report,
@@ -365,7 +366,7 @@ class Database:
         stream ends with one full snapshot in deterministic group-key order,
         identical to :meth:`execute`'s aggregate table.  Aggregate queries
         with residual predicates (cross-table non-equality filters) keep the
-        legacy materialize-then-stream path, as do group-bys without
+        materialize-then-stream path, as do group-bys without
         aggregates (which :meth:`execute` treats as plain projections) and
         queries whose GROUP BY key is not in the SELECT list (delta rows
         would be indistinguishable without it).
@@ -419,6 +420,11 @@ class Database:
         variables = logical.query.output_variables
         transform = None
 
+        def batch_transform():
+            # Residual mask + projection, compiled once, applied per batch.
+            row_pass = compile_row_pass(logical, variables)
+            return row_pass and (lambda batch: row_pass(batch)[0])
+
         # Delta streaming requires every group key to be *readable from the
         # delivered rows* (last-write-wins is keyed on the selected group
         # columns), so a GROUP BY variable missing from the SELECT list
@@ -445,8 +451,6 @@ class Database:
             # The partial-aggregate plane: fold join rows into per-group
             # partials at the final pipeline and stream merged group deltas
             # while the join is still running.
-            from repro.engine.aggregates import aggregate_spec
-
             sink = StreamingAggregateSink(aggregate_spec(logical, tuple(variables)), **delivery)
         elif (
             not logical.has_aggregates()
@@ -465,7 +469,7 @@ class Database:
                 variables,
                 limit=logical.limit,
                 order_by=logical.order_by,
-                transform=self._batch_transform(logical, variables),
+                transform=batch_transform(),
                 **delivery,
             )
         elif logical.has_aggregates() or logical.group_by or needs_post:
@@ -478,51 +482,17 @@ class Database:
 
             def run_materialized():
                 report = run(token)
-                sink.emit_rows(self._finish(logical, binary_plan, report).table.to_rows())
+                sink.on_rows(self._finish(logical, binary_plan, report).table.to_rows())
                 return report
 
             return StreamingResult(sink, token, run_materialized, executor=executor)
         else:
             sink = StreamingSink(variables, **delivery)
-            transform = self._batch_transform(logical, variables)
+            transform = batch_transform()
 
         return StreamingResult(
             sink, token, lambda: run(token, sink), transform=transform, executor=executor
         )
-
-    @staticmethod
-    def _batch_transform(logical: LogicalQuery, variables):
-        """Per-batch residual filtering + projection for streamed rows.
-
-        Residual predicates are compiled once per stream
-        (:func:`repro.kernels.predicates.compile_batch_predicate`) and applied
-        as a batch mask — no per-row environment dicts on the hot path.
-        """
-        from repro.kernels.predicates import compile_batch_predicate
-
-        mask_batch = compile_batch_predicate(
-            logical.residual_predicates, variables
-        )
-        if logical.select_star:
-            positions = None
-        else:
-            positions = [
-                variables.index(item.variable) for item in logical.select_items
-            ]
-            if positions == list(range(len(variables))):
-                positions = None
-        if mask_batch is None and positions is None:
-            return None
-
-        def transform(batch):
-            if mask_batch is not None:
-                mask = mask_batch(batch)
-                batch = [row for row, keep in zip(batch, mask) if keep]
-            if positions is not None:
-                batch = [tuple(row[p] for p in positions) for row in batch]
-            return batch
-
-        return transform
 
     def execute_many(
         self,
@@ -653,251 +623,10 @@ class Database:
         if sink is None and options.output == "rows":
             # The cheapest sink the SELECT list allows; any other value
             # ("factorized") is the caller asking for that sink.
-            options = replace(options, output=self._output_mode(logical))
+            options = replace(options, output=output_mode(logical))
         context = RunContext(
             self.parallelism if parallelism is None else parallelism,
             self.parallel_mode,
             deadline,
         )
         return engine.run(logical.query, binary_plan, options, sink, context=context)
-
-    # ------------------------------------------------------------------ #
-    # Helpers
-    # ------------------------------------------------------------------ #
-
-    @staticmethod
-    def _output_mode(logical: LogicalQuery) -> str:
-        """Choose the cheapest sink that still supports the SELECT list."""
-        only_count_star = (
-            not logical.select_star
-            and logical.select_items
-            and all(
-                item.function == "COUNT" and item.variable is None
-                for item in logical.select_items
-            )
-            and not logical.group_by
-            and not logical.residual_predicates
-            and not logical.left_joins
-        )
-        return "count" if only_count_star else "rows"
-
-    @staticmethod
-    def _apply_residuals(result: JoinResult, logical: LogicalQuery) -> JoinResult:
-        """Apply cross-table, non-equality predicates after the join.
-
-        The predicate list is compiled once into a batch mask function and
-        evaluated over the whole materialized result — the same compiled
-        closures the streaming path uses, so both paths filter identically.
-        """
-        from repro.kernels.predicates import compile_batch_predicate
-
-        if not logical.residual_predicates:
-            return result
-        variables = result.variables
-        if result.count_only is not None and not result.rows and result.groups is None:
-            raise QueryError(
-                "residual predicates require materialized join rows; "
-                "this is an internal sink-selection bug"
-            )
-        mask_batch = compile_batch_predicate(
-            logical.residual_predicates, variables
-        )
-        if result.groups is None:
-            rows = result.rows
-            multiplicities = result.multiplicities
-        else:
-            rows = list(result.iter_rows())
-            multiplicities = [1] * len(rows)
-        mask = mask_batch(rows)
-        kept_rows = [row for row, keep in zip(rows, mask) if keep]
-        kept_multiplicities = [
-            mult for mult, keep in zip(multiplicities, mask) if keep
-        ]
-        return JoinResult(
-            variables=variables, rows=kept_rows, multiplicities=kept_multiplicities
-        )
-
-    @staticmethod
-    def _extend_left_outer(
-        result: JoinResult, logical: LogicalQuery, report: RunReport
-    ) -> JoinResult:
-        """Extend the core join result with each LEFT OUTER JOIN table.
-
-        For every :class:`~repro.query.planner.LeftJoinSpec` (in FROM-clause
-        order) the core rows are anti-probed against the optional table:
-        matching optional rows are appended (one output row per match,
-        preserving bag multiplicities), unmatched or NULL-keyed core rows
-        get one NULL-padded row.  When the kernel subsystem is enabled the
-        probe runs as a **batch anti-probe** (:meth:`_left_outer_batch`):
-        keys are interned to integer group ids and the match counting,
-        expansion layout, and optional-row gather are single vectorized
-        passes — no per-row dict probe, no fallback recorded.  Only when
-        kernels are disabled (``REPRO_KERNELS=off``, missing numpy) does
-        the row-at-a-time probe run, and only then does the kernel
-        telemetry record a ``left-outer-extension`` fallback reason.
-        """
-        variables = list(result.variables)
-        if result.groups is not None:
-            rows = list(result.iter_rows())
-            multiplicities = [1] * len(rows)
-        else:
-            rows = list(result.rows)
-            multiplicities = list(result.multiplicities)
-        if result.count_only is not None and not rows and result.groups is None:
-            raise QueryError(
-                "left-outer extension requires materialized join rows; "
-                "this is an internal sink-selection bug"
-            )
-        from repro import kernels as kernels_mod
-
-        np = None
-        if kernels_mod.enabled():
-            try:
-                import numpy as np
-            except ImportError:  # pragma: no cover - numpy is baked in
-                np = None
-        vectorized = np is not None
-        summary = []
-        for spec in logical.left_joins:
-            key_positions = [variables.index(var) for var, _column in spec.keys]
-            key_columns = [column for _var, column in spec.keys]
-            if vectorized:
-                rows, multiplicities, matched = Database._left_outer_batch(
-                    np, rows, multiplicities, spec, key_positions, key_columns
-                )
-            else:
-                rows, multiplicities, matched = Database._left_outer_rowwise(
-                    rows, multiplicities, spec, key_positions, key_columns
-                )
-            variables.extend(spec.variables)
-            summary.append(
-                {
-                    "alias": spec.alias,
-                    "matched_core_rows": matched,
-                    "rows_after": sum(multiplicities),
-                }
-            )
-        kernels = report.details.get("kernels")
-        if not vectorized and isinstance(kernels, dict):
-            reasons = kernels.setdefault("fallbacks", [])
-            reasons.append("left-outer-extension")
-            if kernels.get("mode") == "vectorized":
-                kernels["mode"] = "mixed"
-        report.details["post_join"] = {
-            "left_joins": summary,
-            "vectorized": vectorized,
-        }
-        return JoinResult(
-            variables=tuple(variables),
-            rows=rows,
-            multiplicities=multiplicities,
-        )
-
-    @staticmethod
-    def _left_outer_batch(np, rows, multiplicities, spec, key_positions, key_columns):
-        """One LEFT JOIN extension as a vectorized batch anti-probe.
-
-        Optional-table keys are interned to dense group ids (NULL-keyed
-        rows are dropped — NULL never matches in SQL equality) and sorted
-        by group, so each group's rows are one contiguous slice.  Core rows
-        map to the same ids; match counts, the expanded output layout
-        (``np.repeat`` over per-core-row output counts) and the gather of
-        matching optional-row indices are then single array passes.  The
-        output row order is identical to the row-at-a-time probe: core
-        order, matches in optional-table order, unmatched rows NULL-padded
-        in place.
-        """
-        opt_rows = spec.table.to_rows()
-        group_of: dict = {}
-        opt_group = np.empty(len(opt_rows), dtype=np.int64)
-        for j, optional_row in enumerate(opt_rows):
-            key = tuple(optional_row[column] for column in key_columns)
-            if any(value is None for value in key):
-                opt_group[j] = -1
-            else:
-                opt_group[j] = group_of.setdefault(key, len(group_of))
-        n_groups = len(group_of)
-        kept = np.flatnonzero(opt_group >= 0)
-        kept_groups = opt_group[kept]
-        order = np.argsort(kept_groups, kind="stable")
-        sorted_opt = kept[order]
-        group_starts = np.searchsorted(kept_groups[order], np.arange(n_groups))
-        group_counts = np.bincount(kept_groups, minlength=n_groups).astype(np.int64)
-
-        n = len(rows)
-        core_ids = np.empty(n, dtype=np.int64)
-        for i, row in enumerate(rows):
-            key = tuple(row[position] for position in key_positions)
-            if any(value is None for value in key):
-                core_ids[i] = -1
-            else:
-                core_ids[i] = group_of.get(key, -1)
-        safe_ids = np.maximum(core_ids, 0)
-        counts = np.where(core_ids >= 0, group_counts[safe_ids], 0)
-        matched_mask = counts > 0
-        mult_array = np.asarray(multiplicities, dtype=np.int64)
-        matched = int(mult_array[matched_mask].sum())
-
-        def segment_offsets(segment_counts):
-            total = int(segment_counts.sum())
-            if total == 0:
-                return np.empty(0, dtype=np.int64)
-            starts = np.zeros(len(segment_counts), dtype=np.int64)
-            starts[1:] = np.cumsum(segment_counts[:-1])
-            return np.arange(total, dtype=np.int64) - np.repeat(
-                starts, segment_counts
-            )
-
-        # Output layout: matched core rows occupy `counts` slots, everything
-        # else exactly one NULL-padded slot.
-        out_counts = np.where(matched_mask, counts, 1)
-        out_offsets = np.zeros(n + 1, dtype=np.int64)
-        out_offsets[1:] = np.cumsum(out_counts)
-        total = int(out_offsets[-1])
-        core_out = np.repeat(np.arange(n, dtype=np.int64), out_counts)
-        new_multiplicities = np.repeat(mult_array, out_counts).tolist()
-        opt_out = np.full(total, -1, dtype=np.int64)
-        matched_counts = counts[matched_mask]
-        if matched_counts.size:
-            offsets = segment_offsets(matched_counts)
-            slots = np.repeat(out_offsets[:-1][matched_mask], matched_counts)
-            picks = np.repeat(group_starts[core_ids[matched_mask]], matched_counts)
-            opt_out[slots + offsets] = sorted_opt[picks + offsets]
-
-        padding = (None,) * len(spec.variables)
-        extended_rows = []
-        append = extended_rows.append
-        for core_index, opt_index in zip(core_out.tolist(), opt_out.tolist()):
-            if opt_index < 0:
-                append(rows[core_index] + padding)
-            else:
-                append(rows[core_index] + tuple(opt_rows[opt_index]))
-        return extended_rows, new_multiplicities, matched
-
-    @staticmethod
-    def _left_outer_rowwise(rows, multiplicities, spec, key_positions, key_columns):
-        """The row-at-a-time probe (kernels disabled): hash index per spec."""
-        index: dict = {}
-        for optional_row in spec.table.to_rows():
-            key = tuple(optional_row[column] for column in key_columns)
-            if any(value is None for value in key):
-                continue  # NULL never matches in SQL equality
-            index.setdefault(key, []).append(optional_row)
-        padding = (None,) * len(spec.variables)
-        extended_rows = []
-        extended_multiplicities = []
-        matched = 0
-        for row, multiplicity in zip(rows, multiplicities):
-            key = tuple(row[position] for position in key_positions)
-            matches = None
-            if not any(value is None for value in key):
-                matches = index.get(key)
-            if matches:
-                matched += multiplicity
-                for optional_row in matches:
-                    extended_rows.append(row + tuple(optional_row))
-                    extended_multiplicities.append(multiplicity)
-            else:
-                extended_rows.append(row + padding)
-                extended_multiplicities.append(multiplicity)
-        return extended_rows, extended_multiplicities, matched

@@ -10,11 +10,11 @@ provides the streaming counterpart:
   **bounded** queue as the join recursion produces them.  A full queue blocks
   the producer (backpressure): a slow consumer throttles the join instead of
   letting it race ahead and buffer the entire result.  The sink accepts
-  factorized batches (``accepts_factorized``): the kernel executor ships
-  shared prefixes plus flat factor columns and the Cartesian product is
-  enumerated only here, at the delivery boundary, split across batch
-  boundaries exactly like plain rows — the join itself never materializes
-  the product.
+  factorized batches (``accepts_factorized``): producers ship shared
+  prefixes plus flat factor columns and the Cartesian product is enumerated
+  only here, at the delivery boundary — lazily, ``batch_rows`` rows at a
+  time through the sink's inherited default, so backpressure and deadline
+  checks apply inside a single huge group too.
 * :class:`StreamingAggregateSink` is the **aggregate mode** of the sink:
   instead of shipping raw join rows it folds them (and merged worker
   partials — see :mod:`repro.engine.aggregates`) into per-group-key partial
@@ -39,7 +39,6 @@ cancellation and deadline expiry propagate within one slice.
 
 from __future__ import annotations
 
-import itertools
 import queue
 import threading
 import time
@@ -49,13 +48,10 @@ from repro.datatypes import Row
 from repro.engine.aggregates import (
     AggregateSpec,
     GroupedAggregateState,
-    _RowExpander,
-    _canonical_row_key,
     fold_factorized_batch,
-    fold_group,
-    order_rows,
+    order_and_limit,
 )
-from repro.engine.output import JoinResult, OutputSink, _factorized_group_count
+from repro.engine.output import JoinResult, OutputSink, expand_factorized_batch
 from repro.errors import ExecutionError, QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
@@ -108,6 +104,8 @@ class StreamingSink(OutputSink):
         if max_batches < 1:
             raise QueryError(f"max_batches must be at least 1, got {max_batches}")
         self.batch_rows = batch_rows
+        #: Factorized batches expand one delivery batch at a time.
+        self.expand_rows = batch_rows
         self.interrupt = interrupt
         self._queue: "queue.Queue" = queue.Queue(maxsize=max_batches)
         self._buffer: List[Row] = []
@@ -140,13 +138,6 @@ class StreamingSink(OutputSink):
     def on_rows(
         self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
     ) -> None:
-        """Batch reporting (the kernels' entry point) is :meth:`emit_rows`."""
-        self.emit_rows(rows, multiplicities)
-
-    def emit_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
-    ) -> None:
-        """Report many rows at once (the scheduler's per-task forwarding)."""
         with self._lock:
             buffer = self._buffer
             if multiplicities is None:
@@ -161,53 +152,17 @@ class StreamingSink(OutputSink):
     def on_factorized_batch(
         self, prefix_variables, prefix_columns, factors, multiplicities=None
     ) -> None:
-        """Expand factorized groups into delivered rows, batch by batch.
+        """Count the batch, then expand it through the inherited default.
 
         The stream's contract is flat rows, so this is where the Cartesian
         product is finally enumerated — the producer side (kernel frontier,
-        worker tasks) never materialized it.  Expansion flushes every
-        ``batch_rows`` rows, so backpressure and deadline checks apply
-        inside a single large group too.
+        worker tasks) never materialized it.
         """
-        self.factorized_batches += 1
-        prefix_index = {var: i for i, var in enumerate(prefix_variables)}
-        factor_index = {}
-        for position, (factor_vars, _columns, _offsets) in enumerate(factors):
-            for offset, var in enumerate(factor_vars):
-                factor_index[var] = (position, offset)
-        plan = []
-        for var in self.variables:
-            if var in factor_index:
-                plan.append(factor_index[var])
-            elif var in prefix_index:
-                plan.append((-1, prefix_index[var]))
-            else:
-                raise ExecutionError(
-                    f"factorized batch does not bind output variable {var!r}"
-                )
-        groups = _factorized_group_count(prefix_columns, factors, multiplicities)
-        rows: List[Row] = []
-        for i in range(groups):
-            multiplicity = 1 if multiplicities is None else multiplicities[i]
-            if multiplicity <= 0:
-                continue
-            ranges = [
-                range(offsets[i], offsets[i + 1])
-                for _vars, _columns, offsets in factors
-            ]
-            for choice in itertools.product(*ranges):
-                row = tuple(
-                    prefix_columns[offset][i]
-                    if position < 0
-                    else factors[position][1][offset][choice[position]]
-                    for position, offset in plan
-                )
-                rows.extend([row] * multiplicity)
-            if len(rows) >= self.batch_rows:
-                self.emit_rows(rows)
-                rows = []
-        if rows:
-            self.emit_rows(rows)
+        if factors:
+            self.factorized_batches += 1
+        super().on_factorized_batch(
+            prefix_variables, prefix_columns, factors, multiplicities
+        )
 
     def _put(self, item) -> None:
         """Blocking put with backpressure, interruptible via the token."""
@@ -364,10 +319,9 @@ class StreamingAggregateSink(StreamingSink):
     The sink keeps one :class:`~repro.engine.aggregates.GroupedAggregateState`
     and three producers feed it:
 
-    * serial engines report rows via :meth:`on_row` (and factorized groups
-      via :meth:`on_group`, folded without expansion whenever the group key
-      is bound by the prefix);
-    * batch producers forward pre-collected rows via :meth:`emit_rows`;
+    * serial engines report rows via :meth:`on_row` / :meth:`on_rows` (and
+      factorized batches via :meth:`on_factorized_batch`, folded without
+      expansion whenever the group key is bound by the prefix);
     * the steal scheduler ships each task's *serialized partial* to
       :meth:`emit_partial`, which merges it and flushes the touched groups —
       so a parallel ``GROUP BY`` streams a delta as every worker task
@@ -407,7 +361,6 @@ class StreamingAggregateSink(StreamingSink):
         self._state = GroupedAggregateState(spec)
         self._dirty: set = set()
         self._since_flush = 0
-        self._expander = _RowExpander(spec.variables, self._fold_row_locked)
         # Telemetry (reported under stats()["aggregate"]).
         self.folded_rows = 0
         self.partials_merged = 0
@@ -432,10 +385,9 @@ class StreamingAggregateSink(StreamingSink):
         with self._lock:
             self._fold_row_locked(row, multiplicity)
 
-    def emit_rows(
+    def on_rows(
         self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
     ) -> None:
-        """Fold many rows at once (batch forwarding of pre-collected rows)."""
         with self._lock:
             if multiplicities is None:
                 for row in rows:
@@ -445,49 +397,28 @@ class StreamingAggregateSink(StreamingSink):
                     if multiplicity > 0:
                         self._fold_row_locked(row, multiplicity)
 
-    def on_group(
-        self, prefix, prefix_variables, factors, multiplicity: int = 1
-    ) -> None:
-        """Fold a factorized group, without expanding it when possible."""
-        if multiplicity <= 0:
-            return
-        with self._lock:
-            touched = fold_group(
-                self._state, prefix, prefix_variables, factors, multiplicity
-            )
-            if touched is not None:
-                self._dirty.update(touched)
-                self.folded_rows += 1
-                self._since_flush += 1
-                if self._since_flush >= self.flush_rows:
-                    self._flush_deltas_locked()
-                return
-            # Group key (or an aggregate input) lives inside a factor:
-            # enumerate the product row by row.
-            self._expander.on_group(prefix, prefix_variables, factors, multiplicity)
-
     def on_factorized_batch(
         self, prefix_variables, prefix_columns, factors, multiplicities=None
     ) -> None:
         """Fold factorized batches straight off the factor columns."""
+        batch = (prefix_variables, prefix_columns, factors, multiplicities)
         with self._lock:
-            touched = fold_factorized_batch(
-                self._state, prefix_variables, prefix_columns, factors,
-                multiplicities,
-            )
-            if touched is not None:
-                self.factorized_batches += 1
-                self._dirty.update(touched)
-                self.folded_rows += len(touched)
-                self._since_flush += len(touched)
-                if self._since_flush >= self.flush_rows:
-                    self._flush_deltas_locked()
+            touched = fold_factorized_batch(self._state, *batch)
+            if touched is None:
+                # Group key (or an aggregate input) inside a factor: fold the
+                # expansion row by row.  (The sink's own ``variables`` are the
+                # output labels; join rows are laid out as the spec's.)
+                for row, multiplicity in expand_factorized_batch(
+                    self.spec.variables, *batch
+                ):
+                    self._fold_row_locked(row, multiplicity)
                 return
-        # Unfoldable shape: per-group conversion (re-acquires the lock via
-        # on_group per group, so it must run outside the with block).
-        OutputSink.on_factorized_batch(
-            self, prefix_variables, prefix_columns, factors, multiplicities
-        )
+            self.factorized_batches += 1
+            self._dirty.update(touched)
+            self.folded_rows += len(touched)
+            self._since_flush += len(touched)
+            if self._since_flush >= self.flush_rows:
+                self._flush_deltas_locked()
 
     def emit_partial(self, payload) -> None:
         """Merge one worker task's serialized partial and flush its deltas.
@@ -546,21 +477,6 @@ class StreamingAggregateSink(StreamingSink):
         return merged
 
 
-def _select_topk(rows: List[Row], order_by, limit: int) -> List[Row]:
-    """The rows :func:`~repro.engine.aggregates.finalize_output` would keep.
-
-    Exactly mirrors its ORDER BY + LIMIT tail: :func:`order_rows` for the
-    resolved keys (canonical tiebreak included), canonical order when the
-    query has a bare LIMIT, then truncation.  Because the order is total,
-    the selection is a closed prefix — ``topk(A | B) == topk(topk(A) | B)``
-    — which is what lets the sink prune candidates mid-join.
-    """
-    rows = order_rows(rows, order_by)
-    if not order_by:
-        rows = sorted(rows, key=_canonical_row_key)
-    return rows[:limit]
-
-
 class StreamingTopKSink(StreamingSink):
     """Bounded top-k: ``ORDER BY ... LIMIT n`` without materializing.
 
@@ -568,10 +484,11 @@ class StreamingTopKSink(StreamingSink):
     flat batches, factorized groups (expanded incrementally by the
     inherited :meth:`on_factorized_batch`), forwarded worker batches —
     folds into a candidate set pruned back to the ``limit`` best rows
-    whenever it outgrows its bound, so memory stays ``O(limit +
-    batch_rows)`` however large the join output is.  ``transform`` applies
-    the query's residual predicates and projection *before* ranking
-    (ORDER BY positions address the final SELECT columns).
+    (:func:`~repro.engine.aggregates.order_and_limit`, the final pass's own
+    ORDER BY / LIMIT tail) whenever it outgrows its bound, so memory stays
+    ``O(limit + batch_rows)`` however large the join output is.
+    ``transform`` applies the query's residual predicates and projection
+    *before* ranking (ORDER BY positions address the final SELECT columns).
 
     Delivery is necessarily terminal — no row is safe to ship until every
     candidate has been seen — but the fold happens mid-join: the finalize
@@ -616,9 +533,9 @@ class StreamingTopKSink(StreamingSink):
     def on_row(self, row: Row, multiplicity: int = 1) -> None:
         if multiplicity <= 0:
             return
-        self.emit_rows([row] * multiplicity)
+        self.on_rows([row] * multiplicity)
 
-    def emit_rows(
+    def on_rows(
         self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
     ) -> None:
         if multiplicities is not None:
@@ -639,7 +556,7 @@ class StreamingTopKSink(StreamingSink):
             self._candidates.extend(rows)
             self.candidate_rows += len(rows)
             if len(self._candidates) > self._prune_at:
-                self._candidates = _select_topk(
+                self._candidates = order_and_limit(
                     self._candidates, self.order_by, self.limit
                 )
                 self.prunes += 1
@@ -647,7 +564,7 @@ class StreamingTopKSink(StreamingSink):
     def finish(self) -> None:
         """Sort the survivors, deliver the ordered prefix, close the stream."""
         with self._lock:
-            rows = _select_topk(self._candidates, self.order_by, self.limit)
+            rows = order_and_limit(self._candidates, self.order_by, self.limit)
             self._candidates = []
             for start in range(0, len(rows), self.batch_rows):
                 self._put(rows[start : start + self.batch_rows])

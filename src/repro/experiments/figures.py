@@ -830,20 +830,17 @@ def _time_factorized_star(
 
 
 #: Fallback reasons that must never appear on the headline workloads: the
-#: vectorized path serves factorized sinks directly, and the left-outer
-#: extension runs as a batch anti-probe whenever kernels are on.
-FALLBACK_BUDGET_REASONS = ("factorized-output", "left-outer-extension")
+#: vectorized path serves factorized sinks directly.
+FALLBACK_BUDGET_REASONS = ("factorized-output",)
 
 
 def _fallback_sweep(job, lsqb) -> Dict[str, object]:
-    """Run the headline queries (+ a LEFT JOIN) and count kernel fallbacks.
+    """Run the headline queries and count kernel fallbacks.
 
     Returns a JSON-ready record with one count per budgeted reason plus the
     full observed reason histogram, for the ``--kernels-gate`` fallback
     budget in ``scripts/check_bench_regression.py``.
     """
-    from repro.storage.table import Table
-
     observed: Dict[str, int] = {}
     queries = 0
 
@@ -862,25 +859,6 @@ def _fallback_sweep(job, lsqb) -> Dict[str, object]:
                     query.sql, name=query.name, options=ExecOptions(engine="freejoin")
                 )
             )
-    outer = Database()
-    outer.register(
-        Table.from_rows(
-            "orders",
-            ["id", "cid"],
-            [(i, i % 9 if i % 4 else None) for i in range(200)],
-        )
-    )
-    outer.register(
-        Table.from_rows(
-            "customers", ["id", "region"], [(i, i % 3) for i in range(12)]
-        )
-    )
-    record(
-        outer.execute(
-            "SELECT orders.id, customers.region FROM orders "
-            "LEFT OUTER JOIN customers ON orders.cid = customers.id"
-        )
-    )
     return {
         "queries": queries,
         "observed": observed,
@@ -904,12 +882,11 @@ def run_kernels(
     same-process phases feed the CI gate: a Fig. 19-style factorized star
     delivered into a ``FactorizedSink`` (vectorized factorized batches vs
     the row-at-a-time reference), and a fallback sweep counting kernel
-    fallback reasons across the headline queries plus a ``LEFT OUTER
-    JOIN``.  The ``bench-kernels`` gate
+    fallback reasons across the headline queries.  The ``bench-kernels`` gate
     (``scripts/check_bench_regression.py --kernels-gate``) fails when the
     vectorized wall exceeds half the row-path wall, when factorized
     delivery exceeds 0.6x its row path, or when a budgeted fallback
-    (``factorized-output`` / ``left-outer-extension``) fires at all.
+    (``factorized-output``) fires at all.
     """
     job = generate_job_workload(scale=job_scale, seed=seed)
     lsqb = generate_lsqb_workload(scale_factor=lsqb_scale)

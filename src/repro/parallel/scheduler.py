@@ -78,11 +78,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.aggregates import AggregateSpec, PartialAggregateSink
-from repro.engine.output import (
-    ColumnBatchSink,
-    JoinResult,
-    replay_batches,
-)
+from repro.engine.output import FactorizedSink, JoinResult
 from repro.engine.pipeline import PhysicalPipeline, PipelineState, make_sink, run_range
 from repro.errors import DeadlineExceeded, ExecutionError, QueryCancelled
 from repro.kernels import (
@@ -290,15 +286,14 @@ def _task_sink(
     through an aggregate sink) the task folds its rows into a
     :class:`PartialAggregateSink` instead of materializing them — the
     typed partial-result protocol between workers and parent.  ``batches``
-    (a row stream whose consumer accepts factorized batches) collects
-    columnar batches instead of row tuples, so kernel output — factorized
-    groups included — crosses the worker boundary without Cartesian
-    expansion.
+    (a row stream whose consumer accepts factorized batches) keeps the
+    task's output as factorized batches instead of row tuples, so kernel
+    output crosses the worker boundary without Cartesian expansion.
     """
     if aggregate is not None:
         return PartialAggregateSink(aggregate)
     if batches:
-        return ColumnBatchSink(output_variables)
+        return FactorizedSink(output_variables)
     return make_sink(output, output_variables)
 
 
@@ -316,17 +311,17 @@ def _task_outcome(
             "stats": stats,
             "outputs": sink.folded,
         }
-    if isinstance(sink, ColumnBatchSink):
+    result = sink.result()
+    if result.batches is not None:
         return {
             "task_id": task.task_id,
             "rows": [],
             "multiplicities": [],
             "count": 0,
-            "batches": sink.batches(),
+            "batches": result.batches,
             "stats": stats,
-            "outputs": sink.rows_delivered,
+            "outputs": result.count(),
         }
-    result = sink.result()
     outputs = result.count_only or 0 if output == "count" else len(result.rows)
     return {
         "task_id": task.task_id,
@@ -342,8 +337,8 @@ def _forward_stream(stream, outcome: Dict[str, object]) -> None:
     """Ship one task's output to the streaming consumer (with backpressure).
 
     Dispatches on the outcome's payload: a serialized aggregate partial, a
-    list of columnar batches (replayed through the sink's batch surface, so
-    factorized groups expand — if at all — only at the delivery boundary),
+    list of factorized batches (replayed through the sink's batch surface,
+    so groups expand — if at all — only at the delivery boundary),
     or plain rows.  The shipped payload is stripped from the outcome so
     only telemetry is kept and merged.
     """
@@ -353,9 +348,10 @@ def _forward_stream(stream, outcome: Dict[str, object]) -> None:
         return
     batches = outcome.pop("batches", None)
     if batches is not None:
-        replay_batches(stream, batches)
+        for batch in batches:
+            stream.on_factorized_batch(*batch)
         return
-    stream.emit_rows(outcome["rows"], outcome["multiplicities"])
+    stream.on_rows(outcome["rows"], outcome["multiplicities"])
     outcome["rows"] = []
     outcome["multiplicities"] = []
 

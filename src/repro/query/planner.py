@@ -16,9 +16,9 @@ ORDER BY / LIMIT / DISTINCT, and left-outer extensions).
 ``LEFT OUTER JOIN`` items are *excluded* from the conjunctive query — the
 core inner join runs unchanged on whichever engine was selected (the
 vectorized kernels still apply to it) and each optional table becomes a
-:class:`LeftJoinSpec` the session applies as a post-join hash extension
-(:meth:`repro.engine.session.Database._extend_left_outer`): matching rows
-are appended, unmatched core rows are NULL-padded.  Single-alias conjuncts
+:class:`LeftJoinSpec` the post-join pass applies as a hash extension
+(:func:`repro.engine.aggregates.post_join`): matching rows are appended,
+unmatched core rows are NULL-padded.  Single-alias conjuncts
 of the ``ON`` condition are pushed down into the optional table at plan
 time, exactly like WHERE pushdown on core atoms.
 """
@@ -102,6 +102,22 @@ class LogicalQuery:
     def has_aggregates(self) -> bool:
         """Whether any SELECT item is an aggregate."""
         return any(item.is_aggregate() for item in self.select_items)
+
+    def only_count_star(self) -> bool:
+        """Whether the SELECT list is grouping-free ``COUNT(*)`` items only.
+
+        A bare row count answers such a query: the session picks a count-only
+        sink for it and the aggregation reads the total off the join result.
+        """
+        return (
+            not self.select_star
+            and bool(self.select_items)
+            and not self.group_by
+            and all(
+                item.function == "COUNT" and item.variable is None
+                for item in self.select_items
+            )
+        )
 
     def needs_final_pass(self) -> bool:
         """Whether the query has post-aggregation work (HAVING/ORDER/LIMIT/DISTINCT)."""

@@ -89,16 +89,7 @@ def extract_features(
     else:
         statistics = collect_statistics(query)
     row_counts = [stats.row_count for stats in statistics.values()]
-    count_only = (
-        not logical.select_star
-        and bool(logical.select_items)
-        and all(
-            item.function == "COUNT" and item.variable is None
-            for item in logical.select_items
-        )
-        and not logical.group_by
-        and not logical.residual_predicates
-    )
+    count_only = logical.only_count_star() and not logical.residual_predicates
     return QueryFeatures(
         atoms=len(query.atoms),
         total_rows=sum(row_counts),

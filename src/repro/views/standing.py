@@ -338,10 +338,10 @@ class StandingQuery:
         spec_layout = tuple(self._state.spec.variables)
         if (
             tuple(result.variables) != spec_layout
-            and result.groups is None
+            and result.batches is None
             and result.count_only is None
         ):
-            # Flat rows assume the seed's layout; factorized groups and
+            # Flat rows assume the seed's layout; factorized batches and
             # count-only results remap by variable name inside the fold.
             perm = [result.variables.index(var) for var in spec_layout]
             result = JoinResult(
@@ -363,7 +363,7 @@ class StandingQuery:
             self._deliver_keyed_diff(old_table, outcome.table)
         else:
             # No usable group key: deliver the full new snapshot.
-            self._sink.emit_rows(outcome.table.to_rows())
+            self._sink.on_rows(outcome.table.to_rows())
             self._sink.flush()
 
     def _reseed(self) -> None:
@@ -379,7 +379,7 @@ class StandingQuery:
             fold_join_result(self._state, outcome.join_result)
         else:
             self._snapshot = outcome.table
-        self._sink.emit_rows(self.snapshot().to_rows())
+        self._sink.on_rows(self.snapshot().to_rows())
         self._sink.flush()
 
     def _refresh_options(self) -> ExecOptions:
@@ -394,7 +394,7 @@ class StandingQuery:
         keys = sorted(set(touched), key=repr)
         if not keys:
             return
-        self._sink.emit_rows([self._state.finalize_key(key) for key in keys])
+        self._sink.on_rows([self._state.finalize_key(key) for key in keys])
         self._sink.flush()
 
     def _deliver_keyed_diff(self, old_table: Table, new_table: Table) -> None:
@@ -409,7 +409,7 @@ class StandingQuery:
         ]
         if not changed:
             return
-        self._sink.emit_rows(changed)
+        self._sink.on_rows(changed)
         self._sink.flush()
 
     def _usable_key_positions(self, logical: LogicalQuery) -> Optional[List[int]]:

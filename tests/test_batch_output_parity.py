@@ -229,42 +229,86 @@ def test_bare_limit_streams_through_topk_sink():
 
 
 # --------------------------------------------------------------------------- #
-# Vectorized left-outer extension matches the row-wise probe
+# LEFT JOIN differential: one hash probe, identical on every configuration
 # --------------------------------------------------------------------------- #
 
+#: ``orders`` x ``lines`` is the core join; ``lines`` contributes no output
+#: column, so the kernels fold it into core multiplicities > 1.  NULL keys on
+#: both sides, duplicate optional rows (customers 1 and 2), unmatched core
+#: rows (cid 0, 4-8 and NULL) and an optional row nobody matches (id 10).
+LEFT_JOIN_SQL = (
+    "SELECT o.id, o.cid, c.region FROM orders AS o, lines AS l "
+    "LEFT OUTER JOIN customers AS c ON o.cid = c.id WHERE l.oid = o.id"
+)
 
-def _left_outer_db():
-    db = Database()
+
+def _left_outer_db(**session):
+    db = Database(**session)
     db.register(
         Table.from_rows(
             "orders",
             ["id", "cid"],
-            [(i, i % 9 if i % 4 else None) for i in range(30)],
+            [(i, None if i % 4 == 0 else i % 9) for i in range(30)],
         )
+    )
+    db.register(
+        Table.from_rows("lines", ["oid"], [(i % 30,) for i in range(75)])
     )
     db.register(
         Table.from_rows(
             "customers",
             ["id", "region"],
-            [(i, i % 3) for i in range(6)],
+            [(1, "n"), (1, "s"), (2, "e"), (2, "e"), (3, None), (10, "w"), (None, "x")],
         )
     )
     return db
 
 
-def test_left_outer_extension_vectorized_matches_rowwise():
-    sql = (
-        "SELECT orders.id, customers.region FROM orders "
-        "LEFT OUTER JOIN customers ON orders.cid = customers.id"
-    )
-    with kernels_enabled(True):
-        fast = _left_outer_db().execute(sql)
-    with kernels_enabled(False):
-        slow = _left_outer_db().execute(sql)
-    assert sorted(fast.rows(), key=repr) == sorted(slow.rows(), key=repr)
-    assert fast.report.details["post_join"]["vectorized"] is True
-    assert slow.report.details["post_join"]["vectorized"] is False
-    fast_fallbacks = fast.report.details.get("kernels", {}).get("fallbacks", [])
-    slow_fallbacks = slow.report.details.get("kernels", {}).get("fallbacks", [])
-    assert "left-outer-extension" not in fast_fallbacks
-    assert "left-outer-extension" in slow_fallbacks
+def test_left_join_is_identical_across_engines_kernels_and_backends():
+    from repro.experiments.differential import canonicalize, reference_rows
+    from repro.query.sql import parse_sql
+
+    # Core row order is the engine's business; ORDER BY pins it, so the
+    # tables must then agree byte for byte, row order included.
+    ordered_sql = LEFT_JOIN_SQL + " ORDER BY o.id DESC, c.region"
+    catalog = _left_outer_db().catalog
+    expected = canonicalize(reference_rows(catalog, parse_sql(LEFT_JOIN_SQL)), False)
+    assert any(row[2] is None for row in expected)  # padded rows exist
+    ordered_tables = set()
+    for session in ({}, {"parallelism": 2, "parallel_mode": "thread"}):
+        for kernels in (True, False):
+            for engine in ENGINES:
+                options = ExecOptions(engine=engine)
+                with kernels_enabled(kernels):
+                    db = _left_outer_db(**session)
+                    outcome = db.execute(LEFT_JOIN_SQL, options=options)
+                    ordered_tables.add(repr(db.execute(ordered_sql, options=options).rows()))
+                assert canonicalize(outcome.rows(), False) == expected
+                assert outcome.report.details["post_join"] == {
+                    "left_joins": [
+                        {"alias": "c", "matched_core_rows": 21, "rows_after": 91}
+                    ]
+                }
+                assert "left-outer-extension" not in outcome.report.details[
+                    "kernels"
+                ].get("fallbacks", [])
+    assert len(ordered_tables) == 1
+
+
+def test_left_outer_probe_ignores_repro_kernels():
+    """Same core rows in, same extended rows out — in order — on and off."""
+    from repro.engine.aggregates import post_join
+    from repro.engine.output import JoinResult
+    from repro.query.planner import Planner
+
+    logical = Planner(_left_outer_db().catalog).plan_sql(LEFT_JOIN_SQL)
+    assert tuple(logical.query.output_variables) == ("l_oid", "o_cid")
+    rows = [(i % 30, None if i % 4 == 0 else i % 9) for i in range(40)]
+    multiplicities = [1 + i % 3 for i in range(40)]
+    tables = []
+    for kernels in (True, False):
+        with kernels_enabled(kernels):
+            core = JoinResult(("l_oid", "o_cid"), list(rows), list(multiplicities))
+            tables.append(post_join(core, logical, {})[1].to_rows())
+    assert tables[0] == tables[1]
+    assert tables[0][:4] == [(0, None, None), (1, 1, "n"), (1, 1, "n"), (1, 1, "s")]

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engine.options import ExecOptions
-from repro.engine.output import CountSink, FactorizedSink, JoinResult, RowSink
+from repro.engine.output import CountSink, JoinResult, RowSink
 from repro.engine.session import Database
 from repro.errors import ExecutionError, QueryError
 from repro.storage.table import Table
@@ -22,38 +22,11 @@ class TestSinks:
     def test_count_sink(self):
         sink = CountSink(["x"])
         sink.on_row((1,), 3)
-        sink.on_group((7,), ["x"], [], 2)
+        sink.on_rows([(7,), (8,)])
         result = sink.result()
         assert result.count() == 5
         with pytest.raises(ExecutionError):
             list(result.iter_rows())
-
-    def test_group_expansion_in_row_sink(self):
-        sink = RowSink(["x", "a", "b"])
-        sink.on_group(
-            prefix=(1,),
-            prefix_variables=["x"],
-            factors=[(("a",), [(10,), (11,)]), (("b",), [(20,)])],
-            multiplicity=2,
-        )
-        result = sink.result()
-        assert sorted(result.iter_rows()) == [
-            (1, 10, 20), (1, 10, 20), (1, 11, 20), (1, 11, 20),
-        ]
-
-    def test_group_missing_variable_rejected(self):
-        sink = RowSink(["x", "missing"])
-        with pytest.raises(ExecutionError):
-            sink.on_group((1,), ["x"], [], 1)
-
-    def test_factorized_sink_counts_without_expansion(self):
-        sink = FactorizedSink(["x", "a", "b"])
-        sink.on_group((1,), ["x"], [(("a",), [(1,)] * 10), (("b",), [(2,)] * 10)], 1)
-        result = sink.result()
-        assert result.is_factorized()
-        assert result.count() == 100
-        assert len(result.groups) == 1
-        assert len(list(result.iter_rows())) == 100
 
     def test_same_bag_across_variable_orders(self):
         first = JoinResult(("x", "y"), rows=[(1, 2)], multiplicities=[1])

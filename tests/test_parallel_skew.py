@@ -236,10 +236,17 @@ def test_steal_spreads_hot_keys_across_workers(hot_block, backend):
     the mean (spread > 2.5, the ratio the retired range scheduler showed
     here).  Work stealing splits the block into per-key tasks that end up on
     different workers, so the spread must stay near balanced.
+
+    Which worker steals which hot key is a race, and one worker drawing two
+    of the four is a legal outcome: its output is then 2/4 of the hot rows
+    plus a sliver of cold ones, a spread of 2.0005-2.0011 on this instance.
+    The gate therefore sits strictly between that outcome and the 2.5 of a
+    scheduler that does not spread the block at all — not on 2.0 itself,
+    where it failed about one run in thirty.
     """
     steal_detail = _run_hot_block(hot_block, backend)
     steal_spread = _work_spread(steal_detail)
-    assert steal_spread <= 2.0, (steal_detail, steal_spread)
+    assert steal_spread <= 2.25, (steal_detail, steal_spread)
 
 
 def test_steal_mode_records_steals_and_queue_stats(hot_block):

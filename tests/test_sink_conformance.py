@@ -1,0 +1,295 @@
+"""One conformance matrix for the output plane's sink contract.
+
+A sink's producer surface is the chain ``on_row <- on_rows <- on_batch <-
+on_factorized_batch``; a sink implements ``on_row`` and overrides the others
+only to be cheaper.  So for **every sink class x every entry point x every
+input shape** the observable result — row bag, count, or aggregate rows —
+must equal what the same sink class produces when the *reference expansion*
+of that input is fed through ``on_row`` one tuple at a time.
+
+The reference expansion (:func:`reference_pairs`) is an independent naive
+enumerator over variable environments; it shares no code with
+:func:`repro.engine.output.expand_factorized_batch`.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import pytest
+
+from repro.engine.aggregates import AggregateSpec, PartialAggregateSink
+from repro.engine.output import CountSink, FactorizedSink, RowSink
+from repro.engine.streaming import (
+    StreamingAggregateSink,
+    StreamingSink,
+    StreamingTopKSink,
+    collapse_grouped_batches,
+)
+from repro.errors import ExecutionError
+from repro.query.planner import ResolvedOrderItem
+
+BATCH_ROWS = 3  # small, so every streamed case splits across deliveries
+
+# --------------------------------------------------------------------------- #
+# Input shapes: one factorized batch each (the one factorized shape)
+# --------------------------------------------------------------------------- #
+
+#: name -> (variables, prefix_variables, prefix_columns, factors, multiplicities)
+CASES = {
+    # Flat rows in factorized clothing, every multiplicity 1.
+    "flat-multiplicities-none": (
+        ("x", "y", "z"),
+        ("x", "y", "z"),
+        [[1, 1, 2, 3], [10, 11, 10, None], [5, 6, 7, 8]],
+        [],
+        None,
+    ),
+    # Bag multiplicities, including a 0 (not in the bag) and repeats.
+    "flat-multiplicities-mixed": (
+        ("x", "y", "z"),
+        ("x", "y", "z"),
+        [[1, 1, 2, 3], [10, 11, 10, 12], [5, 6, 7, 8]],
+        [],
+        [2, 0, 1, 3],
+    ),
+    # Two independent factors, multiplicities, output order != batch layout.
+    "two-factors-permuted": (
+        ("z", "x", "y"),
+        ("x",),
+        [[1, 2]],
+        [
+            (("y",), [[10, 11, None, 12]], [0, 3, 4]),
+            (("z",), [[5, 6, 7]], [0, 2, 3]),
+        ],
+        [3, 1],
+    ),
+    # The second group's only factor is empty: it contributes no rows (and,
+    # for grouped aggregates, no phantom group for x = 2).
+    "empty-factor": (
+        ("x", "y", "z"),
+        ("x", "z"),
+        [[1, 2], [5, 6]],
+        [(("y",), [[10, 11]], [0, 2, 2])],
+        None,
+    ),
+    # A zero-multiplicity group with non-empty factors.
+    "factor-multiplicity-zero": (
+        ("x", "y", "z"),
+        ("x", "z"),
+        [[1, 2], [5, 6]],
+        [(("y",), [[10, 11, 12]], [0, 2, 3])],
+        [0, 2],
+    ),
+    # The aggregate sinks group by ``x`` — here ``x`` lives inside a factor,
+    # so the fold cannot use the prefix as the group key.
+    "group-key-inside-factor": (
+        ("x", "y", "z"),
+        ("z",),
+        [[5, 6]],
+        [(("x", "y"), [[1, 2, 1], [10, 11, 12]], [0, 2, 3])],
+        [2, 1],
+    ),
+    # No output columns at all: only the multiplicities carry the rows.
+    "zero-columns": ((), (), [], [], [2, 0, 1]),
+}
+
+
+def reference_pairs(case):
+    """Naive ``(row, multiplicity)`` expansion of one case, zeros included."""
+    variables, prefix_variables, prefix_columns, factors, multiplicities = case
+    if prefix_columns:
+        groups = len(prefix_columns[0])
+    elif factors:
+        groups = len(factors[0][2]) - 1
+    else:
+        groups = len(multiplicities or ())
+    pairs = []
+    for group in range(groups):
+        env = {var: column[group] for var, column in zip(prefix_variables, prefix_columns)}
+        segments = []
+        for factor_variables, columns, offsets in factors:
+            segments.append(
+                [
+                    {var: column[j] for var, column in zip(factor_variables, columns)}
+                    for j in range(offsets[group], offsets[group + 1])
+                ]
+            )
+        multiplicity = 1 if multiplicities is None else multiplicities[group]
+        for choice in itertools.product(*segments):
+            bound = dict(env)
+            for part in choice:
+                bound.update(part)
+            pairs.append((tuple(bound[var] for var in variables), multiplicity))
+    return pairs
+
+
+# --------------------------------------------------------------------------- #
+# Sinks: how to build one for a case, and what to observe afterwards
+# --------------------------------------------------------------------------- #
+
+
+def _spec(variables) -> AggregateSpec:
+    if not variables:
+        return AggregateSpec(items=(("COUNT", None, "n"),), group_by=(), variables=())
+    return AggregateSpec(
+        items=(
+            (None, "x", "x"),
+            ("COUNT", None, "n"),
+            ("COUNT", "y", "ny"),
+            ("SUM", "y", "sy"),
+            ("MIN", "z", "lo"),
+            ("MAX", "z", "hi"),
+        ),
+        group_by=("x",),
+        variables=tuple(variables),
+    )
+
+
+def _delivered(sink) -> list:
+    """Finish a streaming sink and drain it, checking the batch bound."""
+    sink.finish()
+    batches = []
+    while (batch := sink.next_batch()) is not None:
+        assert 0 < len(batch) <= BATCH_ROWS
+        batches.append(batch)
+    return batches
+
+
+def _stream_kwargs():
+    # Nobody consumes while the test produces: the queue must hold it all.
+    return dict(batch_rows=BATCH_ROWS, max_batches=10_000)
+
+
+SINKS = {
+    "RowSink": (
+        lambda variables: RowSink(variables),
+        lambda sink: sorted(sink.result().iter_rows(), key=repr),
+    ),
+    "CountSink": (
+        lambda variables: CountSink(variables),
+        lambda sink: sink.result().count(),
+    ),
+    "FactorizedSink": (
+        lambda variables: FactorizedSink(variables),
+        lambda sink: (
+            sink.result().count(),
+            sorted(sink.result().iter_rows(), key=repr),
+        ),
+    ),
+    "PartialAggregateSink": (
+        lambda variables: PartialAggregateSink(_spec(variables)),
+        lambda sink: sink.state.finalize_rows(),
+    ),
+    "StreamingSink": (
+        lambda variables: StreamingSink(variables, **_stream_kwargs()),
+        lambda sink: sorted(
+            itertools.chain.from_iterable(_delivered(sink)), key=repr
+        ),
+    ),
+    "StreamingAggregateSink": (
+        lambda variables: StreamingAggregateSink(
+            _spec(variables), flush_rows=2, **_stream_kwargs()
+        ),
+        lambda sink: collapse_grouped_batches(
+            _delivered(sink), [0] if sink.spec.group_by else []
+        ),
+    ),
+    "StreamingTopKSink": (
+        lambda variables: StreamingTopKSink(
+            variables,
+            limit=4,
+            order_by=[ResolvedOrderItem(0, True)] if variables else [],
+            **_stream_kwargs(),
+        ),
+        lambda sink: list(itertools.chain.from_iterable(_delivered(sink))),
+    ),
+}
+
+
+def _feed(sink, entry, case) -> None:
+    pairs = reference_pairs(case)
+    rows = [row for row, _multiplicity in pairs]
+    multiplicities = None if case[4] is None else [m for _row, m in pairs]
+    if entry == "on_row":
+        for row, multiplicity in pairs:
+            sink.on_row(row, multiplicity)
+    elif entry == "on_rows":
+        sink.on_rows(rows, multiplicities)
+    elif entry == "on_batch":
+        sink.on_batch([list(column) for column in zip(*rows)], multiplicities)
+    else:
+        sink.on_factorized_batch(*case[1:])
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES))
+@pytest.mark.parametrize(
+    "entry", ["on_row", "on_rows", "on_batch", "on_factorized_batch"]
+)
+@pytest.mark.parametrize("sink_name", sorted(SINKS))
+def test_every_entry_point_matches_the_reference_through_on_row(
+    sink_name, entry, case_name
+):
+    make, observe = SINKS[sink_name]
+    case = CASES[case_name]
+    reference = make(case[0])
+    _feed(reference, "on_row", case)
+    sink = make(case[0])
+    _feed(sink, entry, case)
+    assert observe(sink) == observe(reference)
+
+
+def test_reference_expansion_is_what_the_cases_say():
+    """Pin the oracle itself on the one case worth reading by hand."""
+    assert reference_pairs(CASES["two-factors-permuted"]) == [
+        ((5, 1, 10), 3), ((6, 1, 10), 3),
+        ((5, 1, 11), 3), ((6, 1, 11), 3),
+        ((5, 1, None), 3), ((6, 1, None), 3),
+        ((7, 2, 12), 1),
+    ]
+
+
+# --------------------------------------------------------------------------- #
+# What the matrix cannot see: *how* a sink got there
+# --------------------------------------------------------------------------- #
+
+
+def test_prefix_keyed_groups_fold_without_expansion():
+    """A group whose key is in the prefix is one fold, not 100 rows."""
+    spec = AggregateSpec(
+        items=(("COUNT", None, "n"),), group_by=("x",), variables=("x", "y")
+    )
+    batch = (("x",), [[5]], [(("y",), [list(range(100))], [0, 100])], [2])
+    partial = PartialAggregateSink(spec)
+    partial.on_factorized_batch(*batch)
+    assert partial.folded == 1
+    [(key, (packed,))] = partial.payload()
+    assert key == (5,) and packed[0] == 200  # multiplicity * factor size
+
+    streaming = StreamingAggregateSink(spec, **_stream_kwargs())
+    streaming.on_factorized_batch(*batch)
+    assert streaming.aggregate_stats()["folded_rows"] == 1
+    assert streaming.stats()["factorized_batches"] == 1
+
+
+def test_factorized_sink_stores_batches_unexpanded():
+    sink = FactorizedSink(["x", "a", "b"])
+    sink.on_row((0, 0, 0), 1)  # row-at-a-time producers interleave in order
+    sink.on_factorized_batch(
+        ("x",), [[1]], [(("a",), [[1] * 10], [0, 10]), (("b",), [[2] * 10], [0, 10])]
+    )
+    result = sink.result()
+    assert result.is_factorized()
+    assert result.count() == 101
+    assert len(result.batches) == 2
+    rows = list(result.iter_rows())
+    assert rows[0] == (0, 0, 0) and rows[1:] == [(1, 1, 2)] * 100
+
+
+@pytest.mark.parametrize("sink_name", ["RowSink", "FactorizedSink", "StreamingSink"])
+def test_unbound_output_variable_is_rejected(sink_name):
+    make, observe = SINKS[sink_name]
+    sink = make(("x", "missing"))
+    with pytest.raises(ExecutionError):
+        sink.on_factorized_batch(("x",), [[1]], [(("y",), [[2]], [0, 1])])
+        observe(sink)  # the factorized sink only expands when read

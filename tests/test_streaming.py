@@ -108,24 +108,37 @@ def test_streaming_sink_batches_and_finish():
     assert sink.stats()["rows"] == 9
 
 
-def test_streaming_sink_factorized_groups_expand_across_batches():
-    """on_group products split at batch boundaries like plain rows."""
-    sink = StreamingSink(("x", "y"), batch_rows=4, max_batches=8)
-    sink.on_group(
-        prefix=(),
-        prefix_variables=(),
-        factors=[(("x",), [(1,), (2,), (3,)]), (("y",), [(7,), (8,)])],
-        multiplicity=1,
+def test_streaming_sink_expands_one_huge_group_lazily():
+    """Backpressure and the deadline apply *inside* a single large group.
+
+    One group whose Cartesian product is 100x ``batch_rows`` streams into a
+    one-slot queue nobody drains.  The sink must deliver the first batch and
+    then stall on the second put until the deadline fires — having only ever
+    buffered a couple of batches, never the whole product.  (It used to
+    materialize the entire product before the first put.)
+    """
+    batch_rows = 8
+    buffered = []
+
+    class WatchedSink(StreamingSink):
+        def _put(self, item):
+            buffered.append(len(self._buffer))
+            super()._put(item)
+
+    sink = WatchedSink(
+        ("x", "y"),
+        batch_rows=batch_rows,
+        max_batches=1,
+        interrupt=DeadlineToken.after(0.3),
     )
-    sink.finish()
-    rows = []
-    while True:
-        batch = sink.next_batch()
-        if batch is None:
-            break
-        assert len(batch) <= 4
-        rows.extend(batch)
-    assert sorted(rows) == sorted((x, y) for x in (1, 2, 3) for y in (7, 8))
+    side = list(range(30))  # 30 x 30 = 900 rows >= 100 x batch_rows
+    with pytest.raises(DeadlineExceeded):
+        sink.on_factorized_batch(
+            (), [], [(("x",), [side], [0, 30]), (("y",), [side], [0, 30])]
+        )
+    assert sink.batches_put == 1  # the first batch got out before the stall
+    assert sink.next_batch() == [(0, y) for y in range(batch_rows)]
+    assert max(buffered) <= 2 * batch_rows
 
 
 def test_streaming_sink_backpressure_blocks_producer():
