@@ -1,17 +1,24 @@
-"""Aggregation-plane benchmarks: grouped-aggregate streaming and parallelism.
+"""Aggregation-plane benchmarks: folding in the sink, streamed and parallel.
 
-The acceptance gates from the partial-aggregate tentpole, on the shared
+The acceptance gates of the partial-aggregate plane, on the shared
 Zipf-skewed fan-out workload (:func:`repro.workloads.synthetic.fanout_tables`
 with ``skew > 0`` — the hot-key shape the paper's grouped workloads take):
 
-* **first-group-batch latency**: ``execute_iter`` of a ``GROUP BY`` query
-  must deliver its first group-delta batch in at most
-  :data:`FIRST_GROUP_BATCH_GATE` times the materialized grouped-aggregate
-  wall clock — the whole point of streaming aggregation is that grouped
-  consumers stop paying full-join time-to-first-byte;
+* **aggregating never materializes the join**: grouped ``execute()`` folds
+  the factorized join output in its sink, so it must take at most
+  :data:`FOLD_VS_ROWS_GATE` times ``execute()`` of the *same join* with a
+  row-returning SELECT list — the one thing that still materializes.  (The
+  gate used to compare the stream's first batch against the materialized
+  grouped aggregate; ``execute()`` no longer materializes, so that
+  denominator is gone.)
+* **streaming costs delivery, nothing else**: draining the grouped
+  ``execute_iter`` stream runs the same fold plus the delta queue, so it
+  must stay within :data:`STREAM_VS_EXECUTE_GATE` of grouped ``execute()``;
+  the first batch arrives no later than the drain ends, so this also bounds
+  time-to-first-group.
 * **parallel grouped aggregation**: draining the grouped stream on a
   4-process-worker session must take at most :data:`PARALLEL_AGG_GATE`
-  times the serial materialized execution.  Workers fold their tasks' rows
+  times the serial grouped ``execute()``.  Workers fold their tasks' output
   into partials, so only (tiny) per-group states cross the process boundary
   — this gate pins that win in wall-clock terms and therefore only runs on
   the multi-core CI job (``REPRO_BENCH_MULTICORE=1``).
@@ -23,6 +30,7 @@ and the benchmark-history trend gate tracks it PR over PR.
 
 from __future__ import annotations
 
+import gc
 import os
 import statistics
 import time
@@ -33,13 +41,14 @@ from benchmarks.conftest import BENCH_SMOKE, JOB_SEED
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.engine.streaming import collapse_grouped_batches
-from repro.workloads.synthetic import FANOUT_GROUP_SQL, fanout_tables
+from repro.workloads.synthetic import FANOUT_GROUP_SQL, FANOUT_SQL, fanout_tables
 
-#: First group-delta batch must arrive within this fraction of the
-#: materialized grouped-aggregate wall clock.
-FIRST_GROUP_BATCH_GATE = 0.6
-#: Parallel grouped-aggregate drain (4 process workers) vs serial
-#: materialized execution.
+#: Grouped ``execute()`` vs ``execute()`` of the same join returning rows.
+FOLD_VS_ROWS_GATE = 0.6
+#: Drained grouped ``execute_iter`` vs grouped ``execute()``.
+STREAM_VS_EXECUTE_GATE = 1.25
+#: Parallel grouped-aggregate drain (4 process workers) vs serial grouped
+#: ``execute()``.
 PARALLEL_AGG_GATE = 0.8
 PARALLEL_WORKERS = 4
 #: Zipf skew of the join keys; concentrates the fan-out on hot keys, the
@@ -72,38 +81,82 @@ def _median(callable_, rounds: int = ROUNDS):
     return statistics.median(seconds), result
 
 
-def test_first_group_batch_beats_materialized_aggregate(benchmark):
-    """The latency gate: first group delta <= 0.6x materialized aggregate."""
+def test_grouped_aggregate_beats_materializing_the_join(benchmark):
+    """Folding in the sink: grouped execute() <= 0.6x the row-returning join."""
+    database = _aggregation_database()
+    expected_rows = database.execute(FANOUT_SQL).join_result.count()
+    grouped = database.execute(FANOUT_GROUP_SQL)
+    assert grouped.join_result.count() == expected_rows  # same join, folded
+
+    def materialized():
+        assert len(database.execute(FANOUT_SQL).rows()) == expected_rows
+
+    rows_median, _ = _median(materialized)
+
+    def folded():
+        assert database.execute(FANOUT_GROUP_SQL).rows() == grouped.rows()
+
+    benchmark.pedantic(folded, rounds=ROUNDS, iterations=1)
+    folded_median = statistics.median(benchmark.stats.stats.data)
+    ratio = folded_median / rows_median
+    print(
+        f"\ngrouped aggregate ({len(grouped.rows())} groups over {expected_rows} "
+        f"join rows, zipf({ZIPF_SKEW})): rows {rows_median * 1000:.1f} ms, "
+        f"grouped {folded_median * 1000:.1f} ms, ratio {ratio:.3f} "
+        f"(gate <= {FOLD_VS_ROWS_GATE})"
+    )
+    assert ratio <= FOLD_VS_ROWS_GATE, (
+        f"a grouped aggregate must cost at most {FOLD_VS_ROWS_GATE}x "
+        f"materializing the same join; got {ratio:.3f} "
+        f"({folded_median:.4f} s vs {rows_median:.4f} s)"
+    )
+
+
+def test_drained_grouped_stream_tracks_execute(benchmark):
+    """Streaming = the same fold + delivery: drain <= 1.25x grouped execute()."""
     database = _aggregation_database()
     expected = database.execute(FANOUT_GROUP_SQL).rows()
 
-    def materialized():
-        rows = database.execute(FANOUT_GROUP_SQL).rows()
-        assert rows == expected
-        return rows
+    execute_seconds = []
 
-    full_median, _ = _median(materialized)
+    def executed_then_quiet():
+        # Both sides allocate a 2M-element factor column, so whichever one a
+        # full collection lands in reads up to 1.4x slower (and in a long
+        # pytest session it systematically was the second).  Like the e2e
+        # harness, collect outside the timed regions and keep the collector
+        # off inside them.
+        gc.collect()
+        gc.disable()
+        started = time.perf_counter()
+        assert database.execute(FANOUT_GROUP_SQL).rows() == expected
+        execute_seconds.append(time.perf_counter() - started)
+        gc.collect()
 
-    def first_group_batch():
+    def drained():
         stream = database.execute_iter(FANOUT_GROUP_SQL, options=ExecOptions(batch_rows=256))
-        batch = stream.next_batch()
-        assert batch, "grouped stream must yield a non-empty first batch"
-        stream.close()
-        return batch
+        assert collapse_grouped_batches(list(stream), [0]) == expected
 
-    benchmark.pedantic(first_group_batch, rounds=ROUNDS, iterations=1)
-    first_median = statistics.median(benchmark.stats.stats.data)
-    ratio = first_median / full_median
+    # The two sides are the same ~0.2 s fold, so the expected ratio is ~1.0
+    # and the estimator has to be steadier than median-of-three: alternate
+    # them (execute() is each round's untimed setup) and compare best rounds
+    # (a neighbour only ever adds time).
+    try:
+        benchmark.pedantic(drained, setup=executed_then_quiet, rounds=5, iterations=1)
+    finally:
+        gc.enable()
+    execute_best = min(execute_seconds)
+    drain_best = min(benchmark.stats.stats.data)
+    ratio = drain_best / execute_best
     print(
         f"\ngrouped-aggregate stream ({len(expected)} groups, zipf({ZIPF_SKEW})): "
-        f"materialized {full_median * 1000:.1f} ms, first group batch "
-        f"{first_median * 1000:.1f} ms, ratio {ratio:.3f} "
-        f"(gate <= {FIRST_GROUP_BATCH_GATE})"
+        f"execute {execute_best * 1000:.1f} ms, drained stream "
+        f"{drain_best * 1000:.1f} ms, ratio {ratio:.3f} "
+        f"(gate <= {STREAM_VS_EXECUTE_GATE})"
     )
-    assert ratio <= FIRST_GROUP_BATCH_GATE, (
-        f"first-group-batch latency must be at most {FIRST_GROUP_BATCH_GATE}x "
-        f"the materialized grouped-aggregate wall clock; got {ratio:.3f} "
-        f"({first_median:.4f} s vs {full_median:.4f} s)"
+    assert ratio <= STREAM_VS_EXECUTE_GATE, (
+        f"draining the grouped stream must cost at most "
+        f"{STREAM_VS_EXECUTE_GATE}x grouped execute(); got {ratio:.3f} "
+        f"({drain_best:.4f} s vs {execute_best:.4f} s)"
     )
 
 
@@ -125,10 +178,10 @@ def test_streamed_grouped_aggregate_matches_materialized():
 def test_parallel_grouped_aggregate_beats_serial(benchmark):
     """Worker-side partial folding must beat serial wall-clock at 4 workers.
 
-    Serial is the materialized grouped aggregate (join + post-pass) the
-    partial plane replaces; parallel drains the grouped stream on a
-    4-process-worker steal session, where each task ships a per-group
-    partial instead of its row bag.  The gate is absolute wall clock, so a
+    Serial is grouped ``execute()`` (one sink folding the whole join);
+    parallel drains the grouped stream on a 4-process-worker steal session,
+    where each task folds its share and ships a per-group partial instead
+    of its row bag.  The gate is absolute wall clock, so a
     regression in fold cost, partial serialization, or parent-side merging
     cannot hide behind the scheduler's own speedup.
     """
@@ -172,7 +225,7 @@ def test_parallel_grouped_aggregate_beats_serial(benchmark):
     )
     assert ratio <= PARALLEL_AGG_GATE, (
         f"4 process workers folding partials must beat the serial "
-        f"materialized aggregate; got {ratio:.2f} "
+        f"grouped execute(); got {ratio:.2f} "
         f"({parallel_seconds:.3f} s vs {serial_median:.3f} s)"
     )
     parallel_db.close()

@@ -239,9 +239,9 @@ class FreeJoinEngine:
         recursion produces them (and, on parallel runs, as steal workers
         complete tasks) instead of materializing first.  An aggregate sink
         (:class:`~repro.engine.streaming.StreamingAggregateSink`) folds the
-        final pipeline's output into grouped partials — serially row by row,
-        on parallel runs task by task worker-side — so factorized groups and
-        join rows are aggregated without materializing the output.  The
+        final pipeline's output into grouped partials — serially batch by
+        batch, on parallel runs task by task worker-side — so factorized
+        groups and join rows are aggregated without materializing the output.  The
         report's ``result`` is then the sink's placeholder, not the rows.
         """
         options = options or self.options

@@ -2,47 +2,63 @@
 
 The paper's benchmark queries (JOB, LSQB) are full joins followed by a simple
 aggregate — typically ``MIN`` over a few columns or ``COUNT(*)`` — and an
-optional group-by (Section 5.1).  Aggregation is performed after the join, on
-the join result, matching the paper's setup where selection/aggregation time
-is excluded from the measured join time.
+optional group-by (Section 5.1), and its output stays compressed when an
+aggregate follows (Section 4.4).  So aggregates are folded *where the join
+produces its rows*: the final pipeline decodes only the variables the query
+reads after the join
+(:meth:`~repro.query.planner.LogicalQuery.needed_variables`) and its sink is
+chosen by :func:`output_mode` — a count, the folding
+:class:`PartialAggregateSink`, or materialized rows.
+
+**The partial-aggregate plane** is what every aggregate folds through:
+
+* :class:`_AggregateState` is *mergeable*: :meth:`~_AggregateState.as_tuple`
+  serializes a running state as a plain tuple that crosses process
+  boundaries and :meth:`~_AggregateState.merge_tuple` folds one into
+  another (``AVG`` is carried as sum + count, so merging never loses
+  precision).
+* :class:`AggregateSpec` is the pickle-able description of one query's
+  aggregation (SELECT items, group-by variables, join-row layout).
+* :class:`GroupedAggregateState` holds per-group-key partials.
+  :meth:`~GroupedAggregateState.fold_columns` is the one fold of a flat
+  batch — a column at a time, ``MIN``/``MAX``/``COUNT`` as C-level
+  reductions — and :func:`fold_factorized_batch` folds factorized batches
+  straight off their factor segments, without enumerating a Cartesian
+  product.  :meth:`~GroupedAggregateState.fold_row` is their row-at-a-time
+  reference; only the row paths' per-tuple ``on_row`` (and the expansion
+  of a batch whose group key hides inside a factor) still calls it.
+* :class:`AggregateFold` is the sink-side fold (every reporting entry point
+  plus the partial transport), mixed into two sinks.
+  :class:`PartialAggregateSink` is the sink of every aggregate ``execute()``
+  and of every steal task of an aggregate query: serially it folds the whole
+  join, in a worker one task's share, whose serialized partial the
+  parent-side sink (this one, or the streaming
+  :class:`~repro.engine.streaming.StreamingAggregateSink`, the same fold
+  over a delivery queue) merges.  Its
+  :class:`~repro.engine.output.JoinResult` carries the folded state.
 
 **The post-join pass** (:func:`post_join`) is the one place a join result
 becomes a result table, in a fixed order: residual predicates → LEFT OUTER
 JOIN extensions → :func:`aggregate_result` (projection / aggregation /
 group-by) → :func:`finalize_output` (HAVING / DISTINCT / ORDER BY / LIMIT).
 ``execute()``, the streaming materialize fallback and standing-query
-re-execution all run it; streams that deliver mid-join apply the same
-compiled residual mask + projection (:func:`compile_row_pass`) per batch and
-the same ORDER BY / LIMIT tail (:func:`order_and_limit`) per prune.
+re-execution all run it.  For a folded result the aggregation step only
+finalizes the state; aggregates with residual predicates or LEFT JOINs need
+materialized (narrowed) join rows first and are folded here, afterwards.
+Streams that deliver mid-join apply the same compiled residual mask +
+projection (:func:`compile_row_pass`) per batch and the same ORDER BY /
+LIMIT tail (:func:`order_and_limit`) per prune.
 
-**The partial-aggregate plane** is what the streaming/parallel paths fold
-through:
-
-* :class:`_AggregateState` is *mergeable*: :meth:`~_AggregateState.combine`
-  folds two running states into one (``AVG`` is carried as sum + count, so
-  merging never loses precision), and :meth:`~_AggregateState.as_tuple` /
-  :meth:`~_AggregateState.merge_tuple` serialize it as a plain tuple that
-  crosses process boundaries.
-* :class:`AggregateSpec` is the pickle-able description of one query's
-  aggregation (SELECT items, group-by variables, join-row layout).
-* :class:`GroupedAggregateState` holds per-group-key partials: fold join
-  rows in, combine other partials, finalize output rows in the same
-  deterministic group-key order as the serial pass.
-* :func:`fold_factorized_batch` folds factorized batches straight off their
-  factor columns, without enumerating a Cartesian product.
-* :class:`PartialAggregateSink` is the worker-side
-  :class:`~repro.engine.output.OutputSink` the steal scheduler installs so a
-  task folds its output into a partial instead of materializing it.
-
-The serial pass and the partial plane share one fold implementation, so
-streamed/parallel grouped aggregates are equal to the serial results by
+Every plane folds through one :class:`GroupedAggregateState`, so serial,
+streamed, parallel and incrementally maintained aggregates are equal by
 construction.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.datatypes import Row, Value
@@ -52,6 +68,7 @@ from repro.engine.output import (
     OutputSink,
     _factorized_group_count,
     expand_factorized_batch,
+    rows_to_batch,
 )
 from repro.errors import ExecutionError, QueryError
 from repro.kernels.predicates import compile_batch_predicate
@@ -60,7 +77,11 @@ from repro.storage.table import Table
 
 
 class _AggregateState:
-    """Running (and mergeable) state of one aggregate function."""
+    """Running (and mergeable) state of one aggregate function.
+
+    Each function keeps only what it finalizes from: ``MIN``/``MAX`` their
+    extreme, ``COUNT`` the count, ``SUM``/``AVG`` total and count.
+    """
 
     __slots__ = ("function", "count", "total", "minimum", "maximum")
 
@@ -72,28 +93,49 @@ class _AggregateState:
         self.maximum: Optional[Value] = None
 
     def update(self, value: Value, multiplicity: int) -> None:
-        if self.function == "COUNT":
-            if value is not None:
-                self.count += multiplicity
-            return
+        """Fold one value with its bag multiplicity (NULLs are skipped)."""
         if value is None:
             return
-        self.count += multiplicity
-        if self.function in ("SUM", "AVG"):
-            self.total += float(value) * multiplicity
-        if self.minimum is None or value < self.minimum:
-            self.minimum = value
-        if self.maximum is None or value > self.maximum:
-            self.maximum = value
+        function = self.function
+        if function == "MIN":
+            if self.minimum is None or value < self.minimum:
+                self.minimum = value
+        elif function == "MAX":
+            if self.maximum is None or value > self.maximum:
+                self.maximum = value
+        else:
+            self.count += multiplicity
+            if function != "COUNT":
+                self.total += float(value) * multiplicity
 
-    def update_count_star(self, multiplicity: int) -> None:
-        self.count += multiplicity
+    def update_column(self, values: Sequence[Value], weights) -> None:
+        """Fold a run of values, equal to :meth:`update` on each in order.
 
-    def combine(self, other: "_AggregateState") -> None:
-        """Merge another partial into this one (commutative, associative)."""
-        self.merge_tuple(
-            (other.count, other.total, other.minimum, other.maximum)
-        )
+        ``weights`` is one positive multiplicity per value, or a single
+        ``int`` that weighs every value.  ``MIN``/``MAX``/``COUNT`` are one
+        C-level reduction over the run; ``SUM``/``AVG`` accumulate left to
+        right, so their floating-point result is bit-identical to the
+        row-at-a-time fold (builtin ``sum()`` is compensated from Python
+        3.12 on and would not be).
+        """
+        uniform = isinstance(weights, int)
+        if None in values:
+            if not uniform:
+                weights = [w for value, w in zip(values, weights) if value is not None]
+            values = [value for value in values if value is not None]
+        if not values:
+            return
+        if self.function == "MIN":
+            self.update(min(values), 1)
+        elif self.function == "MAX":
+            self.update(max(values), 1)
+        else:
+            self.count += len(values) * weights if uniform else sum(weights)
+            if self.function != "COUNT":
+                total = self.total
+                for value, weight in zip(values, repeat(weights) if uniform else weights):
+                    total += float(value) * weight
+                self.total = total
 
     def as_tuple(self) -> Tuple[int, float, Value, Value]:
         """Serialize as a plain tuple (crosses process boundaries)."""
@@ -175,9 +217,6 @@ class AggregateSpec:
             )
         return [item_position[var] for var in self.group_by]
 
-    def make_state(self) -> "GroupedAggregateState":
-        return GroupedAggregateState(self)
-
 
 def aggregate_spec(
     logical: LogicalQuery, variables: Sequence[str]
@@ -226,36 +265,38 @@ def aggregate_spec(
 class GroupedAggregateState:
     """Mergeable per-group-key partial aggregates for one query.
 
-    This is the shared fold implementation: the serial post-pass folds the
-    materialized join result through it, steal-pool workers fold their task's
-    emitted rows into one and ship its :meth:`payload`, and the parent (or
-    the streaming aggregate sink) merges those payloads back in.  ``combine``
-    on every aggregate function is commutative and associative, so partials
-    merge in any completion order; ``AVG`` is carried as sum + count.
+    This is the shared fold implementation: an aggregate sink folds the
+    join output into one as it is produced, steal-pool workers fold their
+    task's share and ship its :meth:`payload`, and the parent-side sink (or
+    a standing query's state) merges those payloads back in
+    (:meth:`merge_payload`).  Merging is commutative and associative on
+    every aggregate function, so partials merge in any completion order;
+    ``AVG`` is carried as sum + count.
     """
 
-    __slots__ = ("spec", "groups", "_group_positions", "_fold_items", "_key_slots")
+    __slots__ = ("spec", "groups", "rows", "_group_positions", "_fold_items", "_key_slots")
 
     def __init__(self, spec: AggregateSpec) -> None:
         self.spec = spec
+        #: Join rows folded in so far, bag multiplicities included — the
+        #: join cardinality an aggregate sink reports in place of rows.
+        self.rows = 0
         self._group_positions = tuple(
             spec.variables.index(var) for var in spec.group_by
         )
-        fold_items = []
-        key_slots = []
-        for function, variable, _label in spec.items:
-            if function is None:
-                # Plain group-by column: value comes from the group key.
-                fold_items.append(None)
-                key_slots.append(spec.group_by.index(variable))
-            elif variable is None:
-                fold_items.append((function, None))
-                key_slots.append(None)
-            else:
-                fold_items.append((function, spec.variables.index(variable)))
-                key_slots.append(None)
-        self._fold_items = tuple(fold_items)
-        self._key_slots = tuple(key_slots)
+        #: Per SELECT item: ``None`` for a plain group-by column (its value
+        #: comes from the key, slot ``_key_slots[i]``), else the function and
+        #: the join-row position it folds (``None``: ``COUNT(*)``).
+        self._fold_items = tuple(
+            None
+            if function is None
+            else (function, None if variable is None else spec.variables.index(variable))
+            for function, variable, _label in spec.items
+        )
+        self._key_slots = tuple(
+            spec.group_by.index(variable) if function is None else None
+            for function, variable, _label in spec.items
+        )
         #: Group key -> one :class:`_AggregateState` per SELECT item.
         self.groups: Dict[Row, List[_AggregateState]] = {}
 
@@ -278,60 +319,99 @@ class GroupedAggregateState:
     # ------------------------------------------------------------------ #
 
     def fold_row(self, row: Row, multiplicity: int = 1) -> Row:
-        """Fold one join row; returns the group key it landed in."""
+        """Fold one join row; returns the group key it landed in.
+
+        The row-at-a-time reference of :meth:`fold_columns`, and what the
+        row paths' per-tuple ``on_row`` folds through.
+        """
         key = tuple(row[p] for p in self._group_positions)
         states = self.group_states(key)
+        self.rows += multiplicity
         for fold_item, state in zip(self._fold_items, states):
             if fold_item is None:
                 continue
             _function, position = fold_item
             if position is None:
-                state.update_count_star(multiplicity)
+                state.count += multiplicity
             else:
                 state.update(row[position], multiplicity)
         return key
 
-    def fold_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
+    def fold_columns(
+        self,
+        columns: Sequence[Sequence[Value]],
+        multiplicities: Optional[Sequence[int]] = None,
     ) -> List[Row]:
-        """Fold many rows; returns the touched group keys (with repeats).
+        """Fold one flat columnar batch; returns the distinct touched keys.
 
-        Rows with a non-positive multiplicity are not in the bag and touch
-        nothing.
+        ``columns`` aligns with ``spec.variables`` (a batch without columns
+        has one empty row per multiplicity, as in ``OutputSink.on_batch``);
+        rows with a non-positive multiplicity are not in the bag.  The one
+        fold of a flat batch: rows are bucketed by the key columns alone —
+        no full-width tuple is built — and every aggregate input is folded
+        a column segment at a time (:meth:`_AggregateState.update_column`),
+        in row order, so the result equals :meth:`fold_row` over the rows.
         """
-        if multiplicities is None:
-            return [self.fold_row(row) for row in rows]
-        return [
-            self.fold_row(row, multiplicity)
-            for row, multiplicity in zip(rows, multiplicities)
-            if multiplicity > 0
-        ]
+        if multiplicities and min(multiplicities) <= 0:
+            keep = [multiplicity > 0 for multiplicity in multiplicities]
+            columns = [list(compress(column, keep)) for column in columns]
+            multiplicities = list(compress(multiplicities, keep))
+        size = len(columns[0]) if columns else len(multiplicities or ())
+        if not size:
+            return []
+        if not self._group_positions:
+            self._fold_segment((), columns, multiplicities, size)
+            return [()]
+        members: Dict[Row, List[int]] = {}
+        for index, key in enumerate(zip(*[columns[p] for p in self._group_positions])):
+            try:
+                members[key].append(index)
+            except KeyError:
+                members[key] = [index]
+        reads = {item[1] for item in self._fold_items if item and item[1] is not None}
+        for key, indices in members.items():
+            self._fold_segment(
+                key,
+                {p: [columns[p][i] for i in indices] for p in reads},
+                multiplicities and [multiplicities[i] for i in indices],
+                len(indices),
+            )
+        return list(members)
 
-    def payload(self) -> List[Tuple[Row, Tuple[Tuple, ...]]]:
-        """Serialize every group as plain tuples (pickles across processes)."""
-        return [
+    def _fold_segment(self, key: Row, columns, multiplicities, size: int) -> None:
+        """Fold ``size`` rows of one group; ``columns`` is indexed by position."""
+        total = size if multiplicities is None else sum(multiplicities)
+        self.rows += total
+        weights = 1 if multiplicities is None else multiplicities
+        for fold_item, state in zip(self._fold_items, self.group_states(key)):
+            if fold_item is None:
+                continue
+            position = fold_item[1]
+            if position is None:
+                state.count += total
+            else:
+                state.update_column(columns[position], weights)
+
+    def payload(self) -> Tuple[int, List[Tuple[Row, Tuple[Tuple, ...]]]]:
+        """Serialize as plain data (pickles across processes): rows, groups."""
+        return self.rows, [
             (key, tuple(state.as_tuple() for state in states))
             for key, states in self.groups.items()
         ]
 
     def merge_payload(
-        self, payload: Sequence[Tuple[Row, Sequence[Tuple]]]
+        self, payload: Tuple[int, Sequence[Tuple[Row, Sequence[Tuple]]]]
     ) -> List[Row]:
         """Merge a serialized partial in; returns the touched group keys."""
+        rows, groups = payload
+        self.rows += rows
         touched = []
-        for key, packed_states in payload:
+        for key, packed_states in groups:
             states = self.group_states(key)
             for state, packed in zip(states, packed_states):
                 state.merge_tuple(packed)
             touched.append(key)
         return touched
-
-    def combine(self, other: "GroupedAggregateState") -> None:
-        """Merge another in-process partial into this one."""
-        for key, other_states in other.groups.items():
-            states = self.group_states(key)
-            for state, other_state in zip(states, other_states):
-                state.combine(other_state)
 
     # ------------------------------------------------------------------ #
     # Finalization
@@ -376,80 +456,88 @@ def fold_factorized_batch(
     every aggregate input by the prefix or a factor: ``COUNT``/``SUM``/
     ``AVG`` weight each value by the product of the *other* factors'
     segment sizes, ``MIN``/``MAX`` scan each factor's values once — the
-    product is never enumerated.  Returns the touched group keys, or
+    product is never enumerated, and without a GROUP BY the whole batch
+    folds with one reduction per column.  Returns the touched group keys, or
     ``None`` when the caller must expand the batch into rows instead (a
     group key living inside a factor, or an unbound aggregate input).
     """
     prefix_index = {var: i for i, var in enumerate(prefix_variables)}
-    if any(var not in prefix_index for var in state.spec.group_by):
+    factor_index = {
+        var: (position, offset)
+        for position, (factor_vars, _columns, _offsets) in enumerate(factors)
+        for offset, var in enumerate(factor_vars)
+    }
+    if any(var not in prefix_index for var in state.spec.group_by) or any(
+        function and variable and variable not in prefix_index and variable not in factor_index
+        for function, variable, _label in state.spec.items
+    ):
         return None
-    factor_index: Dict[str, Tuple[int, int]] = {}
-    for position, (factor_vars, _columns, _offsets) in enumerate(factors):
-        for offset, var in enumerate(factor_vars):
-            factor_index[var] = (position, offset)
-    for function, variable, _label in state.spec.items:
-        if function is None or variable is None:
-            continue
-        if variable not in prefix_index and variable not in factor_index:
-            return None
 
     groups = _factorized_group_count(prefix_columns, factors, multiplicities)
-    key_columns = [
-        prefix_columns[prefix_index[var]] for var in state.spec.group_by
-    ]
+    # Join rows each batch group stands for; non-positive: not in the bag.
+    totals = [1] * groups if multiplicities is None else list(multiplicities)
+    for _vars, _columns, offsets in factors:
+        totals = [t * (hi - lo) for t, lo, hi in zip(totals, offsets, offsets[1:])]
+    # Batch groups fold in runs that share one group key: each on its own
+    # under a GROUP BY, the whole batch at once without one — then every
+    # reduction below spans whole columns, not one factor segment.
+    if state.spec.group_by or min(totals, default=1) <= 0:
+        runs = [(i, i + 1) for i in range(groups) if totals[i] > 0]
+    else:
+        runs = [(0, groups)] if groups else []
+    key_columns = [prefix_columns[prefix_index[var]] for var in state.spec.group_by]
     touched: List[Row] = []
-    for i in range(groups):
-        multiplicity = 1 if multiplicities is None else multiplicities[i]
-        sizes = [
-            offsets[i + 1] - offsets[i] for _vars, _columns, offsets in factors
-        ]
-        total = multiplicity
-        for size in sizes:
-            total *= size
-        if total == 0:
-            continue
-        key = tuple(column[i] for column in key_columns)
-        states = state.group_states(key)
+    for lo, hi in runs:
+        key = tuple(column[lo] for column in key_columns)
+        total = sum(totals[lo:hi])
+        state.rows += total
         touched.append(key)
         for (function, variable, _label), item_state in zip(
-            state.spec.items, states
+            state.spec.items, state.group_states(key)
         ):
             if function is None:
                 continue
             if variable is None:
-                item_state.update_count_star(total)
-                continue
-            if variable in prefix_index:
-                item_state.update(
-                    prefix_columns[prefix_index[variable]][i], total
+                item_state.count += total
+            elif variable in prefix_index:
+                item_state.update_column(
+                    prefix_columns[prefix_index[variable]][lo:hi], totals[lo:hi]
                 )
-                continue
-            position, column_offset = factor_index[variable]
-            weight = multiplicity
-            for other, size in enumerate(sizes):
-                if other != position:
-                    weight *= size
-            column = factors[position][1][column_offset]
-            lo, hi = factors[position][2][i], factors[position][2][i + 1]
-            for j in range(lo, hi):
-                item_state.update(column[j], weight)
+            else:
+                # One reduction over the run's factor segments, each value
+                # weighted by the product of everything else in its group.
+                position, column_offset = factor_index[variable]
+                _vars, columns, offsets = factors[position]
+                weights = 1  # MIN / MAX ignore them
+                if function not in ("MIN", "MAX"):
+                    weights = [
+                        t // (b - a)
+                        for t, a, b in zip(totals[lo:hi], offsets[lo:hi], offsets[lo + 1 :])
+                        for _ in range(b - a)
+                    ]
+                item_state.update_column(
+                    columns[column_offset][offsets[lo] : offsets[hi]], weights
+                )
     return touched
 
 
 def fold_join_result(
     state: GroupedAggregateState, result: JoinResult
 ) -> List[Row]:
-    """Fold a materialized :class:`JoinResult` into ``state``.
+    """Fold a :class:`JoinResult` into ``state``.
 
-    Handles all three result shapes — factorized batches (folded without
-    Cartesian expansion whenever :func:`fold_factorized_batch` allows), flat
-    rows with multiplicities, and count-only results (legal only for
-    grouping-free ``COUNT(*)``-only specs) — and returns the touched group
-    keys (with repeats).  This is the one fold the serial pass
-    (:func:`_aggregate`) and the standing-query plane (:mod:`repro.views`)
-    share, which is what makes an incrementally maintained snapshot
-    byte-identical to ``execute()``'s.
+    Handles all four result shapes — the already folded partial of an
+    aggregate sink (merged by group key, so the two sides' join-row layouts
+    never have to agree), factorized batches (folded without Cartesian
+    expansion whenever :func:`fold_factorized_batch` allows), flat rows with
+    multiplicities, and count-only results (legal only for grouping-free
+    ``COUNT(*)``-only specs) — and returns the touched group keys (with
+    repeats).  This is the one fold the serial pass (:func:`_aggregate`) and
+    the standing-query plane (:mod:`repro.views`) share, which is what makes
+    an incrementally maintained snapshot byte-identical to ``execute()``'s.
     """
+    if result.partial is not None:
+        return state.merge_payload(result.partial.payload())
     touched: List[Row] = []
     if result.batches is not None:
         for batch in result.batches:
@@ -464,73 +552,133 @@ def fold_join_result(
             touched.extend(keys)
         return touched
     if result.rows or result.count_only is None:
-        return state.fold_rows(result.rows, result.multiplicities)
+        return state.fold_columns(*rows_to_batch(result.rows, result.multiplicities))
     # Count-only sink: a bare total can only feed grouping-free COUNT(*).
     if not state.spec.count_star_only:
         raise ExecutionError(
             "cannot compute value aggregates from a count-only join result"
         )
     if result.count_only:
+        state.rows += result.count_only
         for item_state in state.group_states(()):
-            item_state.update_count_star(result.count_only)
+            item_state.count += result.count_only
         touched.append(())
     return touched
 
 
-class PartialAggregateSink(OutputSink):
-    """A sink that folds reported join rows into grouped partial aggregates.
+class AggregateFold:
+    """The folding half of an aggregate sink, mixed into an :class:`OutputSink`.
 
-    The steal scheduler installs one per task when the query streams through
-    an aggregate sink: the task ships its (tiny) serialized partial to the
-    parent instead of its raw rows, which is what makes parallel grouped
-    aggregation cheap — the row bag never crosses the worker boundary.
-    Factorized batches are folded via :func:`fold_factorized_batch` (no
-    expansion) whenever the group key lives in the prefix.
+    Rows are aggregated where they are produced, a column at a time, and
+    never materialized: flat batches go through
+    :meth:`GroupedAggregateState.fold_columns`, factorized batches through
+    :func:`fold_factorized_batch` (no expansion) whenever the group key
+    lives in the prefix; only the row paths' per-tuple :meth:`on_row` folds
+    a row at a time.  A steal task ships its (tiny) serialized partial
+    (:meth:`payload`) to the parent instead of raw rows and the parent-side
+    sink merges it (:meth:`emit_partial`).  The host sink owns ``_lock``
+    (thread workers merge partials concurrently) and
+    ``factorized_batches``, calls :meth:`_init_fold`, and may hook
+    :meth:`_folded`; the two hosts are :class:`PartialAggregateSink` and
+    :class:`~repro.engine.streaming.StreamingAggregateSink`.
     """
 
     accepts_factorized = True
 
-    def __init__(self, spec: AggregateSpec) -> None:
-        super().__init__(spec.variables)
+    def _init_fold(self, spec: AggregateSpec) -> None:
         self.spec = spec
         self.state = GroupedAggregateState(spec)
-        #: Number of row/group reports folded (telemetry, not a row count).
+        #: Row/group reports folded and task partials merged: telemetry.
+        #: The join cardinality is ``state.rows``.
         self.folded = 0
+        self.partials_merged = 0
+
+    def _folded(self, touched: Sequence[Row], reports: int) -> None:
+        """``reports`` folds landed in the ``touched`` groups (lock held)."""
+        self.folded += reports
 
     def on_row(self, row: Row, multiplicity: int = 1) -> None:
         if multiplicity > 0:
-            self.state.fold_row(row, multiplicity)
-            self.folded += 1
+            with self._lock:
+                self._folded((self.state.fold_row(row, multiplicity),), 1)
 
     def on_rows(self, rows, multiplicities=None) -> None:
-        self.folded += len(self.state.fold_rows(rows, multiplicities))
+        self.on_batch(*rows_to_batch(rows, multiplicities))
+
+    def on_batch(self, columns, multiplicities=None) -> None:
+        with self._lock:
+            self._folded(
+                self.state.fold_columns(columns, multiplicities),
+                len(columns[0]) if columns else len(multiplicities or ()),
+            )
 
     def on_factorized_batch(
         self, prefix_variables, prefix_columns, factors, multiplicities=None
     ) -> None:
-        touched = fold_factorized_batch(
-            self.state, prefix_variables, prefix_columns, factors, multiplicities
-        )
-        if touched is None:
-            # Group key (or an aggregate input) inside a factor: the default
-            # expands the batch into rows (and raises for unbound variables).
-            super().on_factorized_batch(
-                prefix_variables, prefix_columns, factors, multiplicities
-            )
-            return
-        self.folded += len(touched)
+        batch = (prefix_variables, prefix_columns, factors, multiplicities)
+        with self._lock:
+            touched = fold_factorized_batch(self.state, *batch)
+            if touched is not None:
+                self.factorized_batches += 1
+                self._folded(touched, len(touched))
+                return
+        # Group key (or an aggregate input) inside a factor: the host's own
+        # handling expands the batch into rows (and raises for unbound
+        # variables), which come back through on_rows.
+        super().on_factorized_batch(*batch)
 
-    def payload(self) -> List[Tuple[Row, Tuple[Tuple, ...]]]:
+    def payload(self):
         """The serialized partial this sink accumulated."""
         return self.state.payload()
 
+    def emit_partial(self, payload) -> None:
+        """Merge one steal task's serialized partial.
+
+        The steal scheduler's stream-forwarding entry point, called as each
+        task completes (parent side on the process backend, concurrently
+        from worker threads on the thread backend) — for ``execute()`` and
+        for grouped streams alike.
+        """
+        with self._lock:
+            self.partials_merged += 1
+            if payload:
+                self._folded(self.state.merge_payload(payload), 0)
+
+    def aggregate_stats(self) -> Dict[str, object]:
+        return {
+            "groups": len(self.state.groups),
+            "folded_rows": self.folded,
+            "partials_merged": self.partials_merged,
+        }
+
+
+class PartialAggregateSink(AggregateFold, OutputSink):
+    """A sink that folds the join output into grouped partial aggregates.
+
+    The final pipeline's sink of every aggregate ``execute()``
+    (:func:`output_mode` ``"aggregate"``) and of every steal task of an
+    aggregate query: :class:`AggregateFold` and nothing else, so its
+    :class:`~repro.engine.output.JoinResult` is the folded state.
+    """
+
+    def __init__(self, spec: AggregateSpec) -> None:
+        super().__init__(spec.variables)
+        self._init_fold(spec)
+        self.factorized_batches = 0
+        self._lock = threading.Lock()
+
+    def stats(self) -> Dict[str, object]:
+        """Telemetry merged into ``RunReport.details["parallel"]``."""
+        return {"aggregate": self.aggregate_stats()}
+
     def result(self) -> JoinResult:
-        """A count-only placeholder: rows were folded, not materialized."""
+        """The folded state, under the join cardinality it stands for."""
         return JoinResult(
             variables=self.variables,
             rows=[],
             multiplicities=[],
-            count_only=self.folded,
+            count_only=self.state.rows,
+            partial=self.state,
         )
 
 
@@ -540,14 +688,18 @@ class PartialAggregateSink(OutputSink):
 
 
 def output_mode(logical: LogicalQuery) -> str:
-    """The cheapest sink mode that still supports the query's post-join pass."""
-    if (
-        logical.only_count_star()
-        and not logical.residual_predicates
-        and not logical.left_joins
-    ):
+    """The cheapest sink mode that still supports the query's post-join pass.
+
+    ``"count"`` for grouping-free ``COUNT(*)``, ``"aggregate"`` (fold in the
+    sink, :class:`PartialAggregateSink`) for every other aggregate query,
+    ``"rows"`` otherwise — and for any query whose residual predicates or
+    LEFT JOIN extensions must see materialized join rows first.
+    """
+    if logical.residual_predicates or logical.left_joins:
+        return "rows"
+    if logical.only_count_star():
         return "count"
-    return "rows"
+    return "aggregate" if logical.has_aggregates() else "rows"
 
 
 def compile_row_pass(
@@ -691,29 +843,23 @@ def aggregate_result(result: JoinResult, logical: LogicalQuery) -> Table:
 
 def _project(result: JoinResult, variables: Sequence[str], labels: Sequence[str]) -> Table:
     positions = [result.variables.index(v) for v in variables]
-    rows = [tuple(row[p] for p in positions) for row in result.iter_rows()]
+    rows = result.to_rows()
+    if positions != list(range(len(result.variables))):
+        rows = [tuple(row[p] for p in positions) for row in rows]
     return Table.from_rows("result", list(labels), rows)
 
 
 def _aggregate(result: JoinResult, logical: LogicalQuery) -> Table:
-    items = logical.select_items
-
-    # Fast path: COUNT(*) only, no grouping — use the result's count directly
-    # so count-only sinks do not need materialized rows.
-    if logical.only_count_star():
-        total = result.count()
-        return Table.from_rows(
-            "result", [item.label for item in items], [tuple(total for _ in items)]
-        )
-
-    spec = aggregate_spec(logical, result.variables)
-
-    # The serial pass folds through the same GroupedAggregateState (and the
-    # same fold_join_result) the streaming/parallel/standing-query planes
-    # use, so their results agree by construction.
-    state = GroupedAggregateState(spec)
-    fold_join_result(state, result)
-    return Table.from_rows("result", spec.labels(), state.finalize_rows())
+    # An aggregate sink already folded the rows where they were produced;
+    # anything else — a bare count (grouping-free COUNT(*)), the rows of a
+    # residual-filtered or left-outer aggregate, factorized batches — is
+    # folded here, through the same GroupedAggregateState, so every plane
+    # agrees.
+    state = result.partial
+    if state is None:
+        state = GroupedAggregateState(aggregate_spec(logical, result.variables))
+        fold_join_result(state, result)
+    return Table.from_rows("result", state.spec.labels(), state.finalize_rows())
 
 
 # --------------------------------------------------------------------------- #

@@ -73,7 +73,10 @@ class ExecOptions:
         router decision — on every engine.
     batch_rows / max_batches:
         Streaming delivery: rows per batch and queue bound (used by
-        ``execute_iter``, ``execute_stream`` and ``subscribe``).
+        ``execute_iter``, ``execute_stream`` and ``subscribe``).  For a
+        grouped stream ``batch_rows`` is also the delta cadence: a delta is
+        flushed at the first batch boundary after that many folded rows
+        (see :meth:`~repro.engine.session.Database.execute_iter`).
     bad_estimates:
         Optimize with adversarial cardinality estimates (the paper's Fig. 15
         experiment; ``execute`` and ``execute_iter``).

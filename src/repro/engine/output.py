@@ -129,6 +129,19 @@ def expand_factorized_batch(
             yield row, multiplicity
 
 
+def rows_to_batch(rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None):
+    """``(columns, multiplicities)`` of a row list: ``on_batch``'s arguments.
+
+    The inverse of :meth:`OutputSink.on_batch`'s default, for sinks whose
+    cheap entry point is the columnar one.  Zero-width rows have no column
+    to carry their number, so they always get explicit multiplicities.
+    """
+    columns = list(zip(*rows))
+    if not columns and multiplicities is None:
+        multiplicities = [1] * len(rows)
+    return columns, multiplicities
+
+
 class OutputSink:
     """Interface implemented by all sinks (see the module docstring)."""
 
@@ -351,6 +364,10 @@ class JoinResult:
     #: Factorized batches exactly as the sink received them (else ``None``).
     batches: Optional[List[FactorizedBatch]] = None
     count_only: Optional[int] = None
+    #: The folded :class:`~repro.engine.aggregates.GroupedAggregateState` of
+    #: an aggregate sink (else ``None``): the rows were aggregated where they
+    #: were produced, ``count_only`` is the join cardinality they stood for.
+    partial: Optional[object] = None
 
     # ------------------------------------------------------------------ #
     # Cardinality
@@ -391,6 +408,8 @@ class JoinResult:
 
     def to_rows(self) -> List[Row]:
         """Materialize all flat output rows."""
+        if self.rows and self.multiplicities.count(1) == len(self.rows):
+            return list(self.rows)  # nothing to repeat
         return list(self.iter_rows())
 
     def distinct_rows(self) -> set:

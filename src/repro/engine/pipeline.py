@@ -20,6 +20,9 @@ around it:
   :func:`repro.parallel.scheduler.run_pipeline_steal` → materialize
   intermediates → assemble the :class:`~repro.engine.report.RunReport` with
   ``details["kernels"]`` and (parallel runs only) ``details["parallel"]``.
+  It also decides what each pipeline *emits* (late materialization): the
+  final one only the variables the caller reads after the join, a
+  non-final one only the columns something outside it still reads.
 
 ``REPRO_KERNELS`` is read once per query, here, and the answer rides with
 the pipeline to every worker.  *How* a run executes — worker count, worker
@@ -56,12 +59,13 @@ def make_sink(output: str, variables: Sequence[str]) -> OutputSink:
 
 @dataclass(frozen=True)
 class RunContext:
-    """How one run executes; the same three values on every plan policy.
+    """How one run executes and what it emits; the same on every plan policy.
 
     :meth:`repro.engine.session.Database.run_join` builds one per query from
-    what the ``ExecOptions``, the router's decision and the session defaults
-    resolve to; callers driving an engine directly pass their own.  The
-    default is a serial run with no deadline.
+    what the ``ExecOptions``, the router's decision, the session defaults
+    and the query's SELECT list resolve to; callers driving an engine
+    directly pass their own.  The default is a serial run with no deadline
+    that emits the query's full head.
     """
 
     #: Intra-query workers.  Above 1, every ``rows``/``count`` pipeline is
@@ -75,6 +79,10 @@ class RunContext:
     #: into steal workers, so an expired or cancelled query aborts
     #: mid-execution with ``DeadlineExceeded`` / ``QueryCancelled``.
     deadline: Optional[DeadlineToken] = None
+    #: The variables the caller reads after the join
+    #: (:meth:`~repro.query.planner.LogicalQuery.needed_variables`): all the
+    #: final pipeline emits.  ``None``: the query's full head.
+    output_variables: Optional[Tuple[str, ...]] = None
 
 
 class RowPath:
@@ -241,16 +249,30 @@ def run_plan(
     output_variables, mode, use_kernels)`` is the engine's plan policy for
     one of them (``atoms`` maps every base and already materialized relation
     by name).  ``options`` carries the policy's plan knobs (of which this
-    loop reads ``output`` only) and ``context`` says how to run.  Non-final
-    pipelines materialize "simplistically" — all attributes in a flat table
-    (Section 5.2) — and later pipelines see them as atoms.  ``sink``
-    overrides the final pipeline's sink; a caller-provided sink always
-    receives rows (parallel workers ship rows, batches or aggregate partials
-    the parent forwards).  Factorized output interleaves groups in ways
-    tasks cannot reproduce, so it always runs serially.
+    loop reads ``output`` only) and ``context`` says how to run.
+
+    ``context.output_variables`` are the variables the caller reads after
+    the join, and they are all the final pipeline emits; without them it
+    emits the query's full head.  Non-final pipelines materialize
+    "simplistically" — a flat table (Section 5.2) later pipelines see as an
+    atom — holding only the columns a relation outside the pipeline or the
+    caller still reads.  Everything else is never decoded: the kernel
+    program's backward pass turns probes that bind nothing read later into
+    multiplicities.
+
+    ``sink`` overrides the final pipeline's sink; a caller-provided sink
+    always receives rows (parallel workers ship rows, batches or aggregate
+    partials the parent forwards).  Factorized output interleaves groups in
+    ways tasks cannot reproduce, so it always runs serially.
     """
     kernels_off = kernels.disabled_reason()
     atoms: Dict[str, Atom] = {atom.name: atom for atom in query.atoms}
+    final_variables = context.output_variables
+    if final_variables is None:
+        final_variables = tuple(query.output_variables)
+    #: Base atoms under each materialized intermediate, to tell which
+    #: variables something outside a pipeline still reads.
+    covered: Dict[str, frozenset] = {atom.name: frozenset((atom.name,)) for atom in query.atoms}
     build_seconds = join_seconds = other_seconds = 0.0
     kernel_stats = kernels.new_stats()
     fallbacks: List[str] = []
@@ -266,12 +288,18 @@ def run_plan(
             )
         final_sink = sink if pipeline.is_final else None
         if pipeline.is_final:
-            output_variables = tuple(query.output_variables)
+            output_variables = final_variables
             mode = options.output if final_sink is None else "rows"
         else:
-            output_variables = tuple(
-                dict.fromkeys(v for name in pipeline.items for v in atoms[name].variables)
+            inside = frozenset().union(*(covered[name] for name in pipeline.items))
+            covered[pipeline.output_name] = inside
+            read_outside = set(final_variables).union(
+                *(atom.variables for atom in query.atoms if atom.name not in inside)
             )
+            bound = dict.fromkeys(v for name in pipeline.items for v in atoms[name].variables)
+            # A result nothing outside reads still multiplies the join: keep
+            # one column to carry its cardinality.
+            output_variables = tuple(v for v in bound if v in read_outside) or tuple(bound)[:1]
             mode = "rows"
         lowered = lower(pipeline, atoms, output_variables, mode, kernels_off is None)
         other_seconds += time.perf_counter() - started
@@ -325,9 +353,7 @@ def run_plan(
         if not pipeline.is_final:
             started = time.perf_counter()
             variables = list(result.variables)
-            table = Table.from_rows(
-                pipeline.output_name, variables, list(result.iter_rows())
-            )
+            table = Table.from_rows(pipeline.output_name, variables, result.to_rows())
             atoms[pipeline.output_name] = Atom(pipeline.output_name, table, variables)
             other_seconds += time.perf_counter() - started
 

@@ -47,8 +47,9 @@ class RunReport:
         """JSON-serializable view of the report (timings and counters only).
 
         ``details`` holds arbitrary objects (options, plan reprs, executor
-        stats), so only the JSON-safe parts are included: the parallel
-        execution summary, when present, is already plain data.
+        stats), so only the JSON-safe planes are included — the output mode,
+        the parallel execution summary and the routing decision, when
+        present, are already plain data.
         """
         record: Dict[str, object] = {
             "engine": self.engine,
@@ -58,10 +59,7 @@ class RunReport:
             "total_seconds": self.total_seconds,
             "output_rows": self.output_count(),
         }
-        parallel = self.details.get("parallel")
-        if parallel is not None:
-            record["parallel"] = parallel
-        router = self.details.get("router")
-        if router is not None:
-            record["router"] = router
+        for plane in ("output", "parallel", "router"):
+            if self.details.get(plane) is not None:
+                record[plane] = self.details[plane]
         return record

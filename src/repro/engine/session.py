@@ -22,6 +22,7 @@ from typing import TYPE_CHECKING, Iterable, List, Optional
 from repro.binaryjoin.executor import BinaryJoinEngine
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
 from repro.engine.aggregates import (
+    PartialAggregateSink,
     aggregate_spec,
     compile_row_pass,
     output_mode,
@@ -364,7 +365,13 @@ class Database:
         group key (last-write-wins — see
         :func:`repro.engine.streaming.collapse_grouped_batches`), and the
         stream ends with one full snapshot in deterministic group-key order,
-        identical to :meth:`execute`'s aggregate table.  Aggregate queries
+        identical to :meth:`execute`'s aggregate table.  Delta granularity:
+        serially a delta is flushed at the first *batch boundary* after
+        ``batch_rows`` folded rows — the kernels report one batch per driver
+        chunk (4096 driver rows) and fold it whole, the row path reports a
+        row at a time — so a serial join of a single chunk delivers only the
+        snapshot; on parallel sessions every merged task partial flushes
+        one.  Aggregate queries
         with residual predicates (cross-table non-equality filters) keep the
         materialize-then-stream path, as do group-bys without
         aggregates (which :meth:`execute` treats as plain projections) and
@@ -417,7 +424,7 @@ class Database:
             max_batches=opts.max_batches or DEFAULT_MAX_BATCHES,
             interrupt=token,
         )
-        variables = logical.query.output_variables
+        variables = logical.needed_variables()
         transform = None
 
         def batch_transform():
@@ -451,7 +458,7 @@ class Database:
             # The partial-aggregate plane: fold join rows into per-group
             # partials at the final pipeline and stream merged group deltas
             # while the join is still running.
-            sink = StreamingAggregateSink(aggregate_spec(logical, tuple(variables)), **delivery)
+            sink = StreamingAggregateSink(aggregate_spec(logical, variables), **delivery)
         elif (
             not logical.has_aggregates()
             and not logical.group_by
@@ -607,7 +614,13 @@ class Database:
         session's ``parallel_mode``, and ``deadline``.  ``freejoin_options``
         are plan knobs and reach the Free Join policy only.
 
-        ``sink`` overrides the final pipeline's output sink on every policy;
+        The final pipeline emits only
+        :meth:`~repro.query.planner.LogicalQuery.needed_variables` — what
+        the post-join pass reads — into the cheapest sink the SELECT list
+        allows (:func:`~repro.engine.aggregates.output_mode`): a count, the
+        aggregate sink that folds rows where they are produced, or rows.
+        ``report.details["output"]`` records which sink ran and what was
+        decoded.  ``sink`` overrides that sink on every policy;
         :meth:`execute_iter` passes a
         :class:`~repro.engine.streaming.StreamingSink` here to stream rows
         out while the join is still running.
@@ -620,13 +633,23 @@ class Database:
         else:
             engine = policy()
         options = engine.options
-        if sink is None and options.output == "rows":
-            # The cheapest sink the SELECT list allows; any other value
-            # ("factorized") is the caller asking for that sink.
-            options = replace(options, output=output_mode(logical))
+        variables = logical.needed_variables()
+        mode = options.output
+        if sink is not None:
+            mode = "aggregate" if hasattr(sink, "spec") else "rows"
+        elif mode == "rows":
+            # Any other value ("factorized") is the caller asking for that sink.
+            mode = output_mode(logical)
+            if mode == "aggregate":
+                sink = PartialAggregateSink(aggregate_spec(logical, variables))
+            else:
+                options = replace(options, output=mode)
         context = RunContext(
             self.parallelism if parallelism is None else parallelism,
             self.parallel_mode,
             deadline,
+            variables,
         )
-        return engine.run(logical.query, binary_plan, options, sink, context=context)
+        report = engine.run(logical.query, binary_plan, options, sink, context=context)
+        report.details["output"] = {"mode": mode, "variables": list(variables)}
+        return report

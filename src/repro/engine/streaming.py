@@ -45,13 +45,8 @@ import time
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.datatypes import Row
-from repro.engine.aggregates import (
-    AggregateSpec,
-    GroupedAggregateState,
-    fold_factorized_batch,
-    order_and_limit,
-)
-from repro.engine.output import JoinResult, OutputSink, expand_factorized_batch
+from repro.engine.aggregates import AggregateFold, AggregateSpec, order_and_limit
+from repro.engine.output import JoinResult, OutputSink
 from repro.errors import ExecutionError, QueryError
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
@@ -313,19 +308,20 @@ class StreamingSink(OutputSink):
         }
 
 
-class StreamingAggregateSink(StreamingSink):
+class StreamingAggregateSink(AggregateFold, StreamingSink):
     """Aggregate mode: fold join rows into partials, stream group deltas.
 
-    The sink keeps one :class:`~repro.engine.aggregates.GroupedAggregateState`
-    and three producers feed it:
-
-    * serial engines report rows via :meth:`on_row` / :meth:`on_rows` (and
-      factorized batches via :meth:`on_factorized_batch`, folded without
-      expansion whenever the group key is bound by the prefix);
-    * the steal scheduler ships each task's *serialized partial* to
-      :meth:`emit_partial`, which merges it and flushes the touched groups —
-      so a parallel ``GROUP BY`` streams a delta as every worker task
-      finishes, and raw join rows never cross the worker boundary.
+    The folding half is :class:`~repro.engine.aggregates.AggregateFold` —
+    the very fold ``execute()`` aggregates with, fed the same way: serial
+    engines report columnar batches (folded a column at a time), factorized
+    batches (folded without expansion whenever the group key is bound by
+    the prefix) and, on the row paths, single tuples; the steal scheduler
+    ships each task's *serialized partial* to :meth:`emit_partial`, so raw
+    join rows never cross the worker boundary.  The delivery half is
+    :class:`StreamingSink`'s bounded queue: every fold marks its groups
+    dirty, and their current rows are flushed as a delta at the first batch
+    boundary after ``flush_rows`` folds and after every merged partial — so
+    a grouped query streams progressive results mid-join, serial or parallel.
 
     Delivery contract: every batch holds finalized output rows (SELECT
     order) sorted by group key; a row supersedes earlier rows with the same
@@ -338,101 +334,38 @@ class StreamingAggregateSink(StreamingSink):
     """
 
     def __init__(
-        self,
-        spec: AggregateSpec,
-        *,
-        batch_rows: int = DEFAULT_BATCH_ROWS,
-        max_batches: int = DEFAULT_MAX_BATCHES,
-        interrupt: Optional[DeadlineToken] = None,
-        flush_rows: Optional[int] = None,
+        self, spec: AggregateSpec, *, flush_rows: Optional[int] = None, **delivery
     ) -> None:
-        super().__init__(
-            spec.labels(),
-            batch_rows=batch_rows,
-            max_batches=max_batches,
-            interrupt=interrupt,
-        )
+        # ``variables`` is the layout rows are reported in (the spec's), not
+        # the labels delivered; ``delivery`` is StreamingSink's keywords.
+        super().__init__(spec.variables, **delivery)
+        self._init_fold(spec)
         if flush_rows is not None and flush_rows < 1:
             raise QueryError(f"flush_rows must be at least 1, got {flush_rows}")
-        self.spec = spec
-        #: Serial fold granularity: a delta flush every this many folded
-        #: reports, so even a single-threaded join streams mid-execution.
-        self.flush_rows = flush_rows if flush_rows is not None else batch_rows
-        self._state = GroupedAggregateState(spec)
+        #: Serial fold granularity: a delta flush at the first batch
+        #: boundary after this many folded reports (one report per row of a
+        #: flat batch, per group of a factorized one), so even a
+        #: single-threaded join of several batches streams mid-execution.
+        self.flush_rows = flush_rows if flush_rows is not None else self.batch_rows
         self._dirty: set = set()
         self._since_flush = 0
         # Telemetry (reported under stats()["aggregate"]).
-        self.folded_rows = 0
-        self.partials_merged = 0
         self.delta_batches = 0
         self.snapshot_rows = 0
 
-    # ------------------------------------------------------------------ #
-    # Producer side: folding
-    # ------------------------------------------------------------------ #
-
-    def _fold_row_locked(self, row: Row, multiplicity: int) -> None:
-        """Fold one row; caller holds the sink lock."""
-        self._dirty.add(self._state.fold_row(row, multiplicity))
-        self.folded_rows += 1
-        self._since_flush += 1
+    def _folded(self, touched, reports: int) -> None:
+        super()._folded(touched, reports)
+        self._dirty.update(touched)
+        self._since_flush += reports
         if self._since_flush >= self.flush_rows:
             self._flush_deltas_locked()
 
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity <= 0:
-            return
-        with self._lock:
-            self._fold_row_locked(row, multiplicity)
-
-    def on_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
-    ) -> None:
-        with self._lock:
-            if multiplicities is None:
-                for row in rows:
-                    self._fold_row_locked(row, 1)
-            else:
-                for row, multiplicity in zip(rows, multiplicities):
-                    if multiplicity > 0:
-                        self._fold_row_locked(row, multiplicity)
-
-    def on_factorized_batch(
-        self, prefix_variables, prefix_columns, factors, multiplicities=None
-    ) -> None:
-        """Fold factorized batches straight off the factor columns."""
-        batch = (prefix_variables, prefix_columns, factors, multiplicities)
-        with self._lock:
-            touched = fold_factorized_batch(self._state, *batch)
-            if touched is None:
-                # Group key (or an aggregate input) inside a factor: fold the
-                # expansion row by row.  (The sink's own ``variables`` are the
-                # output labels; join rows are laid out as the spec's.)
-                for row, multiplicity in expand_factorized_batch(
-                    self.spec.variables, *batch
-                ):
-                    self._fold_row_locked(row, multiplicity)
-                return
-            self.factorized_batches += 1
-            self._dirty.update(touched)
-            self.folded_rows += len(touched)
-            self._since_flush += len(touched)
-            if self._since_flush >= self.flush_rows:
-                self._flush_deltas_locked()
-
     def emit_partial(self, payload) -> None:
-        """Merge one worker task's serialized partial and flush its deltas.
-
-        Called by the steal scheduler (parent side on the process backend,
-        worker threads on the thread backend) as each task completes; the
-        flush delivers the touched groups' *current* values, so consumers
-        see progressive aggregates while sibling tasks are still running.
-        """
+        """Merge one worker task's partial and flush its deltas at once, so
+        consumers see progressive aggregates while sibling tasks still run."""
+        super().emit_partial(payload)
         with self._lock:
-            self.partials_merged += 1
-            if payload:
-                self._dirty.update(self._state.merge_payload(payload))
-                self._flush_deltas_locked()
+            self._flush_deltas_locked()
 
     def _flush_deltas_locked(self) -> None:
         """Deliver the dirty groups' current rows, ordered by group key."""
@@ -441,7 +374,7 @@ class StreamingAggregateSink(StreamingSink):
             return
         keys = sorted(self._dirty, key=repr)
         self._dirty.clear()
-        rows = [self._state.finalize_key(key) for key in keys]
+        rows = [self.state.finalize_key(key) for key in keys]
         for start in range(0, len(rows), self.batch_rows):
             self._put(rows[start : start + self.batch_rows])
             self.delta_batches += 1
@@ -450,31 +383,23 @@ class StreamingAggregateSink(StreamingSink):
         """Deliver the final snapshot (all groups, key-ordered) and close."""
         with self._lock:
             self._dirty.clear()
-            rows = self._state.finalize_rows()
+            rows = self.state.finalize_rows()
             self.snapshot_rows = len(rows)
             for start in range(0, len(rows), self.batch_rows):
                 self._put(rows[start : start + self.batch_rows])
             self._put(_DONE)
             self._finished.set()
 
-    # ------------------------------------------------------------------ #
-    # Telemetry
-    # ------------------------------------------------------------------ #
-
     def aggregate_stats(self) -> Dict[str, object]:
-        return {
-            "groups": len(self._state.groups),
-            "folded_rows": self.folded_rows,
-            "partials_merged": self.partials_merged,
-            "delta_batches": self.delta_batches,
-            "snapshot_rows": self.snapshot_rows,
-        }
+        return dict(
+            super().aggregate_stats(),
+            delta_batches=self.delta_batches,
+            snapshot_rows=self.snapshot_rows,
+        )
 
     def stats(self) -> Dict[str, object]:
         """Base stream telemetry plus the partial-merge counters."""
-        merged = super().stats()
-        merged["aggregate"] = self.aggregate_stats()
-        return merged
+        return dict(super().stats(), aggregate=self.aggregate_stats())
 
 
 class StreamingTopKSink(StreamingSink):

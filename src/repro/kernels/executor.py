@@ -111,26 +111,22 @@ def factor_step_indices(program: KernelProgram) -> frozenset:
     """Steps that can be emitted as independent output factors.
 
     A step qualifies when its matches feed nothing but the output: it
-    expands, binds at least one new variable, none of its new variables is
-    a probe key of any step, and it is the decode source of at least one
-    output variable.  Such steps are mutually independent given the core
-    frontier, so their matches form the factors of a factorized group.
+    expands, none of its new variables is a probe key of any step, and at
+    least one of them is an output variable.  Such steps are mutually
+    independent given the core frontier, so their matches form the factors
+    of a factorized group.
     """
     keyed = set()
     for step in program.steps:
         keyed.update(step.key_vars)
-    indices = []
-    for i, step in enumerate(program.steps):
-        if not step.expand or not step.new_vars:
-            continue
-        if any(var in keyed for var in step.new_vars):
-            continue
-        if not any(
-            program.out_source.get(var) == i for var in program.output_variables
-        ):
-            continue
-        indices.append(i)
-    return frozenset(indices)
+    outputs = set(program.output_variables)
+    return frozenset(
+        i
+        for i, step in enumerate(program.steps)
+        if step.expand
+        and not keyed.intersection(step.new_vars)
+        and outputs.intersection(step.new_vars)
+    )
 
 
 def execute_program(
@@ -310,48 +306,21 @@ def _run_chunk(
         stats["rows_out"] += n
         return logical
 
-    if factor_steps:
-        return _emit_factorized(
-            program,
-            sink,
-            rowidx,
-            keys,
-            mult,
-            n,
-            factor_steps,
-            interrupt=interrupt,
-            stats=stats,
-            guard=guard,
-        )
-
-    logical = n if mult is None else int(mult.sum())
-    # Batch projection: decode each output variable from its source atom's
-    # matched rows (original storage, so values round-trip exactly).  The
-    # tail is sliced so a fan-out chunk cannot outrun the deadline: decode
-    # + column build + sink cost a few µs per row, unbounded per chunk.
-    for emit_lo in range(0, n, EMIT_ROWS):
-        if interrupt is not None and emit_lo:
-            interrupt.check()
-        emit = slice(emit_lo, min(emit_lo + EMIT_ROWS, n))
-        decoded: Dict[str, list] = {}
-        columns = []
-        for var in program.output_variables:
-            if var not in decoded:
-                source = program.out_source[var]
-                atom = driver if source < 0 else program.steps[source].atom
-                column = atom.table.column(atom.column_for(var))
-                decoded[var] = decode_gather(column, rowidx[source][emit])
-            columns.append(decoded[var])
-        multiplicities = None if mult is None else mult[emit].tolist()
-        if columns:
-            sink.on_batch(columns, multiplicities)
-        else:
-            sink.on_rows([()] * (emit.stop - emit_lo), multiplicities)
-    stats["rows_out"] += n
-    return logical
+    return _emit(
+        program,
+        sink,
+        rowidx,
+        keys,
+        mult,
+        n,
+        factor_steps,
+        interrupt=interrupt,
+        stats=stats,
+        guard=guard,
+    )
 
 
-def _emit_factorized(
+def _emit(
     program: KernelProgram,
     sink,
     rowidx,
@@ -364,13 +333,17 @@ def _emit_factorized(
     stats: Dict[str, int],
     guard: bool,
 ) -> int:
-    """Probe the held-out factor steps once and emit factorized batches.
+    """Decode the surviving frontier and emit it, factorized where held out.
 
-    Each surviving frontier row becomes one *group*: a prefix (decoded
-    from the core frontier) times one independent factor per held-out
-    step.  Factor matches are decoded into flat columns segmented by an
-    offsets vector — no Cartesian expansion ever happens here; sinks that
-    need flat rows should not be handed a factorized program.
+    Each frontier row becomes one *group*: a prefix (decoded from the core
+    frontier's source atoms — original storage, so values round-trip
+    exactly) times one independent factor per held-out step, probed once
+    here.  Factor matches are decoded into flat columns segmented by an
+    offsets vector — no Cartesian expansion ever happens; sinks that need
+    flat rows should not be handed a factorized program.  Without held-out
+    steps the batch has no factors and goes out as a plain columnar batch.
+    The tail is sliced so a fan-out chunk cannot outrun the deadline: decode
+    + column build + sink cost a few µs per row, unbounded per chunk.
     """
     driver = program.driver
     kinds = program.kinds
@@ -405,19 +378,27 @@ def _emit_factorized(
             if int(counts.sum()) > FRONTIER_GUARD_ROWS:
                 raise KernelFrontierExplosion("frontier-explosion")
 
-    prefix_vars = tuple(
-        var
-        for var in program.output_variables
-        if program.out_source[var] not in factor_steps
-    )
+    # A factor holds the output variables its step binds.  Everything else
+    # — the step's probe keys included, although the step, as their last
+    # expanded binder, is their flat-output decode source — was bound by the
+    # core frontier and is decoded from its last core binder (else the
+    # driver) into the prefix, so a group key never ends up inside a factor.
     factor_vars = {
         step_index: tuple(
             var
             for var in program.output_variables
-            if program.out_source[var] == step_index
+            if var in program.steps[step_index].new_vars
         )
         for step_index in order
     }
+    in_factor = {var for variables in factor_vars.values() for var in variables}
+    core = [i for i, step in enumerate(program.steps) if step.expand and i not in factor_steps]
+    prefix = [
+        (var, max((i for i in core if var in program.steps[i].atom.variables), default=-1))
+        for var in program.output_variables
+        if var not in in_factor
+    ]
+    prefix_vars = tuple(var for var, _source in prefix)
 
     logical = 0
     for emit_lo in range(0, n, EMIT_ROWS):
@@ -427,14 +408,14 @@ def _emit_factorized(
         groups = emit.stop - emit_lo
 
         prefix_columns = []
-        for var in prefix_vars:
-            source = program.out_source[var]
+        for var, source in prefix:
             atom = driver if source < 0 else program.steps[source].atom
             column = atom.table.column(atom.column_for(var))
             prefix_columns.append(decode_gather(column, rowidx[source][emit]))
 
         factors = []
-        per_group = None
+        per_group = None if mult is None else mult[emit]
+        multiplicities = None if mult is None else per_group.tolist()
         for step_index, index, lo, counts in probes:
             step = program.steps[step_index]
             counts_slice = counts[emit]
@@ -454,23 +435,17 @@ def _emit_factorized(
             factors.append(
                 (factor_vars[step_index], columns, boundaries.tolist())
             )
-            per_group = (
-                counts_slice.astype(np.int64)
-                if per_group is None
-                else per_group * counts_slice
-            )
-        mult_slice = None if mult is None else mult[emit]
-        if mult_slice is not None:
-            per_group = mult_slice * per_group
-        logical += int(per_group.sum())
-        sink.on_factorized_batch(
-            prefix_vars,
-            prefix_columns,
-            factors,
-            None if mult_slice is None else mult_slice.tolist(),
-        )
-        stats["factorized_batches"] += 1
-        stats["factorized_groups"] += groups
+            per_group = counts_slice if per_group is None else per_group * counts_slice
+        logical += groups if per_group is None else int(per_group.sum())
+        if factors:
+            sink.on_factorized_batch(prefix_vars, prefix_columns, factors, multiplicities)
+            stats["factorized_batches"] += 1
+            stats["factorized_groups"] += groups
+        else:
+            if not prefix_columns and multiplicities is None:
+                multiplicities = [1] * groups  # no column carries the row count
+            sink.on_batch(prefix_columns, multiplicities)
     stats["rows_out"] += n
-    stats["factorized_rows"] += logical
+    if factor_steps:
+        stats["factorized_rows"] += logical
     return logical

@@ -24,9 +24,12 @@ class ConjunctiveQuery:
         The query atoms.  Atom names (aliases) must be unique.
     output_variables:
         Head variables, in output order.  Defaults to all variables in order
-        of first appearance.  Because the query is *full*, the output
-        variables must cover every variable of every atom; use the engine's
-        projection/aggregation layer for narrower outputs.
+        of first appearance.  Because the query is *full*, the head must
+        cover every variable of every atom.  What a run actually *emits* is
+        narrower: sessions pass the engines the variables the query reads
+        after the join (``LogicalQuery.needed_variables``, as
+        ``RunContext.output_variables``), and everything else is never
+        decoded.
     name:
         Optional human-readable query name (used by the benchmark harness).
     """

@@ -128,9 +128,30 @@ class LogicalQuery:
             or self.distinct
         )
 
+    def needed_variables(self) -> Tuple[str, ...]:
+        """The core-query variables anything after the join reads.
+
+        SELECT items first (so a plain projection of distinct columns is the
+        identity over the join rows), then GROUP BY, LEFT JOIN keys and
+        residual-predicate operands; every core variable for ``SELECT *``.
+        This is the final pipeline's output: a variable not listed here is
+        never decoded, and a probe that binds only such variables folds into
+        the bag multiplicity.
+        """
+        head = self.query.output_variables
+        if self.select_star:
+            return tuple(head)
+        read = [item.variable for item in self.select_items]
+        read += self.group_by
+        read += [variable for spec in self.left_joins for variable, _column in spec.keys]
+        residual = {n.split(".", 1)[1] for p in self.residual_predicates for n in p.columns()}
+        read += [variable for variable in head if variable in residual]
+        # LEFT JOIN columns (and COUNT(*)'s ``None``) are not core variables.
+        return tuple(dict.fromkeys(variable for variable in read if variable in head))
+
     def result_variables(self) -> List[str]:
         """The join-result row layout after left-outer extensions."""
-        variables = list(self.query.output_variables)
+        variables = list(self.needed_variables())
         for spec in self.left_joins:
             variables.extend(spec.variables)
         return variables

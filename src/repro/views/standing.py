@@ -54,7 +54,6 @@ from repro.engine.streaming import (
     DEFAULT_MAX_BATCHES,
     StreamingSink,
 )
-from repro.engine.output import JoinResult
 from repro.errors import (
     DeadlineExceeded,
     ExecutionError,
@@ -180,7 +179,7 @@ class StandingQuery:
             self._spec = aggregate_spec(
                 outcome.logical, outcome.join_result.variables
             )
-            self._state = self._spec.make_state()
+            self._state = GroupedAggregateState(self._spec)
             fold_join_result(self._state, outcome.join_result)
             # The folded state IS the snapshot from here on.
             self._snapshot = None
@@ -304,11 +303,13 @@ class StandingQuery:
             self._owner.catalog.get(name).num_rows for name in self._dep_names
         )
         if self.delta_path == "scan":
-            positions = self._scan_positions
-            touched = [
-                self._state.fold_row(tuple(raw[p] for p in positions))
-                for raw in delta_rows
-            ]
+            columns = list(zip(*delta_rows))
+            # Explicit multiplicities: a COUNT(*)-only spec reads no column
+            # that could carry the number of rows.
+            touched = self._state.fold_columns(
+                [columns[p] for p in self._scan_positions] if delta_rows else [],
+                [1] * len(delta_rows),
+            )
         else:
             touched = self._fold_delta_join(table, delta_rows)
         self._deltas_folded += 1
@@ -334,22 +335,10 @@ class StandingQuery:
                 self._owner.catalog.get(table.name), replace=True
             )
         self.last_report = outcome.report
-        result = outcome.join_result
-        spec_layout = tuple(self._state.spec.variables)
-        if (
-            tuple(result.variables) != spec_layout
-            and result.batches is None
-            and result.count_only is None
-        ):
-            # Flat rows assume the seed's layout; factorized batches and
-            # count-only results remap by variable name inside the fold.
-            perm = [result.variables.index(var) for var in spec_layout]
-            result = JoinResult(
-                variables=spec_layout,
-                rows=[tuple(row[p] for p in perm) for row in result.rows],
-                multiplicities=result.multiplicities,
-            )
-        return fold_join_result(self._state, result)
+        # The delta run folded its own partial (or counted, or kept
+        # factorized batches); all three merge by group key and variable
+        # name, whichever driver and row layout that run picked.
+        return fold_join_result(self._state, outcome.join_result)
 
     def _refresh_reexec(self) -> None:
         outcome = self._owner._execute(
@@ -375,7 +364,7 @@ class StandingQuery:
         self.last_report = outcome.report
         outcome.report.details["ivm"] = self._ivm_details(event="reseed")
         if self._state is not None:
-            self._state = self._spec.make_state()
+            self._state = GroupedAggregateState(self._spec)
             fold_join_result(self._state, outcome.join_result)
         else:
             self._snapshot = outcome.table

@@ -22,6 +22,7 @@ import threading
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.engine import aggregates, output
 from repro.engine.aggregates import (
     AggregateSpec,
     GroupedAggregateState,
@@ -34,9 +35,11 @@ from repro.engine.streaming import (
     collapse_grouped_batches,
 )
 from repro.errors import QueryError
+from repro.kernels.executor import CHUNK_ROWS
 from repro.parallel import scheduler
 from repro.storage import shm
 from repro.storage.table import Table
+from repro.workloads.synthetic import FANOUT_GROUP_SQL, fanout_tables
 
 FANOUT_ROWS = 2000
 FANOUT_KEYS = 20
@@ -82,6 +85,12 @@ def _fresh_parallel_state():
     shm.shutdown_exports()
 
 
+def _fold_rows(state, rows, multiplicities=None) -> None:
+    """The row-at-a-time reference fold."""
+    for row, multiplicity in zip(rows, multiplicities or [1] * len(rows)):
+        state.fold_row(row, multiplicity)
+
+
 def _spec(items, group_by, variables) -> AggregateSpec:
     return AggregateSpec(items=tuple(items), group_by=tuple(group_by),
                          variables=tuple(variables))
@@ -118,11 +127,11 @@ def test_aggregate_state_combine_equals_serial_fold(function):
 
 def test_aggregate_state_combine_handles_empty_partials():
     merged = _AggregateState("MIN")
-    merged.combine(_AggregateState("MIN"))  # nothing folded on either side
+    merged.merge_tuple(_AggregateState("MIN").as_tuple())  # nothing folded on either side
     assert merged.finalize() is None
     other = _AggregateState("MIN")
     other.update(7, 1)
-    merged.combine(other)
+    merged.merge_tuple(other.as_tuple())
     assert merged.finalize() == 7
 
 
@@ -135,12 +144,12 @@ def test_grouped_state_merge_payload_matches_direct_fold():
     multiplicities = [1 + i % 4 for i in range(40)]
 
     direct = GroupedAggregateState(spec)
-    direct.fold_rows(rows, multiplicities)
+    _fold_rows(direct, rows, multiplicities)
 
     merged = GroupedAggregateState(spec)
     for start in range(0, len(rows), 7):
         partial = GroupedAggregateState(spec)
-        partial.fold_rows(rows[start:start + 7], multiplicities[start:start + 7])
+        _fold_rows(partial, rows[start:start + 7], multiplicities[start:start + 7])
         merged.merge_payload(partial.payload())
     assert merged.finalize_rows() == direct.finalize_rows()
 
@@ -240,7 +249,10 @@ def test_first_group_batch_arrives_before_join_completes(
     grouped_db, grouped_expected, configure
 ):
     database = Database(grouped_db.catalog, **configure)
-    stream = database.execute_iter(GROUP_SQL, options=ExecOptions(batch_rows=64, max_batches=4))
+    # One delta flush is 20 groups = five 4-row batches into a queue four
+    # deep: the producer is still blocked on the fifth put when the first
+    # batch arrives, however few folds the join needs.
+    stream = database.execute_iter(GROUP_SQL, options=ExecOptions(batch_rows=4, max_batches=4))
     batches = []
     first_batch_finished = None
     for batch in stream:
@@ -252,6 +264,44 @@ def test_first_group_batch_arrives_before_join_completes(
     )
     assert collapse_grouped_batches(batches, [0]) == grouped_expected
     assert stream.report is not None
+
+
+@pytest.mark.parametrize("kernels", ["on", "off"])
+def test_serial_grouped_stream_flushes_deltas_between_batches(monkeypatch, kernels):
+    """A serial join of several driver chunks delivers group deltas mid-join
+    (one flush per batch boundary once ``flush_rows`` folds accumulated) —
+    with a queue deep enough that no put ever blocks, so the claim does not
+    lean on backpressure.  Deltas are flushed only from inside a fold, so
+    ``delta_batches`` counts mid-join deliveries; the snapshot is separate.
+    """
+    monkeypatch.setenv("REPRO_KERNELS", kernels)
+    rows = 3 * CHUNK_ROWS + 17  # four kernel driver chunks
+    database = Database()
+    database.register(Table.from_columns("r", {
+        "k": [i % FANOUT_KEYS for i in range(rows)],
+        "a": list(range(rows)),
+    }))
+    database.register(Table.from_columns("s", {
+        "k": list(range(FANOUT_KEYS)),
+        "b": list(range(FANOUT_KEYS)),
+    }))
+    sql = (
+        "SELECT r.k AS k, COUNT(*) AS n, MAX(r.a) AS hi, MIN(s.b) AS lo "
+        "FROM r, s WHERE r.k = s.k GROUP BY r.k"
+    )
+    expected = database.execute(sql).rows()
+    stream = database.execute_iter(sql, options=ExecOptions(batch_rows=64, max_batches=1024))
+    batches = list(stream)
+    assert collapse_grouped_batches(batches, [0]) == expected
+    stats = stream.sink.stats()
+    assert stats["put_wait_seconds"] < 0.05, "no put may have waited on the consumer"
+    # One delta per full driver chunk on the kernel path (the 17-row tail
+    # stays under ``flush_rows``), one per ``flush_rows`` folded rows on the
+    # row path — each holding the groups' values so far: the first one is
+    # not the final answer yet.
+    assert stats["aggregate"]["delta_batches"] >= 3
+    assert len(batches) == stats["aggregate"]["delta_batches"] + 1
+    assert batches[0] != expected and batches[-1] == expected
 
 
 @pytest.mark.parametrize("engine", ["freejoin", "binary", "generic"])
@@ -279,6 +329,80 @@ def test_partial_merge_telemetry_present(grouped_db, grouped_expected, configure
     assert aggregate_stats["groups"] == len(grouped_expected)
     # Raw rows never cross the worker boundary on aggregate streams.
     assert detail["stream"]["rows"] == 0 or aggregate_stats["delta_batches"] > 0
+
+
+# --------------------------------------------------------------------------- #
+# The benchmark's own grouped query: folds factorized, reports the join size
+# --------------------------------------------------------------------------- #
+
+
+@pytest.fixture
+def fanout_db():
+    database = Database()
+    database.register_all(fanout_tables(400, keys=8, skew=1.2).values())
+    return database
+
+
+def test_fanout_group_query_folds_without_expansion(fanout_db, monkeypatch):
+    """Regression: the kernels used to decode the group key ``fan_r.k`` from
+    the held-out factor step (its last expanded binder), so every aggregate
+    sink saw the key inside a factor and fell back to expanding the product
+    and folding it row by row.  A factor's probe keys belong to the prefix.
+    """
+    expected = fanout_db.execute(FANOUT_GROUP_SQL).rows()
+
+    def expanded(*_args, **_kwargs):
+        raise AssertionError("the grouped fan-out fold must not expand a factorized batch")
+
+    # Patched before any pool forks, so process workers inherit it.
+    monkeypatch.setattr(output, "expand_factorized_batch", expanded)
+    monkeypatch.setattr(aggregates, "expand_factorized_batch", expanded)
+
+    outcome = fanout_db.execute(FANOUT_GROUP_SQL)
+    assert outcome.rows() == expected
+    assert outcome.report.details["kernels"]["factorized"]["batches"] >= 1
+
+    with fanout_db.execute_iter(FANOUT_GROUP_SQL) as stream:
+        batches = list(stream)
+        assert stream.sink.stats()["factorized_batches"] >= 1
+    assert collapse_grouped_batches(batches, [0]) == expected
+
+    parallel = Database(fanout_db.catalog, parallelism=2, parallel_mode="process")
+    outcome = parallel.execute(FANOUT_GROUP_SQL)
+    assert outcome.rows() == expected
+    assert outcome.report.details["parallel"][0]["mode"] == "process"
+    assert outcome.report.details["kernels"]["factorized"]["batches"] >= 1
+
+
+#: Same join, same groups, but every aggregate input lives in the driver:
+#: the probe binds nothing read later and becomes a multiplicity (flat batch).
+FANOUT_FLAT_GROUP_SQL = (
+    "SELECT fan_r.k AS k, COUNT(*) AS n, MIN(fan_r.a) AS lo "
+    "FROM fan_r, fan_s WHERE fan_r.k = fan_s.k GROUP BY fan_r.k"
+)
+
+
+@pytest.mark.parametrize("configure", [
+    {},  # one sink folds the whole join
+    {"parallelism": 2, "parallel_mode": "thread"},   # merged task partials
+    {"parallelism": 2, "parallel_mode": "process"},  # ... serialized
+])
+@pytest.mark.parametrize("kernels", ["on", "off"])
+@pytest.mark.parametrize(
+    "sql", [FANOUT_GROUP_SQL, FANOUT_FLAT_GROUP_SQL], ids=["factorized", "flat"]
+)
+def test_aggregate_join_result_counts_join_rows(fanout_db, monkeypatch, sql, kernels, configure):
+    """``join_result.count()`` of a folded aggregate is the join cardinality
+    (it used to be the number of fold reports: one per factorized group)."""
+    monkeypatch.setenv("REPRO_KERNELS", kernels)
+    database = Database(fanout_db.catalog, **configure)
+    cardinality = database.execute(
+        "SELECT COUNT(*) FROM fan_r, fan_s WHERE fan_r.k = fan_s.k"
+    ).scalar()
+    outcome = database.execute(sql)
+    assert outcome.report.details["output"]["mode"] == "aggregate"
+    assert outcome.join_result.count() == cardinality
+    assert sum(row[1] for row in outcome.rows()) == cardinality
 
 
 def test_grouped_stream_zero_groups(grouped_db):
@@ -365,14 +489,14 @@ def test_concurrent_emit_partial_is_consistent():
     )
     rows = [(i % 4, i) for i in range(800)]
     serial = GroupedAggregateState(spec)
-    serial.fold_rows(rows)
+    _fold_rows(serial, rows)
 
     sink = StreamingAggregateSink(spec, batch_rows=1024, max_batches=1024)
     chunks = [rows[i::8] for i in range(8)]
 
     def fold_chunk(chunk):
         partial = GroupedAggregateState(spec)
-        partial.fold_rows(chunk)
+        _fold_rows(partial, chunk)
         sink.emit_partial(partial.payload())
 
     threads = [

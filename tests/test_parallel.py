@@ -236,16 +236,18 @@ def test_execute_many_captures_errors_per_query(star_database):
 
 
 def test_execute_many_timeout_terminates_process_workers():
-    # A deliberately explosive join: every row shares one key, so the count
-    # is 1500^2 = 2.25M outputs — seconds of CPython work, far past the
-    # 50 ms budget.  The worker must be terminated and reported as timeout.
+    # A deliberately explosive join: every row shares one key, so the
+    # result is 1500^2 = 2.25M rows — seconds of CPython work, far past the
+    # 50 ms budget.  (Both columns are selected: a COUNT(*) reads neither,
+    # so its probe folds into a multiplicity and finishes in a millisecond.)
+    # The worker must be terminated and reported as timeout.
     big = Table.from_columns("big", {"k": [0] * 1500, "v": list(range(1500))})
     other = Table.from_columns("other", {"k": [0] * 1500, "w": list(range(1500))})
     database = Database()
     database.register(big)
     database.register(other)
     outcome = database.execute_many(
-        [("boom", "SELECT COUNT(*) FROM big, other WHERE big.k = other.k"),
+        [("boom", "SELECT big.v, other.w FROM big, other WHERE big.k = other.k"),
          ("fine", "SELECT COUNT(*) FROM big WHERE big.v < 10")],
         max_workers=2,
         options=ExecOptions(timeout=0.05),

@@ -18,7 +18,11 @@ import itertools
 
 import pytest
 
-from repro.engine.aggregates import AggregateSpec, PartialAggregateSink
+from repro.engine.aggregates import (
+    AggregateSpec,
+    GroupedAggregateState,
+    PartialAggregateSink,
+)
 from repro.engine.output import CountSink, FactorizedSink, RowSink
 from repro.engine.streaming import (
     StreamingAggregateSink,
@@ -89,6 +93,15 @@ CASES = {
         [[5, 6]],
         [(("x", "y"), [[1, 2, 1], [10, 11, 12]], [0, 2, 3])],
         [2, 1],
+    ),
+    # Mixed int/float aggregate inputs (exact binary fractions) with NULLs,
+    # the group key in the prefix and the SUM/AVG input inside a factor.
+    "mixed-int-float": (
+        ("x", "y", "z"),
+        ("x", "z"),
+        [[1, 2, 1], [5, 2.5, None]],
+        [(("y",), [[10, 0.5, None, 2.25, 7]], [0, 2, 4, 5])],
+        [1, 3, 2],
     ),
     # No output columns at all: only the multiplicities carry the rows.
     "zero-columns": ((), (), [], [], [2, 0, 1]),
@@ -179,7 +192,8 @@ SINKS = {
     ),
     "PartialAggregateSink": (
         lambda variables: PartialAggregateSink(_spec(variables)),
-        lambda sink: sink.state.finalize_rows(),
+        # The aggregate rows and the join cardinality they stand for.
+        lambda sink: (sink.state.finalize_rows(), sink.result().count()),
     ),
     "StreamingSink": (
         lambda variables: StreamingSink(variables, **_stream_kwargs()),
@@ -263,13 +277,71 @@ def test_prefix_keyed_groups_fold_without_expansion():
     partial = PartialAggregateSink(spec)
     partial.on_factorized_batch(*batch)
     assert partial.folded == 1
-    [(key, (packed,))] = partial.payload()
+    rows, [(key, (packed,))] = partial.payload()
     assert key == (5,) and packed[0] == 200  # multiplicity * factor size
+    assert rows == 200 == partial.result().count()  # the join cardinality, not the fold count
 
     streaming = StreamingAggregateSink(spec, **_stream_kwargs())
     streaming.on_factorized_batch(*batch)
     assert streaming.aggregate_stats()["folded_rows"] == 1
     assert streaming.stats()["factorized_batches"] == 1
+
+
+# --------------------------------------------------------------------------- #
+# fold_columns: the one flat-batch fold, against fold_row as the reference
+# --------------------------------------------------------------------------- #
+
+_FOLD_ITEMS = (
+    ("COUNT", None, "n"),
+    ("COUNT", "y", "ny"),
+    ("SUM", "y", "sy"),
+    ("AVG", "y", "ay"),
+    ("MIN", "z", "lo"),
+    ("MAX", "z", "hi"),
+)
+#: Inexact floats next to ints: any change in accumulation order shows.
+_FOLD_Y = [0.1, 10**16, None, -(10**16), 3, 0.2, 7.7, None, 1e-9, 5]
+_FOLD_Z = [4, None, 9.5, 2, 2.0, None, 11, 3, 8, 2]
+_FOLD_X = [1, 2, 1, None, 2, 1, None, 3, 1, 2]
+
+
+@pytest.mark.parametrize("multiplicities", [None, [2, 0, 1, 3, 1, 0, 4, 1, 1, 2]])
+@pytest.mark.parametrize("grouped", [False, True])
+def test_fold_columns_is_bit_identical_to_the_row_fold(grouped, multiplicities):
+    items = (((None, "x", "x"),) if grouped else ()) + _FOLD_ITEMS
+    spec = AggregateSpec(
+        items=items, group_by=("x",) if grouped else (), variables=("x", "y", "z")
+    )
+    columns = [_FOLD_X, _FOLD_Y, _FOLD_Z]
+    by_row = GroupedAggregateState(spec)
+    for row, multiplicity in zip(zip(*columns), multiplicities or [1] * len(_FOLD_X)):
+        if multiplicity > 0:
+            by_row.fold_row(row, multiplicity)
+
+    whole = GroupedAggregateState(spec)
+    touched = whole.fold_columns(columns, multiplicities)
+    assert sorted(touched, key=repr) == sorted(by_row.groups, key=repr)
+    # payload() carries the raw float totals: equality here is bit-identity.
+    assert whole.payload() == by_row.payload()
+    assert whole.finalize_rows() == by_row.finalize_rows()
+
+    # Two batches fold like one: the state carries over in row order.
+    halves = GroupedAggregateState(spec)
+    for part in (slice(0, 4), slice(4, None)):
+        halves.fold_columns(
+            [column[part] for column in columns],
+            None if multiplicities is None else multiplicities[part],
+        )
+    assert halves.payload() == by_row.payload()
+
+
+def test_fold_columns_on_empty_input_keeps_the_all_empty_row():
+    spec = AggregateSpec(items=_FOLD_ITEMS, group_by=(), variables=("x", "y", "z"))
+    state = GroupedAggregateState(spec)
+    assert state.fold_columns([[], [], []]) == []
+    assert state.fold_columns([[1], [2], [3]], [0]) == []  # not in the bag
+    assert state.rows == 0 and not state.groups
+    assert state.finalize_rows() == [(0, 0, None, None, None, None)]
 
 
 def test_factorized_sink_stores_batches_unexpanded():

@@ -150,6 +150,44 @@ def test_delta_join_parity_across_both_tables():
     db.close()
 
 
+def test_delta_join_merges_by_group_key_whatever_plan_the_delta_run_picks():
+    """The seed joins a 200-row fact, each delta run a 1-row one: the two
+    pick different plans and drivers.  Both fold their own partial and the
+    maintained state merges them by group key, so no join-row layout has to
+    line up — mixed int/float SUMs included, byte for byte."""
+    db = Database()
+    db.register(Table.from_rows(
+        "fact", ["k", "d1", "d2", "v"],
+        [(i % 7, i % 4, i % 3, i * 0.1) for i in range(200)],
+    ))
+    db.register(Table.from_rows(
+        "dim1", ["d1", "w"], [(0, 100), (1, 200), (2, 300), (3, 100)]
+    ))
+    db.register(Table.from_rows("dim2", ["d2", "x"], [(0, 5), (1, 6), (2, 7)]))
+    sql = (
+        "SELECT dim1.w, SUM(fact.v), MIN(dim2.x), COUNT(*) FROM fact, dim1, dim2 "
+        "WHERE fact.d1 = dim1.d1 AND fact.d2 = dim2.d2 GROUP BY dim1.w"
+    )
+    standing = db.subscribe(sql)
+    assert (standing.mode, standing.delta_path) == ("delta", "delta-join")
+    seed_plans = standing.last_report.details["plans"]
+    assert_snapshot_parity(db, standing, sql)
+
+    db.catalog.get("fact").append_rows([(1, 2, 1, 9.25), (3, 0, 0, 7)])
+    assert standing.last_report.details["ivm"]["event"] == "delta"
+    assert standing.last_report.details["plans"] != seed_plans
+    assert standing.last_report.details["output"]["mode"] == "aggregate"
+    assert_snapshot_parity(db, standing, sql)
+
+    db.catalog.get("dim1").append_rows([(4, 500)])  # a dimension delta: new group key
+    db.catalog.get("fact").append_rows([(2, 4, 2, 0.3)])
+    assert_snapshot_parity(db, standing, sql)
+    assert standing.stats()["deltas_folded"] == 3
+    assert standing.stats()["reexecutions"] == 0
+    standing.close()
+    db.close()
+
+
 def test_count_star_only_standing_query():
     db = star_db()
     sql = "SELECT COUNT(*) FROM fact"
