@@ -14,9 +14,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.binaryjoin.hash_table import JoinHashTable
 from repro.engine.output import OutputSink
-from repro.engine.pipeline import PhysicalPipeline, RowPath, RunContext, make_sink, run_plan
+from repro.engine.pipeline import PhysicalPipeline, RowPath, RunContext, run_plan
 from repro.engine.report import RunReport
-from repro.errors import PlanError
 from repro.optimizer.binary_plan import BinaryPlan
 from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
@@ -31,9 +30,6 @@ class BinaryJoinOptions:
     """
 
     output: str = "rows"  # "rows" or "count"
-
-    def make_sink(self, variables: Sequence[str]) -> OutputSink:
-        return make_sink(self.output, variables)
 
 
 @dataclass
@@ -109,20 +105,18 @@ class BinaryJoinEngine:
         )
 
     @staticmethod
-    def _lower(pipeline, atoms, output_variables, mode, use_kernels) -> PhysicalPipeline:
+    def _lower(pipeline, atoms, output_variables, counts_only, use_kernels) -> PhysicalPipeline:
         """Lower one pipeline in plan order (no hash tables on the kernel path).
 
-        Count mode compresses dangling matches into multiplicities; row mode
-        expands fully, which keeps the output byte-identical to the probe
-        recursion.
+        A sink that only counts lets dangling matches compress into
+        multiplicities; any other gets them expanded fully, which keeps the
+        output byte-identical to the probe recursion.
         """
-        if mode not in ("rows", "count"):
-            raise PlanError(f"unknown output mode {mode!r}")
         return PhysicalPipeline(
             [atoms[name] for name in pipeline.items],
             output_variables,
             BinaryRowPath(output_variables),
-            compress=(mode == "count"),
+            compress=counts_only,
         )
 
     # ------------------------------------------------------------------ #

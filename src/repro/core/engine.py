@@ -247,7 +247,7 @@ class FreeJoinEngine:
         options = options or self.options
         plans: List[str] = []
 
-        def lower(pipeline, atoms, output_variables, mode, use_kernels):
+        def lower(pipeline, atoms, output_variables, counts_only, use_kernels):
             plan = self._plan_for_pipeline(pipeline, atoms, options)
             plans.append(repr(plan))
             pipeline_atoms = {name: atoms[name] for name in pipeline.items}
@@ -278,19 +278,16 @@ class FreeJoinEngine:
 
         This entry point is used by tests and by the Generic Join comparison:
         any valid Free Join plan (including Generic Join-shaped plans) can be
-        executed directly, without going through a binary plan.  Serially it
-        exercises the trie executor directly — the kernels never claim it
-        (fallback reason ``"hand-written-plan"``); parallel runs go through
-        the steal scheduler like any other pipeline.
+        executed directly, without going through a binary plan.  It exercises
+        the trie executor directly, serially and in every steal task: the
+        kernels never claim it (fallback reason ``"hand-written-plan"``).
         """
         options = options or self.options
         plan.validate(query)
-        serial = context.workers <= 1 or options.output == "factorized"
 
-        def lower(pipeline, atoms, output_variables, mode, use_kernels):
+        def lower(pipeline, atoms, output_variables, counts_only, use_kernels):
             lowered = self._lower(plan, atoms, output_variables, options)
-            if serial:
-                lowered.skip_kernels = "hand-written-plan"
+            lowered.skip_kernels = "hand-written-plan"
             return lowered
 
         whole = Pipeline("__result", [atom.name for atom in query.atoms], is_final=True)

@@ -28,13 +28,14 @@ chosen by :func:`output_mode` — a count, the folding
   reference; only the row paths' per-tuple ``on_row`` (and the expansion
   of a batch whose group key hides inside a factor) still calls it.
 * :class:`AggregateFold` is the sink-side fold (every reporting entry point
-  plus the partial transport), mixed into two sinks.
+  plus the sink transport — ``task_sink`` / ``payload`` / ``absorb``), mixed
+  into two sinks.
   :class:`PartialAggregateSink` is the sink of every aggregate ``execute()``
   and of every steal task of an aggregate query: serially it folds the whole
   join, in a worker one task's share, whose serialized partial the
   parent-side sink (this one, or the streaming
   :class:`~repro.engine.streaming.StreamingAggregateSink`, the same fold
-  over a delivery queue) merges.  Its
+  over a delivery queue) absorbs.  Its
   :class:`~repro.engine.output.JoinResult` carries the folded state.
 
 **The post-join pass** (:func:`post_join`) is the one place a join result
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, repeat
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -574,16 +576,21 @@ class AggregateFold:
     :meth:`GroupedAggregateState.fold_columns`, factorized batches through
     :func:`fold_factorized_batch` (no expansion) whenever the group key
     lives in the prefix; only the row paths' per-tuple :meth:`on_row` folds
-    a row at a time.  A steal task ships its (tiny) serialized partial
-    (:meth:`payload`) to the parent instead of raw rows and the parent-side
-    sink merges it (:meth:`emit_partial`).  The host sink owns ``_lock``
-    (thread workers merge partials concurrently) and
+    a row at a time.  As a transport (see :mod:`repro.engine.output`): a
+    steal task of either host folds into a :class:`PartialAggregateSink`
+    (:meth:`task_sink`) and ships its (tiny) serialized partial
+    (:meth:`payload`) instead of raw rows, and the parent-side sink merges it
+    (:meth:`absorb`) as each task finishes — merging is commutative, and a
+    grouped stream's delta per merged partial depends on it.  The host sink
+    owns ``_lock`` (thread workers absorb concurrently) and
     ``factorized_batches``, calls :meth:`_init_fold`, and may hook
     :meth:`_folded`; the two hosts are :class:`PartialAggregateSink` and
     :class:`~repro.engine.streaming.StreamingAggregateSink`.
     """
 
     accepts_factorized = True
+    absorb_on_arrival = True
+    mode = "aggregate"
 
     def _init_fold(self, spec: AggregateSpec) -> None:
         self.spec = spec
@@ -627,17 +634,19 @@ class AggregateFold:
         # variables), which come back through on_rows.
         super().on_factorized_batch(*batch)
 
+    def task_sink(self):
+        return partial(PartialAggregateSink, self.spec)
+
     def payload(self):
         """The serialized partial this sink accumulated."""
         return self.state.payload()
 
-    def emit_partial(self, payload) -> None:
+    def absorb(self, payload) -> None:
         """Merge one steal task's serialized partial.
 
-        The steal scheduler's stream-forwarding entry point, called as each
-        task completes (parent side on the process backend, concurrently
-        from worker threads on the thread backend) — for ``execute()`` and
-        for grouped streams alike.
+        Called as each task completes (parent side on the process backend,
+        concurrently from worker threads on the thread backend) — for
+        ``execute()`` and for grouped streams alike.
         """
         with self._lock:
             self.partials_merged += 1

@@ -37,13 +37,25 @@ others only to be *cheaper* — a count multiplies segment sizes, an aggregate
 folds factor columns — never to be correct.  Sinks that gain from
 unexpanded groups advertise ``accepts_factorized``; producers only factorize
 into those.
+
+**One transport.**  A sink is also how its content crosses a steal-task
+boundary, and the scheduler never looks inside: :meth:`OutputSink.task_sink`
+is a picklable recipe for the worker-side sink one task folds into, that
+task sink's :meth:`~OutputSink.payload` is what crosses (a process boundary
+included), and the parent sink takes it in (:meth:`~OutputSink.absorb`) —
+as each task finishes, possibly from several worker threads at once
+(``absorb_on_arrival``: the streaming and aggregate sinks, which own a lock
+and whose first-batch latency depends on it), or after the last task, in
+task order, on the submitting thread (everything else: the result is in
+serial order and the sink is never entered concurrently).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datatypes import Row, Value
 from repro.errors import ExecutionError
@@ -149,6 +161,20 @@ class OutputSink:
     #: unexpanded.  Producers only factorize into sinks that advertise this.
     accepts_factorized = False
 
+    #: Whether the sink reads only *how many* rows it is handed, never which:
+    #: a plan policy may then fold every probe that binds nothing read later
+    #: into multiplicities (binary join's ``compress``).
+    counts_only = False
+
+    #: When steal-task payloads are absorbed: as each task finishes — on the
+    #: process backend's submitting thread, on the thread backend from the
+    #: worker threads, concurrently — or (``False``) after the last task, in
+    #: task order, on the submitting thread.  A constant of the sink class.
+    absorb_on_arrival = False
+
+    #: What ``RunReport.details["output"]["mode"]`` calls a run into this sink.
+    mode = "rows"
+
     #: Rows the default :meth:`on_factorized_batch` expands per
     #: :meth:`on_rows` call — all of a large product it ever holds at once.
     expand_rows = 1024
@@ -213,6 +239,36 @@ class OutputSink:
         """Finalize and return the collected result."""
         raise NotImplementedError
 
+    # ------------------------------------------------------------------ #
+    # The worker -> parent transport (see the module docstring)
+    # ------------------------------------------------------------------ #
+
+    def task_sink(self) -> Callable[[], "OutputSink"]:
+        """A picklable recipe for the sink one steal task of this sink fills.
+
+        The default suits any sink: a :class:`FactorizedSink`, whose stored
+        batches cross the worker boundary unexpanded.
+        """
+        return partial(FactorizedSink, self.variables)
+
+    def payload(self):
+        """A task sink's picklable content, for the parent's :meth:`absorb`."""
+        raise NotImplementedError
+
+    def absorb(self, payload) -> None:
+        """Take in one task's :meth:`payload` (of a :meth:`task_sink` sink).
+
+        The default replays a :class:`FactorizedSink`'s batches through
+        :meth:`on_factorized_batch`, so groups expand — if at all — only
+        here, at the delivery boundary.
+        """
+        for batch in payload:
+            self.on_factorized_batch(*batch)
+
+    def stats(self) -> Dict[str, object]:
+        """Delivery / fold telemetry for ``details["parallel"][i]["stream"]``."""
+        return {}
+
 
 class RowSink(OutputSink):
     """Materializes every output row (with multiplicities)."""
@@ -247,11 +303,24 @@ class RowSink(OutputSink):
             multiplicities=self._multiplicities,
         )
 
+    def task_sink(self):
+        return partial(RowSink, self.variables)
+
+    def payload(self):
+        return self._rows, self._multiplicities
+
+    def absorb(self, payload) -> None:
+        rows, multiplicities = payload
+        self._rows.extend(rows)
+        self._multiplicities.extend(multiplicities)
+
 
 class CountSink(OutputSink):
     """Counts output rows without materializing them."""
 
     accepts_factorized = True
+    counts_only = True
+    mode = "count"
 
     def __init__(self, variables: Sequence[str]) -> None:
         super().__init__(variables)
@@ -293,23 +362,33 @@ class CountSink(OutputSink):
             count_only=self._count,
         )
 
+    def task_sink(self):
+        return partial(CountSink, self.variables)
+
+    def payload(self):
+        return self._count
+
+    def absorb(self, payload) -> None:
+        self._count += payload
+
 
 class FactorizedSink(OutputSink):
     """Keeps the output factorized (Section 4.4, Figure 19).
 
     The batches it is handed are stored verbatim — no per-group copy, no
     Cartesian expansion — and :meth:`result` hands them to a
-    :class:`JoinResult` that counts, folds or lazily expands them.  The
-    steal scheduler also gives one to every worker task of a stream whose
-    consumer accepts factorized batches: the stored batches are picklable
-    lists, cross the worker boundary as they are, and the parent replays
-    them into the streaming sink.
+    :class:`JoinResult` that counts, folds or lazily expands them.  It is
+    also the default :meth:`~OutputSink.task_sink`: a steal task of a
+    streaming sink (or of any sink that names no cheaper one) fills one, the
+    stored batches — picklable lists — cross the worker boundary as they
+    are, and the parent sink's :meth:`~OutputSink.absorb` replays them.
 
     Row-at-a-time producers (trie recursion, probe loops) still work: their
     rows are buffered and stored as one factor-free batch.
     """
 
     accepts_factorized = True
+    mode = "factorized"
 
     def __init__(self, variables: Sequence[str]) -> None:
         super().__init__(variables)
@@ -352,6 +431,14 @@ class FactorizedSink(OutputSink):
     def result(self) -> "JoinResult":
         self._flush_rows()
         return JoinResult(variables=self.variables, batches=self._batches)
+
+    def payload(self):
+        self._flush_rows()
+        return self._batches
+
+    def absorb(self, payload) -> None:
+        self._flush_rows()
+        self._batches.extend(payload)
 
 
 @dataclass

@@ -16,9 +16,10 @@ around it:
   path.  The serial plan loop calls it over the full range, the steal
   scheduler's task context over one task's range.
 * :func:`run_plan` is the one plan loop behind every ``Engine.run``:
-  resolve → lower → serial :func:`run_range` or
-  :func:`repro.parallel.scheduler.run_pipeline_steal` → materialize
-  intermediates → assemble the :class:`~repro.engine.report.RunReport` with
+  resolve → pick the pipeline's sink → lower → serial :func:`run_range` or
+  :func:`repro.parallel.scheduler.run_pipeline_steal` into that sink →
+  ``sink.result()`` → materialize intermediates → assemble the
+  :class:`~repro.engine.report.RunReport` with ``details["output"]``,
   ``details["kernels"]`` and (parallel runs only) ``details["parallel"]``.
   It also decides what each pipeline *emits* (late materialization): the
   final one only the variables the caller reads after the join, a
@@ -50,7 +51,11 @@ _SINKS = {"rows": RowSink, "count": CountSink, "factorized": FactorizedSink}
 
 
 def make_sink(output: str, variables: Sequence[str]) -> OutputSink:
-    """Create the output sink for an ``output`` mode."""
+    """Create the sink an options object's ``output`` names.
+
+    Called by :func:`run_plan` only: from there on the sink *is* the output
+    mode, and this is the one place an unknown name is rejected.
+    """
     try:
         return _SINKS[output](variables)
     except KeyError:
@@ -68,9 +73,10 @@ class RunContext:
     that emits the query's full head.
     """
 
-    #: Intra-query workers.  Above 1, every ``rows``/``count`` pipeline is
-    #: decomposed into tasks for the persistent work-stealing pool
-    #: (:mod:`repro.parallel.scheduler`).
+    #: Intra-query workers.  Above 1, every pipeline is decomposed into
+    #: tasks for the persistent work-stealing pool
+    #: (:mod:`repro.parallel.scheduler`) — except a final pipeline whose
+    #: options ask for factorized output, which runs serially.
     workers: int = 1
     #: Worker backend: ``"auto"`` (processes for large inputs, threads for
     #: small ones), ``"process"`` or ``"thread"``.
@@ -218,7 +224,7 @@ def run_range(
                 stop=stop,
                 interrupt=interrupt,
                 stats=stats,
-                factorize=getattr(sink, "accepts_factorized", False),
+                factorize=sink.accepts_factorized,
             )
             return None, None
         except (kernels.KernelCompileError, kernels.KernelFrontierExplosion) as exc:
@@ -246,10 +252,12 @@ def run_plan(
 
     ``pipelines`` are :class:`~repro.optimizer.binary_plan.Pipeline`\\ s in
     dependency order, the last one final, and ``lower(pipeline, atoms,
-    output_variables, mode, use_kernels)`` is the engine's plan policy for
-    one of them (``atoms`` maps every base and already materialized relation
-    by name).  ``options`` carries the policy's plan knobs (of which this
-    loop reads ``output`` only) and ``context`` says how to run.
+    output_variables, counts_only, use_kernels)`` is the engine's plan policy
+    for one of them (``atoms`` maps every base and already materialized
+    relation by name; ``counts_only`` is the pipeline sink's answer to
+    whether it reads only how many rows it gets).  ``options`` carries the
+    policy's plan knobs (of which this loop reads ``output`` only) and
+    ``context`` says how to run.
 
     ``context.output_variables`` are the variables the caller reads after
     the join, and they are all the final pipeline emits; without them it
@@ -260,10 +268,17 @@ def run_plan(
     program's backward pass turns probes that bind nothing read later into
     multiplicities.
 
-    ``sink`` overrides the final pipeline's sink; a caller-provided sink
-    always receives rows (parallel workers ship rows, batches or aggregate
-    partials the parent forwards).  Factorized output interleaves groups in
-    ways tasks cannot reproduce, so it always runs serially.
+    Every pipeline runs into one sink — the caller's ``sink`` for the final
+    pipeline when given, else the sink ``options.output`` names
+    (:func:`make_sink`; an unknown name is a :class:`PlanError`), and a
+    :class:`RowSink` for every intermediate — and the pipeline's result is
+    that sink's ``result()``, serial or parallel: the steal scheduler moves
+    task output into it through the sink's own transport
+    (``task_sink`` / ``payload`` / ``absorb``, see
+    :mod:`repro.engine.output`), so a caller's sink works on every route and
+    is entered concurrently only if it declares ``absorb_on_arrival``.
+    Factorized output the options ask for interleaves groups in ways tasks
+    cannot reproduce, so that run is always serial.
     """
     kernels_off = kernels.disabled_reason()
     atoms: Dict[str, Atom] = {atom.name: atom for atom in query.atoms}
@@ -278,7 +293,7 @@ def run_plan(
     fallbacks: List[str] = []
     counters: Dict[str, int] = {}
     parallel: List[Dict[str, object]] = []
-    result = None
+    result = pipeline_sink = None
     for pipeline in pipelines:
         started = time.perf_counter()
         missing = [name for name in pipeline.items if name not in atoms]
@@ -286,10 +301,11 @@ def run_plan(
             raise PlanError(
                 f"pipeline {pipeline!r} references unmaterialized relations {missing}"
             )
-        final_sink = sink if pipeline.is_final else None
         if pipeline.is_final:
             output_variables = final_variables
-            mode = options.output if final_sink is None else "rows"
+            pipeline_sink = sink
+            if sink is None:
+                pipeline_sink = make_sink(options.output, output_variables)
         else:
             inside = frozenset().union(*(covered[name] for name in pipeline.items))
             covered[pipeline.output_name] = inside
@@ -300,21 +316,29 @@ def run_plan(
             # A result nothing outside reads still multiplies the join: keep
             # one column to carry its cardinality.
             output_variables = tuple(v for v in bound if v in read_outside) or tuple(bound)[:1]
-            mode = "rows"
-        lowered = lower(pipeline, atoms, output_variables, mode, kernels_off is None)
+            pipeline_sink = RowSink(output_variables)
+        lowered = lower(
+            pipeline, atoms, output_variables, pipeline_sink.counts_only, kernels_off is None
+        )
+        # The row path emits factorized groups into a sink that keeps or
+        # folds them (a bare count takes the kernels' groups, but its row
+        # path stays the flat enumeration).
+        factorize = pipeline_sink.accepts_factorized and not pipeline_sink.counts_only
+        # The factorized result the options ask for interleaves groups in
+        # ways tasks cannot reproduce: that run stays serial.
+        serial = context.workers <= 1 or (factorize and pipeline_sink is not sink)
         other_seconds += time.perf_counter() - started
 
-        if context.workers > 1 and mode in ("rows", "count"):
+        if not serial:
             from repro.parallel.scheduler import run_pipeline_steal
 
             run = run_pipeline_steal(
                 lowered,
-                output=mode,
+                pipeline_sink,
                 workers=context.workers,
                 mode=context.parallel_mode,
                 kernels_off=kernels_off,
                 interrupt=context.deadline,
-                stream=final_sink,
             )
             build_seconds += run.build_seconds
             join_seconds += run.join_seconds
@@ -322,14 +346,7 @@ def run_plan(
             kernels.merge_stats(kernel_stats, run.extra.get("kernels_stats"))
             fallbacks.extend(run.extra.get("kernels_fallbacks", ()))
             kernels.merge_stats(counters, run.stats)
-            result = run.result
         else:
-            if final_sink is not None:
-                pipeline_sink = final_sink
-                factorize = getattr(final_sink, "accepts_factorized", False)
-            else:
-                pipeline_sink = make_sink(mode, output_variables)
-                factorize = mode == "factorized"
             state = PipelineState(lowered.row_path, lowered.atoms)
             started = time.perf_counter()
             row_counters, reason = run_range(
@@ -348,7 +365,7 @@ def run_plan(
             if reason:
                 fallbacks.append(reason)
             kernels.merge_stats(counters, row_counters)
-            result = pipeline_sink.result()
+        result = pipeline_sink.result()
 
         if not pipeline.is_final:
             started = time.perf_counter()
@@ -361,6 +378,7 @@ def run_plan(
     report_details.update(
         num_pipelines=len(pipelines),
         options=options,
+        output={"mode": pipeline_sink.mode, "variables": list(final_variables)},
         kernels=kernels.kernel_report(kernel_stats, fallbacks),
     )
     if counters:

@@ -49,7 +49,11 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
 #: choosing an engine — by name or through the router — chooses a plan, never
 #: how the run is configured.
 _PLAN_POLICIES = {
-    policy.name: policy for policy in (FreeJoinEngine, BinaryJoinEngine, GenericJoinEngine)
+    FreeJoinEngine.name: FreeJoinEngine,
+    # The baselines have no plan knob a session sets: they ignore its
+    # Free Join options.
+    BinaryJoinEngine.name: lambda _freejoin_options: BinaryJoinEngine(),
+    GenericJoinEngine.name: lambda _freejoin_options: GenericJoinEngine(),
 }
 
 
@@ -620,24 +624,18 @@ class Database:
         allows (:func:`~repro.engine.aggregates.output_mode`): a count, the
         aggregate sink that folds rows where they are produced, or rows.
         ``report.details["output"]`` records which sink ran and what was
-        decoded.  ``sink`` overrides that sink on every policy;
-        :meth:`execute_iter` passes a
+        decoded.  ``sink`` overrides that sink on every policy, serial or
+        parallel; :meth:`execute_iter` passes a
         :class:`~repro.engine.streaming.StreamingSink` here to stream rows
         out while the join is still running.
         """
         policy = _PLAN_POLICIES.get(engine_name)
         if policy is None:
             raise QueryError(f"unknown engine {engine_name!r}; choose from {ENGINES}")
-        if policy is FreeJoinEngine:
-            engine = policy(freejoin_options or self.freejoin_options)
-        else:
-            engine = policy()
+        engine = policy(freejoin_options or self.freejoin_options)
         options = engine.options
         variables = logical.needed_variables()
-        mode = options.output
-        if sink is not None:
-            mode = "aggregate" if hasattr(sink, "spec") else "rows"
-        elif mode == "rows":
+        if sink is None and options.output == "rows":
             # Any other value ("factorized") is the caller asking for that sink.
             mode = output_mode(logical)
             if mode == "aggregate":
@@ -650,6 +648,4 @@ class Database:
             deadline,
             variables,
         )
-        report = engine.run(logical.query, binary_plan, options, sink, context=context)
-        report.details["output"] = {"mode": mode, "variables": list(variables)}
-        return report
+        return engine.run(logical.query, binary_plan, options, sink, context=context)

@@ -74,9 +74,10 @@ _DONE = object()
 class StreamingSink(OutputSink):
     """A sink that ships row batches through a bounded queue.
 
-    Thread-safety: the engines report rows from whatever thread (or, via the
-    steal scheduler's parent-side forwarding, whichever worker) runs them, so
-    the internal buffer is lock-protected; the queue itself is thread-safe.
+    Thread-safety: the engines report rows from whatever thread runs them —
+    and the steal scheduler's thread workers :meth:`absorb` their tasks'
+    batches concurrently — so the internal buffer is lock-protected; the
+    queue itself is thread-safe.
 
     ``interrupt`` is the query's deadline token.  Every blocking put checks
     it, so a cancelled or over-budget query aborts instead of waiting on a
@@ -84,6 +85,9 @@ class StreamingSink(OutputSink):
     """
 
     accepts_factorized = True
+    #: Steal tasks' batches are delivered as each task finishes: consumers
+    #: see a first batch while sibling tasks still run.
+    absorb_on_arrival = True
 
     def __init__(
         self,
@@ -316,7 +320,7 @@ class StreamingAggregateSink(AggregateFold, StreamingSink):
     engines report columnar batches (folded a column at a time), factorized
     batches (folded without expansion whenever the group key is bound by
     the prefix) and, on the row paths, single tuples; the steal scheduler
-    ships each task's *serialized partial* to :meth:`emit_partial`, so raw
+    ships each task's *serialized partial* to :meth:`absorb`, so raw
     join rows never cross the worker boundary.  The delivery half is
     :class:`StreamingSink`'s bounded queue: every fold marks its groups
     dirty, and their current rows are flushed as a delta at the first batch
@@ -360,10 +364,10 @@ class StreamingAggregateSink(AggregateFold, StreamingSink):
         if self._since_flush >= self.flush_rows:
             self._flush_deltas_locked()
 
-    def emit_partial(self, payload) -> None:
+    def absorb(self, payload) -> None:
         """Merge one worker task's partial and flush its deltas at once, so
         consumers see progressive aggregates while sibling tasks still run."""
-        super().emit_partial(payload)
+        super().absorb(payload)
         with self._lock:
             self._flush_deltas_locked()
 

@@ -154,9 +154,7 @@ class GenericJoinEngine:
             order = default_variable_order(query)
         self._check_order(query, order)
 
-        def lower(pipeline, atoms, output_variables, mode, use_kernels):
-            if mode not in ("rows", "count"):
-                raise PlanError(f"unknown output mode {mode!r}")
+        def lower(pipeline, atoms, output_variables, counts_only, use_kernels):
             return self._lower(list(query.atoms), output_variables, order, use_kernels)
 
         whole = Pipeline("__result", [atom.name for atom in query.atoms], is_final=True)

@@ -45,24 +45,28 @@ Two serving-layer features are layered on top of the scheduler:
   parent-side cache, and the process parent memoizes cover/entry-count
   metadata in a plan cache.
 
-A third serving-layer feature is the **partial-aggregate plane**: when a
-grouped-aggregate query streams through a
-:class:`~repro.engine.streaming.StreamingAggregateSink`, every task folds the
-rows it emits into a per-group-key partial
-(:class:`~repro.engine.aggregates.PartialAggregateSink`) and ships the
-serialized partial instead of raw rows; the parent merges partials as
-workers finish (``emit_partial``), so ``GROUP BY`` queries stream group
-deltas mid-join and the row bag never crosses the worker boundary.
+**The scheduler is content-blind.**  What a task produces, and how it gets
+back into the query's sink, is the sink's business
+(:mod:`repro.engine.output`, "One transport"): every task folds into a fresh
+sink built from ``sink.task_sink()`` — a picklable recipe, shipped per query
+and never stored on a cached context — the task's outcome carries that
+sink's ``payload()`` as its one content key, and the parent sink takes it
+in with ``absorb()``.  A sink that declares ``absorb_on_arrival`` (the
+streaming sinks, the aggregate sinks) absorbs as each task finishes, so a
+consumer sees a first batch — or a ``GROUP BY`` delta per merged partial —
+while sibling tasks still run, and a failed delivery cancels the rest; every
+other sink absorbs after the drain, in task order, on the submitting thread.
 
 Per-task and per-worker accounting (steal counts, queue depths and waits,
-attach times, context-cache hits/misses/evictions, and — for aggregate
-streams — partial-merge counters under ``stream.aggregate``) is merged into
-the run's ``RunReport.details["parallel"]`` entry; see
-``benchmarks/README.md`` for how to read it.
+attach times, context-cache hits/misses/evictions, and the sink's own
+telemetry under ``stream``) is merged into the run's
+``RunReport.details["parallel"]`` entry; see ``benchmarks/README.md`` for
+how to read it.
 
-Result parity: tasks partition the serial iteration, and outcomes are merged
-in task order, so the merged bag always equals the serial output; with static
-cover selection the row order is byte-identical as well.
+Result parity: tasks partition the serial iteration, and an ordered sink
+absorbs their payloads in task order, so its content always equals the
+serial output as a bag; with static cover selection the row order is
+byte-identical as well.
 """
 
 from __future__ import annotations
@@ -77,9 +81,7 @@ from collections import deque
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.aggregates import AggregateSpec, PartialAggregateSink
-from repro.engine.output import FactorizedSink, JoinResult
-from repro.engine.pipeline import PhysicalPipeline, PipelineState, make_sink, run_range
+from repro.engine.pipeline import PhysicalPipeline, PipelineState, run_range
 from repro.errors import DeadlineExceeded, ExecutionError, QueryCancelled
 from repro.kernels import (
     kernel_caches_clear,
@@ -138,14 +140,13 @@ def _fork_context():
 
 @dataclass
 class ShardedRunResult:
-    """A merged parallel run: the combined result plus per-worker accounting.
+    """The accounting of one parallel run (its output is in the query's sink).
 
     Produced by the work-stealing scheduler (one entry per *worker* in
     ``shard_details``, plus scheduler counters — task/steal/queue stats — in
     ``extra``).
     """
 
-    result: JoinResult
     #: Merged row-path work counters (empty when the kernels served every task).
     stats: Dict[str, int]
     build_seconds: float
@@ -169,8 +170,6 @@ class ShardedRunResult:
 #: Target number of tasks dealt per worker.  More tasks mean finer-grained
 #: stealing (better balance under skew) at the cost of per-task overhead.
 TASKS_PER_WORKER = 4
-
-_STEAL_OUTPUTS = ("rows", "count")
 
 
 def _steal_backend(mode: str, workers: int, input_tuples: int) -> str:
@@ -274,88 +273,6 @@ def assign_preferred(tasks: List[StealTask], workers: int) -> None:
 # --------------------------------------------------------------------------- #
 
 
-def _task_sink(
-    output: str,
-    output_variables,
-    aggregate: Optional[AggregateSpec],
-    batches: bool = False,
-):
-    """The sink one task reports into.
-
-    With an :class:`AggregateSpec` (a grouped-aggregate query streaming
-    through an aggregate sink) the task folds its rows into a
-    :class:`PartialAggregateSink` instead of materializing them — the
-    typed partial-result protocol between workers and parent.  ``batches``
-    (a row stream whose consumer accepts factorized batches) keeps the
-    task's output as factorized batches instead of row tuples, so kernel
-    output crosses the worker boundary without Cartesian expansion.
-    """
-    if aggregate is not None:
-        return PartialAggregateSink(aggregate)
-    if batches:
-        return FactorizedSink(output_variables)
-    return make_sink(output, output_variables)
-
-
-def _task_outcome(
-    task: StealTask, sink, output: str, stats: Optional[Dict[str, int]]
-) -> Dict[str, object]:
-    """Package one task's result: rows/count, batches, or a partial."""
-    if isinstance(sink, PartialAggregateSink):
-        return {
-            "task_id": task.task_id,
-            "rows": [],
-            "multiplicities": [],
-            "count": 0,
-            "partial": sink.payload(),
-            "stats": stats,
-            "outputs": sink.folded,
-        }
-    result = sink.result()
-    if result.batches is not None:
-        return {
-            "task_id": task.task_id,
-            "rows": [],
-            "multiplicities": [],
-            "count": 0,
-            "batches": result.batches,
-            "stats": stats,
-            "outputs": result.count(),
-        }
-    outputs = result.count_only or 0 if output == "count" else len(result.rows)
-    return {
-        "task_id": task.task_id,
-        "rows": result.rows,
-        "multiplicities": result.multiplicities,
-        "count": result.count_only or 0,
-        "stats": stats,
-        "outputs": outputs,
-    }
-
-
-def _forward_stream(stream, outcome: Dict[str, object]) -> None:
-    """Ship one task's output to the streaming consumer (with backpressure).
-
-    Dispatches on the outcome's payload: a serialized aggregate partial, a
-    list of factorized batches (replayed through the sink's batch surface,
-    so groups expand — if at all — only at the delivery boundary),
-    or plain rows.  The shipped payload is stripped from the outcome so
-    only telemetry is kept and merged.
-    """
-    partial = outcome.pop("partial", None)
-    if partial is not None:
-        stream.emit_partial(partial)
-        return
-    batches = outcome.pop("batches", None)
-    if batches is not None:
-        for batch in batches:
-            stream.on_factorized_batch(*batch)
-        return
-    stream.on_rows(outcome["rows"], outcome["multiplicities"])
-    outcome["rows"] = []
-    outcome["multiplicities"] = []
-
-
 class _TaskContext:
     """Per-worker state of one pipeline, reused across tasks and queries.
 
@@ -371,7 +288,6 @@ class _TaskContext:
         self,
         pipeline: PhysicalPipeline,
         entry_total: int,
-        output: str,
         kernels_off: Optional[str],
         state: Optional[PipelineState] = None,
         attachments: Tuple = (),
@@ -379,22 +295,23 @@ class _TaskContext:
     ) -> None:
         self.pipeline = pipeline
         self.entry_total = entry_total
-        self.output = output
         self.kernels_off = kernels_off
         self.state = state or PipelineState(pipeline.row_path, pipeline.atoms)
         self.attachments = attachments
         self.attach_seconds = attach_seconds
 
     def run_task(
-        self,
-        task: StealTask,
-        interrupt: Optional[DeadlineToken] = None,
-        aggregate: Optional[AggregateSpec] = None,
-        batches: bool = False,
+        self, task: StealTask, task_sink, interrupt: Optional[DeadlineToken] = None
     ) -> Dict[str, object]:
-        sink = _task_sink(
-            self.output, self.pipeline.output_variables, aggregate, batches
-        )
+        """Run one task into a fresh ``task_sink()``; package its outcome.
+
+        ``task_sink`` is the query sink's recipe — per query, never stored
+        here, so one cached context serves a row query and an aggregate
+        query back to back.  The outcome's one content key is the task
+        sink's ``payload``; the rest is telemetry (``outputs``: the join
+        cardinality the task produced).
+        """
+        sink = task_sink()
         stats = kernel_new_stats()
         counters, fallback = run_range(
             self.pipeline,
@@ -405,8 +322,13 @@ class _TaskContext:
             stats,
             self.kernels_off,
         )
-        outcome = _task_outcome(task, sink, self.output, counters)
-        outcome["kernels"] = stats
+        outcome = {
+            "task_id": task.task_id,
+            "payload": sink.payload(),
+            "outputs": sink.result().count(),
+            "stats": counters,
+            "kernels": stats,
+        }
         if fallback:
             outcome["kernel_fallback"] = fallback
         return outcome
@@ -458,7 +380,6 @@ def _build_worker_context(setup: Dict[str, object], cache: AttachmentCache):
     context = _TaskContext(
         replace(setup["pipeline"], atoms=atoms),
         setup["entry_total"],
-        setup["output"],
         setup["kernels_off"],
         attachments=tuple(attachments),
         attach_seconds=time.perf_counter() - started,
@@ -520,15 +441,16 @@ class _ThreadJob:
 
     def __init__(
         self,
-        runner,
+        context,
+        sink,
         tasks: List[StealTask],
         workers: int,
         interrupt: Optional[DeadlineToken] = None,
-        stream=None,
     ) -> None:
-        self.runner = runner
+        self.context = context
+        self.sink = sink
+        self.task_sink = sink.task_sink()
         self.interrupt = interrupt
-        self.stream = stream
         self.deques: List[deque] = [deque() for _ in range(workers)]
         now = time.monotonic()
         for task in tasks:
@@ -561,8 +483,8 @@ class ThreadStealPool:
 
     Under CPython the GIL serializes the join work itself, so the thread
     backend's value is determinism and *shared state*: all workers execute
-    over one trie/hash-table build (handed to them through the job's runner
-    closure) instead of one build per worker.
+    over one trie/hash-table build (the job's one task context) instead of
+    one build per worker.
     """
 
     backend = "thread"
@@ -590,33 +512,30 @@ class ThreadStealPool:
             thread.start()
 
     def submit(
-        self,
-        runner,
-        tasks: List[StealTask],
-        interrupt: Optional[DeadlineToken] = None,
-        stream=None,
+        self, context, sink, tasks: List[StealTask], interrupt: Optional[DeadlineToken] = None
     ):
-        """Run ``tasks`` through the pool; returns (outcomes, worker_reports).
+        """Run ``tasks`` over ``context``; returns (outcomes, worker_reports).
 
-        ``interrupt`` is shared by every worker thread: a deadline expiry or
-        a :meth:`~repro.parallel.cancellation.DeadlineToken.cancel` aborts
+        Every task folds into a fresh ``sink.task_sink()``.  ``interrupt`` is
+        shared by every worker thread: a deadline expiry or a
+        :meth:`~repro.parallel.cancellation.DeadlineToken.cancel` aborts
         in-flight tasks at their next executor tick and skips queued ones,
         and the submit raises ``DeadlineExceeded``/``QueryCancelled``.
 
-        ``stream`` is an optional :class:`StreamingSink`: each task's rows
-        (or, for grouped-aggregate streams, its folded partial via
-        ``emit_partial``) are forwarded to it (and stripped from the
-        outcome) as the task completes, so a streaming consumer receives
-        batches while sibling tasks are still running.  A forward that
-        raises — the consumer broke off (cancel) or the delivery deadline
-        lapsed against a stalled consumer — is recorded as that task's error
-        and classified like any other abort, so the pool drains cleanly and
-        stays warm.
+        A ``sink`` that declares ``absorb_on_arrival`` absorbs each task's
+        payload on the worker thread that ran it, as the task completes (the
+        payload leaves the outcome), so a streaming consumer receives batches
+        while sibling tasks are still running.  An absorb that raises — the
+        consumer broke off (cancel) or the delivery deadline lapsed against a
+        stalled consumer — is recorded as that task's error and classified
+        like any other abort, so the pool drains cleanly and stays warm.
+        Any other sink is never touched here: its payloads come back in the
+        outcomes for the caller to absorb in task order.
         """
         with self._submit_lock:
             if self.broken:
                 raise ExecutionError("steal pool has been shut down")
-            job = _ThreadJob(runner, tasks, self.workers, interrupt, stream)
+            job = _ThreadJob(context, sink, tasks, self.workers, interrupt)
             with self._cond:
                 self._job = job
                 self._generation += 1
@@ -684,13 +603,11 @@ class ThreadStealPool:
             wait_seconds = max(0.0, time.monotonic() - task.enqueued)
             started = time.perf_counter()
             try:
-                outcome = job.runner(task, job.interrupt)
-                if job.stream is not None:
-                    # Ship this task's columnar batches — or rows, or for
-                    # grouped aggregates its folded partial — to the
-                    # streaming consumer now (with backpressure), keeping
+                outcome = job.context.run_task(task, job.task_sink, job.interrupt)
+                if job.sink.absorb_on_arrival:
+                    # Deliver now (with the sink's own backpressure), keeping
                     # only the telemetry.
-                    _forward_stream(job.stream, outcome)
+                    job.sink.absorb(outcome.pop("payload"))
                 seconds = time.perf_counter() - started
                 outcome.update(
                     worker=worker_id,
@@ -783,8 +700,7 @@ def _process_worker_main(
         # Per-query, never stored on the (cached) context: the same cached
         # tries can serve a grouped-aggregate query and a row query back to
         # back without cross-talk.
-        aggregate = setup.get("aggregate")
-        stream_batches = bool(setup.get("stream_batches"))
+        task_sink = setup["task_sink"]
         context = None
         try:
             started = time.perf_counter()
@@ -842,7 +758,7 @@ def _process_worker_main(
             started = time.perf_counter()
             try:
                 token = DeadlineToken(at=task.deadline, cancel_probe=cancelled)
-                outcome = context.run_task(task, token, aggregate, stream_batches)
+                outcome = context.run_task(task, task_sink, token)
             except Exception as exc:  # noqa: BLE001 - reported to the parent
                 result_queue.put(
                     (
@@ -929,11 +845,14 @@ class ProcessStealPool:
     def submit(
         self,
         setup: Dict[str, object],
+        sink,
         tasks: List[StealTask],
         interrupt: Optional[DeadlineToken] = None,
-        stream=None,
     ):
         """Run ``tasks`` with ``setup``; returns (outcomes, worker_reports).
+
+        ``setup`` carries ``sink.task_sink()``; every task folds into a fresh
+        sink built from it, worker-side.
 
         Raises :class:`ExecutionError` when any task or setup failed.  Only
         *protocol* failures (a dead worker, an out-of-sequence message) mark
@@ -946,23 +865,22 @@ class ProcessStealPool:
         cancellation bumps the pool's cancel cell, which every in-flight
         task's deadline token probes, so sibling tasks abort mid-flight.
 
-        ``stream`` is an optional :class:`StreamingSink`: the parent
-        forwards each arriving task result's rows — or merges its folded
-        partial, for grouped-aggregate streams — to it (with backpressure)
-        and strips them from the kept outcome, so consumers see batches
-        while workers are still producing.  A failed forward (consumer break
-        or delivery deadline) cancels the remaining tasks via the cancel
-        cell and is classified with the other task errors — the drain
-        protocol still completes and the pool stays warm.
+        A ``sink`` that declares ``absorb_on_arrival`` absorbs each task's
+        payload on this (the submitting) thread as its result message
+        arrives (the payload leaves the kept outcome), so consumers see
+        batches while workers are still producing.  A failed absorb
+        (consumer break or delivery deadline) cancels the remaining tasks
+        via the cancel cell and is classified with the other task errors —
+        the drain protocol still completes and the pool stays warm.  Any
+        other sink is never touched here: its payloads come back in the
+        outcomes for the caller to absorb in task order.
         """
         with self._submit_lock:
             if self.broken:
                 raise ExecutionError("steal pool has been shut down")
             self._query_id += 1
             try:
-                return self._run_query(
-                    self._query_id, setup, tasks, interrupt, stream
-                )
+                return self._run_query(self._query_id, setup, sink, tasks, interrupt)
             except _PoolProtocolError:
                 self.broken = True
                 self.shutdown()
@@ -978,9 +896,9 @@ class ProcessStealPool:
         self,
         query_id: int,
         setup,
+        sink,
         tasks: List[StealTask],
         interrupt: Optional[DeadlineToken] = None,
-        stream=None,
     ):
         signalled = False
 
@@ -1019,29 +937,29 @@ class ProcessStealPool:
             self._task_queue.put(("end", query_id))
         outcomes: List[Dict[str, object]] = []
         reports: Dict[int, Dict[str, object]] = {}
-        stream_broken = False
+        delivery_failed = False
         while len(reports) < self.workers or len(outcomes) < expected:
             watch_interrupt()
             message = self._receive(hook=watch_interrupt)
             if message[0] == "result":
                 outcome = message[2]
-                if stream is not None and not stream_broken:
-                    try:
-                        _forward_stream(stream, outcome)
-                    except Exception as exc:  # noqa: BLE001 - classified below
-                        # The consumer went away (cancel) or delivery blew
-                        # the deadline: cancel the remaining tasks and keep
-                        # draining so the pool survives, but forward nothing
-                        # further.
-                        stream_broken = True
-                        errors.append(
-                            f"task {outcome['task_id']} delivery: "
-                            f"{type(exc).__name__}: {exc}"
-                        )
-                        self._cancel_cell.value = query_id
-                        signalled = True
-                    outcome["rows"] = []
-                    outcome["multiplicities"] = []
+                if sink.absorb_on_arrival:
+                    payload = outcome.pop("payload")
+                    if not delivery_failed:
+                        try:
+                            sink.absorb(payload)
+                        except Exception as exc:  # noqa: BLE001 - classified below
+                            # The consumer went away (cancel) or delivery blew
+                            # the deadline: cancel the remaining tasks and keep
+                            # draining so the pool survives, but deliver
+                            # nothing further.
+                            delivery_failed = True
+                            errors.append(
+                                f"task {outcome['task_id']} delivery: "
+                                f"{type(exc).__name__}: {exc}"
+                            )
+                            self._cancel_cell.value = query_id
+                            signalled = True
                 outcomes.append(outcome)
             elif message[0] == "task_error":
                 errors.append(f"task {message[2]}: {message[3]}")
@@ -1263,28 +1181,17 @@ class _StealRun:
     backend: str
     context_factory: Callable[[], object]
     setup_factory: Callable[[], Dict[str, object]]
-    output_variables: Tuple[str, ...]
-    output: str
+    #: The query's sink: tasks fold into its ``task_sink()``s and it absorbs
+    #: their payloads — on arrival or after the drain, as it declares.
+    sink: object
     build_seconds: float = 0.0
     interrupt: Optional[DeadlineToken] = None
-    #: Optional StreamingSink; task rows are forwarded to it as tasks
-    #: complete instead of being merged into the returned result.
-    stream: Optional[object] = None
     extra: Dict[str, object] = field(default_factory=dict)
 
 
-def _short_circuit(
-    variables: Sequence[str], output: str, workers: int, build_seconds: float
-) -> ShardedRunResult:
-    """An empty/zero-key cover: no worker is spawned, stats still populated."""
-    if output == "count":
-        result = JoinResult(
-            variables=tuple(variables), rows=[], multiplicities=[], count_only=0
-        )
-    else:
-        result = JoinResult(variables=tuple(variables), rows=[], multiplicities=[])
+def _short_circuit(workers: int, build_seconds: float) -> ShardedRunResult:
+    """An empty/zero-key cover: no worker is woken, the sink stays untouched."""
     return ShardedRunResult(
-        result=result,
         stats={},
         build_seconds=build_seconds,
         join_seconds=0.0,
@@ -1305,25 +1212,13 @@ def _short_circuit(
 def _drive(run: _StealRun) -> ShardedRunResult:
     effective = min(run.workers, len(run.tasks))
     assign_preferred(run.tasks, effective)
-    # Aggregate streaming: tasks fold rows into partials worker-side and the
-    # parent merges them as workers finish (the spec rides on the sink).
-    aggregate = getattr(run.stream, "spec", None)
-    # Row streams whose consumer takes the batch surface get columnar
-    # per-task forwarding: kernel output (factorized groups included)
-    # crosses the worker boundary without row tuples or expansion.
-    batches = (
-        run.stream is not None
-        and aggregate is None
-        and getattr(run.stream, "accepts_factorized", False)
-    )
+    sink = run.sink
     join_started = time.perf_counter()
     if len(run.tasks) == 1:
         # One task cannot balance anything: run it inline, skip the pool.
-        context = run.context_factory()
-        task = run.tasks[0]
-        outcome = context.run_task(task, run.interrupt, aggregate, batches)
-        if run.stream is not None:
-            _forward_stream(run.stream, outcome)
+        outcome = run.context_factory().run_task(run.tasks[0], sink.task_sink(), run.interrupt)
+        if sink.absorb_on_arrival:
+            sink.absorb(outcome.pop("payload"))
         outcome.update(worker=0, stolen=False, wait_seconds=0.0)
         outcome["seconds"] = time.perf_counter() - join_started
         report = _new_worker_report()
@@ -1333,29 +1228,12 @@ def _drive(run: _StealRun) -> ShardedRunResult:
         outcomes, reports = [outcome], {0: report}
         backend_label = "inline"
     elif run.backend == "thread":
-        context = run.context_factory()
-        if aggregate is None and not batches:
-            runner = context.run_task
-        else:
-            def runner(
-                task, interrupt, _context=context, _spec=aggregate, _batches=batches
-            ):
-                return _context.run_task(task, interrupt, _spec, _batches)
         pool = get_pool("thread", effective)
-        outcomes, reports = pool.submit(
-            runner, run.tasks, run.interrupt, run.stream
-        )
+        outcomes, reports = pool.submit(run.context_factory(), sink, run.tasks, run.interrupt)
         backend_label = "thread"
     else:
-        setup = run.setup_factory()
-        if aggregate is not None:
-            setup["aggregate"] = aggregate
-        if batches:
-            setup["stream_batches"] = True
         pool = get_pool("process", effective)
-        outcomes, reports = pool.submit(
-            setup, run.tasks, run.interrupt, run.stream
-        )
+        outcomes, reports = pool.submit(run.setup_factory(), sink, run.tasks, run.interrupt)
         backend_label = "process"
     join_seconds = time.perf_counter() - join_started
     return _merge(run, outcomes, reports, backend_label, join_seconds)
@@ -1368,34 +1246,17 @@ def _merge(
     backend_label: str,
     join_seconds: float,
 ) -> ShardedRunResult:
-    """Merge task outcomes in task order (serial order parity; see module doc)."""
+    """Merge task outcomes in task order (serial order parity; see module doc).
+
+    A sink that did not absorb on arrival absorbs here: after the drain, in
+    task order, on the submitting thread.
+    """
     outcomes.sort(key=lambda outcome: outcome["task_id"])
-    rows: List[tuple] = []
-    multiplicities: List[int] = []
-    count = 0
     stats: Dict[str, int] = {}
     for outcome in outcomes:
-        rows.extend(outcome["rows"])
-        multiplicities.extend(outcome["multiplicities"])
-        count += outcome["count"]
+        if not run.sink.absorb_on_arrival:
+            run.sink.absorb(outcome.pop("payload"))
         kernel_merge_stats(stats, outcome.get("stats"))
-    if run.stream is not None:
-        # Rows were forwarded to the streaming sink as tasks completed; the
-        # merged result is the sink's count-only placeholder.
-        result = run.stream.result()
-    elif run.output == "count":
-        result = JoinResult(
-            variables=tuple(run.output_variables),
-            rows=[],
-            multiplicities=[],
-            count_only=count,
-        )
-    else:
-        result = JoinResult(
-            variables=tuple(run.output_variables),
-            rows=rows,
-            multiplicities=multiplicities,
-        )
 
     per_shard = [
         {"shard": worker_id, **report} for worker_id, report in sorted(reports.items())
@@ -1436,8 +1297,9 @@ def _merge(
         "kernels_stats": kernel_stats,
         "kernels_fallbacks": kernel_fallbacks,
     }
-    if run.stream is not None:
-        extra["stream"] = run.stream.stats()
+    stream = run.sink.stats()
+    if stream:
+        extra["stream"] = stream
     cache_deltas = [
         report.pop("context_cache")
         for report in reports.values()
@@ -1455,7 +1317,6 @@ def _merge(
         }
     extra.update(run.extra)
     return ShardedRunResult(
-        result=result,
         stats=stats,
         build_seconds=run.build_seconds + setup_max,
         join_seconds=join_seconds,
@@ -1489,23 +1350,28 @@ def _context_bytes_estimate(atoms: Sequence[Atom]) -> int:
 
 def run_pipeline_steal(
     pipeline: PhysicalPipeline,
+    sink,
     *,
-    output: str = "rows",
     workers: int = 2,
     mode: str = "auto",
     kernels_off: Optional[str] = None,
     interrupt: Optional[DeadlineToken] = None,
-    stream=None,
 ) -> ShardedRunResult:
-    """Run one lowered pipeline through the work-stealing scheduler.
+    """Run one lowered pipeline into ``sink`` through the work-stealing scheduler.
 
     The pipeline's row path fixes what task ranges address
     (:meth:`~repro.engine.pipeline.RowPath.plan_tasks`), the entry total is
     decomposed into tasks, and every task is one
     :func:`~repro.engine.pipeline.run_range` call in whichever worker gets to
-    it.  ``kernels_off`` is the query's kernels-disabled reason, decided once
-    in the parent: every worker of this run executes the same path regardless
-    of when it forked.
+    it, into a fresh ``sink.task_sink()``; ``sink`` absorbs the tasks'
+    payloads (see the module docstring) and the caller reads
+    ``sink.result()`` — what comes back from here is accounting only.  An
+    empty root cover short-circuits without waking a worker or touching the
+    sink.  ``kernels_off`` is the query's kernels-disabled reason, decided
+    once in the parent: every worker of this run executes the same path
+    regardless of when it forked; a pipeline the kernels never claim
+    (``skip_kernels``) is set up the same way, since every task of it will
+    need the row path.
 
     Repeated queries over unchanged tables hit the fingerprint-keyed context
     cache: the thread/inline backends reuse a parent-side context (state
@@ -1513,10 +1379,7 @@ def run_pipeline_steal(
     planning via the plan cache while each worker reuses its own cached
     context, skipping attach and build entirely.
     """
-    if output not in _STEAL_OUTPUTS:
-        raise ExecutionError(
-            f"steal scheduling supports outputs {_STEAL_OUTPUTS}, got {output!r}"
-        )
+    kernels_off = kernels_off or pipeline.skip_kernels
     atoms = {atom.name: atom for atom in pipeline.atoms}
     backend = _steal_backend(
         mode, workers, sum(atom.size for atom in pipeline.atoms)
@@ -1531,7 +1394,6 @@ def run_pipeline_steal(
             pipeline.row_path.name,
             atoms,
             pipeline.key_parts(),
-            output,
             kernels_off is None,
         )
     nbytes = _context_bytes_estimate(pipeline.atoms)
@@ -1563,9 +1425,7 @@ def run_pipeline_steal(
 
     tasks = decompose_entries(entry_total, workers, allow_sub=pipeline.allow_sub)
     if not tasks:
-        return _short_circuit(
-            pipeline.output_variables, output, workers, build_seconds
-        )
+        return _short_circuit(workers, build_seconds)
     if interrupt is not None and interrupt.at is not None:
         for task in tasks:
             task.deadline = interrupt.at
@@ -1573,7 +1433,7 @@ def run_pipeline_steal(
     def context_factory():
         nonlocal context
         if context is None:
-            context = _TaskContext(pipeline, entry_total, output, kernels_off, state)
+            context = _TaskContext(pipeline, entry_total, kernels_off, state)
             if kernels_off:
                 # Every task will need the row path: build it once, here,
                 # not racily in whichever workers start first.
@@ -1588,7 +1448,7 @@ def run_pipeline_steal(
             "pipeline": replace(pipeline, atoms=[]),
             "atoms": _atom_specs(pipeline.atoms),
             "entry_total": entry_total,
-            "output": output,
+            "task_sink": sink.task_sink(),
             "kernels_off": kernels_off,
             "context_key": cache_key,
             "context_bytes": nbytes,
@@ -1609,11 +1469,9 @@ def run_pipeline_steal(
             backend=backend,
             context_factory=context_factory,
             setup_factory=setup_factory,
-            output_variables=pipeline.output_variables,
-            output=output,
+            sink=sink,
             build_seconds=build_seconds,
             interrupt=interrupt,
-            stream=stream,
             extra=extra,
         )
     )

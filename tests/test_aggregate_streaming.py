@@ -222,7 +222,7 @@ def test_aggregate_sink_deltas_are_ordered_by_group_key():
     spec = _spec([(None, "x", "x"), ("COUNT", None, "n")], ["x"], ["x"])
     sink = StreamingAggregateSink(spec, batch_rows=64, flush_rows=64)
     sink.on_rows([(value,) for value in (9, 3, 7, 1, 5)])
-    sink.emit_partial(None)  # a partial-less merge still counts
+    sink.absorb(None)  # a partial-less merge still counts
     sink.finish()
     first = sink.next_batch()
     assert [row[0] for row in first] == [1, 3, 5, 7, 9]
@@ -482,7 +482,7 @@ def test_grouped_stream_backpressures_producer(grouped_db):
 # --------------------------------------------------------------------------- #
 
 
-def test_concurrent_emit_partial_is_consistent():
+def test_concurrent_absorb_is_consistent():
     spec = _spec(
         [(None, "x", "x"), ("COUNT", None, "n"), ("SUM", "y", "s")],
         ["x"], ["x", "y"],
@@ -497,7 +497,7 @@ def test_concurrent_emit_partial_is_consistent():
     def fold_chunk(chunk):
         partial = GroupedAggregateState(spec)
         _fold_rows(partial, chunk)
-        sink.emit_partial(partial.payload())
+        sink.absorb(partial.payload())
 
     threads = [
         threading.Thread(target=fold_chunk, args=(chunk,)) for chunk in chunks

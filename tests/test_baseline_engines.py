@@ -86,8 +86,13 @@ class TestBinaryJoinEngine:
         assert report.result.count() == 4
 
     def test_unknown_output_mode_rejected(self):
-        with pytest.raises(PlanError):
-            BinaryJoinOptions(output="nope").make_sink(["x"])
+        r = Table.from_rows("r", ["x"], [(1,), (2,)])
+        query = QueryBuilder().add_atom("r", r, ["x"]).build()
+        plan = BinaryPlan.left_deep(["r"])
+        with pytest.raises(PlanError, match="unknown output mode 'nope'"):
+            BinaryJoinEngine(BinaryJoinOptions(output="nope")).run(query, plan)
+        with pytest.raises(PlanError, match="unknown output mode 'nope'"):
+            GenericJoinEngine(GenericJoinOptions(output="nope")).run(query, plan)
 
 
 class TestHashTrie:

@@ -9,6 +9,7 @@ from repro.core.executor import FreeJoinExecutor
 from repro.core.factor import factor_plan
 from repro.core.plan import FreeJoinPlan
 from repro.engine.output import CountSink, RowSink
+from repro.engine.pipeline import RunContext
 from repro.errors import PlanError
 from repro.optimizer.binary_plan import BinaryPlan
 from repro.query.atoms import Subatom
@@ -200,6 +201,16 @@ class TestEngineEndToEnd:
         report = FreeJoinEngine().run_with_plan(clover3, plan)
         assert sorted(report.result.iter_rows(), key=repr) == nested_loop_join(clover3)
         assert report.details["stats"].outputs >= 1
+        # The contract is "exercises the trie executor directly": the kernels
+        # never claim a hand-written plan, serially or in any steal task.
+        parallel = FreeJoinEngine().run_with_plan(
+            clover3, plan, context=RunContext(workers=2, parallel_mode="thread")
+        )
+        assert list(parallel.result.iter_rows()) == list(report.result.iter_rows())
+        assert parallel.details["parallel"][0]["tasks"] > 1
+        for run in (report, parallel):
+            assert run.details["kernels"]["mode"] == "fallback"
+            assert set(run.details["kernels"]["fallbacks"]) == {"hand-written-plan"}
 
     def test_factorized_output_counts_match_flat(self, clover3):
         plan = BinaryPlan.left_deep(["R", "S", "T"])

@@ -13,18 +13,25 @@ The contract under test (see :mod:`repro.parallel`):
 from __future__ import annotations
 
 import json
+import threading
 
 import pytest
 
+from repro.binaryjoin.executor import BinaryJoinEngine
 from repro.core.colt import build_tries
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
 from repro.engine.options import ExecOptions
+from repro.engine.output import CountSink, FactorizedSink, JoinResult, OutputSink, RowSink
+from repro.engine.pipeline import RunContext
 from repro.engine.session import Database
+from repro.genericjoin.executor import GenericJoinEngine
 from repro.optimizer.join_order import optimize_query
 from repro.parallel.sharding import ShardView, entry_count, shard_bounds, shard_offsets
 from repro.parallel.workload import normalize_queries
 from repro.query.builder import QueryBuilder
+from repro.query.planner import Planner
 from repro.storage.table import Table
+from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
 
 ENGINES = ("freejoin", "binary", "generic")
 
@@ -184,6 +191,171 @@ def test_parallel_process_mode_matches_serial(star_database):
     detail = parallel.report.details["parallel"][0]
     assert detail["mode"] == "process"
     assert len(detail["per_shard"]) == 2
+
+
+# --------------------------------------------------------------------------- #
+# Caller-provided sinks on parallel runs: ``Engine.run(..., sink, context=)``
+# --------------------------------------------------------------------------- #
+
+
+def probed(sink_class):
+    """``sink_class`` with every entry point recording who enters, and when.
+
+    Entry points are the four producer calls plus ``absorb``.  The gate is
+    re-entrant, so a default that chains to the next entry point on the same
+    thread is one entry; a second thread finding the gate held is an overlap.
+    """
+
+    class Probed(sink_class):
+        def __init__(self, variables):
+            super().__init__(variables)
+            self.gate = threading.RLock()
+            self.entered_from = set()
+            self.overlaps = 0
+
+        def _enter(self, name, *args):
+            if not self.gate.acquire(blocking=False):
+                self.overlaps += 1
+                self.gate.acquire()
+            try:
+                self.entered_from.add(threading.current_thread().name)
+                return getattr(super(), name)(*args)
+            finally:
+                self.gate.release()
+
+        def on_row(self, *args):
+            return self._enter("on_row", *args)
+
+        def on_rows(self, *args):
+            return self._enter("on_rows", *args)
+
+        def on_batch(self, *args):
+            return self._enter("on_batch", *args)
+
+        def on_factorized_batch(self, *args):
+            return self._enter("on_factorized_batch", *args)
+
+        def absorb(self, payload):
+            return self._enter("absorb", payload)
+
+    return Probed
+
+
+class BareSink(OutputSink):
+    """The least a caller can write: ``on_row`` and ``result``, no lock."""
+
+    def __init__(self, variables):
+        super().__init__(variables)
+        self.pairs = []
+
+    def on_row(self, row, multiplicity=1):
+        self.pairs.append((row, multiplicity))
+
+    def result(self):
+        rows, multiplicities = zip(*self.pairs) if self.pairs else ((), ())
+        return JoinResult(self.variables, list(rows), list(multiplicities))
+
+
+class ArrivalSink(BareSink):
+    """A caller sink that opts into on-arrival delivery and so owns a lock."""
+
+    absorb_on_arrival = True
+
+    def __init__(self, variables):
+        super().__init__(variables)
+        self.lock = threading.Lock()
+
+    def on_row(self, row, multiplicity=1):
+        with self.lock:
+            super().on_row(row, multiplicity)
+
+
+CALLER_SINKS = {
+    "RowSink": RowSink,
+    "CountSink": CountSink,
+    "FactorizedSink": FactorizedSink,
+    "bare": BareSink,
+}
+DIRECT_ENGINES = {
+    "freejoin": FreeJoinEngine,
+    "binary": BinaryJoinEngine,
+    "generic": GenericJoinEngine,
+}
+
+
+@pytest.fixture(scope="module")
+def fanout_query():
+    """The 400-row fan-out join as ``(query, binary plan)``, full head."""
+    database = Database()
+    database.register_all(fanout_tables(400, keys=20).values())
+    query = Planner(database.catalog).plan_sql(FANOUT_SQL).query
+    return query, optimize_query(query)
+
+
+@pytest.fixture(params=["kernels", "row-path"])
+def kernel_setting(request, monkeypatch):
+    if request.param == "row-path":
+        monkeypatch.setenv("REPRO_KERNELS", "off")
+    return request.param
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+@pytest.mark.parametrize("engine", sorted(DIRECT_ENGINES))
+@pytest.mark.parametrize("sink_name", sorted(CALLER_SINKS))
+def test_caller_sink_on_a_parallel_run_matches_serial(
+    fanout_query, kernel_setting, sink_name, engine, mode
+):
+    """Failed at the parent with ``AttributeError: ... no attribute 'stats'``."""
+    query, plan = fanout_query
+    variables = tuple(query.output_variables)
+    run = DIRECT_ENGINES[engine]().run
+    serial_sink = CALLER_SINKS[sink_name](variables)
+    serial = run(query, plan, None, serial_sink).result
+    sink = probed(CALLER_SINKS[sink_name])(variables)
+    context = RunContext(workers=2, parallel_mode=mode)
+    report = run(query, plan, None, sink, context=context)
+
+    assert report.result.count() == serial.count() > 0
+    if sink_name != "CountSink":
+        assert sorted(report.result.iter_rows()) == sorted(serial.iter_rows())
+    if sink_name == "RowSink":
+        # Ordered absorb: task order, whatever order the tasks finished in —
+        # the rows a parallel run without a caller sink returns (and, where
+        # tasks cut the serial iteration itself, the serial run's).
+        own = run(query, plan, context=context).result
+        assert (report.result.rows, report.result.multiplicities) == (
+            own.rows,
+            own.multiplicities,
+        )
+        if engine == "binary" or kernel_setting == "row-path":
+            assert report.result.rows == serial.rows
+    # Absorbed after the drain, on the submitting thread, one payload at a
+    # time: never from a pool thread, never concurrently.
+    assert sink.entered_from == {threading.current_thread().name}
+    assert sink.overlaps == 0
+    (detail,) = report.details["parallel"]
+    assert detail["mode"] == mode and detail["tasks"] > 1
+    assert "stream" not in detail  # a plain sink has no delivery telemetry
+    assert sum(shard["outputs"] for shard in detail["per_shard"]) == serial.count()
+    assert report.details["output"]["mode"] == sink.mode
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_caller_sink_that_declares_on_arrival_is_entered_as_tasks_finish(fanout_query, mode):
+    query, plan = fanout_query
+    variables = tuple(query.output_variables)
+    serial = FreeJoinEngine().run(query, plan, None, BareSink(variables)).result
+    sink = probed(ArrivalSink)(variables)
+    report = FreeJoinEngine().run(
+        query, plan, None, sink, context=RunContext(workers=2, parallel_mode=mode)
+    )
+    assert sorted(report.result.iter_rows()) == sorted(serial.iter_rows())
+    if mode == "thread":
+        # Delivered by the workers that ran the tasks (its own lock guards it).
+        assert all(name.startswith("repro-steal-") for name in sink.entered_from)
+    else:
+        # The process backend's parent absorbs each result message it receives.
+        assert sink.entered_from == {threading.current_thread().name}
 
 
 # --------------------------------------------------------------------------- #

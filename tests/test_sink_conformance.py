@@ -10,11 +10,21 @@ of that input is fed through ``on_row`` one tuple at a time.
 The reference expansion (:func:`reference_pairs`) is an independent naive
 enumerator over variable environments; it shares no code with
 :func:`repro.engine.output.expand_factorized_batch`.
+
+The **transport axis** holds the same matrix across a steal-task boundary:
+the input split ``k`` ways, each part fed to a task sink built from the
+sink's *pickled* ``task_sink()`` recipe, the pickled ``payload()``\\ s
+absorbed by the parent — in task order, or shuffled and from ``k`` threads
+for a sink that declares ``absorb_on_arrival`` — must leave the parent
+observably equal to the one-sink reference.
 """
 
 from __future__ import annotations
 
 import itertools
+import pickle
+import random
+import threading
 
 import pytest
 
@@ -108,17 +118,21 @@ CASES = {
 }
 
 
+def group_count(case) -> int:
+    """Groups in one case's batch (any plane determines it)."""
+    _variables, _prefix_variables, prefix_columns, factors, multiplicities = case
+    if prefix_columns:
+        return len(prefix_columns[0])
+    if factors:
+        return len(factors[0][2]) - 1
+    return len(multiplicities or ())
+
+
 def reference_pairs(case):
     """Naive ``(row, multiplicity)`` expansion of one case, zeros included."""
     variables, prefix_variables, prefix_columns, factors, multiplicities = case
-    if prefix_columns:
-        groups = len(prefix_columns[0])
-    elif factors:
-        groups = len(factors[0][2]) - 1
-    else:
-        groups = len(multiplicities or ())
     pairs = []
-    for group in range(groups):
+    for group in range(group_count(case)):
         env = {var: column[group] for var, column in zip(prefix_variables, prefix_columns)}
         segments = []
         for factor_variables, columns, offsets in factors:
@@ -251,6 +265,96 @@ def test_every_entry_point_matches_the_reference_through_on_row(
     sink = make(case[0])
     _feed(sink, entry, case)
     assert observe(sink) == observe(reference)
+
+
+# --------------------------------------------------------------------------- #
+# The transport axis: task_sink() -> payload() -> absorb()
+# --------------------------------------------------------------------------- #
+
+ENTRIES = ["on_row", "on_rows", "on_batch", "on_factorized_batch"]
+
+#: sink -> (what one steal task of it folds into, absorb_on_arrival)
+TRANSPORT = {
+    "RowSink": (RowSink, False),
+    "CountSink": (CountSink, False),
+    "FactorizedSink": (FactorizedSink, False),
+    "PartialAggregateSink": (PartialAggregateSink, True),
+    "StreamingSink": (FactorizedSink, True),
+    "StreamingAggregateSink": (PartialAggregateSink, True),
+    "StreamingTopKSink": (FactorizedSink, True),
+}
+
+
+def split_case(case, k):
+    """``case`` cut into ``k`` contiguous runs of groups (empty runs included)."""
+    variables, prefix_variables, prefix_columns, factors, multiplicities = case
+    bounds = [group_count(case) * i // k for i in range(k + 1)]
+    return [
+        (
+            variables,
+            prefix_variables,
+            [column[lo:hi] for column in prefix_columns],
+            [
+                (
+                    factor_variables,
+                    [column[offsets[lo] : offsets[hi]] for column in columns],
+                    [offset - offsets[lo] for offset in offsets[lo : hi + 1]],
+                )
+                for factor_variables, columns, offsets in factors
+            ],
+            None if multiplicities is None else multiplicities[lo:hi],
+        )
+        for lo, hi in zip(bounds, bounds[1:])
+    ]
+
+
+def test_every_sink_names_its_task_sink_and_its_ordering():
+    assert sorted(TRANSPORT) == sorted(SINKS)
+    for sink_name, (task_class, on_arrival) in TRANSPORT.items():
+        sink = SINKS[sink_name][0](("x", "y", "z"))
+        assert type(sink.task_sink()()) is task_class, sink_name
+        assert sink.absorb_on_arrival is on_arrival, sink_name
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+@pytest.mark.parametrize("case_name", sorted(CASES))
+@pytest.mark.parametrize("sink_name", sorted(SINKS))
+def test_split_pickled_and_absorbed_matches_the_one_sink_reference(sink_name, case_name, k):
+    make, observe = SINKS[sink_name]
+    case = CASES[case_name]
+    reference = make(case[0])
+    _feed(reference, "on_row", case)
+    expected = observe(reference)
+    parts = split_case(case, k)
+    assert sum(len(reference_pairs(part)) for part in parts) == len(reference_pairs(case))
+    shuffle = random.Random(f"{sink_name}/{case_name}/{k}").shuffle
+
+    for entry in ENTRIES:
+        parent = make(case[0])
+        recipe = pickle.loads(pickle.dumps(parent.task_sink()))
+        payloads = []
+        for part in parts:
+            task = recipe()
+            _feed(task, entry, part)
+            payloads.append(pickle.loads(pickle.dumps(task.payload())))
+        if parent.absorb_on_arrival:
+            # Any completion order, from as many threads as there are tasks.
+            shuffle(payloads)
+            threads = [
+                threading.Thread(target=parent.absorb, args=(payload,)) for payload in payloads
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10)
+            assert not any(thread.is_alive() for thread in threads)
+        else:
+            for payload in payloads:  # task order, this thread
+                parent.absorb(payload)
+        if sink_name == "RowSink":
+            # Ordered absorb is concatenation: serial order, not just the bag.
+            assert parent.result().rows == reference.result().rows
+        assert observe(parent) == expected, entry
 
 
 def test_reference_expansion_is_what_the_cases_say():
