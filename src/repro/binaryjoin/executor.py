@@ -4,7 +4,7 @@ Bushy plans are decomposed into left-deep pipelines; each pipeline iterates
 over its left-most relation and probes hash tables built on the remaining
 relations, exactly like the push-based execution the paper describes
 (Figure 2a).  Intermediates of non-final pipelines are materialized as flat
-tables holding all attributes.
+column-wise tables holding every attribute something later reads.
 """
 
 from __future__ import annotations

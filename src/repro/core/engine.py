@@ -8,9 +8,10 @@ COLT tries (Section 4.2), and executes with optional vectorization
 (Section 4.3) and dynamic cover selection (Section 4.4).
 
 Intermediate results of non-final pipelines are materialized "simplistically"
-— all attributes stored in a flat vector of tuples — because the paper calls
-out this materialization strategy explicitly and it is load-bearing for the
-robustness results (Sections 5.2 and 5.4).
+— flat and uncompressed, every attribute a later pipeline reads stored as a
+column vector (:func:`repro.engine.pipeline.run_plan`) — because the paper
+calls out this materialization strategy explicitly and it is load-bearing for
+the robustness results (Sections 5.2 and 5.4).
 """
 
 from __future__ import annotations

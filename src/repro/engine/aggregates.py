@@ -75,6 +75,7 @@ from repro.engine.output import (
 from repro.errors import ExecutionError, QueryError
 from repro.kernels.predicates import compile_batch_predicate
 from repro.query.planner import LogicalQuery
+from repro.storage.column import Column
 from repro.storage.table import Table
 
 
@@ -461,8 +462,12 @@ def fold_factorized_batch(
     product is never enumerated, and without a GROUP BY the whole batch
     folds with one reduction per column.  Returns the touched group keys, or
     ``None`` when the caller must expand the batch into rows instead (a
-    group key living inside a factor, or an unbound aggregate input).
+    group key living inside a factor, or an unbound aggregate input).  A
+    factor-free batch in the spec's own layout is a flat one:
+    :meth:`GroupedAggregateState.fold_columns` folds it.
     """
+    if not factors and tuple(prefix_variables) == state.spec.variables:
+        return state.fold_columns(prefix_columns, multiplicities)
     prefix_index = {var: i for i, var in enumerate(prefix_variables)}
     factor_index = {
         var: (position, offset)
@@ -528,20 +533,21 @@ def fold_join_result(
 ) -> List[Row]:
     """Fold a :class:`JoinResult` into ``state``.
 
-    Handles all four result shapes — the already folded partial of an
+    Handles all three result shapes — the already folded partial of an
     aggregate sink (merged by group key, so the two sides' join-row layouts
-    never have to agree), factorized batches (folded without Cartesian
-    expansion whenever :func:`fold_factorized_batch` allows), flat rows with
-    multiplicities, and count-only results (legal only for grouping-free
-    ``COUNT(*)``-only specs) — and returns the touched group keys (with
-    repeats).  This is the one fold the serial pass (:func:`_aggregate`) and
-    the standing-query plane (:mod:`repro.views`) share, which is what makes
-    an incrementally maintained snapshot byte-identical to ``execute()``'s.
+    never have to agree), stored batches (flat ones folded a column at a
+    time, factorized ones without Cartesian expansion whenever
+    :func:`fold_factorized_batch` allows), and count-only results (legal
+    only for grouping-free ``COUNT(*)``-only specs) — and returns the
+    touched group keys (with repeats).  This is the one fold the serial pass
+    (:func:`_aggregate`) and the standing-query plane (:mod:`repro.views`)
+    share, which is what makes an incrementally maintained snapshot
+    byte-identical to ``execute()``'s.
     """
     if result.partial is not None:
         return state.merge_payload(result.partial.payload())
     touched: List[Row] = []
-    if result.batches is not None:
+    if result.count_only is None:
         for batch in result.batches:
             keys = fold_factorized_batch(state, *batch)
             if keys is None:
@@ -553,8 +559,6 @@ def fold_join_result(
                 ]
             touched.extend(keys)
         return touched
-    if result.rows or result.count_only is None:
-        return state.fold_columns(*rows_to_batch(result.rows, result.multiplicities))
     # Count-only sink: a bare total can only feed grouping-free COUNT(*).
     if not state.spec.count_star_only:
         raise ExecutionError(
@@ -682,13 +686,7 @@ class PartialAggregateSink(AggregateFold, OutputSink):
 
     def result(self) -> JoinResult:
         """The folded state, under the join cardinality it stands for."""
-        return JoinResult(
-            variables=self.variables,
-            rows=[],
-            multiplicities=[],
-            count_only=self.state.rows,
-            partial=self.state,
-        )
+        return JoinResult(self.variables, count_only=self.state.rows, partial=self.state)
 
 
 # --------------------------------------------------------------------------- #
@@ -748,26 +746,12 @@ def compile_row_pass(
     return row_pass
 
 
-def _flat_rows(result: JoinResult, stage: str) -> Tuple[List[Row], List[int]]:
-    """The result's rows and multiplicities, expanding factorized batches."""
-    if result.batches is not None:
-        rows = list(result.iter_rows())
-        return rows, [1] * len(rows)
-    if result.count_only is not None and not result.rows:
-        raise QueryError(
-            f"{stage} require materialized join rows; "
-            "this is an internal sink-selection bug"
-        )
-    return result.rows, result.multiplicities
-
-
 def _apply_residuals(result: JoinResult, logical: LogicalQuery) -> JoinResult:
     """Drop the join rows the query's residual predicates reject."""
     if not logical.residual_predicates:
         return result
     row_pass = compile_row_pass(logical, result.variables, project=False)
-    rows, multiplicities = row_pass(*_flat_rows(result, "residual predicates"))
-    return JoinResult(result.variables, rows, multiplicities)
+    return JoinResult.from_rows(result.variables, *row_pass(*result.weighted_rows()))
 
 
 def _extend_left_outer(
@@ -783,14 +767,14 @@ def _extend_left_outer(
     ``details["post_join"]``.
     """
     variables = list(result.variables)
-    rows, multiplicities = _flat_rows(result, "left-outer extensions")
+    rows, multiplicities = result.weighted_rows()
     summary = []
     for spec in logical.left_joins:
         index: Dict[Row, List[Row]] = {}
         for optional_row in spec.table.to_rows():
             key = tuple(optional_row[column] for _var, column in spec.keys)
             if None not in key:  # NULL never matches in SQL equality
-                index.setdefault(key, []).append(tuple(optional_row))
+                index.setdefault(key, []).append(optional_row)
         key_positions = [variables.index(var) for var, _column in spec.keys]
         padding = (None,) * len(spec.variables)
         extended_rows: List[Row] = []
@@ -816,7 +800,7 @@ def _extend_left_outer(
             }
         )
     details["post_join"] = {"left_joins": summary}
-    return JoinResult(tuple(variables), rows, multiplicities)
+    return JoinResult.from_rows(variables, rows, multiplicities)
 
 
 def post_join(
@@ -851,11 +835,11 @@ def aggregate_result(result: JoinResult, logical: LogicalQuery) -> Table:
 
 
 def _project(result: JoinResult, variables: Sequence[str], labels: Sequence[str]) -> Table:
-    positions = [result.variables.index(v) for v in variables]
-    rows = result.to_rows()
-    if positions != list(range(len(result.variables))):
-        rows = [tuple(row[p] for p in positions) for row in rows]
-    return Table.from_rows("result", list(labels), rows)
+    """A column select: the result table adopts the join result's columns."""
+    columns = dict(zip(result.variables, result.columns()))
+    # A variable selected twice gets a list of its own per column.
+    picked = [columns[v] if variables.count(v) == 1 else list(columns[v]) for v in variables]
+    return Table("result", [Column(label, values) for label, values in zip(labels, picked)])
 
 
 def _aggregate(result: JoinResult, logical: LogicalQuery) -> Table:

@@ -3,12 +3,22 @@
 All three join engines report their results through a *sink*.  The sink
 decides how much of the output to materialize:
 
-* :class:`RowSink` materializes every output row (with bag multiplicities),
+* :class:`RowSink` materializes the output: it keeps the flat column batches
+  it is handed (with bag multiplicities),
 * :class:`CountSink` only counts output rows — the cheapest option, used by
   ``COUNT(*)`` queries and by benchmark drivers that do not need the rows,
 * :class:`FactorizedSink` keeps the output factorized (Section 4.4,
-  Figure 19): it stores the batches it is handed and never enumerates a
-  Cartesian product.
+  Figure 19): the same store, handed groups it never expands.
+
+**One stored shape.**  The two materializing sinks are one body — a list of
+batches in the shape below — and a :class:`JoinResult` is that list: each
+column a vector (Section 4.2), of which row tuples are *views*
+(:meth:`JoinResult.columns`, :meth:`~JoinResult.iter_rows`,
+:meth:`~JoinResult.to_rows`, ...).  Nothing between a pipeline, the next
+pipeline and the result table transposes; the one columns→rows ``zip`` left
+(:func:`repro.datatypes.columns_to_rows`) sits where the contract *is* row
+tuples — ``to_rows()`` and the default :meth:`OutputSink.on_batch` on its
+way into a streaming sink's batches.
 
 **One factorized shape.**  Factorized output is a *batch of groups* in
 columnar form, ``(prefix_variables, prefix_columns, factors,
@@ -57,7 +67,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.datatypes import Row, Value
+from repro.datatypes import Row, Value, columns_to_rows
 from repro.errors import ExecutionError
 
 #: One factor of a factorized batch: ``(variables, flat columns, offsets)``.
@@ -148,7 +158,7 @@ def rows_to_batch(rows: Sequence[Row], multiplicities: Optional[Sequence[int]] =
     cheap entry point is the columnar one.  Zero-width rows have no column
     to carry their number, so they always get explicit multiplicities.
     """
-    columns = list(zip(*rows))
+    columns = list(map(list, zip(*rows)))
     if not columns and multiplicities is None:
         multiplicities = [1] * len(rows)
     return columns, multiplicities
@@ -209,12 +219,7 @@ class OutputSink:
         lengths).  A batch without columns has one empty row per
         multiplicity.
         """
-        if columns:
-            rows: Sequence[Row] = list(zip(*columns))
-        elif multiplicities is not None:
-            rows = [()] * len(multiplicities)
-        else:
-            rows = []
+        rows = columns_to_rows(columns) if columns else [()] * len(multiplicities or ())
         self.on_rows(rows, multiplicities)
 
     def on_factorized_batch(
@@ -271,48 +276,78 @@ class OutputSink:
 
 
 class RowSink(OutputSink):
-    """Materializes every output row (with multiplicities)."""
+    """Materializes the output: keeps the column batches it is handed.
+
+    The store is a list of batches in the one factorized shape, verbatim —
+    no per-row tuple, no copy, no Cartesian expansion; only a flat batch's
+    entries with a non-positive multiplicity are dropped — and :meth:`result`
+    hands it to a :class:`JoinResult`, of which rows are a view.  A steal
+    task of it fills another one, whose batches — picklable lists — cross
+    the worker boundary as they are and are appended in task order.
+
+    Row-at-a-time producers (trie recursion, probe loops) still work: their
+    rows are buffered and stored as one factor-free batch, in arrival order.
+    Nothing *produces* factorized groups into this sink (it does not
+    advertise ``accepts_factorized``); :class:`FactorizedSink` is the same
+    store that does.
+    """
 
     def __init__(self, variables: Sequence[str]) -> None:
         super().__init__(variables)
+        self._batches: List[FactorizedBatch] = []
         self._rows: List[Row] = []
         self._multiplicities: List[int] = []
 
     def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity <= 0:
-            return
-        self._rows.append(row)
-        self._multiplicities.append(multiplicity)
+        if multiplicity > 0:
+            self._rows.append(row)
+            self._multiplicities.append(multiplicity)
 
-    def on_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
+    def _flush_rows(self) -> None:
+        """Store the buffered rows as one factor-free batch (keeps arrival order)."""
+        if self._rows:
+            columns, multiplicities = rows_to_batch(self._rows, self._multiplicities)
+            self._batches.append((self.variables, columns, [], multiplicities))
+            self._rows = []
+            self._multiplicities = []
+
+    def on_batch(
+        self,
+        columns: Sequence[Sequence[Value]],
+        multiplicities: Optional[Sequence[int]] = None,
     ) -> None:
-        if multiplicities is None:
-            self._rows.extend(rows)
-            self._multiplicities.extend([1] * len(rows))
-            return
-        for row, multiplicity in zip(rows, multiplicities):
-            if multiplicity > 0:
-                self._rows.append(row)
-                self._multiplicities.append(multiplicity)
+        self.on_factorized_batch(self.variables, columns, [], multiplicities)
+
+    def on_factorized_batch(
+        self,
+        prefix_variables: Sequence[str],
+        prefix_columns: Sequence[Sequence[Value]],
+        factors: Sequence[Factor],
+        multiplicities: Optional[Sequence[int]] = None,
+    ) -> None:
+        self._flush_rows()
+        if not factors and multiplicities is not None and min(multiplicities, default=1) <= 0:
+            # Not in the bag: dropped here as in on_row, so count() == len(to_rows()).
+            keep = [multiplicity > 0 for multiplicity in multiplicities]
+            prefix_columns = [list(itertools.compress(column, keep)) for column in prefix_columns]
+            multiplicities = list(itertools.compress(multiplicities, keep))
+        self._batches.append(
+            (tuple(prefix_variables), prefix_columns, factors, multiplicities)
+        )
 
     def result(self) -> "JoinResult":
-        return JoinResult(
-            variables=self.variables,
-            rows=self._rows,
-            multiplicities=self._multiplicities,
-        )
+        return JoinResult(self.variables, self.payload())
 
     def task_sink(self):
         return partial(RowSink, self.variables)
 
     def payload(self):
-        return self._rows, self._multiplicities
+        self._flush_rows()
+        return self._batches
 
     def absorb(self, payload) -> None:
-        rows, multiplicities = payload
-        self._rows.extend(rows)
-        self._multiplicities.extend(multiplicities)
+        self._flush_rows()
+        self._batches.extend(payload)
 
 
 class CountSink(OutputSink):
@@ -357,10 +392,7 @@ class CountSink(OutputSink):
         self._count += count_factorized_batch(prefix_columns, factors, multiplicities)
 
     def result(self) -> "JoinResult":
-        return JoinResult(
-            variables=self.variables, rows=[], multiplicities=[],
-            count_only=self._count,
-        )
+        return JoinResult(self.variables, count_only=self._count)
 
     def task_sink(self):
         return partial(CountSink, self.variables)
@@ -372,89 +404,51 @@ class CountSink(OutputSink):
         self._count += payload
 
 
-class FactorizedSink(OutputSink):
+class FactorizedSink(RowSink):
     """Keeps the output factorized (Section 4.4, Figure 19).
 
-    The batches it is handed are stored verbatim — no per-group copy, no
-    Cartesian expansion — and :meth:`result` hands them to a
-    :class:`JoinResult` that counts, folds or lazily expands them.  It is
-    also the default :meth:`~OutputSink.task_sink`: a steal task of a
-    streaming sink (or of any sink that names no cheaper one) fills one, the
-    stored batches — picklable lists — cross the worker boundary as they
-    are, and the parent sink's :meth:`~OutputSink.absorb` replays them.
-
-    Row-at-a-time producers (trie recursion, probe loops) still work: their
-    rows are buffered and stored as one factor-free batch.
+    :class:`RowSink`'s store, advertised to the producers: they hand it
+    groups unexpanded, and the :class:`JoinResult` counts, folds or lazily
+    expands them.  It is also the default :meth:`~OutputSink.task_sink`: a
+    steal task of a streaming sink (or of any sink that names no cheaper
+    one) fills one, and the parent sink's :meth:`~OutputSink.absorb` replays
+    the batches.
     """
 
     accepts_factorized = True
     mode = "factorized"
-
-    def __init__(self, variables: Sequence[str]) -> None:
-        super().__init__(variables)
-        self._batches: List[FactorizedBatch] = []
-        self._rows: List[Row] = []
-        self._multiplicities: List[int] = []
-
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity > 0:
-            self._rows.append(row)
-            self._multiplicities.append(multiplicity)
-
-    def _flush_rows(self) -> None:
-        """Store the buffered rows as one factor-free batch (keeps arrival order)."""
-        if self._rows:
-            columns = [list(column) for column in zip(*self._rows)]
-            self._batches.append((self.variables, columns, [], self._multiplicities))
-            self._rows = []
-            self._multiplicities = []
-
-    def on_batch(
-        self,
-        columns: Sequence[Sequence[Value]],
-        multiplicities: Optional[Sequence[int]] = None,
-    ) -> None:
-        self.on_factorized_batch(self.variables, columns, [], multiplicities)
-
-    def on_factorized_batch(
-        self,
-        prefix_variables: Sequence[str],
-        prefix_columns: Sequence[Sequence[Value]],
-        factors: Sequence[Factor],
-        multiplicities: Optional[Sequence[int]] = None,
-    ) -> None:
-        self._flush_rows()
-        self._batches.append(
-            (tuple(prefix_variables), prefix_columns, factors, multiplicities)
-        )
-
-    def result(self) -> "JoinResult":
-        self._flush_rows()
-        return JoinResult(variables=self.variables, batches=self._batches)
-
-    def payload(self):
-        self._flush_rows()
-        return self._batches
-
-    def absorb(self, payload) -> None:
-        self._flush_rows()
-        self._batches.extend(payload)
+    task_sink = OutputSink.task_sink  # the default recipe: this very class
 
 
 @dataclass
 class JoinResult:
-    """The result of a join: flat rows, a count, or factorized batches."""
+    """The result of a join: the column batches a sink kept, or a count.
+
+    Rows are a *view* of :attr:`batches`: :meth:`columns` is the flat
+    columnar one, :meth:`iter_rows` / :meth:`to_rows` the tuple ones.
+    """
 
     variables: Tuple[str, ...]
-    rows: List[Row] = field(default_factory=list)
-    multiplicities: List[int] = field(default_factory=list)
-    #: Factorized batches exactly as the sink received them (else ``None``).
-    batches: Optional[List[FactorizedBatch]] = None
+    #: Batches in the one factorized shape, exactly as the sink received
+    #: them and in that order (empty for a count or a folded aggregate).
+    batches: List[FactorizedBatch] = field(default_factory=list)
     count_only: Optional[int] = None
     #: The folded :class:`~repro.engine.aggregates.GroupedAggregateState` of
     #: an aggregate sink (else ``None``): the rows were aggregated where they
     #: were produced, ``count_only`` is the join cardinality they stood for.
     partial: Optional[object] = None
+
+    @classmethod
+    def from_rows(
+        cls,
+        variables: Sequence[str],
+        rows: Sequence[Row],
+        multiplicities: Optional[Sequence[int]] = None,
+    ) -> "JoinResult":
+        """A result holding ``rows`` (laid out as ``variables``) as one flat batch."""
+        variables = tuple(variables)
+        columns, multiplicities = rows_to_batch(rows, multiplicities)
+        return cls(variables, [(variables, columns, [], multiplicities)] if rows else [])
 
     # ------------------------------------------------------------------ #
     # Cardinality
@@ -464,40 +458,82 @@ class JoinResult:
         """Total number of output rows (respecting bag multiplicities)."""
         if self.count_only is not None:
             return self.count_only
-        if self.batches is not None:
-            return sum(
-                count_factorized_batch(prefix_columns, factors, multiplicities)
-                for _vars, prefix_columns, factors, multiplicities in self.batches
-            )
-        return sum(self.multiplicities)
+        return sum(
+            count_factorized_batch(prefix_columns, factors, multiplicities)
+            for _vars, prefix_columns, factors, multiplicities in self.batches
+        )
 
     def is_factorized(self) -> bool:
-        """Whether the result is stored in factorized form."""
-        return self.batches is not None
+        """Whether some stored batch still holds unexpanded factors."""
+        return any(factors for _vars, _columns, factors, _multiplicities in self.batches)
 
     # ------------------------------------------------------------------ #
     # Row access
     # ------------------------------------------------------------------ #
 
+    def _stored(self) -> List[FactorizedBatch]:
+        if self.count_only is not None:
+            raise ExecutionError("count-only results have no rows to iterate")
+        return self.batches
+
     def iter_rows(self) -> Iterator[Row]:
         """Iterate over flat output rows, expanding factorized batches lazily."""
-        if self.batches is not None:
-            for batch in self.batches:
-                for row, multiplicity in expand_factorized_batch(self.variables, *batch):
-                    for _ in range(multiplicity):
-                        yield row
-            return
-        if self.count_only is not None and not self.rows:
-            raise ExecutionError("count-only results have no rows to iterate")
-        for row, multiplicity in zip(self.rows, self.multiplicities):
-            for _ in range(multiplicity):
-                yield row
+        for batch in self._stored():
+            for row, multiplicity in expand_factorized_batch(self.variables, *batch):
+                yield from itertools.repeat(row, multiplicity)
+
+    def _flat_batches(self) -> Iterator[Tuple[Sequence[Sequence[Value]], Optional[Sequence[int]]]]:
+        """The stored batches as flat ``(columns, multiplicities)`` in ``variables`` order.
+
+        ``on_batch``'s arguments: a flat batch laid out as :attr:`variables`
+        is yielded as it is stored; anything else (factors, another layout)
+        goes through :func:`expand_factorized_batch` first.
+        """
+        for batch in self._stored():
+            prefix_variables, columns, factors, multiplicities = batch
+            if factors or tuple(prefix_variables) != self.variables:
+                pairs = list(expand_factorized_batch(self.variables, *batch))
+                columns, multiplicities = rows_to_batch(
+                    [row for row, _ in pairs], [multiplicity for _, multiplicity in pairs]
+                )
+            yield columns, multiplicities
+
+    def columns(self) -> List[List[Value]]:
+        """Flat value columns, one per variable, bag multiplicities applied.
+
+        A result that is one flat batch without multiplicities comes back
+        *by reference* — the values are the very objects the producer
+        decoded — and several batches are concatenated once.
+        """
+        flatten = itertools.chain.from_iterable
+        chunks = []
+        for columns, multiplicities in self._flat_batches():
+            if multiplicities is not None:
+                columns = [
+                    list(flatten(map(itertools.repeat, column, multiplicities)))
+                    for column in columns
+                ]
+            if columns and len(columns[0]):
+                chunks.append(columns)
+        if len(chunks) == 1:
+            return list(chunks[0])
+        return [list(flatten(parts)) for parts in zip(*chunks)] or [[] for _ in self.variables]
+
+    def weighted_rows(self) -> Tuple[List[Row], List[int]]:
+        """The stored rows and their bag multiplicities, not repeated."""
+        rows: List[Row] = []
+        multiplicities: List[int] = []
+        for columns, weights in self._flat_batches():
+            chunk = columns_to_rows(columns) if columns else [()] * len(weights or ())
+            rows.extend(chunk)
+            multiplicities.extend([1] * len(chunk) if weights is None else weights)
+        return rows, multiplicities
 
     def to_rows(self) -> List[Row]:
         """Materialize all flat output rows."""
-        if self.rows and self.multiplicities.count(1) == len(self.rows):
-            return list(self.rows)  # nothing to repeat
-        return list(self.iter_rows())
+        if not self.variables:  # no column carries the row count
+            return list(self.iter_rows())
+        return columns_to_rows(self.columns())
 
     def distinct_rows(self) -> set:
         """The set of distinct output rows (ignores multiplicities)."""

@@ -18,8 +18,9 @@ around it:
 * :func:`run_plan` is the one plan loop behind every ``Engine.run``:
   resolve → pick the pipeline's sink → lower → serial :func:`run_range` or
   :func:`repro.parallel.scheduler.run_pipeline_steal` into that sink →
-  ``sink.result()`` → materialize intermediates → assemble the
-  :class:`~repro.engine.report.RunReport` with ``details["output"]``,
+  ``sink.result()`` → materialize intermediates (a non-final pipeline's
+  ``Table`` adopts the result's column batches; no row tuple is built) →
+  assemble the :class:`~repro.engine.report.RunReport` with ``details["output"]``,
   ``details["kernels"]`` and (parallel runs only) ``details["parallel"]``.
   It also decides what each pipeline *emits* (late materialization): the
   final one only the variables the caller reads after the join, a
@@ -42,6 +43,7 @@ from repro.engine.output import CountSink, FactorizedSink, OutputSink, RowSink
 from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.query.atoms import Atom
+from repro.storage.column import Column
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -263,10 +265,11 @@ def run_plan(
     the join, and they are all the final pipeline emits; without them it
     emits the query's full head.  Non-final pipelines materialize
     "simplistically" — a flat table (Section 5.2) later pipelines see as an
-    atom — holding only the columns a relation outside the pipeline or the
-    caller still reads.  Everything else is never decoded: the kernel
-    program's backward pass turns probes that bind nothing read later into
-    multiplicities.
+    atom, its columns the result's own (:meth:`JoinResult.columns
+    <repro.engine.output.JoinResult.columns>`) — holding only the columns a
+    relation outside the pipeline or the caller still reads.  Everything
+    else is never decoded: the kernel program's backward pass turns probes
+    that bind nothing read later into multiplicities.
 
     Every pipeline runs into one sink — the caller's ``sink`` for the final
     pipeline when given, else the sink ``options.output`` names
@@ -370,7 +373,8 @@ def run_plan(
         if not pipeline.is_final:
             started = time.perf_counter()
             variables = list(result.variables)
-            table = Table.from_rows(pipeline.output_name, variables, result.to_rows())
+            columns = [Column(var, values) for var, values in zip(variables, result.columns())]
+            table = Table(pipeline.output_name, columns)
             atoms[pipeline.output_name] = Atom(pipeline.output_name, table, variables)
             other_seconds += time.perf_counter() - started
 

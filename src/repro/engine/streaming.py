@@ -293,12 +293,7 @@ class StreamingSink(OutputSink):
 
     def result(self) -> JoinResult:
         """A count-only placeholder: streamed rows are gone once delivered."""
-        return JoinResult(
-            variables=self.variables,
-            rows=[],
-            multiplicities=[],
-            count_only=self.rows_put + len(self._buffer),
-        )
+        return JoinResult(self.variables, count_only=self.rows_put + len(self._buffer))
 
     def stats(self) -> Dict[str, object]:
         """Telemetry merged into ``RunReport.details["parallel"]``."""

@@ -14,7 +14,7 @@ import pickle
 from array import array
 from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
-from repro.datatypes import FLOAT, INT, Row, Value, rows_to_columns
+from repro.datatypes import FLOAT, INT, Row, Value, columns_to_rows, rows_to_columns
 from repro.errors import SchemaError
 from repro.storage.column import Column
 
@@ -180,13 +180,11 @@ class Table:
 
     def iter_rows(self) -> Iterator[Row]:
         """Iterate over all rows as tuples."""
-        cols = [c.values for c in self.columns]
-        for i in range(self.num_rows):
-            yield tuple(col[i] for col in cols)
+        return zip(*[c.values for c in self.columns])
 
     def to_rows(self) -> List[Row]:
         """Materialize all rows."""
-        return list(self.iter_rows())
+        return columns_to_rows([c.values for c in self.columns])
 
     def row_values(self, index: int, column_names: Sequence[str]) -> Row:
         """Materialize the given columns of one row as a tuple."""

@@ -118,3 +118,24 @@ def assert_engines_agree(query, binary_plan=None, reference=None, freejoin_optio
     if reference is not None:
         assert rows["freejoin"] == reference, "engines disagree with the reference join"
     return rows["freejoin"]
+
+
+@pytest.fixture
+def intermediates(monkeypatch):
+    """The tables ``run_plan`` materializes for non-final pipelines, in order.
+
+    ``run_plan`` wraps each one in an ``Atom`` for the later pipelines; the
+    wrapper records the table on its way in (a plain function, so nothing
+    here is pickled to a process worker).
+    """
+    from repro.engine import pipeline
+
+    tables = []
+    pipeline_atom = pipeline.Atom
+
+    def recording_atom(name, table, variables):
+        tables.append(table)
+        return pipeline_atom(name, table, variables)
+
+    monkeypatch.setattr(pipeline, "Atom", recording_atom)
+    return tables

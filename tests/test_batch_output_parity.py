@@ -308,7 +308,7 @@ def test_left_outer_probe_ignores_repro_kernels():
     tables = []
     for kernels in (True, False):
         with kernels_enabled(kernels):
-            core = JoinResult(("l_oid", "o_cid"), list(rows), list(multiplicities))
+            core = JoinResult.from_rows(("l_oid", "o_cid"), list(rows), list(multiplicities))
             tables.append(post_join(core, logical, {})[1].to_rows())
     assert tables[0] == tables[1]
     assert tables[0][:4] == [(0, None, None), (1, 1, "n"), (1, 1, "n"), (1, 1, "s")]

@@ -114,7 +114,7 @@ class TestExecutorCorrectness:
         plan = binary_to_free_join(["R", "S", "T"], atoms)
         result, _ = run_plan(clover3, plan, sink_cls=CountSink)
         assert result.count() == len(nested_loop_join(clover3))
-        assert result.rows == []
+        assert result.batches == []
 
     def test_empty_probe_result_yields_empty_output(self):
         r = Table.from_rows("r", ["x"], [(1,)])

@@ -494,7 +494,7 @@ def test_run_range_hands_the_row_path_an_untouched_sink(monkeypatch):
         state = PipelineState(pipeline.row_path, pipeline.atoms)
         stats = kernels.new_stats()
         _counters, reason = run_range(pipeline, state, sink, None, None, stats)
-        return sink.result().rows, reason, stats
+        return sink.result().to_rows(), reason, stats
 
     # Guard above the 100-row output: the kernels serve the range alone.
     rows, reason, stats = run()

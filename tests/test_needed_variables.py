@@ -150,7 +150,7 @@ def test_order_by_limit_streams_the_same_rows(monkeypatch, engine, kernels, conf
 @pytest.mark.parametrize("kernels", ["on", "off"])
 @pytest.mark.parametrize("engine", ["freejoin", "binary"])
 def test_bushy_intermediate_drops_the_columns_nothing_reads(
-    monkeypatch, engine, kernels, configure
+    monkeypatch, intermediates, engine, kernels, configure
 ):
     """(r ⋈ s) ⋈ (t ⋈ u): the materialized ``t ⋈ u`` keeps ``c`` (a join key
     of the final pipeline) and ``e`` (selected), and drops ``d``."""
@@ -165,15 +165,6 @@ def test_bushy_intermediate_drops_the_columns_nothing_reads(
         JoinNode(LeafNode("r"), LeafNode("s")),
         JoinNode(LeafNode("t"), LeafNode("u")),
     ))
-    materialized = []
-    from_rows = Table.from_rows
-
-    def recording_from_rows(name, column_names, rows):
-        if name.startswith(BinaryPlan.INTERMEDIATE_PREFIX):
-            materialized.append((list(column_names), len(rows)))
-        return from_rows(name, column_names, rows)
-
-    monkeypatch.setattr(Table, "from_rows", staticmethod(recording_from_rows))
     database = Database(catalog, **configure)
     try:
         logical = Planner(catalog).plan_sql(sql)
@@ -183,5 +174,6 @@ def test_bushy_intermediate_drops_the_columns_nothing_reads(
         database.close()
     assert canonicalize(table.to_rows(), ordered=False) == expected
     # Six (t, u) pairs join on d; the bag survives the dropped column.
+    materialized = [(table.column_names, table.num_rows) for table in intermediates]
     assert materialized == [(["s_c", "u_e"], 6)]
     assert report.details["output"] == {"mode": "aggregate", "variables": ["r_a", "u_e"]}

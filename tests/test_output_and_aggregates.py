@@ -1,5 +1,7 @@
 """Tests for output sinks, join results, aggregation, and sessions."""
 
+import dataclasses
+
 import pytest
 
 from repro.engine.options import ExecOptions
@@ -29,11 +31,57 @@ class TestSinks:
             list(result.iter_rows())
 
     def test_same_bag_across_variable_orders(self):
-        first = JoinResult(("x", "y"), rows=[(1, 2)], multiplicities=[1])
-        second = JoinResult(("y", "x"), rows=[(2, 1)], multiplicities=[1])
+        first = JoinResult.from_rows(("x", "y"), [(1, 2)], [1])
+        second = JoinResult.from_rows(("y", "x"), [(2, 1)], [1])
         assert first.same_bag(second)
-        third = JoinResult(("y", "z"), rows=[(2, 1)], multiplicities=[1])
+        third = JoinResult.from_rows(("y", "z"), [(2, 1)], [1])
         assert not first.same_bag(third)
+
+    def test_one_stored_shape(self):
+        """Column batches are the store; rows are views of them."""
+        names = [field.name for field in dataclasses.fields(JoinResult)]
+        assert names == ["variables", "batches", "count_only", "partial"]
+
+        x, y = [1, 2, 3], ["a", None, "c"]
+        sink = RowSink(("x", "y"))
+        sink.on_batch([x, y])
+        result = sink.result()
+        # One flat batch is adopted by reference: no copy, no transpose.
+        assert result.columns()[0] is x and result.columns()[1] is y
+        assert result.to_rows() == list(result.iter_rows()) == [(1, "a"), (2, None), (3, "c")]
+
+        sink.on_row((4, "d"), 2)
+        # Non-positive multiplicities are not in the bag: dropped when stored.
+        sink.on_batch([[5, 6, 7], ["e", "f", "g"]], [0, 3, -1])
+        result = sink.result()
+        assert len(result.batches) == 3 and result.count() == 8 == len(result.to_rows())
+        assert result.columns() == [
+            [1, 2, 3, 4, 4, 6, 6, 6],
+            ["a", None, "c", "d", "d", "f", "f", "f"],
+        ]
+        assert result.to_rows() == list(result.iter_rows())
+        assert result.weighted_rows() == (
+            [(1, "a"), (2, None), (3, "c"), (4, "d"), (6, "f")],
+            [1, 1, 1, 2, 3],
+        )
+
+    def test_from_rows_round_trips_rows_and_multiplicities(self):
+        rows, multiplicities = [(1, "a"), (2, "b")], [2, 1]
+        result = JoinResult.from_rows(("x", "y"), rows, multiplicities)
+        assert result.weighted_rows() == (rows, multiplicities)
+        assert result.to_rows() == [(1, "a"), (1, "a"), (2, "b")]
+        assert JoinResult.from_rows(("x", "y"), rows).to_rows() == rows
+        empty = JoinResult.from_rows(("x", "y"), [])
+        assert empty.columns() == [[], []] and empty.to_rows() == [] and empty.count() == 0
+        # Zero-width rows: only the multiplicities carry them.
+        bare = JoinResult.from_rows((), [(), ()], [2, 1])
+        assert bare.count() == 3 and bare.to_rows() == [(), (), ()] and bare.columns() == []
+
+    def test_count_only_results_have_no_row_view(self):
+        result = JoinResult(("x",), count_only=4)
+        for view in (result.columns, result.to_rows, result.weighted_rows, result.sorted_rows):
+            with pytest.raises(ExecutionError):
+                view()
 
 
 @pytest.fixture

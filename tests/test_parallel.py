@@ -253,7 +253,7 @@ class BareSink(OutputSink):
 
     def result(self):
         rows, multiplicities = zip(*self.pairs) if self.pairs else ((), ())
-        return JoinResult(self.variables, list(rows), list(multiplicities))
+        return JoinResult.from_rows(self.variables, list(rows), list(multiplicities))
 
 
 class ArrivalSink(BareSink):
@@ -323,12 +323,9 @@ def test_caller_sink_on_a_parallel_run_matches_serial(
         # the rows a parallel run without a caller sink returns (and, where
         # tasks cut the serial iteration itself, the serial run's).
         own = run(query, plan, context=context).result
-        assert (report.result.rows, report.result.multiplicities) == (
-            own.rows,
-            own.multiplicities,
-        )
+        assert report.result.to_rows() == own.to_rows()
         if engine == "binary" or kernel_setting == "row-path":
-            assert report.result.rows == serial.rows
+            assert report.result.to_rows() == serial.to_rows()
     # Absorbed after the drain, on the submitting thread, one payload at a
     # time: never from a pool thread, never concurrently.
     assert sink.entered_from == {threading.current_thread().name}

@@ -128,7 +128,7 @@ def test_run_task_partitions_serial_execution(workers, batch_size, dynamic_cover
     serial_executor, serial_sink = fresh_executor()
     tries = build_tries(atoms, schemas)
     serial_executor.run(tries)
-    serial_rows = serial_sink.result().rows
+    serial_rows = serial_sink.result().to_rows()
 
     # Pin the root cover once over unforced tries, the way the scheduler
     # does: forcing shrinks key_count() estimates, so tasks re-choosing a
@@ -147,7 +147,7 @@ def test_run_task_partitions_serial_execution(workers, batch_size, dynamic_cover
     for task in tasks:
         executor, sink = fresh_executor()
         executor.run_task(shared_tries, task.start, task.stop, task.sub, cover)
-        merged_rows.extend(sink.result().rows)
+        merged_rows.extend(sink.result().to_rows())
         merged_stats.merge(executor.stats)
 
     # Tasks partition the serial iteration: they neither repeat nor drop
@@ -190,7 +190,7 @@ def test_run_task_sub_root_partitions_serial_execution():
     sink = RowSink(query.output_variables)
     serial = FreeJoinExecutor(plan, query.output_variables, sink, dynamic_cover=False)
     serial.run(build_tries(atoms, schemas))
-    serial_rows = sink.result().rows
+    serial_rows = sink.result().to_rows()
 
     entry_total = entry_count(build_tries(atoms, schemas)["r"])
     assert entry_total == 2
@@ -205,7 +205,7 @@ def test_run_task_sub_root_partitions_serial_execution():
             plan, query.output_variables, task_sink, dynamic_cover=False
         )
         executor.run_task(shared_tries, task.start, task.stop, task.sub)
-        merged.extend(task_sink.result().rows)
+        merged.extend(task_sink.result().to_rows())
     assert merged == serial_rows
 
 

@@ -17,6 +17,10 @@ sink's *pickled* ``task_sink()`` recipe, the pickled ``payload()``\\ s
 absorbed by the parent — in task order, or shuffled and from ``k`` threads
 for a sink that declares ``absorb_on_arrival`` — must leave the parent
 observably equal to the one-sink reference.
+
+The **order cells** hold the sinks that promise more than a bag — the two
+materializing sinks and the row stream — to the reference expansion's row
+*order*, through every entry point and across the transport in task order.
 """
 
 from __future__ import annotations
@@ -66,6 +70,14 @@ CASES = {
         [[1, 1, 2, 3], [10, 11, 10, 12], [5, 6, 7, 8]],
         [],
         [2, 0, 1, 3],
+    ),
+    # A negative multiplicity is not in the bag either.
+    "flat-multiplicities-negative": (
+        ("x", "y", "z"),
+        ("x", "y", "z"),
+        [[1, 1, 2, 3], [10, 11, 10, 12], [5, 6, 7, 8]],
+        [],
+        [2, -1, 1, 0],
     ),
     # Two independent factors, multiplicities, output order != batch layout.
     "two-factors-permuted": (
@@ -191,7 +203,10 @@ def _stream_kwargs():
 SINKS = {
     "RowSink": (
         lambda variables: RowSink(variables),
-        lambda sink: sorted(sink.result().iter_rows(), key=repr),
+        lambda sink: (
+            sink.result().count(),
+            sorted(sink.result().iter_rows(), key=repr),
+        ),
     ),
     "CountSink": (
         lambda variables: CountSink(variables),
@@ -265,6 +280,33 @@ def test_every_entry_point_matches_the_reference_through_on_row(
     sink = make(case[0])
     _feed(sink, entry, case)
     assert observe(sink) == observe(reference)
+
+
+#: Sinks whose rows come back in the order they went in: sink -> its rows.
+ORDERED = {
+    "RowSink": lambda sink: sink.result().to_rows(),
+    "FactorizedSink": lambda sink: sink.result().to_rows(),
+    "StreamingSink": lambda sink: list(itertools.chain.from_iterable(_delivered(sink))),
+}
+
+
+def reference_rows_in_order(case) -> list:
+    """The reference expansion as a flat row list, multiplicities applied."""
+    return [row for row, multiplicity in reference_pairs(case) for _ in range(multiplicity)]
+
+
+@pytest.mark.parametrize("case_name", sorted(CASES))
+@pytest.mark.parametrize(
+    "entry", ["on_row", "on_rows", "on_batch", "on_factorized_batch"]
+)
+@pytest.mark.parametrize("sink_name", sorted(ORDERED))
+def test_ordered_sinks_keep_the_reference_row_order(sink_name, entry, case_name):
+    case = CASES[case_name]
+    sink = SINKS[sink_name][0](case[0])
+    _feed(sink, entry, case)
+    if sink_name != "StreamingSink":
+        assert list(sink.result().iter_rows()) == reference_rows_in_order(case)
+    assert ORDERED[sink_name](sink) == reference_rows_in_order(case)
 
 
 # --------------------------------------------------------------------------- #
@@ -351,10 +393,32 @@ def test_split_pickled_and_absorbed_matches_the_one_sink_reference(sink_name, ca
         else:
             for payload in payloads:  # task order, this thread
                 parent.absorb(payload)
-        if sink_name == "RowSink":
+        if sink_name in ORDERED and not parent.absorb_on_arrival:
             # Ordered absorb is concatenation: serial order, not just the bag.
-            assert parent.result().rows == reference.result().rows
+            assert parent.result().to_rows() == reference.result().to_rows()
+            assert parent.result().to_rows() == reference_rows_in_order(case)
         assert observe(parent) == expected, entry
+
+
+def _tuples_in(payload):
+    """Every tuple nested anywhere inside the lists and tuples of ``payload``."""
+    if isinstance(payload, (list, tuple)):
+        if isinstance(payload, tuple):
+            yield payload
+        for item in payload:
+            yield from _tuples_in(item)
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("case_name", sorted(name for name in CASES if CASES[name][0]))
+def test_row_sink_task_payload_ships_columns_not_row_tuples(case_name, entry):
+    """What crosses a process boundary for a row result is column lists."""
+    case = CASES[case_name]
+    task = RowSink(case[0]).task_sink()()
+    _feed(task, entry, case)
+    payload = pickle.loads(pickle.dumps(task.payload()))
+    rows = reference_rows_in_order(case)
+    assert rows and not [item for item in _tuples_in(payload) if item in rows]
 
 
 def test_reference_expansion_is_what_the_cases_say():

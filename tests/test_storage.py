@@ -1,14 +1,18 @@
 """Tests for the column-oriented storage layer."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.datatypes import (
+    FLOAT,
     INT,
     TEXT,
     columns_to_rows,
     infer_column_type,
+    infer_type,
     parse_value,
     rows_to_columns,
+    unify_types,
 )
 from repro.errors import CatalogError, SchemaError
 from repro.storage.catalog import Catalog
@@ -182,3 +186,58 @@ class TestDatatypes:
 
     def test_infer_column_type_all_null_defaults_to_text(self):
         assert infer_column_type([None, None]) == TEXT
+
+
+def _infer_column_type_by_value(values):
+    """The per-value loop ``infer_column_type`` replaced, kept as its oracle."""
+    current = None
+    for value in values:
+        current = unify_types(current, infer_type(value))
+        if current == TEXT:
+            break
+    return current if current is not None else TEXT
+
+
+_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(allow_nan=True), st.text(max_size=3)
+)
+
+
+class TestInferColumnType:
+    @given(st.lists(_VALUES, max_size=12))
+    def test_matches_the_per_value_loop(self, values):
+        assert infer_column_type(values) == _infer_column_type_by_value(values)
+
+    @given(st.lists(st.one_of(st.none(), st.booleans(), st.integers()), min_size=1))
+    def test_bools_and_nulls_do_not_widen_ints(self, values):
+        expected = TEXT if all(value is None for value in values) else INT
+        assert infer_column_type(values) == expected
+
+    def test_edges(self):
+        assert infer_column_type([]) == TEXT
+        assert infer_column_type([None] * 5) == TEXT
+        assert infer_column_type([True, False]) == INT
+        assert infer_column_type([1, None, 2.5]) == FLOAT
+        assert infer_column_type([2.5, 1, "a", None]) == TEXT
+
+    def test_the_table_columns_are_typed_like_the_loop(self):
+        table = Table.from_rows("t", ["a", "b", "c"], [(1, 1.5, None), (None, 2, "x")])
+        assert [c.dtype for c in table.columns] == [INT, FLOAT, TEXT]
+
+    def test_unsupported_type_is_rejected_wherever_it_stands(self):
+        with pytest.raises(TypeError):
+            infer_column_type([1, object()])
+        # The per-value loop stopped at the first string and let this pass.
+        assert _infer_column_type_by_value(["a", object()]) == TEXT
+        with pytest.raises(TypeError):
+            infer_column_type(["a", object()])
+
+
+def test_to_rows_is_one_zip_over_every_column_representation():
+    table = Table.from_columns("t", {"x": [1, 2, 3], "y": ["a", None, "c"]})
+    assert table.to_rows() == list(table.iter_rows()) == [(1, "a"), (2, None), (3, "c")]
+    assert table.to_rows() == columns_to_rows([c.values for c in table.columns])
+    assert columns_to_rows([]) == [] and columns_to_rows([[], []]) == []
+    packed = Table("p", [Column("x", [], dtype=INT)])
+    packed.columns[0].values = memoryview(bytes(16)).cast("q")  # an shm attachment's view
+    assert packed.to_rows() == list(packed.iter_rows()) == [(0,), (0,)]

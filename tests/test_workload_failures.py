@@ -164,23 +164,23 @@ def test_per_query_timeout_actually_fires(row_at_a_time):
 
 
 class _CrashingTable(Table):
-    """A table that kills any *forked* process that reads its row count.
+    """A table that kills any *forked* process that reads its rows.
 
     In the parent (the process that constructed it) it behaves like a normal
     table, so registration and statistics warm-up work; in a query worker the
-    first ``num_rows`` access exits the process without a Python traceback —
-    modelling a hard worker crash (OOM kill, segfault in an extension).
+    first ``iter_rows`` call (the WHERE filter's scan) exits the process
+    without a Python traceback — modelling a hard worker crash (OOM kill,
+    segfault in an extension).
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
         self._safe_pid = os.getpid()
 
-    @property
-    def num_rows(self) -> int:
+    def iter_rows(self):
         if os.getpid() != self._safe_pid:
             os._exit(17)
-        return Table.num_rows.fget(self)
+        return super().iter_rows()
 
 
 def test_crashing_worker_is_captured_without_poisoning_siblings():
