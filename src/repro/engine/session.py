@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import atexit
 import os
+import threading
 import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, List, Optional
@@ -55,6 +56,11 @@ _PLAN_POLICIES = {
     BinaryJoinEngine.name: lambda _freejoin_options: BinaryJoinEngine(),
     GenericJoinEngine.name: lambda _freejoin_options: GenericJoinEngine(),
 }
+
+#: Prepared queries one session keeps (:meth:`Database._prepare`), oldest
+#: evicted first; as many evicted keys are remembered, so that a miss can say
+#: it was one.  Entries hold their tables strongly, like ``StatisticsCache``.
+PREPARED_CACHE_ENTRIES = 256
 
 
 @dataclass
@@ -132,6 +138,11 @@ class Database:
         self.parallelism = parallelism
         self.parallel_mode = parallel_mode
         self.statistics_cache = StatisticsCache()
+        #: ``(sql, name, bad_estimates)`` -> ``(logical, binary_plan)``; see
+        #: :meth:`_prepare`, the only reader and writer.
+        self._prepared: dict = {}
+        self._evicted: dict = {}  # the last keys evicted, as an ordered set
+        self._prepared_lock = threading.Lock()
         self.feedback_path = feedback_path
         if feedback_path is not None and router is not None:
             raise QueryError(
@@ -274,6 +285,23 @@ class Database:
         ``report.details["router"]``; :meth:`execute` calls it at once,
         :meth:`execute_iter` on its producer thread.
 
+        Planning is cached per session: the same ``(sql, name,
+        opts.bad_estimates)`` is parsed, pushed down and join-ordered once,
+        and the ``(logical, binary_plan)`` pair is served again for as long
+        as :meth:`LogicalQuery.staleness
+        <repro.query.planner.LogicalQuery.staleness>` finds every FROM table
+        the same object at the same version — ``append_rows``,
+        ``register(replace=True)`` and ``drop`` each make the next call an
+        ordinary miss that plans afresh and overwrites the entry.  The
+        engine is not in the key (all three run the same pair), routing runs
+        per call, and what lowering and the kernels cache stays theirs.
+        Lookup is lock-free and insertion locked, so two threads missing at
+        once may both plan, but neither is ever served the other's key.
+        ``report.details["prepared"]`` says ``{"hit", "reason"}`` with reason
+        ``"hit"``, ``"cold"`` (first sight), ``"version"`` / ``"replaced"``
+        (a stale table) or ``"evicted"`` (pushed out by
+        :data:`PREPARED_CACHE_ENTRIES` newer keys).
+
         The precedence rule for the worker count, stated once: an explicit
         ``opts.parallelism`` wins; else a routed query runs with what the
         router decided; else the session's ``parallelism``.  ``max_workers``
@@ -281,12 +309,32 @@ class Database:
         value in both places it is read — as the router's cap and as the
         unrouted default — and never limits an explicit ``opts.parallelism``.
         """
-        logical = Planner(self.catalog).plan_sql(sql, name=name)
-        binary_plan = optimize_query(
-            logical.query,
-            bad_estimates=opts.bad_estimates,
-            statistics_cache=self.statistics_cache,
-        )
+        key = (sql, name, opts.bad_estimates)
+        entry = self._prepared.get(key)
+        if entry is None:
+            reason = "evicted" if key in self._evicted else "cold"
+        else:
+            reason = entry[0].staleness(self.catalog) or "hit"
+        if reason == "hit":
+            logical, binary_plan = entry
+        else:
+            logical = Planner(self.catalog).plan_sql(sql, name=name)
+            binary_plan = optimize_query(
+                logical.query,
+                bad_estimates=opts.bad_estimates,
+                statistics_cache=self.statistics_cache,
+            )
+            with self._prepared_lock:
+                self._prepared.pop(key, None)  # a refreshed entry is the newest
+                self._evicted.pop(key, None)
+                if len(self._prepared) >= PREPARED_CACHE_ENTRIES:
+                    if len(self._evicted) >= PREPARED_CACHE_ENTRIES:
+                        del self._evicted[next(iter(self._evicted))]
+                    oldest = next(iter(self._prepared))
+                    del self._prepared[oldest]
+                    self._evicted[oldest] = None
+                self._prepared[key] = (logical, binary_plan)
+        prepared = {"hit": reason == "hit", "reason": reason}
         engine_name = opts.engine or self.default_engine
         workers = self.parallelism if max_workers is None else max_workers
         decision = None
@@ -315,6 +363,7 @@ class Database:
             if decision is not None:
                 self.router.observe(decision, time.perf_counter() - started)
                 report.details["router"] = decision.as_dict()
+            report.details["prepared"] = prepared
             return report
 
         return logical, binary_plan, run

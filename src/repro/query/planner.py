@@ -85,7 +85,20 @@ class LeftJoinSpec:
 
 @dataclass
 class LogicalQuery:
-    """A planned query: full conjunctive join plus deferred post-join work."""
+    """A planned query: full conjunctive join plus deferred post-join work.
+
+    Read-only once planned: nothing in ``src/`` writes to a ``LogicalQuery``,
+    its atoms or their tables after :meth:`Planner.plan` returns, so one
+    instance is shared by every execution that hits the session's
+    prepared-query cache (:meth:`repro.engine.session.Database._prepare`),
+    concurrent ones included.
+
+    ``sources`` is what the plan was derived from: for every FROM item
+    (inner and LEFT JOIN) the catalog name, the ``Table`` the planner
+    resolved it to and that table's ``version`` at that moment.  Atoms of
+    unfiltered tables *share* the catalog table's columns, so a plan whose
+    sources changed must not be executed again.
+    """
 
     query: ConjunctiveQuery
     select_items: List[ResolvedSelectItem]
@@ -98,6 +111,21 @@ class LogicalQuery:
     order_by: List[ResolvedOrderItem] = field(default_factory=list)
     limit: Optional[int] = None
     distinct: bool = False
+    sources: List[Tuple[str, Table, int]] = field(default_factory=list)
+
+    def staleness(self, catalog: Catalog) -> Optional[str]:
+        """Why this plan must not run against ``catalog`` again, if anything.
+
+        ``"replaced"``: a source name now resolves to another table (or to
+        none); ``"version"``: a source was appended to since planning.  The
+        first stale source in FROM order decides.
+        """
+        for name, table, version in self.sources:
+            if catalog.maybe_get(name) is not table:
+                return "replaced"
+            if table.version != version:
+                return "version"
+        return None
 
     def has_aggregates(self) -> bool:
         """Whether any SELECT item is an aggregate."""
@@ -212,6 +240,12 @@ class Planner:
     def plan(self, parsed: ParsedQuery, name: str = "") -> LogicalQuery:
         """Plan an already-parsed query."""
         alias_tables = self._resolve_from(parsed.from_items)
+        # Versions are read before any table is (the pushdown filters scan
+        # them): an append racing the planner leaves a source that reads stale.
+        sources = [
+            (item.table, alias_tables[item.alias], alias_tables[item.alias].version)
+            for item in parsed.from_items
+        ]
         core_tables = {
             item.alias: alias_tables[item.alias]
             for item in parsed.from_items
@@ -280,6 +314,7 @@ class Planner:
             order_by=order_by,
             limit=parsed.limit,
             distinct=parsed.distinct,
+            sources=sources,
         )
 
     # ------------------------------------------------------------------ #

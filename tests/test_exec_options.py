@@ -426,7 +426,9 @@ def _differing_plan_query(workload, database):
 
 
 @pytest.mark.parametrize("branch", ["rows", "grouped", "topk"])
-def test_execute_iter_optimizes_with_bad_estimates(job, branch, monkeypatch):
+def test_execute_iter_optimizes_with_bad_estimates(job, branch):
+    """The stream runs the plan ``bad_estimates`` orders, not the good one —
+    whether or not the session has planned this SQL before."""
     workload, database = job
     query, bad_plan = _differing_plan_query(workload, database)
     select_list, from_where = query.sql.split(" FROM ", 1)
@@ -437,20 +439,14 @@ def test_execute_iter_optimizes_with_bad_estimates(job, branch, monkeypatch):
         "topk": f"SELECT {column} FROM {from_where} ORDER BY {column} LIMIT 5",
     }[branch]
 
-    seen = []
-    real = session_module.optimize_query
-
-    def recording(query, **kwargs):
-        seen.append(kwargs.get("bad_estimates", False))
-        return real(query, **kwargs)
-
     options = ExecOptions(bad_estimates=True)
+    _rows, good_report = _iter_report(database, sql, ExecOptions())
     expected = database.execute(sql, options=options)
     assert repr(expected.binary_plan) != repr(database.execute(sql).binary_plan)
-    monkeypatch.setattr(session_module, "optimize_query", recording)
     with database.execute_iter(sql, options=options) as stream:
         batches = list(stream)
-    assert seen == [True]
+    assert stream.report.details["plans"] == expected.report.details["plans"]
+    assert stream.report.details["plans"] != good_report.details["plans"]
     if branch == "grouped":
         from repro.engine.streaming import collapse_grouped_batches
 
@@ -459,3 +455,23 @@ def test_execute_iter_optimizes_with_bad_estimates(job, branch, monkeypatch):
         assert [row for batch in batches for row in batch] == expected.rows()
     else:
         assert Counter(row for batch in batches for row in batch) == Counter(expected.rows())
+
+
+def test_good_and_bad_estimates_keep_their_own_plan_on_one_session(job):
+    """``bad_estimates`` is part of the prepared-query key: alternating the
+    flag on one session never serves one flag's plan to the other."""
+    workload, _shared = job
+    database = Database(workload.catalog)
+    query, bad_plan = _differing_plan_query(workload, Database(workload.catalog))
+    bad = ExecOptions(bad_estimates=True)
+    first = database.execute(query.sql)
+    assert repr(first.binary_plan) != bad_plan
+    for options, plan, hit in [
+        (bad, bad_plan, False),
+        (None, repr(first.binary_plan), True),
+        (bad, bad_plan, True),
+    ]:
+        outcome = database.execute(query.sql, options=options)
+        assert repr(outcome.binary_plan) == plan
+        assert outcome.report.details["prepared"]["hit"] is hit
+        assert outcome.rows() == first.rows()
