@@ -3,8 +3,9 @@
 
 Demonstrates both layers of :mod:`repro.parallel`:
 
-* inter-query parallelism — ``Database.execute_many`` pushes the whole query
-  suite through N workers with a per-query timeout, and prints the structured
+* inter-query concurrency — ``Database.execute_many`` runs the whole query
+  suite on N threads of the one session (sharing its prepared-query cache,
+  statistics and router) with a per-query timeout, and prints the structured
   :class:`WorkloadOutcome` (per-query status/seconds/rows) as JSON;
 * intra-query parallelism — the same session re-runs the most explosive
   query (``q13``, the paper's Q13a analogue) with the join itself sharded

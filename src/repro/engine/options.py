@@ -18,9 +18,9 @@ an ``ExecOptions``.
 
 Fields not meaningful for a given entry point are simply ignored there
 (``batch_rows`` by ``execute``), except where silence would be misleading:
-``execute_many`` rejects ``deadline``/``bad_estimates`` because its
-per-query worker processes cannot honor them, and ``subscribe`` rejects
-``timeout``/``deadline`` because a standing query has no budget.
+``execute_many`` rejects ``deadline`` because a token cancels one query
+while ``timeout`` budgets each query of the workload, and ``subscribe``
+rejects ``timeout``/``deadline`` because a standing query has no budget.
 """
 
 from __future__ import annotations
@@ -79,7 +79,7 @@ class ExecOptions:
         (see :meth:`~repro.engine.session.Database.execute_iter`).
     bad_estimates:
         Optimize with adversarial cardinality estimates (the paper's Fig. 15
-        experiment; ``execute`` and ``execute_iter``).
+        experiment; ``execute``, ``execute_iter`` and ``execute_many``).
     freejoin_options:
         Per-query :class:`~repro.core.engine.FreeJoinOptions` (plan knobs
         only; how the run executes is not theirs to say).

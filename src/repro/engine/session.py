@@ -558,27 +558,26 @@ class Database:
         self,
         queries: Iterable,
         max_workers: Optional[int] = None,
-        mode: str = "auto",
         collect_rows: bool = True,
         *,
         options: Optional[ExecOptions] = None,
     ):
-        """Evaluate a workload of queries concurrently.
+        """Evaluate a workload of queries concurrently on this session.
 
         ``queries`` may contain SQL strings, ``(name, sql)`` pairs, or
-        objects with ``name``/``sql`` attributes (benchmark queries).  Each
-        query runs in its own worker — a process (with an enforced per-query
-        ``timeout``) or a thread (aborted cooperatively through its deadline
-        token), chosen by ``mode`` — and errors are captured per query
-        instead of aborting the workload.  Returns a
-        :class:`repro.parallel.workload.WorkloadOutcome` whose per-query
-        status/seconds/rows serialize to JSON.
+        objects with ``name``/``sql`` attributes (benchmark queries).  Up to
+        ``max_workers`` threads each run one query at a time through the
+        same path as :meth:`execute`, so the workload shares this session's
+        prepared-query cache, statistics, router and steal pools.  A query
+        over its ``timeout`` is aborted cooperatively through its deadline
+        token, and errors are captured per query instead of aborting the
+        workload.  Returns a :class:`repro.parallel.workload.WorkloadOutcome`
+        whose per-query status/seconds/rows serialize to JSON.
 
-        Per-query knobs (engine, timeout, parallelism, Free Join options)
-        travel in ``options`` and apply to every query of the workload.
-        ``options.deadline`` and ``options.bad_estimates`` are rejected: a
-        deadline token cannot cross the per-query worker boundary, and the
-        workload runner optimizes with real estimates only.
+        Per-query knobs (engine, timeout, parallelism, bad estimates, Free
+        Join options) travel in ``options`` and apply to every query of the
+        workload.  ``options.deadline`` is rejected: a token cancels one
+        query, and ``options.timeout`` budgets each query of the workload.
 
         Results are identical to calling :meth:`execute` serially for each
         query; see :mod:`repro.parallel.workload` for the guarantees.
@@ -588,13 +587,11 @@ class Database:
         opts = options or ExecOptions()
         if opts.deadline is not None:
             raise QueryError(
-                "execute_many cannot honor a shared deadline token across "
-                "per-query workers; use options.timeout for per-query budgets"
+                "execute_many takes no deadline token: a token cancels one query; "
+                "use options.timeout to budget each query of the workload"
             )
-        if opts.bad_estimates:
-            raise QueryError("execute_many does not support bad_estimates")
         return execute_workload(
-            self, queries, opts, max_workers=max_workers, mode=mode, collect_rows=collect_rows
+            self, queries, opts, max_workers=max_workers, collect_rows=collect_rows
         )
 
     # ------------------------------------------------------------------ #

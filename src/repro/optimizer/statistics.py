@@ -91,10 +91,10 @@ class StatisticsCache:
 
     def __init__(self) -> None:
         self._cache: Dict[tuple, tuple] = {}
-        # The cache is shared across execute_many thread workers; the lock
-        # keeps the evict-then-insert sequence atomic (analysis itself runs
-        # outside the lock, so a rare concurrent miss costs one duplicate
-        # scan, never a wrong result).
+        # The cache is shared by every query thread of the session
+        # (execute_many, AsyncDatabase); the lock keeps the evict-then-insert
+        # sequence atomic (analysis itself runs outside the lock, so a rare
+        # concurrent miss costs one duplicate scan, never a wrong result).
         self._lock = threading.Lock()
 
     @staticmethod
@@ -117,17 +117,6 @@ class StatisticsCache:
                     entry = (table, statistics)
                     self._cache[key] = entry
         return entry[1]
-
-    def __getstate__(self):
-        # Locks do not pickle; workload workers on spawn platforms receive a
-        # copy of the cache, which recreates its own lock on arrival.
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
 
     def for_atom(self, atom: Atom) -> TableStatistics:
         """Statistics of an atom's base table."""

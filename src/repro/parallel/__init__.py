@@ -9,9 +9,9 @@ workloads in production:
   the shared-memory column plane (:mod:`repro.storage.shm`);
   per-task/per-worker stats (steals, queue depths, attach times) are merged
   into ``RunReport.details["parallel"]``.
-* :mod:`repro.parallel.workload` — *inter-query* parallelism: a workload of
-  SQL queries evaluated concurrently with per-query timeout and error
-  capture, returning a JSON-serializable
+* :mod:`repro.parallel.workload` — *inter-query* concurrency: a workload of
+  SQL queries evaluated on the caller's session by a thread pool, with
+  per-query timeout and error capture, returning a JSON-serializable
   :class:`~repro.parallel.workload.WorkloadOutcome`.
 
 Every plan policy reaches the first layer the same way — a

@@ -35,9 +35,9 @@ increment and a branch.
 Granularity caveat: eager build phases (binary hash tables, Generic Join
 tries, a COLT level force) are uninterruptible O(rows) scans; tokens are
 checked *between* relations there, so enforcement during a build is
-per-relation granular rather than per-tuple.  The workload runner's process
-backend additionally hard-kills a worker stuck past a grace period on top
-of its budget.
+per-relation granular rather than per-tuple.  Nothing hard-kills a query
+stuck in code that never ticks its token: it runs to completion, and
+``execute_many`` then records it as ``"timeout"``.
 """
 
 from __future__ import annotations
@@ -114,9 +114,8 @@ class DeadlineToken:
                 )
 
     # Tokens travel inside engine options; options objects are pickled by the
-    # process steal pool and the workload runner.  The probe (often a closure over
-    # multiprocessing state) must not cross — a reconstructed token watches
-    # only its timestamp.
+    # process steal pool.  The probe (often a closure over multiprocessing
+    # state) must not cross — a reconstructed token watches only its timestamp.
     def __getstate__(self):
         return {"at": self.at, "cancelled": self.cancelled}
 

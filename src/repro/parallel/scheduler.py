@@ -16,9 +16,10 @@ lowered it (:func:`run_pipeline_steal`):
   its own block *steals* from its siblings, so a block of hot tasks ends up
   spread across the pool instead of serializing on its owner;
 * workers are **persistent** — one pool per (backend, worker count) is kept
-  for the life of the process and reused across queries (and across the
-  queries of one :meth:`~repro.engine.session.Database.execute_many` run),
-  so repeated queries pay no pool spin-up;
+  for the life of the process and reused across queries (the concurrent
+  queries of one :meth:`~repro.engine.session.Database.execute_many` run
+  share it too: they run on threads of the caller's process), so repeated
+  queries pay no pool spin-up;
 * process workers receive their inputs through the shared-memory column
   plane (:mod:`repro.storage.shm`): a query ships only a plan and a handful
   of segment handles, workers attach the columns zero-copy and build their
@@ -1037,41 +1038,16 @@ _LOCAL_LOCK = threading.Lock()
 #: key -> (atom names, pinned pipeline stripped of its atoms, entry total)
 _PLAN_CACHE: Dict[str, Tuple[Tuple[str, ...], PhysicalPipeline, int]] = {}
 _PLAN_CACHE_CAPACITY = 256
-_CACHES_PID = os.getpid()
-
-
-def _check_cache_pid() -> None:
-    """Adopt the fork-inherited parent caches in a child process.
-
-    Unlike the pool registry (which MUST reset — a child cannot talk to its
-    parent's workers), the parent-side context/plan caches are plain Python
-    structures that fork copies copy-on-write, and they are exactly the warm
-    state an ``execute_many`` process worker wants: a query worker whose SQL
-    repeats a query the parent already ran gets a context-cache hit instead
-    of a cold trie rebuild.  Inheritance is safe because entries here never
-    hold shm attachment pins (only pool-worker caches do; those live and die
-    with their pools) and any COLT forcing the child performs mutates its
-    private copy-on-write pages.  Hit/miss counters restart per child so a
-    worker's telemetry reports its own activity, not the parent's history.
-    """
-    global _CACHES_PID
-    if _CACHES_PID != os.getpid():
-        _LOCAL_CONTEXTS.hits = 0
-        _LOCAL_CONTEXTS.misses = 0
-        _LOCAL_CONTEXTS.evictions = 0
-        _CACHES_PID = os.getpid()
 
 
 def _local_context_get(key: Optional[str]):
     with _LOCAL_LOCK:
-        _check_cache_pid()
         return _LOCAL_CONTEXTS.get(key)
 
 
 def _local_context_put(key: Optional[str], context, nbytes: int, budget: int) -> int:
     """Cache a parent-side context; returns evictions triggered by the put."""
     with _LOCAL_LOCK:
-        _check_cache_pid()
         before = _LOCAL_CONTEXTS.evictions
         _LOCAL_CONTEXTS.put(key, context, nbytes, budget)
         return _LOCAL_CONTEXTS.evictions - before
@@ -1086,7 +1062,6 @@ def _plan_cache_get(key: Optional[str]):
     if key is None:
         return None
     with _LOCAL_LOCK:
-        _check_cache_pid()
         return _PLAN_CACHE.get(key)
 
 
@@ -1094,7 +1069,6 @@ def _plan_cache_put(key: Optional[str], value) -> None:
     if key is None:
         return
     with _LOCAL_LOCK:
-        _check_cache_pid()
         while len(_PLAN_CACHE) >= _PLAN_CACHE_CAPACITY:
             _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
         _PLAN_CACHE[key] = value
@@ -1119,7 +1093,7 @@ def local_context_cache_stats() -> Dict[str, int]:
 def get_pool(backend: str, workers: int):
     """Return the persistent pool for (backend, workers), creating on demand.
 
-    Pools are process-wide: every session (and every query of an
+    Pools are process-wide: every session (and every concurrent query of an
     ``execute_many`` run) with the same shape reuses the same workers.  A
     forked child starts from an empty registry — it must not signal its
     parent's workers.

@@ -28,10 +28,8 @@ DEFAULT_ALPHA = 0.3
 class FeedbackStore:
     """Observed wall-clock per ``(bucket, engine)``, as an EWMA.
 
-    Thread-safe: the serving layer records observations from many worker
-    threads.  Pickle drops the lock (the statistics-cache pattern), so the
-    store can ride into forked workload workers; observations made inside a
-    worker *process* stay in that process.
+    Thread-safe: the serving layer and ``execute_many`` record observations
+    from many query threads.
     """
 
     def __init__(self, alpha: float = DEFAULT_ALPHA) -> None:
@@ -138,14 +136,3 @@ class FeedbackStore:
         """Restore a store from a JSON file written by :meth:`save`."""
         with open(path, "r", encoding="utf-8") as handle:
             return cls.from_json(handle.read())
-
-    # Locks do not pickle; forked/spawned workload workers get a copy that
-    # recreates its own lock (same pattern as StatisticsCache).
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()

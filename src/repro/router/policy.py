@@ -242,14 +242,3 @@ class QueryRouter:
             return 0.0
         seen = sum(1 for fp in fingerprints if fp in self._seen_fingerprints)
         return seen / len(fingerprints)
-
-    # Locks do not pickle; a router copied into a forked/spawned workload
-    # worker re-creates its own (observations made there stay there).
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        del state["_lock"]
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()

@@ -175,8 +175,8 @@ class _Exporter:
     a ``weakref.finalize`` unlinks the segment when its table dies, so
     per-query intermediates do not accumulate segments across a long session.
     A forked child inherits the cache contents but not ownership: the PID
-    check hands the child a fresh exporter whose reads of the parent's
-    still-valid handles go through :func:`lookup_inherited`.
+    checks keep it from unlinking the parent's segments, and
+    :func:`_exporter` hands it a fresh exporter.
     """
 
     def __init__(self) -> None:
@@ -244,35 +244,20 @@ class _Exporter:
 
 _EXPORTER: Optional[_Exporter] = None
 _EXPORTER_LOCK = threading.Lock()
-#: Handles inherited from a parent process across fork: segment names the
-#: current process may attach but does not own.
-_INHERITED: Dict[int, Tuple[weakref.ref, int, ShmTableHandle]] = {}
 
 
 def _exporter() -> _Exporter:
     global _EXPORTER
     with _EXPORTER_LOCK:
-        if _EXPORTER is None:
-            _EXPORTER = _Exporter()
-        elif _EXPORTER.pid != os.getpid():
-            # Forked child: the parent's handles stay valid (named segments
-            # are system-wide), so keep them readable without ownership.
-            _INHERITED.update(_EXPORTER._handles)
+        # A forked child owns none of its parent's segments: it starts afresh.
+        if _EXPORTER is None or _EXPORTER.pid != os.getpid():
             _EXPORTER = _Exporter()
         return _EXPORTER
 
 
 def export_table(table: Table) -> ShmTableHandle:
-    """Publish ``table``'s columns to shared memory (cached per table object).
-
-    A process that inherited an export from its parent via fork reuses the
-    parent's segment instead of re-exporting.
-    """
-    exporter = _exporter()
-    entry = _INHERITED.get(id(table))
-    if entry is not None and entry[0]() is table and entry[1] == table.version:
-        return entry[2]
-    return exporter.export(table)
+    """Publish ``table``'s columns to shared memory (cached per table object)."""
+    return _exporter().export(table)
 
 
 def active_export_segments() -> List[str]:
@@ -286,7 +271,6 @@ def shutdown_exports() -> None:
     with _EXPORTER_LOCK:
         exporter = _EXPORTER
         _EXPORTER = None
-    _INHERITED.clear()
     if exporter is not None and exporter.pid == os.getpid():
         exporter.shutdown()
 

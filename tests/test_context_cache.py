@@ -270,19 +270,14 @@ def test_disabled_budget_runs_without_caching(monkeypatch):
 
 
 # --------------------------------------------------------------------------- #
-# execute_many workers inherit the parent's warm caches through fork
+# execute_many queries run on the caller's session and see its warm caches
 # --------------------------------------------------------------------------- #
 
 
-@pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="fork-inherited cache seeding requires the fork start method",
-)
 def test_execute_many_process_workers_start_with_warm_contexts():
-    """The PR 3 regression: fork inherits the parent cache copy-on-write,
-    but per-query workers used to clear it on first use and rebuild cold.
-    Warming the parent then running the same query through a process
-    workload must report a context-cache *hit* inside the worker."""
+    """The PR 3 regression, now without a fork: warming the session then
+    running the same query through a workload must report a context-cache
+    *hit* for every query of the workload."""
     database = star_catalog()
     parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
     expected = parallel.execute(ROWS_SQL)
@@ -291,26 +286,25 @@ def test_execute_many_process_workers_start_with_warm_contexts():
 
     workload = parallel.execute_many(
         [("first", ROWS_SQL), ("second", ROWS_SQL)],
-        mode="process",
         max_workers=2,
     )
     assert workload.all_ok(), [e.error for e in workload.executions]
     for execution in workload.executions:
         assert execution.row_count == len(expected.rows())
-        assert execution.parallel is not None, "workers must ship telemetry"
+        assert execution.parallel is not None, "records must carry telemetry"
         cache = execution.parallel[0]["context_cache"]
         assert cache["hits"] >= 1 and cache["misses"] == 0, (
-            f"{execution.name} ran cold in its forked worker: {cache}"
+            f"{execution.name} ran cold: {cache}"
         )
     parallel.close()
 
 
 def test_workload_records_carry_parallel_telemetry_on_threads():
-    """The thread backend ships the same telemetry without a fork."""
+    """A workload record carries the query's parallel telemetry."""
     database = star_catalog(rows=1200)
     parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
     workload = parallel.execute_many(
-        [("only", COUNT_SQL)], mode="thread", max_workers=1
+        [("only", COUNT_SQL)], max_workers=1
     )
     assert workload.all_ok()
     record = workload.query("only")

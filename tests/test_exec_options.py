@@ -201,7 +201,6 @@ def test_execute_many_accepts_options():
     db = make_db()
     outcome = db.execute_many(
         [("q0", JOIN_SQL), ("q1", GROUP_SQL)],
-        mode="thread",
         options=ExecOptions(engine="binary", timeout=30.0),
     )
     assert [q.status for q in outcome.executions] == ["ok", "ok"]
@@ -210,13 +209,15 @@ def test_execute_many_accepts_options():
 
 
 def test_execute_many_rejects_worker_hostile_options():
+    """A deadline token cancels one query; a workload budgets each query
+    with ``timeout``.  ``bad_estimates`` is an ordinary per-query knob."""
     db = make_db()
     with pytest.raises(QueryError, match="deadline"):
         db.execute_many(
             [JOIN_SQL], options=ExecOptions(deadline=DeadlineToken.after(1.0))
         )
-    with pytest.raises(QueryError, match="bad_estimates"):
-        db.execute_many([JOIN_SQL], options=ExecOptions(bad_estimates=True))
+    outcome = db.execute_many([JOIN_SQL], options=ExecOptions(bad_estimates=True))
+    assert outcome.all_ok() and outcome.executions[0].rows == [(3,)]
 
 
 def test_async_entry_points_honour_options():
@@ -475,3 +476,23 @@ def test_good_and_bad_estimates_keep_their_own_plan_on_one_session(job):
         assert repr(outcome.binary_plan) == plan
         assert outcome.report.details["prepared"]["hit"] is hit
         assert outcome.rows() == first.rows()
+
+
+def test_execute_many_optimizes_with_bad_estimates(job):
+    """Every workload query goes through the session's ``_prepare``, so the
+    batch runs — and leaves in the prepared-query cache — the bad plan."""
+    workload, _shared = job
+    query, bad_plan = _differing_plan_query(workload, Database(workload.catalog))
+    bad = ExecOptions(bad_estimates=True)
+    expected = Database(workload.catalog).execute(query.sql, options=bad, name=query.name)
+    database = Database(workload.catalog)
+    outcome = database.execute_many([query], max_workers=2, options=bad)
+    assert outcome.all_ok(), [e.error for e in outcome.executions]
+    assert Counter(outcome.query(query.name).rows) == Counter(expected.rows())
+    served = database.execute(query.sql, options=bad, name=query.name)
+    assert served.report.details["prepared"]["hit"] is True
+    assert repr(served.binary_plan) == bad_plan
+    assert served.report.details["plans"] == expected.report.details["plans"]
+    good = database.execute(query.sql, name=query.name)
+    assert good.report.details["prepared"]["reason"] == "cold"
+    assert repr(good.binary_plan) != bad_plan

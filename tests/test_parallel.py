@@ -5,15 +5,19 @@ The contract under test (see :mod:`repro.parallel`):
 * sharded execution returns the same bag of rows as the serial path for all
   three engines, for ``rows`` and ``count`` sinks, with vectorization on and
   off — and with static cover selection the row *order* is byte-identical;
-* ``Database.execute_many`` returns per-query results identical to serial
-  :meth:`Database.execute` calls, captures errors per query, and enforces
-  timeouts in process mode.
+* ``Database.execute_many`` returns per-query results bag-equal to serial
+  :meth:`Database.execute` calls and the naive reference executor on every
+  engine, kernel path and session backend, runs on the caller's session
+  (its prepared-query cache is warm afterwards), and captures errors per
+  query.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -24,13 +28,16 @@ from repro.engine.options import ExecOptions
 from repro.engine.output import CountSink, FactorizedSink, JoinResult, OutputSink, RowSink
 from repro.engine.pipeline import RunContext
 from repro.engine.session import Database
+from repro.experiments.differential import canonicalize, reference_rows
 from repro.genericjoin.executor import GenericJoinEngine
 from repro.optimizer.join_order import optimize_query
 from repro.parallel.sharding import ShardView, entry_count, shard_bounds, shard_offsets
 from repro.parallel.workload import normalize_queries
 from repro.query.builder import QueryBuilder
 from repro.query.planner import Planner
+from repro.query.sql import parse_sql
 from repro.storage.table import Table
+from repro.workloads.job import generate_job_workload
 from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
 
 ENGINES = ("freejoin", "binary", "generic")
@@ -373,29 +380,96 @@ def test_normalize_queries_accepts_all_shapes():
         normalize_queries([("dup", "a"), ("dup", "b")])
 
 
+@pytest.fixture(scope="module")
+def workload_sessions(star_database):
+    """One session per intra-query backend over the star catalog."""
+    sessions = {
+        "serial": Database(star_database.catalog),
+        "thread": Database(star_database.catalog, parallelism=2, parallel_mode="thread"),
+        "process": Database(star_database.catalog, parallelism=2, parallel_mode="process"),
+    }
+    yield sessions
+    for session in sessions.values():
+        session.close()
+
+
+@pytest.fixture(scope="module")
+def star_reference(star_database):
+    """The naive executor's bag of rows per workload query."""
+    return {
+        sql: canonicalize(reference_rows(star_database.catalog, parse_sql(sql)), ordered=False)
+        for sql in (COUNT_SQL, ROWS_SQL)
+    }
+
+
+@pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+@pytest.mark.parametrize("kernels", ["on", "off"])
 @pytest.mark.parametrize("engine", ENGINES)
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_execute_many_matches_serial(star_database, engine, mode):
+def test_execute_many_matches_serial(
+    monkeypatch, workload_sessions, star_reference, engine, kernels, backend
+):
+    monkeypatch.setenv("REPRO_KERNELS", kernels)
+    database = workload_sessions[backend]
     queries = [("count", COUNT_SQL), ("rows", ROWS_SQL)]
-    outcome = star_database.execute_many(
-        queries, max_workers=2, options=ExecOptions(engine=engine), mode=mode
+    outcome = database.execute_many(
+        queries, max_workers=2, options=ExecOptions(engine=engine)
     )
-    assert outcome.all_ok()
-    assert outcome.mode == mode
+    assert outcome.all_ok(), [e.error for e in outcome.executions]
     for name, sql in queries:
-        serial = star_database.execute(sql, options=ExecOptions(engine=engine))
+        serial = database.execute(sql, options=ExecOptions(engine=engine))
         execution = outcome.query(name)
         assert execution.engine == engine
-        assert execution.rows == serial.rows()
+        rows = canonicalize(execution.rows, ordered=False)
+        assert rows == canonicalize(serial.rows(), ordered=False) == star_reference[sql]
         assert execution.row_count == len(serial.rows())
         assert execution.columns == tuple(serial.table.column_names)
+
+
+def test_execute_many_shares_the_session():
+    """The workload runs on the caller's session, so what it planned stays:
+    every query is a prepared-query hit afterwards, one entry per query."""
+    workload = generate_job_workload(scale=0.1, seed=42)
+    queries = [workload.query(name) for name in ("q01", "q03", "q05", "q06", "q08")]
+    database = Database(workload.catalog)
+    outcome = database.execute_many(queries, max_workers=2)
+    assert outcome.all_ok(), [e.error for e in outcome.executions]
+    for query in queries:
+        served = database.execute(query.sql, name=query.name)
+        assert served.report.details["prepared"]["hit"] is True
+        assert Counter(served.rows()) == Counter(outcome.query(query.name).rows)
+    assert len(database._prepared) == len(queries)
+
+
+def test_execute_many_loses_no_shared_session_update(star_database):
+    """More threads than cores, switching as often as the interpreter can:
+    every query's prepared entry and router observation must survive."""
+    queries = [
+        (f"q{i}", f"SELECT COUNT(*) FROM fact, dim_one WHERE fact.k = dim_one.k AND fact.a < {i}")
+        for i in range(24)
+    ]
+    reference = Database(star_database.catalog)
+    expected = {name: reference.execute(sql).rows() for name, sql in queries}
+    database = Database(star_database.catalog)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcome = database.execute_many(
+            queries, max_workers=8, options=ExecOptions(engine="auto")
+        )
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcome.all_ok(), [e.error for e in outcome.executions]
+    assert {e.name: e.rows for e in outcome.executions} == expected
+    assert len(database._prepared) == len(queries)
+    assert database.router.telemetry()["observed"] == len(queries)
+    entries = database.router.feedback.as_dict()["entries"]
+    assert sum(entry["observations"] for entry in entries) == len(queries)
 
 
 def test_execute_many_captures_errors_per_query(star_database):
     outcome = star_database.execute_many(
         [("good", COUNT_SQL), ("bad", "SELECT nothing FROM missing_table")],
         max_workers=2,
-        mode="thread",
     )
     assert outcome.query("good").ok
     bad = outcome.query("bad")
@@ -404,51 +478,25 @@ def test_execute_many_captures_errors_per_query(star_database):
     assert outcome.error_count == 1 and outcome.ok_count == 1
 
 
-def test_execute_many_timeout_terminates_process_workers():
-    # A deliberately explosive join: every row shares one key, so the
-    # result is 1500^2 = 2.25M rows — seconds of CPython work, far past the
-    # 50 ms budget.  (Both columns are selected: a COUNT(*) reads neither,
-    # so its probe folds into a multiplicity and finishes in a millisecond.)
-    # The worker must be terminated and reported as timeout.
-    big = Table.from_columns("big", {"k": [0] * 1500, "v": list(range(1500))})
-    other = Table.from_columns("other", {"k": [0] * 1500, "w": list(range(1500))})
-    database = Database()
-    database.register(big)
-    database.register(other)
-    outcome = database.execute_many(
-        [("boom", "SELECT big.v, other.w FROM big, other WHERE big.k = other.k"),
-         ("fine", "SELECT COUNT(*) FROM big WHERE big.v < 10")],
-        max_workers=2,
-        options=ExecOptions(timeout=0.05),
-        mode="process",
-    )
-    boom = outcome.query("boom")
-    assert boom.status == "timeout"
-    assert boom.seconds >= 0.05
-    # Scheduler-built records (timeout/crash) must still name the engine.
-    assert boom.engine == "freejoin"
-    assert outcome.query("fine").ok
-    assert outcome.timeout_count == 1
-
-
 def test_execute_many_composes_with_intra_query_sharding(star_database):
-    # Regression: query workers must not be daemonic, or they cannot fork
-    # intra-query shard processes and every query errors with "daemonic
-    # processes are not allowed to have children".
+    # Concurrent queries of one workload share the session's process pool.
     database = Database(
         star_database.catalog, parallelism=2, parallel_mode="process"
     )
     outcome = database.execute_many(
-        [("count", COUNT_SQL)], max_workers=2, mode="process"
+        [("count", COUNT_SQL), ("rows", ROWS_SQL)], max_workers=2
     )
     assert outcome.all_ok(), [e.error for e in outcome.executions]
-    serial = star_database.execute(COUNT_SQL)
-    assert outcome.query("count").rows == serial.rows()
+    for name, sql in (("count", COUNT_SQL), ("rows", ROWS_SQL)):
+        expected = Counter(star_database.execute(sql).rows())
+        assert Counter(outcome.query(name).rows) == expected
+        assert outcome.query(name).parallel[0]["mode"] == "process"
+    database.close()
 
 
 def test_execute_many_collect_rows_false_skips_materialization(star_database):
     outcome = star_database.execute_many(
-        [("rows", ROWS_SQL)], max_workers=1, collect_rows=False, mode="thread"
+        [("rows", ROWS_SQL)], max_workers=1, collect_rows=False
     )
     execution = outcome.query("rows")
     assert execution.rows is None
@@ -457,7 +505,7 @@ def test_execute_many_collect_rows_false_skips_materialization(star_database):
 
 def test_workload_outcome_serializes_to_json(star_database):
     outcome = star_database.execute_many(
-        [("count", COUNT_SQL)], max_workers=1, mode="thread"
+        [("count", COUNT_SQL)], max_workers=1
     )
     payload = json.loads(outcome.to_json(include_rows=True))
     assert payload["query_count"] == 1

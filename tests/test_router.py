@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import pickle
 
 import pytest
 
@@ -198,15 +197,6 @@ def test_feedback_store_json_round_trip(tmp_path):
     json.loads(store.to_json())  # valid JSON, not just repr
 
 
-def test_router_and_store_survive_pickling(triangle_db):
-    router = QueryRouter()
-    logical, plan = _plan(triangle_db, ACYCLIC_COUNT_SQL)
-    router.observe(router.route(logical, plan), 0.01)
-    clone = pickle.loads(pickle.dumps(router))
-    assert clone.feedback.as_dict() == router.feedback.as_dict()
-    clone.observe(clone.route(logical, plan), 0.02)  # lock was re-created
-
-
 def test_router_rejects_bad_configuration():
     with pytest.raises(QueryError):
         QueryRouter(explore=1.5)
@@ -263,7 +253,6 @@ def test_execute_many_routes_with_auto(triangle_db):
     outcome = triangle_db.execute_many(
         [("count", ACYCLIC_COUNT_SQL), ("tri", TRIANGLE_SQL)],
         options=ExecOptions(engine="auto"),
-        mode="thread",
     )
     assert outcome.all_ok()
     for execution in outcome.executions:

@@ -1,10 +1,9 @@
 """Failure-path coverage for ``execute_many`` and the persistent pools.
 
-The inter-query workload runner promises isolation: a query that runs over
-budget is terminated, a query whose worker *dies* (not merely raises) is
-reported as an error without poisoning its siblings, and when everything is
-torn down no worker processes or shared-memory segments are left behind.
-These tests pin each of those promises down, including the
+A query that runs over budget aborts cooperatively and frees its worker
+thread, its intra-query steal tasks are cancelled with it, and when
+everything is torn down no worker processes or shared-memory segments are
+left behind.  These tests pin each of those promises down, including the
 ``resource_tracker`` bookkeeping of the shm column plane.
 """
 
@@ -93,7 +92,7 @@ def test_thread_mode_timeout_aborts_mid_flight_and_frees_workers(row_at_a_time):
 
     started = time.perf_counter()
     outcome = database.execute_many(
-        [("boom", slow_sql)], max_workers=1, options=ExecOptions(timeout=0.05), mode="thread"
+        [("boom", slow_sql)], max_workers=1, options=ExecOptions(timeout=0.05)
     )
     wall = time.perf_counter() - started
     boom = outcome.query("boom")
@@ -108,7 +107,7 @@ def test_thread_mode_timeout_aborts_mid_flight_and_frees_workers(row_at_a_time):
     # same single-worker pool completes fast and correctly.
     follow_up = database.execute_many(
         [("fine", "SELECT COUNT(*) FROM big WHERE big.v < 5")],
-        max_workers=1, mode="thread",
+        max_workers=1,
     )
     assert follow_up.query("fine").ok
     assert follow_up.query("fine").rows == [[5]] or follow_up.query("fine").rows == [(5,)]
@@ -117,9 +116,9 @@ def test_thread_mode_timeout_aborts_mid_flight_and_frees_workers(row_at_a_time):
 
 
 def test_process_mode_timeout_cancels_intra_query_steal_tasks(row_at_a_time):
-    """An over-budget query with intra-query parallelism must cancel its
-    steal-pool tasks (cooperatively inside the worker, or via the group
-    kill) and leak neither processes nor shm segments."""
+    """An over-budget query on a process-backed session must cancel its
+    steal-pool tasks cooperatively and leak neither processes nor shm
+    segments."""
     baseline = _leaked_segments()
     database = _slow_pair_catalog()
     slow_sql = "SELECT COUNT(*) FROM big, other WHERE big.k = other.k"
@@ -127,7 +126,7 @@ def test_process_mode_timeout_cancels_intra_query_steal_tasks(row_at_a_time):
 
     started = time.perf_counter()
     outcome = parallel.execute_many(
-        [("boom", slow_sql)], max_workers=1, options=ExecOptions(timeout=0.1), mode="process"
+        [("boom", slow_sql)], max_workers=1, options=ExecOptions(timeout=0.1)
     )
     wall = time.perf_counter() - started
     assert outcome.query("boom").status == "timeout"
@@ -148,62 +147,14 @@ def test_per_query_timeout_actually_fires(row_at_a_time):
          ("fine", "SELECT COUNT(*) FROM big WHERE big.v < 5")],
         max_workers=2,
         options=ExecOptions(timeout=0.05),
-        mode="process",
     )
     boom = outcome.query("boom")
     assert boom.status == "timeout"
     assert boom.seconds >= 0.05
     assert "0.05" in boom.error
+    assert boom.engine == "freejoin"  # a failed query's record still names its engine
     assert outcome.query("fine").ok
     assert outcome.timeout_count == 1
-
-
-# --------------------------------------------------------------------------- #
-# A crashing worker (process death, not a Python exception)
-# --------------------------------------------------------------------------- #
-
-
-class _CrashingTable(Table):
-    """A table that kills any *forked* process that reads its rows.
-
-    In the parent (the process that constructed it) it behaves like a normal
-    table, so registration and statistics warm-up work; in a query worker the
-    first ``iter_rows`` call (the WHERE filter's scan) exits the process
-    without a Python traceback — modelling a hard worker crash (OOM kill,
-    segfault in an extension).
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self._safe_pid = os.getpid()
-
-    def iter_rows(self):
-        if os.getpid() != self._safe_pid:
-            os._exit(17)
-        return super().iter_rows()
-
-
-def test_crashing_worker_is_captured_without_poisoning_siblings():
-    database = _star_catalog()
-    database.register(_CrashingTable.from_columns("crashy", {"x": [1, 2, 3]}))
-    outcome = database.execute_many(
-        [("dead", "SELECT COUNT(*) FROM crashy WHERE crashy.x < 3"),
-         ("alive", COUNT_SQL)],
-        max_workers=2,
-        mode="process",
-    )
-    dead = outcome.query("dead")
-    assert dead.status == "error"
-    assert "without reporting a result" in dead.error
-    alive = outcome.query("alive")
-    assert alive.ok
-    assert alive.rows == database.execute(COUNT_SQL).rows()
-    assert outcome.error_count == 1 and outcome.ok_count == 1
-
-
-def test_crashing_table_is_inert_in_the_parent_process():
-    table = _CrashingTable.from_columns("crashy", {"x": [1, 2, 3]})
-    assert table.num_rows == 3  # same pid: behaves like a plain table
 
 
 # --------------------------------------------------------------------------- #
@@ -263,14 +214,14 @@ def test_execute_many_with_intra_query_steal_cleans_up_after_itself():
     database = _star_catalog()
     parallel = Database(database.catalog, parallelism=2, parallel_mode="process")
     outcome = parallel.execute_many(
-        [("one", COUNT_SQL), ("two", COUNT_SQL)], max_workers=2, mode="process"
+        [("one", COUNT_SQL), ("two", COUNT_SQL)], max_workers=2
     )
     assert outcome.all_ok(), [e.error for e in outcome.executions]
     expected = database.execute(COUNT_SQL).rows()
     assert outcome.query("one").rows == expected
     assert outcome.query("two").rows == expected
-    # The query workers (and the pools/segments they forked) are gone; only
-    # the parent's own exports remain until the session closes.
+    # Both queries shared the session's process pool and exports; closing
+    # the session tears them down.
     parallel.close()
     gc.collect()
     assert set(_leaked_segments()) <= set(baseline)
