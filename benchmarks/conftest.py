@@ -6,19 +6,21 @@ at a scale small enough for a pure-Python engine; run them with::
 
     pytest benchmarks/ --benchmark-only
 
-Each module prints the regenerated series/summary for its figure, so the
-textual output of a benchmark run doubles as the reproduction report (also
-summarized in EXPERIMENTS.md).
+Each module prints the regenerated series/summary for its figure, with the
+execution path of every series, so the textual output of a benchmark run
+doubles as the reproduction report.  Where a figure's direction of effect
+holds on this implementation, its module asserts it over sums of 10 ms or
+more (see ``benchmarks/README.md``).
 
 Running benchmarks in CI
 ------------------------
 Two environment variables keep CI runs fast and comparable:
 
-* ``REPRO_BENCH_SMOKE=1`` switches the whole suite to *smoke scale*: tiny
-  JOB/LSQB workloads and a reduced query subset, so the full benchmark run
-  finishes in minutes.  The CI workflow (``.github/workflows/ci.yml``) runs
+* ``REPRO_BENCH_SMOKE=1`` switches the whole suite to *smoke scale*: small
+  JOB/LSQB workloads, so the full benchmark run finishes in minutes.  The
+  CI workflow (``.github/workflows/ci.yml``) runs this suite and
   ``scripts/make_report.py`` in this mode and uploads the machine-readable
-  ``BENCH_smoke.json`` it emits as a build artifact.
+  ``BENCH_smoke.json`` the report emits as a build artifact.
 * ``REPRO_SEED=<int>`` overrides the workload generator seeds.  The JOB and
   LSQB generators are deterministic for a fixed seed (asserted by
   ``tests/test_workloads.py``), so smoke numbers are comparable across CI
@@ -37,21 +39,18 @@ from repro.engine.session import Database
 from repro.workloads.job import generate_job_workload
 from repro.workloads.lsqb import generate_lsqb_workload
 
-#: Smoke mode: tiny scales and fewer queries so CI finishes in minutes.
+#: Smoke mode: smaller scales so CI finishes in minutes.
 BENCH_SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Generator seeds; ``REPRO_SEED`` pins both so CI numbers are comparable.
 JOB_SEED = int(os.environ.get("REPRO_SEED", "42"))
 LSQB_SEED = int(os.environ.get("REPRO_SEED", "7"))
 
-#: JOB scale used by the benchmarks (the full generator scale is 1.0).
-JOB_SCALE = 0.02 if BENCH_SMOKE else 0.1
+#: JOB scale used by the benchmarks (the full generator scale is 1.0).  At
+#: smoke scale the gated sums of Figures 14 and 17 still exceed 10 ms.
+JOB_SCALE = 0.06 if BENCH_SMOKE else 0.1
 #: Subset of JOB-like queries used by per-engine comparison benchmarks.
-JOB_QUERIES = (
-    ["q01", "q03", "q05", "q13"]
-    if BENCH_SMOKE
-    else ["q01", "q03", "q05", "q06", "q08", "q11", "q13", "q16", "q19"]
-)
+JOB_QUERIES = ["q01", "q03", "q05", "q06", "q08", "q11", "q13", "q16", "q19"]
 #: LSQB scale factors swept by the benchmarks (paper: 0.1, 0.3, 1, 3).
 LSQB_SCALE_FACTORS = (0.05,) if BENCH_SMOKE else (0.1, 0.3)
 #: Engines compared throughout.

@@ -22,10 +22,6 @@ with ``skew > 0`` — the hot-key shape the paper's grouped workloads take):
   into partials, so only (tiny) per-group states cross the process boundary
   — this gate pins that win in wall-clock terms and therefore only runs on
   the multi-core CI job (``REPRO_BENCH_MULTICORE=1``).
-
-The same comparison runs as the ``aggregation`` figure of
-``scripts/make_report.py``, so the number lands in ``BENCH_<label>.json``
-and the benchmark-history trend gate tracks it PR over PR.
 """
 
 from __future__ import annotations
@@ -62,8 +58,7 @@ MULTICORE = os.environ.get("REPRO_BENCH_MULTICORE") == "1"
 
 
 def _aggregation_database(**configure) -> Database:
-    # The same workload builder the `aggregation` figure driver measures, so
-    # the CI gate and the benchmark-history trend track one join.
+    # The shared Zipf-skewed fan-out builder, so every gate here times one join.
     database = Database(**configure)
     database.register_all(
         fanout_tables(FANOUT_ROWS, seed=JOB_SEED, skew=ZIPF_SKEW).values()

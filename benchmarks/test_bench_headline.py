@@ -1,29 +1,17 @@
-"""Headline numbers: Free Join vs. binary join and Generic Join (Sections 1, 5.2).
+"""The clover micro-workload of Figure 3 (Sections 1, 5.2).
 
-Also benchmarks the clover micro-workload of Figure 3, where the factored Free
-Join plan is asymptotically better than the binary plan (O(n) vs O(n^2)).
+The factored Free Join plan is asymptotically better than the binary plan
+here (O(n) vs O(n^2)).  The headline speedup table itself is Figure 14's
+summary, printed by ``test_bench_fig14_job.py``.
 """
 
 import pytest
 
-from benchmarks.conftest import JOB_SCALE
 from repro.binaryjoin.executor import BinaryJoinEngine, BinaryJoinOptions
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
-from repro.experiments.figures import run_headline
-from repro.experiments.report import format_headline
 from repro.genericjoin.executor import GenericJoinEngine, GenericJoinOptions
 from repro.optimizer.binary_plan import BinaryPlan
 from repro.workloads.synthetic import clover_instance, clover_query
-
-
-def test_headline_summary(benchmark):
-    result = benchmark.pedantic(
-        run_headline, kwargs=dict(job_scale=JOB_SCALE, lsqb_scale=0.3),
-        rounds=1, iterations=1,
-    )
-    print()
-    print(format_headline(result["summary"]))
-    assert "all" in result["summary"]
 
 
 @pytest.mark.parametrize("engine", ["freejoin", "binary", "generic"])

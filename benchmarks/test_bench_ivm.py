@@ -12,12 +12,6 @@ growing fact table:
 * **parity**: after every burst the maintained snapshot must be
   byte-identical to the re-executed result, so a fast-but-wrong fold cannot
   pass the gate.
-
-The same comparison runs as the ``ivm`` figure of ``scripts/make_report.py``
-(and ``scripts/check_bench_regression.py --ivm-gate`` re-checks the ratio
-from the serialized BENCH json), so the number lands in
-``BENCH_<label>.json`` and the benchmark-history trend gate tracks it PR
-over PR.
 """
 
 from __future__ import annotations

@@ -4,10 +4,7 @@ The acceptance gate from the streaming tentpole: on a large-output synthetic
 workload, ``execute_iter`` must deliver its **first batch in at most**
 :data:`FIRST_BATCH_GATE` **times the full-materialization wall clock** — the
 whole point of sink-to-queue execution is that consumers stop paying
-worst-case time-to-first-byte.  The same comparison runs as the
-``streaming`` figure of ``scripts/make_report.py``, so the number lands in
-``BENCH_<label>.json`` and the benchmark-history trend gate
-(``scripts/check_bench_regression.py --history``) tracks it PR over PR.
+worst-case time-to-first-byte.
 
 A second benchmark gates *total* streaming overhead: draining the full
 stream must stay within :data:`DRAIN_OVERHEAD_GATE` of the materialized run
@@ -45,8 +42,6 @@ MATERIALIZED = ExecOptions(freejoin_options=FreeJoinOptions(output="factorized")
 
 
 def _fanout_database() -> Database:
-    # The same workload builder the `streaming` figure driver measures, so
-    # the CI gate and the benchmark-history trend track one join.
     database = Database()
     database.register_all(fanout_tables(FANOUT_ROWS, seed=JOB_SEED).values())
     return database

@@ -10,9 +10,9 @@ runs each experiment driver at a configurable scale and concatenates the
 rendered series into one report file (default ``reproduction_report.txt``).
 
 Alongside the text report it writes a machine-readable ``BENCH_<label>.json``
-(same directory as the text report) holding every raw measurement record plus
-per-driver wall times — the artifact CI uploads so benchmark numbers can be
-compared across runs.
+(same directory as the text report) holding every raw measurement record —
+each names the execution path it ran on — plus per-driver wall times.  CI
+uploads it as an artifact; the regression gate is ``BENCHMARK.json``.
 
 Environment:
 
@@ -67,12 +67,6 @@ def run_figures(scale: float, seed, smoke: bool):
             # The LSQB sweeps default to paper-scale factors (up to 3.0);
             # smoke mode caps them so the whole report finishes in minutes.
             kwargs["scale_factors"] = (0.05, 0.1)
-        if smoke and "job_scale" in parameters:
-            # The headline driver names its scales job_scale/lsqb_scale
-            # instead of scale; cap both or it runs at full defaults.
-            kwargs["job_scale"] = scale
-        if smoke and "lsqb_scale" in parameters:
-            kwargs["lsqb_scale"] = 0.1
         started = time.perf_counter()
         result = driver(**kwargs)
         elapsed = time.perf_counter() - started
@@ -82,9 +76,8 @@ def run_figures(scale: float, seed, smoke: bool):
         figures.append({
             "figure": name,
             "driver_seconds": elapsed,
-            # The exact parameters this driver ran with — figures that take
-            # job_scale/lsqb_scale/scale_factors differ from the top-level
-            # scale, and comparisons across runs need to know that.
+            # The exact parameters this driver ran with — the LSQB figures
+            # take scale_factors instead of the top-level scale.
             "params": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in kwargs.items()},
             "measurements": [m.as_record() for m in measurements],

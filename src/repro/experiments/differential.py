@@ -36,7 +36,6 @@ artifact.
 from __future__ import annotations
 
 import copy
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -44,6 +43,7 @@ from repro.datatypes import Row, Value
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.errors import ReproError
+from repro.kernels import kernels_enabled
 from repro.query.expressions import (
     AggregateRef,
     ColumnRef,
@@ -413,20 +413,10 @@ class DifferentialRunner:
             session = self._process
         else:
             session = self._parallel
-        previous = os.environ.get("REPRO_KERNELS")
-        try:
-            if config.kernels:
-                os.environ.pop("REPRO_KERNELS", None)
-            else:
-                os.environ["REPRO_KERNELS"] = "off"
+        with kernels_enabled(config.kernels):
             return session.execute(
                 sql, options=ExecOptions(engine=config.engine)
             ).rows()
-        finally:
-            if previous is None:
-                os.environ.pop("REPRO_KERNELS", None)
-            else:
-                os.environ["REPRO_KERNELS"] = previous
 
     def check_sql(self, sql: str) -> List[Divergence]:
         """Run one query on every configuration against the reference."""

@@ -17,7 +17,8 @@ the few shapes the kernels do not cover (sub-entry steal tasks, missing
 numpy) — plus the rare skew-driven frontier explosion the executor
 detects at runtime
 (:class:`~repro.kernels.executor.KernelFrontierExplosion`).  Set
-``REPRO_KERNELS=off`` to force the fallback globally.
+``REPRO_KERNELS=off`` to force the fallback globally, or wrap a block in
+:func:`kernels_enabled` to scope the switch.
 
 Every engine reports kernel activity under ``RunReport.details["kernels"]``
 (see :func:`kernel_report` for the schema).
@@ -26,7 +27,8 @@ Every engine reports kernel activity under ``RunReport.details["kernels"]``
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional
 
 try:  # pragma: no cover
     import numpy as _np
@@ -66,6 +68,7 @@ __all__ = [
     "factor_step_indices",
     "kernel_caches_clear",
     "kernel_report",
+    "kernels_enabled",
     "merge_stats",
     "new_stats",
 ]
@@ -91,6 +94,28 @@ def disabled_reason() -> Optional[str]:
 def enabled() -> bool:
     """Whether the vectorized path is available and not disabled."""
     return disabled_reason() is None
+
+
+@contextmanager
+def kernels_enabled(enabled: bool) -> Iterator[None]:
+    """Run the enclosed block with the vectorized path on or off.
+
+    Sets ``REPRO_KERNELS`` (unset when ``enabled``, ``"off"`` otherwise)
+    and restores the prior value on exit — an unset one included, and also
+    when the block raises.
+    """
+    prior = os.environ.get("REPRO_KERNELS")
+    if enabled:
+        os.environ.pop("REPRO_KERNELS", None)
+    else:
+        os.environ["REPRO_KERNELS"] = "off"
+    try:
+        yield
+    finally:
+        if prior is None:
+            os.environ.pop("REPRO_KERNELS", None)
+        else:
+            os.environ["REPRO_KERNELS"] = prior
 
 
 def kernel_caches_clear() -> None:

@@ -21,8 +21,6 @@ inputs:
 from __future__ import annotations
 
 import itertools
-import os
-from contextlib import contextmanager
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -33,6 +31,7 @@ from repro.engine.output import FactorizedSink, RowSink
 from repro.engine.session import Database
 from repro.engine.streaming import StreamingTopKSink
 from repro.genericjoin.executor import GenericJoinEngine
+from repro.kernels import kernels_enabled
 from repro.optimizer.join_order import optimize_query
 from repro.query.builder import QueryBuilder
 from repro.storage.table import Table
@@ -44,22 +43,6 @@ values = st.integers(min_value=0, max_value=3)
 
 def rows_strategy(arity: int, max_rows: int = 8):
     return st.lists(st.tuples(*([values] * arity)), min_size=0, max_size=max_rows)
-
-
-@contextmanager
-def kernels_enabled(enabled: bool):
-    prior = os.environ.get("REPRO_KERNELS")
-    if enabled:
-        os.environ.pop("REPRO_KERNELS", None)
-    else:
-        os.environ["REPRO_KERNELS"] = "off"
-    try:
-        yield
-    finally:
-        if prior is None:
-            os.environ.pop("REPRO_KERNELS", None)
-        else:
-            os.environ["REPRO_KERNELS"] = prior
 
 
 def star_query(r, s, t):

@@ -17,7 +17,6 @@ from __future__ import annotations
 import os
 import time
 from collections import Counter
-from contextlib import contextmanager
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -47,20 +46,6 @@ TRIANGLE_SQL = (
     "SELECT COUNT(*) FROM r, s, t "
     "WHERE r.k = s.k AND s.b = t.b AND t.a = r.a"
 )
-
-
-@contextmanager
-def kernels_off():
-    """Force the row-at-a-time reference path for the duration."""
-    previous = os.environ.get("REPRO_KERNELS")
-    os.environ["REPRO_KERNELS"] = "off"
-    try:
-        yield
-    finally:
-        if previous is None:
-            os.environ.pop("REPRO_KERNELS", None)
-        else:
-            os.environ["REPRO_KERNELS"] = previous
 
 
 #: Join-key pools by column family.  The storage layer keeps each column to
@@ -122,7 +107,7 @@ def test_kernels_match_row_path_on_all_engines(data):
             "rows": _bag(database.execute(ROWS_SQL, options=options)),
             "residual": _bag(database.execute(RESIDUAL_SQL, options=options)),
         }
-        with kernels_off():
+        with kernels.kernels_enabled(False):
             assert database.execute(COUNT_SQL, options=options).scalar() == fast["count"]
             assert _bag(database.execute(ROWS_SQL, options=options)) == fast["rows"]
             assert _bag(database.execute(RESIDUAL_SQL, options=options)) == fast["residual"]
@@ -155,7 +140,7 @@ def test_kernels_match_row_path_streaming_and_grouped(data):
             database.execute(GROUPED_SQL, options=ExecOptions(engine=engine)).rows(), key=repr
         )
         assert grouped == direct_grouped
-        with kernels_off():
+        with kernels.kernels_enabled(False):
             reference = Counter(
                 row
                 for batch in database.execute_iter(
@@ -185,7 +170,7 @@ def test_parallel_kernels_match_row_path(engine, backend):
     """Steal-scheduler kernel tasks reproduce the row-path bag exactly."""
     tables = _skewed_null_tables()
     serial = _database(tables)
-    with kernels_off():
+    with kernels.kernels_enabled(False):
         expected_rows = _bag(serial.execute(ROWS_SQL, options=ExecOptions(engine=engine)))
         expected_count = serial.execute(COUNT_SQL, options=ExecOptions(engine=engine)).scalar()
     parallel = Database(serial.catalog, parallelism=3, parallel_mode=backend)
@@ -221,7 +206,7 @@ def test_triangle_query_matches_row_path():
     }))
     for engine in ENGINES:
         fast = database.execute(TRIANGLE_SQL, options=ExecOptions(engine=engine)).scalar()
-        with kernels_off():
+        with kernels.kernels_enabled(False):
             assert database.execute(
                 TRIANGLE_SQL, options=ExecOptions(engine=engine)
             ).scalar() == fast
@@ -244,12 +229,28 @@ def test_every_engine_reports_kernel_telemetry():
         assert detail["rows_out"] >= 1
         total_programs = detail["programs"]["hits"] + detail["programs"]["misses"]
         assert total_programs >= 1
-        with kernels_off():
+        with kernels.kernels_enabled(False):
             fallback = database.execute(
                 ROWS_SQL, options=ExecOptions(engine=engine)
             ).report.details["kernels"]
         assert fallback["mode"] == "fallback"
         assert fallback["fallbacks"] == ["disabled"]
+
+
+@pytest.mark.parametrize("prior", [None, "off", "on"])
+def test_kernels_enabled_restores_the_prior_setting(monkeypatch, prior):
+    if prior is None:
+        monkeypatch.delenv("REPRO_KERNELS", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_KERNELS", prior)
+    for enabled in (True, False):
+        with kernels.kernels_enabled(enabled):
+            assert kernels.enabled() is enabled
+        assert os.environ.get("REPRO_KERNELS") == prior
+    with pytest.raises(RuntimeError):
+        with kernels.kernels_enabled(prior is not None):
+            raise RuntimeError("boom")
+    assert os.environ.get("REPRO_KERNELS") == prior
 
 
 def test_program_cache_hits_on_repeat():
@@ -384,7 +385,7 @@ def test_adaptive_step_order_tames_skewed_intermediates(engine, monkeypatch):
     from repro.kernels import executor as kernel_executor
 
     database = _skewed_catalog()
-    with kernels_off():
+    with kernels.kernels_enabled(False):
         expected = Counter(database.execute(SKEWED_SQL, options=ExecOptions(engine=engine)).rows())
     monkeypatch.setattr(kernel_executor, "FRONTIER_GUARD_ROWS", 10_000)
     outcome = database.execute(SKEWED_SQL, options=ExecOptions(engine=engine))
@@ -399,7 +400,7 @@ def test_frontier_guard_falls_back_to_row_path(engine, monkeypatch):
     from repro.kernels import executor as kernel_executor
 
     database = _skewed_catalog()
-    with kernels_off():
+    with kernels.kernels_enabled(False):
         expected = Counter(database.execute(SKEWED_SQL, options=ExecOptions(engine=engine)).rows())
     # Below the output size: no step order can stay under the cap.
     monkeypatch.setattr(kernel_executor, "FRONTIER_GUARD_ROWS", 8)
@@ -419,7 +420,7 @@ def test_frontier_guard_falls_back_on_parallel_session(engine, backend, monkeypa
 
     options = ExecOptions(engine=engine)
     database = _skewed_catalog()
-    with kernels_off():
+    with kernels.kernels_enabled(False):
         expected = Counter(database.execute(SKEWED_SQL, options=options).rows())
     # Process workers fork with their pool: start without pools so the
     # workers of this run inherit the patched guard.
@@ -548,5 +549,5 @@ def test_batch_residual_predicates_match_reference(data):
     for predicate in NULLABLE_SQL_PREDICATES:
         sql = f"SELECT r.a, s.b FROM r, s WHERE r.k = s.k AND {predicate}"
         fast = _bag(database.execute(sql))
-        with kernels_off():
+        with kernels.kernels_enabled(False):
             assert _bag(database.execute(sql)) == fast

@@ -14,12 +14,10 @@ history predicts.
 from __future__ import annotations
 
 import asyncio
-import os
 import random
 import sys
 from collections import Counter
 from pathlib import Path
-from unittest import mock
 
 import pytest
 
@@ -28,6 +26,7 @@ from repro import Database, ExecOptions
 from repro.engine.options import ENGINES
 from repro.errors import CatalogError
 from repro.experiments.differential import canonicalize, reference_rows
+from repro.kernels import kernels_enabled
 from repro.query.sql import parse_sql
 from repro.serve import AsyncDatabase
 from repro.storage.table import Table
@@ -71,11 +70,6 @@ def _rows(rng: random.Random, name: str, count: int):
 
 def _table(name: str, rows) -> Table:
     return Table.from_rows(name, SCHEMAS[name], rows)
-
-
-def kernels_enabled(enabled: bool):
-    """``REPRO_KERNELS`` (read once per query) forced for the enclosed calls."""
-    return mock.patch.dict(os.environ, REPRO_KERNELS="on" if enabled else "off")
 
 
 class Session:
