@@ -4,7 +4,7 @@ Every figure of the paper's evaluation has one benchmark module here.  The
 benchmarks run the same experiment drivers as ``repro.experiments.figures``,
 at a scale small enough for a pure-Python engine; run them with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ -m bench --benchmark-only
 
 Each module prints the regenerated series/summary for its figure, with the
 execution path of every series, so the textual output of a benchmark run
@@ -60,12 +60,19 @@ ENGINES = ("freejoin", "binary", "generic")
 #: This directory — the hook below receives ALL collected items (the hook is
 #: global even when defined in a sub-directory conftest), so it must filter.
 _BENCH_DIR = Path(__file__).resolve().parent
+#: The end-to-end harness's own smoke tests are fast and stay in the default run.
+_E2E_DIR = _BENCH_DIR / "e2e"
 
 
 def pytest_collection_modifyitems(items):
-    """Mark everything under benchmarks/ so ``-m "not bench"`` deselects it."""
+    """Mark the timing benchmarks ``bench``.
+
+    ``-m 'not bench'`` leaves them out; ``pytest benchmarks -m bench`` runs
+    only them.  Tests under ``benchmarks/e2e/`` are left unmarked.
+    """
     for item in items:
-        if _BENCH_DIR in Path(str(item.fspath)).resolve().parents:
+        parents = Path(str(item.fspath)).resolve().parents
+        if _BENCH_DIR in parents and _E2E_DIR not in parents:
             item.add_marker(pytest.mark.bench)
 
 

@@ -5,7 +5,7 @@ Usage::
 
     python scripts/make_report.py [output_path] [job_scale]
 
-This is the long-form version of ``pytest benchmarks/ --benchmark-only``: it
+This is the long-form version of ``pytest benchmarks/ -m bench --benchmark-only``: it
 runs each experiment driver at a configurable scale and concatenates the
 rendered series into one report file (default ``reproduction_report.txt``).
 

@@ -47,7 +47,7 @@ class BinaryRowPath(RowPath):
         atoms = list(atoms)
         return atoms, BinaryJoinEngine._build_hash_tables(atoms, interrupt=interrupt)
 
-    def run(self, state, sink, start, stop, sub, interrupt, factorize=False):
+    def run(self, state, sink, start, stop, interrupt, factorize=False):
         atoms, hash_tables = state
         BinaryJoinEngine._run_pipeline(
             atoms,

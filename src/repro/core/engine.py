@@ -156,12 +156,12 @@ class FreeJoinRowPath(RowPath):
             interrupt=interrupt,
         )
 
-    def run(self, state, sink, start, stop, sub, interrupt, factorize=False):
+    def run(self, state, sink, start, stop, interrupt, factorize=False):
         executor = self._executor(sink, interrupt, factorize)
         if start is None:
             executor.run(state)
         else:
-            executor.run_task(state, start, stop, sub, self.cover)
+            executor.run_task(state, start, stop, self.cover)
         return executor.stats.as_dict()
 
     def plan_tasks(self, pipeline: PhysicalPipeline, state: PipelineState, shared_build):
@@ -194,7 +194,6 @@ class FreeJoinRowPath(RowPath):
             + [atoms[name] for name in self.plan.relations() if name != cover],
             row_path=replace(self, cover=cover),
             group_vars=None if len(levels) == 1 else tuple(levels[0].variables),
-            allow_sub=len(self.plan.nodes) >= 2,
         )
         return pinned, _cover_entry_total(tries[cover])
 

@@ -19,13 +19,15 @@ probes trie-by-trie across the whole batch; it lives in
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ExecutionError, PlanError
 from repro.core.ght import GHT
 from repro.core.plan import FreeJoinPlan
 from repro.core.vectorized import run_node_vectorized
+from repro.datatypes import Row
 from repro.engine.output import OutputSink
 from repro.query.atoms import Subatom
 
@@ -102,6 +104,47 @@ class NodeInfo:
     cover_plans: Dict[int, CoverPlan] = field(default_factory=dict)
 
 
+class RangeView(GHT):
+    """Entries ``[start, stop)`` of one trie level, presented as a GHT.
+
+    :meth:`FreeJoinExecutor.run_task` wraps the root cover in one, so a
+    steal task iterates only its range.  Only :meth:`iter_entries` (and the
+    batched variant inherited from :class:`GHT`) is sliced; probes and the
+    metadata queries delegate to the wrapped trie, so cover selection sees
+    the *full* key counts in every task, as the serial executor does.
+    """
+
+    def __init__(self, base: GHT, start: int, stop: int) -> None:
+        if start < 0 or stop < start:
+            raise ValueError(f"invalid entry range [{start}, {stop})")
+        self.base = base
+        self.relation = base.relation
+        self.vars = base.vars
+        self.start = start
+        self.stop = stop
+
+    def levels_remaining(self) -> int:
+        return self.base.levels_remaining()
+
+    def is_leaf(self) -> bool:
+        return self.base.is_leaf()
+
+    def tuple_count(self) -> int:
+        return self.base.tuple_count()
+
+    def key_count(self) -> int:
+        return self.base.key_count()
+
+    def iter_entries(self) -> Iterator[Tuple[Row, Optional[GHT]]]:
+        return itertools.islice(self.base.iter_entries(), self.start, self.stop)
+
+    def get(self, key: Row) -> Optional[GHT]:
+        return self.base.get(key)
+
+    def __repr__(self) -> str:
+        return f"RangeView({self.base!r}, [{self.start}, {self.stop}))"
+
+
 class FreeJoinExecutor:
     """Executes a Free Join plan over a set of GHTs.
 
@@ -170,13 +213,11 @@ class FreeJoinExecutor:
             self._nodes.append(info)
 
         self._factorizable_from = self._compute_factorizable_suffix()
-        # Set by run_task for sub-root tasks; consumed once, at depth 1.
-        self._sub_shard: Optional[Tuple[int, int]] = None
-        # depth -> cover position, set by run_task: sliced covers must not be
-        # re-chosen dynamically mid-task (COLT forcing changes key_count(),
+        # The root cover position, set by run_task: a sliced cover must not
+        # be re-chosen dynamically mid-task (COLT forcing changes key_count(),
         # so a dynamic re-choice could iterate a *different* relation than
         # the one the scheduler partitioned, dropping or repeating outputs).
-        self._pinned_covers: Dict[int, int] = {}
+        self._pinned_root: Optional[int] = None
 
     @staticmethod
     def _build_cover_plan(info: "NodeInfo", cover_position: int) -> CoverPlan:
@@ -225,21 +266,13 @@ class FreeJoinExecutor:
         tries: Dict[str, GHT],
         start: int,
         stop: int,
-        sub_shard: Optional[Tuple[int, int]] = None,
         cover: Optional[str] = None,
     ) -> None:
         """Execute one scheduler task: root cover entries ``[start, stop)``.
 
-        This is the work-stealing scheduler's unit of execution.  ``sub_shard``
-        (``(index, count)``) additionally restricts the *second* plan node's
-        cover to one of ``count`` slices — used when the root cover is so
-        small that root ranges alone cannot feed every worker.  Sub-root tasks
-        must target a single root entry (``stop == start + 1``); tasks over a
-        single-node plan ignore ``sub_shard`` (only slice 0 runs, so the
-        output is produced exactly once).
-
-        ``cover`` names the root cover relation the task ranges were computed
-        over.  Every task of one query MUST slice the same cover: COLT
+        This is the work-stealing scheduler's unit of execution on the row
+        path.  ``cover`` names the root cover relation the task ranges were
+        computed over.  Every task of one query MUST slice the same cover: COLT
         forcing shrinks ``key_count()`` estimates as tasks execute, so
         re-running dynamic cover selection per task could silently switch the
         iterated relation and drop (or repeat) outputs.  The scheduler pins
@@ -251,10 +284,6 @@ class FreeJoinExecutor:
         worker threads may share one build (forcing the same node twice is
         redundant but yields an equivalent map).
         """
-        # Imported here: importing the parallel package at module top would
-        # be circular (its scheduler reaches this module through the engines).
-        from repro.parallel.sharding import RangeView
-
         for relation in self.plan.relations():
             if relation not in tries:
                 raise ExecutionError(f"no trie provided for relation {relation!r}")
@@ -278,48 +307,16 @@ class FreeJoinExecutor:
                 )
         if cover_position is None:
             # Probe-only root: a single unit of work, owned by the first task.
-            if start <= 0 < stop and (sub_shard is None or sub_shard[0] == 0):
+            if start <= 0 < stop:
                 self._join(working, 0, {}, 1)
             return
-        if sub_shard is not None and (sub_shard[1] <= 1 or len(self._nodes) < 2):
-            if sub_shard[0] != 0:
-                return
-            sub_shard = None
         relation = info.cover_plans[cover_position].relation
         working[relation] = RangeView(working[relation], start, stop)
-        self._sub_shard = sub_shard
-        self._pinned_covers[0] = cover_position
+        self._pinned_root = cover_position
         try:
             self._join(working, 0, {}, 1)
         finally:
-            self._sub_shard = None
-            self._pinned_covers.clear()
-
-    def _shard_second_level(
-        self, tries: Dict[str, Optional[GHT]], sub_index: int, sub_count: int
-    ) -> Optional[Dict[str, Optional[GHT]]]:
-        """Restrict the depth-1 node's cover to one sub-shard slice.
-
-        Returns ``None`` when this sub-task owns nothing at this depth (a
-        probe-only second node belongs entirely to slice 0).  The cover is
-        the node's *static* first candidate, pinned for the recursion: the
-        dynamic heuristic keys off ``key_count()``, which changes as earlier
-        sub-tasks force shared tries — two sub-tasks of one root entry
-        slicing different covers would drop and repeat outputs.
-        """
-        from repro.parallel.sharding import ShardView
-
-        info = self._nodes[1]
-        if not info.new_variables:
-            return tries if sub_index == 0 else None
-        if not info.covers:
-            raise PlanError(f"node {info.subatoms!r} has no cover")
-        cover_position = info.covers[0]
-        self._pinned_covers[1] = cover_position
-        relation = info.cover_plans[cover_position].relation
-        working = dict(tries)
-        working[relation] = ShardView(working[relation], sub_index, sub_count)
-        return working
+            self._pinned_root = None
 
     # ------------------------------------------------------------------ #
     # Recursive join (Figure 7)
@@ -332,13 +329,6 @@ class FreeJoinExecutor:
         bindings: Dict[str, object],
         multiplicity: int,
     ) -> None:
-        if depth == 1 and self._sub_shard is not None:
-            sub_index, sub_count = self._sub_shard
-            self._sub_shard = None
-            sharded = self._shard_second_level(tries, sub_index, sub_count)
-            if sharded is None:
-                return
-            tries = sharded
         if depth == len(self._nodes):
             self._output(bindings, multiplicity)
             return
@@ -348,7 +338,7 @@ class FreeJoinExecutor:
             return
 
         info = self._nodes[depth]
-        cover_position = self._pinned_covers.get(depth)
+        cover_position = self._pinned_root if depth == 0 else None
         if cover_position is None:
             cover_position = self._choose_cover(info, tries)
 

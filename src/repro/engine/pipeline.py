@@ -113,12 +113,11 @@ class RowPath:
         raise NotImplementedError
 
     def run(
-        self, state, sink: OutputSink, start, stop, sub, interrupt, factorize=False
+        self, state, sink: OutputSink, start, stop, interrupt, factorize=False
     ) -> Optional[Dict[str, int]]:
         """Run entries ``[start, stop)`` (``None`` bounds: everything) into ``sink``.
 
-        ``sub`` is a steal task's sub-root split.  Returns the algorithm's
-        work counters, if it keeps any.
+        Returns the algorithm's work counters, if it keeps any.
         """
         raise NotImplementedError
 
@@ -148,8 +147,6 @@ class PhysicalPipeline:
     group_vars: Optional[Tuple[str, ...]] = None
     #: Whether probes that feed nothing downstream fold into multiplicities.
     compress: bool = True
-    #: Whether a tiny entry total may be split one level below the root.
-    allow_sub: bool = False
     #: Why the kernels never claim this pipeline (``None``: they may).
     skip_kernels: Optional[str] = None
 
@@ -189,7 +186,7 @@ def run_range(
     pipeline: PhysicalPipeline,
     state: PipelineState,
     sink: OutputSink,
-    span: Optional[Tuple[int, int, Optional[Tuple[int, int]]]] = None,
+    span: Optional[Tuple[int, int]] = None,
     interrupt=None,
     stats: Optional[Dict[str, int]] = None,
     kernels_off: Optional[str] = None,
@@ -197,18 +194,16 @@ def run_range(
 ) -> Tuple[Optional[Dict[str, int]], Optional[str]]:
     """Run one range of ``pipeline`` into ``sink``: kernels, else the row path.
 
-    ``span`` is ``(start, stop, sub)`` for a steal task and ``None`` for the
-    whole pipeline; a full run needs no group addressing, so it compiles the
+    ``span`` is a steal task's ``(start, stop)`` and ``None`` for the whole
+    pipeline; a full run needs no group addressing, so it compiles the
     plain row-addressed program.  ``kernels_off`` is the per-query reason the
     vectorized path is disabled, if it is.  ``factorize`` lets the *row path*
     emit factorized groups; the kernels factorize whenever the sink accepts
     it.  Returns ``(row-path counters, fallback reason)`` — both ``None``
     when the kernels served the range.
     """
-    start, stop, sub = span or (None, None, None)
+    start, stop = span or (None, None)
     reason = kernels_off or pipeline.skip_kernels
-    if reason is None and sub is not None:
-        reason = "sub-entry-task"
     if reason is None:
         try:
             program = kernels.compile_program(
@@ -235,7 +230,7 @@ def run_range(
             # from scratch.
             reason = str(exc)
     counters = pipeline.row_path.run(
-        state.get(interrupt), sink, start, stop, sub, interrupt, factorize
+        state.get(interrupt), sink, start, stop, interrupt, factorize
     )
     return counters, reason
 

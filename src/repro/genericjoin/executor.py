@@ -75,7 +75,7 @@ class GenericRowPath(RowPath):
             tries[atom.name] = build_hash_trie(atom, self.order)
         return atoms, tries
 
-    def run(self, state, sink, start, stop, sub, interrupt, factorize=False):
+    def run(self, state, sink, start, stop, interrupt, factorize=False):
         atoms, tries = state
         GenericJoinEngine._execute_atoms(
             atoms,

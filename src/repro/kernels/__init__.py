@@ -13,9 +13,9 @@ output, which the executor emits straight off the chunked frontier as
 shared prefixes plus independent factor columns (``factorize=True``).
 The row-at-a-time code remains as the semantic reference (the
 differential fuzz suite pins the kernels to it) and as the fallback for
-the few shapes the kernels do not cover (sub-entry steal tasks, missing
-numpy) — plus the rare skew-driven frontier explosion the executor
-detects at runtime
+the few shapes the kernels do not cover (hand-written Free Join plans,
+probe-only roots, missing numpy) — plus the rare skew-driven frontier
+explosion the executor detects at runtime
 (:class:`~repro.kernels.executor.KernelFrontierExplosion`).  Set
 ``REPRO_KERNELS=off`` to force the fallback globally, or wrap a block in
 :func:`kernels_enabled` to scope the switch.

@@ -35,13 +35,6 @@ from repro.parallel.scheduler import (
     run_pipeline_steal,
     shutdown_pools,
 )
-from repro.parallel.sharding import (
-    RangeView,
-    ShardView,
-    entry_count,
-    shard_bounds,
-    shard_offsets,
-)
 from repro.parallel.workload import (
     STATUS_ERROR,
     STATUS_OK,
@@ -56,11 +49,9 @@ __all__ = [
     "PROCESS_INPUT_THRESHOLD",
     "ProcessStealPool",
     "QueryExecution",
-    "RangeView",
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_TIMEOUT",
-    "ShardView",
     "ShardedRunResult",
     "StealTask",
     "TASKS_PER_WORKER",
@@ -68,13 +59,10 @@ __all__ = [
     "WorkloadOutcome",
     "active_pools",
     "decompose_entries",
-    "entry_count",
     "execute_workload",
     "get_pool",
     "normalize_queries",
     "resolve_mode",
     "run_pipeline_steal",
-    "shard_bounds",
-    "shard_offsets",
     "shutdown_pools",
 ]

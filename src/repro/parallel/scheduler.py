@@ -9,9 +9,10 @@ scheduler instead, and it schedules exactly one thing — a
 lowered it (:func:`run_pipeline_steal`):
 
 * the root cover is decomposed into *many* fine-grained tasks (contiguous
-  entry ranges; about :data:`TASKS_PER_WORKER` per worker), and when the root
-  cover is too small to feed every worker, tasks recurse one level below the
-  root (a single root entry times a slice of the second node's cover);
+  entry ranges — morsels, in Leis et al.'s terms; about
+  :data:`TASKS_PER_WORKER` per worker).  A range of root entries is the
+  only task shape: a cover with fewer entries than workers gets one task
+  per entry, and a single task runs inline, like a serial run;
 * tasks are dealt to workers in contiguous blocks, and a worker that drains
   its own block *steals* from its siblings, so a block of hot tasks ends up
   spread across the pool instead of serializing on its owner;
@@ -96,7 +97,6 @@ from repro.parallel.context_cache import (
     context_cache_budget,
     context_cache_key,
 )
-from repro.parallel.sharding import shard_offsets
 from repro.query.atoms import Atom
 from repro.storage.shm import AttachmentCache, ShmTableHandle, export_table
 
@@ -195,19 +195,17 @@ def _steal_backend(mode: str, workers: int, input_tuples: int) -> str:
 
 @dataclass
 class StealTask:
-    """One unit of work: a slice of the root cover (optionally sub-sharded).
+    """One unit of work: root cover entries ``[start, stop)``.
 
-    ``sub`` is ``(index, count)`` for sub-root tasks (the root slice is then a
-    single entry).  ``preferred`` is the worker the task was dealt to; a task
-    executed by any other worker counts as stolen.  ``enqueued`` is a
-    ``time.monotonic`` stamp set at dispatch, used for queue-wait accounting
-    (monotonic clocks are system-wide on Linux, so it crosses fork).
+    ``preferred`` is the worker the task was dealt to; a task executed by
+    any other worker counts as stolen.  ``enqueued`` is a ``time.monotonic``
+    stamp set at dispatch, used for queue-wait accounting (monotonic clocks
+    are system-wide on Linux, so it crosses fork).
     """
 
     task_id: int
     start: int
     stop: int
-    sub: Optional[Tuple[int, int]] = None
     preferred: int = 0
     enqueued: float = 0.0
     #: Absolute ``time.monotonic`` deadline, or ``None``.  Carried on the
@@ -216,45 +214,24 @@ class StealTask:
     deadline: Optional[float] = None
 
 
-def decompose_entries(
-    entry_total: int,
-    workers: int,
-    tasks_per_worker: Optional[int] = None,
-    allow_sub: bool = False,
-) -> List[StealTask]:
-    """Split ``entry_total`` cover entries into fine-grained tasks.
+def decompose_entries(entry_total: int, workers: int) -> List[StealTask]:
+    """Split ``entry_total`` cover entries into contiguous, near-even tasks.
 
-    Returns an empty list for an empty cover (the scheduler short-circuits
-    without touching a pool).  With ``allow_sub`` and fewer entries than
-    workers, each entry is split into sub-root tasks instead, so even a
-    tiny root cover can feed the whole pool.
+    At most ``workers * TASKS_PER_WORKER`` tasks, never more than one per
+    entry; in task order they cover ``range(entry_total)`` exactly.  An
+    empty cover yields no task (the scheduler short-circuits without
+    touching a pool).
     """
     if workers <= 0:
         raise ExecutionError(f"worker count must be positive, got {workers}")
-    per_worker = tasks_per_worker if tasks_per_worker else TASKS_PER_WORKER
-    if per_worker <= 0:
-        raise ExecutionError(f"tasks_per_worker must be positive, got {per_worker}")
-    target = workers * per_worker
-    if entry_total <= 0:
-        return []
-    if allow_sub and entry_total < workers:
-        sub_count = -(-target // entry_total)  # ceil
-        tasks: List[StealTask] = []
-        for entry in range(entry_total):
-            for sub_index in range(sub_count):
-                tasks.append(
-                    StealTask(
-                        task_id=len(tasks),
-                        start=entry,
-                        stop=entry + 1,
-                        sub=(sub_index, sub_count),
-                    )
-                )
-        return tasks
-    count = min(target, entry_total)
+    count = min(workers * TASKS_PER_WORKER, entry_total)
     return [
-        StealTask(task_id=task_id, start=start, stop=stop)
-        for task_id, (start, stop) in enumerate(shard_offsets(entry_total, count))
+        StealTask(
+            task_id=index,
+            start=entry_total * index // count,
+            stop=entry_total * (index + 1) // count,
+        )
+        for index in range(count)
     ]
 
 
@@ -318,7 +295,7 @@ class _TaskContext:
             self.pipeline,
             self.state,
             sink,
-            (task.start, task.stop, task.sub),
+            (task.start, task.stop),
             interrupt,
             stats,
             self.kernels_off,
@@ -1397,7 +1374,7 @@ def run_pipeline_steal(
             )
     build_seconds = time.perf_counter() - build_started
 
-    tasks = decompose_entries(entry_total, workers, allow_sub=pipeline.allow_sub)
+    tasks = decompose_entries(entry_total, workers)
     if not tasks:
         return _short_circuit(workers, build_seconds)
     if interrupt is not None and interrupt.at is not None:

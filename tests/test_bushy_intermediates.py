@@ -149,13 +149,10 @@ def test_intermediates_are_identical_on_every_backend(
     """Same columns, dtypes and rows in the same order, whoever ran the tasks.
 
     (Not fingerprints: a TEXT column digests as a pickle, which tells one
-    shared string object from equal copies that crossed a process.  Not
-    ``int-joins-float``: a join variable that is an INT on one side and a
-    FLOAT on the other is decoded from whichever side the executing path
-    binds it last, and a tiny steal task may take the row path.)
+    shared string object from equal copies that crossed a process.)
     """
     monkeypatch.setenv("REPRO_KERNELS", kernels)
-    for case in sorted(set(CASES) - {"int-joins-float"}):
+    for case in sorted(CASES):
         sql, right = CASES[case]
         built = set()
         for backend in sorted(BACKENDS):

@@ -22,7 +22,6 @@ from collections import Counter
 import pytest
 
 from repro.binaryjoin.executor import BinaryJoinEngine
-from repro.core.colt import build_tries
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
 from repro.engine.options import ExecOptions
 from repro.engine.output import CountSink, FactorizedSink, JoinResult, OutputSink, RowSink
@@ -31,9 +30,7 @@ from repro.engine.session import Database
 from repro.experiments.differential import canonicalize, reference_rows
 from repro.genericjoin.executor import GenericJoinEngine
 from repro.optimizer.join_order import optimize_query
-from repro.parallel.sharding import ShardView, entry_count, shard_bounds, shard_offsets
 from repro.parallel.workload import normalize_queries
-from repro.query.builder import QueryBuilder
 from repro.query.planner import Planner
 from repro.query.sql import parse_sql
 from repro.storage.table import Table
@@ -84,48 +81,6 @@ def parallel_database(serial: Database, parallelism: int, **kwargs) -> Database:
         serial.catalog, parallelism=parallelism, parallel_mode="thread", **kwargs
     )
     return clone
-
-
-# --------------------------------------------------------------------------- #
-# Sharding primitives
-# --------------------------------------------------------------------------- #
-
-
-def test_shard_bounds_partition_the_range():
-    for total in (0, 1, 5, 17, 100):
-        for count in (1, 2, 3, 7):
-            slices = shard_offsets(total, count)
-            covered = [i for start, stop in slices for i in range(start, stop)]
-            assert covered == list(range(total))
-
-
-def test_shard_bounds_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        shard_bounds(10, 3, 3)
-    with pytest.raises(ValueError):
-        shard_bounds(10, 0, 0)
-
-
-def test_shard_view_slices_iteration_and_delegates_probes(tiny_tables):
-    builder = QueryBuilder("pair")
-    builder.add_atom("r", tiny_tables["r"], ["x", "y"])
-    query = builder.build()
-    atom = query.atoms[0]
-    tries = build_tries({"r": atom}, {"r": [("x",), ("y",)]})
-    base = tries["r"]
-
-    total = entry_count(base)
-    seen = []
-    for index in range(3):
-        view = ShardView(base, index, 3)
-        assert view.key_count() == base.key_count()  # full count for cover choice
-        seen.extend(key for key, _child in view.iter_entries())
-    assert seen == [key for key, _child in base.iter_entries()]
-    # Probing a view behaves exactly like probing the base trie.
-    view = ShardView(base, 0, 3)
-    assert total > 0
-    for key, _child in base.iter_entries():
-        assert view.get(key) is base.get(key)
 
 
 # --------------------------------------------------------------------------- #

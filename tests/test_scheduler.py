@@ -12,19 +12,24 @@ import os
 import pytest
 
 from repro.core.colt import build_tries
-from repro.core.executor import ExecutorStats, FreeJoinExecutor
+from repro.core.executor import ExecutorStats, FreeJoinExecutor, RangeView
+from repro.engine.aggregates import post_join
 from repro.engine.options import ExecOptions
 from repro.engine.output import RowSink
 from repro.engine.session import Database
 from repro.errors import ExecutionError
+from repro.experiments.differential import canonicalize, reference_rows
+from repro.optimizer.binary_plan import BinaryPlan, JoinNode, LeafNode
 from repro.parallel import scheduler
 from repro.parallel.scheduler import (
     StealTask,
     assign_preferred,
     decompose_entries,
 )
-from repro.parallel.sharding import RangeView, entry_count
+from repro.query.planner import Planner
+from repro.query.sql import parse_sql
 from repro.storage import shm
+from repro.storage.catalog import Catalog
 from repro.storage.column import Column
 from repro.storage.table import Table
 from repro.workloads.synthetic import triangle_instance, triangle_query
@@ -41,29 +46,24 @@ def covered_entries(tasks):
     return [i for task in tasks for i in range(task.start, task.stop)]
 
 
-@pytest.mark.parametrize("entry_total", [1, 5, 16, 100, 1000])
-@pytest.mark.parametrize("workers", [1, 2, 4, 7])
+@pytest.mark.parametrize("entry_total", [0, 1, 3, 5, 16, 17, 100, 1000])
+@pytest.mark.parametrize("workers", [1, 2, 3, 4, 7])
 def test_decompose_partitions_the_entries(entry_total, workers):
     tasks = decompose_entries(entry_total, workers)
+    # Non-empty contiguous ranges that cover range(entry_total) exactly, in order.
     assert covered_entries(tasks) == list(range(entry_total))
+    assert all(task.start < task.stop for task in tasks)
     assert [task.task_id for task in tasks] == list(range(len(tasks)))
-    assert len(tasks) <= workers * scheduler.TASKS_PER_WORKER
+    # Fewer entries than tasks wanted (e.g. 1 or 3 entries over 4 workers):
+    # one whole-entry task each, never a split below an entry.
+    assert len(tasks) == min(entry_total, workers * scheduler.TASKS_PER_WORKER)
+    # Near-even: task sizes differ by at most one entry.
+    sizes = {task.stop - task.start for task in tasks}
+    assert not sizes or max(sizes) - min(sizes) <= 1
 
 
 def test_decompose_empty_cover_yields_no_tasks():
     assert decompose_entries(0, 4) == []
-    assert decompose_entries(0, 4, allow_sub=True) == []
-
-
-def test_decompose_sub_root_when_cover_is_tiny():
-    tasks = decompose_entries(2, 4, allow_sub=True)
-    # Two entries cannot feed four workers: each entry splits one level down.
-    assert len(tasks) == 16
-    assert all(task.stop == task.start + 1 for task in tasks)
-    subs = {(task.start, task.sub) for task in tasks}
-    assert subs == {(entry, (j, 8)) for entry in range(2) for j in range(8)}
-    # Without sub-root splitting, a tiny cover yields one task per entry.
-    assert [t.sub for t in decompose_entries(2, 4, allow_sub=False)] == [None, None]
 
 
 def test_assign_preferred_deals_contiguous_blocks():
@@ -77,8 +77,6 @@ def test_assign_preferred_deals_contiguous_blocks():
 def test_decompose_rejects_bad_arguments():
     with pytest.raises(ExecutionError):
         decompose_entries(10, 0)
-    with pytest.raises(ExecutionError):
-        decompose_entries(10, 2, tasks_per_worker=-1)
 
 
 # --------------------------------------------------------------------------- #
@@ -92,11 +90,12 @@ def test_range_view_slices_and_delegates():
     _plan, atoms, schemas = freejoin_plan_and_atoms(query)
     tries = build_tries(atoms, schemas)
     base = tries["R"]
-    total = entry_count(base)
-    assert total > 3
+    assert len(list(base.iter_entries())) > 3
     view = RangeView(base, 1, 3)
+    assert (view.start, view.stop) == (1, 3)
     entries = list(view.iter_entries())
     assert entries == list(base.iter_entries())[1:3]
+    # The full count, so cover selection chooses as the serial executor does.
     assert view.key_count() == base.key_count()
     for key, _child in base.iter_entries():
         assert view.get(key) is base.get(key)
@@ -137,7 +136,7 @@ def test_run_task_partitions_serial_execution(workers, batch_size, dynamic_cover
     root = prober._nodes[0]
     fresh_tries = build_tries(atoms, schemas)
     cover = root.cover_plans[prober._choose_cover(root, fresh_tries)].relation
-    entry_total = entry_count(fresh_tries[cover])
+    entry_total = len(list(fresh_tries[cover].iter_entries()))
     tasks = decompose_entries(entry_total, workers)
     assert len(tasks) > 1
 
@@ -146,7 +145,7 @@ def test_run_task_partitions_serial_execution(workers, batch_size, dynamic_cover
     merged_stats = ExecutorStats()
     for task in tasks:
         executor, sink = fresh_executor()
-        executor.run_task(shared_tries, task.start, task.stop, task.sub, cover)
+        executor.run_task(shared_tries, task.start, task.stop, cover)
         merged_rows.extend(sink.result().to_rows())
         merged_stats.merge(executor.stats)
 
@@ -162,51 +161,6 @@ def test_run_task_partitions_serial_execution(workers, batch_size, dynamic_cover
         assert merged_stats.iterations == serial_executor.stats.iterations
         assert merged_stats.probes == serial_executor.stats.probes
         assert merged_stats.failed_probes == serial_executor.stats.failed_probes
-
-
-def test_run_task_sub_root_partitions_serial_execution():
-    # A root cover with only two keys: tasks must recurse one level down.
-    # The plan is written by hand so the root node iterates r's x level
-    # (2 distinct values) and the second node holds the real fan-out.
-    from repro.core.plan import FreeJoinPlan
-    from repro.query.atoms import Subatom
-    from repro.query.builder import QueryBuilder
-
-    r = Table.from_columns("r", {"x": [0, 1] * 30, "y": [i % 12 for i in range(60)]})
-    s = Table.from_columns("s", {"y": [i % 12 for i in range(48)], "z": list(range(48))})
-    builder = QueryBuilder("two_key")
-    builder.add_atom("r", r, ["x", "y"])
-    builder.add_atom("s", s, ["y", "z"])
-    query = builder.build()
-    plan = FreeJoinPlan.from_lists([
-        [Subatom("r", ["x"])],
-        [Subatom("r", ["y"]), Subatom("s", ["y"])],
-        [Subatom("s", ["z"])],
-    ])
-    plan.validate(query)
-    atoms = {atom.name: atom for atom in query.atoms}
-    schemas = {"r": [("x",), ("y",)], "s": [("y",), ("z",)]}
-
-    sink = RowSink(query.output_variables)
-    serial = FreeJoinExecutor(plan, query.output_variables, sink, dynamic_cover=False)
-    serial.run(build_tries(atoms, schemas))
-    serial_rows = sink.result().to_rows()
-
-    entry_total = entry_count(build_tries(atoms, schemas)["r"])
-    assert entry_total == 2
-    tasks = decompose_entries(entry_total, 4, allow_sub=len(plan.nodes) >= 2)
-    assert all(task.sub is not None for task in tasks)
-
-    shared_tries = build_tries(atoms, schemas)
-    merged = []
-    for task in tasks:
-        task_sink = RowSink(query.output_variables)
-        executor = FreeJoinExecutor(
-            plan, query.output_variables, task_sink, dynamic_cover=False
-        )
-        executor.run_task(shared_tries, task.start, task.stop, task.sub)
-        merged.extend(task_sink.result().to_rows())
-    assert merged == serial_rows
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
@@ -231,50 +185,42 @@ def test_pinned_cover_survives_forcing_flips(backend):
     assert parallel.execute(sql).scalar() == expected
 
 
-def test_sub_root_tasks_slice_one_stable_cover():
-    """Sub-root tasks of one root entry must all slice the same depth-1 cover,
-    even when forcing by earlier sub-tasks would flip the dynamic choice."""
-    from repro.core.plan import FreeJoinPlan
-    from repro.query.atoms import Subatom
-    from repro.query.builder import QueryBuilder
+ONE_ENTRY_SQL = "SELECT dim.k, fact.v FROM dim, fact WHERE dim.k = fact.k AND dim.tag = 3"
 
-    # Root cover r.x has 2 keys; node 1 has two cover candidates over y
-    # (r's subtrie and s's root) whose key-count ordering changes once the
-    # first sub-task forces them.
-    r = Table.from_columns("r", {"x": [0, 1] * 40, "y": [i % 20 for i in range(80)]})
-    s = Table.from_columns("s", {"y": [i % 4 for i in range(60)], "z": list(range(60))})
-    builder = QueryBuilder("flip")
-    builder.add_atom("r", r, ["x", "y"])
-    builder.add_atom("s", s, ["y", "z"])
-    query = builder.build()
-    plan = FreeJoinPlan.from_lists([
-        [Subatom("r", ["x"])],
-        [Subatom("r", ["y"]), Subatom("s", ["y"])],
-        [Subatom("s", ["z"])],
-    ])
-    plan.validate(query)
-    atoms = {atom.name: atom for atom in query.atoms}
-    schemas = {"r": [("x",), ("y",)], "s": [("y",), ("z",)]}
 
-    sink = RowSink(query.output_variables)
-    serial = FreeJoinExecutor(plan, query.output_variables, sink, dynamic_cover=True)
-    serial.run(build_tries(atoms, schemas))
-    # Compare expanded bags: the (row, multiplicity) *representation* depends
-    # on which cover a node iterated, and serial dynamic selection may pick a
-    # different (equivalent) cover than the pinned tasks.
-    serial_bag = sorted(sink.result().iter_rows(), key=repr)
+@pytest.mark.parametrize("backend", ["thread", "process"])
+def test_one_entry_driver_runs_one_inline_kernel_task(backend):
+    """A root cover with fewer entries than workers is never split below an entry.
 
-    tasks = decompose_entries(2, 4, allow_sub=True)
-    shared = build_tries(atoms, schemas)
-    merged = []
-    for task in tasks:
-        task_sink = RowSink(query.output_variables)
-        executor = FreeJoinExecutor(
-            plan, query.output_variables, task_sink, dynamic_cover=True
+    ``dim`` filtered to one row drives a hand-built ``dim JOIN fact`` plan
+    into 2 000 of ``fact``'s 20 000 rows: the cover has one entry, so the
+    query is one task, run inline on the kernels like the serial run.
+    """
+    catalog = Catalog()
+    catalog.register(Table.from_columns("dim", {"k": list(range(10)), "tag": list(range(10))}))
+    catalog.register(
+        Table.from_columns(
+            "fact", {"k": [i % 10 for i in range(20_000)], "v": list(range(20_000))}
         )
-        executor.run_task(shared, task.start, task.stop, task.sub, cover="r")
-        merged.extend(task_sink.result().iter_rows())
-    assert sorted(merged, key=repr) == serial_bag
+    )
+    plan = BinaryPlan(JoinNode(LeafNode("dim"), LeafNode("fact")))
+    logical = Planner(catalog).plan_sql(ONE_ENTRY_SQL)
+
+    def bag(report):
+        _result, table = post_join(report.result, logical, report.details)
+        return canonicalize(table.to_rows(), ordered=False)
+
+    serial = Database(catalog).run_join(logical, plan, "freejoin")
+    session = Database(catalog, parallelism=2, parallel_mode=backend)
+    report = session.run_join(logical, plan, "freejoin")
+
+    (run,) = report.details["parallel"]
+    assert (run["tasks"], run["mode"]) == (1, "inline")
+    assert report.details["kernels"]["mode"] == "vectorized"
+    assert "fallbacks" not in report.details["kernels"]
+    expected = canonicalize(reference_rows(catalog, parse_sql(ONE_ENTRY_SQL)), ordered=False)
+    assert len(expected) == 2_000
+    assert bag(report) == bag(serial) == expected
 
 
 def test_run_task_rejects_a_non_candidate_pinned_cover():
@@ -513,14 +459,8 @@ def test_shm_segment_follows_table_lifetime():
 
 
 def test_steal_task_is_plain_data():
-    task = StealTask(task_id=3, start=10, stop=20, sub=(1, 4), preferred=2)
+    task = StealTask(task_id=3, start=10, stop=20, preferred=2)
     import pickle
 
     clone = pickle.loads(pickle.dumps(task))
-    assert (clone.task_id, clone.start, clone.stop, clone.sub, clone.preferred) == (
-        3,
-        10,
-        20,
-        (1, 4),
-        2,
-    )
+    assert (clone.task_id, clone.start, clone.stop, clone.preferred) == (3, 10, 20, 2)
