@@ -1,13 +1,13 @@
-"""Serving-path benchmarks: context-cache warm-up and async throughput.
+"""Serving-path benchmarks: kernel-cache warm-up and async throughput.
 
 Two acceptance gates from the serving tentpole:
 
 * **warm <= 0.8x cold** — a repeated query over unchanged tables must hit
-  the fingerprint-keyed context cache and skip its per-query trie rebuild;
-  the warm median is gated at :data:`WARM_SPEEDUP_GATE` times the cold
-  median.  Both sides run the same query on the same session; "cold" clears
-  the parent-side context caches and the kernel program/sorted-index caches
-  before every round.
+  the kernels' content-keyed program and sorted-index caches and skip its
+  per-query index build; the warm median is gated at
+  :data:`WARM_SPEEDUP_GATE` times the cold median.  Both sides run the same
+  query on the same session; "cold" clears the kernel caches before every
+  round.
 * **deadline overhead is bounded** — attaching a (never-expiring) deadline
   token to every query must not measurably slow the join: gated at
   :data:`DEADLINE_OVERHEAD_GATE` times the no-deadline median, a loose
@@ -28,7 +28,6 @@ from benchmarks.conftest import BENCH_SMOKE, JOB_QUERIES, JOB_SEED
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.kernels import kernel_caches_clear
-from repro.parallel import scheduler
 from repro.serve import AsyncDatabase
 from repro.storage.table import Table
 
@@ -36,7 +35,7 @@ from repro.storage.table import Table
 WARM_SPEEDUP_GATE = 0.8
 #: Median with an armed-but-distant deadline vs without; loose by design.
 DEADLINE_OVERHEAD_GATE = 1.30
-#: Rows per relation of the build-heavy join (trie build dominates).
+#: Rows per relation of the build-heavy join (index build dominates).
 CACHE_ROWS = 20_000 if BENCH_SMOKE else 40_000
 #: Timed rounds per side of each comparison.
 ROUNDS = 3
@@ -45,11 +44,11 @@ CACHE_SQL = "SELECT COUNT(*) FROM r, s WHERE r.k = s.k"
 
 
 def _cache_catalog() -> Database:
-    """A join whose cost is dominated by trie building, not enumeration.
+    """A join whose cost is dominated by index building, not enumeration.
 
-    Wide key domain, few matches: both tries are forced over every distinct
-    key while the output stays small, which is exactly the shape where
-    skipping the rebuild pays.
+    Wide key domain, few matches: both relations are indexed over every
+    distinct key while the output stays small, which is exactly the shape
+    where skipping the rebuild pays.
     """
     rng = random.Random(JOB_SEED)
     domain = CACHE_ROWS * 8
@@ -75,17 +74,15 @@ def _timed(callable_, rounds: int = ROUNDS):
     return statistics.median(seconds), result
 
 
-def test_context_cache_warm_beats_cold(benchmark):
+def test_kernel_caches_warm_beat_cold(benchmark):
     """The acceptance gate: warm repeated query <= 0.8x cold median."""
     database = _cache_catalog()
     parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
     expected = database.execute(CACHE_SQL).scalar()
 
     def cold():
-        # Cold = no cached derived structures at all: the fingerprint-keyed
-        # worker contexts AND the kernel program/sorted-index caches (the
-        # vectorized path's equivalent of the trie rebuild).
-        scheduler.clear_context_caches()
+        # Cold = no cached derived structures: the kernel program and
+        # sorted-index caches, which the thread workers share with us.
         kernel_caches_clear()
         outcome = parallel.execute(CACHE_SQL)
         assert outcome.scalar() == expected
@@ -101,11 +98,12 @@ def test_context_cache_warm_beats_cold(benchmark):
     outcome = benchmark.pedantic(warm, rounds=ROUNDS, iterations=1)
     warm_median = statistics.median(benchmark.stats.stats.data)
 
-    detail = outcome.report.details["parallel"][0]
-    assert detail["context_cache"]["hits"] >= 1, "warm run must hit the cache"
+    assert outcome.report.details["kernels"]["indexes"]["hits"] >= 1, (
+        "warm run must hit the index cache"
+    )
     ratio = warm_median / cold_median
     print(
-        f"\ncontext cache on {CACHE_ROWS} rows x 2 relations: "
+        f"\nkernel caches on {CACHE_ROWS} rows x 2 relations: "
         f"cold {cold_median * 1000:.1f} ms, warm {warm_median * 1000:.1f} ms, "
         f"ratio {ratio:.2f} (gate <= {WARM_SPEEDUP_GATE})"
     )
@@ -141,8 +139,8 @@ def test_deadline_token_overhead_is_bounded(benchmark):
 def test_async_serving_throughput(benchmark, job_workload):
     """``gather_many`` over the JOB subset: the serving layer's wall-clock.
 
-    Runs the subset twice per round (cold contexts the first time, warm the
-    second within one asyncio session), asserting parity with the
+    Runs the subset twice per round (cold kernel caches the first time, warm
+    the second within one asyncio session), asserting parity with the
     synchronous session on every query.
     """
     database = Database(job_workload.catalog)

@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""An asyncio serving demo: deadlines, cancellation, warm context caches.
+"""An asyncio serving demo: deadlines, cancellation, warm kernel caches.
 
 Walks the serving layer (:mod:`repro.serve`) end to end against a JOB-like
 workload:
 
 1. ``gather_many`` pushes the query suite through the async facade with
    bounded concurrency and a per-query deadline, twice — the second pass
-   hits the fingerprint-keyed context caches, and the printed per-query
-   times show the warm-path speedup;
+   hits the kernels' content-keyed index cache (the printed ``indexes=``
+   hit/miss counters), and the per-query times show the warm-path speedup;
 2. a deliberately tiny deadline aborts an explosive query *mid-execution*
    (``DeadlineExceeded``), after which the same session keeps serving;
 3. an asyncio cancellation frees its worker slot promptly;
@@ -57,12 +57,9 @@ async def serve(scale: float, concurrency: int) -> None:
                 if isinstance(outcome, BaseException):
                     print(f"    {name}: {type(outcome).__name__}: {outcome}")
                 else:
-                    detail = outcome.report.details.get("parallel")
-                    cache = (detail[0].get("context_cache")
-                             if detail else None)
-                    note = f" cache={cache}" if cache else ""
+                    indexes = outcome.report.details["kernels"]["indexes"]
                     print(f"    {name}: {outcome.report.total_seconds * 1000:7.1f} ms "
-                          f"{outcome.table.num_rows} rows{note}")
+                          f"{outcome.table.num_rows} rows indexes={indexes}")
 
         # --- 2. A deadline below the query's runtime ---------------------- #
         explosive_sql = workload.query(EXPLOSIVE).sql

@@ -41,8 +41,6 @@ class BinaryRowPath(RowPath):
 
     output_variables: Tuple[str, ...]
 
-    name = "binary"
-
     def build(self, atoms: Sequence[Atom], interrupt=None):
         atoms = list(atoms)
         return atoms, BinaryJoinEngine._build_hash_tables(atoms, interrupt=interrupt)

@@ -129,17 +129,6 @@ class FreeJoinRowPath(RowPath):
     batch_size: int
     cover: Optional[str] = None
 
-    name = "freejoin"
-
-    def key_parts(self) -> tuple:
-        return (
-            repr(self.plan),
-            tuple(sorted((name, tuple(levels)) for name, levels in self.schemas.items())),
-            str(self.trie_strategy),
-            self.batch_size,
-            self.dynamic_cover,
-        )
-
     def build(self, atoms: Sequence[Atom], interrupt=None):
         return build_tries(
             {atom.name: atom for atom in atoms}, self.schemas, self.trie_strategy

@@ -101,13 +101,6 @@ class RowPath:
     pipeline description.
     """
 
-    #: Engine name; the leading part of the context-cache key.
-    name = ""
-
-    def key_parts(self) -> tuple:
-        """Every option that shapes :meth:`build`'s result (cache-key parts)."""
-        return ()
-
     def build(self, atoms: Sequence[Atom], interrupt=None):
         """Build the algorithm's state (tries, hash tables) over ``atoms``."""
         raise NotImplementedError
@@ -126,7 +119,7 @@ class RowPath:
     ) -> Tuple["PhysicalPipeline", int]:
         """Fix what steal task ranges address: ``(pipeline, entry_total)``.
 
-        Called once per (uncached) parallel query, in the parent.  The
+        Called once per parallel query, in the parent.  The
         returned pipeline is the one every task runs; ``shared_build`` says
         that thread workers will share ``state`` on the row path, so building
         contended parts up front is work the query needs anyway.
@@ -149,15 +142,6 @@ class PhysicalPipeline:
     compress: bool = True
     #: Why the kernels never claim this pipeline (``None``: they may).
     skip_kernels: Optional[str] = None
-
-    def key_parts(self) -> tuple:
-        """What distinguishes this pipeline's contexts, beyond table content."""
-        return (
-            tuple((atom.name, atom.variables) for atom in self.atoms),
-            self.output_variables,
-            self.compress,
-            self.row_path.key_parts(),
-        )
 
 
 class PipelineState:

@@ -170,8 +170,13 @@ class Database:
         tears down the *process*'s pools and segments — call it when the last
         session is done, or rely on the interpreter's atexit hook.  Sessions
         opened with ``feedback_path`` persist their feedback store first.
+        Once the pools are down and every export is unlinked, the
+        ``multiprocessing`` resource tracker the process pools started is
+        stopped too; the next process pool starts a fresh one.
         """
-        from repro.parallel.scheduler import clear_context_caches, shutdown_pools
+        from multiprocessing import resource_tracker
+
+        from repro.parallel.scheduler import shutdown_pools
         from repro.storage.shm import shutdown_exports
 
         for standing in list(self._subscriptions):
@@ -180,8 +185,10 @@ class Database:
             self.save_feedback()
             atexit.unregister(self.save_feedback)
         shutdown_pools()
-        clear_context_caches()
         shutdown_exports()
+        tracker = getattr(resource_tracker, "_resource_tracker", None)
+        if tracker is not None and hasattr(tracker, "_stop"):
+            tracker._stop()
 
     @staticmethod
     def _load_feedback(path):

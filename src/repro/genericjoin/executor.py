@@ -58,11 +58,6 @@ class GenericRowPath(RowPath):
     order: Tuple[str, ...]
     atom_order: Tuple[str, ...]
 
-    name = "generic"
-
-    def key_parts(self) -> tuple:
-        return (self.order, self.atom_order)
-
     def build(self, atoms: Sequence[Atom], interrupt=None):
         atoms = sorted(atoms, key=lambda atom: self.atom_order.index(atom.name))
         tries: Dict[str, HashTrie] = {}

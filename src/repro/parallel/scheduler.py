@@ -27,31 +27,29 @@ lowered it (:func:`run_pipeline_steal`):
   tries lazily, forcing only the parts their tasks actually touch.  Thread
   workers go one better and share a single trie build.
 
-Two serving-layer features are layered on top of the scheduler:
+**Deadlines and cancellation** are layered on top: tasks carry an absolute
+monotonic deadline and every executor ticks a :class:`DeadlineToken` at
+trie-expansion boundaries, so an over-budget or cancelled query aborts
+*mid-flight* (raising ``DeadlineExceeded``/``QueryCancelled``) and its
+sibling tasks are cancelled promptly — thread workers share the token
+directly, process workers probe a fork-inherited cancel cell the parent
+bumps.  A deadline abort completes the drain protocol cleanly, so the pool
+(and its caches) stays warm.
 
-* **deadlines and cancellation** — tasks carry an absolute monotonic
-  deadline and every executor ticks a :class:`DeadlineToken` at
-  trie-expansion boundaries, so an over-budget or cancelled query aborts
-  *mid-flight* (raising ``DeadlineExceeded``/``QueryCancelled``) and its
-  sibling tasks are cancelled promptly — thread workers share the token
-  directly, process workers probe a fork-inherited cancel cell the parent
-  bumps.  A deadline abort completes the drain protocol cleanly, so the
-  pool (and its caches) stays warm.
-* **fingerprint-keyed context caching** — the tries/hash tables built per
-  (query, worker) are cached under a key derived from the input tables'
-  content fingerprints, the pinned cover, and the engine options
-  (:mod:`repro.parallel.context_cache`), with an LRU byte budget
-  (``REPRO_CONTEXT_CACHE_BYTES``).  Repeated queries over unchanged tables
-  skip per-query trie rebuilds: process workers keep per-worker caches
-  (pinning their shm attachments), the thread/inline backends share a
-  parent-side cache, and the process parent memoizes cover/entry-count
-  metadata in a plan cache.
+**The scheduler caches nothing of its own.**  Every parallel query plans
+its tasks once, in the parent, and builds task contexts that live for that
+query only: one shared context on the thread and inline paths, one per
+worker on the process path.  What makes a repeated query over unchanged
+tables cheap is the kernels' content-keyed program and index caches
+(:mod:`repro.kernels`), which live per process — the parent's serve the
+thread and inline paths, each process worker keeps its own — plus each
+process worker's shm attachment LRU.
 
 **The scheduler is content-blind.**  What a task produces, and how it gets
 back into the query's sink, is the sink's business
 (:mod:`repro.engine.output`, "One transport"): every task folds into a fresh
 sink built from ``sink.task_sink()`` — a picklable recipe, shipped per query
-and never stored on a cached context — the task's outcome carries that
+and never stored on a context — the task's outcome carries that
 sink's ``payload()`` as its one content key, and the parent sink takes it
 in with ``absorb()``.  A sink that declares ``absorb_on_arrival`` (the
 streaming sinks, the aggregate sinks) absorbs as each task finishes, so a
@@ -60,8 +58,7 @@ while sibling tasks still run, and a failed delivery cancels the rest; every
 other sink absorbs after the drain, in task order, on the submitting thread.
 
 Per-task and per-worker accounting (steal counts, queue depths and waits,
-attach times, context-cache hits/misses/evictions, and the sink's own
-telemetry under ``stream``) is merged into the run's
+attach times, and the sink's own telemetry under ``stream``) is merged into the run's
 ``RunReport.details["parallel"]`` entry; see ``benchmarks/README.md`` for
 how to read it.
 
@@ -91,12 +88,6 @@ from repro.kernels import (
     new_stats as kernel_new_stats,
 )
 from repro.parallel.cancellation import DeadlineToken
-from repro.parallel.context_cache import (
-    CONTEXT_BYTES_FACTOR,
-    ContextCache,
-    context_cache_budget,
-    context_cache_key,
-)
 from repro.query.atoms import Atom
 from repro.storage.shm import AttachmentCache, ShmTableHandle, export_table
 
@@ -106,37 +97,31 @@ PROCESS_INPUT_THRESHOLD = 20_000
 
 
 def resolve_mode(mode: str, shard_count: int, input_tuples: int) -> str:
-    """Resolve ``auto`` into ``process`` or ``thread``.
+    """Resolve a parallel mode into the worker backend, ``process`` or ``thread``.
 
-    Small inputs fall back to threads: forking workers, re-pickling the
-    tables and rebuilding tries per worker costs more than the join saves.
+    ``auto`` picks threads for small inputs: forking workers, attaching the
+    tables and building per worker costs more than the join saves.  Without
+    fork every mode resolves to threads — an explicit ``"process"`` too: the
+    process pool relies on fork-inherited state (the cancel cell, the
+    queues), and the shm column plane on forked workers sharing the
+    exporter's ``resource_tracker`` (a *spawned* worker runs its own, which
+    would unlink the parent's still-live segments when the worker exits).
     """
-    if mode in ("process", "thread"):
-        return mode
-    if mode != "auto":
+    if mode not in ("auto", "process", "thread"):
         raise ExecutionError(
             f"unknown parallel mode {mode!r}; choose 'auto', 'process' or 'thread'"
         )
+    if mode == "thread" or "fork" not in multiprocessing.get_all_start_methods():
+        return "thread"
+    if mode == "process":
+        return mode
     if shard_count <= 1 or input_tuples < PROCESS_INPUT_THRESHOLD:
         return "thread"
     if (multiprocessing.cpu_count() or 1) <= 1:
         # One core: processes only add fork/transfer overhead on top of the
         # same serialized CPU time.
         return "thread"
-    if "fork" not in multiprocessing.get_all_start_methods():
-        # Without fork the tables would be pickled into every spawned worker
-        # plus an interpreter cold-start each — the exact overhead the
-        # threshold rationale assumes away.  Explicit mode="process" still
-        # allows it for users who know their workload amortizes the cost.
-        return "thread"
     return "process"
-
-
-def _fork_context():
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
 
 
 @dataclass
@@ -171,21 +156,6 @@ class ShardedRunResult:
 #: Target number of tasks dealt per worker.  More tasks mean finer-grained
 #: stealing (better balance under skew) at the cost of per-task overhead.
 TASKS_PER_WORKER = 4
-
-
-def _steal_backend(mode: str, workers: int, input_tuples: int) -> str:
-    """Resolve the worker backend, degrading to threads when fork is absent.
-
-    The shm column plane relies on forked workers sharing the exporter's
-    ``resource_tracker``: a *spawned* worker runs its own tracker, which
-    would unlink the parent's still-live segments when the worker exits.
-    Rather than risk that, platforms without fork always get the thread
-    backend (which shares state directly and needs no shm at all).
-    """
-    backend = resolve_mode(mode, workers, input_tuples)
-    if backend == "process" and "fork" not in multiprocessing.get_all_start_methods():
-        return "thread"
-    return backend
 
 
 # --------------------------------------------------------------------------- #
@@ -252,27 +222,23 @@ def assign_preferred(tasks: List[StealTask], workers: int) -> None:
 
 
 class _TaskContext:
-    """Per-worker state of one pipeline, reused across tasks and queries.
+    """One query's state of one pipeline, shared by the tasks a worker runs.
 
-    Contexts are the unit the fingerprint-keyed cache stores: the pinned
-    pipeline description (what task ranges address), its row-path state
-    (built on first use — kernel-serving workers never need it), the entry
-    total (so a cache hit skips task planning entirely) and, in process
-    workers, the shared-memory attachments the atoms' columns point into,
-    pinned while the context sits in a cache.
+    The pinned pipeline description (what task ranges address), its
+    row-path state (built on first use — kernel-serving workers never need
+    it) and, in process workers, the shared-memory attachments the atoms'
+    columns point into, pinned until the query ends.
     """
 
     def __init__(
         self,
         pipeline: PhysicalPipeline,
-        entry_total: int,
         kernels_off: Optional[str],
         state: Optional[PipelineState] = None,
         attachments: Tuple = (),
         attach_seconds: float = 0.0,
     ) -> None:
         self.pipeline = pipeline
-        self.entry_total = entry_total
         self.kernels_off = kernels_off
         self.state = state or PipelineState(pipeline.row_path, pipeline.atoms)
         self.attachments = attachments
@@ -283,11 +249,9 @@ class _TaskContext:
     ) -> Dict[str, object]:
         """Run one task into a fresh ``task_sink()``; package its outcome.
 
-        ``task_sink`` is the query sink's recipe — per query, never stored
-        here, so one cached context serves a row query and an aggregate
-        query back to back.  The outcome's one content key is the task
-        sink's ``payload``; the rest is telemetry (``outputs``: the join
-        cardinality the task produced).
+        ``task_sink`` is the query sink's recipe.  The outcome's one content
+        key is the task sink's ``payload``; the rest is telemetry
+        (``outputs``: the join cardinality the task produced).
         """
         sink = task_sink()
         stats = kernel_new_stats()
@@ -327,8 +291,9 @@ def _attach_atoms(
     over per-query intermediate tables churns segment names, and once the
     attachment LRU is over capacity, attaching atom N could otherwise evict
     — and release the views of — atoms 1..N-1 of the very same query.
-    Ownership of the pins passes to the built context; on failure the caller
-    unpins via :func:`_unpin_attachments`.
+    Ownership of the pins passes to the built context, which holds them
+    until the query ends; on failure the caller unpins via
+    :func:`_unpin_attachments`.
     """
     atoms: List[Atom] = []
     attachments = []
@@ -348,16 +313,15 @@ def _build_worker_context(setup: Dict[str, object], cache: AttachmentCache):
     """Build a task context in a process worker from a pickled setup payload.
 
     The returned context records (and pins) the attachments its structures
-    point into, so the context cache can exempt them from the attachment LRU
-    for as long as the context stays cached, and release them on eviction.
-    Kernel-serving workers defer the row-path build to the first task that
-    actually needs it (if any); with kernels off it is setup work.
+    point into, which exempts them from the attachment LRU until the worker
+    unpins them at the query's end.  Kernel-serving workers defer the
+    row-path build to the first task that actually needs it (if any); with
+    kernels off it is setup work.
     """
     started = time.perf_counter()
     atoms, attachments = _attach_atoms(setup["atoms"], cache)
     context = _TaskContext(
         replace(setup["pipeline"], atoms=atoms),
-        setup["entry_total"],
         setup["kernels_off"],
         attachments=tuple(attachments),
         attach_seconds=time.perf_counter() - started,
@@ -650,47 +614,33 @@ def _process_worker_main(
     or its caller cancels, and every task's deadline token probes it, so
     sibling tasks abort mid-flight instead of running to completion.
 
-    Contexts (tries/hash tables over the attached columns) are cached per
-    worker under the fingerprint-derived key the parent ships in the setup
-    payload; repeated queries over unchanged tables skip both the attach and
-    the build.
+    Each query attaches its atoms (re-using the worker's cached
+    attachments) and builds one context that lives until the query's
+    ``"end"``; the kernels' program and index caches, which live per
+    process, are what a repeated query over unchanged tables hits.
     """
     cache = AttachmentCache()
-    contexts = ContextCache()
     while True:
         try:
             message = cmd_queue.get()
         except (EOFError, OSError):  # pragma: no cover - parent died
             return
         if message[0] == "stop":
-            # Drop everything that still points into the attached buffers —
-            # cached contexts, then kernel programs/indexes (whose atoms keep
-            # attached tables alive) — so close_all() can release every view
-            # and the segments close without "exported pointers exist" noise.
-            contexts.clear()
+            # Drop the kernel programs/indexes (whose atoms keep attached
+            # tables alive) so close_all() can release every view and the
+            # segments close without "exported pointers exist" noise.
             kernel_caches_clear()
             cache.close_all()
             return
         _kind, query_id, setup = message
-        context_key = setup.get("context_key")
-        cache_budget = setup.get("cache_budget", 0)
-        deadline_at = setup.get("deadline")
-        # Per-query, never stored on the (cached) context: the same cached
-        # tries can serve a grouped-aggregate query and a row query back to
-        # back without cross-talk.
+        deadline_at = setup["deadline"]
         task_sink = setup["task_sink"]
         context = None
         try:
             started = time.perf_counter()
             if deadline_at is not None and time.monotonic() >= deadline_at:
                 raise DeadlineExceeded("query deadline passed before worker setup")
-            context = contexts.get(context_key)
-            cache_hit = context is not None
-            if context is None:
-                context = _build_worker_context(setup, cache)
-                contexts.put(
-                    context_key, context, setup.get("context_bytes", 0), cache_budget
-                )
+            context = _build_worker_context(setup, cache)
             result_queue.put(
                 (
                     "ready",
@@ -698,8 +648,7 @@ def _process_worker_main(
                     worker_id,
                     {
                         "setup_seconds": time.perf_counter() - started,
-                        "attach_seconds": 0.0 if cache_hit else context.attach_seconds,
-                        "context_cache": contexts.take_delta(),
+                        "attach_seconds": context.attach_seconds,
                     },
                 )
             )
@@ -707,60 +656,63 @@ def _process_worker_main(
             result_queue.put(
                 ("ready_error", query_id, worker_id, f"{type(exc).__name__}: {exc}")
             )
-        report = _new_worker_report()
-
-        def cancelled() -> bool:
-            return cancel_cell.value >= query_id
-
-        while True:
-            task_message = task_queue.get()
-            if task_message[0] == "end":
-                break
-            _tag, task_query_id, task = task_message
-            if task_query_id != query_id or context is None:
-                result_queue.put(
-                    ("task_error", task_query_id, task.task_id, "worker has no context")
-                )
-                continue
-            if cancelled():
-                result_queue.put(
-                    (
-                        "task_error",
-                        query_id,
-                        task.task_id,
-                        "QueryCancelled: skipped",
-                    )
-                )
-                continue
-            wait_seconds = max(0.0, time.monotonic() - task.enqueued)
-            started = time.perf_counter()
-            try:
-                token = DeadlineToken(at=task.deadline, cancel_probe=cancelled)
-                outcome = context.run_task(task, task_sink, token)
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                result_queue.put(
-                    (
-                        "task_error",
-                        query_id,
-                        task.task_id,
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
-                continue
-            seconds = time.perf_counter() - started
-            stolen = task.preferred != worker_id
-            report["tasks"] += 1
-            report["steals"] += int(stolen)
-            report["outputs"] += outcome["outputs"]
-            report["busy_seconds"] += seconds
-            outcome.update(
-                worker=worker_id,
-                stolen=stolen,
-                seconds=seconds,
-                wait_seconds=wait_seconds,
+        try:
+            report = _drain_tasks(
+                worker_id, query_id, context, task_sink, task_queue, result_queue, cancel_cell
             )
-            result_queue.put(("result", query_id, outcome))
+        finally:
+            if context is not None:
+                _unpin_attachments(context.attachments)
         result_queue.put(("drained", query_id, worker_id, report))
+
+
+def _drain_tasks(
+    worker_id, query_id, context, task_sink, task_queue, result_queue, cancel_cell
+) -> Dict[str, object]:
+    """Run one query's tasks from the shared queue until its ``"end"``."""
+    report = _new_worker_report()
+
+    def cancelled() -> bool:
+        return cancel_cell.value >= query_id
+
+    while True:
+        task_message = task_queue.get()
+        if task_message[0] == "end":
+            return report
+        _tag, task_query_id, task = task_message
+        if task_query_id != query_id or context is None:
+            result_queue.put(
+                ("task_error", task_query_id, task.task_id, "worker has no context")
+            )
+            continue
+        if cancelled():
+            result_queue.put(
+                ("task_error", query_id, task.task_id, "QueryCancelled: skipped")
+            )
+            continue
+        wait_seconds = max(0.0, time.monotonic() - task.enqueued)
+        started = time.perf_counter()
+        try:
+            token = DeadlineToken(at=task.deadline, cancel_probe=cancelled)
+            outcome = context.run_task(task, task_sink, token)
+        except Exception as exc:  # noqa: BLE001 - reported to the parent
+            result_queue.put(
+                ("task_error", query_id, task.task_id, f"{type(exc).__name__}: {exc}")
+            )
+            continue
+        seconds = time.perf_counter() - started
+        stolen = task.preferred != worker_id
+        report["tasks"] += 1
+        report["steals"] += int(stolen)
+        report["outputs"] += outcome["outputs"]
+        report["busy_seconds"] += seconds
+        outcome.update(
+            worker=worker_id,
+            stolen=stolen,
+            seconds=seconds,
+            wait_seconds=wait_seconds,
+        )
+        result_queue.put(("result", query_id, outcome))
 
 
 class ProcessStealPool:
@@ -768,8 +720,9 @@ class ProcessStealPool:
 
     Inputs reach workers through the shared-memory column plane; only plans,
     schemas and segment handles cross the command queues.  The pool survives
-    across queries — workers cache attachments, so a session hammering the
-    same tables attaches each segment exactly once per worker.
+    across queries — workers cache attachments (and the kernels' programs
+    and indexes), so a session hammering the same tables attaches each
+    segment once per worker, until the attachment LRU evicts it.
 
     Any protocol failure (a dead worker, an unexpected message) marks the
     pool broken and tears it down; the registry transparently builds a fresh
@@ -791,7 +744,7 @@ class ProcessStealPool:
             resource_tracker.ensure_running()
         except Exception:  # pragma: no cover - tracker internals vary
             pass
-        context = _fork_context()
+        context = multiprocessing.get_context("fork")
         self.workers = workers
         self.broken = False
         self._query_id = 0
@@ -837,7 +790,7 @@ class ProcessStealPool:
         the pool broken and tear it down; ordinary query errors — including
         deadline aborts and cancellations — complete the drain protocol
         cleanly, so the workers, their cached shm attachments and their
-        context caches stay warm for the next query.
+        kernel caches stay warm for the next query.
 
         ``interrupt`` is watched while the parent drains results: expiry or
         cancellation bumps the pool's cancel cell, which every in-flight
@@ -1006,66 +959,6 @@ _POOLS: Dict[Tuple[str, int], object] = {}
 _POOLS_PID = os.getpid()
 _REGISTRY_LOCK = threading.Lock()
 
-#: Parent-side context cache used by the thread and inline backends (their
-#: contexts live in this process), plus a tiny plan-metadata cache that lets
-#: the process backend skip the per-query cover probe/distinct count.  Both
-#: are keyed by the same fingerprint-derived keys as the worker caches.
-_LOCAL_CONTEXTS = ContextCache()
-_LOCAL_LOCK = threading.Lock()
-#: key -> (atom names, pinned pipeline stripped of its atoms, entry total)
-_PLAN_CACHE: Dict[str, Tuple[Tuple[str, ...], PhysicalPipeline, int]] = {}
-_PLAN_CACHE_CAPACITY = 256
-
-
-def _local_context_get(key: Optional[str]):
-    with _LOCAL_LOCK:
-        return _LOCAL_CONTEXTS.get(key)
-
-
-def _local_context_put(key: Optional[str], context, nbytes: int, budget: int) -> int:
-    """Cache a parent-side context; returns evictions triggered by the put."""
-    with _LOCAL_LOCK:
-        before = _LOCAL_CONTEXTS.evictions
-        _LOCAL_CONTEXTS.put(key, context, nbytes, budget)
-        return _LOCAL_CONTEXTS.evictions - before
-
-
-def _local_context_stats() -> Dict[str, int]:
-    with _LOCAL_LOCK:
-        return _LOCAL_CONTEXTS.snapshot()
-
-
-def _plan_cache_get(key: Optional[str]):
-    if key is None:
-        return None
-    with _LOCAL_LOCK:
-        return _PLAN_CACHE.get(key)
-
-
-def _plan_cache_put(key: Optional[str], value) -> None:
-    if key is None:
-        return
-    with _LOCAL_LOCK:
-        while len(_PLAN_CACHE) >= _PLAN_CACHE_CAPACITY:
-            _PLAN_CACHE.pop(next(iter(_PLAN_CACHE)))
-        _PLAN_CACHE[key] = value
-
-
-def clear_context_caches() -> None:
-    """Drop the parent-side context/plan caches (frees their tries).
-
-    Worker-side caches live (and die) with their pools: a
-    :func:`shutdown_pools` replaces the workers, and with them their caches.
-    """
-    with _LOCAL_LOCK:
-        _LOCAL_CONTEXTS.clear()
-        _PLAN_CACHE.clear()
-
-
-def local_context_cache_stats() -> Dict[str, int]:
-    """Cumulative parent-side cache counters (for tests and diagnostics)."""
-    return _local_context_stats()
-
 
 def get_pool(backend: str, workers: int):
     """Return the persistent pool for (backend, workers), creating on demand.
@@ -1137,7 +1030,6 @@ class _StealRun:
     sink: object
     build_seconds: float = 0.0
     interrupt: Optional[DeadlineToken] = None
-    extra: Dict[str, object] = field(default_factory=dict)
 
 
 def _short_circuit(workers: int, build_seconds: float) -> ShardedRunResult:
@@ -1251,22 +1143,6 @@ def _merge(
     stream = run.sink.stats()
     if stream:
         extra["stream"] = stream
-    cache_deltas = [
-        report.pop("context_cache")
-        for report in reports.values()
-        if isinstance(report.get("context_cache"), dict)
-    ]
-    if cache_deltas:
-        # One delta per worker for this query: sum the activity counters,
-        # report the occupancy of the fullest worker cache.
-        extra["context_cache"] = {
-            "hits": sum(delta.get("hits", 0) for delta in cache_deltas),
-            "misses": sum(delta.get("misses", 0) for delta in cache_deltas),
-            "evictions": sum(delta.get("evictions", 0) for delta in cache_deltas),
-            "entries": max(delta.get("entries", 0) for delta in cache_deltas),
-            "bytes": max(delta.get("bytes", 0) for delta in cache_deltas),
-        }
-    extra.update(run.extra)
     return ShardedRunResult(
         stats=stats,
         build_seconds=run.build_seconds + setup_max,
@@ -1281,17 +1157,6 @@ def _merge(
 def _atom_specs(atoms: Sequence[Atom]) -> List[Tuple[str, Tuple[str, ...], ShmTableHandle]]:
     """Export every atom's table and return pickle-able (name, vars, handle)."""
     return [(atom.name, atom.variables, export_table(atom.table)) for atom in atoms]
-
-
-def _context_bytes_estimate(atoms: Sequence[Atom]) -> int:
-    """Approximate footprint of a context built over ``atoms``' tables.
-
-    Tries/hash tables hold the key values plus per-node overhead; the input
-    column payload times :data:`~repro.parallel.context_cache.CONTEXT_BYTES_FACTOR`
-    is a serviceable proxy for cache budgeting (it is an estimate, not
-    accounting — see :mod:`repro.parallel.context_cache`).
-    """
-    return CONTEXT_BYTES_FACTOR * sum(atom.table.approx_bytes() for atom in atoms)
 
 
 # --------------------------------------------------------------------------- #
@@ -1324,54 +1189,21 @@ def run_pipeline_steal(
     (``skip_kernels``) is set up the same way, since every task of it will
     need the row path.
 
-    Repeated queries over unchanged tables hit the fingerprint-keyed context
-    cache: the thread/inline backends reuse a parent-side context (state
-    built, task plan pinned), the process backend skips the parent's task
-    planning via the plan cache while each worker reuses its own cached
-    context, skipping attach and build entirely.
+    The tasks are planned once, here, and their contexts live for this query
+    only; a repeated query over unchanged tables is served by the kernels'
+    content-keyed program and index caches, per process.
     """
     kernels_off = kernels_off or pipeline.skip_kernels
-    atoms = {atom.name: atom for atom in pipeline.atoms}
-    backend = _steal_backend(
-        mode, workers, sum(atom.size for atom in pipeline.atoms)
-    )
+    backend = resolve_mode(mode, workers, sum(atom.size for atom in pipeline.atoms))
     # Thread workers (and the inline single task) run over one context in
     # this process; process workers build their own from attached columns.
     shared = backend != "process"
-    budget = context_cache_budget()
-    cache_key = None
-    if budget > 0:
-        cache_key = context_cache_key(
-            pipeline.row_path.name,
-            atoms,
-            pipeline.key_parts(),
-            kernels_off is None,
-        )
-    nbytes = _context_bytes_estimate(pipeline.atoms)
-    telemetry = {"hits": 0, "misses": 0, "evictions": 0}
 
     build_started = time.perf_counter()
-    state = None
-    context = _local_context_get(cache_key) if shared else None
-    planned = None if shared else _plan_cache_get(cache_key)
-    if context is not None:
-        telemetry["hits"] = 1
-        pipeline, entry_total = context.pipeline, context.entry_total
-    elif planned is not None:
-        # The plan cache holds descriptions only; re-attach this query's atoms.
-        names, pipeline, entry_total = planned
-        pipeline = replace(pipeline, atoms=[atoms[name] for name in names])
-    else:
-        telemetry["misses"] = int(shared and cache_key is not None)
-        state = PipelineState(pipeline.row_path, pipeline.atoms)
-        pipeline, entry_total = pipeline.row_path.plan_tasks(
-            pipeline, state, shared and kernels_off is not None
-        )
-        if not shared:
-            names = tuple(atom.name for atom in pipeline.atoms)
-            _plan_cache_put(
-                cache_key, (names, replace(pipeline, atoms=[]), entry_total)
-            )
+    state = PipelineState(pipeline.row_path, pipeline.atoms)
+    pipeline, entry_total = pipeline.row_path.plan_tasks(
+        pipeline, state, shared and kernels_off is not None
+    )
     build_seconds = time.perf_counter() - build_started
 
     tasks = decompose_entries(entry_total, workers)
@@ -1382,37 +1214,22 @@ def run_pipeline_steal(
             task.deadline = interrupt.at
 
     def context_factory():
-        nonlocal context
-        if context is None:
-            context = _TaskContext(pipeline, entry_total, kernels_off, state)
-            if kernels_off:
-                # Every task will need the row path: build it once, here,
-                # not racily in whichever workers start first.
-                context.state.get(interrupt)
-            telemetry["evictions"] += _local_context_put(
-                cache_key, context, nbytes, budget
-            )
+        context = _TaskContext(pipeline, kernels_off, state)
+        if kernels_off:
+            # Every task will need the row path: build it once, here, not
+            # racily in whichever workers start first.
+            context.state.get(interrupt)
         return context
 
     def setup_factory():
         return {
             "pipeline": replace(pipeline, atoms=[]),
             "atoms": _atom_specs(pipeline.atoms),
-            "entry_total": entry_total,
             "task_sink": sink.task_sink(),
             "kernels_off": kernels_off,
-            "context_key": cache_key,
-            "context_bytes": nbytes,
-            "cache_budget": budget,
             "deadline": interrupt.at if interrupt is not None else None,
         }
 
-    extra: Dict[str, object] = {}
-    if cache_key is not None and (shared or len(tasks) == 1):
-        # Parent-side telemetry: thread/inline backends always, and the
-        # process backend's single-task inline fallback (which runs its
-        # context parent-side, so worker deltas never arrive).
-        extra["context_cache"] = telemetry
     return _drive(
         _StealRun(
             tasks=tasks,
@@ -1423,6 +1240,5 @@ def run_pipeline_steal(
             sink=sink,
             build_seconds=build_seconds,
             interrupt=interrupt,
-            extra=extra,
         )
     )

@@ -17,8 +17,8 @@
 Worker count is chosen from input size (small inputs stay serial: task
 decomposition costs more than it buys below the process-input threshold)
 and cache warmth (a query whose table fingerprints were all seen before
-hits the worker-side context caches, so parallelism engages at half the
-threshold).
+hits the kernels' content-keyed index caches, so parallelism engages at half
+the threshold).
 """
 
 from __future__ import annotations
@@ -231,8 +231,8 @@ class QueryRouter:
             return 1
         threshold = self.parallel_row_threshold
         if warm_fraction >= 1.0:
-            # Fully warm inputs hit the worker-side context caches (keyed on
-            # these same fingerprints), so the per-worker setup the threshold
+            # Fully warm inputs hit the kernels' index caches (keyed on these
+            # same fingerprints), so the per-worker build the threshold
             # protects against is already paid.
             threshold //= 2
         return max_workers if features.total_rows >= threshold else 1

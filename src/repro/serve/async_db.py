@@ -22,9 +22,10 @@ serving guarantees real:
 Throughput on CPython is still bounded by the GIL for thread-backed
 execution; sessions configured with ``parallelism > 1`` (process steal
 pools) push the join work out of the serving process, which is the intended
-production shape.  Repeated queries additionally hit the fingerprint-keyed
-context caches (:mod:`repro.parallel.context_cache`), so a warm serving
-process skips per-query trie rebuilds entirely.
+production shape.  Repeated queries additionally hit the kernels'
+content-keyed program and index caches (:mod:`repro.kernels`), per process
+and so per steal worker too, so a warm serving process skips per-query
+index builds.
 
 Two more serving-layer pieces compose with the pool:
 
@@ -124,7 +125,7 @@ class AsyncDatabase:
         """Stop accepting queries and release the serving thread pool.
 
         ``close_database=True`` additionally tears down the process-wide
-        parallel resources (steal pools, shm exports, context caches) via
+        parallel resources (steal pools, shm exports, the resource tracker) via
         :meth:`Database.close` — only do that when this is the last session.
         """
         self._closed = True

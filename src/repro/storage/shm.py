@@ -302,9 +302,9 @@ class Attachment:
         # strip the shared registration and lose crash cleanup.
         self.handle = handle
         self._views: List[memoryview] = []
-        #: Pin count held by worker-side context caches: a cached trie holds
+        #: Pin count held by the worker's running query: its atoms hold
         #: direct references to this attachment's memoryviews, so the
-        #: attachment LRU must not close it while any context still uses it.
+        #: attachment LRU must not close it while the query still runs.
         self.pins = 0
         #: Set when a failed :meth:`close` released *some* views: the
         #: attachment's table is no longer safe to hand out, but the mapping
@@ -389,9 +389,9 @@ class AttachmentCache:
     def attach_entry(self, handle: ShmTableHandle) -> Attachment:
         """Attach (or re-use) a segment and return the attachment itself.
 
-        Callers that hold on to the attached table beyond one query (the
-        context cache) should bump :attr:`Attachment.pins` to exempt the
-        attachment from LRU eviction, and drop the pin when done.
+        Callers that hold on to the attached table (a steal worker, for the
+        length of one query) should bump :attr:`Attachment.pins` to exempt
+        the attachment from LRU eviction, and drop the pin when done.
         """
         attachment = self._attachments.pop(handle.segment, None)
         if attachment is not None and attachment.poisoned:
@@ -402,8 +402,8 @@ class AttachmentCache:
         # Re-insert at the back: plain dicts preserve insertion order, which
         # makes the front the least recently used entry.
         self._attachments[handle.segment] = attachment
-        # Guard-pin across eviction: when every older entry is pinned by a
-        # cached context, the LRU walk would otherwise reach the back and
+        # Guard-pin across eviction: when every older entry is pinned by the
+        # running query, the LRU walk would otherwise reach the back and
         # close the very attachment being handed out.
         attachment.pins += 1
         try:
@@ -420,7 +420,7 @@ class AttachmentCache:
                 return
             attachment = self._attachments[name]
             if attachment.pins > 0:
-                # Pinned by a cached context: skip, try the next candidate.
+                # Pinned by the running query: skip, try the next candidate.
                 continue
             del self._attachments[name]
             if not attachment.close():

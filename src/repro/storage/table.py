@@ -25,8 +25,8 @@ def _column_payload(column: Column) -> bytes:
     The encoding must be *representation independent*: a plain list-backed
     column and the shared-memory ``memoryview`` a worker attaches over the
     same data (see :mod:`repro.storage.shm`) must digest identically, so a
-    context-cache key computed in the exporting process matches what a worker
-    would compute over its attachment.  Packed INT/FLOAT columns therefore
+    cache key computed in the exporting process matches what a worker
+    computes over its attachment.  Packed INT/FLOAT columns therefore
     use the same native layouts as the shm plane; everything else falls back
     to a deterministic pickle of the value list.
     """
@@ -252,7 +252,7 @@ class Table:
         Covers the table name, schema (column names and dtypes), row count,
         and every cell value.  A table rebuilt in a worker from a
         shared-memory attachment fingerprints identically to its source, so
-        the parallel subsystem keys worker-side context caches on it.  Cached
+        the kernels' program and index caches key on it in every worker.  Cached
         per instance; in-place mutation (:meth:`append_rows`) invalidates it.
         """
         if self._fingerprint is None:

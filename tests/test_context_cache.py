@@ -1,11 +1,14 @@
-"""Tests for table fingerprints and the fingerprint-keyed context cache.
+"""Tests for table fingerprints and the content-keyed caches behind them.
 
-Pins the tentpole guarantees of the serving fast path: fingerprints are
-stable across processes and storage representations (list-backed columns vs
+Pins the guarantees of the serving fast path: fingerprints are stable
+across processes and storage representations (list-backed columns vs
 shared-memory attachments), in-place table mutation invalidates every
-derived cache, the LRU respects its byte budget, and warm runs return
-byte-identical results to cold runs while reporting hit/miss/evict
-telemetry in ``RunReport.details["parallel"]``.
+derived cache, and on a parallel session warm runs return byte-identical
+results to cold runs while the kernels' index cache reports its hits and
+misses in ``RunReport.details["kernels"]`` — in the parent for thread
+workers, in each process worker for the process backend.  A process
+worker's attachment pins belong to one query, so attachment churn beyond
+the worker's LRU capacity never breaks the pool.
 """
 
 from __future__ import annotations
@@ -17,18 +20,17 @@ import pytest
 
 from repro.engine.session import Database
 from repro.errors import SchemaError
+from repro.kernels import kernel_caches_clear
 from repro.parallel import scheduler
-from repro.parallel.context_cache import ContextCache, context_cache_budget
 from repro.storage import shm
 from repro.storage.table import Table
 
 
 @pytest.fixture(autouse=True)
 def _fresh_caches():
-    """Each test starts from cold parent-side caches and pools."""
-    scheduler.clear_context_caches()
+    """Each test starts from cold kernel caches and pools."""
+    kernel_caches_clear()
     yield
-    scheduler.clear_context_caches()
     scheduler.shutdown_pools()
     shm.shutdown_exports()
 
@@ -77,9 +79,9 @@ def _child_fingerprints(conn, handle) -> None:
 def test_fingerprint_stable_across_processes_and_representations():
     """A worker's shm attachment fingerprints identically to the source.
 
-    This is what lets the parent compute context-cache keys and ship them to
-    workers: the key derived from the parent's list-backed columns matches
-    what the worker would derive from its memoryview-backed attachment.
+    This is what lets a process worker's kernel caches key on content: the
+    key derived from the parent's list-backed columns matches what the
+    worker derives from its memoryview-backed attachment.
     """
     table = Table.from_columns("mixed", {
         "i": list(range(512)),
@@ -132,62 +134,6 @@ def test_mutation_forces_a_fresh_shm_export():
 
 
 # --------------------------------------------------------------------------- #
-# ContextCache unit behavior
-# --------------------------------------------------------------------------- #
-
-
-class _Resource:
-    def __init__(self) -> None:
-        self.pins = 1
-
-
-class _FakeContext:
-    def __init__(self) -> None:
-        self.attachments = (_Resource(),)
-
-
-def test_context_cache_lru_eviction_under_byte_budget():
-    cache = ContextCache()
-    contexts = {name: _FakeContext() for name in "abc"}
-    assert cache.put("a", contexts["a"], 40, budget=100)
-    assert cache.put("b", contexts["b"], 40, budget=100)
-    assert cache.get("a") is contexts["a"]  # refresh: b is now the LRU entry
-    assert cache.put("c", contexts["c"], 40, budget=100)
-    assert cache.evictions == 1
-    assert cache.get("b") is None  # evicted
-    assert cache.get("a") is contexts["a"]
-    assert cache.get("c") is contexts["c"]
-    # Eviction released b's pinned resources; survivors stay pinned.
-    assert contexts["b"].attachments[0].pins == 0
-    assert contexts["a"].attachments[0].pins == 1
-    assert cache.bytes_used == 80
-    snapshot = cache.snapshot()
-    assert snapshot["entries"] == 2 and snapshot["evictions"] == 1
-
-
-def test_context_cache_rejects_oversized_and_disabled_entries():
-    cache = ContextCache()
-    big = _FakeContext()
-    assert not cache.put("big", big, 1000, budget=100)
-    assert big.attachments[0].pins == 0  # released immediately
-    off = _FakeContext()
-    assert not cache.put("off", off, 10, budget=0)
-    assert not cache.put(None, _FakeContext(), 10, budget=100)
-    assert len(cache) == 0
-
-
-def test_context_cache_budget_reads_environment(monkeypatch):
-    monkeypatch.setenv("REPRO_CONTEXT_CACHE_BYTES", "12345")
-    assert context_cache_budget() == 12345
-    monkeypatch.setenv("REPRO_CONTEXT_CACHE_BYTES", "0")
-    assert context_cache_budget() == 0
-    monkeypatch.setenv("REPRO_CONTEXT_CACHE_BYTES", "junk")
-    assert context_cache_budget() > 0  # falls back to the default
-    monkeypatch.delenv("REPRO_CONTEXT_CACHE_BYTES")
-    assert context_cache_budget() > 0
-
-
-# --------------------------------------------------------------------------- #
 # End-to-end: cold/warm parity, telemetry, invalidation, eviction
 # --------------------------------------------------------------------------- #
 
@@ -198,15 +144,15 @@ def test_cold_warm_parity_and_telemetry(mode):
     serial = database.execute(ROWS_SQL).rows()
     parallel = Database(database.catalog, parallelism=2, parallel_mode=mode)
 
+    kernel_caches_clear()  # the serial run warmed this process (process workers fork from it)
     cold = parallel.execute(ROWS_SQL)
     warm = parallel.execute(ROWS_SQL)
     assert sorted(cold.rows(), key=repr) == sorted(serial, key=repr)
     assert warm.rows() == cold.rows()  # warm output is byte-identical
 
-    cold_cache = cold.report.details["parallel"][0]["context_cache"]
-    warm_cache = warm.report.details["parallel"][0]["context_cache"]
-    assert cold_cache["hits"] == 0 and cold_cache["misses"] >= 1
-    assert warm_cache["hits"] >= 1 and warm_cache["misses"] == 0
+    assert cold.report.details["parallel"][0]["mode"] == mode
+    assert cold.report.details["kernels"]["indexes"]["misses"] >= 1
+    assert warm.report.details["kernels"]["indexes"]["hits"] >= 1
     parallel.close()
 
 
@@ -221,52 +167,40 @@ def test_mutation_invalidates_cached_contexts(mode):
     fact = database.catalog.get("fact")
     dim_key = database.catalog.get("dim").column("k").values[0]
     fact.append_rows([(dim_key, 10_000 + i) for i in range(50)])
-    expected = Database(database.catalog).execute(COUNT_SQL).scalar()
     after = parallel.execute(COUNT_SQL)
-    assert after.scalar() == expected
+    assert after.scalar() == Database(database.catalog).execute(COUNT_SQL).scalar()
     assert after.scalar() != warmup.scalar()
-    # The mutated fingerprint missed the cache — no stale hit.
-    cache = after.report.details["parallel"][0]["context_cache"]
-    assert cache["misses"] >= 1
+    # The mutated fingerprint missed the program cache (its key folds in
+    # every input's fingerprint) — no stale hit.
+    assert after.report.details["kernels"]["programs"]["misses"] >= 1
     parallel.close()
 
 
-def test_tiny_budget_forces_evictions_between_queries(monkeypatch):
-    """With a budget fitting ~one context, alternating queries evict."""
-    database = star_catalog(rows=1500)
-    rng = random.Random(3)
-    database.register(Table.from_columns("alt", {
-        "k": [rng.randrange(1500) for _ in range(1500)],
-        "z": list(range(1500)),
-    }))
-    alt_sql = "SELECT COUNT(*) FROM fact, alt WHERE fact.k = alt.k"
-    # Budget sized to one context: fact+dim and fact+alt cannot coexist.
-    monkeypatch.setenv("REPRO_CONTEXT_CACHE_BYTES", str(100 * 1024))
-    parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
+def test_attachment_churn_beyond_lru_capacity_keeps_the_pool():
+    """Query-owned pins: more distinct tables than a worker's attachment LRU
+    holds evict attachments between queries, never one a query still uses."""
+    database = star_catalog(rows=1200)
+    tables = shm.AttachmentCache().capacity + 6
+    rng = random.Random(5)
+    for index in range(tables):
+        database.register(Table.from_columns(f"side{index}", {
+            "k": [rng.randrange(1200) for _ in range(300)],
+            "z": list(range(300)),
+        }))
+    queries = [
+        f"SELECT COUNT(*) FROM fact, side{index} WHERE fact.k = side{index}.k"
+        for index in range(tables)
+    ]
+    parallel = Database(database.catalog, parallelism=2, parallel_mode="process")
 
-    parallel.execute(COUNT_SQL)
-    second = parallel.execute(alt_sql)
-    evicted = second.report.details["parallel"][0]["context_cache"]["evictions"]
-    third = parallel.execute(COUNT_SQL)
-    cache = third.report.details["parallel"][0]["context_cache"]
-    assert evicted + cache["evictions"] >= 1  # the LRU entry was pushed out
-    assert cache["misses"] == 1  # and had to be rebuilt
-    stats = scheduler.local_context_cache_stats()
-    assert stats["evictions"] >= 1
-    assert stats["bytes"] <= 100 * 1024
+    first = parallel.execute(queries[0])
+    assert first.report.details["parallel"][0]["mode"] == "process"
+    pool = scheduler.active_pools()[("process", 2)]
+    for sql in queries + queries[:1]:
+        assert parallel.execute(sql).scalar() == database.execute(sql).scalar(), sql
+    assert scheduler.active_pools()[("process", 2)] is pool
     parallel.close()
-
-
-def test_disabled_budget_runs_without_caching(monkeypatch):
-    monkeypatch.setenv("REPRO_CONTEXT_CACHE_BYTES", "0")
-    database = star_catalog(rows=800)
-    parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
-    first = parallel.execute(COUNT_SQL)
-    second = parallel.execute(COUNT_SQL)
-    assert first.scalar() == second.scalar()
-    detail = second.report.details["parallel"][0]
-    assert "context_cache" not in detail
-    parallel.close()
+    assert shm.active_export_segments() == []
 
 
 # --------------------------------------------------------------------------- #
@@ -275,14 +209,13 @@ def test_disabled_budget_runs_without_caching(monkeypatch):
 
 
 def test_execute_many_process_workers_start_with_warm_contexts():
-    """The PR 3 regression, now without a fork: warming the session then
-    running the same query through a workload must report a context-cache
-    *hit* for every query of the workload."""
+    """Warming the session then running the same query through a workload
+    must report a kernel index *hit* for every query of the workload."""
     database = star_catalog()
     parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
     expected = parallel.execute(ROWS_SQL)
     warm = parallel.execute(ROWS_SQL)
-    assert warm.report.details["parallel"][0]["context_cache"]["hits"] >= 1
+    assert warm.report.details["kernels"]["indexes"]["hits"] >= 1
 
     workload = parallel.execute_many(
         [("first", ROWS_SQL), ("second", ROWS_SQL)],
@@ -292,9 +225,9 @@ def test_execute_many_process_workers_start_with_warm_contexts():
     for execution in workload.executions:
         assert execution.row_count == len(expected.rows())
         assert execution.parallel is not None, "records must carry telemetry"
-        cache = execution.parallel[0]["context_cache"]
-        assert cache["hits"] >= 1 and cache["misses"] == 0, (
-            f"{execution.name} ran cold: {cache}"
+        stats = execution.parallel[0]["kernels_stats"]
+        assert stats["index_hits"] >= 1 and stats["index_misses"] == 0, (
+            f"{execution.name} ran cold: {stats}"
         )
     parallel.close()
 
@@ -309,6 +242,6 @@ def test_workload_records_carry_parallel_telemetry_on_threads():
     assert workload.all_ok()
     record = workload.query("only")
     assert record.parallel is not None
-    assert "context_cache" in record.parallel[0]
+    assert record.parallel[0]["kernels_stats"]["index_misses"] >= 1
     assert "parallel" in record.as_dict()
     parallel.close()

@@ -66,6 +66,34 @@ def test_decompose_empty_cover_yields_no_tasks():
     assert decompose_entries(0, 4) == []
 
 
+BIG = scheduler.PROCESS_INPUT_THRESHOLD
+
+
+@pytest.mark.parametrize(
+    "mode, workers, tuples, fork, cpus, expected",
+    [
+        ("auto", 2, BIG, True, 4, "process"),
+        ("auto", 2, BIG - 1, True, 4, "thread"),  # small input
+        ("auto", 1, BIG, True, 4, "thread"),  # one worker
+        ("auto", 2, BIG, True, 1, "thread"),  # one core
+        ("auto", 2, BIG, False, 4, "thread"),
+        ("process", 2, 10, True, 1, "process"),  # explicit wins over size and cores
+        ("process", 2, BIG, False, 4, "thread"),  # ... but not over a missing fork
+        ("thread", 2, BIG, True, 4, "thread"),
+    ],
+)
+def test_resolve_mode(monkeypatch, mode, workers, tuples, fork, cpus, expected):
+    methods = ["fork", "spawn"] if fork else ["spawn"]
+    monkeypatch.setattr(scheduler.multiprocessing, "get_all_start_methods", lambda: methods)
+    monkeypatch.setattr(scheduler.multiprocessing, "cpu_count", lambda: cpus)
+    assert scheduler.resolve_mode(mode, workers, tuples) == expected
+
+
+def test_resolve_mode_rejects_unknown_modes():
+    with pytest.raises(ExecutionError, match="unknown parallel mode"):
+        scheduler.resolve_mode("fibers", 2, 10)
+
+
 def test_assign_preferred_deals_contiguous_blocks():
     tasks = decompose_entries(64, 4)
     assign_preferred(tasks, 4)

@@ -64,9 +64,7 @@ def slow_catalog(monkeypatch) -> Database:
 
 @pytest.fixture(autouse=True)
 def _fresh_parallel_state():
-    scheduler.clear_context_caches()
     yield
-    scheduler.clear_context_caches()
     scheduler.shutdown_pools()
     shm.shutdown_exports()
 

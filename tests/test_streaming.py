@@ -70,9 +70,7 @@ def fanout_expected(fanout_db):
 
 @pytest.fixture(autouse=True)
 def _fresh_parallel_state():
-    scheduler.clear_context_caches()
     yield
-    scheduler.clear_context_caches()
     scheduler.shutdown_pools()
     shm.shutdown_exports()
 

@@ -3,14 +3,16 @@
 A query that runs over budget aborts cooperatively and frees its worker
 thread, its intra-query steal tasks are cancelled with it, and when
 everything is torn down no worker processes or shared-memory segments are
-left behind.  These tests pin each of those promises down, including the
-``resource_tracker`` bookkeeping of the shm column plane.
+left behind — ``multiprocessing``'s resource tracker included.  These tests
+pin each of those promises down, including the ``resource_tracker``
+bookkeeping of the shm column plane.
 """
 
 from __future__ import annotations
 
 import gc
 import glob
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -207,6 +209,36 @@ def test_pool_shutdown_leaves_no_shm_segments(monkeypatch):
     assert set(_leaked_segments()) <= set(baseline)
     assert registered, "the shm plane never touched the resource tracker"
     assert sorted(set(registered)) == sorted(set(unregistered))
+
+
+def test_close_stops_every_child_process_and_the_resource_tracker():
+    from multiprocessing import resource_tracker
+
+    database = _star_catalog()
+    parallel = Database(database.catalog, parallelism=2, parallel_mode="process")
+    assert parallel.execute(COUNT_SQL).report.details["parallel"][0]["mode"] == "process"
+    assert multiprocessing.active_children()
+    tracker = resource_tracker._resource_tracker
+    tracker_pid = tracker._pid
+    assert tracker_pid is not None
+
+    parallel.close()
+    assert multiprocessing.active_children() == []
+    assert tracker._pid is None
+    with pytest.raises(ProcessLookupError):
+        os.kill(tracker_pid, 0)  # stopped and reaped
+
+
+def test_process_queries_work_on_a_new_session_after_close():
+    database = _star_catalog()
+    expected = database.execute(COUNT_SQL).scalar()
+    for _ in range(2):
+        parallel = Database(database.catalog, parallelism=2, parallel_mode="process")
+        outcome = parallel.execute(COUNT_SQL)
+        assert outcome.report.details["parallel"][0]["mode"] == "process"
+        assert outcome.scalar() == expected
+        parallel.close()
+    assert shm.active_export_segments() == []
 
 
 def test_execute_many_with_intra_query_steal_cleans_up_after_itself():
