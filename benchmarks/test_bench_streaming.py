@@ -10,12 +10,11 @@ A second benchmark gates *total* streaming overhead: draining the full
 stream must stay within :data:`DRAIN_OVERHEAD_GATE` of the materialized run
 (batching adds queue hops, but the rows are the same).
 
-Like for like: a stream's join hands its sink factorized groups, which are
-expanded into row tuples on the way out, so the materialized yardstick of
-both gates is ``execute()`` into that same sink (:data:`MATERIALIZED`:
-``FreeJoinOptions(output="factorized")``) plus ``rows()`` — the same groups,
-expanded once.  The default ``execute()`` keeps the kernels' flat column
-batches and never builds a row tuple, which is another amount of work.
+The materialized yardstick of both gates is the default ``execute()`` plus
+``rows()``: the kernels' flat column batches, zipped into row tuples once.
+The stream's join hands its sink factorized groups instead, which the sink
+expands a column slice at a time and zips one delivery batch at a time —
+the same tuples, built once.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ import statistics
 import time
 
 from benchmarks.conftest import BENCH_SMOKE, JOB_SEED
-from repro.core.engine import FreeJoinOptions
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
@@ -37,8 +35,6 @@ DRAIN_OVERHEAD_GATE = 1.6
 #: Input rows per relation; the fan-out join outputs ~50x this.
 FANOUT_ROWS = 2_000 if BENCH_SMOKE else 4_000
 ROUNDS = 3
-#: The materialized run both gates divide by (see the module docstring).
-MATERIALIZED = ExecOptions(freejoin_options=FreeJoinOptions(output="factorized"))
 
 
 def _fanout_database() -> Database:
@@ -63,7 +59,7 @@ def test_time_to_first_batch_beats_materialization(benchmark):
     expected_count = len(database.execute(FANOUT_SQL).rows())
 
     def materialized():
-        rows = database.execute(FANOUT_SQL, options=MATERIALIZED).rows()
+        rows = database.execute(FANOUT_SQL).rows()
         assert len(rows) == expected_count
         return rows
 
@@ -98,7 +94,7 @@ def test_full_stream_drain_overhead_is_bounded(benchmark):
     expected_count = len(database.execute(FANOUT_SQL).rows())
 
     def materialized():
-        return len(database.execute(FANOUT_SQL, options=MATERIALIZED).rows())
+        return len(database.execute(FANOUT_SQL).rows())
 
     full_median, _ = _median(materialized)
 

@@ -24,9 +24,10 @@ chosen by :func:`output_mode` — a count, the folding
   batch — a column at a time, ``MIN``/``MAX``/``COUNT`` as C-level
   reductions — and :func:`fold_factorized_batch` folds factorized batches
   straight off their factor segments, without enumerating a Cartesian
-  product.  :meth:`~GroupedAggregateState.fold_row` is their row-at-a-time
-  reference; only the row paths' per-tuple ``on_row`` (and the expansion
-  of a batch whose group key hides inside a factor) still calls it.
+  product (a batch whose group key hides inside a factor is expanded column
+  slice by column slice and folded flat).
+  :meth:`~GroupedAggregateState.fold_row` is their row-at-a-time
+  reference; only the row paths' per-tuple ``on_row`` still calls it.
 * :class:`AggregateFold` is the sink-side fold (every reporting entry point
   plus the sink transport — ``task_sink`` / ``payload`` / ``absorb``), mixed
   into two sinks.
@@ -551,12 +552,11 @@ def fold_join_result(
         for batch in result.batches:
             keys = fold_factorized_batch(state, *batch)
             if keys is None:
-                keys = [
-                    state.fold_row(row, multiplicity)
-                    for row, multiplicity in expand_factorized_batch(
-                        state.spec.variables, *batch
-                    )
-                ]
+                keys = []
+                for columns, multiplicities in expand_factorized_batch(
+                    state.spec.variables, *batch, max_rows=OutputSink.expand_rows
+                ):
+                    keys += state.fold_columns(columns, multiplicities)
             touched.extend(keys)
         return touched
     # Count-only sink: a bare total can only feed grouping-free COUNT(*).
@@ -911,7 +911,16 @@ def order_rows(rows: List[Row], order_by) -> List[Row]:
     """
     if not order_by:
         return rows
-    rows = sorted(rows, key=_canonical_row_key)
+    return _sort_by_keys(sorted(rows, key=_canonical_row_key), order_by)
+
+
+def _order_keys(row: Row, order_by) -> List:
+    """A row's ORDER BY sort keys: equal for peers."""
+    return [_value_key(row[item.position]) for item in order_by]
+
+
+def _sort_by_keys(rows: List[Row], order_by) -> List[Row]:
+    """Stable sort by the ORDER BY keys alone (peers keep their order)."""
     for item in reversed(order_by):
         rows = sorted(
             rows,
@@ -927,17 +936,25 @@ def order_and_limit(rows: List[Row], order_by, limit: Optional[int]) -> List[Row
     A LIMIT without ORDER BY would expose engine-dependent row order, so the
     rows are put in canonical order first — making LIMIT deterministic
     across engines at the cost of not preserving arrival order (which SQL
-    does not promise anyway).  Because the order is total, the kept rows are
-    a closed prefix — ``tail(A | B) == tail(tail(A) | B)`` — which is what
-    lets :class:`~repro.engine.streaming.StreamingTopKSink` prune candidates
+    does not promise anyway).  With both, the rows are sorted by the ORDER
+    BY keys only and cut at ``limit``, extended through the peers of the
+    ``limit``-th row; only that prefix gets the canonical tiebreak.  Because
+    the order is total, the kept rows are a closed prefix — ``tail(A | B) ==
+    tail(tail(A) | B)`` — which is what lets
+    :class:`~repro.engine.streaming.StreamingTopKSink` prune candidates
     mid-join with this same function.
     """
-    rows = order_rows(rows, order_by)
-    if limit is not None:
-        if not order_by:
-            rows = sorted(rows, key=_canonical_row_key)
-        rows = rows[:limit]
-    return rows
+    if limit is None:
+        return order_rows(rows, order_by)
+    if not order_by:
+        return sorted(rows, key=_canonical_row_key)[:limit]
+    rows = _sort_by_keys(rows, order_by)
+    end = limit
+    if 0 < limit < len(rows):
+        boundary = _order_keys(rows[limit - 1], order_by)
+        while end < len(rows) and _order_keys(rows[end], order_by) == boundary:
+            end += 1
+    return order_rows(rows[:end], order_by)[:limit]
 
 
 def finalize_output(table: Table, logical: LogicalQuery) -> Table:

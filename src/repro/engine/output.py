@@ -17,8 +17,9 @@ column a vector (Section 4.2), of which row tuples are *views*
 :meth:`~JoinResult.to_rows`, ...).  Nothing between a pipeline, the next
 pipeline and the result table transposes; the one columns→rows ``zip`` left
 (:func:`repro.datatypes.columns_to_rows`) sits where the contract *is* row
-tuples — ``to_rows()`` and the default :meth:`OutputSink.on_batch` on its
-way into a streaming sink's batches.
+tuples — ``to_rows()``, ``iter_rows()`` and the default
+:meth:`OutputSink.on_batch` on its way into a streaming sink's batches —
+and it only ever sees flat column slices, however factorized the batch.
 
 **One factorized shape.**  Factorized output is a *batch of groups* in
 columnar form, ``(prefix_variables, prefix_columns, factors,
@@ -31,7 +32,8 @@ columnar batch is the same shape with no factors.  The kernels emit many
 groups per batch, the row path (``FreeJoinExecutor``) one group per batch,
 the steal scheduler ships these batches across the worker boundary, and
 exactly one function — :func:`expand_factorized_batch` — ever enumerates
-the product.
+the product, column-wise: as flat ``(columns, multiplicities)`` slices,
+never as row tuples.
 
 **One chain of defaults.**  A sink's producer surface is four entry points,
 each defaulting to the one before it::
@@ -41,12 +43,12 @@ each defaulting to the one before it::
 ``on_row`` takes one tuple (the row path's per-tuple call), ``on_rows`` a
 list of tuples, ``on_batch`` one value column per output variable (zipped
 into tuples), ``on_factorized_batch`` the shape above (a factor-free batch
-is handed to ``on_batch``, anything else goes through the expander in
-bounded slices).  A sink therefore implements ``on_row`` and overrides the
-others only to be *cheaper* — a count multiplies segment sizes, an aggregate
-folds factor columns — never to be correct.  Sinks that gain from
-unexpanded groups advertise ``accepts_factorized``; producers only factorize
-into those.
+is handed to ``on_batch``, anything else goes through the expander, whose
+bounded column slices are handed to ``on_batch``).  A sink therefore
+implements ``on_row`` and overrides the others only to be *cheaper* — a
+count multiplies segment sizes, an aggregate folds factor columns — never to
+be correct.  Sinks that gain from unexpanded groups advertise
+``accepts_factorized``; producers only factorize into those.
 
 **One transport.**  A sink is also how its content crosses a steal-task
 boundary, and the scheduler never looks inside: :meth:`OutputSink.task_sink`
@@ -62,9 +64,10 @@ serial order and the sink is never entered concurrently).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain, compress, islice, repeat
+from math import prod
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.datatypes import Row, Value, columns_to_rows
@@ -105,50 +108,89 @@ def count_factorized_batch(prefix_columns, factors, multiplicities) -> int:
     return total
 
 
+def _factor_values(factor, column, offsets, sizes, counts):
+    """Lazily, the values one factor's ``column`` takes over a batch's rows.
+
+    Per kept group: each segment value repeated by the product of the later
+    factors' segment sizes, the segment tiled by the product of the earlier
+    ones — right-most factor fastest, as in ``itertools.product``.
+    """
+    if len(sizes) == 1:  # a group's rows are its segment: the column, less skipped groups
+        values = islice(column, offsets[0], offsets[-1])
+        if sum(counts) == offsets[-1] - offsets[0]:
+            return values
+        return compress(values, chain.from_iterable(map(repeat, map(bool, counts), sizes[0])))
+
+    def group_values(i, group_sizes):
+        values = column[offsets[i] : offsets[i + 1]]
+        if factor:  # tile, lazily
+            values = chain.from_iterable(repeat(values, prod(group_sizes[:factor])))
+        inner = prod(group_sizes[factor + 1 :])
+        return chain.from_iterable(map(repeat, values, repeat(inner))) if inner > 1 else values
+
+    return chain.from_iterable(
+        group_values(i, group_sizes) for i, group_sizes in enumerate(zip(*sizes)) if counts[i]
+    )
+
+
 def expand_factorized_batch(
     variables: Sequence[str],
     prefix_variables: Sequence[str],
     prefix_columns: Sequence[Sequence[Value]],
     factors: Sequence[Factor],
     multiplicities: Optional[Sequence[int]] = None,
-) -> Iterator[Tuple[Row, int]]:
-    """Lazily enumerate one factorized batch as ``(row, multiplicity)`` pairs.
+    max_rows: Optional[int] = None,
+) -> Iterator[Tuple[List[List[Value]], Optional[List[int]]]]:
+    """Lazily expand one factorized batch into flat ``(columns, multiplicities)``.
 
-    The one place a factorized Cartesian product is enumerated: rows come
-    out laid out as ``variables``, group by group, factors varying
-    right-most fastest; groups with a non-positive multiplicity are skipped.
-    Being a generator, it holds one group's factor rows at a time — a
-    consumer that takes it in slices never materializes a large product.
+    The one place a factorized Cartesian product is enumerated, a column at
+    a time: each slice holds at most ``max_rows`` rows (``None``: the whole
+    batch) as one value list per ``variables`` entry — ``on_batch``'s
+    arguments, with ``multiplicities`` ``None`` when the batch's are (and
+    explicit when there is no column to carry the row count).  Rows come out
+    group by group, factors varying right-most fastest; groups with a
+    non-positive multiplicity are skipped.  A prefix value is repeated, a
+    factor segment repeated and tiled (:func:`_factor_values`) — no row tuple
+    is built — and a slice only materializes its own rows, so a consumer
+    never holds a large product, even inside one group.
     """
-    layout = list(prefix_variables)
-    for factor_variables, _columns, _offsets in factors:
-        layout.extend(factor_variables)
-    missing = [var for var in variables if var not in layout]
+    sources: Dict[str, Tuple[int, int]] = {}  # variable -> (factor or -1, column index)
+    for factor, names in enumerate([prefix_variables] + [f[0] for f in factors], -1):
+        for index, var in enumerate(names):
+            sources.setdefault(var, (factor, index))
+    missing = [var for var in variables if var not in sources]
     if missing:
         raise ExecutionError(
             f"factorized batch does not bind output variables {missing}"
         )
-    positions = [layout.index(var) for var in variables]
-    if positions == list(range(len(layout))):
-        positions = None
-    for i in range(_factorized_group_count(prefix_columns, factors, multiplicities)):
-        multiplicity = 1 if multiplicities is None else multiplicities[i]
-        if multiplicity <= 0:
-            continue
-        prefix = tuple(column[i] for column in prefix_columns)
-        segments = [
-            zip(*(column[offsets[i] : offsets[i + 1]] for column in columns))
-            if columns
-            else itertools.repeat((), offsets[i + 1] - offsets[i])
-            for _vars, columns, offsets in factors
-        ]
-        for choice in itertools.product(*segments):
-            row = prefix
-            for part in choice:
-                row += part
-            if positions is not None:
-                row = tuple([row[p] for p in positions])
-            yield row, multiplicity
+    groups = _factorized_group_count(prefix_columns, factors, multiplicities)
+    sizes = [[hi - lo for lo, hi in zip(offsets, offsets[1:])] for *_, offsets in factors]
+    counts = list(map(prod, zip(*sizes))) if factors else [1] * groups
+    if multiplicities is not None:
+        counts = [count if weight > 0 else 0 for count, weight in zip(counts, multiplicities)]
+    total = sum(counts)
+    if not total:  # also a batch that stores no column for its variables
+        return
+
+    def per_group(column):  # one value per group -> one per row
+        if factors:
+            return chain.from_iterable(map(repeat, column, counts))
+        return column if total == groups else compress(column, counts)
+
+    def values(factor, index):
+        if factor < 0:
+            return per_group(prefix_columns[index])
+        _vars, columns, offsets = factors[factor]
+        return _factor_values(factor, columns[index], offsets, sizes, counts)
+
+    streams = [iter(values(*sources[var])) for var in variables]
+    weights = None if multiplicities is None else iter(per_group(multiplicities))
+    step = max_rows or total
+    for start in range(0, total, step):
+        width = min(step, total - start)
+        columns = [list(islice(stream, width)) for stream in streams]
+        chunk = None if weights is None else list(islice(weights, width))
+        yield columns, [1] * width if chunk is None and not columns else chunk
 
 
 def rows_to_batch(rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None):
@@ -186,7 +228,7 @@ class OutputSink:
     mode = "rows"
 
     #: Rows the default :meth:`on_factorized_batch` expands per
-    #: :meth:`on_rows` call — all of a large product it ever holds at once.
+    #: :meth:`on_batch` call — all of a large product it ever holds at once.
     expand_rows = 1024
 
     def __init__(self, variables: Sequence[str]) -> None:
@@ -233,12 +275,9 @@ class OutputSink:
         if not factors and tuple(prefix_variables) == self.variables:
             self.on_batch(prefix_columns, multiplicities)
             return
-        pairs = expand_factorized_batch(
-            self.variables, prefix_variables, prefix_columns, factors, multiplicities
-        )
-        while chunk := list(itertools.islice(pairs, self.expand_rows)):
-            rows, chunk_multiplicities = zip(*chunk)
-            self.on_rows(rows, None if multiplicities is None else chunk_multiplicities)
+        batch = (prefix_variables, prefix_columns, factors, multiplicities)
+        for columns, weights in expand_factorized_batch(self.variables, *batch, self.expand_rows):
+            self.on_batch(columns, weights)
 
     def result(self) -> "JoinResult":
         """Finalize and return the collected result."""
@@ -329,8 +368,8 @@ class RowSink(OutputSink):
         if not factors and multiplicities is not None and min(multiplicities, default=1) <= 0:
             # Not in the bag: dropped here as in on_row, so count() == len(to_rows()).
             keep = [multiplicity > 0 for multiplicity in multiplicities]
-            prefix_columns = [list(itertools.compress(column, keep)) for column in prefix_columns]
-            multiplicities = list(itertools.compress(multiplicities, keep))
+            prefix_columns = [list(compress(column, keep)) for column in prefix_columns]
+            multiplicities = list(compress(multiplicities, keep))
         self._batches.append(
             (tuple(prefix_variables), prefix_columns, factors, multiplicities)
         )
@@ -479,24 +518,28 @@ class JoinResult:
     def iter_rows(self) -> Iterator[Row]:
         """Iterate over flat output rows, expanding factorized batches lazily."""
         for batch in self._stored():
-            for row, multiplicity in expand_factorized_batch(self.variables, *batch):
-                yield from itertools.repeat(row, multiplicity)
+            for columns, multiplicities in expand_factorized_batch(
+                self.variables, *batch, max_rows=OutputSink.expand_rows
+            ):
+                rows = columns_to_rows(columns) if columns else repeat(())
+                if multiplicities is None:
+                    yield from rows
+                else:
+                    yield from chain.from_iterable(map(repeat, rows, multiplicities))
 
     def _flat_batches(self) -> Iterator[Tuple[Sequence[Sequence[Value]], Optional[Sequence[int]]]]:
         """The stored batches as flat ``(columns, multiplicities)`` in ``variables`` order.
 
         ``on_batch``'s arguments: a flat batch laid out as :attr:`variables`
         is yielded as it is stored; anything else (factors, another layout)
-        goes through :func:`expand_factorized_batch` first.
+        as :func:`expand_factorized_batch`'s slices.
         """
         for batch in self._stored():
             prefix_variables, columns, factors, multiplicities = batch
             if factors or tuple(prefix_variables) != self.variables:
-                pairs = list(expand_factorized_batch(self.variables, *batch))
-                columns, multiplicities = rows_to_batch(
-                    [row for row, _ in pairs], [multiplicity for _, multiplicity in pairs]
-                )
-            yield columns, multiplicities
+                yield from expand_factorized_batch(self.variables, *batch)
+            else:
+                yield columns, multiplicities
 
     def columns(self) -> List[List[Value]]:
         """Flat value columns, one per variable, bag multiplicities applied.
@@ -505,14 +548,11 @@ class JoinResult:
         *by reference* — the values are the very objects the producer
         decoded — and several batches are concatenated once.
         """
-        flatten = itertools.chain.from_iterable
+        flatten = chain.from_iterable
         chunks = []
         for columns, multiplicities in self._flat_batches():
             if multiplicities is not None:
-                columns = [
-                    list(flatten(map(itertools.repeat, column, multiplicities)))
-                    for column in columns
-                ]
+                columns = [list(flatten(map(repeat, column, multiplicities))) for column in columns]
             if columns and len(columns[0]):
                 chunks.append(columns)
         if len(chunks) == 1:

@@ -531,12 +531,19 @@ class Database:
             # materialize fallback.  Rows (and factorized worker batches)
             # fold into a pruned candidate set *mid-join*; the finalize
             # pass sorts the survivors and delivers the ordered prefix —
-            # identical to execute()'s final table.
+            # identical to execute()'s final table.  Its cutoff filter reads
+            # the first ORDER BY key before the projection.
+            key_column = None
+            if logical.order_by:
+                position = logical.order_by[0].position
+                item = None if logical.select_star else logical.select_items[position]
+                key_column = position if item is None else variables.index(item.variable)
             sink = StreamingTopKSink(
                 variables,
                 limit=logical.limit,
                 order_by=logical.order_by,
                 transform=batch_transform(),
+                key_column=key_column,
                 **delivery,
             )
         elif logical.has_aggregates() or logical.group_by or needs_post:

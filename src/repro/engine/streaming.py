@@ -12,9 +12,10 @@ provides the streaming counterpart:
   letting it race ahead and buffer the entire result.  The sink accepts
   factorized batches (``accepts_factorized``): producers ship shared
   prefixes plus flat factor columns and the Cartesian product is enumerated
-  only here, at the delivery boundary — lazily, ``batch_rows`` rows at a
-  time through the sink's inherited default, so backpressure and deadline
-  checks apply inside a single huge group too.
+  only here, at the delivery boundary — lazily, one column slice of
+  ``batch_rows`` rows at a time through the sink's inherited default, so
+  backpressure and deadline checks apply inside a single huge group too,
+  and row tuples are built one delivery batch at a time.
 * :class:`StreamingAggregateSink` is the **aggregate mode** of the sink:
   instead of shipping raw join rows it folds them (and merged worker
   partials — see :mod:`repro.engine.aggregates`) into per-group-key partial
@@ -39,15 +40,18 @@ cancellation and deadline expiry propagate within one slice.
 
 from __future__ import annotations
 
+import math
 import queue
 import threading
 import time
+from itertools import compress
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.datatypes import Row
 from repro.engine.aggregates import AggregateFold, AggregateSpec, order_and_limit
 from repro.engine.output import JoinResult, OutputSink
 from repro.errors import ExecutionError, QueryError
+from repro.kernels.encoding import np
 
 if TYPE_CHECKING:  # pragma: no cover - import would be circular at runtime
     # repro.parallel imports the executors, which import this package's
@@ -154,7 +158,8 @@ class StreamingSink(OutputSink):
         """Count the batch, then expand it through the inherited default.
 
         The stream's contract is flat rows, so this is where the Cartesian
-        product is finally enumerated — the producer side (kernel frontier,
+        product is finally enumerated, as column slices of ``batch_rows``
+        rows zipped by ``on_batch`` — the producer side (kernel frontier,
         worker tasks) never materialized it.
         """
         if factors:
@@ -405,14 +410,24 @@ class StreamingTopKSink(StreamingSink):
     """Bounded top-k: ``ORDER BY ... LIMIT n`` without materializing.
 
     Instead of the materialize-then-stream fallback, every reported row —
-    flat batches, factorized groups (expanded incrementally by the
-    inherited :meth:`on_factorized_batch`), forwarded worker batches —
+    flat batches, factorized groups (expanded a column slice at a time by
+    the inherited :meth:`on_factorized_batch`), forwarded worker batches —
     folds into a candidate set pruned back to the ``limit`` best rows
     (:func:`~repro.engine.aggregates.order_and_limit`, the final pass's own
     ORDER BY / LIMIT tail) whenever it outgrows its bound, so memory stays
     ``O(limit + batch_rows)`` however large the join output is.
     ``transform`` applies the query's residual predicates and projection
     *before* ranking (ORDER BY positions address the final SELECT columns).
+
+    Each prune leaves a *cutoff*: the first ORDER BY value of the
+    ``limit``-th candidate, when it is a finite number.  A row whose first
+    key is strictly worse cannot win, so :meth:`on_batch` drops it with one
+    numpy comparison over ``key_column`` — the pre-projection column of that
+    key — before any tuple is built; ties and NaN stay.  A column numpy
+    cannot hold as numbers (NULLs, strings, ints beyond int64) or holding a
+    ``bool`` (which ranks after strings) is not filtered.  The cutoff only
+    tightens, so a thread worker reading an older one filters less, never
+    wrongly.
 
     Delivery is necessarily terminal — no row is safe to ship until every
     candidate has been seen — but the fold happens mid-join: the finalize
@@ -427,6 +442,7 @@ class StreamingTopKSink(StreamingSink):
         limit: int,
         order_by=(),
         transform: Optional[Callable[[List[Row]], List[Row]]] = None,
+        key_column: Optional[int] = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
         max_batches: int = DEFAULT_MAX_BATCHES,
         interrupt: Optional[DeadlineToken] = None,
@@ -442,6 +458,10 @@ class StreamingTopKSink(StreamingSink):
         self.limit = limit
         self.order_by = list(order_by)
         self.transform = transform
+        #: Where the first ORDER BY key sits in a reported batch (``None``:
+        #: no cutoff filter, as without numpy).
+        self.key_column = key_column if self.order_by and np is not None else None
+        self._cutoff: Optional[float] = None
         self._candidates: List[Row] = []
         # Prune bound: enough slack that sorting amortizes over many emits
         # (a tiny delivery batch size must not force a sort per report).
@@ -449,10 +469,30 @@ class StreamingTopKSink(StreamingSink):
         # Telemetry.
         self.candidate_rows = 0
         self.prunes = 0
+        self.skipped_rows = 0
 
     # ------------------------------------------------------------------ #
     # Producer side: every entry point folds into the candidate set
     # ------------------------------------------------------------------ #
+
+    def on_batch(self, columns, multiplicities=None) -> None:
+        """Drop the rows the cutoff rules out, then fold the rest as rows."""
+        cutoff = self._cutoff
+        if cutoff is not None:
+            keys = columns[self.key_column]
+            values = np.asarray(keys)
+            if values.dtype.kind in "iuf" and bool not in set(map(type, keys)):
+                values = values.astype(np.float64, copy=False)
+                worse = values < cutoff if self.order_by[0].descending else values > cutoff
+                dropped = int(worse.sum())
+                if dropped:
+                    keep = (~worse).tolist()
+                    columns = [list(compress(column, keep)) for column in columns]
+                    if multiplicities is not None:
+                        multiplicities = list(compress(multiplicities, keep))
+                    with self._lock:
+                        self.skipped_rows += dropped
+        super().on_batch(columns, multiplicities)
 
     def on_row(self, row: Row, multiplicity: int = 1) -> None:
         if multiplicity <= 0:
@@ -480,10 +520,13 @@ class StreamingTopKSink(StreamingSink):
             self._candidates.extend(rows)
             self.candidate_rows += len(rows)
             if len(self._candidates) > self._prune_at:
-                self._candidates = order_and_limit(
-                    self._candidates, self.order_by, self.limit
-                )
+                self._candidates = order_and_limit(self._candidates, self.order_by, self.limit)
                 self.prunes += 1
+                # The cutoff: the limit-th candidate's first key (it only tightens).
+                if self.key_column is not None and 0 < self.limit == len(self._candidates):
+                    value = self._candidates[-1][self.order_by[0].position]
+                    if type(value) in (int, float) and math.isfinite(value):
+                        self._cutoff = float(value)
 
     def finish(self) -> None:
         """Sort the survivors, deliver the ordered prefix, close the stream."""
@@ -505,6 +548,7 @@ class StreamingTopKSink(StreamingSink):
             "limit": self.limit,
             "candidate_rows": self.candidate_rows,
             "prunes": self.prunes,
+            "skipped_rows": self.skipped_rows,
         }
         return merged
 

@@ -15,12 +15,16 @@ inputs:
   producer is still running, with factorized batches reaching the sink
   un-expanded;
 * ``ORDER BY ... LIMIT`` streams through the bounded top-k sink and
-  matches the materializing path row for row, in order.
+  matches the materializing path and the naive reference row for row, in
+  order, on every session backend — its cutoff filter included.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+import sys
+import threading
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -34,7 +38,9 @@ from repro.genericjoin.executor import GenericJoinEngine
 from repro.kernels import kernels_enabled
 from repro.optimizer.join_order import optimize_query
 from repro.query.builder import QueryBuilder
+from repro.query.planner import ResolvedOrderItem
 from repro.storage.table import Table
+from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
 
 ENGINES = ("freejoin", "binary", "generic")
 
@@ -209,6 +215,133 @@ def test_bare_limit_streams_through_topk_sink():
         assert isinstance(stream.sink, StreamingTopKSink)
         streamed = list(itertools.chain.from_iterable(stream))
     assert streamed == expected
+
+
+#: ORDER BY key values: NULLs, bools beside ints, ints past 2**53 and 2**63
+#: and signed zeros — or strings (a column holds one kind or the other).
+NUMERIC_KEYS = [None, True, False, 0, 1, -1, 2**53, 2**53 + 1, 2**63 + 5, -(2**64), 0.0, -0.0, 1.5]
+STRING_KEYS = [None, "a", "b", "c"]
+TOPK_SESSIONS = (
+    {},
+    {"parallelism": 2, "parallel_mode": "thread"},
+    {"parallelism": 2, "parallel_mode": "process"},
+)
+#: What follows ``SELECT s.b, s.k, r.k, r.a`` (``r.a`` is SELECT column 3 but
+#: join column 2): ``t`` binds nothing read later, so the kernels fold it
+#: into multiplicity 2; ``r.x <= s.y`` is a residual.
+TOPK_FROM = {
+    "plain": "FROM r, s WHERE r.k = s.k",
+    "folded-probe": "FROM r, s, t WHERE r.k = s.k AND s.k = t.k",
+    "residual": "FROM r, s WHERE r.k = s.k AND r.x <= s.y",
+}
+
+few_keys = st.sampled_from([NUMERIC_KEYS, STRING_KEYS]).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    a=few_keys,
+    b=few_keys,
+    order=st.lists(
+        st.tuples(st.sampled_from(["r.a", "s.b"]), st.booleans()), min_size=1, max_size=2
+    ),
+    limit=st.sampled_from([0, 1, 7, 100, 100_000]),
+    shape=st.sampled_from(sorted(TOPK_FROM)),
+    batch_rows=st.sampled_from([1, 3, 1024]),
+)
+def test_streamed_topk_matches_execute_and_the_reference(a, b, order, limit, shape, batch_rows):
+    """Row for row, in order: 80 x 70 rows on one join key is past the
+    top-k's first prune, so its cutoff filter runs (unless a bool, a NULL
+    or a string key turns it off); few distinct keys make heavy ties."""
+    from repro.experiments.differential import reference_rows
+    from repro.query.sql import parse_sql
+
+    order_sql = ", ".join(f"{column} DESC" if desc else column for column, desc in order)
+    sql = f"SELECT s.b, s.k, r.k, r.a {TOPK_FROM[shape]} ORDER BY {order_sql} LIMIT {limit}"
+    r = [(0, a[i % len(a)], i) for i in range(80)]
+    s = [(0, b[i * 3 % len(b)], i) for i in range(70)]
+    reference = None
+    for session in TOPK_SESSIONS:
+        db = Database(**session)
+        db.register(Table.from_rows("r", ["k", "a", "x"], r))
+        db.register(Table.from_rows("s", ["k", "b", "y"], s))
+        db.register(Table.from_rows("t", ["k"], [(0,), (0,)]))
+        reference = reference or repr(reference_rows(db.catalog, parse_sql(sql)))
+        assert repr(db.execute(sql).rows()) == reference, session
+        with db.execute_iter(sql, options=ExecOptions(batch_rows=batch_rows)) as stream:
+            assert isinstance(stream.sink, StreamingTopKSink)
+            assert repr(list(itertools.chain.from_iterable(stream))) == reference, session
+
+
+def _topk_sink(descending):
+    sink = StreamingTopKSink(
+        ("v",), limit=2, order_by=[ResolvedOrderItem(0, descending)], key_column=0, max_batches=2
+    )
+    sink.on_batch([list(range(5000))])  # one prune: the cutoff is 1 (ASC) or 4998 (DESC)
+    return sink
+
+
+def test_topk_cutoff_keeps_nan_and_ties():
+    sink = _topk_sink(descending=False)
+    sink.on_batch([[float("nan"), 7, 1, 0.5, 2.0]])
+    topk = sink.stats()["topk"]
+    assert topk["skipped_rows"] == 2  # 7 and 2.0; NaN and the tie 1 stay
+    assert topk["candidate_rows"] == 5003
+
+
+def test_topk_cutoff_leaves_a_column_holding_a_bool_alone():
+    sink = _topk_sink(descending=True)
+    sink.on_batch([[3, True]])  # numpy reads True as 1; the sort ranks it above every number
+    sink.finish()
+    assert sink.next_batch() == [(True,), (4999,)]
+    assert sink.stats()["topk"]["skipped_rows"] == 0
+
+
+def test_topk_cutoff_under_concurrent_batches():
+    """Eight threads report into one top-k at a tiny switch interval (thread
+    workers absorb concurrently): the prefix and the row accounting stay exact."""
+    values = list(range(40_000))
+    random.Random(3).shuffle(values)
+    chunks = [[values[i : i + 500]] for i in range(0, len(values), 500)]
+    sink = StreamingTopKSink(
+        ("v",), limit=5, order_by=[ResolvedOrderItem(0, False)], key_column=0, max_batches=2
+    )
+
+    def report(batches):
+        for columns in batches:
+            sink.on_batch(columns)
+
+    threads = [threading.Thread(target=report, args=(chunks[w::8],)) for w in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    topk = sink.stats()["topk"]
+    assert topk["skipped_rows"] + topk["candidate_rows"] == len(values)
+    assert topk["skipped_rows"] > len(values) / 2
+    sink.finish()
+    assert sink.next_batch() == [(v,) for v in range(5)]
+
+
+def test_fanout_topk_skips_most_rows_before_building_tuples():
+    db = Database()
+    db.register_all(fanout_tables(400, keys=8).values())
+    sql = FANOUT_SQL + " ORDER BY fan_s.b DESC, fan_r.a LIMIT 100"
+    total = len(db.execute(FANOUT_SQL).rows())
+    with db.execute_iter(sql) as stream:
+        streamed = list(itertools.chain.from_iterable(stream))
+    assert streamed == db.execute(sql).rows()
+    topk = stream.sink.stats()["topk"]
+    assert topk["skipped_rows"] > total / 2
+    assert topk["skipped_rows"] + topk["candidate_rows"] == total
 
 
 # --------------------------------------------------------------------------- #

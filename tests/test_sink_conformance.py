@@ -37,7 +37,7 @@ from repro.engine.aggregates import (
     GroupedAggregateState,
     PartialAggregateSink,
 )
-from repro.engine.output import CountSink, FactorizedSink, RowSink
+from repro.engine.output import CountSink, FactorizedSink, RowSink, expand_factorized_batch
 from repro.engine.streaming import (
     StreamingAggregateSink,
     StreamingSink,
@@ -419,6 +419,63 @@ def test_row_sink_task_payload_ships_columns_not_row_tuples(case_name, entry):
     payload = pickle.loads(pickle.dumps(task.payload()))
     rows = reference_rows_in_order(case)
     assert rows and not [item for item in _tuples_in(payload) if item in rows]
+
+
+def random_case(rng: random.Random):
+    """One random batch in the factorized shape, output layout permuted.
+
+    0-3 factors (some zero-width), segments of 0-7 rows (the product of one
+    group can reach 343), offsets that need not start at 0, multiplicities
+    absent or in -1..3, and output variables a shuffled subset of the bound
+    ones.
+    """
+    fresh = iter("abcdefghij")
+    groups = rng.randint(0, 4)
+    prefix_variables = tuple(next(fresh) for _ in range(rng.randint(0, 2)))
+    prefix_columns = [[rng.randint(0, 9) for _ in range(groups)] for _ in prefix_variables]
+    factors = []
+    for _ in range(rng.randint(0, 3)):
+        factor_variables = tuple(next(fresh) for _ in range(rng.randint(0, 2)))
+        offsets = [rng.choice([0, 2])]
+        for _ in range(groups):
+            offsets.append(offsets[-1] + rng.choice([0, 1, 2, 3, 7]))
+        columns = [[rng.randint(0, 99) for _ in range(offsets[-1])] for _ in factor_variables]
+        factors.append((factor_variables, columns, offsets))
+    multiplicities = None
+    if rng.random() < 0.6:
+        multiplicities = [rng.randint(-1, 3) for _ in range(groups)]
+    layout = list(prefix_variables) + [var for names, *_ in factors for var in names]
+    rng.shuffle(layout)
+    variables = tuple(layout[: rng.randint(0, len(layout))])
+    return variables, prefix_variables, prefix_columns, factors, multiplicities
+
+
+@pytest.mark.parametrize("max_rows", [None, 1, 2, 5, 1024])
+def test_expander_slices_match_the_product_reference(max_rows):
+    rng = random.Random(f"expander/{max_rows}")
+    for _ in range(300):
+        case = random_case(rng)
+        expected = [(row, m) for row, m in reference_pairs(case) if m > 0]
+        slices = list(expand_factorized_batch(*case, max_rows))
+        got = []
+        for columns, multiplicities in slices:
+            width = len(columns[0]) if columns else len(multiplicities)
+            assert len(columns) == len(case[0])
+            assert all(len(column) == width for column in columns)
+            if multiplicities is None:
+                assert case[4] is None and columns
+                multiplicities = [1] * width
+            rows = list(zip(*columns)) if columns else [()] * width
+            got.extend(zip(rows, multiplicities))
+        assert got == expected, case
+        # Full slices of max_rows, then the rest: a large group is cut too.
+        widths = [len(columns[0]) if columns else len(m) for columns, m in slices]
+        assert 0 not in widths and sum(widths) == len(expected)
+        if max_rows is None:
+            assert len(slices) <= 1
+        else:
+            assert all(width == max_rows for width in widths[:-1])
+            assert max(widths, default=0) <= max_rows
 
 
 def test_reference_expansion_is_what_the_cases_say():
