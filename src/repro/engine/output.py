@@ -4,7 +4,8 @@ All three join engines report their results through a *sink*.  The sink
 decides how much of the output to materialize:
 
 * :class:`RowSink` materializes the output: it keeps the flat column batches
-  it is handed (with bag multiplicities),
+  it is handed (with bag multiplicities); :class:`PackedRowSink`, a bushy
+  plan's non-final pipeline's, takes the kernels' numeric gathers unlisted,
 * :class:`CountSink` only counts output rows — the cheapest option, used by
   ``COUNT(*)`` queries and by benchmark drivers that do not need the rows,
 * :class:`FactorizedSink` keeps the output factorized (Section 4.4,
@@ -94,10 +95,17 @@ def _factorized_group_count(prefix_columns, factors, multiplicities) -> int:
     return 0
 
 
+def _is_array(values) -> bool:
+    """Whether ``values`` is a kernel's numpy array (see ``packs_columns``)."""
+    return hasattr(values, "dtype")
+
+
 def count_factorized_batch(prefix_columns, factors, multiplicities) -> int:
     """Flat rows one factorized batch stands for, without enumerating them."""
     groups = _factorized_group_count(prefix_columns, factors, multiplicities)
     if not factors:
+        if _is_array(multiplicities):
+            return int(multiplicities.sum())
         return groups if multiplicities is None else sum(multiplicities)
     total = 0
     for i in range(groups):
@@ -223,6 +231,13 @@ class OutputSink:
     #: worker threads, concurrently — or (``False``) after the last task, in
     #: task order, on the submitting thread.  A constant of the sink class.
     absorb_on_arrival = False
+
+    #: Whether the kernels may hand :meth:`on_batch` a numeric column as
+    #: the ``int64`` / ``float64`` array they gathered, and multiplicities
+    #: as an ``int64`` array, instead of lists.  Only the sink of a bushy
+    #: plan's non-final pipeline (:class:`PackedRowSink`) does: every
+    #: result a caller sees holds Python values.
+    packs_columns = False
 
     #: What ``RunReport.details["output"]["mode"]`` calls a run into this sink.
     mode = "rows"
@@ -365,7 +380,8 @@ class RowSink(OutputSink):
         multiplicities: Optional[Sequence[int]] = None,
     ) -> None:
         self._flush_rows()
-        if not factors and multiplicities is not None and min(multiplicities, default=1) <= 0:
+        # (A kernel's int64 multiplicities are match counts, never below one.)
+        if not factors and not _is_array(multiplicities) and min(multiplicities or [1]) <= 0:
             # Not in the bag: dropped here as in on_row, so count() == len(to_rows()).
             keep = [multiplicity > 0 for multiplicity in multiplicities]
             prefix_columns = [list(compress(column, keep)) for column in prefix_columns]
@@ -387,6 +403,23 @@ class RowSink(OutputSink):
     def absorb(self, payload) -> None:
         self._flush_rows()
         self._batches.extend(payload)
+
+
+class PackedRowSink(RowSink):
+    """:class:`RowSink` for a non-final pipeline: numeric columns stay packed.
+
+    The kernels hand it the ``int64`` / ``float64`` gathers themselves
+    (``packs_columns``), which it stores — and a steal task ships, as
+    buffers — like any batch; the pipeline driver then concatenates them
+    into the packed columns of the intermediate table
+    (:func:`repro.kernels.encoding.gathered_column`).  Row-path batches stay
+    lists, as in a :class:`RowSink`.
+    """
+
+    packs_columns = True
+
+    def task_sink(self):
+        return partial(PackedRowSink, self.variables)
 
 
 class CountSink(OutputSink):
@@ -527,7 +560,7 @@ class JoinResult:
                 else:
                     yield from chain.from_iterable(map(repeat, rows, multiplicities))
 
-    def _flat_batches(self) -> Iterator[Tuple[Sequence[Sequence[Value]], Optional[Sequence[int]]]]:
+    def flat_batches(self) -> Iterator[Tuple[Sequence[Sequence[Value]], Optional[Sequence[int]]]]:
         """The stored batches as flat ``(columns, multiplicities)`` in ``variables`` order.
 
         ``on_batch``'s arguments: a flat batch laid out as :attr:`variables`
@@ -550,7 +583,7 @@ class JoinResult:
         """
         flatten = chain.from_iterable
         chunks = []
-        for columns, multiplicities in self._flat_batches():
+        for columns, multiplicities in self.flat_batches():
             if multiplicities is not None:
                 columns = [list(flatten(map(repeat, column, multiplicities))) for column in columns]
             if columns and len(columns[0]):
@@ -563,7 +596,7 @@ class JoinResult:
         """The stored rows and their bag multiplicities, not repeated."""
         rows: List[Row] = []
         multiplicities: List[int] = []
-        for columns, weights in self._flat_batches():
+        for columns, weights in self.flat_batches():
             chunk = columns_to_rows(columns) if columns else [()] * len(weights or ())
             rows.extend(chunk)
             multiplicities.extend([1] * len(chunk) if weights is None else weights)

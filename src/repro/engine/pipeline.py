@@ -19,9 +19,11 @@ around it:
   resolve → pick the pipeline's sink → lower → serial :func:`run_range` or
   :func:`repro.parallel.scheduler.run_pipeline_steal` into that sink →
   ``sink.result()`` → materialize intermediates (a non-final pipeline's
-  ``Table`` adopts the result's column batches; no row tuple is built) →
-  assemble the :class:`~repro.engine.report.RunReport` with ``details["output"]``,
-  ``details["kernels"]`` and (parallel runs only) ``details["parallel"]``.
+  ``Table`` is built from the result's column batches, the kernels'
+  numeric gathers staying packed; no row tuple is built) → assemble the
+  :class:`~repro.engine.report.RunReport` with ``details["output"]``,
+  ``details["kernels"]``, ``details["intermediates"]`` (bushy plans only)
+  and ``details["parallel"]`` (parallel runs only).
   It also decides what each pipeline *emits* (late materialization): the
   final one only the variables the caller reads after the join, a
   non-final one only the columns something outside it still reads.
@@ -39,14 +41,14 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
-from repro.engine.output import CountSink, FactorizedSink, OutputSink, RowSink
+from repro.engine.output import CountSink, FactorizedSink, OutputSink, PackedRowSink, RowSink
 from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.query.atoms import Atom
-from repro.storage.column import Column
 from repro.storage.table import Table
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.engine.output import JoinResult
     from repro.parallel.cancellation import DeadlineToken
 
 _SINKS = {"rows": RowSink, "count": CountSink, "factorized": FactorizedSink}
@@ -219,6 +221,23 @@ def run_range(
     return counters, reason
 
 
+def _materialize(name: str, result: "JoinResult") -> Table:
+    """A non-final pipeline's result as the flat table later pipelines read.
+
+    Column by column over the result's flat batches
+    (:func:`repro.kernels.encoding.gathered_column`): packed where the
+    kernels gathered every batch of it, else a list column — either way the
+    rows, dtypes and fingerprint ``Table.from_rows`` would give.
+    """
+    batches = list(result.flat_batches())
+    weights = [multiplicities for _columns, multiplicities in batches]
+    columns = [
+        kernels.gathered_column(var, [columns[index] for columns, _m in batches], weights)
+        for index, var in enumerate(result.variables)
+    ]
+    return Table(name, columns)
+
+
 def run_plan(
     engine: str,
     query,
@@ -244,16 +263,15 @@ def run_plan(
     the join, and they are all the final pipeline emits; without them it
     emits the query's full head.  Non-final pipelines materialize
     "simplistically" — a flat table (Section 5.2) later pipelines see as an
-    atom, its columns the result's own (:meth:`JoinResult.columns
-    <repro.engine.output.JoinResult.columns>`) — holding only the columns a
-    relation outside the pipeline or the caller still reads.  Everything
+    atom (:func:`_materialize`) — holding only the columns a relation
+    outside the pipeline or the caller still reads.  Everything
     else is never decoded: the kernel program's backward pass turns probes
     that bind nothing read later into multiplicities.
 
     Every pipeline runs into one sink — the caller's ``sink`` for the final
     pipeline when given, else the sink ``options.output`` names
     (:func:`make_sink`; an unknown name is a :class:`PlanError`), and a
-    :class:`RowSink` for every intermediate — and the pipeline's result is
+    :class:`PackedRowSink` for every intermediate — and the pipeline's result is
     that sink's ``result()``, serial or parallel: the steal scheduler moves
     task output into it through the sink's own transport
     (``task_sink`` / ``payload`` / ``absorb``, see
@@ -275,6 +293,7 @@ def run_plan(
     fallbacks: List[str] = []
     counters: Dict[str, int] = {}
     parallel: List[Dict[str, object]] = []
+    intermediates: List[Dict[str, object]] = []
     result = pipeline_sink = None
     for pipeline in pipelines:
         started = time.perf_counter()
@@ -298,7 +317,7 @@ def run_plan(
             # A result nothing outside reads still multiplies the join: keep
             # one column to carry its cardinality.
             output_variables = tuple(v for v in bound if v in read_outside) or tuple(bound)[:1]
-            pipeline_sink = RowSink(output_variables)
+            pipeline_sink = PackedRowSink(output_variables)
         lowered = lower(
             pipeline, atoms, output_variables, pipeline_sink.counts_only, kernels_off is None
         )
@@ -351,11 +370,19 @@ def run_plan(
 
         if not pipeline.is_final:
             started = time.perf_counter()
-            variables = list(result.variables)
-            columns = [Column(var, values) for var, values in zip(variables, result.columns())]
-            table = Table(pipeline.output_name, columns)
-            atoms[pipeline.output_name] = Atom(pipeline.output_name, table, variables)
-            other_seconds += time.perf_counter() - started
+            table = _materialize(pipeline.output_name, result)
+            atoms[pipeline.output_name] = Atom(pipeline.output_name, table, table.column_names)
+            elapsed = time.perf_counter() - started
+            other_seconds += elapsed
+            packed = [c.name for c in table.columns if isinstance(c.values, memoryview)]
+            intermediates.append(
+                {
+                    "name": table.name,
+                    "rows": table.num_rows,
+                    "packed_columns": packed,
+                    "materialize_seconds": elapsed,
+                }
+            )
 
     report_details: Dict[str, object] = dict(details or {})
     report_details.update(
@@ -368,6 +395,8 @@ def run_plan(
         report_details["stats"] = counters
     if parallel:
         report_details["parallel"] = parallel
+    if intermediates:
+        report_details["intermediates"] = intermediates
     return RunReport(
         engine=engine,
         result=result,

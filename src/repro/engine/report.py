@@ -48,8 +48,9 @@ class RunReport:
 
         ``details`` holds arbitrary objects (options, plan reprs, executor
         stats), so only the JSON-safe planes are included — the output mode,
-        the parallel execution summary, the routing decision and the
-        prepared-query cache verdict, when present, are already plain data.
+        the parallel execution summary, the materialized intermediates, the
+        routing decision and the prepared-query cache verdict, when present,
+        are already plain data.
         """
         record: Dict[str, object] = {
             "engine": self.engine,
@@ -59,7 +60,7 @@ class RunReport:
             "total_seconds": self.total_seconds,
             "output_rows": self.output_count(),
         }
-        for plane in ("output", "parallel", "router", "prepared"):
+        for plane in ("output", "parallel", "intermediates", "router", "prepared"):
             if self.details.get(plane) is not None:
                 record[plane] = self.details[plane]
         return record

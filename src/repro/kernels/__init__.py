@@ -35,6 +35,7 @@ try:  # pragma: no cover
 except Exception:  # pragma: no cover
     _np = None
 
+from repro.kernels.encoding import gathered_column
 from repro.kernels.executor import (
     CHUNK_ROWS,
     FRONTIER_GUARD_ROWS,
@@ -66,6 +67,7 @@ __all__ = [
     "enabled",
     "execute_program",
     "factor_step_indices",
+    "gathered_column",
     "kernel_caches_clear",
     "kernel_report",
     "kernels_enabled",

@@ -27,15 +27,19 @@ Three encodings cover that exactly:
 Encoded arrays are memoized on the column object (``Column._kernel``), so
 repeated queries over the same catalog encode each column once.
 Shared-memory columns (``repro.storage.shm``) already hold int64/float64
-memoryviews and convert zero-copy.
+memoryviews and convert zero-copy; a bushy plan's intermediates hold the
+same packed storage, built from the kernels' own gathers
+(:func:`gathered_column`) with their encoding memoized up front.
 """
 
 from __future__ import annotations
 
 import threading
+from itertools import chain, repeat
 from typing import List, Optional, Sequence
 
 from repro.datatypes import FLOAT, INT
+from repro.storage.column import Column
 
 try:  # pragma: no cover - exercised by the fallback tests via REPRO_KERNELS
     import numpy as np
@@ -217,18 +221,54 @@ def key_array(column, kind: str) -> "np.ndarray":
     return code_array(column)
 
 
-def decode_gather(column, row_indices: "np.ndarray") -> list:
+def decode_gather(column, row_indices: "np.ndarray", packed: bool = False):
     """Gather original Python values for ``row_indices`` — always exact.
 
     Numeric columns decode through their numpy arrays (fast ``take`` +
     ``tolist``); everything else gathers from the raw storage, so outputs
     preserve each row's own value object (no interner canonicalization).
+    With ``packed``, a numeric column's gather is returned as the
+    ``int64`` / ``float64`` array itself, not listed.
     """
-    ints = int_array(column)
-    if ints is not None:
-        return ints[row_indices].tolist()
-    floats = float_array(column)
-    if floats is not None:
-        return floats[row_indices].tolist()
+    numbers = int_array(column)
+    if numbers is None:
+        numbers = float_array(column)
+    if numbers is not None:
+        gathered = numbers[row_indices]
+        return gathered if packed else gathered.tolist()
     values = column.values
     return [values[i] for i in row_indices.tolist()]
+
+
+#: The storage dtype and ``memoryview`` format of each packed array dtype.
+_PACKED = {"int64": (INT, "q", KIND_INT), "float64": (FLOAT, "d", KIND_FLOAT)}
+
+
+def gathered_column(name: str, parts: Sequence, weights: Sequence) -> Column:
+    """One column of a materialized result from its flat batches' parts.
+
+    ``parts[i]`` is batch ``i``'s values, ``weights[i]`` its multiplicities
+    (``None``: all 1).  When every part is a packed gather of one dtype
+    (:func:`decode_gather`), the column is packed: one ``int64`` /
+    ``float64`` buffer, held as the same cast ``memoryview`` the
+    shared-memory plane attaches, with its dtype taken from the array and
+    its kernel encoding memoized up front — nothing is listed, inferred or
+    re-encoded.  Any other mix (row-path lists, TEXT, NULLs, no rows) is a
+    list column, built exactly as ``Table.from_rows`` would.
+    """
+    dtypes = {str(getattr(part, "dtype", None)) for part in parts}
+    if len(dtypes) == 1 and dtypes <= _PACKED.keys():
+        arrays = [part if w is None else np.repeat(part, w) for part, w in zip(parts, weights)]
+        packed = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+        if packed.size:  # no rows: TEXT, like an empty list
+            dtype, fmt, kind = _PACKED[dtypes.pop()]
+            column = Column(name, memoryview(packed).cast("B").cast(fmt), dtype)
+            column._kernel = {kind: packed}
+            return column
+    if len(parts) == 1 and weights[0] is None and isinstance(parts[0], list):
+        return Column(name, parts[0])  # by reference: the producer's own list
+    values: list = []
+    for part, w in zip(parts, weights):
+        part = part.tolist() if hasattr(part, "dtype") else part
+        values.extend(part if w is None else chain.from_iterable(map(repeat, part, w)))
+    return Column(name, values)

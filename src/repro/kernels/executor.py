@@ -342,12 +342,15 @@ def _emit(
     offsets vector — no Cartesian expansion ever happens; sinks that need
     flat rows should not be handed a factorized program.  Without held-out
     steps the batch has no factors and goes out as a plain columnar batch.
+    A sink that ``packs_columns`` gets numeric prefix columns and the
+    multiplicities as the arrays themselves.
     The tail is sliced so a fan-out chunk cannot outrun the deadline: decode
     + column build + sink cost a few µs per row, unbounded per chunk.
     """
     driver = program.driver
     kinds = program.kinds
     order = sorted(factor_steps)
+    packed = sink.packs_columns
 
     # One probe per factor step over the final frontier.  Groups where any
     # factor comes up empty produce no output rows (inner-join semantics)
@@ -411,11 +414,11 @@ def _emit(
         for var, source in prefix:
             atom = driver if source < 0 else program.steps[source].atom
             column = atom.table.column(atom.column_for(var))
-            prefix_columns.append(decode_gather(column, rowidx[source][emit]))
+            prefix_columns.append(decode_gather(column, rowidx[source][emit], packed))
 
         factors = []
         per_group = None if mult is None else mult[emit]
-        multiplicities = None if mult is None else per_group.tolist()
+        multiplicities = per_group if packed or per_group is None else per_group.tolist()
         for step_index, index, lo, counts in probes:
             step = program.steps[step_index]
             counts_slice = counts[emit]

@@ -21,8 +21,10 @@ class Column:
     name:
         Column name, unique within its table.
     values:
-        The cell values.  The list is stored by reference when a list is
-        passed, so callers that want isolation should pass a copy.
+        The cell values.  A list is stored by reference, so callers that
+        want isolation should pass a copy.  A ``memoryview`` cast to ``"q"``
+        or ``"d"`` (packed INT / FLOAT storage: a shared-memory attachment,
+        a materialized intermediate) is kept as is, read-only.
     dtype:
         Optional logical type (``INT``/``FLOAT``/``TEXT``).  Inferred from the
         values when omitted.
@@ -40,7 +42,7 @@ class Column:
             raise SchemaError("column name must be non-empty")
         self.name = name
         self.values: List[Value] = (
-            values if isinstance(values, list) else list(values or [])
+            values if isinstance(values, (list, memoryview)) else list(values or [])
         )
         self.dtype = dtype if dtype is not None else infer_column_type(self.values)
         # Memoized content digest (see repro.storage.table): the planner

@@ -8,9 +8,10 @@ module instead publishes each table's columns into one
 ``multiprocessing.shared_memory`` segment that any worker can *attach*:
 
 * ``INT`` columns are packed as native 64-bit integers and attached as a
-  ``memoryview`` cast over the shared buffer — a zero-copy view; indexing it
-  returns plain ``int`` objects, so the trie builders and executors work on
-  attached columns unchanged.
+  ``memoryview`` cast over the shared buffer — a zero-copy view, and the
+  same packed storage a :class:`~repro.storage.column.Column` holds for a
+  materialized intermediate; indexing it returns plain ``int`` objects, so
+  the trie builders and executors work on attached columns unchanged.
 * ``FLOAT`` columns of pure floats are packed the same way (``double``).
 * Everything else (TEXT, NULLs, mixed types) falls back to a pickled value
   vector inside the segment; attaching deserializes once per worker instead
@@ -34,22 +35,19 @@ import os
 import pickle
 import threading
 import weakref
-from array import array
 from dataclasses import dataclass
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple
 
-from repro.datatypes import FLOAT, INT
 from repro.errors import ExecutionError
 from repro.storage.column import Column
-from repro.storage.table import Table
+from repro.storage.table import Table, packed_values
 
 #: Segment name prefix; also the glob tests use to assert nothing leaked.
 SEGMENT_PREFIX = "fjrepro"
 
-#: Column packing kinds stored in handles.
-KIND_INT64 = "i8"
-KIND_FLOAT64 = "f8"
+#: Column packing kinds stored in handles: a packed column's ``memoryview``
+#: format (``"q"`` int64, ``"d"`` float64), else a pickled value list.
 KIND_PICKLE = "pickle"
 
 
@@ -84,41 +82,21 @@ class ShmTableHandle:
     columns: Tuple[ShmColumnSpec, ...]
 
 
-class SharedColumn(Column):
-    """A column whose values vector is a view over a shared-memory buffer.
-
-    Bypasses :class:`Column`'s list coercion: the ``values`` attribute is the
-    ``memoryview`` cast itself for packed kinds (indexing yields ``int`` /
-    ``float``), or the unpickled list for the fallback kind.
-    """
-
-    def __init__(self, name: str, values, dtype: str) -> None:
-        self.name = name
-        self.values = values
-        self.dtype = dtype
-
-
 # --------------------------------------------------------------------------- #
 # Packing
 # --------------------------------------------------------------------------- #
 
 
-def _pack_column(column: Column) -> Tuple[str, bytes]:
-    """Pick the densest representation that round-trips values exactly.
+def _pack_column(column: Column) -> Tuple[str, object]:
+    """The densest representation that round-trips values exactly.
 
-    ``bool`` is excluded from the int path (it would come back as ``int`` and
-    change reprs), and ints are excluded from the float path (they would come
-    back as floats); both fall back to pickling.
+    INT/FLOAT columns ship their :func:`~repro.storage.table.packed_values`
+    buffer, copied once, into the segment; everything else is pickled.
     """
-    values = column.values
-    if column.dtype == INT and all(type(v) is int for v in values):
-        try:
-            return KIND_INT64, array("q", values).tobytes()
-        except OverflowError:
-            pass
-    if column.dtype == FLOAT and all(type(v) is float for v in values):
-        return KIND_FLOAT64, array("d", values).tobytes()
-    return KIND_PICKLE, pickle.dumps(values, protocol=pickle.HIGHEST_PROTOCOL)
+    packed = packed_values(column)
+    if packed is not None:
+        return packed.format, packed.cast("B")
+    return KIND_PICKLE, pickle.dumps(column.values, protocol=pickle.HIGHEST_PROTOCOL)
 
 
 _SEGMENT_SEQUENCE = 0
@@ -317,20 +295,13 @@ class Attachment:
         buf = self.segment.buf
         for spec in self.handle.columns:
             raw = buf[spec.offset : spec.offset + spec.nbytes]
-            if spec.kind == KIND_INT64:
-                view = raw.cast("q")
-                self._views.append(raw)
-                self._views.append(view)
-                values = view
-            elif spec.kind == KIND_FLOAT64:
-                view = raw.cast("d")
-                self._views.append(raw)
-                self._views.append(view)
-                values = view
-            else:
+            if spec.kind == KIND_PICKLE:
                 values = pickle.loads(bytes(raw))
                 raw.release()
-            columns.append(SharedColumn(spec.name, values, spec.dtype))
+            else:
+                values = raw.cast(spec.kind)
+                self._views += [raw, values]
+            columns.append(Column(spec.name, values, spec.dtype))
         return Table(self.handle.table_name, columns)
 
     def close(self) -> bool:

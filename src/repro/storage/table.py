@@ -19,28 +19,46 @@ from repro.errors import SchemaError
 from repro.storage.column import Column
 
 
-def _column_payload(column: Column) -> bytes:
-    """A canonical byte encoding of a column's values for fingerprinting.
+def packed_values(column: Column) -> Optional[memoryview]:
+    """The column as one native buffer — a ``"q"`` (int64) or ``"d"``
+    (float64) ``memoryview`` — or ``None`` when that would not round-trip.
 
-    The encoding must be *representation independent*: a plain list-backed
-    column and the shared-memory ``memoryview`` a worker attaches over the
-    same data (see :mod:`repro.storage.shm`) must digest identically, so a
-    cache key computed in the exporting process matches what a worker
-    computes over its attachment.  Packed INT/FLOAT columns therefore
-    use the same native layouts as the shm plane; everything else falls back
-    to a deterministic pickle of the value list.
+    A packed column (a shared-memory attachment, see
+    :mod:`repro.storage.shm`, or a materialized intermediate) is its own
+    buffer.  A list column packs when every value comes back exactly:
+    ``bool`` is excluded from the int path (it would come back as ``int``
+    and change reprs), as are ints beyond int64, and ints are excluded
+    from the float path (they would come back as floats).
     """
     values = column.values
     if isinstance(values, memoryview):
-        return bytes(values)
+        return values
     if column.dtype == INT and all(type(v) is int for v in values):
         try:
-            return array("q", values).tobytes()
+            return memoryview(array("q", values))
         except OverflowError:
             pass
     if column.dtype == FLOAT and all(type(v) is float for v in values):
-        return array("d", values).tobytes()
-    return pickle.dumps(list(values), protocol=pickle.HIGHEST_PROTOCOL)
+        return memoryview(array("d", values))
+    return None
+
+
+def _column_payload(column: Column):
+    """A canonical byte encoding of a column's values for fingerprinting.
+
+    The encoding must be *representation independent*: a list column and a
+    packed ``memoryview`` over the same data must digest identically, so a
+    cache key computed in the exporting process matches what a worker
+    computes over its attachment, and an intermediate keys like
+    ``Table.from_rows`` over its rows.  INT/FLOAT columns therefore digest
+    their :func:`packed_values` buffer (the shm plane's layout), hashed in
+    place; everything else falls back to a deterministic pickle of the value
+    list.
+    """
+    packed = packed_values(column)
+    if packed is not None:
+        return packed
+    return pickle.dumps(list(column.values), protocol=pickle.HIGHEST_PROTOCOL)
 
 
 def _column_digest(column: Column) -> bytes:

@@ -241,3 +241,42 @@ def test_to_rows_is_one_zip_over_every_column_representation():
     packed = Table("p", [Column("x", [], dtype=INT)])
     packed.columns[0].values = memoryview(bytes(16)).cast("q")  # an shm attachment's view
     assert packed.to_rows() == list(packed.iter_rows()) == [(0,), (0,)]
+
+
+def test_packed_columns_are_one_representation_with_shm_attachments():
+    """A column built from kernel gathers is the storage an attachment holds.
+
+    Packed: a cast ``memoryview`` whose dtype, rows and fingerprint equal a
+    list column's over the same values, exported to shared memory as its
+    own buffer and attached back unchanged.  Any list part, or no rows at
+    all, gives a list column exactly as ``Table.from_rows`` would.
+    """
+    np = pytest.importorskip("numpy")
+    from repro.kernels.encoding import gathered_column
+    from repro.storage import shm
+
+    ints = gathered_column("i", [np.array([2**63 - 1, -(2**63 - 1)]), np.array([7])], [None, [2]])
+    floats = gathered_column("f", [np.array([-0.0, 1.5]), np.array([2.5, 0.25])], [None, None])
+    table = Table("packed", [ints, floats])
+    listed = Table.from_rows("packed", ["i", "f"], table.to_rows())
+    rows = [(2**63 - 1, -0.0), (-(2**63 - 1), 1.5), (7, 2.5), (7, 0.25)]
+    assert repr(table.to_rows()) == repr(rows)
+    assert [type(c.values) for c in table.columns] == [memoryview, memoryview]
+    assert [c.dtype for c in table.columns] == [c.dtype for c in listed.columns] == [INT, FLOAT]
+    assert table.fingerprint() == listed.fingerprint()
+
+    handle = shm.export_table(table)
+    attached, attachment = shm.attach_table(handle)
+    try:
+        assert [type(c.values) for c in attached.columns] == [memoryview, memoryview]
+        assert repr(attached.to_rows()) == repr(table.to_rows())
+        assert attached.fingerprint() == table.fingerprint()
+    finally:
+        del attached
+        attachment.close()
+
+    mixed = gathered_column("i", [np.array([1, 2]), [True, 3]], [np.array([1, 2]), None])
+    assert type(mixed.values) is list and repr(mixed.values) == "[1, 2, 2, True, 3]"
+    assert mixed.dtype == INT
+    empty = gathered_column("i", [np.array([], dtype=np.int64)], [None])
+    assert empty.values == [] and empty.dtype == Column("i", []).dtype
