@@ -13,11 +13,11 @@ and Suciu.  The package provides:
   (:mod:`repro.workloads`) and an experiment harness regenerating every
   figure of the evaluation (:mod:`repro.experiments`),
 * a parallel execution subsystem (:mod:`repro.parallel`: work-stealing
-  pools over shared-memory columns, deadlines/cancellation, fingerprint-
-  keyed context caching) and an asyncio serving layer (:mod:`repro.serve`),
+  pools over shared-memory columns, deadlines/cancellation) and an asyncio
+  serving layer (:mod:`repro.serve`),
 * a front-door query router with admission control (:mod:`repro.router`):
-  ``engine="auto"`` picks the engine and worker count per query from
-  statistics and observed runtimes, and an :class:`AdmissionGate` sheds
+  ``engine="auto"`` picks the engine and worker count per query by a fixed
+  rule over its shape and input size, and an :class:`AdmissionGate` sheds
   load with fast typed rejections instead of slow timeouts,
 * standing queries with incremental view maintenance (:mod:`repro.views`):
   ``db.subscribe(sql)`` seeds a materialized snapshot and folds each
@@ -73,7 +73,6 @@ from repro.errors import AdmissionRejected, DeadlineExceeded, QueryCancelled
 from repro.parallel.cancellation import DeadlineToken
 from repro.router import (
     AdmissionGate,
-    FeedbackStore,
     QueryRouter,
     RoutingDecision,
     classify_sql,
@@ -113,7 +112,6 @@ __all__ = [
     "AsyncDatabase",
     "QueryRouter",
     "RoutingDecision",
-    "FeedbackStore",
     "AdmissionGate",
     "AdmissionRejected",
     "classify_sql",

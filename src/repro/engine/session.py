@@ -13,10 +13,7 @@ entry point example applications use::
 
 from __future__ import annotations
 
-import atexit
-import os
 import threading
-import time
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
@@ -39,6 +36,7 @@ from repro.optimizer.binary_plan import BinaryPlan
 from repro.optimizer.join_order import optimize_query
 from repro.optimizer.statistics import StatisticsCache
 from repro.query.planner import LogicalQuery, Planner
+from repro.router.policy import QueryRouter
 from repro.storage.catalog import Catalog
 from repro.storage.table import Table
 
@@ -98,8 +96,6 @@ class Database:
         freejoin_options: Optional[FreeJoinOptions] = None,
         parallelism: int = 1,
         parallel_mode: str = "auto",
-        router=None,
-        feedback_path=None,
     ) -> None:
         """Create a session.
 
@@ -113,16 +109,8 @@ class Database:
 
         ``default_engine="auto"`` (or ``engine="auto"`` per query) routes
         through the session's :class:`~repro.router.policy.QueryRouter`,
-        which picks engine and worker count per query from statistics and
-        observed runtimes; pass ``router`` to share one router (and its
-        feedback store) across sessions, the way the serving layer does.
-
-        ``feedback_path`` makes the router's feedback store durable: the
-        store is loaded from that JSON file on init (a missing file starts
-        cold; a corrupted one falls back to a cold store instead of failing
-        the session) and saved on :meth:`close` and at interpreter exit, so
-        a restarted process routes warm.  Mutually exclusive with passing a
-        pre-built ``router``.
+        which picks engine and worker count per query by a fixed rule over
+        the query's shape and input size.
         """
         check_engine(default_engine)
         if parallelism < 1:
@@ -143,21 +131,7 @@ class Database:
         self._prepared: dict = {}
         self._evicted: dict = {}  # the last keys evicted, as an ordered set
         self._prepared_lock = threading.Lock()
-        self.feedback_path = feedback_path
-        if feedback_path is not None and router is not None:
-            raise QueryError(
-                "pass either a pre-built router or feedback_path, not both: "
-                "a shared router already owns its feedback store"
-            )
-        if router is None:
-            from repro.router.policy import QueryRouter
-
-            if feedback_path is not None:
-                router = QueryRouter(feedback=self._load_feedback(feedback_path))
-                atexit.register(self.save_feedback)
-            else:
-                router = QueryRouter()
-        self.router = router
+        self.router = QueryRouter()
         #: Live standing queries (:meth:`subscribe`); closed with the session.
         self._subscriptions: List["StandingQuery"] = []
         self._change_feed = None
@@ -168,11 +142,10 @@ class Database:
         The work-stealing pools and shared-memory exports are shared by every
         session in the process (that is what makes them persistent), so this
         tears down the *process*'s pools and segments — call it when the last
-        session is done, or rely on the interpreter's atexit hook.  Sessions
-        opened with ``feedback_path`` persist their feedback store first.
-        Once the pools are down and every export is unlinked, the
-        ``multiprocessing`` resource tracker the process pools started is
-        stopped too; the next process pool starts a fresh one.
+        session is done, or rely on the interpreter's atexit hook.  Once the
+        pools are down and every export is unlinked, the ``multiprocessing``
+        resource tracker the process pools started is stopped too; the next
+        process pool starts a fresh one.
         """
         from multiprocessing import resource_tracker
 
@@ -181,44 +154,11 @@ class Database:
 
         for standing in list(self._subscriptions):
             standing.close()
-        if self.feedback_path is not None:
-            self.save_feedback()
-            atexit.unregister(self.save_feedback)
         shutdown_pools()
         shutdown_exports()
         tracker = getattr(resource_tracker, "_resource_tracker", None)
         if tracker is not None and hasattr(tracker, "_stop"):
             tracker._stop()
-
-    @staticmethod
-    def _load_feedback(path):
-        """Load a persisted feedback store; any damage means a cold start.
-
-        A serving process must come up even when its feedback file was
-        truncated by a crash or hand-edited into invalid JSON — routing
-        quality degrades to cold-start, correctness does not.
-        """
-        from repro.router.feedback import FeedbackStore
-
-        if not os.path.exists(path):
-            return FeedbackStore()
-        try:
-            return FeedbackStore.load(path)
-        except (OSError, ValueError, KeyError, TypeError, QueryError):
-            return FeedbackStore()
-
-    def save_feedback(self) -> None:
-        """Persist the router's feedback store to ``feedback_path``.
-
-        A no-op for sessions without a path.  Best-effort at interpreter
-        exit: a failed write must not turn a clean shutdown into a crash.
-        """
-        if self.feedback_path is None:
-            return
-        try:
-            self.router.feedback.save(self.feedback_path)
-        except OSError:
-            pass
 
     def __enter__(self) -> "Database":
         return self
@@ -267,9 +207,8 @@ class Database:
 
         ``options.engine="auto"`` routes through the session's
         :class:`~repro.router.policy.QueryRouter`: engine and worker count
-        are chosen per query (statistics cold, observed runtimes warm), the
-        decision lands under ``report.details["router"]``, and the
-        completed wall-clock is fed back to the router.
+        are chosen per query by the router's rule, and the decision lands
+        under ``report.details["router"]``.
         ``options.parallelism`` overrides both the session default and the
         router's worker choice, on every engine.
         """
@@ -287,8 +226,8 @@ class Database:
         """Plan, optimize and route ``sql``; the one resolution of ``opts``.
 
         Returns ``(logical, binary_plan, run)``.  ``run(deadline, sink=None)``
-        executes the join through :meth:`run_join`, feeds a routed query's
-        wall-clock back to the router and stamps the decision under
+        executes the join through :meth:`run_join`, counts a routed query's
+        completion in the router's telemetry and stamps the decision under
         ``report.details["router"]``; :meth:`execute` calls it at once,
         :meth:`execute_iter` on its producer thread.
 
@@ -357,7 +296,6 @@ class Database:
             workers = opts.parallelism
 
         def run(deadline, sink=None) -> RunReport:
-            started = time.perf_counter()
             report = self.run_join(
                 logical,
                 binary_plan,
@@ -368,7 +306,7 @@ class Database:
                 parallelism=workers,
             )
             if decision is not None:
-                self.router.observe(decision, time.perf_counter() - started)
+                self.router.observe(decision)
                 report.details["router"] = decision.as_dict()
             report.details["prepared"] = prepared
             return report
@@ -622,7 +560,7 @@ class Database:
         to a table it depends on refreshes the snapshot through the
         session's change feed — incrementally, by folding only the delta
         rows through the partial-aggregate plane, whenever the query shape
-        allows (residual-free single-table and star-shaped aggregates);
+        allows (single-table and star-shaped aggregates, filtered or not);
         everything else falls back to re-execution with a recorded
         ``ivm-fallback`` reason.  Group-delta batches are pushed to the
         returned :class:`~repro.views.StandingQuery`'s bounded queue

@@ -244,9 +244,8 @@ def execute_workload(
     composes with inter-query concurrency — up to ``max_workers`` queries
     share the session's steal pool — so size accordingly.
 
-    ``engine="auto"`` routes each query through the session's router, which
-    learns from every completion; per-query routing decisions land on
-    :attr:`QueryExecution.router`.
+    ``engine="auto"`` routes each query through the session's router;
+    per-query routing decisions land on :attr:`QueryExecution.router`.
     """
     normalized = normalize_queries(queries)
     # Resolve the engine label up front so a failed query's record names the

@@ -1,24 +1,16 @@
 """Front-door query routing and admission control (the serving brain).
 
-Five PRs of machinery — three engines, a work-stealing scheduler, streaming
-sinks, an async serving layer — still left every caller hand-picking
-``engine=``/``parallelism=`` per query.  This package closes the loop the way
-learned routers like BRAD do: decide *per query* from what the system already
-knows, and keep deciding better as observations accumulate.
-
-* :mod:`repro.router.features` — the per-query feature vector: estimated
+* :mod:`repro.router.features` — the per-query feature vector: input
   cardinalities (from :mod:`repro.optimizer.statistics`), the optimizer's
-  cost estimate, query shape (acyclic/cyclic via GYO reduction), output
-  selectivity, and table fingerprints (for cache-warmth detection).
-* :mod:`repro.router.feedback` — :class:`FeedbackStore`, an EWMA of observed
-  wall-clock per ``engine x shape-bucket``, persisted/restorable as JSON so
-  a restarted server keeps its learned preferences.
-* :mod:`repro.router.policy` — :class:`QueryRouter`: statistics-only
-  heuristics cold, feedback-driven argmin warm (with seeded epsilon-greedy
-  exploration so decisions stay deterministic under a fixed seed), plus
-  worker-count selection.  Opt in per session or per query with
-  ``engine="auto"``; every routed run reports its decision under
-  ``RunReport.details["router"]``.
+  cost estimate, query shape (acyclic/cyclic via GYO reduction) and whether
+  the output is a bare count.
+* :mod:`repro.router.policy` — :class:`QueryRouter`: a stateless rule that
+  picks engine and worker count from those features (cyclic → Free Join;
+  small acyclic count-only → binary join; otherwise Free Join; parallel
+  workers from input size).  The paper's point is that one plan space
+  covers binary and Generic Join, so the choice needs no learned model.
+  Opt in per session or per query with ``engine="auto"``; every routed run
+  reports its decision under ``RunReport.details["router"]``.
 * :mod:`repro.router.admission` — :class:`AdmissionGate`: a token-bucket /
   bounded-outstanding admission controller with per-class (point vs.
   analytic) concurrency limits and queue-depth-aware worker sizing.  Under
@@ -30,13 +22,11 @@ knows, and keep deciding better as observations accumulate.
 
 from repro.router.admission import AdmissionGate, AdmissionTicket, classify_sql
 from repro.router.features import QueryFeatures, extract_features
-from repro.router.feedback import FeedbackStore
 from repro.router.policy import QueryRouter, RoutingDecision
 
 __all__ = [
     "AdmissionGate",
     "AdmissionTicket",
-    "FeedbackStore",
     "QueryFeatures",
     "QueryRouter",
     "RoutingDecision",

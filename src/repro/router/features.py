@@ -12,18 +12,13 @@ same price ``optimize_query`` already charges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from dataclasses import asdict, dataclass
+from typing import Dict, Optional
 
 from repro.optimizer.binary_plan import BinaryPlan
 from repro.optimizer.statistics import StatisticsCache, collect_statistics
 from repro.query.hypergraph import Hypergraph
 from repro.query.planner import LogicalQuery
-
-#: Atom-count cut between "small" and "large" shape buckets.
-SMALL_ATOMS = 3
-#: Input-row cut between "small" and "large" shape buckets (total rows).
-SMALL_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -40,41 +35,12 @@ class QueryFeatures:
     estimated_cost: float
     #: ``"acyclic"`` or ``"cyclic"`` (GYO reduction of the query hypergraph).
     shape: str
-    #: Whether the SELECT list aggregates (COUNT/SUM/... or GROUP BY).
-    aggregate: bool
     #: Whether the cheapest sink is selective (count-only output).
     count_only: bool
-    #: Content fingerprints of the input tables (cache-warmth signal).
-    fingerprints: Tuple[str, ...] = ()
-
-    def shape_bucket(self) -> str:
-        """The coarse bucket feedback is keyed on, e.g. ``"cyclic:small:agg"``.
-
-        Buckets trade precision for sample efficiency: a handful of completed
-        queries per bucket is enough to rank engines, and queries of the same
-        shape/size class genuinely prefer the same engine (the paper's
-        cyclic-vs-acyclic split is the dominant axis).
-        """
-        size = (
-            "small"
-            if self.atoms <= SMALL_ATOMS and self.total_rows <= SMALL_ROWS
-            else "large"
-        )
-        kind = "agg" if self.aggregate else "rows"
-        return f"{self.shape}:{size}:{kind}"
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-ready view (fingerprints summarized, not dumped)."""
-        return {
-            "atoms": self.atoms,
-            "total_rows": self.total_rows,
-            "max_rows": self.max_rows,
-            "estimated_cost": self.estimated_cost,
-            "shape": self.shape,
-            "aggregate": self.aggregate,
-            "count_only": self.count_only,
-            "bucket": self.shape_bucket(),
-        }
+        """JSON-ready view."""
+        return asdict(self)
 
 
 def extract_features(
@@ -96,9 +62,5 @@ def extract_features(
         max_rows=max(row_counts, default=0),
         estimated_cost=float(binary_plan.estimated_cost),
         shape="acyclic" if Hypergraph.of_query(query).is_acyclic() else "cyclic",
-        aggregate=logical.has_aggregates() or bool(logical.group_by),
         count_only=count_only,
-        fingerprints=tuple(
-            sorted(atom.table.fingerprint() for atom in query.atoms)
-        ),
     )

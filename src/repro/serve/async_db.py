@@ -38,9 +38,10 @@ Two more serving-layer pieces compose with the pool:
   query gets a proportionally smaller intra-query worker slice — a cap on
   what the router may choose and the default for unrouted queries; an
   explicit ``ExecOptions.parallelism`` is not capped.
-* **routing** — ``engine="auto"`` requests served concurrently all train
-  (and consult) the wrapped database's one
-  :class:`~repro.router.policy.QueryRouter`.
+* **routing** — ``engine="auto"`` requests served concurrently all go
+  through the wrapped database's one
+  :class:`~repro.router.policy.QueryRouter`, a stateless rule, so a
+  request's route never depends on what else is in flight.
 """
 
 from __future__ import annotations
@@ -76,10 +77,7 @@ class AsyncDatabase:
     database:
         The session to serve.  When omitted, a fresh :class:`Database` is
         created from ``db_options`` (which are forwarded verbatim, e.g.
-        ``parallelism=4, parallel_mode="process"``, or
-        ``feedback_path="router.json"`` to serve with a durable feedback
-        store — :meth:`close` persists it even when the underlying
-        database stays open).
+        ``parallelism=4, parallel_mode="process"``).
     max_concurrency:
         Size of the worker thread pool — the hard cap on queries executing
         simultaneously.  ``gather_many`` can bound itself further per call.
@@ -132,10 +130,6 @@ class AsyncDatabase:
         # Waiting would block the event loop; threads drain in the
         # background, and cancelled queries unwind at their next token check.
         self._executor.shutdown(wait=False)
-        # What the router learned while serving survives the server even if
-        # the session object lives on (Database.close saves again — saving
-        # is idempotent).
-        self.database.save_feedback()
         if close_database:
             await asyncio.get_running_loop().run_in_executor(
                 None, self.database.close

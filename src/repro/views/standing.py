@@ -5,8 +5,8 @@ plans its SQL once, decides a *maintenance mode* from the query shape, runs
 the query once to seed a snapshot, and from then on refreshes the snapshot
 on every append the session's :class:`~repro.views.feed.ChangeFeed` reports:
 
-``delta`` mode — residual-free aggregate queries whose group key is
-selected.  The snapshot lives as a
+``delta`` mode — aggregate queries whose group key is selected.  The
+snapshot lives as a
 :class:`~repro.engine.aggregates.GroupedAggregateState` and each append
 folds **only the delta rows** through the same
 :func:`~repro.engine.aggregates.fold_join_result` fold ``execute()``'s
@@ -19,12 +19,13 @@ to re-running the query.  Two delta paths exist:
 * ``delta-join`` — star-shaped joins (one atom carries every join variable)
   and filtered single-table queries run the *same SQL* on a scratch session
   whose catalog maps the appended table to just the delta rows; because
-  inner joins are linear in each input under appends, folding that delta
-  join result is exactly the view delta.
+  inner joins and filters (residual predicates included) are linear in each
+  input under appends, folding that delta join result is exactly the view
+  delta.
 
 ``reexec`` mode — everything else (non-aggregate queries, LEFT JOINs,
-residual predicates, HAVING/ORDER/LIMIT/DISTINCT, self-joins, cyclic join
-shapes, group keys missing from the SELECT list).  Each append re-runs the
+HAVING/ORDER/LIMIT/DISTINCT, self-joins, cyclic join shapes, group keys
+missing from the SELECT list).  Each append re-runs the
 query on the live session and delivers the change; the reason is recorded as
 the ``ivm-fallback`` in :meth:`StandingQuery.stats` and under
 ``report.details["ivm"]``.
@@ -89,8 +90,6 @@ def _maintenance_mode(
         return (REEXEC, None, "non-aggregate")
     if logical.left_joins:
         return (REEXEC, None, "left-join")
-    if logical.residual_predicates:
-        return (REEXEC, None, "residual-predicates")
     if logical.needs_final_pass():
         return (REEXEC, None, "final-pass")
     try:

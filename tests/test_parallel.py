@@ -397,7 +397,7 @@ def test_execute_many_shares_the_session():
 
 def test_execute_many_loses_no_shared_session_update(star_database):
     """More threads than cores, switching as often as the interpreter can:
-    every query's prepared entry and router observation must survive."""
+    every query's prepared entry and router count must survive."""
     queries = [
         (f"q{i}", f"SELECT COUNT(*) FROM fact, dim_one WHERE fact.k = dim_one.k AND fact.a < {i}")
         for i in range(24)
@@ -416,9 +416,8 @@ def test_execute_many_loses_no_shared_session_update(star_database):
     assert outcome.all_ok(), [e.error for e in outcome.executions]
     assert {e.name: e.rows for e in outcome.executions} == expected
     assert len(database._prepared) == len(queries)
-    assert database.router.telemetry()["observed"] == len(queries)
-    entries = database.router.feedback.as_dict()["entries"]
-    assert sum(entry["observations"] for entry in entries) == len(queries)
+    telemetry = database.router.telemetry()
+    assert telemetry["routed"] == telemetry["observed"] == len(queries)
 
 
 def test_execute_many_captures_errors_per_query(star_database):

@@ -398,7 +398,7 @@ def test_a_stream_broken_off_after_one_batch_leaves_a_valid_entry():
 
 def test_appends_beside_routed_reads_miss_on_the_appended_table_only():
     """The ``append_serve`` shape: standing queries live, every read routed.
-    Routing is not cached — the router decides and observes on every call."""
+    Routing is not cached — the router decides and counts on every call."""
     session = Session(seed=5)
     standing = session.database.subscribe(QUERIES["grouped"])
     assert (standing.mode, standing.delta_path) == ("delta", "delta-join")

@@ -1,17 +1,15 @@
 """Tests for the front-door query router and admission control.
 
-The acceptance bar from the router tentpole: routing is deterministic under
-a fixed seed (cold statistics-only heuristics, then warm EWMA argmin with
-seeded exploration); ``engine="auto"`` produces results identical to every
-explicit engine; the admission gate rejects fast with typed reasons,
-enforces per-class limits without cross-class starvation, and its feedback
-store round-trips through JSON.
+Routing is a stateless rule over the query's features: the same query
+routes the same way whatever ran before it, and ``engine="auto"`` produces
+results identical to every explicit engine.  The admission gate rejects
+fast with typed reasons and enforces per-class limits without cross-class
+starvation.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 
 import pytest
 
@@ -22,7 +20,6 @@ from repro.optimizer.join_order import optimize_query
 from repro.query.planner import Planner
 from repro.router import (
     AdmissionGate,
-    FeedbackStore,
     QueryRouter,
     classify_sql,
     extract_features,
@@ -30,12 +27,18 @@ from repro.router import (
 from repro.router.admission import ANALYTIC, POINT
 from repro.serve import AsyncDatabase
 from repro.storage.table import Table
+from repro.workloads.job import generate_job_workload
+from repro.workloads.lsqb import generate_lsqb_workload
 
 ACYCLIC_COUNT_SQL = "SELECT COUNT(*) FROM r, s WHERE r.b = s.b"
 ACYCLIC_ROWS_SQL = "SELECT r.a, s.c FROM r, s WHERE r.b = s.b"
 TRIANGLE_SQL = (
     "SELECT COUNT(*) FROM r, s, t "
     "WHERE r.b = s.b AND s.c = t.c AND t.a = r.a"
+)
+FOUR_ATOM_COUNT_SQL = (
+    "SELECT COUNT(*) FROM r, s, t, r AS r2 "
+    "WHERE r.b = s.b AND s.c = t.c AND t.a = r2.a"
 )
 
 
@@ -75,13 +78,12 @@ def test_extract_features_shapes(triangle_db):
     assert features.shape == "cyclic"
     assert features.atoms == 3
     assert features.count_only
-    assert len(features.fingerprints) == 3
+    assert features.total_rows == 12
 
     logical, plan = _plan(triangle_db, ACYCLIC_ROWS_SQL)
     features = extract_features(logical, plan)
     assert features.shape == "acyclic"
     assert not features.count_only
-    assert features.shape_bucket() == "acyclic:small:rows"
 
 
 def test_classify_sql_point_vs_analytic():
@@ -95,115 +97,110 @@ def test_classify_sql_point_vs_analytic():
 
 
 # --------------------------------------------------------------------------- #
-# Cold vs warm routing policy
+# The routing rule
 # --------------------------------------------------------------------------- #
 
 
-def test_cold_routing_follows_statistics(triangle_db):
-    router = QueryRouter(explore=0.0)
-    logical, plan = _plan(triangle_db, TRIANGLE_SQL)
-    decision = router.route(
+@pytest.mark.parametrize(
+    "sql, engine, reason",
+    [
+        (TRIANGLE_SQL, "freejoin", "cyclic"),
+        (ACYCLIC_COUNT_SQL, "binary", "small-count"),
+        (ACYCLIC_ROWS_SQL, "freejoin", "default"),
+        (FOUR_ATOM_COUNT_SQL, "freejoin", "default"),
+        (
+            "SELECT COUNT(*) FROM r, s, t WHERE r.b = s.b AND s.c = t.c",
+            "binary",
+            "small-count",
+        ),
+        (
+            "SELECT COUNT(*) FROM r, s WHERE r.b = s.b AND r.a < s.c",
+            "freejoin",
+            "default",
+        ),
+        (
+            "SELECT r.a, COUNT(*) FROM r, s WHERE r.b = s.b GROUP BY r.a",
+            "freejoin",
+            "default",
+        ),
+    ],
+    ids=[
+        "cyclic",
+        "small-acyclic-count",
+        "acyclic-rows",
+        "four-atom-count",
+        "three-atom-chain-count",
+        "residual-count",
+        "grouped-count",
+    ],
+)
+def test_routing_rule_table(triangle_db, sql, engine, reason):
+    logical, plan = _plan(triangle_db, sql)
+    decision = QueryRouter().route(
         logical, plan, statistics_cache=triangle_db.statistics_cache
     )
-    assert decision.reason == "cold"
-    assert decision.engine == "freejoin", "cyclic queries go worst-case optimal"
-
-    logical, plan = _plan(triangle_db, ACYCLIC_COUNT_SQL)
-    decision = router.route(logical, plan)
-    assert decision.reason == "cold"
-    assert decision.engine == "binary", "small acyclic counts skip the trie build"
+    assert (decision.engine, decision.reason) == (engine, reason)
+    assert decision.parallelism == 1
 
 
-def test_warm_routing_prefers_observed_fastest(triangle_db):
-    feedback = FeedbackStore()
-    router = QueryRouter(feedback, explore=0.0)
-    logical, plan = _plan(triangle_db, ACYCLIC_COUNT_SQL)
-    bucket = router.route(logical, plan).bucket
+def test_routing_does_not_depend_on_history(triangle_db):
+    """A decision is a function of the query: 20 routed runs that landed on
+    other engines leave the next decision exactly as a fresh session makes
+    it."""
+    fresh = Database(triangle_db.catalog, default_engine=AUTO_ENGINE)
+    expected = fresh.execute(ACYCLIC_COUNT_SQL).report.details["router"]
+    assert expected["engine"] == "binary"
 
-    feedback.record(bucket, "freejoin", 0.010)
-    feedback.record(bucket, "binary", 0.050)
-    decision = router.route(logical, plan)
-    assert decision.reason == "warm"
-    assert decision.engine == "freejoin"
-    assert decision.expected_seconds == pytest.approx(0.010)
-
-    # Enough faster observations flip the preference: EWMA tracks drift.
-    for _ in range(20):
-        feedback.record(bucket, "binary", 0.001)
-    assert router.route(logical, plan).engine == "binary"
-
-
-def test_routing_is_deterministic_under_fixed_seed(triangle_db):
-    logical, plan = _plan(triangle_db, ACYCLIC_COUNT_SQL)
-
-    def decision_sequence(seed):
-        feedback = FeedbackStore()
-        router = QueryRouter(feedback, explore=0.5, seed=seed)
-        sequence = []
-        for _ in range(12):
-            decision = router.route(logical, plan)
-            sequence.append((decision.engine, decision.reason))
-            router.observe(decision, 0.01)
-        return sequence
-
-    assert decision_sequence(7) == decision_sequence(7)
-    assert {reason for _, reason in decision_sequence(7)} >= {"cold"}
+    busy = Database(triangle_db.catalog, default_engine=AUTO_ENGINE)
+    for i in range(20):
+        outcome = busy.execute((TRIANGLE_SQL, ACYCLIC_ROWS_SQL)[i % 2])
+        assert outcome.report.details["router"]["engine"] == "freejoin"
+    assert busy.execute(ACYCLIC_COUNT_SQL).report.details["router"] == expected
+    telemetry = busy.router.telemetry()
+    assert telemetry["routed"] == telemetry["observed"] == 21
+    assert telemetry["by_engine"] == {"freejoin": 20, "binary": 1}
 
 
-def test_exploration_probes_less_observed_engines(triangle_db):
-    feedback = FeedbackStore()
-    router = QueryRouter(feedback, explore=1.0, seed=0)
-    logical, plan = _plan(triangle_db, ACYCLIC_COUNT_SQL)
-    bucket = router.route(logical, plan).bucket
-    feedback.record(bucket, "binary", 0.001)
-    decision = router.route(logical, plan)
-    assert decision.reason == "explore"
-    assert decision.engine != "binary", "exploration probes what it has not seen"
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: generate_job_workload(scale=0.03, seed=13),
+        lambda: generate_lsqb_workload(scale_factor=0.05, seed=17),
+    ],
+    ids=["job", "lsqb"],
+)
+def test_bundled_workload_queries_route_to_freejoin(generate):
+    """Every bundled JOB-like and LSQB query routes to Free Join: the JOB
+    queries return rows, and each LSQB count is cyclic or joins four or more
+    tables.  This is the engine the learned router's cold start picked for
+    each of them too."""
+    workload = generate()
+    database = Database(workload.catalog)
+    for query in workload.queries:
+        outcome = database.execute(query.sql, options=ExecOptions(engine="auto"))
+        assert outcome.report.details["router"]["engine"] == "freejoin", query.name
 
 
-def test_router_worker_choice_uses_size_and_warmth(triangle_db):
-    router = QueryRouter(explore=0.0, parallel_row_threshold=10)
+def test_router_and_session_take_no_routing_knobs():
+    with pytest.raises(TypeError):
+        QueryRouter(explore=0.0)
+    with pytest.raises(TypeError):
+        Database(router=QueryRouter())
+    with pytest.raises(TypeError):
+        Database(feedback_path="router.json")
+
+
+def test_router_worker_choice_uses_input_size(triangle_db):
+    router = QueryRouter()
+    router.parallel_row_threshold = 10
     logical, plan = _plan(triangle_db, ACYCLIC_ROWS_SQL)
 
     # Serial session: always 1.
     assert router.route(logical, plan, max_workers=1).parallelism == 1
     # 8 input rows < threshold 10: stays serial even with workers available.
     assert router.route(logical, plan, max_workers=4).parallelism == 1
-    # Fully warm fingerprints halve the threshold (10 -> 5 <= 8 rows).
-    router.observe(router.route(logical, plan), 0.01)
-    decision = router.route(logical, plan, max_workers=4)
-    assert decision.warm_fraction == 1.0
-    assert decision.parallelism == 4
-
-
-def test_feedback_store_json_round_trip(tmp_path):
-    store = FeedbackStore(alpha=0.5)
-    store.record("acyclic:small:agg", "binary", 0.02)
-    store.record("acyclic:small:agg", "binary", 0.04)
-    store.record("cyclic:large:rows", "freejoin", 1.5)
-
-    clone = FeedbackStore.from_json(store.to_json())
-    assert clone.alpha == 0.5
-    assert clone.expected_seconds("acyclic:small:agg", "binary") == pytest.approx(
-        store.expected_seconds("acyclic:small:agg", "binary")
-    )
-    assert clone.observations("acyclic:small:agg", "binary") == 2
-    assert clone.best_engine("cyclic:large:rows") == "freejoin"
-
-    path = tmp_path / "feedback.json"
-    store.save(path)
-    restored = FeedbackStore.load(path)
-    assert restored.as_dict() == store.as_dict()
-    json.loads(store.to_json())  # valid JSON, not just repr
-
-
-def test_router_rejects_bad_configuration():
-    with pytest.raises(QueryError):
-        QueryRouter(explore=1.5)
-    with pytest.raises(QueryError):
-        FeedbackStore(alpha=0.0)
-    with pytest.raises(QueryError):
-        FeedbackStore().record("b", "freejoin", -1.0)
+    router.parallel_row_threshold = 8
+    assert router.route(logical, plan, max_workers=4).parallelism == 4
 
 
 # --------------------------------------------------------------------------- #
@@ -237,7 +234,7 @@ def test_auto_engine_default_and_validation(triangle_db):
         triangle_db.execute(ACYCLIC_COUNT_SQL, options=ExecOptions(engine="vectorwise"))
 
 
-def test_auto_engine_streams_and_learns(triangle_db):
+def test_auto_engine_streams_and_counts(triangle_db):
     stream = triangle_db.execute_iter(
         ACYCLIC_ROWS_SQL, options=ExecOptions(engine="auto", batch_rows=2)
     )
@@ -386,76 +383,6 @@ def test_async_database_without_gate_admits_everything(triangle_db):
             return outcome.scalar()
 
     assert asyncio.run(main()) == triangle_db.execute(ACYCLIC_COUNT_SQL).scalar()
-
-
-# --------------------------------------------------------------------------- #
-# Durable feedback: feedback_path on Database / AsyncDatabase
-# --------------------------------------------------------------------------- #
-
-
-def test_feedback_path_persists_and_reloads(tmp_path, triangle_db):
-    """What one session's router learned, the next session starts with."""
-    path = tmp_path / "feedback.json"
-    first = Database(triangle_db.catalog, feedback_path=str(path))
-    first.execute(ACYCLIC_COUNT_SQL, options=ExecOptions(engine="auto"))
-    learned = first.router.feedback.as_dict()
-    assert learned["entries"], "the routed query must have been observed"
-    first.close()  # saves
-
-    assert path.exists()
-    second = Database(triangle_db.catalog, feedback_path=str(path))
-    assert second.router.feedback.as_dict() == learned
-    second.close()
-
-
-def test_feedback_path_missing_file_starts_cold(tmp_path):
-    database = Database(feedback_path=str(tmp_path / "never_written.json"))
-    assert database.router.feedback.as_dict()["entries"] == []
-    database.close()
-    # close() persisted the (empty) store, so the next start-up reads it.
-    assert (tmp_path / "never_written.json").exists()
-
-
-def test_feedback_path_corrupted_file_falls_back_to_cold_store(tmp_path):
-    """Regression: a truncated/hand-mangled feedback file must not fail the
-    session — routing degrades to cold-start and the file is rewritten
-    valid on close."""
-    path = tmp_path / "feedback.json"
-    path.write_text('{"alpha": 0.3, "entries": [{"bucket"')  # crash artifact
-    database = Database(feedback_path=str(path))
-    assert database.router.feedback.as_dict()["entries"] == []
-    database.close()
-    restored = FeedbackStore.load(str(path))  # valid JSON again
-    assert restored.as_dict()["entries"] == []
-
-    # Structurally valid JSON with a broken payload falls back too.
-    path.write_text(json.dumps({"alpha": "not a number"}))
-    database = Database(feedback_path=str(path))
-    assert database.router.feedback.as_dict()["entries"] == []
-    database.close()
-
-
-def test_feedback_path_conflicts_with_prebuilt_router(tmp_path):
-    with pytest.raises(QueryError):
-        Database(
-            router=QueryRouter(),
-            feedback_path=str(tmp_path / "feedback.json"),
-        )
-
-
-def test_async_database_close_persists_feedback(tmp_path, triangle_db):
-    path = tmp_path / "feedback.json"
-
-    async def main():
-        async with AsyncDatabase(
-            catalog=triangle_db.catalog, feedback_path=str(path)
-        ) as server:
-            outcome = await server.execute(ACYCLIC_COUNT_SQL, options=ExecOptions(engine="auto"))
-            return outcome.scalar()
-
-    assert asyncio.run(main()) == triangle_db.execute(ACYCLIC_COUNT_SQL).scalar()
-    # close() ran on __aexit__ without close_database: the file is there.
-    assert FeedbackStore.load(str(path)).as_dict()["entries"]
 
 
 # --------------------------------------------------------------------------- #

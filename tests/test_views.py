@@ -7,8 +7,9 @@ The acceptance bar from the IVM tentpole:
   **byte-identical** to re-running ``execute()`` (randomized bursts fuzzed
   with hypothesis), on both delta paths (scan and delta-join) and on the
   re-execution fallback;
-* join queries the delta planner cannot maintain fall back to re-execution
-  with a recorded ``ivm-fallback`` reason in telemetry;
+* residual-filtered star aggregates maintain by delta join, and join
+  queries the delta planner cannot maintain fall back to re-execution with
+  a recorded ``ivm-fallback`` reason in telemetry;
 * deliveries ride the bounded streaming queue: one group-delta batch per
   append (the seed is read via ``snapshot()`` — delta batches upsert by
   group key, so the snapshot-then-stream handoff cannot drop a group);
@@ -50,6 +51,10 @@ STAR_SQL = (
     "SELECT fact.k, SUM(dim.w) FROM fact, dim WHERE fact.d = dim.d "
     "GROUP BY fact.k"
 )
+RESIDUAL_STAR_SQL = (
+    "SELECT fact.k, COUNT(*), SUM(fact.v) FROM fact, dim "
+    "WHERE fact.d = dim.d AND fact.v < dim.w GROUP BY fact.k"
+)
 
 
 def assert_snapshot_parity(db: Database, standing: StandingQuery, sql: str):
@@ -82,11 +87,8 @@ def test_mode_selection_and_fallback_reasons():
             "delta", "delta-join", None,
         ),
         STAR_SQL: ("delta", "delta-join", None),
+        RESIDUAL_STAR_SQL: ("delta", "delta-join", None),
         "SELECT * FROM fact": ("reexec", None, "non-aggregate"),
-        "SELECT fact.k, COUNT(*) FROM fact, dim WHERE fact.d = dim.d "
-        "AND fact.v < dim.w GROUP BY fact.k": (
-            "reexec", None, "residual-predicates",
-        ),
         "SELECT fact.k, SUM(fact.v) FROM fact GROUP BY fact.k "
         "ORDER BY fact.k LIMIT 2": ("reexec", None, "final-pass"),
         "SELECT a.k, COUNT(*) FROM fact AS a, fact AS b WHERE a.d = b.d "
@@ -132,16 +134,19 @@ def test_scan_path_folds_only_delta_rows():
     db.close()
 
 
-def test_delta_join_parity_across_both_tables():
+@pytest.mark.parametrize("sql", [STAR_SQL, RESIDUAL_STAR_SQL], ids=["star", "residual-star"])
+def test_delta_join_parity_across_both_tables(sql):
     db = star_db()
-    standing = db.subscribe(STAR_SQL)
+    standing = db.subscribe(sql)
     fact = db.catalog.get("fact")
     dim = db.catalog.get("dim")
-    fact.append_rows([(3, 30, 1), (1, 10, 1)])
-    assert_snapshot_parity(db, standing, STAR_SQL)
+    # v=500 fails the residual's fact.v < dim.w; a filter is linear under
+    # appends, so the delta run drops it before the fold.
+    fact.append_rows([(3, 30, 1), (1, 10, 1), (5, 30, 500)])
+    assert_snapshot_parity(db, standing, sql)
     dim.append_rows([(40, 400)])
     fact.append_rows([(4, 40, 1)])
-    assert_snapshot_parity(db, standing, STAR_SQL)
+    assert_snapshot_parity(db, standing, sql)
     stats = standing.stats()
     assert stats["deltas_folded"] == 3
     assert stats["reexecutions"] == 0
@@ -203,18 +208,19 @@ def test_count_star_only_standing_query():
 def test_join_fallback_stays_snapshot_identical_with_recorded_reason():
     db = star_db()
     sql = (
-        "SELECT fact.k, COUNT(*) FROM fact, dim WHERE fact.d = dim.d "
-        "AND fact.v < dim.w GROUP BY fact.k"
+        "SELECT a.k, COUNT(*) FROM fact AS a, fact AS b WHERE a.d = b.d "
+        "GROUP BY a.k"
     )
     standing = db.subscribe(sql)
-    db.catalog.get("fact").append_rows([(7, 10, 1), (1, 20, 2)])
+    db.catalog.get("fact").append_rows([(7, 30, 1), (1, 30, 2)])
     assert_snapshot_parity(db, standing, sql)
     stats = standing.stats()
-    assert stats["fallback_reason"] == "residual-predicates"
-    assert stats["fallbacks"] == {"residual-predicates": 1}
+    assert stats["fallback_reason"] == "self-join"
+    assert stats["fallbacks"] == {"self-join": 1}
     assert stats["reexecutions"] == 1
     assert standing.last_report.details["ivm"]["event"] == "reexec"
-    # Keyed diff delivery: only changed/new groups are delivered.
+    # Keyed diff delivery: only changed/new groups are delivered (k=2 joins
+    # only d=20 rows, which the append did not touch).
     batches = standing.pending_deltas()
     keys = {row[0] for batch in batches for row in batch}
     assert keys == {7, 1}
@@ -241,9 +247,13 @@ def test_join_fallback_stays_snapshot_identical_with_recorded_reason():
         min_size=1,
         max_size=4,
     ),
-    sql=st.sampled_from([SCAN_SQL, STAR_SQL]),
+    dim_row=st.tuples(
+        st.sampled_from([10, 20, 30, 40, 50]),
+        st.integers(min_value=-5, max_value=5),
+    ),
+    sql=st.sampled_from([SCAN_SQL, STAR_SQL, RESIDUAL_STAR_SQL]),
 )
-def test_randomized_append_bursts_keep_parity(bursts, sql):
+def test_randomized_append_bursts_keep_parity(bursts, dim_row, sql):
     db = star_db()
     standing = db.subscribe(sql)
     fact = db.catalog.get("fact")
@@ -251,6 +261,9 @@ def test_randomized_append_bursts_keep_parity(bursts, sql):
         for burst in bursts:
             fact.append_rows(burst)
             assert_snapshot_parity(db, standing, sql)
+        db.catalog.get("dim").append_rows([dim_row])
+        assert_snapshot_parity(db, standing, sql)
+        assert standing.stats()["reexecutions"] == 0
     finally:
         standing.close()
         db.close()
