@@ -8,7 +8,9 @@ produces its rows*: the final pipeline decodes only the variables the query
 reads after the join
 (:meth:`~repro.query.planner.LogicalQuery.needed_variables`) and its sink is
 chosen by :func:`output_mode` — a count, the folding
-:class:`PartialAggregateSink`, or materialized rows.
+:class:`PartialAggregateSink`, or materialized rows — whatever residual
+predicates or LEFT JOINs the query has: :class:`PostJoinSink` runs those in
+front of the chosen sink.
 
 **The partial-aggregate plane** is what every aggregate folds through:
 
@@ -39,17 +41,19 @@ chosen by :func:`output_mode` — a count, the folding
   over a delivery queue) absorbs.  Its
   :class:`~repro.engine.output.JoinResult` carries the folded state.
 
-**The post-join pass** (:func:`post_join`) is the one place a join result
-becomes a result table, in a fixed order: residual predicates → LEFT OUTER
-JOIN extensions → :func:`aggregate_result` (projection / aggregation /
-group-by) → :func:`finalize_output` (HAVING / DISTINCT / ORDER BY / LIMIT).
-``execute()``, the streaming materialize fallback and standing-query
-re-execution all run it.  For a folded result the aggregation step only
-finalizes the state; aggregates with residual predicates or LEFT JOINs need
-materialized (narrowed) join rows first and are folded here, afterwards.
-Streams that deliver mid-join apply the same compiled residual mask +
-projection (:func:`compile_row_pass`) per batch and the same ORDER BY /
-LIMIT tail (:func:`order_and_limit`) per prune.
+**The post-join sink** (:class:`PostJoinSink`) wraps the final pipeline's
+sink when the query has residual predicates or LEFT JOINs, or when a
+stream's SELECT list is not the layout the join produces: per batch it runs
+the residual mask, then the LEFT OUTER JOIN hash extensions, then hands the
+wrapped sink only the columns it names — so a residual aggregate still
+folds where the join produces its rows, and a stream receives its SELECT
+projection.  :meth:`repro.engine.session.Database.run_join` is the one place
+it is built.  After the join, :func:`post_join` turns the sink's result into
+a result table: :func:`aggregate_result` (projection / aggregation /
+group-by), then :func:`finalize_output` (HAVING / DISTINCT / ORDER BY /
+LIMIT).  ``execute()``, the streaming materialize fallback and
+standing-query re-execution all run it; streams that deliver mid-join apply
+the same ORDER BY / LIMIT tail (:func:`order_and_limit`) per prune.
 
 Every plane folds through one :class:`GroupedAggregateState`, so serial,
 streamed, parallel and incrementally maintained aggregates are equal by
@@ -62,9 +66,9 @@ import threading
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.datatypes import Row, Value
+from repro.datatypes import Row, Value, columns_to_rows
 from repro.engine.output import (
     Factor,
     JoinResult,
@@ -699,125 +703,162 @@ def output_mode(logical: LogicalQuery) -> str:
 
     ``"count"`` for grouping-free ``COUNT(*)``, ``"aggregate"`` (fold in the
     sink, :class:`PartialAggregateSink`) for every other aggregate query,
-    ``"rows"`` otherwise — and for any query whose residual predicates or
-    LEFT JOIN extensions must see materialized join rows first.
+    ``"rows"`` for plain projections.  Residual predicates and LEFT JOINs do
+    not change it: :class:`PostJoinSink` runs them in front of that sink.
     """
-    if logical.residual_predicates or logical.left_joins:
-        return "rows"
     if logical.only_count_star():
         return "count"
     return "aggregate" if logical.has_aggregates() else "rows"
 
 
-def compile_row_pass(
-    logical: LogicalQuery, variables: Sequence[str], project: bool = True
-) -> Optional[Callable]:
-    """Compile the query's residual mask + SELECT projection, once per query.
+class PostJoinSink(OutputSink):
+    """Residual mask, LEFT OUTER JOIN extension and projection, in front of a sink.
 
-    Returns ``row_pass(rows, multiplicities=None) -> (rows, multiplicities)``
-    over rows laid out as ``variables`` — or ``None`` when it would be the
-    identity.  Residual predicates (cross-table, non-equality) become one
-    batch mask (:func:`repro.kernels.predicates.compile_batch_predicate`), so
-    there are no per-row environment dicts; multiplicities, when given, are
-    filtered in step.  Streams apply the closure to every delivered batch;
-    :func:`post_join` applies it once, mask only (``project=False``: the
-    projection waits for the left-outer extension and the aggregation).
+    The final pipeline reports its rows here, laid out as
+    :meth:`~repro.query.planner.LogicalQuery.needed_variables`.  Each batch
+    is masked by the query's residual predicates (compiled once,
+    :func:`~repro.kernels.predicates.compile_batch_predicate`), extended by
+    every :class:`~repro.query.planner.LeftJoinSpec` in FROM-clause order —
+    the core rows probe a hash index of the optional table: one output row
+    per match, in optional-table order, bag multiplicities kept, and one
+    NULL-padded row for an unmatched or NULL-keyed core row — and ``inner``
+    is handed only the columns its :attr:`~OutputSink.variables` name, which
+    for a stream is the SELECT projection.
+
+    It reads every row it is handed, so it never claims ``counts_only`` or
+    ``accepts_factorized``, and it keeps lists (no ``packs_columns``).  Rows
+    reported one at a time (the row paths, which run serially into the final
+    sink) are buffered into batches of ``expand_rows``, the last one flushed
+    by :meth:`result`.  Steal tasks fill the default
+    :class:`~repro.engine.output.FactorizedSink` and the parent replays their
+    batches through this sink (the default :meth:`~OutputSink.absorb`), as
+    each arrives when ``inner`` absorbs on arrival: thread workers may then
+    report concurrently, so the extension counters (:meth:`summary`) sit
+    under a lock.
     """
-    variables = list(variables)
-    mask_batch = compile_batch_predicate(logical.residual_predicates, variables)
-    positions = None
-    if project and not logical.select_star:
-        positions = [variables.index(item.variable) for item in logical.select_items]
-        if positions == list(range(len(variables))):
-            positions = None
-    if mask_batch is None and positions is None:
-        return None
 
-    def row_pass(rows, multiplicities=None):
-        if mask_batch is not None:
-            mask = mask_batch(rows)
-            rows = list(compress(rows, mask))
+    def __init__(self, inner: OutputSink, logical: LogicalQuery) -> None:
+        super().__init__(logical.needed_variables())
+        self.inner = inner
+        self.mode = inner.mode
+        self.absorb_on_arrival = inner.absorb_on_arrival
+        self._mask = compile_batch_predicate(
+            logical.residual_predicates, [f"_var.{var}" for var in self.variables]
+        )
+        layout = list(self.variables)
+        #: Per LEFT JOIN: (spec, key -> matching optional rows, key positions).
+        self._extensions = []
+        for spec in logical.left_joins:
+            index: Dict[Row, List[Row]] = {}
+            for optional_row in spec.table.to_rows():
+                key = tuple(optional_row[column] for _var, column in spec.keys)
+                if None not in key:  # NULL never matches in SQL equality
+                    index.setdefault(key, []).append(optional_row)
+            positions = [layout.index(var) for var, _column in spec.keys]
+            self._extensions.append((spec, index, positions))
+            layout.extend(spec.variables)
+        self._picks = [layout.index(var) for var in inner.variables]
+        self._lock = threading.Lock()
+        self._matched = [0] * len(self._extensions)
+        self._rows_after = [0] * len(self._extensions)
+        self._rows: List[Row] = []
+        self._weights: List[int] = []
+
+    def on_row(self, row: Row, multiplicity: int = 1) -> None:
+        self._rows.append(row)
+        self._weights.append(multiplicity)
+        if len(self._rows) >= self.expand_rows:
+            self._flush_rows()
+
+    def _flush_rows(self) -> None:
+        """Hand the buffered rows on as one batch (keeps arrival order)."""
+        if self._rows:
+            rows, weights = self._rows, self._weights
+            self._rows, self._weights = [], []
+            self._apply(*rows_to_batch(rows, weights))
+
+    def on_rows(self, rows, multiplicities=None) -> None:
+        self.on_batch(*rows_to_batch(rows, multiplicities))
+
+    def on_batch(self, columns, multiplicities=None) -> None:
+        self._flush_rows()
+        self._apply(columns, multiplicities)
+
+    def _apply(self, columns, multiplicities) -> None:
+        """Mask, extend and project one batch into the wrapped sink."""
+        size = len(columns[0]) if columns else len(multiplicities or ())
+        if self._mask is not None and size:
+            keep = self._mask(columns_to_rows(columns) if columns else [()] * size)
+            columns = [list(compress(column, keep)) for column in columns]
             if multiplicities is not None:
-                multiplicities = list(compress(multiplicities, mask))
-        if positions is not None:
-            rows = [tuple(row[p] for p in positions) for row in rows]
-        return rows, multiplicities
+                multiplicities = list(compress(multiplicities, keep))
+            size = sum(keep)
+        if not size:
+            return
+        for position in range(len(self._extensions)):
+            columns, multiplicities = self._extend(position, columns, multiplicities)
+        picked = [columns[p] for p in self._picks]
+        if not picked and multiplicities is None:  # no column carries the row count
+            multiplicities = [1] * len(columns[0])
+        self.inner.on_batch(picked, multiplicities)
 
-    return row_pass
-
-
-def _apply_residuals(result: JoinResult, logical: LogicalQuery) -> JoinResult:
-    """Drop the join rows the query's residual predicates reject."""
-    if not logical.residual_predicates:
-        return result
-    row_pass = compile_row_pass(logical, result.variables, project=False)
-    return JoinResult.from_rows(result.variables, *row_pass(*result.weighted_rows()))
-
-
-def _extend_left_outer(
-    result: JoinResult, logical: LogicalQuery, details: Dict[str, object]
-) -> JoinResult:
-    """Extend the core join result with each LEFT OUTER JOIN table.
-
-    For every :class:`~repro.query.planner.LeftJoinSpec` (in FROM-clause
-    order) the core rows probe a hash index of the optional table: matching
-    optional rows are appended (one output row per match, in optional-table
-    order, preserving bag multiplicities), unmatched or NULL-keyed core rows
-    get one NULL-padded row in place.  One summary per extension lands under
-    ``details["post_join"]``.
-    """
-    variables = list(result.variables)
-    rows, multiplicities = result.weighted_rows()
-    summary = []
-    for spec in logical.left_joins:
-        index: Dict[Row, List[Row]] = {}
-        for optional_row in spec.table.to_rows():
-            key = tuple(optional_row[column] for _var, column in spec.keys)
-            if None not in key:  # NULL never matches in SQL equality
-                index.setdefault(key, []).append(optional_row)
-        key_positions = [variables.index(var) for var, _column in spec.keys]
+    def _extend(self, position: int, columns, multiplicities):
+        """One LEFT JOIN's hash extension of a masked batch."""
+        spec, index, key_positions = self._extensions[position]
         padding = (None,) * len(spec.variables)
-        extended_rows: List[Row] = []
-        extended_multiplicities: List[int] = []
+        take: List[int] = []  # the core row behind each output row
+        optional: List[Row] = []
         matched = 0
-        for row, multiplicity in zip(rows, multiplicities):
-            key = tuple(row[position] for position in key_positions)
+        for row, key in enumerate(zip(*[columns[p] for p in key_positions])):
             matches = None if None in key else index.get(key)
             if matches:
-                matched += multiplicity
-                extended_rows.extend(row + optional_row for optional_row in matches)
-                extended_multiplicities.extend([multiplicity] * len(matches))
+                matched += 1 if multiplicities is None else multiplicities[row]
+                take.extend(repeat(row, len(matches)))
+                optional.extend(matches)
             else:
-                extended_rows.append(row + padding)
-                extended_multiplicities.append(multiplicity)
-        rows, multiplicities = extended_rows, extended_multiplicities
-        variables.extend(spec.variables)
-        summary.append(
-            {
-                "alias": spec.alias,
-                "matched_core_rows": matched,
-                "rows_after": sum(multiplicities),
-            }
-        )
-    details["post_join"] = {"left_joins": summary}
-    return JoinResult.from_rows(variables, rows, multiplicities)
+                take.append(row)
+                optional.append(padding)
+        columns = [[column[row] for row in take] for column in columns]
+        columns += map(list, zip(*optional))
+        if multiplicities is not None:
+            multiplicities = [multiplicities[row] for row in take]
+        after = len(take) if multiplicities is None else sum(multiplicities)
+        with self._lock:
+            self._matched[position] += matched
+            self._rows_after[position] += after
+        return columns, multiplicities
+
+    def summary(self) -> Dict[str, object]:
+        """``details["post_join"]``: one entry per LEFT JOIN extension."""
+        return {
+            "left_joins": [
+                {"alias": spec.alias, "matched_core_rows": matched, "rows_after": after}
+                for (spec, _index, _positions), matched, after in zip(
+                    self._extensions, self._matched, self._rows_after
+                )
+            ]
+        }
+
+    def result(self) -> JoinResult:
+        self._flush_rows()
+        return self.inner.result()
+
+    def stats(self) -> Dict[str, object]:
+        return self.inner.stats()
 
 
 def post_join(
     result: JoinResult, logical: LogicalQuery, details: Dict[str, object]
 ) -> Tuple[JoinResult, Table]:
-    """Everything after the join, in SQL's fixed order.
+    """Everything after the join and its sink, in SQL's fixed order.
 
-    Residual predicates filter the join rows, LEFT OUTER JOIN extensions
-    widen them (``details`` — the run report's — receives their summary),
     :func:`aggregate_result` applies the SELECT list and
-    :func:`finalize_output` HAVING / DISTINCT / ORDER BY / LIMIT.  Returns
-    the post-join :class:`JoinResult` (what the SELECT list saw) and the
-    final table.
+    :func:`finalize_output` HAVING / DISTINCT / ORDER BY / LIMIT; residual
+    predicates and LEFT JOIN extensions already ran in the final pipeline's
+    :class:`PostJoinSink`, which recorded the extensions' summary in
+    ``details`` (the run report's).  Returns the post-join
+    :class:`JoinResult` (what the SELECT list saw) and the final table.
     """
-    result = _apply_residuals(result, logical)
-    if logical.left_joins:
-        result = _extend_left_outer(result, logical, details)
     return result, finalize_output(aggregate_result(result, logical), logical)
 
 
@@ -844,10 +885,9 @@ def _project(result: JoinResult, variables: Sequence[str], labels: Sequence[str]
 
 def _aggregate(result: JoinResult, logical: LogicalQuery) -> Table:
     # An aggregate sink already folded the rows where they were produced;
-    # anything else — a bare count (grouping-free COUNT(*)), the rows of a
-    # residual-filtered or left-outer aggregate, factorized batches — is
-    # folded here, through the same GroupedAggregateState, so every plane
-    # agrees.
+    # anything else — a bare count (grouping-free COUNT(*)), factorized
+    # batches — is folded here, through the same GroupedAggregateState, so
+    # every plane agrees.
     state = result.partial
     if state is None:
         state = GroupedAggregateState(aggregate_spec(logical, result.variables))

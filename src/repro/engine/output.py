@@ -592,16 +592,6 @@ class JoinResult:
             return list(chunks[0])
         return [list(flatten(parts)) for parts in zip(*chunks)] or [[] for _ in self.variables]
 
-    def weighted_rows(self) -> Tuple[List[Row], List[int]]:
-        """The stored rows and their bag multiplicities, not repeated."""
-        rows: List[Row] = []
-        multiplicities: List[int] = []
-        for columns, weights in self.flat_batches():
-            chunk = columns_to_rows(columns) if columns else [()] * len(weights or ())
-            rows.extend(chunk)
-            multiplicities.extend([1] * len(chunk) if weights is None else weights)
-        return rows, multiplicities
-
     def to_rows(self) -> List[Row]:
         """Materialize all flat output rows."""
         if not self.variables:  # no column carries the row count

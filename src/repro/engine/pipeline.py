@@ -57,8 +57,10 @@ _SINKS = {"rows": RowSink, "count": CountSink, "factorized": FactorizedSink}
 def make_sink(output: str, variables: Sequence[str]) -> OutputSink:
     """Create the sink an options object's ``output`` names.
 
-    Called by :func:`run_plan` only: from there on the sink *is* the output
-    mode, and this is the one place an unknown name is rejected.
+    Called by :func:`run_plan`, and by
+    :meth:`~repro.engine.session.Database.run_join` for a sink it must wrap:
+    from there on the sink *is* the output mode, and this is the one place
+    an unknown name is rejected.
     """
     try:
         return _SINKS[output](variables)

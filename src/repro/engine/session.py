@@ -21,14 +21,14 @@ from repro.binaryjoin.executor import BinaryJoinEngine
 from repro.core.engine import FreeJoinEngine, FreeJoinOptions
 from repro.engine.aggregates import (
     PartialAggregateSink,
+    PostJoinSink,
     aggregate_spec,
-    compile_row_pass,
     output_mode,
     post_join,
 )
 from repro.engine.options import AUTO_ENGINE, ENGINES, ExecOptions, check_engine
 from repro.engine.output import JoinResult
-from repro.engine.pipeline import RunContext
+from repro.engine.pipeline import RunContext, make_sink
 from repro.engine.report import RunReport
 from repro.errors import QueryError
 from repro.genericjoin.executor import GenericJoinEngine
@@ -369,12 +369,14 @@ class Database:
         chunk (4096 driver rows) and fold it whole, the row path reports a
         row at a time — so a serial join of a single chunk delivers only the
         snapshot; on parallel sessions every merged task partial flushes
-        one.  Aggregate queries
-        with residual predicates (cross-table non-equality filters) keep the
-        materialize-then-stream path, as do group-bys without
-        aggregates (which :meth:`execute` treats as plain projections) and
-        queries whose GROUP BY key is not in the SELECT list (delta rows
-        would be indistinguishable without it).
+        one.  Residual predicates and LEFT JOINs do not change this: they
+        run per batch in front of the fold
+        (:class:`~repro.engine.aggregates.PostJoinSink`), whose steal tasks
+        ship rows that fold — and flush at the same granularity — as each
+        task arrives.  Group-bys without aggregates (which :meth:`execute`
+        treats as plain projections) and queries whose GROUP BY key is not
+        in the SELECT list (delta rows would be indistinguishable without
+        it) keep the materialize-then-stream path.
 
         **ORDER BY ... LIMIT n queries stream too**, through a bounded
         top-k (:class:`~repro.engine.streaming.StreamingTopKSink`): rows
@@ -388,10 +390,11 @@ class Database:
         the producer (plus any pool tasks) aborts instead of pinning its
         worker slot.  Closing the iterator early (or ``break`` +
         ``close()``/``with``) cancels the query cooperatively; pools drain
-        cleanly and stay warm.  Residual predicates and projection are
-        applied per batch; for non-aggregate queries streamed rows are
-        exactly the rows :meth:`execute` would return (as a bag — parallel
-        completion order may differ).
+        cleanly and stay warm.  Residual predicates, LEFT JOIN extensions
+        and the SELECT projection run per batch in the final pipeline; for
+        non-aggregate queries streamed rows are exactly the rows
+        :meth:`execute` would return (as a bag — parallel completion order
+        may differ).
         """
         return self._execute_iter(sql, options or ExecOptions(), name=name, executor=executor)
 
@@ -422,18 +425,10 @@ class Database:
             max_batches=opts.max_batches or DEFAULT_MAX_BATCHES,
             interrupt=token,
         )
-        variables = logical.needed_variables()
-        transform = None
-
-        def batch_transform():
-            # Residual mask + projection, compiled once, applied per batch.
-            row_pass = compile_row_pass(logical, variables)
-            return row_pass and (lambda batch: row_pass(batch)[0])
-
         # Delta streaming requires every group key to be *readable from the
         # delivered rows* (last-write-wins is keyed on the selected group
         # columns), so a GROUP BY variable missing from the SELECT list
-        # routes through the materialize fallback like residual predicates.
+        # routes through the materialize fallback.
         selected_plain = {
             item.variable
             for item in logical.select_items
@@ -442,54 +437,43 @@ class Database:
         group_keys_selected = all(
             var in selected_plain for var in logical.group_by
         )
-        # Left-outer extensions and the final HAVING/ORDER/LIMIT/DISTINCT
-        # pass both run on the *complete* result, so queries using them
-        # cannot stream deltas; they take the materialize fallback below.
-        needs_post = bool(logical.left_joins) or logical.needs_final_pass()
+        # What a row stream delivers: the SELECT list (the final pipeline's
+        # PostJoinSink projects the join rows onto it).
+        projection = (
+            logical.result_variables()
+            if logical.select_star
+            else [item.variable for item in logical.select_items]
+        )
 
         if (
             logical.has_aggregates()
-            and not logical.residual_predicates
             and group_keys_selected
-            and not needs_post
+            and not logical.needs_final_pass()
         ):
             # The partial-aggregate plane: fold join rows into per-group
             # partials at the final pipeline and stream merged group deltas
             # while the join is still running.
-            sink = StreamingAggregateSink(aggregate_spec(logical, variables), **delivery)
+            spec = aggregate_spec(logical, logical.result_variables())
+            sink = StreamingAggregateSink(spec, **delivery)
         elif (
             not logical.has_aggregates()
             and not logical.group_by
-            and not logical.left_joins
             and logical.having is None
             and not logical.distinct
             and logical.limit is not None
         ):
-            # Bounded top-k: ORDER BY ... LIMIT n no longer needs the
-            # materialize fallback.  Rows (and factorized worker batches)
-            # fold into a pruned candidate set *mid-join*; the finalize
-            # pass sorts the survivors and delivers the ordered prefix —
-            # identical to execute()'s final table.  Its cutoff filter reads
-            # the first ORDER BY key before the projection.
-            key_column = None
-            if logical.order_by:
-                position = logical.order_by[0].position
-                item = None if logical.select_star else logical.select_items[position]
-                key_column = position if item is None else variables.index(item.variable)
+            # Bounded top-k: rows (and factorized worker batches) fold into
+            # a pruned candidate set *mid-join*; the finalize pass sorts the
+            # survivors and delivers the ordered prefix — identical to
+            # execute()'s final table.
             sink = StreamingTopKSink(
-                variables,
-                limit=logical.limit,
-                order_by=logical.order_by,
-                transform=batch_transform(),
-                key_column=key_column,
-                **delivery,
+                projection, limit=logical.limit, order_by=logical.order_by, **delivery
             )
-        elif logical.has_aggregates() or logical.group_by or needs_post:
-            # Residual-filtered aggregates (filters run on materialized join
-            # rows in execute()), aggregate-free group-bys, left-outer
-            # extensions, and HAVING/ORDER BY-without-LIMIT/DISTINCT queries
-            # keep the materialize-then-stream fallback: only delivery
-            # streams.
+        elif logical.has_aggregates() or logical.group_by or logical.needs_final_pass():
+            # Aggregate-free group-bys, group keys missing from the SELECT
+            # list and HAVING/ORDER BY-without-LIMIT/DISTINCT queries need
+            # the complete result: they keep the materialize-then-stream
+            # fallback, and only delivery streams.
             sink = StreamingSink(logical.output_labels(), **delivery)
 
             def run_materialized():
@@ -499,12 +483,9 @@ class Database:
 
             return StreamingResult(sink, token, run_materialized, executor=executor)
         else:
-            sink = StreamingSink(variables, **delivery)
-            transform = batch_transform()
+            sink = StreamingSink(projection, **delivery)
 
-        return StreamingResult(
-            sink, token, lambda: run(token, sink), transform=transform, executor=executor
-        )
+        return StreamingResult(sink, token, lambda: run(token, sink), executor=executor)
 
     def execute_many(
         self,
@@ -606,7 +587,7 @@ class Database:
         sink=None,
         parallelism: Optional[int] = None,
     ) -> RunReport:
-        """Run only the join (no residual filters, no aggregation).
+        """Run the join into the final sink; the one place that sink is chosen.
 
         ``engine_name`` selects a plan policy; everything about *how* the
         run executes goes down as one
@@ -617,15 +598,20 @@ class Database:
         are plan knobs and reach the Free Join policy only.
 
         The final pipeline emits only
-        :meth:`~repro.query.planner.LogicalQuery.needed_variables` — what
-        the post-join pass reads — into the cheapest sink the SELECT list
-        allows (:func:`~repro.engine.aggregates.output_mode`): a count, the
+        :meth:`~repro.query.planner.LogicalQuery.needed_variables` into the
+        cheapest sink the SELECT list allows
+        (:func:`~repro.engine.aggregates.output_mode`): a count, the
         aggregate sink that folds rows where they are produced, or rows.
-        ``report.details["output"]`` records which sink ran and what was
-        decoded.  ``sink`` overrides that sink on every policy, serial or
-        parallel; :meth:`execute_iter` passes a
-        :class:`~repro.engine.streaming.StreamingSink` here to stream rows
-        out while the join is still running.
+        ``sink`` overrides that sink on every policy, serial or parallel;
+        :meth:`execute_iter` passes a streaming sink here to deliver rows
+        while the join is still running.  Either sink is wrapped in a
+        :class:`~repro.engine.aggregates.PostJoinSink` when the query has
+        residual predicates or LEFT JOINs, or when the sink's variables are
+        not the emitted layout (a stream's SELECT list): the residual mask,
+        the LEFT JOIN extensions (summarized in
+        ``report.details["post_join"]``) and the projection then run per
+        batch, in the final pipeline.  ``report.details["output"]`` records
+        which sink ran and what was decoded.
         """
         policy = _PLAN_POLICIES.get(engine_name)
         if policy is None:
@@ -633,17 +619,27 @@ class Database:
         engine = policy(freejoin_options or self.freejoin_options)
         options = engine.options
         variables = logical.needed_variables()
-        if sink is None and options.output == "rows":
-            # Any other value ("factorized") is the caller asking for that sink.
-            mode = output_mode(logical)
+        wrap = bool(logical.residual_predicates or logical.left_joins)
+        if sink is None:
+            # An ``output`` other than "rows" ("factorized", "count") is the
+            # caller asking for that sink.
+            mode = output_mode(logical) if options.output == "rows" else options.output
             if mode == "aggregate":
-                sink = PartialAggregateSink(aggregate_spec(logical, variables))
+                sink = PartialAggregateSink(aggregate_spec(logical, logical.result_variables()))
+            elif wrap:
+                sink = make_sink(mode, logical.result_variables())
             else:
                 options = replace(options, output=mode)
+        post = None
+        if sink is not None and (wrap or sink.variables != variables):
+            sink = post = PostJoinSink(sink, logical)
         context = RunContext(
             self.parallelism if parallelism is None else parallelism,
             self.parallel_mode,
             deadline,
             variables,
         )
-        return engine.run(logical.query, binary_plan, options, sink, context=context)
+        report = engine.run(logical.query, binary_plan, options, sink, context=context)
+        if post is not None and logical.left_joins:
+            report.details["post_join"] = post.summary()
+        return report

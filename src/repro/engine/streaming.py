@@ -415,19 +415,19 @@ class StreamingTopKSink(StreamingSink):
     folds into a candidate set pruned back to the ``limit`` best rows
     (:func:`~repro.engine.aggregates.order_and_limit`, the final pass's own
     ORDER BY / LIMIT tail) whenever it outgrows its bound, so memory stays
-    ``O(limit + batch_rows)`` however large the join output is.
-    ``transform`` applies the query's residual predicates and projection
-    *before* ranking (ORDER BY positions address the final SELECT columns).
+    ``O(limit + batch_rows)`` however large the join output is.  Rows
+    arrive in the final SELECT layout (ORDER BY positions address it): the
+    session's :class:`~repro.engine.aggregates.PostJoinSink` masks and
+    projects in front of this sink.
 
     Each prune leaves a *cutoff*: the first ORDER BY value of the
     ``limit``-th candidate, when it is a finite number.  A row whose first
     key is strictly worse cannot win, so :meth:`on_batch` drops it with one
-    numpy comparison over ``key_column`` — the pre-projection column of that
-    key — before any tuple is built; ties and NaN stay.  A column numpy
-    cannot hold as numbers (NULLs, strings, ints beyond int64) or holding a
-    ``bool`` (which ranks after strings) is not filtered.  The cutoff only
-    tightens, so a thread worker reading an older one filters less, never
-    wrongly.
+    numpy comparison over that key's column before any tuple is built; ties
+    and NaN stay.  A column numpy cannot hold as numbers (NULLs, strings,
+    ints beyond int64) or holding a ``bool`` (which ranks after strings) is
+    not filtered.  The cutoff only tightens, so a thread worker reading an
+    older one filters less, never wrongly.
 
     Delivery is necessarily terminal — no row is safe to ship until every
     candidate has been seen — but the fold happens mid-join: the finalize
@@ -441,8 +441,6 @@ class StreamingTopKSink(StreamingSink):
         *,
         limit: int,
         order_by=(),
-        transform: Optional[Callable[[List[Row]], List[Row]]] = None,
-        key_column: Optional[int] = None,
         batch_rows: int = DEFAULT_BATCH_ROWS,
         max_batches: int = DEFAULT_MAX_BATCHES,
         interrupt: Optional[DeadlineToken] = None,
@@ -457,10 +455,8 @@ class StreamingTopKSink(StreamingSink):
             raise QueryError(f"limit must be non-negative, got {limit}")
         self.limit = limit
         self.order_by = list(order_by)
-        self.transform = transform
-        #: Where the first ORDER BY key sits in a reported batch (``None``:
-        #: no cutoff filter, as without numpy).
-        self.key_column = key_column if self.order_by and np is not None else None
+        #: Whether prunes leave a cutoff (not without ORDER BY or numpy).
+        self._filters = bool(self.order_by) and np is not None
         self._cutoff: Optional[float] = None
         self._candidates: List[Row] = []
         # Prune bound: enough slack that sorting amortizes over many emits
@@ -479,11 +475,12 @@ class StreamingTopKSink(StreamingSink):
         """Drop the rows the cutoff rules out, then fold the rest as rows."""
         cutoff = self._cutoff
         if cutoff is not None:
-            keys = columns[self.key_column]
+            first = self.order_by[0]
+            keys = columns[first.position]
             values = np.asarray(keys)
             if values.dtype.kind in "iuf" and bool not in set(map(type, keys)):
                 values = values.astype(np.float64, copy=False)
-                worse = values < cutoff if self.order_by[0].descending else values > cutoff
+                worse = values < cutoff if first.descending else values > cutoff
                 dropped = int(worse.sum())
                 if dropped:
                     keep = (~worse).tolist()
@@ -510,8 +507,6 @@ class StreamingTopKSink(StreamingSink):
             rows = expanded
         else:
             rows = list(rows)
-        if self.transform is not None:
-            rows = self.transform(rows)
         if not rows:
             return
         with self._lock:
@@ -523,7 +518,7 @@ class StreamingTopKSink(StreamingSink):
                 self._candidates = order_and_limit(self._candidates, self.order_by, self.limit)
                 self.prunes += 1
                 # The cutoff: the limit-th candidate's first key (it only tightens).
-                if self.key_column is not None and 0 < self.limit == len(self._candidates):
+                if self._filters and 0 < self.limit == len(self._candidates):
                     value = self._candidates[-1][self.order_by[0].position]
                     if type(value) in (int, float) and math.isfinite(value):
                         self._cutoff = float(value)
@@ -578,9 +573,7 @@ class StreamingResult:
     :meth:`Database.run_join`) executes on its own thread — or on a caller
     supplied executor slot, which is how :class:`repro.serve.AsyncDatabase`
     keeps streamed queries inside its concurrency bound — while the consumer
-    iterates batches as they arrive.  ``transform`` post-processes each raw
-    batch (residual predicates, projection); batches it empties entirely are
-    skipped, not delivered.
+    iterates batches as they arrive.
 
     Closing the iterator before exhaustion cancels the query's token: the
     producer and any steal-pool tasks abort cooperatively, the pools drain
@@ -594,12 +587,10 @@ class StreamingResult:
         token: DeadlineToken,
         run: Callable[[], object],
         *,
-        transform: Optional[Callable[[List[Row]], List[Row]]] = None,
         executor=None,
     ) -> None:
         self.sink = sink
         self.token = token
-        self.transform = transform
         #: The producer's RunReport (or QueryOutcome), set on completion.
         self.report: Optional[object] = None
         self._exhausted = False
@@ -633,18 +624,13 @@ class StreamingResult:
         return self._producer_done.is_set()
 
     def next_batch(self) -> Optional[List[Row]]:
-        """The next non-empty delivered batch, or ``None`` at end of stream."""
+        """The next delivered batch, or ``None`` at end of stream."""
         if self._exhausted:
             return None
-        while True:
-            batch = self.sink.next_batch(self.token)
-            if batch is None:
-                self._exhausted = True
-                return None
-            if self.transform is not None:
-                batch = self.transform(batch)
-            if batch:
-                return batch
+        batch = self.sink.next_batch(self.token)
+        if batch is None:
+            self._exhausted = True
+        return batch
 
     def __iter__(self) -> Iterator[List[Row]]:
         return self

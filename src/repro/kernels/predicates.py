@@ -1,12 +1,13 @@
-"""Batch residual-predicate evaluation.
+"""Batch predicate evaluation: the one compiler of WHERE / ON filters.
 
-Residual predicates (cross-table non-equality filters) used to be evaluated
-row at a time: one environment dict plus one AST walk per row.  This module
-compiles a predicate list against a fixed variable order ONCE, into plain
-closures over tuple positions, and evaluates whole row batches through them
-— the batch analogue of the join kernels, and the same idea as
-:func:`repro.query.expressions.make_row_predicate` taken through the whole
-AST.
+Evaluating a predicate row at a time costs one environment dict plus one
+AST walk per row.  This module compiles a predicate list against a fixed
+row layout ONCE, into plain closures over tuple positions, and evaluates
+whole row batches through them — the batch analogue of the join kernels.
+Both kinds of filter go through it: pushdown filters over a base table's
+rows (names ``alias.column``) at plan time, and residual predicates over
+join rows (names ``_var.<variable>``) in the final pipeline's
+:class:`~repro.engine.aggregates.PostJoinSink`.
 
 The compiled form is exactly ``evaluate()``-equivalent, including the
 three-valued-logic conventions (``None`` operands make comparisons, LIKE,
@@ -54,7 +55,7 @@ def _compile_value(expression: Expression, positions):
     return None
 
 
-def _compile_test(expression: Expression, positions, variables) -> RowTest:
+def _compile_test(expression: Expression, positions, names) -> RowTest:
     """A ``row -> bool`` test equivalent to ``expression.evaluate``."""
     if isinstance(expression, Comparison):
         left = _compile_value(expression.left, positions)
@@ -71,13 +72,13 @@ def _compile_test(expression: Expression, positions, variables) -> RowTest:
 
             return test
     elif isinstance(expression, And):
-        tests = [_compile_test(op, positions, variables) for op in expression.operands]
+        tests = [_compile_test(op, positions, names) for op in expression.operands]
         return lambda row: all(test(row) for test in tests)
     elif isinstance(expression, Or):
-        tests = [_compile_test(op, positions, variables) for op in expression.operands]
+        tests = [_compile_test(op, positions, names) for op in expression.operands]
         return lambda row: any(test(row) for test in tests)
     elif isinstance(expression, Not):
-        inner = _compile_test(expression.operand, positions, variables)
+        inner = _compile_test(expression.operand, positions, names)
         return lambda row: not inner(row)
     elif isinstance(expression, Like):
         operand = _compile_value(expression.operand, positions)
@@ -131,30 +132,30 @@ def _compile_test(expression: Expression, positions, variables) -> RowTest:
             return lambda row, _get=operand: _get(row) is None
 
     # Nested scalar expressions or unknown node types: generic per-row
-    # evaluation against a positional environment (still no dict churn).
-    from repro.query.planner import variable_environment
-
-    def fallback(row, _expr=expression, _vars=variables):
-        return bool(_expr.evaluate(variable_environment(_vars, row)))
+    # evaluation against an environment keyed by the row's names.
+    def fallback(row, _expr=expression, _names=names):
+        return bool(_expr.evaluate(dict(zip(_names, row))))
 
     return fallback
 
 
 def compile_batch_predicate(
-    predicates: Sequence[Expression], variables: Sequence[str]
+    predicates: Sequence[Expression], names: Sequence[str]
 ) -> Optional[Callable[[Sequence[tuple]], List[bool]]]:
-    """Compile residual predicates into a batch mask function.
+    """Compile a conjunction of predicates into a batch mask function.
 
-    Returns ``None`` when there is nothing to filter; otherwise a callable
-    mapping a batch of row tuples (in ``variables`` order) to a keep-mask.
+    ``names`` are the qualified names the expressions reference, one per
+    row position: ``alias.column`` for a pushdown filter over a base table,
+    ``_var.<variable>`` for a residual predicate over join rows (the planner
+    rewrites residual column references onto join variables under that
+    prefix).  Returns ``None`` when there is nothing to filter; otherwise a
+    callable mapping a batch of row tuples to a keep-mask.
     """
     if not predicates:
         return None
-    # The planner rewrites residual column refs onto join variables under a
-    # ``_var.`` prefix (see ``variable_environment``); mirror that here.
-    positions = {f"_var.{var}": index for index, var in enumerate(variables)}
-    variables = tuple(variables)
-    tests = [_compile_test(p, positions, variables) for p in predicates]
+    names = tuple(names)
+    positions = {name: index for index, name in enumerate(names)}
+    tests = [_compile_test(p, positions, names) for p in predicates]
     if len(tests) == 1:
         single = tests[0]
         return lambda rows: [single(row) for row in rows]

@@ -2,8 +2,9 @@
 
 The paper assumes that base-table selections are pushed below the join
 (Section 2.1).  The SQL planner uses this expression AST to represent WHERE
-predicates, decide which atom each predicate belongs to, and evaluate the
-predicate against rows of the base table during pushdown.
+predicates and decide which atom each predicate belongs to;
+:mod:`repro.kernels.predicates` compiles predicates into batch masks, for
+pushdown and for residual predicates alike.
 
 Expressions are evaluated against an *environment*: a mapping from qualified
 column name (``alias.column``) to value.
@@ -531,19 +532,3 @@ def conjuncts(expression: Optional[Expression]) -> List[Expression]:
             result.extend(conjuncts(operand))
         return result
     return [expression]
-
-
-def make_row_predicate(expression: Expression, alias: str, column_names: Sequence[str]):
-    """Compile an expression on a single alias into a predicate on row tuples.
-
-    The returned callable accepts a row tuple in ``column_names`` order and
-    returns a bool; used to push a selection into
-    :meth:`repro.storage.table.Table.filter`.
-    """
-    qualified = [f"{alias}.{name}" for name in column_names]
-
-    def predicate(row) -> bool:
-        env = dict(zip(qualified, row))
-        return bool(expression.evaluate(env))
-
-    return predicate

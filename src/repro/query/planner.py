@@ -16,8 +16,8 @@ ORDER BY / LIMIT / DISTINCT, and left-outer extensions).
 ``LEFT OUTER JOIN`` items are *excluded* from the conjunctive query — the
 core inner join runs unchanged on whichever engine was selected (the
 vectorized kernels still apply to it) and each optional table becomes a
-:class:`LeftJoinSpec` the post-join pass applies as a hash extension
-(:func:`repro.engine.aggregates.post_join`): matching rows are appended,
+:class:`LeftJoinSpec` the final pipeline's sink applies as a hash extension
+(:class:`repro.engine.aggregates.PostJoinSink`): matching rows are appended,
 unmatched core rows are NULL-padded.  Single-alias conjuncts
 of the ``ON`` condition are pushed down into the optional table at plan
 time, exactly like WHERE pushdown on core atoms.
@@ -26,6 +26,7 @@ time, exactly like WHERE pushdown on core atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, compress, islice
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import QueryError
@@ -33,12 +34,10 @@ from repro.query.atoms import Atom
 from repro.query.conjunctive import ConjunctiveQuery
 from repro.query.expressions import (
     AggregateRef,
-    And,
     ColumnRef,
     Comparison,
     Expression,
     conjuncts,
-    make_row_predicate,
 )
 from repro.query.sql import FromItem, OrderItem, ParsedQuery, SelectItem, parse_sql
 from repro.storage.catalog import Catalog
@@ -499,12 +498,7 @@ class Planner:
             # Same-alias equalities coming from join classes collapsing two
             # columns of this alias: enforce them as filters.
             predicates.extend(intra_equalities.get(alias, []))
-            if predicates:
-                expression = predicates[0] if len(predicates) == 1 else And(predicates)
-                predicate = make_row_predicate(expression, alias, table.column_names)
-                base = table.filter(predicate, name=alias)
-            else:
-                base = Table(alias, table.columns)
+            base = _pushed_down(table, alias, predicates)
             atom_variables = [variables[alias][column] for column in table.column_names]
             atoms.append(Atom(alias, base, atom_variables))
         return atoms
@@ -616,12 +610,7 @@ class Planner:
                     f"LEFT JOIN {alias!r}: ON condition needs at least one "
                     f"equality against a core table column"
                 )
-            if local:
-                expression = local[0] if len(local) == 1 else And(local)
-                predicate = make_row_predicate(expression, alias, table.column_names)
-                filtered = table.filter(predicate, name=alias)
-            else:
-                filtered = Table(alias, table.columns)
+            filtered = _pushed_down(table, alias, local)
             key_pairs = [
                 (column_to_variable[core_name], table.column_index(opt_column))
                 for core_name, opt_column in key_columns
@@ -793,8 +782,9 @@ class Planner:
     ) -> Expression:
         """Rewrite qualified column refs to variable refs for post-join eval.
 
-        Residual predicates are evaluated against an environment keyed by
-        query variable, so column references are renamed in place.
+        Residual predicates are compiled against join rows, whose positions
+        are named ``_var.<variable>``, so column references are renamed in
+        place.
         """
         if isinstance(expression, ColumnRef):
             variable = column_to_variable[expression.qualified_name]
@@ -819,6 +809,25 @@ class Planner:
         return expression
 
 
-def variable_environment(variables: Sequence[str], row: Sequence) -> Dict[str, object]:
-    """Build the environment used to evaluate residual predicates on a row."""
-    return {f"_var.{var}": value for var, value in zip(variables, row)}
+#: Rows a pushdown filter masks per batch (bounds the row tuples held at once).
+PUSHDOWN_BATCH_ROWS = 4096
+
+
+def _pushed_down(table: Table, alias: str, predicates: Sequence[Expression]) -> Table:
+    """``table`` as ``alias``, less the rows the single-alias ``predicates`` reject.
+
+    The filters compile once (:func:`repro.kernels.predicates.compile_batch_predicate`,
+    over ``alias.column`` names) and mask the rows a batch at a time.
+    """
+    # Imported here: the kernels import the engine, which imports this module.
+    from repro.kernels.predicates import compile_batch_predicate
+
+    mask = compile_batch_predicate(predicates, [f"{alias}.{name}" for name in table.column_names])
+    if mask is None:
+        return Table(alias, table.columns)
+    rows = table.iter_rows()
+    keep = chain.from_iterable(
+        mask(list(islice(rows, PUSHDOWN_BATCH_ROWS)))
+        for _ in range(0, table.num_rows, PUSHDOWN_BATCH_ROWS)
+    )
+    return table.take(list(compress(range(table.num_rows), keep)), name=alias)

@@ -31,6 +31,11 @@ from repro.workloads.synthetic import zipf_sample
 #: The scale factors used by the paper.
 PAPER_SCALE_FACTORS = (0.1, 0.3, 1.0, 3.0)
 
+#: Consecutive ``knows`` draws without a new pair after which the edge table
+#: is taken as complete.  Wherever every wanted pair is reachable the longest
+#: such run is a few hundred draws, so the bound never cuts a table short.
+KNOWS_STALE_DRAWS = 20_000
+
 
 @dataclass
 class LsqbWorkload:
@@ -96,13 +101,19 @@ def generate_lsqb_workload(scale_factor: float = 1.0, seed: int = 7) -> LsqbWork
         # Social graphs are heavy-tailed: a few hub persons have many edges.
         return zipf_sample(rng, n_person, 0.8)
 
+    # ``zipf_sample`` never draws the last person, so at tiny scales fewer
+    # distinct pairs are reachable than ``n_knows`` asks for: stop once
+    # ``KNOWS_STALE_DRAWS`` draws in a row found no new pair.
     knows_pairs = set()
     person1: List[int] = []
     person2: List[int] = []
-    while len(person1) < n_knows:
+    stale = 0
+    while len(person1) < n_knows and stale < KNOWS_STALE_DRAWS:
         a, b = person(), person()
         if a == b or (a, b) in knows_pairs:
+            stale += 1
             continue
+        stale = 0
         knows_pairs.add((a, b))
         person1.append(a)
         person2.append(b)

@@ -277,7 +277,7 @@ def test_streamed_topk_matches_execute_and_the_reference(a, b, order, limit, sha
 
 def _topk_sink(descending):
     sink = StreamingTopKSink(
-        ("v",), limit=2, order_by=[ResolvedOrderItem(0, descending)], key_column=0, max_batches=2
+        ("v",), limit=2, order_by=[ResolvedOrderItem(0, descending)], max_batches=2
     )
     sink.on_batch([list(range(5000))])  # one prune: the cutoff is 1 (ASC) or 4998 (DESC)
     return sink
@@ -305,9 +305,7 @@ def test_topk_cutoff_under_concurrent_batches():
     values = list(range(40_000))
     random.Random(3).shuffle(values)
     chunks = [[values[i : i + 500]] for i in range(0, len(values), 500)]
-    sink = StreamingTopKSink(
-        ("v",), limit=5, order_by=[ResolvedOrderItem(0, False)], key_column=0, max_batches=2
-    )
+    sink = StreamingTopKSink(("v",), limit=5, order_by=[ResolvedOrderItem(0, False)], max_batches=2)
 
     def report(batches):
         for columns in batches:
@@ -413,8 +411,7 @@ def test_left_join_is_identical_across_engines_kernels_and_backends():
 
 def test_left_outer_probe_ignores_repro_kernels():
     """Same core rows in, same extended rows out — in order — on and off."""
-    from repro.engine.aggregates import post_join
-    from repro.engine.output import JoinResult
+    from repro.engine.aggregates import PostJoinSink, post_join
     from repro.query.planner import Planner
 
     logical = Planner(_left_outer_db().catalog).plan_sql(LEFT_JOIN_SQL)
@@ -424,7 +421,9 @@ def test_left_outer_probe_ignores_repro_kernels():
     tables = []
     for kernels in (True, False):
         with kernels_enabled(kernels):
-            core = JoinResult.from_rows(("l_oid", "o_cid"), list(rows), list(multiplicities))
-            tables.append(post_join(core, logical, {})[1].to_rows())
+            sink = PostJoinSink(RowSink(logical.result_variables()), logical)
+            assert sink.variables == logical.needed_variables()
+            sink.on_rows(list(rows), list(multiplicities))
+            tables.append(post_join(sink.result(), logical, {})[1].to_rows())
     assert tables[0] == tables[1]
     assert tables[0][:4] == [(0, None, None), (1, 1, "n"), (1, 1, "n"), (1, 1, "s")]

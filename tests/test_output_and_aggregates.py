@@ -60,15 +60,16 @@ class TestSinks:
             ["a", None, "c", "d", "d", "f", "f", "f"],
         ]
         assert result.to_rows() == list(result.iter_rows())
-        assert result.weighted_rows() == (
-            [(1, "a"), (2, None), (3, "c"), (4, "d"), (6, "f")],
-            [1, 1, 1, 2, 3],
-        )
+        assert list(result.flat_batches()) == [
+            ([[1, 2, 3], ["a", None, "c"]], None),
+            ([[4], ["d"]], [2]),
+            ([[6], ["f"]], [3]),
+        ]
 
     def test_from_rows_round_trips_rows_and_multiplicities(self):
         rows, multiplicities = [(1, "a"), (2, "b")], [2, 1]
         result = JoinResult.from_rows(("x", "y"), rows, multiplicities)
-        assert result.weighted_rows() == (rows, multiplicities)
+        assert list(result.flat_batches()) == [([[1, 2], ["a", "b"]], multiplicities)]
         assert result.to_rows() == [(1, "a"), (1, "a"), (2, "b")]
         assert JoinResult.from_rows(("x", "y"), rows).to_rows() == rows
         empty = JoinResult.from_rows(("x", "y"), [])
@@ -79,7 +80,7 @@ class TestSinks:
 
     def test_count_only_results_have_no_row_view(self):
         result = JoinResult(("x",), count_only=4)
-        for view in (result.columns, result.to_rows, result.weighted_rows, result.sorted_rows):
+        for view in (result.columns, result.to_rows, result.sorted_rows):
             with pytest.raises(ExecutionError):
                 view()
 

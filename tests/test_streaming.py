@@ -266,12 +266,17 @@ def test_streaming_aggregate_streams_progressive_deltas(fanout_db):
     assert batches[-1] == [(expected,)]
 
 
-def test_streaming_aggregate_with_residuals_falls_back_to_materialized(fanout_db):
-    """Residual-filtered aggregates keep the materialize-then-stream path."""
+def test_streaming_aggregate_with_residuals_folds_in_the_stream(fanout_db):
+    """Residual-filtered aggregates fold in the stream's sink, behind the mask."""
+    from repro.engine.streaming import StreamingAggregateSink, collapse_grouped_batches
+
     sql = "SELECT COUNT(*) FROM r, small WHERE r.k = small.k AND r.a < small.v"
     expected = fanout_db.execute(sql).scalar()
-    batches = list(fanout_db.execute_iter(sql))
-    assert batches == [[(expected,)]]
+    with fanout_db.execute_iter(sql) as stream:
+        assert isinstance(stream.sink, StreamingAggregateSink)
+        batches = list(stream)
+    assert collapse_grouped_batches(batches, ()) == [(expected,)]
+    assert batches[-1] == [(expected,)]
 
 
 def test_streaming_factorized_output_expands_correctly(fanout_db, fanout_expected):

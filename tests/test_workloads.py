@@ -1,5 +1,7 @@
 """Tests for the workload generators (synthetic, JOB-like, LSQB-like)."""
 
+import time
+
 import pytest
 
 from repro.engine.options import ExecOptions
@@ -142,6 +144,19 @@ class TestLsqbWorkload:
                          knows.column("person2_id").values))
         assert all(a != b for a, b in pairs)
         assert len(set(pairs)) == len(pairs)
+
+    @pytest.mark.parametrize("scale_factor", [0.01, 0.02])
+    @pytest.mark.parametrize("seed", range(1, 6))
+    def test_tiny_scales_return_with_every_reachable_pair(self, scale_factor, seed):
+        """The last person is never drawn, so fewer ``knows`` pairs exist
+        than the scale asks for: generation stops instead of spinning."""
+        started = time.monotonic()
+        workload = generate_lsqb_workload(scale_factor=scale_factor, seed=seed)
+        assert time.monotonic() - started < 5
+        n_person = workload.catalog.get("person").num_rows
+        knows = workload.catalog.get("knows")
+        pairs = set(zip(knows.column("person1_id").values, knows.column("person2_id").values))
+        assert len(pairs) == knows.num_rows == (n_person - 1) * (n_person - 2)
 
 
 class TestGeneratorDeterminism:
