@@ -48,8 +48,8 @@ the residual mask, then the LEFT OUTER JOIN hash extensions, then hands the
 wrapped sink only the columns it names — so a residual aggregate still
 folds where the join produces its rows, and a stream receives its SELECT
 projection.  :meth:`repro.engine.session.Database.run_join` is the one place
-it is built.  After the join, :func:`post_join` turns the sink's result into
-a result table: :func:`aggregate_result` (projection / aggregation /
+it is built.  After the join, two calls turn the sink's result into a
+result table: :func:`aggregate_result` (projection / aggregation /
 group-by), then :func:`finalize_output` (HAVING / DISTINCT / ORDER BY /
 LIMIT).  ``execute()``, the streaming materialize fallback and
 standing-query re-execution all run it; streams that deliver mid-join apply
@@ -590,7 +590,7 @@ class AggregateFold:
     (:meth:`payload`) instead of raw rows, and the parent-side sink merges it
     (:meth:`absorb`) as each task finishes — merging is commutative, and a
     grouped stream's delta per merged partial depends on it.  The host sink
-    owns ``_lock`` (thread workers absorb concurrently) and
+    owns ``_lock`` (so :meth:`absorb` is safe from any thread) and
     ``factorized_batches``, calls :meth:`_init_fold`, and may hook
     :meth:`_folded`; the two hosts are :class:`PartialAggregateSink` and
     :class:`~repro.engine.streaming.StreamingAggregateSink`.
@@ -652,9 +652,8 @@ class AggregateFold:
     def absorb(self, payload) -> None:
         """Merge one steal task's serialized partial.
 
-        Called as each task completes (parent side on the process backend,
-        concurrently from worker threads on the thread backend) — for
-        ``execute()`` and for grouped streams alike.
+        Called on the submitting thread as each task's result arrives, on
+        either backend — for ``execute()`` and for grouped streams alike.
         """
         with self._lock:
             self.partials_merged += 1
@@ -731,10 +730,10 @@ class PostJoinSink(OutputSink):
     sink) are buffered into batches of ``expand_rows``, the last one flushed
     by :meth:`result`.  Steal tasks fill the default
     :class:`~repro.engine.output.FactorizedSink` and the parent replays their
-    batches through this sink (the default :meth:`~OutputSink.absorb`), as
-    each arrives when ``inner`` absorbs on arrival: thread workers may then
-    report concurrently, so the extension counters (:meth:`summary`) sit
-    under a lock.
+    batches through this sink (the default :meth:`~OutputSink.absorb`) on
+    the submitting thread, as each arrives when ``inner`` absorbs on
+    arrival.  The extension counters (:meth:`summary`) sit under a lock, so
+    a caller absorbing from several threads still counts every row.
     """
 
     def __init__(self, inner: OutputSink, logical: LogicalQuery) -> None:
@@ -845,21 +844,6 @@ class PostJoinSink(OutputSink):
 
     def stats(self) -> Dict[str, object]:
         return self.inner.stats()
-
-
-def post_join(
-    result: JoinResult, logical: LogicalQuery, details: Dict[str, object]
-) -> Tuple[JoinResult, Table]:
-    """Everything after the join and its sink, in SQL's fixed order.
-
-    :func:`aggregate_result` applies the SELECT list and
-    :func:`finalize_output` HAVING / DISTINCT / ORDER BY / LIMIT; residual
-    predicates and LEFT JOIN extensions already ran in the final pipeline's
-    :class:`PostJoinSink`, which recorded the extensions' summary in
-    ``details`` (the run report's).  Returns the post-join
-    :class:`JoinResult` (what the SELECT list saw) and the final table.
-    """
-    return result, finalize_output(aggregate_result(result, logical), logical)
 
 
 def aggregate_result(result: JoinResult, logical: LogicalQuery) -> Table:
@@ -1000,7 +984,7 @@ def order_and_limit(rows: List[Row], order_by, limit: Optional[int]) -> List[Row
 def finalize_output(table: Table, logical: LogicalQuery) -> Table:
     """Apply HAVING, DISTINCT, ORDER BY and LIMIT to the final table.
 
-    The last step of :func:`post_join`, in SQL's logical order: HAVING
+    The last step after the join, in SQL's logical order: HAVING
     filters finalized groups, DISTINCT dedups (first occurrence wins),
     :func:`order_and_limit` sorts and truncates.  Queries without any of
     these features return ``table`` unchanged.

@@ -55,12 +55,12 @@ be correct.  Sinks that gain from unexpanded groups advertise
 boundary, and the scheduler never looks inside: :meth:`OutputSink.task_sink`
 is a picklable recipe for the worker-side sink one task folds into, that
 task sink's :meth:`~OutputSink.payload` is what crosses (a process boundary
-included), and the parent sink takes it in (:meth:`~OutputSink.absorb`) —
-as each task finishes, possibly from several worker threads at once
-(``absorb_on_arrival``: the streaming and aggregate sinks, which own a lock
-and whose first-batch latency depends on it), or after the last task, in
-task order, on the submitting thread (everything else: the result is in
-serial order and the sink is never entered concurrently).
+included), and the parent sink takes it in (:meth:`~OutputSink.absorb`),
+always on the submitting thread — as each task's result arrives
+(``absorb_on_arrival``: the streaming and aggregate sinks, whose
+first-batch latency depends on it; they still own a lock, so an
+``absorb`` from several threads stays safe), or after the last task, in
+task order (everything else: the result is in serial order).
 """
 
 from __future__ import annotations
@@ -226,10 +226,9 @@ class OutputSink:
     #: into multiplicities (binary join's ``compress``).
     counts_only = False
 
-    #: When steal-task payloads are absorbed: as each task finishes — on the
-    #: process backend's submitting thread, on the thread backend from the
-    #: worker threads, concurrently — or (``False``) after the last task, in
-    #: task order, on the submitting thread.  A constant of the sink class.
+    #: When steal-task payloads are absorbed, on the submitting thread of
+    #: either backend: as each task's result arrives, or (``False``) after
+    #: the last task, in task order.  A constant of the sink class.
     absorb_on_arrival = False
 
     #: Whether the kernels may hand :meth:`on_batch` a numeric column as

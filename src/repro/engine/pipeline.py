@@ -278,7 +278,8 @@ def run_plan(
     task output into it through the sink's own transport
     (``task_sink`` / ``payload`` / ``absorb``, see
     :mod:`repro.engine.output`), so a caller's sink works on every route and
-    is entered concurrently only if it declares ``absorb_on_arrival``.
+    is only ever entered from the submitting thread; ``absorb_on_arrival``
+    says whether it absorbs as tasks finish or after the drain.
     Factorized output the options ask for interleaves groups in ways tasks
     cannot reproduce, so that run is always serial.
     """

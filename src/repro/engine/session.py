@@ -22,9 +22,10 @@ from repro.core.engine import FreeJoinEngine, FreeJoinOptions
 from repro.engine.aggregates import (
     PartialAggregateSink,
     PostJoinSink,
+    aggregate_result,
     aggregate_spec,
+    finalize_output,
     output_mode,
-    post_join,
 )
 from repro.engine.options import AUTO_ENGINE, ENGINES, ExecOptions, check_engine
 from repro.engine.output import JoinResult
@@ -316,14 +317,13 @@ class Database:
     def _finish(
         self, logical: LogicalQuery, binary_plan: BinaryPlan, report: RunReport
     ) -> QueryOutcome:
-        """Everything after the join (:func:`~repro.engine.aggregates.post_join`)."""
-        join_result, table = post_join(report.result, logical, report.details)
+        """Everything after the join: the SELECT list, then the final pass."""
         return QueryOutcome(
-            table=table,
+            table=finalize_output(aggregate_result(report.result, logical), logical),
             report=report,
             logical=logical,
             binary_plan=binary_plan,
-            join_result=join_result,
+            join_result=report.result,
         )
 
     def execute_iter(

@@ -78,10 +78,10 @@ _DONE = object()
 class StreamingSink(OutputSink):
     """A sink that ships row batches through a bounded queue.
 
-    Thread-safety: the engines report rows from whatever thread runs them —
-    and the steal scheduler's thread workers :meth:`absorb` their tasks'
-    batches concurrently — so the internal buffer is lock-protected; the
-    queue itself is thread-safe.
+    Thread-safety: the engines report rows from whatever thread runs them,
+    and a caller may :meth:`absorb` from several threads (the steal
+    scheduler absorbs each task's batches on its submitting thread), so the
+    internal buffer is lock-protected; the queue itself is thread-safe.
 
     ``interrupt`` is the query's deadline token.  Every blocking put checks
     it, so a cancelled or over-budget query aborts instead of waiting on a
@@ -89,8 +89,8 @@ class StreamingSink(OutputSink):
     """
 
     accepts_factorized = True
-    #: Steal tasks' batches are delivered as each task finishes: consumers
-    #: see a first batch while sibling tasks still run.
+    #: Steal tasks' batches are delivered as each task's result arrives:
+    #: consumers see a first batch while sibling tasks still run.
     absorb_on_arrival = True
 
     def __init__(
@@ -426,8 +426,8 @@ class StreamingTopKSink(StreamingSink):
     numpy comparison over that key's column before any tuple is built; ties
     and NaN stay.  A column numpy cannot hold as numbers (NULLs, strings,
     ints beyond int64) or holding a ``bool`` (which ranks after strings) is
-    not filtered.  The cutoff only tightens, so a thread worker reading an
-    older one filters less, never wrongly.
+    not filtered.  The cutoff only tightens, so a reader on another thread
+    that sees an older one filters less, never wrongly.
 
     Delivery is necessarily terminal — no row is safe to ship until every
     candidate has been seen — but the fold happens mid-join: the finalize

@@ -4,11 +4,12 @@ Two layers, mirroring how a multi-core engine would serve the paper's
 workloads in production:
 
 * :mod:`repro.parallel.scheduler` — *intra-query* parallelism: a lowered
-  pipeline's root cover is decomposed into fine-grained tasks executed by a
-  persistent work-stealing pool whose process workers attach inputs through
-  the shared-memory column plane (:mod:`repro.storage.shm`);
-  per-task/per-worker stats (steals, queue depths, attach times) are merged
-  into ``RunReport.details["parallel"]``.
+  pipeline's root cover is decomposed into fine-grained tasks pulled from
+  one shared queue by a persistent :class:`~repro.parallel.scheduler.StealPool`
+  of threads or forked processes (the latter attach inputs through the
+  shared-memory column plane, :mod:`repro.storage.shm`); per-task/per-worker
+  stats (steals, queue waits, attach times) are merged into
+  ``RunReport.details["parallel"]``.
 * :mod:`repro.parallel.workload` — *inter-query* concurrency: a workload of
   SQL queries evaluated on the caller's session by a thread pool, with
   per-query timeout and error capture, returning a JSON-serializable
@@ -25,10 +26,9 @@ from repro.parallel.scheduler import (
     PROCESS_INPUT_THRESHOLD,
     ShardedRunResult,
     TASKS_PER_WORKER,
-    resolve_mode,
-    ProcessStealPool,
+    StealPool,
     StealTask,
-    ThreadStealPool,
+    resolve_mode,
     active_pools,
     decompose_entries,
     get_pool,
@@ -47,15 +47,14 @@ from repro.parallel.workload import (
 
 __all__ = [
     "PROCESS_INPUT_THRESHOLD",
-    "ProcessStealPool",
     "QueryExecution",
     "STATUS_ERROR",
     "STATUS_OK",
     "STATUS_TIMEOUT",
     "ShardedRunResult",
+    "StealPool",
     "StealTask",
     "TASKS_PER_WORKER",
-    "ThreadStealPool",
     "WorkloadOutcome",
     "active_pools",
     "decompose_entries",

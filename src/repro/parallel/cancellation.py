@@ -6,8 +6,8 @@ budget runs out, and a cancelled query frees its workers promptly instead of
 running to completion in the background.  Both are cooperative: executors
 call :meth:`DeadlineToken.tick` at trie-expansion boundaries (every cover
 entry the Free Join recursion iterates, every probe-loop row of the binary
-engine, every intersection step of Generic Join), and the scheduler's worker
-loops check between tasks, so an over-budget or cancelled query aborts with
+engine, every intersection step of Generic Join), and the steal pool's
+workers check between tasks, so an over-budget or cancelled query aborts with
 :class:`~repro.errors.DeadlineExceeded` / :class:`~repro.errors.QueryCancelled`
 within a bounded amount of work.
 
@@ -17,16 +17,17 @@ Tokens are deliberately simple objects:
   deadline).  Monotonic clocks are system-wide on Linux, so a deadline set in
   a parent is meaningful in its forked steal-pool workers — tasks carry the
   timestamp, not the token.
-* ``cancelled`` is a plain attribute flip.  Within one process (serial
-  execution, the thread steal pool, ``AsyncDatabase``'s worker threads) the
-  flag is shared directly; it cannot cross a process boundary, so the
-  process steal pool layers its own fork-inherited cancel generation on top
-  (see :class:`repro.parallel.scheduler.ProcessStealPool`) and the parent
-  translates token state into that signal while it drains results.
+* ``cancelled`` is a plain attribute flip, shared directly by the threads
+  of one query (serial execution, ``AsyncDatabase``'s worker threads).  The
+  steal pool does not hand its workers the caller's token: it keeps one
+  cancel cell per pool — a plain attribute for thread workers, a
+  fork-inherited shared integer for process workers (see
+  :class:`repro.parallel.scheduler.StealPool`) — and the parent translates
+  token state into that cell while it drains results.
 * ``cancel_probe`` is an optional extra callable consulted by :meth:`check`;
-  worker processes use it to watch the pool-level cancel generation.  It is
-  never pickled (tokens that cross process boundaries are reconstructed
-  worker-side from the task's deadline timestamp).
+  steal workers use it to watch the pool's cancel cell.  It is never
+  pickled: every worker builds its own token per task from the task's
+  deadline timestamp.
 
 Time checks are strided: :meth:`tick` only consults the clock every
 :data:`TICK_STRIDE` calls, keeping the per-tuple overhead to an integer

@@ -13,28 +13,35 @@ lowered it (:func:`run_pipeline_steal`):
   :data:`TASKS_PER_WORKER` per worker).  A range of root entries is the
   only task shape: a cover with fewer entries than workers gets one task
   per entry, and a single task runs inline, like a serial run;
-* tasks are dealt to workers in contiguous blocks, and a worker that drains
-  its own block *steals* from its siblings, so a block of hot tasks ends up
-  spread across the pool instead of serializing on its owner;
-* workers are **persistent** — one pool per (backend, worker count) is kept
-  for the life of the process and reused across queries (the concurrent
-  queries of one :meth:`~repro.engine.session.Database.execute_many` run
-  share it too: they run on threads of the caller's process), so repeated
-  queries pay no pool spin-up;
-* process workers receive their inputs through the shared-memory column
-  plane (:mod:`repro.storage.shm`): a query ships only a plan and a handful
-  of segment handles, workers attach the columns zero-copy and build their
-  tries lazily, forcing only the parts their tasks actually touch.  Thread
-  workers go one better and share a single trie build.
+* tasks are dealt to workers in contiguous blocks and fed, in task order,
+  into **one shared queue** that every worker pulls from; a worker that runs
+  a task dealt to a sibling records a *steal*, so a block of hot tasks ends
+  up spread across the pool instead of serializing on its owner;
+* workers are **persistent** — one :class:`StealPool` per (backend, worker
+  count) is kept for the life of the process and reused across queries (the
+  concurrent queries of one
+  :meth:`~repro.engine.session.Database.execute_many` run share it too:
+  they run on threads of the caller's process), so repeated queries pay no
+  pool spin-up;
+* the two backends run one protocol (a command queue per worker, the shared
+  task queue, one result queue, one cancel cell) and differ only in how
+  workers start, what a query's setup carries and what a worker drops on
+  ``"stop"``.  Thread workers share the query's one task context, so a trie
+  is built once.  Forked process workers receive their inputs through the
+  shared-memory column plane (:mod:`repro.storage.shm`): a query ships only
+  a plan and a handful of segment handles, workers attach the columns
+  zero-copy and build their tries lazily, forcing only the parts their
+  tasks actually touch.
 
 **Deadlines and cancellation** are layered on top: tasks carry an absolute
 monotonic deadline and every executor ticks a :class:`DeadlineToken` at
 trie-expansion boundaries, so an over-budget or cancelled query aborts
 *mid-flight* (raising ``DeadlineExceeded``/``QueryCancelled``) and its
-sibling tasks are cancelled promptly — thread workers share the token
-directly, process workers probe a fork-inherited cancel cell the parent
-bumps.  A deadline abort completes the drain protocol cleanly, so the pool
-(and its caches) stays warm.
+sibling tasks are cancelled promptly: the parent bumps the pool's cancel
+cell, which every task's token probes.  A deadline abort completes the
+drain protocol cleanly, so the pool (and its caches) stays warm; a worker
+that dies — a process killed, a thread ended by a ``BaseException`` — is
+a protocol failure that tears the pool down for a fresh one.
 
 **The scheduler caches nothing of its own.**  Every parallel query plans
 its tasks once, in the parent, and builds task contexts that live for that
@@ -51,14 +58,15 @@ back into the query's sink, is the sink's business
 sink built from ``sink.task_sink()`` — a picklable recipe, shipped per query
 and never stored on a context — the task's outcome carries that
 sink's ``payload()`` as its one content key, and the parent sink takes it
-in with ``absorb()``.  A sink that declares ``absorb_on_arrival`` (the
-streaming sinks, the aggregate sinks) absorbs as each task finishes, so a
-consumer sees a first batch — or a ``GROUP BY`` delta per merged partial —
-while sibling tasks still run, and a failed delivery cancels the rest; every
-other sink absorbs after the drain, in task order, on the submitting thread.
+in with ``absorb()``, always on the submitting thread.  A sink that declares
+``absorb_on_arrival`` (the streaming sinks, the aggregate sinks) absorbs as
+each result message arrives, so a consumer sees a first batch — or a
+``GROUP BY`` delta per merged partial — while sibling tasks still run, and a
+failed delivery cancels the rest; every other sink absorbs after the drain,
+in task order.
 
-Per-task and per-worker accounting (steal counts, queue depths and waits,
-attach times, and the sink's own telemetry under ``stream``) is merged into the run's
+Per-task and per-worker accounting (steal counts, queue waits, attach
+times, and the sink's own telemetry under ``stream``) is merged into the run's
 ``RunReport.details["parallel"]`` entry; see ``benchmarks/README.md`` for
 how to read it.
 
@@ -76,8 +84,8 @@ import os
 import queue as queue_module
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.pipeline import PhysicalPipeline, PipelineState, run_range
@@ -208,8 +216,8 @@ def decompose_entries(entry_total: int, workers: int) -> List[StealTask]:
 def assign_preferred(tasks: List[StealTask], workers: int) -> None:
     """Deal tasks to workers in contiguous blocks (task order = serial order).
 
-    Contiguous blocks keep each worker iterating in serial order; stealing
-    takes from the *tail* of a victim's block, so hot prefixes migrate.
+    The deal fixes what counts as a steal: workers pull from one queue in
+    task order, and a task run by any worker but its dealt owner is stolen.
     """
     total = len(tasks)
     for task in tasks:
@@ -374,39 +382,16 @@ def _classify_failure(
 
 
 # --------------------------------------------------------------------------- #
-# Thread backend: per-worker deques with stealing
+# The steal pool: persistent workers fed through one shared task queue
 # --------------------------------------------------------------------------- #
 
 
-class _ThreadJob:
-    """One query's worth of tasks, dealt into per-worker deques."""
+class _PoolProtocolError(ExecutionError):
+    """The pool's worker protocol broke (dead worker, message out of order).
 
-    def __init__(
-        self,
-        context,
-        sink,
-        tasks: List[StealTask],
-        workers: int,
-        interrupt: Optional[DeadlineToken] = None,
-    ) -> None:
-        self.context = context
-        self.sink = sink
-        self.task_sink = sink.task_sink()
-        self.interrupt = interrupt
-        self.deques: List[deque] = [deque() for _ in range(workers)]
-        now = time.monotonic()
-        for task in tasks:
-            task.enqueued = now
-            self.deques[task.preferred].append(task)
-        self.lock = threading.Lock()
-        self.remaining = len(tasks)
-        self.backlog = len(tasks)
-        self.outcomes: List[Dict[str, object]] = []
-        self.errors: List[str] = []
-        self.worker_reports: List[Dict[str, object]] = [
-            _new_worker_report() for _ in range(workers)
-        ]
-        self.done = threading.Event()
+    Unlike an ordinary task failure, the pool can no longer be trusted and
+    must be torn down; the registry builds a fresh one on next use.
+    """
 
 
 def _new_worker_report() -> Dict[str, object]:
@@ -420,227 +405,51 @@ def _new_worker_report() -> Dict[str, object]:
     }
 
 
-class ThreadStealPool:
-    """A persistent pool of worker threads with per-worker steal deques.
-
-    Under CPython the GIL serializes the join work itself, so the thread
-    backend's value is determinism and *shared state*: all workers execute
-    over one trie/hash-table build (the job's one task context) instead of
-    one build per worker.
-    """
-
-    backend = "thread"
-
-    def __init__(self, workers: int) -> None:
-        if workers <= 0:
-            raise ExecutionError(f"worker count must be positive, got {workers}")
-        self.workers = workers
-        self.broken = False
-        self._cond = threading.Condition()
-        self._generation = 0
-        self._job: Optional[_ThreadJob] = None
-        self._stop = False
-        self._submit_lock = threading.Lock()
-        self._threads = [
-            threading.Thread(
-                target=self._worker_loop,
-                args=(index,),
-                name=f"repro-steal-{index}",
-                daemon=True,
-            )
-            for index in range(workers)
-        ]
-        for thread in self._threads:
-            thread.start()
-
-    def submit(
-        self, context, sink, tasks: List[StealTask], interrupt: Optional[DeadlineToken] = None
-    ):
-        """Run ``tasks`` over ``context``; returns (outcomes, worker_reports).
-
-        Every task folds into a fresh ``sink.task_sink()``.  ``interrupt`` is
-        shared by every worker thread: a deadline expiry or a
-        :meth:`~repro.parallel.cancellation.DeadlineToken.cancel` aborts
-        in-flight tasks at their next executor tick and skips queued ones,
-        and the submit raises ``DeadlineExceeded``/``QueryCancelled``.
-
-        A ``sink`` that declares ``absorb_on_arrival`` absorbs each task's
-        payload on the worker thread that ran it, as the task completes (the
-        payload leaves the outcome), so a streaming consumer receives batches
-        while sibling tasks are still running.  An absorb that raises — the
-        consumer broke off (cancel) or the delivery deadline lapsed against a
-        stalled consumer — is recorded as that task's error and classified
-        like any other abort, so the pool drains cleanly and stays warm.
-        Any other sink is never touched here: its payloads come back in the
-        outcomes for the caller to absorb in task order.
-        """
-        with self._submit_lock:
-            if self.broken:
-                raise ExecutionError("steal pool has been shut down")
-            job = _ThreadJob(context, sink, tasks, self.workers, interrupt)
-            with self._cond:
-                self._job = job
-                self._generation += 1
-                self._cond.notify_all()
-            job.done.wait()
-            if job.errors:
-                raise _classify_failure(job.errors, interrupt)
-            reports = {
-                index: report for index, report in enumerate(job.worker_reports)
-            }
-            return job.outcomes, reports
-
-    def _worker_loop(self, worker_id: int) -> None:
-        seen = 0
-        while True:
-            with self._cond:
-                while self._generation == seen and not self._stop:
-                    self._cond.wait()
-                if self._stop:
-                    return
-                seen = self._generation
-                job = self._job
-            if job is not None:
-                self._drain(job, worker_id)
-
-    def _drain(self, job: _ThreadJob, worker_id: int) -> None:
-        own = job.deques[worker_id]
-        while True:
-            task: Optional[StealTask] = None
-            stolen = False
-            try:
-                task = own.popleft()
-            except IndexError:
-                pass
-            if task is None:
-                for victim in range(len(job.deques)):
-                    if victim == worker_id:
-                        continue
-                    try:
-                        # Steal from the tail: the victim keeps its serial
-                        # prefix, thieves take the work furthest from it.
-                        task = job.deques[victim].pop()
-                        stolen = True
-                        break
-                    except IndexError:
-                        continue
-            if task is None:
-                return
-            with job.lock:
-                job.backlog -= 1
-                depth = job.backlog
-            if job.interrupt is not None and (
-                job.interrupt.cancelled or job.interrupt.expired()
-            ):
-                # Sibling cancellation: a cancelled/over-deadline query must
-                # not start queued tasks; record the skip and move on so the
-                # job's accounting still completes.
-                with job.lock:
-                    job.errors.append(f"task {task.task_id}: QueryCancelled: skipped")
-                    job.remaining -= 1
-                    finished = job.remaining == 0
-                if finished:
-                    job.done.set()
-                continue
-            wait_seconds = max(0.0, time.monotonic() - task.enqueued)
-            started = time.perf_counter()
-            try:
-                outcome = job.context.run_task(task, job.task_sink, job.interrupt)
-                if job.sink.absorb_on_arrival:
-                    # Deliver now (with the sink's own backpressure), keeping
-                    # only the telemetry.
-                    job.sink.absorb(outcome.pop("payload"))
-                seconds = time.perf_counter() - started
-                outcome.update(
-                    worker=worker_id,
-                    stolen=stolen,
-                    seconds=seconds,
-                    wait_seconds=wait_seconds,
-                    depth=depth,
-                )
-                with job.lock:
-                    job.outcomes.append(outcome)
-                    report = job.worker_reports[worker_id]
-                    report["tasks"] += 1
-                    report["steals"] += int(stolen)
-                    report["outputs"] += outcome["outputs"]
-                    report["busy_seconds"] += seconds
-            except Exception as exc:  # noqa: BLE001 - reported to the caller
-                with job.lock:
-                    job.errors.append(
-                        f"task {task.task_id}: {type(exc).__name__}: {exc}"
-                    )
-            finally:
-                with job.lock:
-                    job.remaining -= 1
-                    finished = job.remaining == 0
-                if finished:
-                    job.done.set()
-
-    def shutdown(self) -> None:
-        with self._cond:
-            self._stop = True
-            self.broken = True
-            self._cond.notify_all()
-        for thread in self._threads:
-            thread.join(timeout=2.0)
-
-
-# --------------------------------------------------------------------------- #
-# Process backend: persistent workers fed through a shared task queue
-# --------------------------------------------------------------------------- #
-
-
-class _PoolProtocolError(ExecutionError):
-    """The pool's worker protocol broke (dead worker, message out of order).
-
-    Unlike an ordinary task failure, the pool can no longer be trusted and
-    must be torn down; the registry builds a fresh one on next use.
-    """
-
-
-def _process_worker_main(
-    worker_id, cmd_queue, task_queue, result_queue, cancel_cell
+def _worker_main(
+    worker_id, cmd_queue, task_queue, result_queue, cancel_cell, isolated
 ) -> None:
-    """Process worker: attach columns per query, then pull tasks until done.
+    """Steal worker: take a query's context, then pull tasks until its end.
 
     Tasks sit in one shared queue tagged with a preferred owner; a worker
     executing a task dealt to a sibling records a steal.  That gives the
     dynamic balancing (and the accounting) of work stealing without
     distributed deques, which buy nothing at this task granularity.
 
-    ``cancel_cell`` is a fork-inherited shared integer holding the highest
-    *cancelled* query id: the parent bumps it when a query's deadline passes
-    or its caller cancels, and every task's deadline token probes it, so
-    sibling tasks abort mid-flight instead of running to completion.
+    ``cancel_cell.value`` is the highest *cancelled* query id: the parent
+    bumps it when a query's deadline passes or its caller cancels, and every
+    task's deadline token probes it, so sibling tasks abort mid-flight
+    instead of running to completion.
 
-    Each query attaches its atoms (re-using the worker's cached
-    attachments) and builds one context that lives until the query's
-    ``"end"``; the kernels' program and index caches, which live per
-    process, are what a repeated query over unchanged tables hits.
+    An ``isolated`` (process) worker attaches each query's atoms (re-using
+    its cached attachments) and builds one context that lives until the
+    query's ``"end"``; the kernels' program and index caches, which live per
+    process, are what a repeated query over unchanged tables hits.  A thread
+    worker takes the query's one shared context from the setup and shares
+    the parent's caches, so it leaves them alone on ``"stop"``.
     """
-    cache = AttachmentCache()
+    cache = AttachmentCache() if isolated else None
     while True:
         try:
             message = cmd_queue.get()
         except (EOFError, OSError):  # pragma: no cover - parent died
             return
         if message[0] == "stop":
-            # Drop the kernel programs/indexes (whose atoms keep attached
-            # tables alive) so close_all() can release every view and the
-            # segments close without "exported pointers exist" noise.
-            kernel_caches_clear()
-            cache.close_all()
+            if isolated:
+                # Drop the kernel programs/indexes (whose atoms keep attached
+                # tables alive) so close_all() can release every view and the
+                # segments close without "exported pointers exist" noise.
+                kernel_caches_clear()
+                cache.close_all()
             return
         _kind, query_id, setup = message
-        deadline_at = setup["deadline"]
-        task_sink = setup["task_sink"]
         context = None
         try:
             started = time.perf_counter()
-            if deadline_at is not None and time.monotonic() >= deadline_at:
+            if setup["deadline"] is not None and time.monotonic() >= setup["deadline"]:
                 raise DeadlineExceeded("query deadline passed before worker setup")
-            context = _build_worker_context(setup, cache)
+            context = (
+                _build_worker_context(setup, cache) if isolated else setup["context"]
+            )
             result_queue.put(
                 (
                     "ready",
@@ -658,7 +467,8 @@ def _process_worker_main(
             )
         try:
             report = _drain_tasks(
-                worker_id, query_id, context, task_sink, task_queue, result_queue, cancel_cell
+                worker_id, query_id, context, setup["task_sink"], task_queue,
+                result_queue, cancel_cell,
             )
         finally:
             if context is not None:
@@ -715,63 +525,79 @@ def _drain_tasks(
         result_queue.put(("result", query_id, outcome))
 
 
-class ProcessStealPool:
-    """A persistent pool of worker processes sharing one task queue.
+class StealPool:
+    """A persistent pool of steal workers sharing one task queue.
 
-    Inputs reach workers through the shared-memory column plane; only plans,
-    schemas and segment handles cross the command queues.  The pool survives
-    across queries — workers cache attachments (and the kernels' programs
-    and indexes), so a session hammering the same tables attaches each
-    segment once per worker, until the attachment LRU evicts it.
+    ``backend`` says what a worker is; the protocol is the same for both.
+    Thread workers (``"thread"``) run in this process over the query's one
+    task context, so a trie or hash table is built once and shared; under
+    CPython the GIL serializes the join work itself.  Process workers
+    (``"process"``, forked) receive their inputs through the shared-memory
+    column plane: only plans, schemas and segment handles cross the command
+    queues, and each worker caches its attachments (and the kernels'
+    programs and indexes), so a session hammering the same tables attaches
+    each segment once per worker, until the attachment LRU evicts it.
 
     Any protocol failure (a dead worker, an unexpected message) marks the
     pool broken and tears it down; the registry transparently builds a fresh
     pool on next use.
     """
 
-    backend = "process"
-
-    def __init__(self, workers: int) -> None:
+    def __init__(self, backend: str, workers: int) -> None:
+        if backend not in ("thread", "process"):
+            raise ExecutionError(f"unknown steal backend {backend!r}")
         if workers <= 0:
             raise ExecutionError(f"worker count must be positive, got {workers}")
-        # Start the shared-memory resource tracker *before* forking: workers
-        # must inherit the parent's tracker, not lazily spawn private ones
-        # whose caches never see the parent's unlinks (each private tracker
-        # would then warn about "leaked" segments at worker exit).
-        try:
-            from multiprocessing import resource_tracker
-
-            resource_tracker.ensure_running()
-        except Exception:  # pragma: no cover - tracker internals vary
-            pass
-        context = multiprocessing.get_context("fork")
+        self.backend = backend
         self.workers = workers
         self.broken = False
         self._query_id = 0
         self._submit_lock = threading.Lock()
-        self._cmd_queues = [context.SimpleQueue() for _ in range(workers)]
-        self._task_queue = context.SimpleQueue()
-        self._result_queue = context.Queue()
-        # Highest cancelled query id, fork-inherited: the parent bumps it to
-        # cancel a query's remaining tasks; workers probe it per task tick.
-        # lock=False: single-word reads/writes, one writer (the parent).
-        self._cancel_cell = context.Value("l", 0, lock=False)
-        self._processes = [
-            context.Process(
-                target=_process_worker_main,
+        if backend == "thread":
+            self._cmd_queues = [queue_module.SimpleQueue() for _ in range(workers)]
+            self._task_queue = queue_module.SimpleQueue()
+            self._result_queue = queue_module.SimpleQueue()
+            # One writer (the parent) and plain attribute reads.
+            self._cancel_cell = SimpleNamespace(value=0)
+            spawn = threading.Thread
+        else:
+            # Start the shared-memory resource tracker *before* forking:
+            # workers must inherit the parent's tracker, not lazily spawn
+            # private ones whose caches never see the parent's unlinks (each
+            # private tracker would then warn about "leaked" segments at
+            # worker exit).
+            try:
+                from multiprocessing import resource_tracker
+
+                resource_tracker.ensure_running()
+            except Exception:  # pragma: no cover - tracker internals vary
+                pass
+            context = multiprocessing.get_context("fork")
+            self._cmd_queues = [context.SimpleQueue() for _ in range(workers)]
+            self._task_queue = context.SimpleQueue()
+            self._result_queue = context.Queue()
+            # Fork-inherited; lock=False: single-word reads/writes, one
+            # writer (the parent).
+            self._cancel_cell = context.Value("l", 0, lock=False)
+            spawn = context.Process
+        self._workers = [
+            spawn(
+                target=_worker_main,
                 args=(
                     index,
                     self._cmd_queues[index],
                     self._task_queue,
                     self._result_queue,
                     self._cancel_cell,
+                    backend == "process",
                 ),
+                name=f"repro-steal-{index}",
                 daemon=True,
             )
             for index in range(workers)
         ]
-        for process in self._processes:
-            process.start()
+        for worker in self._workers:
+            worker.start()
 
     def submit(
         self,
@@ -782,15 +608,17 @@ class ProcessStealPool:
     ):
         """Run ``tasks`` with ``setup``; returns (outcomes, worker_reports).
 
-        ``setup`` carries ``sink.task_sink()``; every task folds into a fresh
-        sink built from it, worker-side.
+        ``setup`` carries ``sink.task_sink()``, every task folds into a fresh
+        sink built from it, worker-side, and what a worker runs the tasks
+        over: the shared context (thread) or the pipeline and atom segment
+        handles it attaches (process).
 
         Raises :class:`ExecutionError` when any task or setup failed.  Only
         *protocol* failures (a dead worker, an out-of-sequence message) mark
         the pool broken and tear it down; ordinary query errors — including
         deadline aborts and cancellations — complete the drain protocol
-        cleanly, so the workers, their cached shm attachments and their
-        kernel caches stay warm for the next query.
+        cleanly, so the workers and their caches stay warm for the next
+        query.
 
         ``interrupt`` is watched while the parent drains results: expiry or
         cancellation bumps the pool's cancel cell, which every in-flight
@@ -813,13 +641,11 @@ class ProcessStealPool:
             try:
                 return self._run_query(self._query_id, setup, sink, tasks, interrupt)
             except _PoolProtocolError:
-                self.broken = True
                 self.shutdown()
                 raise
             except ExecutionError:
                 raise
             except Exception:
-                self.broken = True
                 self.shutdown()
                 raise
 
@@ -921,33 +747,37 @@ class ProcessStealPool:
             except queue_module.Empty:
                 if hook is not None:
                     hook()
-                for process in self._processes:
-                    if not process.is_alive():
+                for worker in self._workers:
+                    if not worker.is_alive():
                         raise _PoolProtocolError(
-                            f"steal worker pid={process.pid} died "
-                            f"(exitcode={process.exitcode}) mid-query"
+                            f"steal worker {worker.name} died mid-query"
                         ) from None
 
     def shutdown(self) -> None:
         self.broken = True
+        # Abort whatever is still in flight: a torn-down thread worker cannot
+        # be terminated, only told to stop at its next tick.
+        self._cancel_cell.value = self._query_id
         for cmd_queue in self._cmd_queues:
             try:
                 cmd_queue.put(("stop",))
             except (OSError, ValueError):  # pragma: no cover - queue torn down
                 pass
-        for process in self._processes:
-            process.join(timeout=1.0)
-            if process.is_alive():
-                process.terminate()
-                process.join(timeout=1.0)
-            if process.is_alive():  # pragma: no cover - stuck in kernel
-                process.kill()
-                process.join()
-        try:
-            self._result_queue.close()
-            self._result_queue.cancel_join_thread()
-        except (OSError, ValueError):  # pragma: no cover
-            pass
+        for worker in self._workers:
+            worker.join(timeout=1.0)
+            if self.backend == "thread" or not worker.is_alive():
+                continue
+            worker.terminate()
+            worker.join(timeout=1.0)
+            if worker.is_alive():  # pragma: no cover - stuck in kernel
+                worker.kill()
+                worker.join()
+        if self.backend == "process":
+            try:
+                self._result_queue.close()
+                self._result_queue.cancel_join_thread()
+            except (OSError, ValueError):  # pragma: no cover
+                pass
 
 
 # --------------------------------------------------------------------------- #
@@ -955,7 +785,7 @@ class ProcessStealPool:
 # --------------------------------------------------------------------------- #
 
 
-_POOLS: Dict[Tuple[str, int], object] = {}
+_POOLS: Dict[Tuple[str, int], StealPool] = {}
 _POOLS_PID = os.getpid()
 _REGISTRY_LOCK = threading.Lock()
 
@@ -976,17 +806,12 @@ def get_pool(backend: str, workers: int):
         key = (backend, workers)
         pool = _POOLS.get(key)
         if pool is None or pool.broken:
-            if backend == "thread":
-                pool = ThreadStealPool(workers)
-            elif backend == "process":
-                pool = ProcessStealPool(workers)
-            else:
-                raise ExecutionError(f"unknown steal backend {backend!r}")
+            pool = StealPool(backend, workers)
             _POOLS[key] = pool
         return pool
 
 
-def active_pools() -> Dict[Tuple[str, int], object]:
+def active_pools() -> Dict[Tuple[str, int], StealPool]:
     """Snapshot of the live pools (for tests and diagnostics)."""
     with _REGISTRY_LOCK:
         if _POOLS_PID != os.getpid():
@@ -1023,7 +848,9 @@ class _StealRun:
     tasks: List[StealTask]
     workers: int
     backend: str
-    context_factory: Callable[[], object]
+    #: The inline task's context.
+    context_factory: Callable[[], _TaskContext]
+    #: The pool's query setup (see :meth:`StealPool.submit`).
     setup_factory: Callable[[], Dict[str, object]]
     #: The query's sink: tasks fold into its ``task_sink()``s and it absorbs
     #: their payloads — on arrival or after the drain, as it declares.
@@ -1070,14 +897,10 @@ def _drive(run: _StealRun) -> ShardedRunResult:
         report["busy_seconds"] = outcome["seconds"]
         outcomes, reports = [outcome], {0: report}
         backend_label = "inline"
-    elif run.backend == "thread":
-        pool = get_pool("thread", effective)
-        outcomes, reports = pool.submit(run.context_factory(), sink, run.tasks, run.interrupt)
-        backend_label = "thread"
     else:
-        pool = get_pool("process", effective)
+        pool = get_pool(run.backend, effective)
         outcomes, reports = pool.submit(run.setup_factory(), sink, run.tasks, run.interrupt)
-        backend_label = "process"
+        backend_label = run.backend
     join_seconds = time.perf_counter() - join_started
     return _merge(run, outcomes, reports, backend_label, join_seconds)
 
@@ -1110,13 +933,6 @@ def _merge(
         "wait_seconds_max": max(waits, default=0.0),
         "wait_seconds_mean": (sum(waits) / len(waits)) if waits else 0.0,
     }
-    # Depths are sampled at dequeue time; only the thread backend measures
-    # them (the process task queue has no cheap depth probe), so the keys are
-    # present only when they are real measurements.
-    depths = [outcome["depth"] for outcome in outcomes if "depth" in outcome]
-    if depths:
-        queue_stats["depth_max"] = max(depths)
-        queue_stats["depth_mean_at_dequeue"] = sum(depths) / len(depths)
     setup_max = max(
         (report.get("setup_seconds", 0.0) for report in reports.values()), default=0.0
     )
@@ -1222,13 +1038,19 @@ def run_pipeline_steal(
         return context
 
     def setup_factory():
-        return {
-            "pipeline": replace(pipeline, atoms=[]),
-            "atoms": _atom_specs(pipeline.atoms),
+        setup = {
             "task_sink": sink.task_sink(),
-            "kernels_off": kernels_off,
             "deadline": interrupt.at if interrupt is not None else None,
         }
+        if shared:
+            setup["context"] = context_factory()
+        else:
+            setup.update(
+                pipeline=replace(pipeline, atoms=[]),
+                atoms=_atom_specs(pipeline.atoms),
+                kernels_off=kernels_off,
+            )
+        return setup
 
     return _drive(
         _StealRun(

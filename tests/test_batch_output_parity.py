@@ -411,7 +411,7 @@ def test_left_join_is_identical_across_engines_kernels_and_backends():
 
 def test_left_outer_probe_ignores_repro_kernels():
     """Same core rows in, same extended rows out — in order — on and off."""
-    from repro.engine.aggregates import PostJoinSink, post_join
+    from repro.engine.aggregates import PostJoinSink, aggregate_result, finalize_output
     from repro.query.planner import Planner
 
     logical = Planner(_left_outer_db().catalog).plan_sql(LEFT_JOIN_SQL)
@@ -424,6 +424,7 @@ def test_left_outer_probe_ignores_repro_kernels():
             sink = PostJoinSink(RowSink(logical.result_variables()), logical)
             assert sink.variables == logical.needed_variables()
             sink.on_rows(list(rows), list(multiplicities))
-            tables.append(post_join(sink.result(), logical, {})[1].to_rows())
+            table = finalize_output(aggregate_result(sink.result(), logical), logical)
+            tables.append(table.to_rows())
     assert tables[0] == tables[1]
     assert tables[0][:4] == [(0, None, None), (1, 1, "n"), (1, 1, "n"), (1, 1, "s")]

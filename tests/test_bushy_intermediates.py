@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.aggregates import post_join
+from repro.engine.aggregates import aggregate_result, finalize_output
 from repro.kernels import executor as kernel_executor
 from repro.engine.session import Database
 from repro.experiments.differential import canonicalize, reference_rows
@@ -180,7 +180,7 @@ def _run(database, sql, right, engine):
     expected = _bag(reference_rows(database.catalog, parse_sql(sql)))
     logical = Planner(database.catalog).plan_sql(sql)
     report = database.run_join(logical, _bushy(*right), engine)
-    _result, table = post_join(report.result, logical, report.details)
+    table = finalize_output(aggregate_result(report.result, logical), logical)
     assert _bag(table.to_rows()) == expected
     return report
 

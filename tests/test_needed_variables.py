@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.aggregates import output_mode, post_join
+from repro.engine.aggregates import aggregate_result, finalize_output, output_mode
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
 from repro.experiments.differential import (
@@ -170,7 +170,7 @@ def test_bushy_intermediate_drops_the_columns_nothing_reads(
     try:
         logical = Planner(catalog).plan_sql(sql)
         report = database.run_join(logical, bushy, engine)
-        _result, table = post_join(report.result, logical, report.details)
+        table = finalize_output(aggregate_result(report.result, logical), logical)
     finally:
         database.close()
     assert canonicalize(table.to_rows(), ordered=False) == expected

@@ -309,12 +309,12 @@ def test_caller_sink_that_declares_on_arrival_is_entered_as_tasks_finish(fanout_
         query, plan, None, sink, context=RunContext(workers=2, parallel_mode=mode)
     )
     assert sorted(report.result.iter_rows()) == sorted(serial.iter_rows())
-    if mode == "thread":
-        # Delivered by the workers that ran the tasks (its own lock guards it).
-        assert all(name.startswith("repro-steal-") for name in sink.entered_from)
-    else:
-        # The process backend's parent absorbs each result message it receives.
-        assert sink.entered_from == {threading.current_thread().name}
+    # On both backends the submitting thread absorbs each result message as
+    # it arrives: never a pool thread, never two payloads at once.
+    assert sink.entered_from == {threading.current_thread().name}
+    assert sink.overlaps == 0
+    (detail,) = report.details["parallel"]
+    assert detail["mode"] == mode and detail["tasks"] > 1
 
 
 # --------------------------------------------------------------------------- #

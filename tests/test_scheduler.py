@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.colt import build_tries
 from repro.core.executor import ExecutorStats, FreeJoinExecutor, RangeView
-from repro.engine.aggregates import post_join
+from repro.engine.aggregates import aggregate_result, finalize_output
 from repro.engine.options import ExecOptions
 from repro.engine.output import RowSink
 from repro.engine.session import Database
@@ -235,7 +235,7 @@ def test_one_entry_driver_runs_one_inline_kernel_task(backend):
     logical = Planner(catalog).plan_sql(ONE_ENTRY_SQL)
 
     def bag(report):
-        _result, table = post_join(report.result, logical, report.details)
+        table = finalize_output(aggregate_result(report.result, logical), logical)
         return canonicalize(table.to_rows(), ordered=False)
 
     serial = Database(catalog).run_join(logical, plan, "freejoin")

@@ -183,7 +183,7 @@ def test_deadline_stops_scheduler_sibling_tasks(slow_catalog):
         database.execute(SLOW_SQL, options=ExecOptions(timeout=0.05))
     pool = scheduler.active_pools().get(("thread", 2))
     assert pool is not None and not pool.broken
-    # The pool is idle again: every worker deque drained, job completed.
+    # The pool is idle again: the shared task queue drained, the query completed.
     started = time.perf_counter()
     assert database.execute(FAST_SQL).scalar() == 10
     assert time.perf_counter() - started < 1.0

@@ -16,6 +16,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -23,9 +24,11 @@ import pytest
 
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
+from repro.errors import ExecutionError
 from repro.parallel import scheduler
 from repro.storage import shm
 from repro.storage.table import Table
+from repro.workloads.synthetic import fanout_tables
 
 COUNT_SQL = "SELECT COUNT(*) FROM fact, dim WHERE fact.k = dim.k"
 
@@ -201,7 +204,7 @@ def test_pool_shutdown_leaves_no_shm_segments(monkeypatch):
     gc.collect()
 
     assert scheduler.active_pools() == {}
-    for process in pool._processes:
+    for process in pool._workers:
         assert not process.is_alive()
     assert shm.active_export_segments() == []
     # close() unlinks every export this process owns, so nothing new may
@@ -283,13 +286,57 @@ def test_broken_process_pool_is_replaced_on_next_use():
     pool = scheduler.active_pools()[("process", 2)]
     # Kill a worker behind the scheduler's back: the next submit must fail
     # loudly, and the one after that must get a fresh pool.
-    pool._processes[0].terminate()
-    pool._processes[0].join()
+    pool._workers[0].terminate()
+    pool._workers[0].join()
     with pytest.raises(Exception):
         parallel.execute(COUNT_SQL)
     assert parallel.execute(COUNT_SQL).scalar() == expected
     replacement = scheduler.active_pools()[("process", 2)]
     assert replacement is not pool
+    scheduler.shutdown_pools()
+
+
+@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
+def test_dead_thread_worker_fails_the_query_and_replaces_the_pool(monkeypatch):
+    """A thread worker ended by a ``BaseException`` is a dead worker.
+
+    It must fail the query and the pool, as a dead process does — not leave
+    its task's rows out of a silently wrong answer (7022 of 8044 here).
+    """
+    database = Database(parallelism=2, parallel_mode="thread")
+    database.register_all(fanout_tables(400, keys=20).values())
+    sql = "SELECT COUNT(*) FROM fan_r, fan_s WHERE fan_r.k = fan_s.k"
+    real_run_task = scheduler._TaskContext.run_task
+
+    def dies_on_task_one(self, task, *args):
+        if task.task_id == 1:
+            raise SystemExit("worker thread ended")
+        return real_run_task(self, task, *args)
+
+    monkeypatch.setattr(scheduler._TaskContext, "run_task", dies_on_task_one)
+    scheduler.shutdown_pools()
+    outcome = {}
+
+    def run() -> None:
+        try:
+            outcome["count"] = database.execute(sql).scalar()
+        except ExecutionError as exc:
+            outcome["error"] = exc
+
+    # A scheduler blind to the dead worker waits for it forever: run the
+    # query on a daemon thread so that shows up as a failure, not a hang.
+    runner = threading.Thread(target=run, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "the query waited on a dead worker"
+    assert "error" in outcome, outcome
+    assert ("thread", 2) not in scheduler.active_pools()
+
+    monkeypatch.setattr(scheduler._TaskContext, "run_task", real_run_task)
+    outcome = database.execute(sql)
+    assert outcome.report.details["parallel"][0]["mode"] == "thread"
+    assert outcome.scalar() == 8044
+    assert ("thread", 2) in scheduler.active_pools()
     scheduler.shutdown_pools()
 
 
