@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.binaryjoin.hash_table import JoinHashTable
-from repro.engine.output import OutputSink
+from repro.engine.output import OutputSink, RowBatcher
 from repro.engine.pipeline import PhysicalPipeline, RowPath, RunContext, run_plan
 from repro.engine.report import RunReport
 from repro.optimizer.binary_plan import BinaryPlan
@@ -163,10 +163,11 @@ class BinaryJoinEngine:
             left.table.column(left.column_for(var)).values for var in left.variables
         ]
         bindings: Dict[str, object] = {}
+        batcher = RowBatcher(sink)
 
         def probe_level(position: int) -> None:
             if position == len(pipeline_atoms):
-                sink.on_row(tuple(bindings[v] for v in output_variables), 1)
+                batcher.emit(tuple(bindings[v] for v in output_variables), 1)
                 return
             atom = pipeline_atoms[position]
             table = hash_tables[position]
@@ -184,3 +185,4 @@ class BinaryJoinEngine:
             for var, column in zip(left.variables, left_columns):
                 bindings[var] = column[offset]
             probe_level(1)
+        batcher.flush()

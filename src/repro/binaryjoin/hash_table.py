@@ -58,7 +58,3 @@ class JoinHashTable:
     def row_values(self, offset: int) -> Row:
         """All variable values of the row at ``offset``, in atom variable order."""
         return tuple(column[offset] for column in self._columns)
-
-    def build_size(self) -> int:
-        """Number of rows indexed (used for reporting)."""
-        return self.atom.size

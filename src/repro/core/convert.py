@@ -18,12 +18,11 @@ plans non-degenerate while preserving their meaning:
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 from repro.errors import PlanError
 from repro.core.plan import FreeJoinPlan
 from repro.query.atoms import Atom, Subatom
-from repro.query.conjunctive import ConjunctiveQuery
 
 
 def binary_to_free_join(
@@ -85,18 +84,3 @@ def binary_to_free_join(
 
     return FreeJoinPlan.from_lists(nodes)
 
-
-def binary_plan_to_free_join(
-    pipeline_items: Sequence[str],
-    query: ConjunctiveQuery,
-    extra_atoms: Mapping[str, Atom] = (),
-) -> FreeJoinPlan:
-    """Convenience wrapper resolving atoms from a query plus extra atoms.
-
-    ``extra_atoms`` supplies materialized intermediates (for bushy plans
-    decomposed into pipelines) that are not part of the original query.
-    """
-    atom_map: Dict[str, Atom] = {atom.name: atom for atom in query.atoms}
-    for name, atom in dict(extra_atoms).items():
-        atom_map[name] = atom
-    return binary_to_free_join(pipeline_items, atom_map)

@@ -28,7 +28,7 @@ from repro.core.ght import GHT
 from repro.core.plan import FreeJoinPlan
 from repro.core.vectorized import run_node_vectorized
 from repro.datatypes import Row
-from repro.engine.output import OutputSink
+from repro.engine.output import OutputSink, RowBatcher
 from repro.query.atoms import Subatom
 
 
@@ -66,11 +66,6 @@ class ExecutorStats:
             "outputs": self.outputs,
             "batches": self.batches,
         }
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, int]) -> "ExecutorStats":
-        """Rebuild stats from :meth:`as_dict` output (crosses process pipes)."""
-        return cls(**record)
 
 
 @dataclass
@@ -156,7 +151,9 @@ class FreeJoinExecutor:
         Variables to report to the sink, in output order.  Every output
         variable must be bound by the plan.
     sink:
-        Where output rows (or factorized groups) go.
+        Where the output goes: rows as column batches of ``sink.expand_rows``
+        (:class:`~repro.engine.output.RowBatcher`), factorized groups one
+        per batch.
     dynamic_cover:
         Pick the cover with the fewest keys at run time (Section 4.4) instead
         of always iterating the first cover subatom.
@@ -190,6 +187,7 @@ class FreeJoinExecutor:
         # the join mid-flight instead of after it completes.
         self.interrupt = interrupt
         self.stats = ExecutorStats()
+        self._batcher = RowBatcher(sink)
 
         plan_variables = set(plan.all_variables())
         missing = [v for v in self.output_variables if v not in plan_variables]
@@ -260,6 +258,7 @@ class FreeJoinExecutor:
             if relation not in tries:
                 raise ExecutionError(f"no trie provided for relation {relation!r}")
         self._join(dict(tries), 0, {}, 1)
+        self._batcher.flush()
 
     def run_task(
         self,
@@ -309,14 +308,15 @@ class FreeJoinExecutor:
             # Probe-only root: a single unit of work, owned by the first task.
             if start <= 0 < stop:
                 self._join(working, 0, {}, 1)
-            return
-        relation = info.cover_plans[cover_position].relation
-        working[relation] = RangeView(working[relation], start, stop)
-        self._pinned_root = cover_position
-        try:
-            self._join(working, 0, {}, 1)
-        finally:
-            self._pinned_root = None
+        else:
+            relation = info.cover_plans[cover_position].relation
+            working[relation] = RangeView(working[relation], start, stop)
+            self._pinned_root = cover_position
+            try:
+                self._join(working, 0, {}, 1)
+            finally:
+                self._pinned_root = None
+        self._batcher.flush()
 
     # ------------------------------------------------------------------ #
     # Recursive join (Figure 7)
@@ -493,8 +493,7 @@ class FreeJoinExecutor:
 
     def _output(self, bindings: Dict[str, object], multiplicity: int) -> None:
         self.stats.outputs += 1
-        row = tuple(bindings[var] for var in self.output_variables)
-        self.sink.on_row(row, multiplicity)
+        self._batcher.emit(tuple(bindings[var] for var in self.output_variables), multiplicity)
 
     # ------------------------------------------------------------------ #
     # Factorized output (Section 4.4)
@@ -569,6 +568,7 @@ class FreeJoinExecutor:
                 columns = [[] for _ in subatom.variables]
             factors.append((tuple(subatom.variables), columns, [0, len(keys)]))
         self.stats.outputs += 1
+        self._batcher.flush()  # rows emitted before this group stay before it
         self.sink.on_factorized_batch(
             prefix_variables, prefix_columns, factors, [multiplicity]
         )

@@ -86,10 +86,3 @@ def _available_variables(nodes: List[List[Subatom]], index: int) -> Set[str]:
 
 def _contains_relation(node: List[Subatom], relation: str) -> bool:
     return any(subatom.relation == relation for subatom in node)
-
-
-def convert_and_factor(order, atoms) -> FreeJoinPlan:
-    """Convert a left-deep order to a Free Join plan and factor it."""
-    from repro.core.convert import binary_to_free_join
-
-    return factor_plan(binary_to_free_join(order, atoms))

@@ -48,10 +48,6 @@ class FreeJoinNode:
         """Relation names appearing in this node, in order."""
         return [subatom.relation for subatom in self.subatoms]
 
-    def has_relation(self, relation: str) -> bool:
-        """Whether the node contains a subatom of the given relation."""
-        return any(subatom.relation == relation for subatom in self.subatoms)
-
     def subatom_of(self, relation: str) -> Optional[Subatom]:
         """The subatom of the given relation, if present."""
         for subatom in self.subatoms:

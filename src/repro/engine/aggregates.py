@@ -29,8 +29,9 @@ front of the chosen sink.
   product (a batch whose group key hides inside a factor is expanded column
   slice by column slice and folded flat).
   :meth:`~GroupedAggregateState.fold_row` is their row-at-a-time
-  reference; only the row paths' per-tuple ``on_row`` still calls it.
-* :class:`AggregateFold` is the sink-side fold (every reporting entry point
+  reference, which no sink calls: the row paths hand their sink column
+  batches too.
+* :class:`AggregateFold` is the sink-side fold (both reporting entry points
   plus the sink transport — ``task_sink`` / ``payload`` / ``absorb``), mixed
   into two sinks.
   :class:`PartialAggregateSink` is the sink of every aggregate ``execute()``
@@ -75,7 +76,6 @@ from repro.engine.output import (
     OutputSink,
     _factorized_group_count,
     expand_factorized_batch,
-    rows_to_batch,
 )
 from repro.errors import ExecutionError, QueryError
 from repro.kernels.predicates import compile_batch_predicate
@@ -329,8 +329,8 @@ class GroupedAggregateState:
     def fold_row(self, row: Row, multiplicity: int = 1) -> Row:
         """Fold one join row; returns the group key it landed in.
 
-        The row-at-a-time reference of :meth:`fold_columns`, and what the
-        row paths' per-tuple ``on_row`` folds through.
+        The row-at-a-time reference :meth:`fold_columns` is checked
+        against; no sink calls it.
         """
         key = tuple(row[p] for p in self._group_positions)
         states = self.group_states(key)
@@ -583,8 +583,7 @@ class AggregateFold:
     never materialized: flat batches go through
     :meth:`GroupedAggregateState.fold_columns`, factorized batches through
     :func:`fold_factorized_batch` (no expansion) whenever the group key
-    lives in the prefix; only the row paths' per-tuple :meth:`on_row` folds
-    a row at a time.  As a transport (see :mod:`repro.engine.output`): a
+    lives in the prefix.  As a transport (see :mod:`repro.engine.output`): a
     steal task of either host folds into a :class:`PartialAggregateSink`
     (:meth:`task_sink`) and ships its (tiny) serialized partial
     (:meth:`payload`) instead of raw rows, and the parent-side sink merges it
@@ -612,14 +611,6 @@ class AggregateFold:
         """``reports`` folds landed in the ``touched`` groups (lock held)."""
         self.folded += reports
 
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity > 0:
-            with self._lock:
-                self._folded((self.state.fold_row(row, multiplicity),), 1)
-
-    def on_rows(self, rows, multiplicities=None) -> None:
-        self.on_batch(*rows_to_batch(rows, multiplicities))
-
     def on_batch(self, columns, multiplicities=None) -> None:
         with self._lock:
             self._folded(
@@ -638,8 +629,8 @@ class AggregateFold:
                 self._folded(touched, len(touched))
                 return
         # Group key (or an aggregate input) inside a factor: the host's own
-        # handling expands the batch into rows (and raises for unbound
-        # variables), which come back through on_rows.
+        # handling expands the batch into column slices (and raises for
+        # unbound variables), which come back through on_batch.
         super().on_factorized_batch(*batch)
 
     def task_sink(self):
@@ -725,10 +716,8 @@ class PostJoinSink(OutputSink):
     for a stream is the SELECT projection.
 
     It reads every row it is handed, so it never claims ``counts_only`` or
-    ``accepts_factorized``, and it keeps lists (no ``packs_columns``).  Rows
-    reported one at a time (the row paths, which run serially into the final
-    sink) are buffered into batches of ``expand_rows``, the last one flushed
-    by :meth:`result`.  Steal tasks fill the default
+    ``accepts_factorized``, and it keeps lists (no ``packs_columns``).
+    Steal tasks fill the default
     :class:`~repro.engine.output.FactorizedSink` and the parent replays their
     batches through this sink (the default :meth:`~OutputSink.absorb`) on
     the submitting thread, as each arrives when ``inner`` absorbs on
@@ -760,30 +749,8 @@ class PostJoinSink(OutputSink):
         self._lock = threading.Lock()
         self._matched = [0] * len(self._extensions)
         self._rows_after = [0] * len(self._extensions)
-        self._rows: List[Row] = []
-        self._weights: List[int] = []
-
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        self._rows.append(row)
-        self._weights.append(multiplicity)
-        if len(self._rows) >= self.expand_rows:
-            self._flush_rows()
-
-    def _flush_rows(self) -> None:
-        """Hand the buffered rows on as one batch (keeps arrival order)."""
-        if self._rows:
-            rows, weights = self._rows, self._weights
-            self._rows, self._weights = [], []
-            self._apply(*rows_to_batch(rows, weights))
-
-    def on_rows(self, rows, multiplicities=None) -> None:
-        self.on_batch(*rows_to_batch(rows, multiplicities))
 
     def on_batch(self, columns, multiplicities=None) -> None:
-        self._flush_rows()
-        self._apply(columns, multiplicities)
-
-    def _apply(self, columns, multiplicities) -> None:
         """Mask, extend and project one batch into the wrapped sink."""
         size = len(columns[0]) if columns else len(multiplicities or ())
         if self._mask is not None and size:
@@ -839,7 +806,6 @@ class PostJoinSink(OutputSink):
         }
 
     def result(self) -> JoinResult:
-        self._flush_rows()
         return self.inner.result()
 
     def stats(self) -> Dict[str, object]:

@@ -18,9 +18,9 @@ column a vector (Section 4.2), of which row tuples are *views*
 :meth:`~JoinResult.to_rows`, ...).  Nothing between a pipeline, the next
 pipeline and the result table transposes; the one columns→rows ``zip`` left
 (:func:`repro.datatypes.columns_to_rows`) sits where the contract *is* row
-tuples — ``to_rows()``, ``iter_rows()`` and the default
-:meth:`OutputSink.on_batch` on its way into a streaming sink's batches —
-and it only ever sees flat column slices, however factorized the batch.
+tuples — ``to_rows()``, ``iter_rows()`` and a streaming sink's
+``on_batch`` on its way into its delivered batches — and it only ever sees
+flat column slices, however factorized the batch.
 
 **One factorized shape.**  Factorized output is a *batch of groups* in
 columnar form, ``(prefix_variables, prefix_columns, factors,
@@ -30,26 +30,27 @@ factor is ``(variables, columns, offsets)`` with *flat* columns segmented by
 every column of that factor.  A group stands for prefix x factor1 x factor2
 x ..., repeated ``multiplicities[i]`` times (``None`` means all 1).  A flat
 columnar batch is the same shape with no factors.  The kernels emit many
-groups per batch, the row path (``FreeJoinExecutor``) one group per batch,
-the steal scheduler ships these batches across the worker boundary, and
+groups per batch, the trie recursion (``FreeJoinExecutor``) one group per
+batch, the steal scheduler ships these batches across the worker boundary, and
 exactly one function — :func:`expand_factorized_batch` — ever enumerates
 the product, column-wise: as flat ``(columns, multiplicities)`` slices,
 never as row tuples.
 
-**One chain of defaults.**  A sink's producer surface is four entry points,
-each defaulting to the one before it::
+**One producer contract.**  A sink's producer surface is two entry points,
+the second defaulting to the first::
 
-    on_row  <-  on_rows  <-  on_batch  <-  on_factorized_batch
+    on_batch  <-  on_factorized_batch
 
-``on_row`` takes one tuple (the row path's per-tuple call), ``on_rows`` a
-list of tuples, ``on_batch`` one value column per output variable (zipped
-into tuples), ``on_factorized_batch`` the shape above (a factor-free batch
-is handed to ``on_batch``, anything else goes through the expander, whose
-bounded column slices are handed to ``on_batch``).  A sink therefore
-implements ``on_row`` and overrides the others only to be *cheaper* — a
-count multiplies segment sizes, an aggregate folds factor columns — never to
-be correct.  Sinks that gain from unexpanded groups advertise
-``accepts_factorized``; producers only factorize into those.
+``on_batch`` takes one value column per output variable,
+``on_factorized_batch`` the shape above (a factor-free batch is handed to
+``on_batch``, anything else goes through the expander, whose bounded column
+slices are handed to ``on_batch``).  A sink therefore implements ``on_batch`` and overrides
+``on_factorized_batch`` only to be *cheaper* — a count multiplies segment
+sizes, an aggregate folds factor columns — never to be correct.  Sinks that
+gain from unexpanded groups advertise ``accepts_factorized``; producers only
+factorize into those.  The row paths, which bind one output tuple at a time,
+hand theirs to a :class:`RowBatcher`, which calls ``on_batch`` every
+:attr:`OutputSink.expand_rows` rows: no sink has a per-row entry point.
 
 **One transport.**  A sink is also how its content crosses a steal-task
 boundary, and the scheduler never looks inside: :meth:`OutputSink.task_sink`
@@ -204,14 +205,58 @@ def expand_factorized_batch(
 def rows_to_batch(rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None):
     """``(columns, multiplicities)`` of a row list: ``on_batch``'s arguments.
 
-    The inverse of :meth:`OutputSink.on_batch`'s default, for sinks whose
-    cheap entry point is the columnar one.  Zero-width rows have no column
-    to carry their number, so they always get explicit multiplicities.
+    Zero-width rows have no column to carry their number, so they always get
+    explicit multiplicities.
     """
     columns = list(map(list, zip(*rows)))
     if not columns and multiplicities is None:
         multiplicities = [1] * len(rows)
     return columns, multiplicities
+
+
+def batch_to_rows(columns: Sequence[Sequence[Value]], multiplicities=None) -> List[Row]:
+    """The flat rows of an ``on_batch`` batch, each repeated by its multiplicity.
+
+    The inverse of :func:`rows_to_batch`; rows with a non-positive
+    multiplicity are not in the bag.
+    """
+    rows = columns_to_rows(columns) if columns else [()] * len(multiplicities or ())
+    if multiplicities is None:
+        return rows
+    return list(chain.from_iterable(map(repeat, rows, multiplicities)))
+
+
+class RowBatcher:
+    """The row paths' producer buffer: tuples in, column batches out.
+
+    The trie recursion, the binary probe loop and Generic Join bind one
+    output tuple at a time; they :meth:`emit` it here, and every
+    ``sink.expand_rows`` rows the batcher hands the sink one
+    :meth:`OutputSink.on_batch`, in arrival order.  A producer calls
+    :meth:`flush` before it hands the sink anything else (a factorized
+    group) and when its run completes.
+    """
+
+    __slots__ = ("sink", "size", "rows", "multiplicities")
+
+    def __init__(self, sink: "OutputSink") -> None:
+        self.sink = sink
+        self.size = sink.expand_rows
+        self.rows: List[Row] = []
+        self.multiplicities: List[int] = []
+
+    def emit(self, row: Row, multiplicity: int) -> None:
+        self.rows.append(row)
+        self.multiplicities.append(multiplicity)
+        if len(self.rows) >= self.size:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand the buffered rows to the sink as one batch."""
+        if self.rows:
+            rows, multiplicities = self.rows, self.multiplicities
+            self.rows, self.multiplicities = [], []
+            self.sink.on_batch(*rows_to_batch(rows, multiplicities))
 
 
 class OutputSink:
@@ -249,21 +294,6 @@ class OutputSink:
         #: Output variables, in the order rows are reported.
         self.variables: Tuple[str, ...] = tuple(variables)
 
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        """Report one fully bound output row with a bag multiplicity."""
-        raise NotImplementedError
-
-    def on_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
-    ) -> None:
-        """Report many rows at once (``multiplicities=None`` means all 1)."""
-        if multiplicities is None:
-            for row in rows:
-                self.on_row(row, 1)
-        else:
-            for row, multiplicity in zip(rows, multiplicities):
-                self.on_row(row, multiplicity)
-
     def on_batch(
         self,
         columns: Sequence[Sequence[Value]],
@@ -272,11 +302,10 @@ class OutputSink:
         """Report a columnar batch: one value column per output variable.
 
         ``columns`` aligns with :attr:`variables` (same order, equal
-        lengths).  A batch without columns has one empty row per
-        multiplicity.
+        lengths); ``multiplicities=None`` means all 1.  A batch without
+        columns has one empty row per multiplicity.
         """
-        rows = columns_to_rows(columns) if columns else [()] * len(multiplicities or ())
-        self.on_rows(rows, multiplicities)
+        raise NotImplementedError
 
     def on_factorized_batch(
         self,
@@ -338,8 +367,6 @@ class RowSink(OutputSink):
     task of it fills another one, whose batches — picklable lists — cross
     the worker boundary as they are and are appended in task order.
 
-    Row-at-a-time producers (trie recursion, probe loops) still work: their
-    rows are buffered and stored as one factor-free batch, in arrival order.
     Nothing *produces* factorized groups into this sink (it does not
     advertise ``accepts_factorized``); :class:`FactorizedSink` is the same
     store that does.
@@ -348,21 +375,6 @@ class RowSink(OutputSink):
     def __init__(self, variables: Sequence[str]) -> None:
         super().__init__(variables)
         self._batches: List[FactorizedBatch] = []
-        self._rows: List[Row] = []
-        self._multiplicities: List[int] = []
-
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity > 0:
-            self._rows.append(row)
-            self._multiplicities.append(multiplicity)
-
-    def _flush_rows(self) -> None:
-        """Store the buffered rows as one factor-free batch (keeps arrival order)."""
-        if self._rows:
-            columns, multiplicities = rows_to_batch(self._rows, self._multiplicities)
-            self._batches.append((self.variables, columns, [], multiplicities))
-            self._rows = []
-            self._multiplicities = []
 
     def on_batch(
         self,
@@ -378,10 +390,9 @@ class RowSink(OutputSink):
         factors: Sequence[Factor],
         multiplicities: Optional[Sequence[int]] = None,
     ) -> None:
-        self._flush_rows()
         # (A kernel's int64 multiplicities are match counts, never below one.)
         if not factors and not _is_array(multiplicities) and min(multiplicities or [1]) <= 0:
-            # Not in the bag: dropped here as in on_row, so count() == len(to_rows()).
+            # Not in the bag: dropped here, so count() == len(to_rows()).
             keep = [multiplicity > 0 for multiplicity in multiplicities]
             prefix_columns = [list(compress(column, keep)) for column in prefix_columns]
             multiplicities = list(compress(multiplicities, keep))
@@ -396,11 +407,9 @@ class RowSink(OutputSink):
         return partial(RowSink, self.variables)
 
     def payload(self):
-        self._flush_rows()
         return self._batches
 
     def absorb(self, payload) -> None:
-        self._flush_rows()
         self._batches.extend(payload)
 
 
@@ -431,17 +440,6 @@ class CountSink(OutputSink):
     def __init__(self, variables: Sequence[str]) -> None:
         super().__init__(variables)
         self._count = 0
-
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        self._count += multiplicity
-
-    def on_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
-    ) -> None:
-        if multiplicities is None:
-            self._count += len(rows)
-        else:
-            self._count += sum(multiplicities)
 
     def on_batch(
         self,
@@ -596,10 +594,6 @@ class JoinResult:
         if not self.variables:  # no column carries the row count
             return list(self.iter_rows())
         return columns_to_rows(self.columns())
-
-    def distinct_rows(self) -> set:
-        """The set of distinct output rows (ignores multiplicities)."""
-        return set(self.iter_rows())
 
     def sorted_rows(self) -> List[Row]:
         """All rows sorted lexicographically (useful for comparing engines)."""

@@ -478,7 +478,7 @@ class Database:
 
             def run_materialized():
                 report = run(token)
-                sink.on_rows(self._finish(logical, binary_plan, report).table.to_rows())
+                sink.put_rows(self._finish(logical, binary_plan, report).table.to_rows())
                 return report
 
             return StreamingResult(sink, token, run_materialized, executor=executor)

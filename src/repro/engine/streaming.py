@@ -6,8 +6,9 @@ worst-case memory and time-to-first-byte on every large output.  This module
 provides the streaming counterpart:
 
 * :class:`StreamingSink` is an :class:`~repro.engine.output.OutputSink` that
-  slices reported rows into fixed-size batches and pushes them into a
-  **bounded** queue as the join recursion produces them.  A full queue blocks
+  zips reported column batches into rows, slices them into fixed-size
+  batches and pushes them into a **bounded** queue as the join produces
+  them.  A full queue blocks
   the producer (backpressure): a slow consumer throttles the join instead of
   letting it race ahead and buffer the entire result.  The sink accepts
   factorized batches (``accepts_factorized``): producers ship shared
@@ -49,7 +50,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequ
 
 from repro.datatypes import Row
 from repro.engine.aggregates import AggregateFold, AggregateSpec, order_and_limit
-from repro.engine.output import JoinResult, OutputSink
+from repro.engine.output import JoinResult, OutputSink, batch_to_rows
 from repro.errors import ExecutionError, QueryError
 from repro.kernels.encoding import np
 
@@ -127,27 +128,19 @@ class StreamingSink(OutputSink):
     # Producer side
     # ------------------------------------------------------------------ #
 
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity <= 0:
-            return
-        with self._lock:
-            buffer = self._buffer
-            for _ in range(multiplicity):
-                buffer.append(row)
-                if len(buffer) >= self.batch_rows:
-                    self._put(buffer[: self.batch_rows])
-                    del buffer[: self.batch_rows]
+    def on_batch(self, columns, multiplicities=None) -> None:
+        self.put_rows(batch_to_rows(columns, multiplicities))
 
-    def on_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
-    ) -> None:
+    def put_rows(self, rows: Sequence[Row]) -> None:
+        """Queue finished rows, delivering every full ``batch_rows`` slice.
+
+        The one row-list primitive: :meth:`on_batch` zips into it, and
+        producers of finished rows (a standing query's deltas, the
+        materialize-then-stream fallback) push into it directly.
+        """
         with self._lock:
             buffer = self._buffer
-            if multiplicities is None:
-                buffer.extend(rows)
-            else:
-                for row, multiplicity in zip(rows, multiplicities):
-                    buffer.extend([row] * multiplicity)
+            buffer.extend(rows)
             while len(buffer) >= self.batch_rows:
                 self._put(buffer[: self.batch_rows])
                 del buffer[: self.batch_rows]
@@ -317,9 +310,10 @@ class StreamingAggregateSink(AggregateFold, StreamingSink):
 
     The folding half is :class:`~repro.engine.aggregates.AggregateFold` —
     the very fold ``execute()`` aggregates with, fed the same way: serial
-    engines report columnar batches (folded a column at a time), factorized
-    batches (folded without expansion whenever the group key is bound by
-    the prefix) and, on the row paths, single tuples; the steal scheduler
+    engines report columnar batches (folded a column at a time — the row
+    paths' too, through their batcher) and factorized batches (folded
+    without expansion whenever the group key is bound by the prefix); the
+    steal scheduler
     ships each task's *serialized partial* to :meth:`absorb`, so raw
     join rows never cross the worker boundary.  The delivery half is
     :class:`StreamingSink`'s bounded queue: every fold marks its groups
@@ -468,11 +462,11 @@ class StreamingTopKSink(StreamingSink):
         self.skipped_rows = 0
 
     # ------------------------------------------------------------------ #
-    # Producer side: every entry point folds into the candidate set
+    # Producer side: every batch folds into the candidate set
     # ------------------------------------------------------------------ #
 
     def on_batch(self, columns, multiplicities=None) -> None:
-        """Drop the rows the cutoff rules out, then fold the rest as rows."""
+        """Drop the rows the cutoff rules out, then fold the rest."""
         cutoff = self._cutoff
         if cutoff is not None:
             first = self.order_by[0]
@@ -489,24 +483,7 @@ class StreamingTopKSink(StreamingSink):
                         multiplicities = list(compress(multiplicities, keep))
                     with self._lock:
                         self.skipped_rows += dropped
-        super().on_batch(columns, multiplicities)
-
-    def on_row(self, row: Row, multiplicity: int = 1) -> None:
-        if multiplicity <= 0:
-            return
-        self.on_rows([row] * multiplicity)
-
-    def on_rows(
-        self, rows: Sequence[Row], multiplicities: Optional[Sequence[int]] = None
-    ) -> None:
-        if multiplicities is not None:
-            expanded: List[Row] = []
-            for row, multiplicity in zip(rows, multiplicities):
-                if multiplicity > 0:
-                    expanded.extend([row] * multiplicity)
-            rows = expanded
-        else:
-            rows = list(rows)
+        rows = batch_to_rows(columns, multiplicities)
         if not rows:
             return
         with self._lock:

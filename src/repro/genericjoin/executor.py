@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
-from repro.engine.output import OutputSink
+from repro.engine.output import OutputSink, RowBatcher
 from repro.engine.pipeline import PhysicalPipeline, RowPath, RunContext, run_plan
 from repro.engine.report import RunReport
 from repro.errors import PlanError
@@ -239,11 +239,11 @@ class GenericJoinEngine:
         }
         nodes: Dict[str, object] = {name: trie.root for name, trie in tries.items()}
         bindings: Dict[str, object] = {}
+        batcher = RowBatcher(sink)
 
         def recurse(position: int, multiplicity: int) -> None:
             if position == len(order):
-                row = tuple(bindings[v] for v in output_variables)
-                sink.on_row(row, multiplicity)
+                batcher.emit(tuple(bindings[v] for v in output_variables), multiplicity)
                 return
 
             variable = order[position]
@@ -298,3 +298,4 @@ class GenericJoinEngine:
                 remaining[name] = saved_remaining[name]
 
         recurse(0, 1)
+        batcher.flush()

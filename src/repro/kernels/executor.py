@@ -184,7 +184,7 @@ def execute_program(
         stats["batches"] += 1
         stats["rows_in"] += int(chunk.size)
         # The frontier guard may only abort to the row path while the sink
-        # is untouched: count mode defers its single on_row to the end, row
+        # is untouched: count mode defers its single on_batch to the end, row
         # mode is safe until the first chunk actually emits.
         before = stats["rows_out"]
         count_total += _run_chunk(
@@ -199,7 +199,7 @@ def execute_program(
         )
         emitted_rows += 0 if count_mode else stats["rows_out"] - before
     if count_mode:
-        sink.on_row((), count_total)
+        sink.on_batch([], [count_total])
     return stats
 
 

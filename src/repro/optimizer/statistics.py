@@ -20,13 +20,6 @@ class ColumnStatistics:
     minimum: object = None
     maximum: object = None
 
-    @property
-    def average_duplication(self) -> float:
-        """Average number of rows per distinct value (>= 1 for non-empty)."""
-        if self.distinct_count == 0:
-            return 0.0
-        return self.row_count / self.distinct_count
-
 
 @dataclass
 class TableStatistics:

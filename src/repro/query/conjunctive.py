@@ -116,10 +116,6 @@ class ConjunctiveQuery:
                 counts[var] = counts.get(var, 0) + 1
         return [v for v in self._variables_in_order() if counts[v] >= 2]
 
-    def total_input_rows(self) -> int:
-        """Sum of the atom table sizes (useful for reporting)."""
-        return sum(a.size for a in self.atoms)
-
     def rename(self, name: str) -> "ConjunctiveQuery":
         """Return the same query under a different name."""
         return ConjunctiveQuery(self.atoms, self.output_variables, name=name)

@@ -30,6 +30,7 @@ cores.
 
 from __future__ import annotations
 
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -43,6 +44,12 @@ ANALYTIC = "analytic"
 CLASSES = (POINT, ANALYTIC)
 
 
+_GROUP_BY = re.compile(r"\bGROUP\s+BY\b")
+_FROM = re.compile(r"\bFROM\b")
+_CLAUSE_END = re.compile(r"\b(?:WHERE|GROUP|ORDER|LIMIT)\b")
+_JOIN = re.compile(r"\bJOIN\b")
+
+
 def classify_sql(sql: str) -> str:
     """Cheap point/analytic split, no planner required.
 
@@ -54,16 +61,16 @@ def classify_sql(sql: str) -> str:
     must cost less than planning.
     """
     upper = sql.upper()
-    if "GROUP BY" in upper:
+    if _GROUP_BY.search(upper):
         return ANALYTIC
-    from_index = upper.find("FROM")
-    if from_index >= 0:
-        clause = upper[from_index + 4:]
-        for terminator in (" WHERE ", " GROUP ", " ORDER ", " LIMIT "):
-            cut = clause.find(terminator)
-            if cut >= 0:
-                clause = clause[:cut]
-        if clause.count(",") >= 2:
+    start = _FROM.search(upper)
+    if start:
+        clause = upper[start.end() :]
+        end = _CLAUSE_END.search(clause)
+        if end:
+            clause = clause[: end.start()]
+        # FROM items are separated by commas and JOINs.
+        if clause.count(",") + len(_JOIN.findall(clause)) >= 2:
             return ANALYTIC
     return POINT
 

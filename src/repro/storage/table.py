@@ -139,12 +139,6 @@ class Table:
             raise SchemaError("a table needs at least one column")
         return cls(name, columns)
 
-    @classmethod
-    def empty_like(cls, other: "Table", name: Optional[str] = None) -> "Table":
-        """An empty table with the same schema as ``other``."""
-        columns = [Column(c.name, [], dtype=c.dtype) for c in other.columns]
-        return cls(name or other.name, columns)
-
     # ------------------------------------------------------------------ #
     # Schema accessors
     # ------------------------------------------------------------------ #
@@ -242,10 +236,6 @@ class Table:
         offsets = [i for i, row in enumerate(self.iter_rows()) if predicate(row)]
         return self.take(offsets, name=name)
 
-    def filter_offsets(self, predicate: Callable[[Row], bool]) -> List[int]:
-        """Return the offsets of rows satisfying ``predicate``."""
-        return [i for i, row in enumerate(self.iter_rows()) if predicate(row)]
-
     def distinct(self, name: Optional[str] = None) -> "Table":
         """Return a table with duplicate rows removed (first occurrence kept)."""
         seen = set()
@@ -281,22 +271,6 @@ class Table:
                 digest.update(_column_digest(column))
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
-
-    def approx_bytes(self) -> int:
-        """A cheap estimate of the table's in-memory payload size.
-
-        Used for cache byte budgets, not accounting: packed columns count
-        their buffer size, everything else is approximated at 8 bytes per
-        cell plus Python object overhead.
-        """
-        total = 0
-        for column in self.columns:
-            values = column.values
-            if isinstance(values, memoryview):
-                total += values.nbytes
-            else:
-                total += 8 * len(values) + 48
-        return total
 
     def append_rows(self, rows: Sequence[Row]) -> None:
         """Append rows in place (bag semantics), bumping :attr:`version`.

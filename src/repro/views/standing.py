@@ -351,7 +351,7 @@ class StandingQuery:
             self._deliver_keyed_diff(old_table, outcome.table)
         else:
             # No usable group key: deliver the full new snapshot.
-            self._sink.on_rows(outcome.table.to_rows())
+            self._sink.put_rows(outcome.table.to_rows())
             self._sink.flush()
 
     def _reseed(self) -> None:
@@ -367,7 +367,7 @@ class StandingQuery:
             fold_join_result(self._state, outcome.join_result)
         else:
             self._snapshot = outcome.table
-        self._sink.on_rows(self.snapshot().to_rows())
+        self._sink.put_rows(self.snapshot().to_rows())
         self._sink.flush()
 
     def _refresh_options(self) -> ExecOptions:
@@ -382,7 +382,7 @@ class StandingQuery:
         keys = sorted(set(touched), key=repr)
         if not keys:
             return
-        self._sink.on_rows([self._state.finalize_key(key) for key in keys])
+        self._sink.put_rows([self._state.finalize_key(key) for key in keys])
         self._sink.flush()
 
     def _deliver_keyed_diff(self, old_table: Table, new_table: Table) -> None:
@@ -397,7 +397,7 @@ class StandingQuery:
         ]
         if not changed:
             return
-        self._sink.on_rows(changed)
+        self._sink.put_rows(changed)
         self._sink.flush()
 
     def _usable_key_positions(self, logical: LogicalQuery) -> Optional[List[int]]:

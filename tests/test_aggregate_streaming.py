@@ -197,7 +197,7 @@ def test_aggregate_sink_streams_deltas_and_final_snapshot():
     )
     sink = StreamingAggregateSink(spec, batch_rows=8, max_batches=16, flush_rows=4)
     for i in range(10):
-        sink.on_row((i % 2, i), 1)
+        sink.on_batch([[i % 2], [i]])
     sink.finish()
     batches = []
     while True:
@@ -219,7 +219,7 @@ def test_aggregate_sink_streams_deltas_and_final_snapshot():
 def test_aggregate_sink_deltas_are_ordered_by_group_key():
     spec = _spec([(None, "x", "x"), ("COUNT", None, "n")], ["x"], ["x"])
     sink = StreamingAggregateSink(spec, batch_rows=64, flush_rows=64)
-    sink.on_rows([(value,) for value in (9, 3, 7, 1, 5)])
+    sink.on_batch([[9, 3, 7, 1, 5]])
     sink.absorb(None)  # a partial-less merge still counts
     sink.finish()
     first = sink.next_batch()

@@ -423,7 +423,7 @@ def test_left_outer_probe_ignores_repro_kernels():
         with kernels_enabled(kernels):
             sink = PostJoinSink(RowSink(logical.result_variables()), logical)
             assert sink.variables == logical.needed_variables()
-            sink.on_rows(list(rows), list(multiplicities))
+            sink.on_batch([list(column) for column in zip(*rows)], list(multiplicities))
             table = finalize_output(aggregate_result(sink.result(), logical), logical)
             tables.append(table.to_rows())
     assert tables[0] == tables[1]

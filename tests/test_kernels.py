@@ -445,14 +445,6 @@ class _RecordingSink(RowSink):
         super().__init__(variables)
         self.log = log
 
-    def on_row(self, row, multiplicity=1):
-        self.log.append("sink")
-        super().on_row(row, multiplicity)
-
-    def on_rows(self, rows, multiplicities=None):
-        self.log.append("sink")
-        super().on_rows(rows, multiplicities)
-
     def on_batch(self, columns, multiplicities=None):
         self.log.append("sink")
         super().on_batch(columns, multiplicities)
@@ -470,7 +462,7 @@ class _RecordingRowPath(RowPath):
 
     def run(self, state, sink, start, stop, sub, interrupt, factorize=False):
         self.log.append("row-path")
-        sink.on_row((0, 0), 1)
+        sink.on_batch([[0], [0]])
 
 
 def test_run_range_hands_the_row_path_an_untouched_sink(monkeypatch):

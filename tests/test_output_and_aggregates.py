@@ -14,17 +14,16 @@ from repro.storage.table import Table
 class TestSinks:
     def test_row_sink_collects_multiplicities(self):
         sink = RowSink(["x", "y"])
-        sink.on_row((1, 2), 2)
-        sink.on_row((3, 4), 1)
-        sink.on_row((5, 6), 0)  # zero multiplicity is dropped
+        # (1, 2) twice, (3, 4) once; a zero multiplicity is dropped.
+        sink.on_batch([[1, 3, 5], [2, 4, 6]], [2, 1, 0])
         result = sink.result()
         assert result.count() == 3
         assert sorted(result.iter_rows()) == [(1, 2), (1, 2), (3, 4)]
 
     def test_count_sink(self):
         sink = CountSink(["x"])
-        sink.on_row((1,), 3)
-        sink.on_rows([(7,), (8,)])
+        sink.on_batch([[1]], [3])
+        sink.on_batch([[7, 8]])
         result = sink.result()
         assert result.count() == 5
         with pytest.raises(ExecutionError):
@@ -50,7 +49,7 @@ class TestSinks:
         assert result.columns()[0] is x and result.columns()[1] is y
         assert result.to_rows() == list(result.iter_rows()) == [(1, "a"), (2, None), (3, "c")]
 
-        sink.on_row((4, "d"), 2)
+        sink.on_batch([[4], ["d"]], [2])
         # Non-positive multiplicities are not in the bag: dropped when stored.
         sink.on_batch([[5, 6, 7], ["e", "f", "g"]], [0, 3, -1])
         result = sink.result()

@@ -163,7 +163,7 @@ def test_parallel_process_mode_matches_serial(star_database):
 def probed(sink_class):
     """``sink_class`` with every entry point recording who enters, and when.
 
-    Entry points are the four producer calls plus ``absorb``.  The gate is
+    Entry points are the two producer calls plus ``absorb``.  The gate is
     re-entrant, so a default that chains to the next entry point on the same
     thread is one entry; a second thread finding the gate held is an overlap.
     """
@@ -185,12 +185,6 @@ def probed(sink_class):
             finally:
                 self.gate.release()
 
-        def on_row(self, *args):
-            return self._enter("on_row", *args)
-
-        def on_rows(self, *args):
-            return self._enter("on_rows", *args)
-
         def on_batch(self, *args):
             return self._enter("on_batch", *args)
 
@@ -204,14 +198,18 @@ def probed(sink_class):
 
 
 class BareSink(OutputSink):
-    """The least a caller can write: ``on_row`` and ``result``, no lock."""
+    """The least a caller can write: ``on_batch`` and ``result``, no lock."""
 
     def __init__(self, variables):
         super().__init__(variables)
         self.pairs = []
+        #: Rows per batch received, in arrival order.
+        self.sizes = []
 
-    def on_row(self, row, multiplicity=1):
-        self.pairs.append((row, multiplicity))
+    def on_batch(self, columns, multiplicities=None):
+        rows = list(zip(*columns)) if columns else [()] * len(multiplicities)
+        self.sizes.append(len(rows))
+        self.pairs.extend(zip(rows, multiplicities or [1] * len(rows)))
 
     def result(self):
         rows, multiplicities = zip(*self.pairs) if self.pairs else ((), ())
@@ -227,9 +225,9 @@ class ArrivalSink(BareSink):
         super().__init__(variables)
         self.lock = threading.Lock()
 
-    def on_row(self, row, multiplicity=1):
+    def on_batch(self, columns, multiplicities=None):
         with self.lock:
-            super().on_row(row, multiplicity)
+            super().on_batch(columns, multiplicities)
 
 
 CALLER_SINKS = {
@@ -297,6 +295,29 @@ def test_caller_sink_on_a_parallel_run_matches_serial(
     assert "stream" not in detail  # a plain sink has no delivery telemetry
     assert sum(shard["outputs"] for shard in detail["per_shard"]) == serial.count()
     assert report.details["output"]["mode"] == sink.mode
+
+
+@pytest.mark.parametrize("workers, mode", [(1, "thread"), (2, "thread"), (2, "process")])
+@pytest.mark.parametrize("engine", sorted(DIRECT_ENGINES))
+def test_row_paths_hand_a_batch_only_sink_bounded_column_batches(
+    fanout_query, monkeypatch, engine, workers, mode
+):
+    """A sink with only ``on_batch`` and ``result`` is the whole contract.
+
+    Kernels off, so every range runs on the paper's row path, which hands
+    the sink column batches of at most ``expand_rows`` rows.  The expected
+    bag is the serial kernel run's, which no row path produces.
+    """
+    query, plan = fanout_query
+    run = DIRECT_ENGINES[engine]().run
+    serial = run(query, plan).result
+    monkeypatch.setenv("REPRO_KERNELS", "off")
+    sink = BareSink(tuple(query.output_variables))
+    context = RunContext(workers=workers, parallel_mode=mode)
+    report = run(query, plan, None, sink, context=context)
+    assert sorted(report.result.iter_rows()) == sorted(serial.iter_rows())
+    assert report.result.count() == serial.count() > sink.expand_rows
+    assert len(sink.sizes) > 1 and max(sink.sizes) <= sink.expand_rows
 
 
 @pytest.mark.parametrize("mode", ["thread", "process"])

@@ -94,6 +94,16 @@ def test_classify_sql_point_vs_analytic():
         classify_sql("SELECT r.b, COUNT(*) FROM r, s WHERE r.b = s.b GROUP BY r.b")
         == ANALYTIC
     )
+    # FROM inside a column name is not the FROM clause.
+    assert classify_sql("SELECT t.from_date, t.a, t.b FROM t") == POINT
+    # A WHERE after a newline still ends the FROM clause: IN-list commas
+    # are not FROM items.
+    assert classify_sql("SELECT COUNT(*) FROM t\nWHERE t.a IN (1, 2, 3)") == POINT
+    # Relations joined with JOIN count like comma-separated ones.
+    assert (
+        classify_sql("SELECT COUNT(*) FROM r LEFT JOIN s ON r.x = s.x LEFT JOIN u ON s.y = u.y")
+        == ANALYTIC
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -1,11 +1,15 @@
 """One conformance matrix for the output plane's sink contract.
 
-A sink's producer surface is the chain ``on_row <- on_rows <- on_batch <-
-on_factorized_batch``; a sink implements ``on_row`` and overrides the others
-only to be cheaper.  So for **every sink class x every entry point x every
-input shape** the observable result — row bag, count, or aggregate rows —
-must equal what the same sink class produces when the *reference expansion*
-of that input is fed through ``on_row`` one tuple at a time.
+A sink's producer surface is ``on_batch <- on_factorized_batch``; a sink
+implements ``on_batch`` and overrides ``on_factorized_batch`` only to be
+cheaper.  So for **every sink class x every entry point x every input
+shape** the observable result — row bag, count, or aggregate rows — must
+equal what the same sink class produces when the *reference expansion* of
+that input is fed through the row paths' :class:`RowBatcher` one tuple at a
+time, flushing every :data:`FLUSH_ROWS` rows — mid-input.  The entry points
+are that batcher, the flat rows as single-row ``on_batch`` calls, the flat
+rows as one ``on_batch``, and the batch itself through
+``on_factorized_batch``.
 
 The reference expansion (:func:`reference_pairs`) is an independent naive
 enumerator over variable environments; it shares no code with
@@ -37,7 +41,13 @@ from repro.engine.aggregates import (
     GroupedAggregateState,
     PartialAggregateSink,
 )
-from repro.engine.output import CountSink, FactorizedSink, RowSink, expand_factorized_batch
+from repro.engine.output import (
+    CountSink,
+    FactorizedSink,
+    RowBatcher,
+    RowSink,
+    expand_factorized_batch,
+)
 from repro.engine.streaming import (
     StreamingAggregateSink,
     StreamingSink,
@@ -48,6 +58,7 @@ from repro.errors import ExecutionError
 from repro.query.planner import ResolvedOrderItem
 
 BATCH_ROWS = 3  # small, so every streamed case splits across deliveries
+FLUSH_ROWS = 2  # the batcher's flush size: every case of 3+ rows flushes mid-input
 
 # --------------------------------------------------------------------------- #
 # Input shapes: one factorized batch each (the one factorized shape)
@@ -254,29 +265,36 @@ def _feed(sink, entry, case) -> None:
     pairs = reference_pairs(case)
     rows = [row for row, _multiplicity in pairs]
     multiplicities = None if case[4] is None else [m for _row, m in pairs]
-    if entry == "on_row":
+    if entry == "batcher":
+        batcher = RowBatcher(sink)
+        batcher.size = FLUSH_ROWS
         for row, multiplicity in pairs:
-            sink.on_row(row, multiplicity)
-    elif entry == "on_rows":
-        sink.on_rows(rows, multiplicities)
+            batcher.emit(row, multiplicity)
+        batcher.flush()
+    elif entry == "single-row on_batch":
+        for row, multiplicity in pairs:
+            sink.on_batch(
+                [[value] for value in row], None if multiplicities is None else [multiplicity]
+            )
     elif entry == "on_batch":
         sink.on_batch([list(column) for column in zip(*rows)], multiplicities)
     else:
         sink.on_factorized_batch(*case[1:])
 
 
+ENTRIES = ["batcher", "single-row on_batch", "on_batch", "on_factorized_batch"]
+
+
 @pytest.mark.parametrize("case_name", sorted(CASES))
-@pytest.mark.parametrize(
-    "entry", ["on_row", "on_rows", "on_batch", "on_factorized_batch"]
-)
+@pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("sink_name", sorted(SINKS))
-def test_every_entry_point_matches_the_reference_through_on_row(
+def test_every_entry_point_matches_the_reference_through_the_batcher(
     sink_name, entry, case_name
 ):
     make, observe = SINKS[sink_name]
     case = CASES[case_name]
     reference = make(case[0])
-    _feed(reference, "on_row", case)
+    _feed(reference, "batcher", case)
     sink = make(case[0])
     _feed(sink, entry, case)
     assert observe(sink) == observe(reference)
@@ -296,9 +314,7 @@ def reference_rows_in_order(case) -> list:
 
 
 @pytest.mark.parametrize("case_name", sorted(CASES))
-@pytest.mark.parametrize(
-    "entry", ["on_row", "on_rows", "on_batch", "on_factorized_batch"]
-)
+@pytest.mark.parametrize("entry", ENTRIES)
 @pytest.mark.parametrize("sink_name", sorted(ORDERED))
 def test_ordered_sinks_keep_the_reference_row_order(sink_name, entry, case_name):
     case = CASES[case_name]
@@ -312,8 +328,6 @@ def test_ordered_sinks_keep_the_reference_row_order(sink_name, entry, case_name)
 # --------------------------------------------------------------------------- #
 # The transport axis: task_sink() -> payload() -> absorb()
 # --------------------------------------------------------------------------- #
-
-ENTRIES = ["on_row", "on_rows", "on_batch", "on_factorized_batch"]
 
 #: sink -> (what one steal task of it folds into, absorb_on_arrival)
 TRANSPORT = {
@@ -365,7 +379,7 @@ def test_split_pickled_and_absorbed_matches_the_one_sink_reference(sink_name, ca
     make, observe = SINKS[sink_name]
     case = CASES[case_name]
     reference = make(case[0])
-    _feed(reference, "on_row", case)
+    _feed(reference, "batcher", case)
     expected = observe(reference)
     parts = split_case(case, k)
     assert sum(len(reference_pairs(part)) for part in parts) == len(reference_pairs(case))
@@ -571,7 +585,7 @@ def test_fold_columns_on_empty_input_keeps_the_all_empty_row():
 
 def test_factorized_sink_stores_batches_unexpanded():
     sink = FactorizedSink(["x", "a", "b"])
-    sink.on_row((0, 0, 0), 1)  # row-at-a-time producers interleave in order
+    sink.on_batch([[0], [0], [0]])  # flat batches and groups interleave in order
     sink.on_factorized_batch(
         ("x",), [[1]], [(("a",), [[1] * 10], [0, 10]), (("b",), [[2] * 10], [0, 10])]
     )

@@ -90,8 +90,8 @@ def _leaked_segments() -> list:
 def test_streaming_sink_batches_and_finish():
     sink = StreamingSink(("x",), batch_rows=3, max_batches=4)
     for i in range(7):
-        sink.on_row((i,), 1)
-    sink.on_row((99,), 2)  # multiplicities expand into repeated rows
+        sink.on_batch([[i]])
+    sink.on_batch([[99]], [2])  # multiplicities expand into repeated rows
     sink.finish()
     batches = []
     while True:
@@ -146,7 +146,7 @@ def test_streaming_sink_backpressure_blocks_producer():
 
     def produce():
         for i in range(6):
-            sink.on_row((i,), 1)
+            sink.on_batch([[i]])
             produced.append(i)
         sink.finish()
 
@@ -170,12 +170,12 @@ def test_streaming_sink_backpressure_blocks_producer():
 def test_streaming_sink_put_aborts_on_cancel():
     token = DeadlineToken()
     sink = StreamingSink(("x",), batch_rows=1, max_batches=1, interrupt=token)
-    sink.on_row((0,), 1)  # fills the queue
+    sink.on_batch([[0]])  # fills the queue
     errors = []
 
     def produce():
         try:
-            sink.on_row((1,), 1)  # blocks: queue full, nobody consuming
+            sink.on_batch([[1]])  # blocks: queue full, nobody consuming
         except Exception as exc:  # noqa: BLE001
             errors.append(exc)
 
