@@ -4,7 +4,8 @@ This package rewrites the hot path of all three engines as vectorized
 numpy operations (Section 4.3's vectorization taken to its batch-at-a-time
 conclusion): per-plan :class:`~repro.kernels.program.KernelProgram`\\ s are
 compiled and cached by ``Table.fingerprint()`` + plan shape, probes run as
-``searchsorted`` sweeps over fingerprint-cached sorted indexes, and
+one ``searchsorted`` per key over the distinct values of
+fingerprint-cached sorted indexes, then a ``starts`` gather, and
 projection/output assembly decodes whole frontiers at once into the sinks'
 batch entry points.
 

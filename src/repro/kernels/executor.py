@@ -3,10 +3,11 @@
 The executor drives a program in driver-row chunks: each chunk seeds a
 *frontier* (aligned arrays: per-source row indices, per-variable key
 arrays, an optional bag-multiplicity vector), every step resolves all of
-the chunk's probes with one ``searchsorted`` pass over a cached sorted
-index, and the surviving frontier is decoded and emitted through the
-sink's columnar batch entry point (``OutputSink.on_batch``) — decoded
-value columns stay columns all the way into the sink.
+the chunk's probes with one ``searchsorted`` per key over a cached sorted
+index's distinct values, then a ``starts`` gather, and the surviving
+frontier is decoded and emitted through the sink's columnar batch entry
+point (``OutputSink.on_batch``) — decoded value columns stay columns all
+the way into the sink.
 
 With ``factorize=True`` the executor also emits *factorized* output
 (Section 4.4 / Fig. 19) straight off the chunked frontier: probe steps
@@ -23,10 +24,11 @@ the actual frontier, and the cheapest one runs.  Static average fan-out
 estimates cannot see key skew (a handful of hot keys can realize a 100x
 fan where the average says 4x); actual counts can, so selective probes
 run before explosive ones and intermediate frontiers stay near the
-output size.  Probes are ``searchsorted`` passes — cheap relative to the
-expansions they get to avoid.  Should even the cheapest runnable step
-exceed :data:`FRONTIER_GUARD_ROWS` before anything was emitted, the
-executor raises :class:`KernelFrontierExplosion` and the engine re-runs
+output size.  A probe is one ``searchsorted`` per key over distinct
+values, then a ``starts`` gather — cheap relative to the expansions they
+get to avoid.  Should even the cheapest runnable step exceed
+:data:`FRONTIER_GUARD_ROWS` before anything was emitted, the executor
+raises :class:`KernelFrontierExplosion` and the engine re-runs
 the pipeline on the row-at-a-time path (reason ``frontier-explosion``),
 whose value-at-a-time intersection never materializes the blowup.
 

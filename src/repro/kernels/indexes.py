@@ -1,11 +1,13 @@
 """Fingerprint-cached sorted join indexes for the batch kernels.
 
 A :class:`ProbeIndex` replaces a relation's hash table / trie on the
-vectorized path: rows are stably sorted by the bound key columns (only),
-so one ``searchsorted`` per frontier resolves every probe of a batch at
-once, and ties keep the original row order — the same order hash buckets
-and trie vectors iterate, which keeps the binary engine's output
-byte-identical.
+vectorized path, as one multi-key level of the paper's generalized hash
+trie: rows are stably sorted by the bound key columns (only), and each key
+prefix gets dense codes over sorted dictionaries of distinct values.  A
+batch probe is one ``searchsorted`` per key over distinct values, then a
+``starts`` gather for each full key's row range.  Ties keep the original
+row order — the same order hash buckets and trie vectors iterate, which
+keeps the binary engine's output byte-identical.
 
 A :class:`DriverIndex` groups a relation's rows by a variable prefix in
 *first-occurrence* order — exactly the iteration order of the hash maps the
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from repro.kernels.encoding import code_array, float_array, int_array, key_array
 
@@ -60,39 +62,61 @@ def _cache_put(key: tuple, entry) -> None:
             _CACHE.popitem(last=False)
 
 
-def _segment_bisect(arr, lo, hi, vals, left: bool):
-    """Per-element binary search of ``vals`` within ``[lo, hi)`` segments.
+def _dense_levels(arrays: Sequence, size: int):
+    """Code every key prefix densely and stably sort the rows by the full key.
 
-    ``numpy.searchsorted`` has no per-element bounds, so key columns after
-    the first are resolved with an explicit vectorized bisection: all
-    frontier elements step through their ~log2(segment) iterations in
-    lockstep.
+    Returns ``(perm, uniques, pairs, starts)``: ``uniques[j]`` holds the
+    sorted distinct values of key ``j``, ``pairs[j - 1]`` the sorted
+    distinct ``(prefix code, rank of key j)`` codes, ``perm`` the rows in
+    full-key order with ties in original row order (``np.lexsort``'s
+    permutation), and ``starts`` the ``perm`` offset of each full-key
+    group plus a final ``size``.  Needs ``size > 0`` and at least one key.
     """
-    lo = lo.copy()
-    hi = hi.copy()
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        probe = arr[np.where(active, mid, 0)]
-        if left:
-            go_right = active & (probe < vals)
+    uniques, pairs = [], []
+    code = None
+    for arr in arrays:
+        values, rank = np.unique(arr, return_inverse=True)
+        uniques.append(values)
+        if code is None:
+            code = rank
         else:
-            go_right = active & (probe <= vals)
-        lo = np.where(go_right, mid + 1, lo)
-        hi = np.where(active & ~go_right, mid, hi)
-    return lo
+            # A prefix code is below ``size`` and a rank below
+            # ``len(values) <= size``, so pair codes stay below ``size**2``
+            # — no int64 overflow under ~3e9 rows.
+            distinct, code = np.unique(code * len(values) + rank, return_inverse=True)
+            pairs.append(distinct)
+    # Sorting ``code * size + row`` (again below ``size**2``) orders rows by
+    # full-key code with ties by row: a stable sort without an argsort.
+    order = code * size
+    order += np.arange(size, dtype=np.int64)
+    order.sort()
+    perm = order % size
+    return perm, uniques, pairs, np.concatenate(([0], np.cumsum(np.bincount(code))))
+
+
+def _lookup(table, keys):
+    """Position of each key in the sorted distinct ``table``, and whether it is there."""
+    pos = np.searchsorted(table, keys)
+    np.minimum(pos, len(table) - 1, out=pos)
+    return pos, table[pos] == keys
 
 
 class ProbeIndex:
-    """A relation stably sorted by its bound key columns."""
+    """A relation stably sorted by its bound key columns, one GHT level.
 
-    __slots__ = ("perm", "key_cols", "size")
+    ``uniques``, ``pairs`` and ``starts`` are :func:`_dense_levels`'s: a
+    probe is one ``searchsorted`` per key over distinct values (and, past
+    the first key, over the distinct prefix pairs) to a dense full-key
+    code, then a ``starts`` gather for the code's row range in ``perm``.
+    """
 
-    def __init__(self, perm, key_cols, size: int) -> None:
+    __slots__ = ("perm", "uniques", "pairs", "starts", "size")
+
+    def __init__(self, perm, uniques, pairs, starts, size: int) -> None:
         self.perm = perm
-        self.key_cols = key_cols
+        self.uniques = uniques
+        self.pairs = pairs
+        self.starts = starts
         self.size = size
 
     def probe(
@@ -104,18 +128,18 @@ class ProbeIndex:
         key-less (cross product) probes, where every frontier element
         matches the whole relation.
         """
-        if not self.key_cols:
+        if not self.uniques:
             lo = np.zeros(frontier_size, dtype=np.int64)
             hi = np.full(frontier_size, self.size, dtype=np.int64)
             return lo, hi
-        first = self.key_cols[0]
-        vals = frontier_cols[0]
-        lo = np.searchsorted(first, vals, side="left").astype(np.int64)
-        hi = np.searchsorted(first, vals, side="right").astype(np.int64)
-        for col, v in zip(self.key_cols[1:], frontier_cols[1:]):
-            lo = _segment_bisect(col, lo, hi, v, left=True)
-            hi = _segment_bisect(col, lo, hi, v, left=False)
-        return lo, hi
+        code, found = _lookup(self.uniques[0], frontier_cols[0])
+        for values, pairs, vals in zip(self.uniques[1:], self.pairs, frontier_cols[1:]):
+            rank, hit = _lookup(values, vals)
+            found &= hit
+            code, hit = _lookup(pairs, code * len(values) + rank)
+            found &= hit
+        lo = self.starts[code]
+        return lo, np.where(found, self.starts[code + 1], lo)
 
 
 class DriverIndex:
@@ -134,21 +158,6 @@ class DriverIndex:
         start = max(0, min(start, self.group_count))
         stop = max(start, min(stop, self.group_count))
         return self.perm[int(self.starts[start]) : int(self.starts[stop])]
-
-
-def _group_ids(arrays: Sequence) -> "np.ndarray":
-    """Dense group ids over one or more key arrays (value order, not first-occurrence)."""
-    gid = None
-    for arr in arrays:
-        uniques, inverse = np.unique(arr, return_inverse=True)
-        inverse = inverse.reshape(-1).astype(np.int64)
-        if gid is None:
-            gid = inverse
-        else:
-            gid = gid * np.int64(len(uniques)) + inverse
-            _, gid = np.unique(gid, return_inverse=True)
-            gid = gid.reshape(-1).astype(np.int64)
-    return gid
 
 
 def column_distinct_count(column) -> int:
@@ -174,19 +183,18 @@ def column_distinct_count(column) -> int:
     return count
 
 
+def _key_arrays(atom, key_vars: Sequence[str], kinds: Dict[str, str]) -> list:
+    return [key_array(atom.table.column(atom.column_for(var)), kinds[var]) for var in key_vars]
+
+
 def build_probe_index(atom, key_vars: Sequence[str], kinds: Dict[str, str]) -> ProbeIndex:
     size = atom.size
-    arrays = [
-        key_array(atom.table.column(atom.column_for(var)), kinds[var])
-        for var in key_vars
-    ]
-    if not arrays:
-        return ProbeIndex(np.arange(size, dtype=np.int64), [], size)
-    # lexsort: last key is primary, and successive stable sorts keep the
-    # original row order within full-tie groups.
-    perm = np.lexsort(tuple(arrays[::-1]))
-    key_cols = [arr[perm] for arr in arrays]
-    return ProbeIndex(perm.astype(np.int64), key_cols, size)
+    if not key_vars or size == 0:
+        # Key-less, or empty: every probe matches all ``size`` rows.
+        starts = np.asarray([0, size], dtype=np.int64)
+        return ProbeIndex(np.arange(size, dtype=np.int64), [], [], starts, size)
+    perm, uniques, pairs, starts = _dense_levels(_key_arrays(atom, key_vars, kinds), size)
+    return ProbeIndex(perm, uniques, pairs, starts, size)
 
 
 def build_driver_index(
@@ -197,30 +205,23 @@ def build_driver_index(
         return DriverIndex(
             np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64), 0, 0
         )
-    arrays = [
-        key_array(atom.table.column(atom.column_for(var)), kinds[var])
-        for var in group_vars
-    ]
-    if not arrays:
+    if not group_vars:
         perm = np.arange(size, dtype=np.int64)
         starts = np.asarray([0, size], dtype=np.int64)
         return DriverIndex(perm, starts, 1, size)
-    gid = _group_ids(arrays)
-    group_count = int(gid.max()) + 1
-    # First-occurrence rank per group: the insertion order a Python dict
-    # built over these rows would iterate in.
-    first = np.full(group_count, size, dtype=np.int64)
-    np.minimum.at(first, gid, np.arange(size, dtype=np.int64))
-    order = np.argsort(first, kind="stable")
-    rank = np.empty(group_count, dtype=np.int64)
-    rank[order] = np.arange(group_count, dtype=np.int64)
-    grank = rank[gid]
-    perm = np.lexsort((np.arange(size, dtype=np.int64), grank)).astype(np.int64)
-    counts = np.bincount(grank, minlength=group_count)
-    starts = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64)]
-    )
-    return DriverIndex(perm, starts, group_count, size)
+    perm, _, _, starts = _dense_levels(_key_arrays(atom, group_vars, kinds), size)
+    # Reorder the value-ordered groups by first occurrence — the insertion
+    # order a Python dict built over these rows would iterate in.  ``perm``
+    # leads each group with its smallest row; ``rows`` lists each group's
+    # ``perm`` offsets in the new group order.
+    counts = np.diff(starts)
+    order = np.argsort(perm[starts[:-1]])
+    counts = counts[order]
+    grouped = np.cumsum(counts)
+    rows = np.repeat(starts[order] - (grouped - counts), counts)
+    rows += np.arange(size, dtype=np.int64)
+    starts = np.append(np.zeros(1, dtype=np.int64), grouped)
+    return DriverIndex(perm[rows], starts, len(counts), size)
 
 
 def probe_index(
