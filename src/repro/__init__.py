@@ -68,7 +68,7 @@ from repro.engine import (
 from repro.engine.session import Database
 from repro.engine.options import ExecOptions
 from repro.engine.aggregates import AggregateSpec, aggregate_result, aggregate_spec
-from repro.views import ChangeFeed, StandingQuery
+from repro.views import StandingQuery
 from repro.errors import AdmissionRejected, DeadlineExceeded, QueryCancelled
 from repro.parallel.cancellation import DeadlineToken
 from repro.router import (
@@ -108,7 +108,6 @@ __all__ = [
     "Database",
     "ExecOptions",
     "StandingQuery",
-    "ChangeFeed",
     "AsyncDatabase",
     "QueryRouter",
     "RoutingDecision",

@@ -135,7 +135,6 @@ class Database:
         self.router = QueryRouter()
         #: Live standing queries (:meth:`subscribe`); closed with the session.
         self._subscriptions: List["StandingQuery"] = []
-        self._change_feed = None
 
     def close(self) -> None:
         """Release process-wide parallel resources.
@@ -172,12 +171,21 @@ class Database:
     # ------------------------------------------------------------------ #
 
     def register(self, table: Table, replace: bool = False) -> None:
-        """Register a table in the catalog."""
+        """Register a table in the catalog.
+
+        A table that replaces one a standing query depends on takes over
+        that query's append hook, and the query reseeds from it.
+        """
+        old = self.catalog.maybe_get(table.name)
         self.catalog.register(table, replace=replace)
+        if old is not None and old is not table:
+            for standing in list(self._subscriptions):
+                standing._replace_table(old, table)
 
     def register_all(self, tables: Iterable[Table], replace: bool = False) -> None:
-        """Register many tables."""
-        self.catalog.register_all(tables, replace=replace)
+        """Register many tables, each as :meth:`register` does."""
+        for table in tables:
+            self.register(table, replace=replace)
 
     def table_names(self) -> List[str]:
         """Names of all registered tables."""
@@ -538,10 +546,10 @@ class Database:
 
         The query runs once to seed a materialized snapshot; from then on
         every :meth:`Table.append_rows <repro.storage.table.Table.append_rows>`
-        to a table it depends on refreshes the snapshot through the
-        session's change feed — incrementally, by folding only the delta
-        rows through the partial-aggregate plane, whenever the query shape
-        allows (single-table and star-shaped aggregates, filtered or not);
+        to a table it depends on refreshes the snapshot from that table's
+        append hook — incrementally, by folding only the delta rows through
+        the partial-aggregate plane, whenever the query shape allows
+        (single-table and star-shaped aggregates, filtered or not);
         everything else falls back to re-execution with a recorded
         ``ivm-fallback`` reason.  Group-delta batches are pushed to the
         returned :class:`~repro.views.StandingQuery`'s bounded queue
@@ -568,14 +576,6 @@ class Database:
     def standing_queries(self) -> List["StandingQuery"]:
         """The session's live standing queries, in subscription order."""
         return list(self._subscriptions)
-
-    def change_feed(self):
-        """The session's (lazily created) append change feed."""
-        if self._change_feed is None:
-            from repro.views.feed import ChangeFeed
-
-            self._change_feed = ChangeFeed(self.catalog)
-        return self._change_feed
 
     def run_join(
         self,

@@ -318,7 +318,7 @@ class StreamingAggregateSink(AggregateFold, StreamingSink):
     join rows never cross the worker boundary.  The delivery half is
     :class:`StreamingSink`'s bounded queue: every fold marks its groups
     dirty, and their current rows are flushed as a delta at the first batch
-    boundary after ``flush_rows`` folds and after every merged partial — so
+    boundary after ``batch_rows`` folds and after every merged partial — so
     a grouped query streams progressive results mid-join, serial or parallel.
 
     Delivery contract: every batch holds finalized output rows (SELECT
@@ -331,20 +331,11 @@ class StreamingAggregateSink(AggregateFold, StreamingSink):
     consults the query token.
     """
 
-    def __init__(
-        self, spec: AggregateSpec, *, flush_rows: Optional[int] = None, **delivery
-    ) -> None:
+    def __init__(self, spec: AggregateSpec, **delivery) -> None:
         # ``variables`` is the layout rows are reported in (the spec's), not
         # the labels delivered; ``delivery`` is StreamingSink's keywords.
         super().__init__(spec.variables, **delivery)
         self._init_fold(spec)
-        if flush_rows is not None and flush_rows < 1:
-            raise QueryError(f"flush_rows must be at least 1, got {flush_rows}")
-        #: Serial fold granularity: a delta flush at the first batch
-        #: boundary after this many folded reports (one report per row of a
-        #: flat batch, per group of a factorized one), so even a
-        #: single-threaded join of several batches streams mid-execution.
-        self.flush_rows = flush_rows if flush_rows is not None else self.batch_rows
         self._dirty: set = set()
         self._since_flush = 0
         # Telemetry (reported under stats()["aggregate"]).
@@ -354,8 +345,12 @@ class StreamingAggregateSink(AggregateFold, StreamingSink):
     def _folded(self, touched, reports: int) -> None:
         super()._folded(touched, reports)
         self._dirty.update(touched)
+        # Serial fold granularity: a delta flush at the first batch boundary
+        # after ``batch_rows`` folded reports (one per row of a flat batch,
+        # per group of a factorized one), so even a single-threaded join of
+        # several batches streams mid-execution.
         self._since_flush += reports
-        if self._since_flush >= self.flush_rows:
+        if self._since_flush >= self.batch_rows:
             self._flush_deltas_locked()
 
     def absorb(self, payload) -> None:

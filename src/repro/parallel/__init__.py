@@ -23,7 +23,7 @@ scheduler; sessions reach the second through
 """
 
 from repro.parallel.scheduler import (
-    PROCESS_INPUT_THRESHOLD,
+    PARALLEL_ROW_THRESHOLD,
     ShardedRunResult,
     TASKS_PER_WORKER,
     StealPool,
@@ -46,7 +46,7 @@ from repro.parallel.workload import (
 )
 
 __all__ = [
-    "PROCESS_INPUT_THRESHOLD",
+    "PARALLEL_ROW_THRESHOLD",
     "QueryExecution",
     "STATUS_ERROR",
     "STATUS_OK",

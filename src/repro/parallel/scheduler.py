@@ -99,9 +99,10 @@ from repro.parallel.cancellation import DeadlineToken
 from repro.query.atoms import Atom
 from repro.storage.shm import AttachmentCache, ShmTableHandle, export_table
 
-#: Below this many total input tuples, ``mode="auto"`` uses threads: the
-#: fork/pickle/rebuild overhead of process workers would dominate the join.
-PROCESS_INPUT_THRESHOLD = 20_000
+#: Below this many total input rows, parallel overhead dominates the join: a
+#: routed query stays serial (:mod:`repro.router.policy`), and ``mode="auto"``
+#: uses threads, since process workers' fork/pickle/rebuild would cost more.
+PARALLEL_ROW_THRESHOLD = 20_000
 
 
 def resolve_mode(mode: str, shard_count: int, input_tuples: int) -> str:
@@ -123,7 +124,7 @@ def resolve_mode(mode: str, shard_count: int, input_tuples: int) -> str:
         return "thread"
     if mode == "process":
         return mode
-    if shard_count <= 1 or input_tuples < PROCESS_INPUT_THRESHOLD:
+    if shard_count <= 1 or input_tuples < PARALLEL_ROW_THRESHOLD:
         return "thread"
     if (multiprocessing.cpu_count() or 1) <= 1:
         # One core: processes only add fork/transfer overhead on top of the

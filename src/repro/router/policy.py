@@ -12,7 +12,7 @@ same query routes the same way whatever ran before it:
 Generic Join, the eager tuple-at-a-time baseline, is never picked; it stays
 reachable by name.  Worker count comes from input size alone: small inputs
 stay serial, because task decomposition costs more than it buys below
-:data:`PARALLEL_ROW_THRESHOLD` total input rows.
+:data:`repro.parallel.scheduler.PARALLEL_ROW_THRESHOLD` total input rows.
 """
 
 from __future__ import annotations
@@ -23,12 +23,10 @@ from typing import Dict, Optional, Tuple
 
 from repro.optimizer.binary_plan import BinaryPlan
 from repro.optimizer.statistics import StatisticsCache
+from repro.parallel import scheduler
 from repro.query.planner import LogicalQuery
 from repro.router.features import QueryFeatures, extract_features
 
-#: Below this many total input rows a query stays serial regardless of the
-#: session's parallelism (matches the scheduler's process-input threshold).
-PARALLEL_ROW_THRESHOLD = 20_000
 #: Largest acyclic count-only query the rule sends to the binary hash join.
 BINARY_MAX_ATOMS = 3
 
@@ -87,10 +85,6 @@ class QueryRouter:
     :meth:`telemetry` reports.
     """
 
-    #: Total input rows at or above which a routed query uses the session's
-    #: parallel workers (an instance may override it).
-    parallel_row_threshold = PARALLEL_ROW_THRESHOLD
-
     def __init__(self) -> None:
         self._telemetry = RouterTelemetry()
         self._lock = threading.Lock()
@@ -106,7 +100,9 @@ class QueryRouter:
         features = extract_features(logical, binary_plan, statistics_cache)
         engine, reason = choose_engine(features)
         parallelism = (
-            max_workers if features.total_rows >= self.parallel_row_threshold else 1
+            max_workers
+            if features.total_rows >= scheduler.PARALLEL_ROW_THRESHOLD
+            else 1
         )
         with self._lock:
             telemetry = self._telemetry

@@ -112,8 +112,8 @@ class Table:
         self.version = 0
         self._fingerprint: Optional[str] = None
         #: Callbacks invoked after each :meth:`append_rows`; see
-        #: :meth:`add_append_hook`.  The change-feed plane
-        #: (:mod:`repro.views`) uses these to maintain standing queries.
+        #: :meth:`add_append_hook`.  Standing queries (:mod:`repro.views`)
+        #: use these to maintain their snapshots.
         self._append_hooks: List[Callable[["Table", Sequence[Row], int], None]] = []
 
     # ------------------------------------------------------------------ #
@@ -345,7 +345,7 @@ class Table:
     # ------------------------------------------------------------------ #
 
     def __getstate__(self):
-        # Append hooks are process-local observers (change feeds hold
+        # Append hooks are process-local observers (standing queries hold
         # session state that does not pickle); a copy shipped to a worker
         # has no subscribers to notify.
         state = self.__dict__.copy()

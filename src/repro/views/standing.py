@@ -3,7 +3,7 @@
 A :class:`StandingQuery` is created by :meth:`repro.Database.subscribe`.  It
 plans its SQL once, decides a *maintenance mode* from the query shape, runs
 the query once to seed a snapshot, and from then on refreshes the snapshot
-on every append the session's :class:`~repro.views.feed.ChangeFeed` reports:
+from an append hook on each table it depends on:
 
 ``delta`` mode — aggregate queries whose group key is selected.  The
 snapshot lives as a
@@ -17,11 +17,17 @@ to re-running the query.  Two delta paths exist:
   rows straight into the state; no planning, no join, no scan of the
   existing rows.
 * ``delta-join`` — star-shaped joins (one atom carries every join variable)
-  and filtered single-table queries run the *same SQL* on a scratch session
-  whose catalog maps the appended table to just the delta rows; because
-  inner joins and filters (residual predicates included) are linear in each
-  input under appends, folding that delta join result is exactly the view
-  delta.
+  and filtered single-table queries plan the *same SQL* over an overlay
+  catalog that maps the appended table to just the delta rows, and the
+  owner session joins it serially; because inner joins and filters
+  (residual predicates included) are linear in each input under appends,
+  folding that delta join result is exactly the view delta.
+
+Each subscription records every dependency's ``Table.version`` before its
+seed runs; an append whose ``old_version`` is not the recorded one means
+rows were missed (appended while the seed ran, say) and reseeds instead of
+folding.  :meth:`repro.Database.register` moves the hooks to a table that
+replaces a dependency and reseeds.
 
 ``reexec`` mode — everything else (non-aggregate queries, LEFT JOINs,
 HAVING/ORDER/LIMIT/DISTINCT, self-joins, cyclic join shapes, group keys
@@ -49,7 +55,7 @@ from repro.engine.aggregates import (
     aggregate_spec,
     fold_join_result,
 )
-from repro.engine.options import ExecOptions
+from repro.engine.options import AUTO_ENGINE, ExecOptions
 from repro.engine.streaming import (
     DEFAULT_BATCH_ROWS,
     DEFAULT_MAX_BATCHES,
@@ -61,6 +67,7 @@ from repro.errors import (
     QueryCancelled,
     QueryError,
 )
+from repro.optimizer.join_order import optimize_query
 from repro.parallel.cancellation import DeadlineToken
 from repro.query.planner import LogicalQuery, Planner
 from repro.query.sql import ParsedQuery, parse_sql
@@ -151,10 +158,14 @@ class StandingQuery:
         self.mode, self.delta_path, self.fallback_reason = _maintenance_mode(
             parsed, logical
         )
-        self._dep_names: List[str] = []
-        for item in parsed.from_items:
-            if item.table not in self._dep_names:
-                self._dep_names.append(item.table)
+        #: Dependency name -> the hooked table, in FROM order, and the
+        #: version each had when last seen; recorded *before* the seed reads
+        #: them, so an append the seed may have missed shows up as a gap.
+        self._tables: Dict[str, Table] = {
+            item.table: owner.catalog.get(item.table)
+            for item in parsed.from_items
+        }
+        self._versions = {name: t.version for name, t in self._tables.items()}
 
         # Telemetry (exposed via stats() and report.details["ivm"]).
         self._refreshes = 0
@@ -172,7 +183,6 @@ class StandingQuery:
         self._spec: Optional[AggregateSpec] = None
         self._state: Optional[GroupedAggregateState] = None
         self._scan_positions: Optional[List[int]] = None
-        self._scratch: Optional["Database"] = None
         self._snapshot: Optional[Table] = outcome.table
         if self.mode == DELTA:
             self._spec = aggregate_spec(
@@ -187,8 +197,6 @@ class StandingQuery:
                 self._scan_positions = [
                     atom.variables.index(var) for var in self._spec.variables
                 ]
-            else:
-                self._scratch = self._make_scratch()
         self._key_positions = (
             self._usable_key_positions(outcome.logical) if self.mode == REEXEC
             else self._spec.key_positions()
@@ -207,10 +215,8 @@ class StandingQuery:
         # queue: subscribe() must never block on a bounded queue nobody is
         # consuming yet, and delta batches are idempotent upserts, so a
         # consumer that reads the snapshot first misses nothing.
-
-        feed = owner.change_feed()
-        for table_name in self._dep_names:
-            feed.attach(table_name, self)
+        for table in self._tables.values():
+            table.add_append_hook(self._on_append)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -269,38 +275,51 @@ class StandingQuery:
     # Maintenance (runs on the appender's thread)
     # ------------------------------------------------------------------ #
 
-    def on_append(
-        self, table: Table, rows: Sequence[Row], old_version: int, gap: bool
-    ) -> None:
-        """Fold one append into the snapshot and push the delta batch."""
+    def _on_append(self, table: Table, rows: Sequence[Row], old_version: int) -> None:
+        """The append hook: fold the delta, or reseed after a version gap."""
         with self._refresh_lock:
             if self._closed:
                 return
-            try:
-                self._refreshes += 1
-                if gap:
-                    self._record_fallback("version-gap")
-                    self._reseed()
-                elif self.mode == DELTA:
-                    self._refresh_delta(table, rows)
-                else:
-                    self._record_fallback(self.fallback_reason or "reexec")
-                    self._refresh_reexec()
-            except (QueryCancelled, DeadlineExceeded):
-                # close() cancels the token to unblock a backpressured
-                # delivery; swallow the unwind only in that case.
-                if self._closed:
-                    return
-                raise
+            gap = old_version != self._versions[table.name]
+            self._versions[table.name] = table.version
+            self._refresh(table, rows, gap)
+
+    def _replace_table(self, old: Table, new: Table) -> None:
+        """Move the hook from ``old`` to ``new``, registered in its place, and reseed."""
+        with self._refresh_lock:
+            if self._closed or self._tables.get(new.name) is not old:
+                return
+            old.remove_append_hook(self._on_append)
+            new.add_append_hook(self._on_append)
+            self._tables[new.name] = new
+            self._versions[new.name] = new.version
+            self._refresh(new, (), gap=True)
+
+    def _refresh(self, table: Table, rows: Sequence[Row], gap: bool) -> None:
+        """Fold one append into the snapshot and push the delta batch."""
+        try:
+            self._refreshes += 1
+            if gap:
+                self._record_fallback("version-gap")
+                self._reseed()
+            elif self.mode == DELTA:
+                self._refresh_delta(table, rows)
+            else:
+                self._record_fallback(self.fallback_reason or "reexec")
+                self._refresh_reexec()
+        except (QueryCancelled, DeadlineExceeded):
+            # close() cancels the token to unblock a backpressured
+            # delivery; swallow the unwind only in that case.
+            if self._closed:
+                return
+            raise
 
     def _record_fallback(self, reason: str) -> None:
         self._fallbacks[reason] = self._fallbacks.get(reason, 0) + 1
 
     def _refresh_delta(self, table: Table, rows: Sequence[Row]) -> None:
         delta_rows = list(rows)
-        live_rows = sum(
-            self._owner.catalog.get(name).num_rows for name in self._dep_names
-        )
+        live_rows = sum(dep.num_rows for dep in self._tables.values())
         if self.delta_path == "scan":
             columns = list(zip(*delta_rows))
             # Explicit multiplicities: a COUNT(*)-only spec reads no column
@@ -321,23 +340,43 @@ class StandingQuery:
         self._deliver_keys(touched)
 
     def _fold_delta_join(self, table: Table, delta_rows: List[Row]) -> List[Row]:
-        """Join the delta against the live dimensions and fold the result."""
-        delta_table = Table.from_rows(table.name, table.column_names, delta_rows)
-        scratch = self._scratch
-        scratch.catalog.register(delta_table, replace=True)
-        try:
-            outcome = scratch._execute(self.sql, self._refresh_options(), name=self.name)
-        finally:
-            # Restore the live table so the *next* append (possibly to a
-            # different table) joins against the full relation again.
-            scratch.catalog.register(
-                self._owner.catalog.get(table.name), replace=True
+        """Join the delta against the live dependencies and fold the result.
+
+        The overlay catalog maps the appended name to the delta rows; the
+        owner plans with its statistics, routes with its router and runs the
+        join serially, but its prepared cache never sees the overlay.
+        """
+        owner, options = self._owner, self.options
+        catalog = Catalog()
+        for dep in self._tables.values():
+            catalog.register(dep)
+        catalog.register(
+            Table.from_rows(table.name, table.column_names, delta_rows), replace=True
+        )
+        logical = Planner(catalog).plan_sql(self.sql, name=self.name)
+        binary_plan = optimize_query(
+            logical.query,
+            bad_estimates=options.bad_estimates,
+            statistics_cache=owner.statistics_cache,
+        )
+        engine_name = options.engine or owner.default_engine
+        decision = None
+        if engine_name == AUTO_ENGINE:
+            decision = owner.router.route(
+                logical, binary_plan, statistics_cache=owner.statistics_cache
             )
-        self.last_report = outcome.report
+            engine_name = decision.engine
+        report = owner.run_join(
+            logical, binary_plan, engine_name, options.freejoin_options, parallelism=1
+        )
+        if decision is not None:
+            owner.router.observe(decision)
+            report.details["router"] = decision.as_dict()
+        self.last_report = report
         # The delta run folded its own partial (or counted, or kept
         # factorized batches); all three merge by group key and variable
         # name, whichever driver and row layout that run picked.
-        return fold_join_result(self._state, outcome.join_result)
+        return fold_join_result(self._state, report.result)
 
     def _refresh_reexec(self) -> None:
         outcome = self._owner._execute(
@@ -414,24 +453,6 @@ class StandingQuery:
         except (QueryError, ExecutionError):
             return None
 
-    def _make_scratch(self) -> "Database":
-        from repro.engine.session import Database
-
-        catalog = Catalog()
-        for name in self._dep_names:
-            catalog.register(self._owner.catalog.get(name))
-        scratch = Database(
-            catalog,
-            default_engine=self.options.engine or self._owner.default_engine,
-            freejoin_options=self.options.freejoin_options
-            or self._owner.freejoin_options,
-            parallelism=1,
-        )
-        # Dimension-table statistics stay warm across refreshes (the cache
-        # is keyed per column object); delta tables add fresh entries.
-        scratch.statistics_cache = self._owner.statistics_cache
-        return scratch
-
     # ------------------------------------------------------------------ #
     # Consumption
     # ------------------------------------------------------------------ #
@@ -470,18 +491,14 @@ class StandingQuery:
             self._closed = True
         # Cancel BEFORE taking the refresh lock: an in-flight refresh may be
         # blocked on a full delivery queue while *holding* that lock, and the
-        # cancelled token is what unwinds it (on_append swallows the unwind
+        # cancelled token is what unwinds it (_refresh swallows the unwind
         # once _closed is set).
         self._token.cancel()
-        with self._refresh_lock:
-            pass  # wait for any in-flight refresh to finish unwinding
-        feed = self._owner.change_feed()
-        for table_name in self._dep_names:
-            feed.detach(table_name, self)
+        with self._refresh_lock:  # waits for an in-flight refresh to unwind
+            for table in self._tables.values():
+                table.remove_append_hook(self._on_append)
         if self in self._owner._subscriptions:
             self._owner._subscriptions.remove(self)
-        if self._scratch is not None:
-            self._scratch.close()
         self._sink.drain()
         self._sink.finish_nowait()
 

@@ -195,7 +195,7 @@ def test_aggregate_sink_streams_deltas_and_final_snapshot():
     spec = _spec(
         [(None, "x", "x"), ("COUNT", None, "n")], ["x"], ["x", "y"]
     )
-    sink = StreamingAggregateSink(spec, batch_rows=8, max_batches=16, flush_rows=4)
+    sink = StreamingAggregateSink(spec, batch_rows=4, max_batches=16)
     for i in range(10):
         sink.on_batch([[i % 2], [i]])
     sink.finish()
@@ -218,19 +218,13 @@ def test_aggregate_sink_streams_deltas_and_final_snapshot():
 
 def test_aggregate_sink_deltas_are_ordered_by_group_key():
     spec = _spec([(None, "x", "x"), ("COUNT", None, "n")], ["x"], ["x"])
-    sink = StreamingAggregateSink(spec, batch_rows=64, flush_rows=64)
+    sink = StreamingAggregateSink(spec, batch_rows=64)
     sink.on_batch([[9, 3, 7, 1, 5]])
     sink.absorb(None)  # a partial-less merge still counts
     sink.finish()
     first = sink.next_batch()
     assert [row[0] for row in first] == [1, 3, 5, 7, 9]
     assert sink.aggregate_stats()["partials_merged"] == 1
-
-
-def test_aggregate_sink_rejects_bad_flush_rows():
-    spec = _spec([("COUNT", None, "n")], [], ["x"])
-    with pytest.raises(QueryError):
-        StreamingAggregateSink(spec, flush_rows=0)
 
 
 # --------------------------------------------------------------------------- #
@@ -267,7 +261,7 @@ def test_first_group_batch_arrives_before_join_completes(
 @pytest.mark.parametrize("kernels", ["on", "off"])
 def test_serial_grouped_stream_flushes_deltas_between_batches(monkeypatch, kernels):
     """A serial join of several driver chunks delivers group deltas mid-join
-    (one flush per batch boundary once ``flush_rows`` folds accumulated) —
+    (one flush per batch boundary once ``batch_rows`` folds accumulated) —
     with a queue deep enough that no put ever blocks, so the claim does not
     lean on backpressure.  Deltas are flushed only from inside a fold, so
     ``delta_batches`` counts mid-join deliveries; the snapshot is separate.
@@ -294,7 +288,7 @@ def test_serial_grouped_stream_flushes_deltas_between_batches(monkeypatch, kerne
     stats = stream.sink.stats()
     assert stats["put_wait_seconds"] < 0.05, "no put may have waited on the consumer"
     # One delta per full driver chunk on the kernel path (the 17-row tail
-    # stays under ``flush_rows``), one per ``flush_rows`` folded rows on the
+    # stays under ``batch_rows``), one per ``batch_rows`` folded rows on the
     # row path — each holding the groups' values so far: the first one is
     # not the final answer yet.
     assert stats["aggregate"]["delta_batches"] >= 3

@@ -312,7 +312,7 @@ def test_explicit_parallelism_beats_the_router_decision():
     assert Counter(outcome.rows()) == Counter(routed.rows())
 
 
-def test_gated_async_caps_routed_queries_but_not_explicit_parallelism():
+def test_gated_async_caps_routed_queries_but_not_explicit_parallelism(monkeypatch):
     """Under a gate the suggestion is the router's cap and the unrouted
     default; an explicit ``ExecOptions.parallelism`` is not capped."""
 
@@ -323,7 +323,7 @@ def test_gated_async_caps_routed_queries_but_not_explicit_parallelism():
     gate = OneWorkerGate(max_outstanding=4)
     db = _wide_db(parallelism=4, parallel_mode="thread")
     # A router that would parallelize anything it is allowed to.
-    db.router.parallel_row_threshold = 0
+    monkeypatch.setattr(scheduler, "PARALLEL_ROW_THRESHOLD", 0)
 
     async def main():
         async with AsyncDatabase(db, admission=gate) as server:

@@ -17,6 +17,7 @@ from repro.engine.options import ExecOptions
 from repro.engine.session import AUTO_ENGINE, Database, ENGINES
 from repro.errors import AdmissionRejected, QueryError
 from repro.optimizer.join_order import optimize_query
+from repro.parallel import scheduler
 from repro.query.planner import Planner
 from repro.router import (
     AdmissionGate,
@@ -200,16 +201,16 @@ def test_router_and_session_take_no_routing_knobs():
         Database(feedback_path="router.json")
 
 
-def test_router_worker_choice_uses_input_size(triangle_db):
+def test_router_worker_choice_uses_input_size(triangle_db, monkeypatch):
     router = QueryRouter()
-    router.parallel_row_threshold = 10
+    monkeypatch.setattr(scheduler, "PARALLEL_ROW_THRESHOLD", 10)
     logical, plan = _plan(triangle_db, ACYCLIC_ROWS_SQL)
 
     # Serial session: always 1.
     assert router.route(logical, plan, max_workers=1).parallelism == 1
     # 8 input rows < threshold 10: stays serial even with workers available.
     assert router.route(logical, plan, max_workers=4).parallelism == 1
-    router.parallel_row_threshold = 8
+    monkeypatch.setattr(scheduler, "PARALLEL_ROW_THRESHOLD", 8)
     assert router.route(logical, plan, max_workers=4).parallelism == 4
 
 

@@ -66,7 +66,7 @@ def test_decompose_empty_cover_yields_no_tasks():
     assert decompose_entries(0, 4) == []
 
 
-BIG = scheduler.PROCESS_INPUT_THRESHOLD
+BIG = scheduler.PARALLEL_ROW_THRESHOLD
 
 
 @pytest.mark.parametrize(

@@ -243,7 +243,7 @@ SINKS = {
     ),
     "StreamingAggregateSink": (
         lambda variables: StreamingAggregateSink(
-            _spec(variables), flush_rows=2, **_stream_kwargs()
+            _spec(variables), **dict(_stream_kwargs(), batch_rows=2)
         ),
         lambda sink: collapse_grouped_batches(
             _delivered(sink), [0] if sink.spec.group_by else []

@@ -272,20 +272,80 @@ def test_randomized_append_bursts_keep_parity(bursts, dim_row, sql):
 def test_version_gap_reseeds():
     db = star_db()
     standing = db.subscribe(SCAN_SQL)
-    # Append while the hook list is bypassed: simulate missed deltas by
-    # re-registering a *new* table object under the same name.
-    grown = Table.from_rows(
-        "fact", ["k", "d", "v"], db.catalog.get("fact").to_rows() + [(8, 10, 8)]
-    )
+    old = db.catalog.get("fact")
+    grown = Table.from_rows("fact", ["k", "d", "v"], old.to_rows() + [(8, 10, 8)])
+    # The new object's versions are unrelated to the old one's: the hook
+    # moves over and the subscription reseeds rather than fold across.
     db.register(grown, replace=True)
-    # The old table object still carries the hook; appending to the *new*
-    # object is invisible until the feed re-attaches, so drive the gap
-    # through the old object's version skew instead.
-    old = standing._owner.catalog.get("fact")
-    assert old is grown
-    standing.on_append(grown, [], grown.version - 2, True)
+    assert old._append_hooks == [] and len(grown._append_hooks) == 1
+    grown.append_rows([(9, 20, 9)])
     assert_snapshot_parity(db, standing, SCAN_SQL)
-    assert standing.stats()["fallbacks"].get("version-gap") == 1
+    stats = standing.stats()
+    assert stats["fallbacks"].get("version-gap") == 1
+    assert stats["deltas_folded"] == 1
+    standing.close()
+    db.close()
+
+
+@pytest.mark.parametrize("sql", [SCAN_SQL, STAR_SQL, "SELECT * FROM fact"])
+def test_replaced_dependency_keeps_the_snapshot_live(sql):
+    """After ``register(replace=True)`` the subscription follows the new
+    object: appends to it refresh the snapshot like any other."""
+    db = star_db()
+    standing = db.subscribe(sql)
+    db.register_all(
+        [Table.from_rows("fact", ["k", "d", "v"], [(4, 10, 1), (5, 30, 2)])],
+        replace=True,
+    )
+    assert_snapshot_parity(db, standing, sql)
+    db.catalog.get("fact").append_rows([(4, 20, 3), (6, 10, 4)])
+    assert_snapshot_parity(db, standing, sql)
+    assert standing.stats()["refreshes"] == 2
+    standing.close()
+    db.close()
+
+
+def test_closing_a_delta_join_subscription_leaves_the_pools_running():
+    db = Database(parallelism=2, parallel_mode="thread")
+    db.register(
+        Table.from_rows(
+            "fact", ["k", "d", "v"], [(i % 5, (i % 3) * 10, i) for i in range(60)]
+        )
+    )
+    db.register(Table.from_rows("dim", ["d", "w"], [(0, 1), (10, 2), (20, 3)]))
+    db.execute(STAR_SQL)  # starts the session's thread pool
+    pools = sorted(scheduler.active_pools())
+    assert pools
+    standing = db.subscribe(STAR_SQL)
+    assert standing.delta_path == "delta-join"
+    db.catalog.get("fact").append_rows([(9, 10, 9)])
+    standing.close()
+    assert sorted(scheduler.active_pools()) == pools
+    db.close()
+
+
+def test_an_append_between_seed_and_hook_is_not_lost(monkeypatch):
+    """Versions are recorded before the seed runs, so an append that lands
+    after the seed read the table but before the hook went in shows up as a
+    gap on the next append, and the subscription reseeds."""
+    db = star_db()
+    fact = db.catalog.get("fact")
+    execute = db._execute
+    seeded = []
+
+    def seed_then_append(*args, **kwargs):
+        outcome = execute(*args, **kwargs)
+        if not seeded:
+            seeded.append(True)
+            fact.append_rows([(9, 10, 90.0)])
+        return outcome
+
+    monkeypatch.setattr(db, "_execute", seed_then_append)
+    standing = db.subscribe(SCAN_SQL)
+    fact.append_rows([(1, 10, 1)])
+    assert (9, 90.0, 1) in standing.snapshot().to_rows()
+    assert_snapshot_parity(db, standing, SCAN_SQL)
+    assert standing.stats()["fallbacks"] == {"version-gap": 1}
     standing.close()
     db.close()
 
@@ -317,7 +377,6 @@ def test_close_unblocks_consumer_and_detaches_hooks():
     db = star_db()
     standing = db.subscribe(SCAN_SQL)
     fact = db.catalog.get("fact")
-    assert db.change_feed().watched_tables() == ["fact"]
     assert len(fact._append_hooks) == 1
     results = []
 
@@ -330,7 +389,6 @@ def test_close_unblocks_consumer_and_detaches_hooks():
     thread.join(timeout=10.0)
     assert not thread.is_alive()
     assert results == [None]
-    assert db.change_feed().watched_tables() == []
     assert fact._append_hooks == []
     assert db.standing_queries() == []
     # Appends after close are plain appends: no refresh, no delivery.
@@ -432,7 +490,7 @@ def test_async_subscribe_stream_delivers_seed_and_deltas():
             await stream.aclose()
         # aclose() closed the subscription and detached the hooks.
         assert db.standing_queries() == []
-        assert db.change_feed().watched_tables() == []
+        assert db.catalog.get("fact")._append_hooks == []
 
     asyncio.run(main())
     db.close()
