@@ -76,11 +76,12 @@ from repro.engine.output import (
     OutputSink,
     _factorized_group_count,
     expand_factorized_batch,
+    listed_batch,
 )
+from repro.engine.pipeline import result_table
 from repro.errors import ExecutionError, QueryError
 from repro.kernels.predicates import compile_batch_predicate
 from repro.query.planner import LogicalQuery
-from repro.storage.column import Column
 from repro.storage.table import Table
 
 
@@ -553,7 +554,7 @@ def fold_join_result(
         return state.merge_payload(result.partial.payload())
     touched: List[Row] = []
     if result.count_only is None:
-        for batch in result.batches:
+        for batch in map(listed_batch, result.batches):
             keys = fold_factorized_batch(state, *batch)
             if keys is None:
                 keys = []
@@ -716,7 +717,9 @@ class PostJoinSink(OutputSink):
     for a stream is the SELECT projection.
 
     It reads every row it is handed, so it never claims ``counts_only`` or
-    ``accepts_factorized``, and it keeps lists (no ``packs_columns``).
+    ``accepts_factorized``, and it takes lists (no ``packs_columns``): the
+    residual mask and the LEFT JOIN probes read Python values, and a wrapped
+    :class:`~repro.engine.output.RowSink` keeps what it is handed.
     Steal tasks fill the default
     :class:`~repro.engine.output.FactorizedSink` and the parent replays their
     batches through this sink (the default :meth:`~OutputSink.absorb`) on
@@ -813,24 +816,18 @@ class PostJoinSink(OutputSink):
 
 
 def aggregate_result(result: JoinResult, logical: LogicalQuery) -> Table:
-    """Apply the SELECT list (projection/aggregation/group-by) to a join result."""
+    """Apply the SELECT list (projection/aggregation/group-by) to a join result.
+
+    A column select adopts the join result's columns
+    (:func:`~repro.engine.pipeline.result_table`): the kernels' numeric
+    gathers become the result table's packed, read-only columns.
+    """
+    if logical.has_aggregates():
+        return _aggregate(result, logical)
     if logical.select_star:
-        return _project(result, list(result.variables), list(result.variables))
-
-    if not logical.has_aggregates():
-        variables = [item.variable for item in logical.select_items]
-        labels = [item.label for item in logical.select_items]
-        return _project(result, variables, labels)
-
-    return _aggregate(result, logical)
-
-
-def _project(result: JoinResult, variables: Sequence[str], labels: Sequence[str]) -> Table:
-    """A column select: the result table adopts the join result's columns."""
-    columns = dict(zip(result.variables, result.columns()))
-    # A variable selected twice gets a list of its own per column.
-    picked = [columns[v] if variables.count(v) == 1 else list(columns[v]) for v in variables]
-    return Table("result", [Column(label, values) for label, values in zip(labels, picked)])
+        return result_table(result)
+    items = logical.select_items
+    return result_table(result, [item.variable for item in items], [item.label for item in items])
 
 
 def _aggregate(result: JoinResult, logical: LogicalQuery) -> Table:

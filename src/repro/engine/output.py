@@ -4,8 +4,8 @@ All three join engines report their results through a *sink*.  The sink
 decides how much of the output to materialize:
 
 * :class:`RowSink` materializes the output: it keeps the flat column batches
-  it is handed (with bag multiplicities); :class:`PackedRowSink`, a bushy
-  plan's non-final pipeline's, takes the kernels' numeric gathers unlisted,
+  it is handed (with bag multiplicities), the kernels' numeric gathers as
+  the arrays they gathered (``packs_columns``),
 * :class:`CountSink` only counts output rows — the cheapest option, used by
   ``COUNT(*)`` queries and by benchmark drivers that do not need the rows,
 * :class:`FactorizedSink` keeps the output factorized (Section 4.4,
@@ -16,7 +16,12 @@ batches in the shape below — and a :class:`JoinResult` is that list: each
 column a vector (Section 4.2), of which row tuples are *views*
 (:meth:`JoinResult.columns`, :meth:`~JoinResult.iter_rows`,
 :meth:`~JoinResult.to_rows`, ...).  Nothing between a pipeline, the next
-pipeline and the result table transposes; the one columns→rows ``zip`` left
+pipeline and the result table transposes: every table built from a result —
+an intermediate or a query's result table — is one column build over
+:meth:`JoinResult.flat_batches` (:func:`repro.engine.pipeline.result_table`),
+which keeps a :class:`RowSink`'s numeric arrays packed.  The row views list
+packed parts as they read them (:func:`listed_batch`), so no caller ever sees
+a numpy scalar.  The one columns→rows ``zip`` left
 (:func:`repro.datatypes.columns_to_rows`) sits where the contract *is* row
 tuples — ``to_rows()``, ``iter_rows()`` and a streaming sink's
 ``on_batch`` on its way into its delivered batches — and it only ever sees
@@ -99,6 +104,17 @@ def _factorized_group_count(prefix_columns, factors, multiplicities) -> int:
 def _is_array(values) -> bool:
     """Whether ``values`` is a kernel's numpy array (see ``packs_columns``)."""
     return hasattr(values, "dtype")
+
+
+def _listed(values):
+    """A packed part (a kernel's numpy array) as a list of Python values."""
+    return values.tolist() if _is_array(values) else values
+
+
+def listed_batch(batch: FactorizedBatch) -> FactorizedBatch:
+    """One stored batch with its packed parts listed (factors are never packed)."""
+    variables, columns, factors, multiplicities = batch
+    return variables, [_listed(column) for column in columns], factors, _listed(multiplicities)
 
 
 def count_factorized_batch(prefix_columns, factors, multiplicities) -> int:
@@ -278,9 +294,9 @@ class OutputSink:
 
     #: Whether the kernels may hand :meth:`on_batch` a numeric column as
     #: the ``int64`` / ``float64`` array they gathered, and multiplicities
-    #: as an ``int64`` array, instead of lists.  Only the sink of a bushy
-    #: plan's non-final pipeline (:class:`PackedRowSink`) does: every
-    #: result a caller sees holds Python values.
+    #: as an ``int64`` array, instead of lists.  Only :class:`RowSink` does:
+    #: its arrays become packed table columns, and its result's row views
+    #: list them, so every row a caller sees holds Python values.
     packs_columns = False
 
     #: What ``RunReport.details["output"]["mode"]`` calls a run into this sink.
@@ -363,14 +379,20 @@ class RowSink(OutputSink):
     The store is a list of batches in the one factorized shape, verbatim —
     no per-row tuple, no copy, no Cartesian expansion; only a flat batch's
     entries with a non-positive multiplicity are dropped — and :meth:`result`
-    hands it to a :class:`JoinResult`, of which rows are a view.  A steal
-    task of it fills another one, whose batches — picklable lists — cross
-    the worker boundary as they are and are appended in task order.
+    hands it to a :class:`JoinResult`, of which rows are a view.  It
+    ``packs_columns``: the kernels hand it their ``int64`` / ``float64``
+    gathers, which the result's table keeps as packed columns
+    (:func:`repro.engine.pipeline.result_table`).  A steal task of it fills
+    another one, whose batches — arrays and lists — cross the worker
+    boundary as they are (a process boundary as buffers) and are appended in
+    task order.  Row-path batches stay lists.
 
     Nothing *produces* factorized groups into this sink (it does not
     advertise ``accepts_factorized``); :class:`FactorizedSink` is the same
     store that does.
     """
+
+    packs_columns = True
 
     def __init__(self, variables: Sequence[str]) -> None:
         super().__init__(variables)
@@ -411,23 +433,6 @@ class RowSink(OutputSink):
 
     def absorb(self, payload) -> None:
         self._batches.extend(payload)
-
-
-class PackedRowSink(RowSink):
-    """:class:`RowSink` for a non-final pipeline: numeric columns stay packed.
-
-    The kernels hand it the ``int64`` / ``float64`` gathers themselves
-    (``packs_columns``), which it stores — and a steal task ships, as
-    buffers — like any batch; the pipeline driver then concatenates them
-    into the packed columns of the intermediate table
-    (:func:`repro.kernels.encoding.gathered_column`).  Row-path batches stay
-    lists, as in a :class:`RowSink`.
-    """
-
-    packs_columns = True
-
-    def task_sink(self):
-        return partial(PackedRowSink, self.variables)
 
 
 class CountSink(OutputSink):
@@ -481,10 +486,12 @@ class FactorizedSink(RowSink):
     expands them.  It is also the default :meth:`~OutputSink.task_sink`: a
     steal task of a streaming sink (or of any sink that names no cheaper
     one) fills one, and the parent sink's :meth:`~OutputSink.absorb` replays
-    the batches.
+    the batches — so it keeps lists (no ``packs_columns``): the sinks it
+    replays into take Python values.
     """
 
     accepts_factorized = True
+    packs_columns = False
     mode = "factorized"
     task_sink = OutputSink.task_sink  # the default recipe: this very class
 
@@ -494,7 +501,9 @@ class JoinResult:
     """The result of a join: the column batches a sink kept, or a count.
 
     Rows are a *view* of :attr:`batches`: :meth:`columns` is the flat
-    columnar one, :meth:`iter_rows` / :meth:`to_rows` the tuple ones.
+    columnar one, :meth:`iter_rows` / :meth:`to_rows` the tuple ones.  The
+    views list a :class:`RowSink`'s packed parts as they read them, so they
+    hold Python values only; :meth:`flat_batches` hands the parts as stored.
     """
 
     variables: Tuple[str, ...]
@@ -549,7 +558,7 @@ class JoinResult:
         """Iterate over flat output rows, expanding factorized batches lazily."""
         for batch in self._stored():
             for columns, multiplicities in expand_factorized_batch(
-                self.variables, *batch, max_rows=OutputSink.expand_rows
+                self.variables, *listed_batch(batch), max_rows=OutputSink.expand_rows
             ):
                 rows = columns_to_rows(columns) if columns else repeat(())
                 if multiplicities is None:
@@ -561,26 +570,28 @@ class JoinResult:
         """The stored batches as flat ``(columns, multiplicities)`` in ``variables`` order.
 
         ``on_batch``'s arguments: a flat batch laid out as :attr:`variables`
-        is yielded as it is stored; anything else (factors, another layout)
-        as :func:`expand_factorized_batch`'s slices.
+        is yielded as it is stored, packed parts included; anything else
+        (factors, another layout) as :func:`expand_factorized_batch`'s
+        slices of its listed values.
         """
         for batch in self._stored():
             prefix_variables, columns, factors, multiplicities = batch
             if factors or tuple(prefix_variables) != self.variables:
-                yield from expand_factorized_batch(self.variables, *batch)
+                yield from expand_factorized_batch(self.variables, *listed_batch(batch))
             else:
                 yield columns, multiplicities
 
     def columns(self) -> List[List[Value]]:
         """Flat value columns, one per variable, bag multiplicities applied.
 
-        A result that is one flat batch without multiplicities comes back
-        *by reference* — the values are the very objects the producer
+        A result that is one flat list batch without multiplicities comes
+        back *by reference* — the values are the very objects the producer
         decoded — and several batches are concatenated once.
         """
         flatten = chain.from_iterable
         chunks = []
         for columns, multiplicities in self.flat_batches():
+            columns, multiplicities = list(map(_listed, columns)), _listed(multiplicities)
             if multiplicities is not None:
                 columns = [list(flatten(map(repeat, column, multiplicities))) for column in columns]
             if columns and len(columns[0]):

@@ -18,9 +18,10 @@ around it:
 * :func:`run_plan` is the one plan loop behind every ``Engine.run``:
   resolve → pick the pipeline's sink → lower → serial :func:`run_range` or
   :func:`repro.parallel.scheduler.run_pipeline_steal` into that sink →
-  ``sink.result()`` → materialize intermediates (a non-final pipeline's
-  ``Table`` is built from the result's column batches, the kernels'
-  numeric gathers staying packed; no row tuple is built) → assemble the
+  ``sink.result()`` → materialize intermediates (:func:`result_table`, the
+  one build of a ``Table`` from a join result, which also builds a plain
+  SELECT's result table: the kernels' numeric gathers stay packed and no
+  row tuple is built) → assemble the
   :class:`~repro.engine.report.RunReport` with ``details["output"]``,
   ``details["kernels"]``, ``details["intermediates"]`` (bushy plans only)
   and ``details["parallel"]`` (parallel runs only).
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import kernels
-from repro.engine.output import CountSink, FactorizedSink, OutputSink, PackedRowSink, RowSink
+from repro.engine.output import CountSink, FactorizedSink, OutputSink, RowSink
 from repro.engine.report import RunReport
 from repro.errors import PlanError
 from repro.query.atoms import Atom
@@ -223,20 +224,24 @@ def run_range(
     return counters, reason
 
 
-def _materialize(name: str, result: "JoinResult") -> Table:
-    """A non-final pipeline's result as the flat table later pipelines read.
+def result_table(result: "JoinResult", variables=None, labels=None, name="result") -> Table:
+    """The one build of a ``Table`` from a join result's flat batches.
 
-    Column by column over the result's flat batches
-    (:func:`repro.kernels.encoding.gathered_column`): packed where the
-    kernels gathered every batch of it, else a list column — either way the
-    rows, dtypes and fingerprint ``Table.from_rows`` would give.
+    Column by column (:func:`repro.kernels.encoding.gathered_column`):
+    packed — one read-only ``"q"`` / ``"d"`` buffer, dtype from the array —
+    where the kernels gathered every batch of it, else a new list column;
+    either way the rows, dtypes and fingerprint ``Table.from_rows`` would
+    give.  ``variables`` picks and orders the result's columns (default:
+    all; one picked twice is built twice, so each list column is its own)
+    and ``labels`` names them (default: the variables).
     """
+    variables = result.variables if variables is None else variables
     batches = list(result.flat_batches())
     weights = [multiplicities for _columns, multiplicities in batches]
-    columns = [
-        kernels.gathered_column(var, [columns[index] for columns, _m in batches], weights)
-        for index, var in enumerate(result.variables)
-    ]
+    columns = []
+    for var, label in zip(variables, labels or variables):
+        parts = [part[result.variables.index(var)] for part, _m in batches]
+        columns.append(kernels.gathered_column(label, parts, weights))
     return Table(name, columns)
 
 
@@ -265,7 +270,7 @@ def run_plan(
     the join, and they are all the final pipeline emits; without them it
     emits the query's full head.  Non-final pipelines materialize
     "simplistically" — a flat table (Section 5.2) later pipelines see as an
-    atom (:func:`_materialize`) — holding only the columns a relation
+    atom (:func:`result_table`) — holding only the columns a relation
     outside the pipeline or the caller still reads.  Everything
     else is never decoded: the kernel program's backward pass turns probes
     that bind nothing read later into multiplicities.
@@ -273,7 +278,7 @@ def run_plan(
     Every pipeline runs into one sink — the caller's ``sink`` for the final
     pipeline when given, else the sink ``options.output`` names
     (:func:`make_sink`; an unknown name is a :class:`PlanError`), and a
-    :class:`PackedRowSink` for every intermediate — and the pipeline's result is
+    :class:`RowSink` for every intermediate — and the pipeline's result is
     that sink's ``result()``, serial or parallel: the steal scheduler moves
     task output into it through the sink's own transport
     (``task_sink`` / ``payload`` / ``absorb``, see
@@ -320,7 +325,7 @@ def run_plan(
             # A result nothing outside reads still multiplies the join: keep
             # one column to carry its cardinality.
             output_variables = tuple(v for v in bound if v in read_outside) or tuple(bound)[:1]
-            pipeline_sink = PackedRowSink(output_variables)
+            pipeline_sink = RowSink(output_variables)
         lowered = lower(
             pipeline, atoms, output_variables, pipeline_sink.counts_only, kernels_off is None
         )
@@ -373,7 +378,7 @@ def run_plan(
 
         if not pipeline.is_final:
             started = time.perf_counter()
-            table = _materialize(pipeline.output_name, result)
+            table = result_table(result, name=pipeline.output_name)
             atoms[pipeline.output_name] = Atom(pipeline.output_name, table, table.column_names)
             elapsed = time.perf_counter() - started
             other_seconds += elapsed

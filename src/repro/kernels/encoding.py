@@ -27,9 +27,10 @@ Three encodings cover that exactly:
 Encoded arrays are memoized on the column object (``Column._kernel``), so
 repeated queries over the same catalog encode each column once.
 Shared-memory columns (``repro.storage.shm``) already hold int64/float64
-memoryviews and convert zero-copy; a bushy plan's intermediates hold the
-same packed storage, built from the kernels' own gathers
-(:func:`gathered_column`) with their encoding memoized up front.
+memoryviews and convert zero-copy; every table built from a join result — a
+bushy plan's intermediates and a query's result table — holds the same
+packed storage, built from the kernels' own gathers (:func:`gathered_column`)
+with their encoding memoized up front.
 """
 
 from __future__ import annotations
@@ -245,16 +246,16 @@ _PACKED = {"int64": (INT, "q", KIND_INT), "float64": (FLOAT, "d", KIND_FLOAT)}
 
 
 def gathered_column(name: str, parts: Sequence, weights: Sequence) -> Column:
-    """One column of a materialized result from its flat batches' parts.
+    """One column of a table built from a join result's flat batches' parts.
 
     ``parts[i]`` is batch ``i``'s values, ``weights[i]`` its multiplicities
     (``None``: all 1).  When every part is a packed gather of one dtype
     (:func:`decode_gather`), the column is packed: one ``int64`` /
     ``float64`` buffer, held as the same cast ``memoryview`` the
-    shared-memory plane attaches, with its dtype taken from the array and
-    its kernel encoding memoized up front — nothing is listed, inferred or
-    re-encoded.  Any other mix (row-path lists, TEXT, NULLs, no rows) is a
-    list column, built exactly as ``Table.from_rows`` would.
+    shared-memory plane attaches (read-only), with its dtype taken from the
+    array and its kernel encoding memoized up front — nothing is listed,
+    inferred or re-encoded.  Any other mix (row-path lists, TEXT, NULLs, no
+    rows) is a new list column, built exactly as ``Table.from_rows`` would.
     """
     dtypes = {str(getattr(part, "dtype", None)) for part in parts}
     if len(dtypes) == 1 and dtypes <= _PACKED.keys():
@@ -262,11 +263,9 @@ def gathered_column(name: str, parts: Sequence, weights: Sequence) -> Column:
         packed = arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
         if packed.size:  # no rows: TEXT, like an empty list
             dtype, fmt, kind = _PACKED[dtypes.pop()]
-            column = Column(name, memoryview(packed).cast("B").cast(fmt), dtype)
+            column = Column(name, memoryview(packed).toreadonly().cast("B").cast(fmt), dtype)
             column._kernel = {kind: packed}
             return column
-    if len(parts) == 1 and weights[0] is None and isinstance(parts[0], list):
-        return Column(name, parts[0])  # by reference: the producer's own list
     values: list = []
     for part, w in zip(parts, weights):
         part = part.tolist() if hasattr(part, "dtype") else part

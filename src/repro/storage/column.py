@@ -24,7 +24,7 @@ class Column:
         The cell values.  A list is stored by reference, so callers that
         want isolation should pass a copy.  A ``memoryview`` cast to ``"q"``
         or ``"d"`` (packed INT / FLOAT storage: a shared-memory attachment,
-        a materialized intermediate) is kept as is, read-only.
+        a table built from a join result) is kept as is, read-only.
     dtype:
         Optional logical type (``INT``/``FLOAT``/``TEXT``).  Inferred from the
         values when omitted.

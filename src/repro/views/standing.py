@@ -26,8 +26,13 @@ to re-running the query.  Two delta paths exist:
 Each subscription records every dependency's ``Table.version`` before its
 seed runs; an append whose ``old_version`` is not the recorded one means
 rows were missed (appended while the seed ran, say) and reseeds instead of
-folding.  :meth:`repro.Database.register` moves the hooks to a table that
-replaces a dependency and reseeds.
+folding; a reseed or re-execution records them after it ran, so an append
+it may have read is a gap too.  Next to each version it records the
+dependency's row count the snapshot holds (after each full run, then grown
+by each folded append): a delta join reads every other dependency truncated
+to that count, so two appends that land together on two dependencies fold
+``ΔR ⋈ ΔS`` once, not once per refresh.  :meth:`repro.Database.register`
+moves the hooks to a table that replaces a dependency and reseeds.
 
 ``reexec`` mode — everything else (non-aggregate queries, LEFT JOINs,
 HAVING/ORDER/LIMIT/DISTINCT, self-joins, cyclic join shapes, group keys
@@ -179,6 +184,8 @@ class StandingQuery:
         # Seed: run the query once on the live session.
         outcome = owner._execute(sql, options, name=name)
         self.last_report = outcome.report
+        #: Dependency name -> the rows of it the snapshot holds.
+        self._counts = {name: t.num_rows for name, t in self._tables.items()}
 
         self._spec: Optional[AggregateSpec] = None
         self._state: Optional[GroupedAggregateState] = None
@@ -282,6 +289,7 @@ class StandingQuery:
                 return
             gap = old_version != self._versions[table.name]
             self._versions[table.name] = table.version
+            self._counts[table.name] += len(rows)
             self._refresh(table, rows, gap)
 
     def _replace_table(self, old: Table, new: Table) -> None:
@@ -292,7 +300,6 @@ class StandingQuery:
             old.remove_append_hook(self._on_append)
             new.add_append_hook(self._on_append)
             self._tables[new.name] = new
-            self._versions[new.name] = new.version
             self._refresh(new, (), gap=True)
 
     def _refresh(self, table: Table, rows: Sequence[Row], gap: bool) -> None:
@@ -342,17 +349,21 @@ class StandingQuery:
     def _fold_delta_join(self, table: Table, delta_rows: List[Row]) -> List[Row]:
         """Join the delta against the live dependencies and fold the result.
 
-        The overlay catalog maps the appended name to the delta rows; the
-        owner plans with its statistics, routes with its router and runs the
-        join serially, but its prepared cache never sees the overlay.
+        The overlay catalog maps the appended name to the delta rows and
+        every other dependency to the rows of it the snapshot holds — an
+        append that landed but whose refresh still waits on the lock joins
+        this delta in its own refresh.  The owner plans with its statistics,
+        routes with its router and runs the join serially, but its prepared
+        cache never sees the overlay.
         """
         owner, options = self._owner, self.options
         catalog = Catalog()
-        for dep in self._tables.values():
+        for name, dep in self._tables.items():
+            if dep is table:
+                dep = Table.from_rows(name, table.column_names, delta_rows)
+            elif dep.num_rows != self._counts[name]:
+                dep = dep.head(self._counts[name])
             catalog.register(dep)
-        catalog.register(
-            Table.from_rows(table.name, table.column_names, delta_rows), replace=True
-        )
         logical = Planner(catalog).plan_sql(self.sql, name=self.name)
         binary_plan = optimize_query(
             logical.query,
@@ -378,13 +389,23 @@ class StandingQuery:
         # name, whichever driver and row layout that run picked.
         return fold_join_result(self._state, report.result)
 
-    def _refresh_reexec(self) -> None:
-        outcome = self._owner._execute(
-            self.sql, self._refresh_options(), name=self.name
-        )
+    def _rerun(self, event: str):
+        """Re-run the query on the live session: a reexec refresh or a reseed.
+
+        Every dependency's version and row count is recorded *after* the
+        run: an append that landed before then — read by the run or not —
+        is a gap when its own refresh gets the lock, never a delta.
+        """
+        outcome = self._owner._execute(self.sql, self._refresh_options(), name=self.name)
+        self._versions = {name: t.version for name, t in self._tables.items()}
+        self._counts = {name: t.num_rows for name, t in self._tables.items()}
         self._reexecutions += 1
         self.last_report = outcome.report
-        outcome.report.details["ivm"] = self._ivm_details(event="reexec")
+        outcome.report.details["ivm"] = self._ivm_details(event=event)
+        return outcome
+
+    def _refresh_reexec(self) -> None:
+        outcome = self._rerun("reexec")
         old_table, self._snapshot = self._snapshot, outcome.table
         if self._key_positions:
             self._deliver_keyed_diff(old_table, outcome.table)
@@ -395,12 +416,7 @@ class StandingQuery:
 
     def _reseed(self) -> None:
         """Rebuild from scratch after a version gap (missed deltas)."""
-        outcome = self._owner._execute(
-            self.sql, self._refresh_options(), name=self.name
-        )
-        self._reexecutions += 1
-        self.last_report = outcome.report
-        outcome.report.details["ivm"] = self._ivm_details(event="reseed")
+        outcome = self._rerun("reseed")
         if self._state is not None:
             self._state = GroupedAggregateState(self._spec)
             fold_join_result(self._state, outcome.join_result)

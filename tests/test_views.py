@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import time
 import warnings
 
 import pytest
@@ -283,6 +284,38 @@ def test_version_gap_reseeds():
     stats = standing.stats()
     assert stats["fallbacks"].get("version-gap") == 1
     assert stats["deltas_folded"] == 1
+    standing.close()
+    db.close()
+
+
+@pytest.mark.parametrize("sql", [STAR_SQL, RESIDUAL_STAR_SQL], ids=["star", "residual-star"])
+def test_appends_landing_together_on_two_dependencies_fold_once(sql):
+    """Both appends are in place before either refresh runs: the first
+    refresh joins its delta against the other table as the snapshot holds
+    it, so ``Δfact ⋈ Δdim`` is folded by the second refresh only."""
+    db = star_db()
+    standing = db.subscribe(sql)
+    fact, dim = db.catalog.get("fact"), db.catalog.get("dim")
+    appends = [
+        threading.Thread(target=fact.append_rows, args=([(3, 40, 1), (1, 10, 5)],)),
+        threading.Thread(target=dim.append_rows, args=([(40, 300)],)),
+    ]
+    with standing._refresh_lock:
+        for thread in appends:
+            thread.start()
+        # Wait until both rows are in place (the hooks then block on the lock).
+        deadline = time.monotonic() + 10
+        while (fact.version, dim.version) != (1, 1) and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert (fact.version, dim.version) == (1, 1)
+    for thread in appends:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+    assert_snapshot_parity(db, standing, sql)
+    stats = standing.stats()
+    assert stats["deltas_folded"] == 2 and stats["reexecutions"] == 0
+    # The live tables were never truncated.
+    assert (fact.num_rows, dim.num_rows) == (5, 4)
     standing.close()
     db.close()
 
