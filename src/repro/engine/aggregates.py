@@ -27,7 +27,10 @@ front of the chosen sink.
   reductions — and :func:`fold_factorized_batch` folds factorized batches
   straight off their factor segments, without enumerating a Cartesian
   product (a batch whose group key hides inside a factor is expanded column
-  slice by column slice and folded flat).
+  slice by column slice and folded flat).  Both fold a batch of the
+  kernels' packed gathers in numpy when its keys and ``MIN`` / ``MAX`` /
+  ``COUNT`` inputs are all arrays
+  (:meth:`~GroupedAggregateState.fold_packed`).
   :meth:`~GroupedAggregateState.fold_row` is their row-at-a-time
   reference, which no sink calls: the row paths hand their sink column
   batches too.
@@ -75,11 +78,13 @@ from repro.engine.output import (
     JoinResult,
     OutputSink,
     _factorized_group_count,
+    _is_array,
     expand_factorized_batch,
     listed_batch,
 )
 from repro.engine.pipeline import result_table
 from repro.errors import ExecutionError, QueryError
+from repro.kernels.encoding import np
 from repro.kernels.predicates import compile_batch_predicate
 from repro.query.planner import LogicalQuery
 from repro.storage.table import Table
@@ -271,6 +276,12 @@ def aggregate_spec(
     )
 
 
+#: Batch groups plus factor values below which a packed batch is listed and
+#: folded in Python: :meth:`GroupedAggregateState.fold_packed` makes some
+#: twenty numpy calls per batch, which cost more than listing a small one.
+PACKED_FOLD_VALUES = 512
+
+
 class GroupedAggregateState:
     """Mergeable per-group-key partial aggregates for one query.
 
@@ -283,13 +294,17 @@ class GroupedAggregateState:
     ``AVG`` is carried as sum + count.
     """
 
-    __slots__ = ("spec", "groups", "rows", "_group_positions", "_fold_items", "_key_slots")
+    __slots__ = (
+        "spec", "groups", "rows", "packed_folds", "_group_positions", "_fold_items", "_key_slots"
+    )
 
     def __init__(self, spec: AggregateSpec) -> None:
         self.spec = spec
         #: Join rows folded in so far, bag multiplicities included — the
         #: join cardinality an aggregate sink reports in place of rows.
         self.rows = 0
+        #: Batches folded in numpy (:meth:`fold_packed`): telemetry.
+        self.packed_folds = 0
         self._group_positions = tuple(
             spec.variables.index(var) for var in spec.group_by
         )
@@ -356,11 +371,16 @@ class GroupedAggregateState:
         ``columns`` aligns with ``spec.variables`` (a batch without columns
         has one empty row per multiplicity, as in ``OutputSink.on_batch``);
         rows with a non-positive multiplicity are not in the bag.  The one
-        fold of a flat batch: rows are bucketed by the key columns alone —
-        no full-width tuple is built — and every aggregate input is folded
-        a column segment at a time (:meth:`_AggregateState.update_column`),
-        in row order, so the result equals :meth:`fold_row` over the rows.
+        fold of a flat batch: a packed batch folds in numpy
+        (:meth:`fold_packed`); any other is listed, its rows are bucketed by
+        the key columns alone — no full-width tuple is built — and every
+        aggregate input is folded a column segment at a time
+        (:meth:`_AggregateState.update_column`), in row order, so the result
+        equals :meth:`fold_row` over the rows.
         """
+        if packed := self.fold_packed(self.spec.variables, columns, (), multiplicities):
+            return packed[0]
+        _, columns, _, multiplicities = listed_batch(((), columns, (), multiplicities))
         if multiplicities and min(multiplicities) <= 0:
             keep = [multiplicity > 0 for multiplicity in multiplicities]
             columns = [list(compress(column, keep)) for column in columns]
@@ -400,6 +420,77 @@ class GroupedAggregateState:
                 state.count += total
             else:
                 state.update_column(columns[position], weights)
+
+    def fold_packed(self, variables, columns, factors, multiplicities):
+        """Fold one batch in numpy, if it is packed and not small.
+
+        ``variables`` / ``columns`` are the batch's prefix (the whole batch
+        when flat).  Packed: every group-by variable is a prefix array and
+        every SELECT item a group column, ``COUNT(*)``, or ``COUNT`` /
+        ``MIN`` / ``MAX`` over an array — a kernel's ``int64`` / ``float64``
+        gather, free of NULL, bool and NaN.  Small: fewer than
+        :data:`PACKED_FOLD_VALUES` groups and factor values.  Groups with a
+        positive total (multiplicity x segment sizes) are keyed by
+        ``np.unique``; ``COUNT`` adds their totals, ``MIN`` / ``MAX`` reduce
+        each kept factor segment, then each key.  numpy's ``minimum`` of
+        ``0.0`` and ``-0.0`` may be either, where builtin ``min`` keeps the
+        first, so a float extreme equal to zero is the key's first zero in
+        row order.  Each distinct key's partial then
+        merges in with Python scalars (:meth:`merge_payload`).  Returns
+        ``(distinct keys, each kept group's key index)``, or ``None``
+        (nothing folded) for any other batch.
+        """
+        groups = _factorized_group_count(columns, factors, multiplicities)
+        if groups + sum(offsets[-1] - offsets[0] for *_, offsets in factors) < PACKED_FOLD_VALUES:
+            return None
+        items = self.spec.items
+        sources = {v: (c, offsets) for names, cs, offsets in factors for v, c in zip(names, cs)}
+        sources.update(zip(variables, zip(columns, repeat(None))))
+        keys = [sources.get(var, (None, None))[0] for var in self.spec.group_by]
+        reads = [sources.get(var, (None, None)) for _function, var, _label in items]
+        arrays = keys + [column for (f, var, _), (column, _o) in zip(items, reads) if f and var]
+        if not arrays or not all(map(_is_array, arrays)) or {"SUM", "AVG"} & {f for f, *_ in items}:
+            return None
+        self.packed_folds += 1
+        totals = np.ones(groups, np.int64) if multiplicities is None else np.asarray(multiplicities)
+        for _names, _columns, offsets in factors:
+            totals = totals * np.diff(offsets)
+        kept = np.flatnonzero(positive := totals > 0)
+        if not kept.size:
+            return [], kept
+        first, inverse = np.zeros(1, np.int64), np.zeros(kept.size, np.int64)
+        for column in keys:  # one code per distinct key tuple, a column at a time
+            pairs = inverse * (kept.size + 1) + np.unique(column[kept], return_inverse=True)[1]
+            _, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+        distinct = list(zip(*[column[kept[first]].tolist() for column in keys])) or [()]
+        counts = np.zeros(len(distinct), np.int64)
+        np.add.at(counts, inverse, totals[kept])
+        # Per item, each key's partial as the serialized tuple merge_tuple takes.
+        partials, none = [], [None] * len(distinct)
+        for (function, _var, _label), (column, offsets) in zip(items, reads):
+            best = none
+            if function in ("MIN", "MAX"):
+                reduce = np.minimum if function == "MIN" else np.maximum
+                if offsets is None:
+                    elements = segments = column[kept]
+                else:  # reduce each kept factor segment first
+                    sizes = np.diff(offsets)
+                    elements = column[offsets[0] : offsets[-1]]
+                    if kept.size < groups:  # no dropped segment may merge into a kept one
+                        elements = elements[np.repeat(positive, sizes)]
+                    segments = reduce.reduceat(elements, np.cumsum(sizes[kept]) - sizes[kept])
+                best = segments[first]
+                reduce.at(best, inverse, segments)
+                zeros = np.flatnonzero(best == 0) if column.dtype.kind == "f" else ()
+                if len(zeros):  # ±0.0: builtin min / max keep the first zero in row order
+                    members = inverse if offsets is None else np.repeat(inverse, sizes[kept])
+                    hits = np.flatnonzero((elements == 0) & np.isin(members, zeros))
+                    best[zeros] = elements[hits[np.unique(members[hits], return_index=True)[1]]]
+                best = best.tolist()
+            low, high = (best, none) if function == "MIN" else (none, best)
+            count = counts.tolist() if function == "COUNT" else repeat(0)
+            partials.append(zip(count, repeat(0.0), low, high))
+        return self.merge_payload((int(counts.sum()), zip(distinct, zip(*partials)))), inverse
 
     def payload(self) -> Tuple[int, List[Tuple[Row, Tuple[Tuple, ...]]]]:
         """Serialize as plain data (pickles across processes): rows, groups."""
@@ -466,10 +557,16 @@ def fold_factorized_batch(
     ``AVG`` weight each value by the product of the *other* factors'
     segment sizes, ``MIN``/``MAX`` scan each factor's values once — the
     product is never enumerated, and without a GROUP BY the whole batch
-    folds with one reduction per column.  Returns the touched group keys, or
-    ``None`` when the caller must expand the batch into rows instead (a
-    group key living inside a factor, or an unbound aggregate input).  A
-    factor-free batch in the spec's own layout is a flat one:
+    folds with one reduction per column.  A packed batch (the kernels'
+    ``int64`` / ``float64`` gathers, see ``packs_columns``) of at least
+    :data:`PACKED_FOLD_VALUES` values folds in numpy instead
+    (:meth:`GroupedAggregateState.fold_packed`), once per distinct group
+    key; any other is listed first, so no fold sees a numpy scalar.
+    Returns the touched group keys, one per positive batch group under a
+    GROUP BY (a stream's delta cadence counts them), or ``None`` when the
+    caller must expand the batch into rows instead (a group key living
+    inside a factor, or an unbound aggregate input).  A factor-free batch in
+    the spec's own layout is a flat one:
     :meth:`GroupedAggregateState.fold_columns` folds it.
     """
     if not factors and tuple(prefix_variables) == state.spec.variables:
@@ -487,6 +584,15 @@ def fold_factorized_batch(
         return None
 
     groups = _factorized_group_count(prefix_columns, factors, multiplicities)
+    batch = (prefix_variables, prefix_columns, factors, multiplicities)
+    # A packing producer hands factor offsets as an array: the row paths'
+    # one-group batches skip both the numpy fold and the listing.
+    if not factors or _is_array(factors[0][2]):
+        if packed := state.fold_packed(*batch):  # touched keys, as the runs below report them
+            keys, inverse = packed
+            one_run = not state.spec.group_by and inverse.size == groups
+            return keys if one_run else [keys[index] for index in inverse.tolist()]
+        _variables, prefix_columns, factors, multiplicities = listed_batch(batch)
     # Join rows each batch group stands for; non-positive: not in the bag.
     totals = [1] * groups if multiplicities is None else list(multiplicities)
     for _vars, _columns, offsets in factors:
@@ -584,7 +690,13 @@ class AggregateFold:
     never materialized: flat batches go through
     :meth:`GroupedAggregateState.fold_columns`, factorized batches through
     :func:`fold_factorized_batch` (no expansion) whenever the group key
-    lives in the prefix.  As a transport (see :mod:`repro.engine.output`): a
+    lives in the prefix.  It ``packs_columns``: the kernels hand it their
+    numeric gathers — prefix, factor columns and offsets — as arrays, and
+    ``MIN`` / ``MAX`` / ``COUNT`` over them fold in numpy, once per distinct
+    group key (:meth:`GroupedAggregateState.fold_packed`, counted as
+    ``packed_folds``); anything else, and a small batch, is listed and
+    folds as before.  As a
+    transport (see :mod:`repro.engine.output`): a
     steal task of either host folds into a :class:`PartialAggregateSink`
     (:meth:`task_sink`) and ships its (tiny) serialized partial
     (:meth:`payload`) instead of raw rows, and the parent-side sink merges it
@@ -598,6 +710,7 @@ class AggregateFold:
 
     accepts_factorized = True
     absorb_on_arrival = True
+    packs_columns = True
     mode = "aggregate"
 
     def _init_fold(self, spec: AggregateSpec) -> None:
@@ -616,7 +729,7 @@ class AggregateFold:
         with self._lock:
             self._folded(
                 self.state.fold_columns(columns, multiplicities),
-                len(columns[0]) if columns else len(multiplicities or ()),
+                _factorized_group_count(columns, (), multiplicities),
             )
 
     def on_factorized_batch(
@@ -630,9 +743,9 @@ class AggregateFold:
                 self._folded(touched, len(touched))
                 return
         # Group key (or an aggregate input) inside a factor: the host's own
-        # handling expands the batch into column slices (and raises for
-        # unbound variables), which come back through on_batch.
-        super().on_factorized_batch(*batch)
+        # handling expands the listed batch into column slices (and raises
+        # for unbound variables), which come back through on_batch.
+        super().on_factorized_batch(*listed_batch(batch))
 
     def task_sink(self):
         return partial(PartialAggregateSink, self.spec)
@@ -657,6 +770,7 @@ class AggregateFold:
             "groups": len(self.state.groups),
             "folded_rows": self.folded,
             "partials_merged": self.partials_merged,
+            "packed_folds": self.state.packed_folds,
         }
 
 

@@ -112,9 +112,17 @@ def _listed(values):
 
 
 def listed_batch(batch: FactorizedBatch) -> FactorizedBatch:
-    """One stored batch with its packed parts listed (factors are never packed)."""
+    """One batch with its packed parts listed, factor columns and offsets included.
+
+    A *stored* batch never holds a packed factor: only the aggregate sinks
+    are handed packed factors, and they fold batches rather than store them
+    (:class:`RowSink` takes no factorized batch, :class:`FactorizedSink`
+    does not pack), so for a stored batch only the prefix and the
+    multiplicities can be arrays.
+    """
     variables, columns, factors, multiplicities = batch
-    return variables, [_listed(column) for column in columns], factors, _listed(multiplicities)
+    factors = [(names, list(map(_listed, cols)), _listed(offs)) for names, cols, offs in factors]
+    return variables, list(map(_listed, columns)), factors, _listed(multiplicities)
 
 
 def count_factorized_batch(prefix_columns, factors, multiplicities) -> int:
@@ -292,11 +300,15 @@ class OutputSink:
     #: the last task, in task order.  A constant of the sink class.
     absorb_on_arrival = False
 
-    #: Whether the kernels may hand :meth:`on_batch` a numeric column as
-    #: the ``int64`` / ``float64`` array they gathered, and multiplicities
-    #: as an ``int64`` array, instead of lists.  Only :class:`RowSink` does:
-    #: its arrays become packed table columns, and its result's row views
-    #: list them, so every row a caller sees holds Python values.
+    #: Whether the kernels may hand a numeric column as the ``int64`` /
+    #: ``float64`` array they gathered — a prefix column, and for
+    #: :meth:`on_factorized_batch` a factor column with ``int64`` offsets —
+    #: and multiplicities as an ``int64`` array, instead of lists.
+    #: :class:`RowSink` does (its arrays become packed table columns, and its
+    #: result's row views list them), and so do the aggregate sinks
+    #: (:class:`~repro.engine.aggregates.AggregateFold`: they reduce the
+    #: arrays and fold Python scalars), so every row a caller sees holds
+    #: Python values.
     packs_columns = False
 
     #: What ``RunReport.details["output"]["mode"]`` calls a run into this sink.

@@ -205,10 +205,12 @@ def execute_program(
     return stats
 
 
-def _segment_offsets(counts, total: int):
-    """``[0..c0), [0..c1), ...`` concatenated: offsets within each segment."""
-    ends = np.cumsum(counts)
-    return np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+def _match_offsets(lo, counts, total: int):
+    """``[lo0, lo0 + c0), [lo1, lo1 + c1), ...`` concatenated: every match's
+    index position, built in place in one ``total``-long array."""
+    offsets = np.arange(total, dtype=np.int64)
+    offsets += np.repeat(lo - (np.cumsum(counts) - counts), counts)
+    return offsets
 
 
 def _run_chunk(
@@ -276,7 +278,7 @@ def _run_chunk(
             if guard and total > FRONTIER_GUARD_ROWS:
                 raise KernelFrontierExplosion("frontier-explosion")
             parent = np.repeat(np.arange(n, dtype=np.int64), counts)
-            offsets = np.repeat(lo, counts) + _segment_offsets(counts, total)
+            offsets = _match_offsets(lo, counts, total)
             matches = index.perm[offsets]
             for var in list(keys):
                 keys[var] = keys[var][parent]
@@ -344,8 +346,10 @@ def _emit(
     offsets vector — no Cartesian expansion ever happens; sinks that need
     flat rows should not be handed a factorized program.  Without held-out
     steps the batch has no factors and goes out as a plain columnar batch.
-    A sink that ``packs_columns`` gets numeric prefix columns and the
-    multiplicities as the arrays themselves.
+    A sink that ``packs_columns`` gets numeric prefix and factor columns,
+    the factor offsets and the multiplicities as the arrays themselves: a
+    :class:`~repro.engine.output.RowSink` (handed flat batches only) stores
+    them, an aggregate sink reduces them in numpy.
     The tail is sliced so a fan-out chunk cannot outrun the deadline: decode
     + column build + sink cost a few µs per row, unbounded per chunk.
     """
@@ -425,20 +429,21 @@ def _emit(
             step = program.steps[step_index]
             counts_slice = counts[emit]
             total = int(counts_slice.sum())
-            offsets = np.repeat(lo[emit], counts_slice) + _segment_offsets(
-                counts_slice, total
-            )
-            matches = index.perm[offsets]
+            # The offsets die with the gather: a stream's producer thread
+            # (its own malloc arena) ran these gathers measurably slower
+            # than the main thread while they held one more ``total``-long
+            # array at their peak.
+            matches = index.perm[_match_offsets(lo[emit], counts_slice, total)]
             columns = [
                 decode_gather(
-                    step.atom.table.column(step.atom.column_for(var)), matches
+                    step.atom.table.column(step.atom.column_for(var)), matches, packed
                 )
                 for var in factor_vars[step_index]
             ]
             boundaries = np.zeros(groups + 1, dtype=np.int64)
             boundaries[1:] = np.cumsum(counts_slice)
             factors.append(
-                (factor_vars[step_index], columns, boundaries.tolist())
+                (factor_vars[step_index], columns, boundaries if packed else boundaries.tolist())
             )
             per_group = counts_slice if per_group is None else per_group * counts_slice
         logical += groups if per_group is None else int(per_group.sum())
