@@ -3,10 +3,10 @@
 Two acceptance gates from the serving tentpole:
 
 * **warm <= 0.8x cold** — a repeated query over unchanged tables must hit
-  the kernels' content-keyed program and sorted-index caches and skip its
+  the kernels' content-keyed sorted-index cache and skip its
   per-query index build; the warm median is gated at
   :data:`WARM_SPEEDUP_GATE` times the cold median.  Both sides run the same
-  query on the same session; "cold" clears the kernel caches before every
+  query on the same session; "cold" clears the index cache before every
   round.
 * **deadline overhead is bounded** — attaching a (never-expiring) deadline
   token to every query must not measurably slow the join: gated at
@@ -81,8 +81,9 @@ def test_kernel_caches_warm_beat_cold(benchmark):
     expected = database.execute(CACHE_SQL).scalar()
 
     def cold():
-        # Cold = no cached derived structures: the kernel program and
-        # sorted-index caches, which the thread workers share with us.
+        # Cold = no cached derived structures: the kernels' sorted-index
+        # cache, which the thread workers share with us (programs compile
+        # on every run, warm or cold).
         kernel_caches_clear()
         outcome = parallel.execute(CACHE_SQL)
         assert outcome.scalar() == expected

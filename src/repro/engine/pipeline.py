@@ -175,9 +175,9 @@ def run_range(
     pipeline: PhysicalPipeline,
     state: PipelineState,
     sink: OutputSink,
-    span: Optional[Tuple[int, int]] = None,
-    interrupt=None,
-    stats: Optional[Dict[str, int]] = None,
+    span: Optional[Tuple[int, int]],
+    interrupt,
+    stats: Dict[str, int],
     kernels_off: Optional[str] = None,
     factorize: bool = False,
 ) -> Tuple[Optional[Dict[str, int]], Optional[str]]:
@@ -188,8 +188,10 @@ def run_range(
     plain row-addressed program.  ``kernels_off`` is the per-query reason the
     vectorized path is disabled, if it is.  ``factorize`` lets the *row path*
     emit factorized groups; the kernels factorize whenever the sink accepts
-    it.  Returns ``(row-path counters, fallback reason)`` — both ``None``
-    when the kernels served the range.
+    it.  ``stats`` (:func:`repro.kernels.new_stats`) gathers the kernel
+    counters, ``programs`` compiled and ``ranges`` the kernels finished
+    among them.  Returns ``(row-path counters, fallback reason)`` — both
+    ``None`` when the kernels served the range.
     """
     start, stop = span or (None, None)
     reason = kernels_off or pipeline.skip_kernels
@@ -201,8 +203,8 @@ def run_range(
                 pipeline.output_variables,
                 group_vars=pipeline.group_vars if span is not None else None,
                 compress=pipeline.compress,
-                stats=stats,
             )
+            stats["programs"] += 1
             kernels.execute_program(
                 program,
                 sink,
@@ -212,6 +214,7 @@ def run_range(
                 stats=stats,
                 factorize=sink.accepts_factorized,
             )
+            stats["ranges"] += 1
             return None, None
         except (kernels.KernelCompileError, kernels.KernelFrontierExplosion) as exc:
             # An explosion is raised only while the sink is still untouched

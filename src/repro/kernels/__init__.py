@@ -2,12 +2,11 @@
 
 This package rewrites the hot path of all three engines as vectorized
 numpy operations (Section 4.3's vectorization taken to its batch-at-a-time
-conclusion): per-plan :class:`~repro.kernels.program.KernelProgram`\\ s are
-compiled and cached by ``Table.fingerprint()`` + plan shape, probes run as
-one ``searchsorted`` per key over the distinct values of
-fingerprint-cached sorted indexes, then a ``starts`` gather, and
-projection/output assembly decodes whole frontiers at once into the sinks'
-batch entry points.
+conclusion): a :class:`~repro.kernels.program.KernelProgram` is compiled
+for every run of a pipeline, probes run as one ``searchsorted`` per key
+over the distinct values of fingerprint-cached sorted indexes, then a
+``starts`` gather, and projection/output assembly decodes whole frontiers
+at once into the sinks' batch entry points.
 
 The vectorized path is the default everywhere — including factorized
 output, which the executor emits straight off the chunked frontier as
@@ -48,12 +47,7 @@ from repro.kernels.executor import (
 )
 from repro.kernels.indexes import column_distinct_count, index_cache_clear
 from repro.kernels.predicates import compile_batch_predicate
-from repro.kernels.program import (
-    KernelCompileError,
-    KernelProgram,
-    compile_program,
-    program_cache_clear,
-)
+from repro.kernels.program import KernelCompileError, KernelProgram, compile_program
 
 __all__ = [
     "CHUNK_ROWS",
@@ -122,8 +116,7 @@ def kernels_enabled(enabled: bool) -> Iterator[None]:
 
 
 def kernel_caches_clear() -> None:
-    """Drop the program and index caches (tests and memory pressure)."""
-    program_cache_clear()
+    """Drop the sorted-index cache (tests and memory pressure)."""
     index_cache_clear()
 
 
@@ -133,18 +126,17 @@ def kernel_report(
 ) -> Dict[str, object]:
     """The ``RunReport.details["kernels"]`` record for one engine run.
 
-    Keys: ``mode`` (``"vectorized"`` / ``"fallback"`` / ``"mixed"``),
-    ``batches`` / ``rows_in`` / ``rows_out`` batch counters, ``programs``
-    and ``indexes`` cache hit/miss counters, ``factorized`` (batch/group/
-    row counters, present when factorized output was emitted), and
-    ``fallbacks`` (the row-at-a-time reasons, present only when something
-    fell back).
+    Keys: ``mode`` (``"vectorized"`` / ``"fallback"`` / ``"mixed"``: whether
+    the kernels finished every range, none, or some), ``batches`` /
+    ``rows_in`` / ``rows_out`` batch counters, ``programs`` (``hits`` is
+    always 0: ``misses`` counts the programs compiled) and the ``indexes``
+    cache's hit/miss counters, ``factorized`` (batch/group/row counters,
+    present when factorized output was emitted), and ``fallbacks`` (the
+    row-at-a-time reasons, present only when something fell back).
     """
     stats = stats or new_stats()
     reasons = [reason for reason in (fallbacks or []) if reason]
-    ran_vectorized = (
-        stats.get("program_hits", 0) + stats.get("program_misses", 0) > 0
-    )
+    ran_vectorized = stats.get("ranges", 0) > 0
     if ran_vectorized and not reasons:
         mode = "vectorized"
     elif ran_vectorized:
@@ -156,10 +148,7 @@ def kernel_report(
         "batches": stats.get("batches", 0),
         "rows_in": stats.get("rows_in", 0),
         "rows_out": stats.get("rows_out", 0),
-        "programs": {
-            "hits": stats.get("program_hits", 0),
-            "misses": stats.get("program_misses", 0),
-        },
+        "programs": {"hits": 0, "misses": stats.get("programs", 0)},
         "indexes": {
             "hits": stats.get("index_hits", 0),
             "misses": stats.get("index_misses", 0),

@@ -90,8 +90,8 @@ def new_stats() -> Dict[str, int]:
         "batches": 0,
         "rows_in": 0,
         "rows_out": 0,
-        "program_hits": 0,
-        "program_misses": 0,
+        "programs": 0,
+        "ranges": 0,
         "index_hits": 0,
         "index_misses": 0,
         "factorized_batches": 0,

@@ -8,38 +8,23 @@ per step whether matches must be *expanded* (gathered row-wise, because the
 step's new variables feed later probes or the output) or merely *counted*
 into the frontier's bag multiplicity.
 
-Programs are cached under ``Table.fingerprint()`` + plan shape, so repeated
-queries over unchanged tables skip compilation (and, transitively, reuse
-the cached sorted indexes the steps point at).  Hits are re-bound to the
-caller's atom objects before use: the fingerprint key certifies content
-identity, not object identity, and the compiled-from tables may have been
-mutated in place (``Table.append_rows``) since the entry was stored.
+A program is compiled for every run of a pipeline (each steal task compiles
+its own): compiling is a pass over the atoms' schemas, tens of
+microseconds, and a program holds its atoms, so keeping one alive would
+keep its tables alive.  The cost worth caching -- the sorted indexes the
+steps probe -- is cached by table content in :mod:`repro.kernels.indexes`.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.kernels.encoding import choose_kind
 
-#: Maximum cached programs; eviction is least-recently-used.
-PROGRAM_CACHE_CAPACITY = 256
-
-_CACHE: "OrderedDict[tuple, KernelProgram]" = OrderedDict()
-_CACHE_LOCK = threading.Lock()
-
 
 class KernelCompileError(Exception):
     """The pipeline cannot be compiled to a batch program (caller falls back)."""
-
-
-def program_cache_clear() -> None:
-    """Drop every cached program (tests and memory pressure)."""
-    with _CACHE_LOCK:
-        _CACHE.clear()
 
 
 @dataclass
@@ -76,14 +61,19 @@ class KernelProgram:
     out_source: Dict[str, int] = field(default_factory=dict)
 
 
-def _compile(
+def compile_program(
     driver,
     probes: Sequence,
     output_variables: Sequence[str],
     *,
-    group_vars: Optional[Sequence[str]],
-    compress: bool,
+    group_vars: Optional[Sequence[str]] = None,
+    compress: bool = True,
 ) -> KernelProgram:
+    """Compile a batch program for one pipeline.
+
+    Raises :class:`KernelCompileError` when the pipeline cannot be
+    vectorized; callers fall back to the row-at-a-time path.
+    """
     atoms = [driver] + list(probes)
 
     # Column set per variable, across every participating atom: the kind
@@ -154,85 +144,3 @@ def _compile(
         driver_load_keys=driver_load_keys,
         out_source=out_source,
     )
-
-
-def _cache_key(driver, probes, output_variables, group_vars, compress) -> tuple:
-    def atom_key(atom) -> tuple:
-        return (
-            atom.name,
-            atom.table.fingerprint(),
-            tuple(atom.variables),
-            tuple(atom.table.column_names),
-        )
-
-    return (
-        atom_key(driver),
-        tuple(atom_key(atom) for atom in probes),
-        tuple(output_variables),
-        tuple(group_vars) if group_vars is not None else None,
-        bool(compress),
-    )
-
-
-def _rebind(program: "KernelProgram", driver, probes: Sequence) -> "KernelProgram":
-    """Re-point a cached program at the caller's atoms.
-
-    The cache key proves the caller's tables are content-identical to the
-    ones the program was compiled from — but only *as of compile time*.  The
-    compiled-from tables may since have been mutated in place
-    (``Table.append_rows``), so executing a hit through the cached atom
-    references would read the mutated columns.  Substituting the caller's
-    atoms keeps every hit correct and stops the cache pinning dead tables.
-    """
-    if program.driver is driver and all(
-        step.atom is atom for step, atom in zip(program.steps, probes)
-    ):
-        return program
-    steps = [
-        replace(step, atom=atom) for step, atom in zip(program.steps, probes)
-    ]
-    return replace(program, driver=driver, steps=steps)
-
-
-def compile_program(
-    driver,
-    probes: Sequence,
-    output_variables: Sequence[str],
-    *,
-    group_vars: Optional[Sequence[str]] = None,
-    compress: bool = True,
-    stats: Optional[dict] = None,
-) -> KernelProgram:
-    """Compile (or fetch from cache) a batch program for one pipeline.
-
-    Raises :class:`KernelCompileError` when the pipeline cannot be
-    vectorized; callers fall back to the row-at-a-time path.
-    """
-    key = _cache_key(driver, probes, output_variables, group_vars, compress)
-    with _CACHE_LOCK:
-        program = _CACHE.get(key)
-        if program is not None:
-            _CACHE.move_to_end(key)
-    if program is not None:
-        program = _rebind(program, driver, probes)
-        with _CACHE_LOCK:
-            if key in _CACHE:
-                _CACHE[key] = program
-        if stats is not None:
-            stats["program_hits"] = stats.get("program_hits", 0) + 1
-        return program
-    if stats is not None:
-        stats["program_misses"] = stats.get("program_misses", 0) + 1
-    program = _compile(
-        driver,
-        probes,
-        output_variables,
-        group_vars=group_vars,
-        compress=compress,
-    )
-    with _CACHE_LOCK:
-        _CACHE[key] = program
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > PROGRAM_CACHE_CAPACITY:
-            _CACHE.popitem(last=False)
-    return program

@@ -47,8 +47,8 @@ a protocol failure that tears the pool down for a fresh one.
 its tasks once, in the parent, and builds task contexts that live for that
 query only: one shared context on the thread and inline paths, one per
 worker on the process path.  What makes a repeated query over unchanged
-tables cheap is the kernels' content-keyed program and index caches
-(:mod:`repro.kernels`), which live per process — the parent's serve the
+tables cheap is the kernels' content-keyed index cache
+(:mod:`repro.kernels`), which lives per process — the parent's serves the
 thread and inline paths, each process worker keeps its own — plus each
 process worker's shm attachment LRU.
 
@@ -423,10 +423,10 @@ def _worker_main(
 
     An ``isolated`` (process) worker attaches each query's atoms (re-using
     its cached attachments) and builds one context that lives until the
-    query's ``"end"``; the kernels' program and index caches, which live per
-    process, are what a repeated query over unchanged tables hits.  A thread
-    worker takes the query's one shared context from the setup and shares
-    the parent's caches, so it leaves them alone on ``"stop"``.
+    query's ``"end"``; the kernels' index cache, which lives per process, is
+    what a repeated query over unchanged tables hits.  A thread worker takes
+    the query's one shared context from the setup and shares the parent's
+    cache, so it leaves it alone on ``"stop"``.
     """
     cache = AttachmentCache() if isolated else None
     while True:
@@ -436,9 +436,9 @@ def _worker_main(
             return
         if message[0] == "stop":
             if isolated:
-                # Drop the kernel programs/indexes (whose atoms keep attached
-                # tables alive) so close_all() can release every view and the
-                # segments close without "exported pointers exist" noise.
+                # Drop the kernels' indexes (built from attached tables) so
+                # close_all() can release every view and the segments close
+                # without "exported pointers exist" noise.
                 kernel_caches_clear()
                 cache.close_all()
             return
@@ -474,6 +474,8 @@ def _worker_main(
         finally:
             if context is not None:
                 _unpin_attachments(context.attachments)
+        # An idle worker holds no finished query: its context pins its tables.
+        del message, setup, context
         result_queue.put(("drained", query_id, worker_id, report))
 
 
@@ -536,7 +538,7 @@ class StealPool:
     (``"process"``, forked) receive their inputs through the shared-memory
     column plane: only plans, schemas and segment handles cross the command
     queues, and each worker caches its attachments (and the kernels'
-    programs and indexes), so a session hammering the same tables attaches
+    indexes), so a session hammering the same tables attaches
     each segment once per worker, until the attachment LRU evicts it.
 
     Any protocol failure (a dead worker, an unexpected message) marks the
@@ -1008,7 +1010,7 @@ def run_pipeline_steal(
 
     The tasks are planned once, here, and their contexts live for this query
     only; a repeated query over unchanged tables is served by the kernels'
-    content-keyed program and index caches, per process.
+    content-keyed index cache, per process.
     """
     kernels_off = kernels_off or pipeline.skip_kernels
     backend = resolve_mode(mode, workers, sum(atom.size for atom in pipeline.atoms))

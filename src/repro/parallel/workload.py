@@ -61,8 +61,9 @@ class QueryExecution:
     #: The run's ``RunReport.details["parallel"]`` summary (one record per
     #: parallel pipeline; JSON-ready), or ``None`` for serial executions.
     #: Carries task/steal/queue counters and the tasks' kernel counters
-    #: (``kernels_stats``: program and index cache hits/misses), so workload
-    #: drivers can assert warm-cache behavior without re-running queries.
+    #: (``kernels_stats``: programs compiled, index cache hits/misses), so
+    #: workload drivers can assert warm-cache behavior without re-running
+    #: queries.
     parallel: Optional[List[Dict[str, object]]] = None
     #: The run's ``RunReport.details["router"]`` record (JSON-ready), or
     #: ``None`` when the query named its engine explicitly instead of being

@@ -23,7 +23,7 @@ Throughput on CPython is still bounded by the GIL for thread-backed
 execution; sessions configured with ``parallelism > 1`` (process steal
 pools) push the join work out of the serving process, which is the intended
 production shape.  Repeated queries additionally hit the kernels'
-content-keyed program and index caches (:mod:`repro.kernels`), per process
+content-keyed index cache (:mod:`repro.kernels`), per process
 and so per steal worker too, so a warm serving process skips per-query
 index builds.
 

@@ -260,7 +260,7 @@ class Table:
         Covers the table name, schema (column names and dtypes), row count,
         and every cell value.  A table rebuilt in a worker from a
         shared-memory attachment fingerprints identically to its source, so
-        the kernels' program and index caches key on it in every worker.  Cached
+        the kernels' index cache keys on it in every worker.  Cached
         per instance; in-place mutation (:meth:`append_rows`) invalidates it.
         """
         if self._fingerprint is None:

@@ -2,8 +2,8 @@
 
 A bushy plan's right subtrees run first and are materialized as flat tables
 (Section 5.2) that later pipelines see as atoms.  Those tables sit on the
-kernel plane's cache keys — a compiled program and a sorted index are keyed
-by their atoms' ``Table.fingerprint()`` — so *how* an intermediate is built
+kernel plane's cache keys — a sorted index is keyed by its atom's
+``Table.fingerprint()`` — so *how* an intermediate is built
 may change, but its rows, their order, its column dtypes and its fingerprint
 may not: they must equal the table the pipeline's result rows would build
 through ``Table.from_rows``.

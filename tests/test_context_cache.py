@@ -170,8 +170,8 @@ def test_mutation_invalidates_cached_contexts(mode):
     after = parallel.execute(COUNT_SQL)
     assert after.scalar() == Database(database.catalog).execute(COUNT_SQL).scalar()
     assert after.scalar() != warmup.scalar()
-    # The mutated fingerprint missed the program cache (its key folds in
-    # every input's fingerprint) — no stale hit.
+    # The run compiled its programs against the mutated table — there is
+    # no program cache to serve a stale one.
     assert after.report.details["kernels"]["programs"]["misses"] >= 1
     parallel.close()
 

@@ -14,8 +14,10 @@ chunk boundaries — the kernel-path deadline coverage promised by
 
 from __future__ import annotations
 
+import gc
 import os
 import time
+import weakref
 from collections import Counter
 
 import pytest
@@ -227,8 +229,7 @@ def test_every_engine_reports_kernel_telemetry():
         assert detail["batches"] >= 1
         assert detail["rows_in"] >= 1
         assert detail["rows_out"] >= 1
-        total_programs = detail["programs"]["hits"] + detail["programs"]["misses"]
-        assert total_programs >= 1
+        assert detail["programs"]["misses"] >= 1  # programs compiled
         with kernels.kernels_enabled(False):
             fallback = database.execute(
                 ROWS_SQL, options=ExecOptions(engine=engine)
@@ -253,13 +254,11 @@ def test_kernels_enabled_restores_the_prior_setting(monkeypatch, prior):
     assert os.environ.get("REPRO_KERNELS") == prior
 
 
-def test_program_cache_hits_on_repeat():
+def test_index_cache_hits_on_repeat():
     database = _database(_skewed_null_tables())
     kernels.kernel_caches_clear()
-    first = database.execute(COUNT_SQL).report.details["kernels"]
+    database.execute(COUNT_SQL)
     second = database.execute(COUNT_SQL).report.details["kernels"]
-    assert first["programs"]["misses"] >= 1
-    assert second["programs"]["hits"] >= 1 and second["programs"]["misses"] == 0
     assert second["indexes"]["misses"] == 0
 
 
@@ -406,9 +405,41 @@ def test_frontier_guard_falls_back_to_row_path(engine, monkeypatch):
     monkeypatch.setattr(kernel_executor, "FRONTIER_GUARD_ROWS", 8)
     outcome = database.execute(SKEWED_SQL, options=ExecOptions(engine=engine))
     kernel_record = outcome.report.details["kernels"]
-    assert kernel_record["mode"] in ("fallback", "mixed")
+    # Generic Join runs one pipeline, and it explodes; Free Join and binary
+    # explode two of their three and finish the third on the kernels.
+    assert kernel_record["mode"] == ("fallback" if engine == "generic" else "mixed")
     assert "frontier-explosion" in kernel_record["fallbacks"]
     assert Counter(outcome.rows()) == expected
+
+
+@pytest.mark.parametrize(
+    "session", [{}, {"parallelism": 2, "parallel_mode": "thread"}], ids=["serial", "thread"]
+)
+@pytest.mark.parametrize("engine", ["freejoin", "binary"])
+def test_finished_query_pins_no_intermediate(engine, session, monkeypatch):
+    """Once its outcome is dropped, nothing keeps a query's tables alive —
+    no kernel program, and no idle steal worker of a thread session."""
+    from repro.engine import pipeline
+
+    built = []
+    result_table = pipeline.result_table
+
+    def recording_result_table(*args, **kwargs):
+        table = result_table(*args, **kwargs)
+        built.append(weakref.ref(table))
+        return table
+
+    monkeypatch.setattr(pipeline, "result_table", recording_result_table)
+    database = Database(_skewed_catalog().catalog, **session)
+    try:
+        outcome = database.execute(SKEWED_SQL, options=ExecOptions(engine=engine))
+        assert outcome.report.details["num_pipelines"] == 3
+        assert len(built) == 2
+        del outcome
+        gc.collect()
+        assert [ref() for ref in built] == [None, None]
+    finally:
+        database.close()
 
 
 @pytest.mark.parametrize("backend", ["thread", "process"])
