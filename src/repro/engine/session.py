@@ -14,6 +14,7 @@ entry point example applications use::
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, List, Optional
 
@@ -129,7 +130,7 @@ class Database:
         self.statistics_cache = StatisticsCache()
         #: ``(sql, name, bad_estimates)`` -> ``(logical, binary_plan)``; see
         #: :meth:`_prepare`, the only reader and writer.
-        self._prepared: dict = {}
+        self._prepared: OrderedDict = OrderedDict()
         self._evicted: dict = {}  # the last keys evicted, as an ordered set
         self._prepared_lock = threading.Lock()
         self.router = QueryRouter()
@@ -251,7 +252,8 @@ class Database:
         engine is not in the key (all three run the same pair), routing runs
         per call, and what lowering and the kernels cache stays theirs.
         Lookup is lock-free and insertion locked, so two threads missing at
-        once may both plan, but neither is ever served the other's key.
+        once may both plan, but neither is ever served the other's key, and
+        a key once inserted stays visible until it is evicted.
         ``report.details["prepared"]`` says ``{"hit", "reason"}`` with reason
         ``"hit"``, ``"cold"`` (first sight), ``"version"`` / ``"replaced"``
         (a stale table) or ``"evicted"`` (pushed out by
@@ -280,15 +282,16 @@ class Database:
                 statistics_cache=self.statistics_cache,
             )
             with self._prepared_lock:
-                self._prepared.pop(key, None)  # a refreshed entry is the newest
                 self._evicted.pop(key, None)
-                if len(self._prepared) >= PREPARED_CACHE_ENTRIES:
+                if key not in self._prepared and len(self._prepared) >= PREPARED_CACHE_ENTRIES:
                     if len(self._evicted) >= PREPARED_CACHE_ENTRIES:
                         del self._evicted[next(iter(self._evicted))]
-                    oldest = next(iter(self._prepared))
-                    del self._prepared[oldest]
+                    oldest, _entry = self._prepared.popitem(last=False)
                     self._evicted[oldest] = None
+                # A refreshed entry is overwritten in place, then made the
+                # newest: a lock-free lookup never finds a cached key absent.
                 self._prepared[key] = (logical, binary_plan)
+                self._prepared.move_to_end(key)
         prepared = {"hit": reason == "hit", "reason": reason}
         engine_name = opts.engine or self.default_engine
         workers = self.parallelism if max_workers is None else max_workers
