@@ -30,7 +30,6 @@ import gc
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -109,17 +108,11 @@ def test_grouped_aggregate_beats_materializing_the_join(benchmark):
 
 
 def test_drained_grouped_stream_tracks_execute(benchmark):
-    """Streaming = the same fold + delivery: drain <= 1.25x grouped execute(),
-    both run on a fresh thread."""
+    """Streaming = the same fold + delivery: drain <= 1.25x grouped execute()."""
     database = _aggregation_database()
     expected = database.execute(FANOUT_GROUP_SQL).rows()
 
     execute_seconds = []
-
-    def timed_execute():
-        started = time.perf_counter()
-        assert database.execute(FANOUT_GROUP_SQL).rows() == expected
-        execute_seconds.append(time.perf_counter() - started)
 
     def executed_then_quiet():
         # Both sides allocate a 2M-element factor column, so whichever one a
@@ -129,26 +122,21 @@ def test_drained_grouped_stream_tracks_execute(benchmark):
         # off inside them.
         gc.collect()
         gc.disable()
-        # The stream's producer is a fresh thread, and each thread allocates
-        # from its own malloc arena: the fold's 2M-element temporaries
-        # page-fault in one arena and are reused in another depending on
-        # what ran before, so with execute() on the main thread the ratio
-        # read 0.87-1.5 in long pytest sessions although both sides run the
-        # same code.  execute() therefore runs on a fresh thread too.
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            pool.submit(timed_execute).result()
+        started = time.perf_counter()
+        assert database.execute(FANOUT_GROUP_SQL).rows() == expected
+        execute_seconds.append(time.perf_counter() - started)
         gc.collect()
 
     def drained():
         stream = database.execute_iter(FANOUT_GROUP_SQL, options=ExecOptions(batch_rows=256))
         assert collapse_grouped_batches(list(stream), [0]) == expected
 
-    # The two sides are the same ~20 ms fold, so the expected ratio is ~1.0
+    # The two sides are the same ~0.2 s fold, so the expected ratio is ~1.0
     # and the estimator has to be steadier than median-of-three: alternate
     # them (execute() is each round's untimed setup) and compare best rounds
     # (a neighbour only ever adds time).
     try:
-        benchmark.pedantic(drained, setup=executed_then_quiet, rounds=9, iterations=1)
+        benchmark.pedantic(drained, setup=executed_then_quiet, rounds=5, iterations=1)
     finally:
         gc.enable()
     execute_best = min(execute_seconds)

@@ -66,8 +66,8 @@ def compile_program(
     probes: Sequence,
     output_variables: Sequence[str],
     *,
-    group_vars: Optional[Sequence[str]] = None,
-    compress: bool = True,
+    group_vars: Optional[Sequence[str]],
+    compress: bool,
 ) -> KernelProgram:
     """Compile a batch program for one pipeline.
 
