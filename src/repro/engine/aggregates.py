@@ -985,12 +985,15 @@ def _value_key(value: Value):
 
     Values are ranked by type class (NULL < numbers < strings < other) and
     compared within the class, so mixed-type columns sort identically on
-    every engine and platform instead of raising ``TypeError``.
+    every engine and platform instead of raising ``TypeError``.  A NaN
+    ranks after every other number and ties with every NaN (as in
+    PostgreSQL): a NaN compared as a float would be neither smaller nor
+    larger than anything, and the sort's answer would depend on row order.
     """
     if value is None:
         return (0, "")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (1, float(value))
+        return (1, 1, 0.0) if value != value else (1, 0, float(value))
     if isinstance(value, str):
         return (2, value)
     return (3, repr(value))
@@ -1058,16 +1061,67 @@ def order_and_limit(rows: List[Row], order_by, limit: Optional[int]) -> List[Row
     return order_rows(rows[:end], order_by)[:limit]
 
 
+def numeric_keys(column):
+    """An ORDER BY key column as ``float64``, or ``None``.
+
+    :func:`_value_key` compares numbers as floats, so ints past 2**53 tie
+    here exactly as they do in the sort.  A column holding anything but
+    plain ints and floats (a NULL, a ``bool``, a string, an int no float
+    holds) ranks in ways no number comparison stands in for: ``None``.
+    Packed parts — a kernel's array, a ``"q"`` / ``"d"`` table buffer —
+    are numeric by construction.
+    """
+    packed = _is_array(column) or isinstance(column, memoryview)
+    if np is None or not (packed or {int, float}.issuperset(map(type, column))):
+        return None
+    try:
+        return np.asarray(column, dtype=np.float64)
+    except OverflowError:
+        return None
+
+
+def topk_keep(keys, limit: int, first, live=None, cutoff=None):
+    """``(cutoff, keep)``: the cut of the ``first`` ORDER BY item's ``float64`` ``keys``.
+
+    The cutoff is the tighter of ``cutoff`` and the ``limit``-th best finite
+    key among the ``live`` positions (``None``: all), found with one
+    ``np.partition``.  Each counted position must stand for at least one row
+    holding its key: then at least ``limit`` rows are no worse than the
+    bound, and a row whose key is strictly worse is in no prefix
+    :func:`order_and_limit` keeps.  ``keep`` marks the other positions —
+    ties and NaN among them; ``(None, None)`` while nothing bounds the keys.
+    """
+    finite = np.isfinite(keys)
+    values = keys[finite if live is None else finite & live]
+    if 0 < limit <= values.size:
+        k = values.size - limit if first.descending else limit - 1
+        bound = float(np.partition(values, k)[k])
+        cutoff = bound if cutoff is None else (max if first.descending else min)(bound, cutoff)
+    if cutoff is None:
+        return None, None
+    return cutoff, ~(keys < cutoff if first.descending else keys > cutoff)
+
+
 def finalize_output(table: Table, logical: LogicalQuery) -> Table:
     """Apply HAVING, DISTINCT, ORDER BY and LIMIT to the final table.
 
     The last step after the join, in SQL's logical order: HAVING
     filters finalized groups, DISTINCT dedups (first occurrence wins),
     :func:`order_and_limit` sorts and truncates.  Queries without any of
-    these features return ``table`` unchanged.
+    these features return ``table`` unchanged.  A plain ``ORDER BY ...
+    LIMIT`` whose first key is a packed column (a kernel gather) first
+    drops the rows :func:`topk_keep` rules out, so only the survivors
+    become row tuples and get sorted.
     """
     if not logical.needs_final_pass():
         return table
+    if logical.order_by and logical.limit and logical.having is None and not logical.distinct:
+        first = logical.order_by[0]
+        column = table.columns[first.position].values
+        keys = numeric_keys(column) if isinstance(column, memoryview) else None
+        keep = None if keys is None else topk_keep(keys, logical.limit, first)[1]
+        if keep is not None:
+            table = table.take(np.flatnonzero(keep).tolist())
     rows = apply_having(table.to_rows(), logical.having)
     if logical.distinct:
         rows = list(dict.fromkeys(rows))

@@ -115,10 +115,10 @@ def listed_batch(batch: FactorizedBatch) -> FactorizedBatch:
     """One batch with its packed parts listed, factor columns and offsets included.
 
     A *stored* batch never holds a packed factor: only the aggregate sinks
-    are handed packed factors, and they fold batches rather than store them
-    (:class:`RowSink` takes no factorized batch, :class:`FactorizedSink`
-    does not pack), so for a stored batch only the prefix and the
-    multiplicities can be arrays.
+    and the streamed top-k are handed packed factors, and they fold or cut
+    batches rather than store them (:class:`RowSink` takes no factorized
+    batch, :class:`FactorizedSink` does not pack), so for a stored batch
+    only the prefix and the multiplicities can be arrays.
     """
     variables, columns, factors, multiplicities = batch
     factors = [(names, list(map(_listed, cols)), _listed(offs)) for names, cols, offs in factors]
@@ -307,7 +307,9 @@ class OutputSink:
     #: :class:`RowSink` does (its arrays become packed table columns, and its
     #: result's row views list them), and so do the aggregate sinks
     #: (:class:`~repro.engine.aggregates.AggregateFold`: they reduce the
-    #: arrays and fold Python scalars), so every row a caller sees holds
+    #: arrays and fold Python scalars), and so does the streamed top-k
+    #: (:class:`~repro.engine.streaming.StreamingTopKSink`: it cuts on the
+    #: arrays and lists the survivors), so every row a caller sees holds
     #: Python values.
     packs_columns = False
 

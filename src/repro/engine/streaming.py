@@ -26,6 +26,11 @@ provides the streaming counterpart:
   the same group key (last-write-wins — :func:`collapse_grouped_batches`),
   and the stream always ends with a full, final snapshot in deterministic
   group-key order, identical to the serial ``execute()`` result.
+* :class:`StreamingTopKSink` is the **top-k mode**: ``ORDER BY ... LIMIT n``
+  folds rows into a candidate set pruned to the ``n`` best, and cuts every
+  batch on its first ORDER BY key *before* the expander — on the kernels'
+  packed parts (``packs_columns``), so a factorized group's strictly worse
+  factor values are never expanded, listed or turned into tuples.
 * :class:`StreamingResult` runs the join on a producer thread and iterates
   the batches on the consumer side.  One
   :class:`~repro.parallel.cancellation.DeadlineToken` covers *both* phases:
@@ -41,16 +46,28 @@ cancellation and deadline expiry propagate within one slice.
 
 from __future__ import annotations
 
-import math
 import queue
 import threading
 import time
 from itertools import compress
+from math import prod
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.datatypes import Row
-from repro.engine.aggregates import AggregateFold, AggregateSpec, order_and_limit
-from repro.engine.output import JoinResult, OutputSink, batch_to_rows
+from repro.engine.aggregates import (
+    AggregateFold,
+    AggregateSpec,
+    numeric_keys,
+    order_and_limit,
+    topk_keep,
+)
+from repro.engine.output import (
+    JoinResult,
+    OutputSink,
+    _factorized_group_count,
+    batch_to_rows,
+    listed_batch,
+)
 from repro.errors import ExecutionError, QueryError
 from repro.kernels.encoding import np
 
@@ -399,30 +416,44 @@ class StreamingTopKSink(StreamingSink):
     """Bounded top-k: ``ORDER BY ... LIMIT n`` without materializing.
 
     Instead of the materialize-then-stream fallback, every reported row —
-    flat batches, factorized groups (expanded a column slice at a time by
-    the inherited :meth:`on_factorized_batch`), forwarded worker batches —
-    folds into a candidate set pruned back to the ``limit`` best rows
+    flat batches, factorized groups, forwarded worker batches — folds into
+    a candidate set pruned back to the ``limit`` best rows
     (:func:`~repro.engine.aggregates.order_and_limit`, the final pass's own
-    ORDER BY / LIMIT tail) whenever it outgrows its bound, so memory stays
-    ``O(limit + batch_rows)`` however large the join output is.  Rows
-    arrive in the final SELECT layout (ORDER BY positions address it): the
-    session's :class:`~repro.engine.aggregates.PostJoinSink` masks and
-    projects in front of this sink.
+    ORDER BY / LIMIT tail and the only ordering authority) whenever it
+    outgrows its bound, so memory stays ``O(limit + batch_rows)`` however
+    large the join output is.  Rows arrive in the final SELECT layout
+    (ORDER BY positions address it): the session's
+    :class:`~repro.engine.aggregates.PostJoinSink` masks and projects in
+    front of this sink.
 
-    Each prune leaves a *cutoff*: the first ORDER BY value of the
-    ``limit``-th candidate, when it is a finite number.  A row whose first
-    key is strictly worse cannot win, so :meth:`on_batch` drops it with one
-    numpy comparison over that key's column before any tuple is built; ties
-    and NaN stay.  A column numpy cannot hold as numbers (NULLs, strings,
-    ints beyond int64) or holding a ``bool`` (which ranks after strings) is
-    not filtered.  The cutoff only tightens, so a reader on another thread
-    that sees an older one filters less, never wrongly.
+    Every batch is *cut* before anything else happens to it
+    (:meth:`_cut`): where the first ORDER BY key is bound — a prefix
+    column, one factor's column, a flat column — its values are compared
+    in ``float64`` (as the sort compares numbers) against a *cutoff*, the
+    tighter of the running one and the batch's own bound
+    (:func:`~repro.engine.aggregates.topk_keep`: the ``limit``-th best
+    finite value among positions that stand for at least one row).  Groups
+    and factor values strictly worse are dropped and the factor offsets
+    rebuilt, all on the kernels' packed arrays (``packs_columns``); only
+    then are the survivors listed and expanded
+    (:func:`~repro.engine.output.expand_factorized_batch`, one column slice
+    of ``batch_rows`` rows at a time, back through :meth:`on_batch`).  Ties
+    and NaN stay; a key column holding a NULL, a string, a ``bool`` (which
+    ranks after strings) or an int no float holds is not cut.  Each prune
+    tightens the cutoff once more with the candidates' own bound.  The
+    cutoff only tightens, so a reader on another thread that sees an older
+    one cuts less, never wrongly.
 
     Delivery is necessarily terminal — no row is safe to ship until every
     candidate has been seen — but the fold happens mid-join: the finalize
     pass (:meth:`finish`) only sorts the surviving candidates and delivers
     the ordered prefix, byte-identical to ``execute()``'s final table.
     """
+
+    #: The kernels hand numeric prefix and factor columns, offsets and
+    #: multiplicities as their arrays: :meth:`_cut` reads them in numpy and
+    #: lists only the survivors.
+    packs_columns = True
 
     def __init__(
         self,
@@ -444,7 +475,7 @@ class StreamingTopKSink(StreamingSink):
             raise QueryError(f"limit must be non-negative, got {limit}")
         self.limit = limit
         self.order_by = list(order_by)
-        #: Whether prunes leave a cutoff (not without ORDER BY or numpy).
+        #: Whether batches are cut (not without ORDER BY or numpy).
         self._filters = bool(self.order_by) and np is not None
         self._cutoff: Optional[float] = None
         self._candidates: List[Row] = []
@@ -457,28 +488,13 @@ class StreamingTopKSink(StreamingSink):
         self.skipped_rows = 0
 
     # ------------------------------------------------------------------ #
-    # Producer side: every batch folds into the candidate set
+    # Producer side: every batch is cut, then folds into the candidate set
     # ------------------------------------------------------------------ #
 
     def on_batch(self, columns, multiplicities=None) -> None:
-        """Drop the rows the cutoff rules out, then fold the rest."""
-        cutoff = self._cutoff
-        if cutoff is not None:
-            first = self.order_by[0]
-            keys = columns[first.position]
-            values = np.asarray(keys)
-            if values.dtype.kind in "iuf" and bool not in set(map(type, keys)):
-                values = values.astype(np.float64, copy=False)
-                worse = values < cutoff if first.descending else values > cutoff
-                dropped = int(worse.sum())
-                if dropped:
-                    keep = (~worse).tolist()
-                    columns = [list(compress(column, keep)) for column in columns]
-                    if multiplicities is not None:
-                        multiplicities = list(compress(multiplicities, keep))
-                    with self._lock:
-                        self.skipped_rows += dropped
-        rows = batch_to_rows(columns, multiplicities)
+        """Cut the batch, then fold the surviving rows."""
+        batch = listed_batch(self._cut(self.variables, columns, (), multiplicities))
+        rows = batch_to_rows(batch[1], batch[3])
         if not rows:
             return
         with self._lock:
@@ -489,11 +505,59 @@ class StreamingTopKSink(StreamingSink):
             if len(self._candidates) > self._prune_at:
                 self._candidates = order_and_limit(self._candidates, self.order_by, self.limit)
                 self.prunes += 1
-                # The cutoff: the limit-th candidate's first key (it only tightens).
-                if self._filters and 0 < self.limit == len(self._candidates):
-                    value = self._candidates[-1][self.order_by[0].position]
-                    if type(value) in (int, float) and math.isfinite(value):
-                        self._cutoff = float(value)
+                first = self.order_by[0] if self._filters else None
+                keys = first and numeric_keys([row[first.position] for row in self._candidates])
+                if keys is not None:  # the candidates are rows: a bound of their own
+                    self._cutoff = topk_keep(keys, self.limit, first, None, self._cutoff)[0]
+
+    def on_factorized_batch(self, *batch) -> None:
+        """Cut the batch on its packed parts, then list and expand the survivors."""
+        super().on_factorized_batch(*listed_batch(self._cut(*batch)))
+
+    def _cut(self, prefix_variables, prefix_columns, factors, multiplicities=None):
+        """The batch less what its first ORDER BY key rules out, unexpanded.
+
+        The key is a prefix column (one value per group) or one factor's
+        column (one per segment value).  A position stands for its group's
+        multiplicity times every *other* factor's segment size in rows; it
+        counts toward the bound when that is positive, and the cutoff
+        tightens to :func:`~repro.engine.aggregates.topk_keep`'s.  Groups or
+        factor values strictly worse are dropped (those standing for no row
+        too), emptied groups whole, and each factor's offsets rebuilt from
+        the cumulative sum of its keep mask.
+        """
+        first = self.order_by[0] if self._filters else None
+        var = first and self.variables[first.position]
+        planes = [prefix_variables] + [names for names, _columns, _offsets in factors]
+        plane = next((i for i, names in enumerate(planes) if var in names), None)
+        groups = _factorized_group_count(prefix_columns, factors, multiplicities)
+        if plane is None or not groups:  # no cut, unbound (the expander raises), or empty
+            return prefix_variables, prefix_columns, factors, multiplicities
+        columns = factors[plane - 1][1] if plane else prefix_columns
+        if (keys := numeric_keys(columns[list(planes[plane]).index(var)])) is None:
+            return prefix_variables, prefix_columns, factors, multiplicities
+        offsets = [np.asarray(offs, dtype=np.int64) for *_, offs in factors]
+        sizes = [np.diff(offs) for offs in offsets]
+        weights = np.asarray([1] * groups if multiplicities is None else multiplicities, np.int64)
+        share = prod([s for f, s in enumerate(sizes, 1) if f != plane], start=weights.clip(0))
+        rows = np.repeat(share, sizes[plane - 1]) if plane else share  # per key position
+        live = rows > 0
+        with self._lock:
+            self._cutoff, keep = topk_keep(keys, self.limit, first, live, self._cutoff)
+            keep = live if keep is None else live & keep
+            self.skipped_rows += int(rows[~keep].sum())
+        if keep.all():
+            return prefix_variables, prefix_columns, factors, multiplicities
+        if plane:  # the key factor's kept values, then the groups left any
+            values = keep
+            keep = np.diff(np.concatenate(([0], np.cumsum(values)))[offsets[plane - 1]]) > 0
+        cut = []
+        for f, ((names, columns, _), offs, size) in enumerate(zip(factors, offsets, sizes), 1):
+            mask = values if f == plane else np.repeat(keep, size)
+            ends = np.concatenate(([0], np.cumsum(mask)))[np.append(offs[:-1][keep], offs[-1])]
+            cut.append((names, [_kept(column, mask) for column in columns], ends))
+        multiplicities = None if multiplicities is None else weights[keep]
+        return prefix_variables, [_kept(c, keep) for c in prefix_columns], cut, multiplicities
 
     def finish(self) -> None:
         """Sort the survivors, deliver the ordered prefix, close the stream."""
@@ -518,6 +582,11 @@ class StreamingTopKSink(StreamingSink):
             "skipped_rows": self.skipped_rows,
         }
         return merged
+
+
+def _kept(column, mask):
+    """The ``mask`` positions of a packed or listed column, as it was."""
+    return column[mask] if hasattr(column, "dtype") else list(compress(column, mask.tolist()))
 
 
 def collapse_grouped_batches(

@@ -24,7 +24,8 @@ Dialect semantics the reference replicates deliberately:
 * ORDER BY breaks peer rows by the canonical whole-row key and a LIMIT
   without ORDER BY canonicalizes first (see
   :func:`repro.engine.aggregates.order_rows`), so ordered results compare
-  *exactly*, not as bags.
+  *exactly*, not as bags.  A NaN sorts after every other number and ties
+  with every NaN, so the order is total.
 
 When a query diverges, the built-in shrinker
 (:func:`shrink_failing_query`) greedily bisects the AST — dropping joins,
@@ -163,7 +164,7 @@ def _value_key(value: Value):
     if value is None:
         return (0, "")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return (1, float(value))
+        return (1, 1, 0.0) if value != value else (1, 0, float(value))  # NaN: last, tied
     if isinstance(value, str):
         return (2, value)
     return (3, repr(value))

@@ -349,7 +349,8 @@ def _emit(
     A sink that ``packs_columns`` gets numeric prefix and factor columns,
     the factor offsets and the multiplicities as the arrays themselves: a
     :class:`~repro.engine.output.RowSink` (handed flat batches only) stores
-    them, an aggregate sink reduces them in numpy.
+    them, an aggregate sink reduces them in numpy, the streamed top-k cuts
+    them on its first ORDER BY key before listing the survivors.
     The tail is sliced so a fan-out chunk cannot outrun the deadline: decode
     + column build + sink cost a few µs per row, unbounded per chunk.
     """

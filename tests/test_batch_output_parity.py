@@ -279,7 +279,8 @@ def _topk_sink(descending):
     sink = StreamingTopKSink(
         ("v",), limit=2, order_by=[ResolvedOrderItem(0, descending)], max_batches=2
     )
-    sink.on_batch([list(range(5000))])  # one prune: the cutoff is 1 (ASC) or 4998 (DESC)
+    # The batch's own bound keeps 2 rows: the cutoff is 1 (ASC) or 4998 (DESC).
+    sink.on_batch([list(range(5000))])
     return sink
 
 
@@ -287,8 +288,8 @@ def test_topk_cutoff_keeps_nan_and_ties():
     sink = _topk_sink(descending=False)
     sink.on_batch([[float("nan"), 7, 1, 0.5, 2.0]])
     topk = sink.stats()["topk"]
-    assert topk["skipped_rows"] == 2  # 7 and 2.0; NaN and the tie 1 stay
-    assert topk["candidate_rows"] == 5003
+    assert topk["skipped_rows"] == 4998 + 2  # 7 and 2.0; NaN and the tie 1 stay
+    assert topk["candidate_rows"] == 2 + 3
 
 
 def test_topk_cutoff_leaves_a_column_holding_a_bool_alone():
@@ -296,7 +297,7 @@ def test_topk_cutoff_leaves_a_column_holding_a_bool_alone():
     sink.on_batch([[3, True]])  # numpy reads True as 1; the sort ranks it above every number
     sink.finish()
     assert sink.next_batch() == [(True,), (4999,)]
-    assert sink.stats()["topk"]["skipped_rows"] == 0
+    assert sink.stats()["topk"]["skipped_rows"] == 4998  # all in the first batch
 
 
 def test_topk_cutoff_under_concurrent_batches():
