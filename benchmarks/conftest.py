@@ -30,8 +30,6 @@ Two environment variables keep CI runs fast and comparable:
 from __future__ import annotations
 
 import os
-import threading
-from contextlib import contextmanager, suppress
 from pathlib import Path
 
 import pytest
@@ -116,33 +114,3 @@ def run_queries(database, workload, engine, query_names, freejoin_options=None,
         )
         total += outcome.report.total_seconds
     return total
-
-
-@contextmanager
-def one_cpu():
-    """Run every thread of this process, and each one started inside, on one CPU.
-
-    A ratio gate whose two sides run on different threads (``execute()`` on
-    the caller against a stream's producer thread or a steal pool's
-    workers) otherwise times them on different CPUs, and the virtual CPUs
-    of a shared host can differ in speed by ~25 % for the life of a
-    process: the ratio then reads that, not the code.  On exit every thread
-    gets its old affinity back, and one started inside (a new steal pool's
-    worker) the process's.  A no-op where the platform cannot set an
-    affinity.
-    """
-    if not hasattr(os, "sched_setaffinity"):
-        yield
-        return
-    allowed = os.sched_getaffinity(0)
-    masks = {}
-    for thread in threading.enumerate():
-        with suppress(OSError):  # a thread that ends meanwhile
-            masks[thread.native_id] = os.sched_getaffinity(thread.native_id)
-            os.sched_setaffinity(thread.native_id, {min(allowed)})
-    try:
-        yield
-    finally:
-        for thread in threading.enumerate():
-            with suppress(OSError):
-                os.sched_setaffinity(thread.native_id, masks.get(thread.native_id, allowed))

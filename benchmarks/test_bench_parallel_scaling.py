@@ -28,10 +28,9 @@ import time
 
 import pytest
 
-from benchmarks.conftest import BENCH_SMOKE, JOB_QUERIES, JOB_SEED, one_cpu, run_queries
+from benchmarks.conftest import BENCH_SMOKE, JOB_QUERIES, JOB_SEED, run_queries
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
-from repro.experiments.harness import frozen_heap
 from repro.storage.table import Table
 from repro.workloads.synthetic import zipf_sample
 
@@ -147,21 +146,17 @@ def test_zipf_steal_overhead_bounded_at_four_workers(benchmark, zipf_join_databa
         assert outcome.scalar() == expected
         return outcome
 
-    serial_rounds = []
+    def best_of(fn, rounds=2):
+        best = float("inf")
+        for _ in range(rounds):
+            started = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - started)
+        return best
 
-    def timed_serial():
-        started = time.perf_counter()
-        serial_run()
-        serial_rounds.append(time.perf_counter() - started)
-
+    serial_seconds = best_of(serial_run)
     steal_run()  # warm the persistent pool outside the timing
-    # Best of alternating rounds (each steal round's setup is a timed serial
-    # run), every thread on one CPU (the serial side runs on this thread,
-    # the steal side on the pool's), and the session's heap frozen so no
-    # collection of it lands in a ~15 ms round.
-    with one_cpu(), frozen_heap():
-        outcome = benchmark.pedantic(steal_run, setup=timed_serial, rounds=3, iterations=1)
-    serial_seconds = min(serial_rounds)
+    outcome = benchmark.pedantic(steal_run, rounds=2, iterations=1)
     steal_seconds = min(benchmark.stats.stats.data)
 
     detail = outcome.report.details["parallel"][0]

@@ -22,10 +22,9 @@ from __future__ import annotations
 import statistics
 import time
 
-from benchmarks.conftest import BENCH_SMOKE, JOB_SEED, one_cpu
+from benchmarks.conftest import BENCH_SMOKE, JOB_SEED
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
-from repro.experiments.harness import frozen_heap
 from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
 
 #: First batch must arrive within this fraction of the materialized wall.
@@ -94,12 +93,10 @@ def test_full_stream_drain_overhead_is_bounded(benchmark):
     database = _fanout_database()
     expected_count = len(database.execute(FANOUT_SQL).rows())
 
-    full_seconds = []
-
     def materialized():
-        started = time.perf_counter()
-        assert len(database.execute(FANOUT_SQL).rows()) == expected_count
-        full_seconds.append(time.perf_counter() - started)
+        return len(database.execute(FANOUT_SQL).rows())
+
+    full_median, _ = _median(materialized)
 
     def drain():
         total = 0
@@ -108,13 +105,7 @@ def test_full_stream_drain_overhead_is_bounded(benchmark):
         assert total == expected_count
         return total
 
-    # Alternate the sides (each drain round's setup is a timed materialized
-    # run), run both on one CPU (the stream's join runs on its producer
-    # thread) and freeze the session's heap: a full collection of a long
-    # test session's heap costs ~0.1 s, as much as half a round.
-    with one_cpu(), frozen_heap():
-        benchmark.pedantic(drain, setup=materialized, rounds=ROUNDS, iterations=1)
-    full_median = statistics.median(full_seconds)
+    benchmark.pedantic(drain, rounds=ROUNDS, iterations=1)
     drain_median = statistics.median(benchmark.stats.stats.data)
     ratio = drain_median / full_median
     print(

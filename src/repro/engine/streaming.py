@@ -27,10 +27,10 @@ provides the streaming counterpart:
   and the stream always ends with a full, final snapshot in deterministic
   group-key order, identical to the serial ``execute()`` result.
 * :class:`StreamingTopKSink` is the **top-k mode**: ``ORDER BY ... LIMIT n``
-  folds rows into a candidate set pruned to the ``n`` best, and cuts every
-  batch on its first ORDER BY key *before* the expander — on the kernels'
-  packed parts (``packs_columns``), so a factorized group's strictly worse
-  factor values are never expanded, listed or turned into tuples.
+  folds rows into a candidate set pruned to the ``n`` best, and cuts the
+  kernels' batches on their first ORDER BY key *before* the expander — on
+  their packed parts (``packs_columns``), so a factorized group's strictly
+  worse factor values are never expanded, listed or turned into tuples.
 * :class:`StreamingResult` runs the join on a producer thread and iterates
   the batches on the consumer side.  One
   :class:`~repro.parallel.cancellation.DeadlineToken` covers *both* phases:
@@ -65,6 +65,7 @@ from repro.engine.output import (
     JoinResult,
     OutputSink,
     _factorized_group_count,
+    _is_array,
     batch_to_rows,
     listed_batch,
 )
@@ -439,10 +440,12 @@ class StreamingTopKSink(StreamingSink):
     (:func:`~repro.engine.output.expand_factorized_batch`, one column slice
     of ``batch_rows`` rows at a time, back through :meth:`on_batch`).  Ties
     and NaN stay; a key column holding a NULL, a string, a ``bool`` (which
-    ranks after strings) or an int no float holds is not cut.  Each prune
-    tightens the cutoff once more with the candidates' own bound.  The
-    cutoff only tightens, so a reader on another thread that sees an older
-    one cuts less, never wrongly.
+    ranks after strings) or an int no float holds is not cut.  A listed
+    batch with fewer key values than ``limit`` cannot bound itself and is
+    not cut (numpy's fixed cost per call outweighs a few rows): each prune
+    cuts the candidates the same way, with their own bound, before it sorts
+    them.  The cutoff only tightens, so a reader on another thread that
+    sees an older one cuts less, never wrongly.
 
     Delivery is necessarily terminal — no row is safe to ship until every
     candidate has been seen — but the fold happens mid-join: the finalize
@@ -502,17 +505,28 @@ class StreamingTopKSink(StreamingSink):
                 self.interrupt.check()
             self._candidates.extend(rows)
             self.candidate_rows += len(rows)
-            if len(self._candidates) > self._prune_at:
-                self._candidates = order_and_limit(self._candidates, self.order_by, self.limit)
-                self.prunes += 1
+            if len(self._candidates) > self._prune_at:  # cut, then sort what is left
                 first = self.order_by[0] if self._filters else None
                 keys = first and numeric_keys([row[first.position] for row in self._candidates])
                 if keys is not None:  # the candidates are rows: a bound of their own
-                    self._cutoff = topk_keep(keys, self.limit, first, None, self._cutoff)[0]
+                    self._cutoff, keep = topk_keep(keys, self.limit, first, None, self._cutoff)
+                    if keep is not None:
+                        self._candidates = _kept(self._candidates, keep)
+                self._candidates = order_and_limit(self._candidates, self.order_by, self.limit)
+                self.prunes += 1
 
     def on_factorized_batch(self, *batch) -> None:
-        """Cut the batch on its packed parts, then list and expand the survivors."""
-        super().on_factorized_batch(*listed_batch(self._cut(*batch)))
+        """Cut the kernels' packed groups, then list and expand the survivors.
+
+        Every other batch — a replayed flat one, a row path's one-group batch
+        (list offsets: numpy's fixed cost per call outweighs one group) — is
+        expanded as it is and its rows cut once, by :meth:`on_batch` or, a
+        few at a time, by the next prune.  (The kernels hand a flat batch to
+        :meth:`on_batch` directly.)
+        """
+        if batch[2] and _is_array(batch[2][0][2]):
+            batch = listed_batch(self._cut(*batch))
+        super().on_factorized_batch(*batch)
 
     def _cut(self, prefix_variables, prefix_columns, factors, multiplicities=None):
         """The batch less what its first ORDER BY key rules out, unexpanded.
@@ -530,24 +544,28 @@ class StreamingTopKSink(StreamingSink):
         var = first and self.variables[first.position]
         planes = [prefix_variables] + [names for names, _columns, _offsets in factors]
         plane = next((i for i, names in enumerate(planes) if var in names), None)
-        groups = _factorized_group_count(prefix_columns, factors, multiplicities)
-        if plane is None or not groups:  # no cut, unbound (the expander raises), or empty
-            return prefix_variables, prefix_columns, factors, multiplicities
-        columns = factors[plane - 1][1] if plane else prefix_columns
-        if (keys := numeric_keys(columns[list(planes[plane]).index(var)])) is None:
-            return prefix_variables, prefix_columns, factors, multiplicities
+        batch = prefix_variables, prefix_columns, factors, multiplicities
+        if plane is None or not _factorized_group_count(prefix_columns, factors, multiplicities):
+            return batch  # no cut, unbound (the expander raises), or empty
+        column = (factors[plane - 1][1] if plane else prefix_columns)[planes[plane].index(var)]
+        if len(column) < self.limit and (self._cutoff is None or not _is_array(column)):
+            return batch  # too short to bound itself: cut if packed, else at the next prune
+        if (keys := numeric_keys(column)) is None:
+            return batch
         offsets = [np.asarray(offs, dtype=np.int64) for *_, offs in factors]
         sizes = [np.diff(offs) for offs in offsets]
-        weights = np.asarray([1] * groups if multiplicities is None else multiplicities, np.int64)
-        share = prod([s for f, s in enumerate(sizes, 1) if f != plane], start=weights.clip(0))
-        rows = np.repeat(share, sizes[plane - 1]) if plane else share  # per key position
-        live = rows > 0
+        rows = live = None  # rows per key position; None: one each (flat, unweighted)
+        if factors or multiplicities is not None:
+            weights = np.ones_like(sizes[0]) if multiplicities is None else np.array(multiplicities)
+            share = prod([n for f, n in enumerate(sizes, 1) if f != plane], start=weights.clip(0))
+            rows = np.repeat(share, sizes[plane - 1]) if plane else share
+            live = rows > 0
         with self._lock:
             self._cutoff, keep = topk_keep(keys, self.limit, first, live, self._cutoff)
-            keep = live if keep is None else live & keep
-            self.skipped_rows += int(rows[~keep].sum())
-        if keep.all():
-            return prefix_variables, prefix_columns, factors, multiplicities
+            keep = live if keep is None else keep if live is None else live & keep
+            if keep is None or (kept := np.count_nonzero(keep)) == keep.size:
+                return batch
+            self.skipped_rows += int(keep.size - kept if rows is None else rows[~keep].sum())
         if plane:  # the key factor's kept values, then the groups left any
             values = keep
             keep = np.diff(np.concatenate(([0], np.cumsum(values)))[offsets[plane - 1]]) > 0
@@ -586,7 +604,7 @@ class StreamingTopKSink(StreamingSink):
 
 def _kept(column, mask):
     """The ``mask`` positions of a packed or listed column, as it was."""
-    return column[mask] if hasattr(column, "dtype") else list(compress(column, mask.tolist()))
+    return column[mask] if _is_array(column) else list(compress(column, mask.tolist()))
 
 
 def collapse_grouped_batches(

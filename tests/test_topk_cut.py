@@ -15,7 +15,9 @@ answer, so:
   leave the same rows as their expansion through ``order_and_limit``, and
   the cut keeps NaN, ties and the rows of every group that stands for any;
 * the fan-out join's stream is cut before expansion: the candidate set
-  holds a few times ``LIMIT`` rows, not the join output.
+  holds a few times ``LIMIT`` rows, not the join output;
+* a flat batch is cut once, and a prune cuts the candidates on the first
+  key before it sorts them and leaves the cutoff later batches are cut by.
 """
 
 from __future__ import annotations
@@ -259,3 +261,53 @@ def test_packed_cut_keeps_nan_ties_and_live_groups_only():
     assert rows == [(10, 1.0, 1), (20, 2.0, 2)]
     # Left: 1 (x1) and NaN, 2, 2 (x2 each): 7 rows; 5 and 9 are cut.
     assert topk == dict(topk, candidate_rows=7, skipped_rows=2)
+
+
+def test_a_flat_batch_is_cut_once(monkeypatch):
+    """A flat packed batch in the sink's layout reaches ``_cut`` once, through
+    ``on_batch``, and leaves Python values."""
+    calls = []
+    cut = StreamingTopKSink._cut
+    monkeypatch.setattr(StreamingTopKSink, "_cut", lambda s, *b: calls.append(b) or cut(s, *b))
+    batch = ("v",), [np.arange(10, dtype=np.int64)[::-1]], [], None
+    rows, topk = _topk(("v",), [batch], [ResolvedOrderItem(0, False)], 2)
+    assert len(calls) == 1
+    assert repr(rows) == repr([(0,), (1,)])
+    assert topk == dict(topk, candidate_rows=2, skipped_rows=8)
+
+
+@pytest.mark.parametrize("descending", [False, True])
+def test_a_prune_cuts_the_candidates_and_leaves_a_cutoff(descending):
+    """``LIMIT 3000`` over listed batches, every 97th key NaN: 500-row
+    batches are too short to bound themselves and 3000-row ones hold too
+    few finite keys, so nothing is cut until the candidates outgrow the
+    prune bound (6000).  The prune cuts them on the first key (NaN and ties
+    at the bound stay), sorts the rest, and leaves the 3000th-best finite
+    key as the cutoff the next batch is cut by."""
+    rng = random.Random(11)
+    start = itertools.count()
+
+    def batch(size):
+        values = [rng.randrange(50) for _ in range(size)]
+        values[::97] = [float("nan")] * len(values[::97])
+        return [values, [next(start) for _ in range(size)]]
+
+    order_by = [ResolvedOrderItem(0, descending), ResolvedOrderItem(1, False)]
+    sink = StreamingTopKSink(("v", "i"), limit=3000, order_by=order_by, max_batches=64)
+    batches = [batch(500) for _ in range(4)] + [batch(3000) for _ in range(2)]
+    for columns in batches:
+        sink.on_batch(columns)
+    topk = sink.stats()["topk"]
+    assert (topk["prunes"], topk["skipped_rows"], topk["candidate_rows"]) == (1, 0, 8000)
+    finite = sorted((v for columns in batches for v in columns[0] if v == v), reverse=descending)
+    cutoff = finite[2999]
+    late = batch(3000)
+    sink.on_batch(late)
+    worse = sum(1 for v in late[0] if (v < cutoff if descending else v > cutoff))
+    assert 0 < worse == sink.stats()["topk"]["skipped_rows"]
+    sink.finish()
+    rows = list(itertools.chain.from_iterable(iter(sink.next_batch, None)))
+    expected = order_and_limit(
+        [row for columns in batches + [late] for row in zip(*columns)], order_by, 3000
+    )
+    assert repr(rows) == repr(expected)
