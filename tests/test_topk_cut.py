@@ -288,7 +288,7 @@ def test_a_prune_cuts_the_candidates_and_leaves_a_cutoff(descending):
     start = itertools.count()
 
     def batch(size):
-        values = [rng.randrange(50) for _ in range(size)]
+        values = [rng.randrange(20000) for _ in range(size)]  # ties too
         values[::97] = [float("nan")] * len(values[::97])
         return [values, [next(start) for _ in range(size)]]
 
@@ -302,6 +302,7 @@ def test_a_prune_cuts_the_candidates_and_leaves_a_cutoff(descending):
     finite = sorted((v for columns in batches for v in columns[0] if v == v), reverse=descending)
     cutoff = finite[2999]
     late = batch(3000)
+    late[0][1:4] = finite[2998:3001]  # the 2999th to 3001st best: only the last is cut
     sink.on_batch(late)
     worse = sum(1 for v in late[0] if (v < cutoff if descending else v > cutoff))
     assert 0 < worse == sink.stats()["topk"]["skipped_rows"]
