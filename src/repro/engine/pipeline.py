@@ -171,6 +171,26 @@ class PipelineState:
         return self._built
 
 
+def compile_range(
+    pipeline: PhysicalPipeline, grouped: bool, stats: Dict[str, int]
+) -> "kernels.KernelProgram":
+    """Compile ``pipeline``'s kernel program, counted in ``stats["programs"]``.
+
+    ``grouped`` addresses driver groups (steal task ranges), else plain
+    driver rows (a full run).  Raises :class:`~repro.kernels.KernelCompileError`
+    when the kernels cannot run the pipeline.
+    """
+    program = kernels.compile_program(
+        pipeline.atoms[0],
+        pipeline.atoms[1:],
+        pipeline.output_variables,
+        group_vars=pipeline.group_vars if grouped else None,
+        compress=pipeline.compress,
+    )
+    stats["programs"] += 1
+    return program
+
+
 def run_range(
     pipeline: PhysicalPipeline,
     state: PipelineState,
@@ -180,31 +200,29 @@ def run_range(
     stats: Dict[str, int],
     kernels_off: Optional[str] = None,
     factorize: bool = False,
+    program: Optional["kernels.KernelProgram"] = None,
 ) -> Tuple[Optional[Dict[str, int]], Optional[str]]:
     """Run one range of ``pipeline`` into ``sink``: kernels, else the row path.
 
     ``span`` is a steal task's ``(start, stop)`` and ``None`` for the whole
     pipeline; a full run needs no group addressing, so it compiles the
-    plain row-addressed program.  ``kernels_off`` is the per-query reason the
-    vectorized path is disabled, if it is.  ``factorize`` lets the *row path*
-    emit factorized groups; the kernels factorize whenever the sink accepts
-    it.  ``stats`` (:func:`repro.kernels.new_stats`) gathers the kernel
-    counters, ``programs`` compiled and ``ranges`` the kernels finished
-    among them.  Returns ``(row-path counters, fallback reason)`` — both
-    ``None`` when the kernels served the range.
+    plain row-addressed program.  ``program`` is one already compiled for
+    the span's addressing (a steal task context compiles once per query);
+    without it the range compiles its own.  ``kernels_off`` is the
+    per-query reason the vectorized path is disabled, if it is.
+    ``factorize`` lets the *row path* emit factorized groups; the kernels
+    factorize whenever the sink accepts it.  ``stats``
+    (:func:`repro.kernels.new_stats`) gathers the kernel counters,
+    ``programs`` compiled and ``ranges`` the kernels finished among them.
+    Returns ``(row-path counters, fallback reason)`` — both ``None`` when
+    the kernels served the range.
     """
     start, stop = span or (None, None)
     reason = kernels_off or pipeline.skip_kernels
     if reason is None:
         try:
-            program = kernels.compile_program(
-                pipeline.atoms[0],
-                pipeline.atoms[1:],
-                pipeline.output_variables,
-                group_vars=pipeline.group_vars if span is not None else None,
-                compress=pipeline.compress,
-            )
-            stats["programs"] += 1
+            if program is None:
+                program = compile_range(pipeline, span is not None, stats)
             kernels.execute_program(
                 program,
                 sink,

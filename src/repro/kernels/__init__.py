@@ -3,10 +3,12 @@
 This package rewrites the hot path of all three engines as vectorized
 numpy operations (Section 4.3's vectorization taken to its batch-at-a-time
 conclusion): a :class:`~repro.kernels.program.KernelProgram` is compiled
-for every run of a pipeline, probes run as one ``searchsorted`` per key
-over the distinct values of fingerprint-cached sorted indexes, then a
-``starts`` gather, and projection/output assembly decodes whole frontiers
-at once into the sinks' batch entry points.
+for every serial run of a pipeline (once per steal task context on a
+parallel run), probes run as one lookup per key over the distinct values
+of fingerprint-cached sorted indexes — a direct-address slot read where an
+integer dictionary's value span is small, else a ``searchsorted`` — then
+a ``starts`` gather, and projection/output assembly decodes whole
+frontiers at once into the sinks' batch entry points.
 
 The vectorized path is the default everywhere — including factorized
 output, which the executor emits straight off the chunked frontier as
@@ -44,6 +46,7 @@ from repro.kernels.executor import (
     factor_step_indices,
     merge_stats,
     new_stats,
+    resolve_indexes,
 )
 from repro.kernels.indexes import column_distinct_count, index_cache_clear
 from repro.kernels.predicates import compile_batch_predicate
@@ -68,6 +71,7 @@ __all__ = [
     "kernels_enabled",
     "merge_stats",
     "new_stats",
+    "resolve_indexes",
 ]
 
 _OFF_VALUES = ("off", "0", "false", "disabled", "no")

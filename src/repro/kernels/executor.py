@@ -3,8 +3,9 @@
 The executor drives a program in driver-row chunks: each chunk seeds a
 *frontier* (aligned arrays: per-source row indices, per-variable key
 arrays, an optional bag-multiplicity vector), every step resolves all of
-the chunk's probes with one ``searchsorted`` per key over a cached sorted
-index's distinct values, then a ``starts`` gather, and the surviving
+the chunk's probes with one lookup per key over a cached sorted index's
+distinct values (direct address or ``searchsorted``, see
+:mod:`repro.kernels.indexes`), then a ``starts`` gather, and the surviving
 frontier is decoded and emitted through the sink's columnar batch entry
 point (``OutputSink.on_batch``) — decoded value columns stay columns all
 the way into the sink.
@@ -24,12 +25,13 @@ the actual frontier, and the cheapest one runs.  Static average fan-out
 estimates cannot see key skew (a handful of hot keys can realize a 100x
 fan where the average says 4x); actual counts can, so selective probes
 run before explosive ones and intermediate frontiers stay near the
-output size.  A probe is one ``searchsorted`` per key over distinct
-values, then a ``starts`` gather — cheap relative to the expansions they
-get to avoid.  Should even the cheapest runnable step exceed
-:data:`FRONTIER_GUARD_ROWS` before anything was emitted, the executor
-raises :class:`KernelFrontierExplosion` and the engine re-runs
-the pipeline on the row-at-a-time path (reason ``frontier-explosion``),
+output size.  A probe is one lookup per key over distinct values, then a
+``starts`` gather — cheap relative to the expansions they get to avoid —
+and a candidate that is not chosen keeps its probe for the next round.
+Should even the cheapest runnable step exceed :data:`FRONTIER_GUARD_ROWS`
+before anything was emitted, the executor raises
+:class:`KernelFrontierExplosion` and the engine re-runs the pipeline on
+the row-at-a-time path (reason ``frontier-explosion``),
 whose value-at-a-time intersection never materializes the blowup.
 
 Deadline semantics: the loop calls ``DeadlineToken.check()`` at every
@@ -162,7 +164,7 @@ def execute_program(
         hi = driver.size if stop is None else min(stop, driver.size)
         rows = None
     else:
-        dindex = driver_index(driver, program.group_vars, program.kinds, stats)
+        dindex = _resolve_index(program, -1, stats)
         group_stop = dindex.group_count if stop is None else stop
         rows = dindex.rows_for_groups(start or 0, group_stop)
         lo, hi = 0, rows.size
@@ -213,6 +215,30 @@ def _match_offsets(lo, counts, total: int):
     return offsets
 
 
+def _resolve_index(program: KernelProgram, step_index: int, stats):
+    """A step's probe index (``-1``: the driver index), looked up once per program.
+
+    The cache lookup fingerprints the step's table and takes the cache lock:
+    once per query (a program lives for one), not once per chunk and
+    candidate.
+    """
+    index = program.indexes.get(step_index)
+    if index is None:
+        if step_index < 0:
+            index = driver_index(program.driver, program.group_vars, program.kinds, stats)
+        else:
+            step = program.steps[step_index]
+            index = probe_index(step.atom, step.key_vars, program.kinds, stats)
+        program.indexes[step_index] = index
+    return index
+
+
+def resolve_indexes(program: KernelProgram, stats: Dict[str, int]) -> None:
+    """Look up (building on a miss) every index ``program`` probes, now."""
+    for step_index in range(0 if program.group_vars is None else -1, len(program.steps)):
+        _resolve_index(program, step_index, stats)
+
+
 def _run_chunk(
     program: KernelProgram,
     chunk,
@@ -227,7 +253,8 @@ def _run_chunk(
     """Execute one driver chunk; returns the logical output rows emitted."""
     driver = program.driver
     kinds = program.kinds
-    rowidx: Dict[int, object] = {-1: chunk}
+    # Source rows are only ever read to emit: a count carries none.
+    rowidx: Dict[int, object] = {} if count_mode else {-1: chunk}
     keys: Dict[str, object] = {}
     for var in program.driver_load_keys:
         column = driver.table.column(driver.column_for(var))
@@ -245,8 +272,11 @@ def _run_chunk(
     # loop is total.  Reordering is semantics-free: each step performs the
     # same relational operation wherever it runs (expand/compress flags and
     # decode sources depend on *which* steps need a variable, not on when),
-    # only the emission order within the chunk changes.
+    # only the emission order within the chunk changes.  A candidate that
+    # is not chosen keeps its probe, ``(lo, counts)`` carried through the
+    # chosen step's filter or expansion, instead of probing again.
     pending = [i for i in range(len(program.steps)) if i not in factor_steps]
+    probed: Dict[int, tuple] = {}
     while pending:
         if n == 0:
             return 0
@@ -255,23 +285,25 @@ def _run_chunk(
         best = None
         for candidate in pending:
             step = program.steps[candidate]
-            if any(var not in keys for var in step.key_vars):
-                continue
-            index = probe_index(step.atom, step.key_vars, kinds, stats)
-            lo, hi = index.probe([keys[var] for var in step.key_vars], n)
-            counts = hi - lo
+            if candidate not in probed:
+                if any(var not in keys for var in step.key_vars):
+                    continue
+                index = _resolve_index(program, candidate, stats)
+                probed[candidate] = index.match([keys[var] for var in step.key_vars], n)
+            counts = probed[candidate][1]
             if step.expand:
                 projected = int(counts.sum())
             else:
-                projected = int((counts > 0).sum())
+                projected = int(np.count_nonzero(counts))
             if projected == 0:
                 # This step must eventually run and would empty the
                 # frontier; the whole chunk produces nothing.
                 return 0
             if best is None or projected < best[0]:
-                best = (projected, candidate, index, lo, counts)
-        projected, step_index, index, lo, counts = best
+                best = (projected, candidate)
+        projected, step_index = best
         pending.remove(step_index)
+        lo, counts = probed.pop(step_index)
         step = program.steps[step_index]
         if step.expand:
             total = projected
@@ -279,31 +311,36 @@ def _run_chunk(
                 raise KernelFrontierExplosion("frontier-explosion")
             parent = np.repeat(np.arange(n, dtype=np.int64), counts)
             offsets = _match_offsets(lo, counts, total)
-            matches = index.perm[offsets]
+            matches = program.indexes[step_index].perm[offsets]
             for var in list(keys):
                 keys[var] = keys[var][parent]
             for source in list(rowidx):
                 rowidx[source] = rowidx[source][parent]
             if mult is not None:
                 mult = mult[parent]
-            rowidx[step_index] = matches
+            for other, (other_lo, other_counts) in probed.items():
+                probed[other] = (other_lo[parent], other_counts[parent])
+            if not count_mode:
+                rowidx[step_index] = matches
             for var in step.load_keys:
                 column = step.atom.table.column(step.atom.column_for(var))
                 keys[var] = key_array(column, kinds[var])[matches]
             n = total
         else:
-            keep = counts > 0
-            kept = projected
-            if kept != n:
+            if projected != n:
+                keep = counts > 0
                 for var in list(keys):
                     keys[var] = keys[var][keep]
                 for source in list(rowidx):
                     rowidx[source] = rowidx[source][keep]
                 if mult is not None:
                     mult = mult[keep]
+                for other, (other_lo, other_counts) in probed.items():
+                    probed[other] = (other_lo[keep], other_counts[keep])
                 counts = counts[keep]
-                n = kept
-            mult = counts.astype(np.int64) if mult is None else mult * counts
+                n = projected
+            # ``counts`` is this step's own array: it can become ``mult``.
+            mult = counts if mult is None else mult * counts
 
     if count_mode:
         logical = n if mult is None else int(mult.sum())
@@ -355,7 +392,6 @@ def _emit(
     + column build + sink cost a few µs per row, unbounded per chunk.
     """
     driver = program.driver
-    kinds = program.kinds
     order = sorted(factor_steps)
     packed = sink.packs_columns
 
@@ -366,9 +402,8 @@ def _emit(
     keep = None
     for step_index in order:
         step = program.steps[step_index]
-        index = probe_index(step.atom, step.key_vars, kinds, stats)
-        lo, hi = index.probe([keys[var] for var in step.key_vars], n)
-        counts = hi - lo
+        index = _resolve_index(program, step_index, stats)
+        lo, counts = index.match([keys[var] for var in step.key_vars], n)
         probes.append([step_index, index, lo, counts])
         nonempty = counts > 0
         keep = nonempty if keep is None else keep & nonempty

@@ -4,10 +4,12 @@ A :class:`ProbeIndex` replaces a relation's hash table / trie on the
 vectorized path, as one multi-key level of the paper's generalized hash
 trie: rows are stably sorted by the bound key columns (only), and each key
 prefix gets dense codes over sorted dictionaries of distinct values.  A
-batch probe is one ``searchsorted`` per key over distinct values, then a
-``starts`` gather for each full key's row range.  Ties keep the original
-row order — the same order hash buckets and trie vectors iterate, which
-keeps the binary engine's output byte-identical.
+batch probe looks each key up in its dictionary — by direct address where
+an integer dictionary's value span is small (the degenerate perfect hash),
+else by ``searchsorted`` — then gathers each full key's row range from
+``starts``.  Ties keep the original row order — the same order hash
+buckets and trie vectors iterate, which keeps the binary engine's output
+byte-identical.
 
 A :class:`DriverIndex` groups a relation's rows by a variable prefix in
 *first-occurrence* order — exactly the iteration order of the hash maps the
@@ -94,10 +96,49 @@ def _dense_levels(arrays: Sequence, size: int):
     return perm, uniques, pairs, np.concatenate(([0], np.cumsum(np.bincount(code))))
 
 
-def _lookup(table, keys):
-    """Position of each key in the sorted distinct ``table``, and whether it is there."""
-    pos = np.searchsorted(table, keys)
-    np.minimum(pos, len(table) - 1, out=pos)
+#: An integer dictionary gets direct-address slots when its value span is at
+#: most this many times its size, or at most :data:`SLOT_SPAN_FLOOR` values.
+SLOT_SPAN_FACTOR = 8
+SLOT_SPAN_FLOOR = 2**18
+
+
+def _slots(table):
+    """Direct-address slots of a sorted distinct dictionary, or ``None``.
+
+    ``slots[v - table[0]]`` is ``np.searchsorted(table, v)`` for every ``v``
+    in ``[table[0], table[-1]]``: a present value's position, an absent
+    one's insertion point, so a lookup through the slots returns exactly
+    what bisection returns.  Float dictionaries and wide spans get none.
+    """
+    if table.dtype.kind != "i" or not table.size:
+        return None
+    span = int(table[-1]) - int(table[0]) + 1
+    if span > max(SLOT_SPAN_FACTOR * table.size, SLOT_SPAN_FLOOR):
+        return None
+    present = np.zeros(span, dtype=np.bool_)
+    present[table - table[0]] = True
+    # Positions below 2**16 fit two bytes: half the memory of int32 slots.
+    slots = np.cumsum(present, dtype=np.uint16 if table.size < 2**16 else np.int32)
+    slots -= present
+    return slots
+
+
+def _lookup(table, slots, keys):
+    """Position of each key in the sorted distinct ``table``, and whether it is there.
+
+    The position is ``searchsorted``'s, clamped to the last entry: read from
+    ``slots`` with the keys clamped into the table's range first (so no
+    subtraction can wrap), else bisected.
+    """
+    if slots is None:
+        pos = np.searchsorted(table, keys)
+        np.minimum(pos, len(table) - 1, out=pos)
+    else:
+        first = table[0]
+        idx = np.maximum(keys, first)
+        np.minimum(idx, table[-1], out=idx)
+        idx -= first
+        pos = slots[idx].astype(np.int64)
     return pos, table[pos] == keys
 
 
@@ -105,12 +146,17 @@ class ProbeIndex:
     """A relation stably sorted by its bound key columns, one GHT level.
 
     ``uniques``, ``pairs`` and ``starts`` are :func:`_dense_levels`'s: a
-    probe is one ``searchsorted`` per key over distinct values (and, past
-    the first key, over the distinct prefix pairs) to a dense full-key
-    code, then a ``starts`` gather for the code's row range in ``perm``.
+    probe is one lookup per key over distinct values (and, past the first
+    key, over the distinct prefix pairs) to a dense full-key code, then a
+    ``starts`` gather for the code's row range in ``perm``.
+    ``unique_slots`` / ``pair_slots`` hold each dictionary's
+    :func:`_slots` (``None``: it is bisected), ``sizes`` each full-key
+    group's row count.
     """
 
-    __slots__ = ("perm", "uniques", "pairs", "starts", "size")
+    __slots__ = (
+        "perm", "uniques", "pairs", "starts", "size", "unique_slots", "pair_slots", "sizes"
+    )
 
     def __init__(self, perm, uniques, pairs, starts, size: int) -> None:
         self.perm = perm
@@ -118,6 +164,9 @@ class ProbeIndex:
         self.pairs = pairs
         self.starts = starts
         self.size = size
+        self.unique_slots = [_slots(table) for table in uniques]
+        self.pair_slots = [_slots(table) for table in pairs]
+        self.sizes = np.diff(starts)
 
     def probe(
         self, frontier_cols: Sequence, frontier_size: int
@@ -128,18 +177,27 @@ class ProbeIndex:
         key-less (cross product) probes, where every frontier element
         matches the whole relation.
         """
+        lo, counts = self.match(frontier_cols, frontier_size)
+        return lo, lo + counts
+
+    def match(
+        self, frontier_cols: Sequence, frontier_size: int
+    ) -> Tuple["np.ndarray", "np.ndarray"]:
+        """:meth:`probe` as ``(lo, counts)``: each range's start and length."""
         if not self.uniques:
             lo = np.zeros(frontier_size, dtype=np.int64)
-            hi = np.full(frontier_size, self.size, dtype=np.int64)
-            return lo, hi
-        code, found = _lookup(self.uniques[0], frontier_cols[0])
-        for values, pairs, vals in zip(self.uniques[1:], self.pairs, frontier_cols[1:]):
-            rank, hit = _lookup(values, vals)
+            return lo, np.full(frontier_size, self.size, dtype=np.int64)
+        code, found = _lookup(self.uniques[0], self.unique_slots[0], frontier_cols[0])
+        for values, slots, pairs, pair_slots, vals in zip(
+            self.uniques[1:], self.unique_slots[1:], self.pairs, self.pair_slots, frontier_cols[1:]
+        ):
+            rank, hit = _lookup(values, slots, vals)
             found &= hit
-            code, hit = _lookup(pairs, code * len(values) + rank)
+            code, hit = _lookup(pairs, pair_slots, code * len(values) + rank)
             found &= hit
-        lo = self.starts[code]
-        return lo, np.where(found, self.starts[code + 1], lo)
+        counts = self.sizes[code]
+        counts *= found
+        return self.starts[code], counts
 
 
 class DriverIndex:

@@ -8,11 +8,12 @@ per step whether matches must be *expanded* (gathered row-wise, because the
 step's new variables feed later probes or the output) or merely *counted*
 into the frontier's bag multiplicity.
 
-A program is compiled for every run of a pipeline (each steal task compiles
-its own): compiling is a pass over the atoms' schemas, tens of
-microseconds, and a program holds its atoms, so keeping one alive would
-keep its tables alive.  The cost worth caching -- the sorted indexes the
-steps probe -- is cached by table content in :mod:`repro.kernels.indexes`.
+A program is compiled for every serial run of a pipeline and once per
+steal task context (the tasks of one query share it): compiling is a pass
+over the atoms' schemas, tens of microseconds, and a program holds its
+atoms, so keeping one past its query would keep its tables alive.  The
+cost worth caching -- the sorted indexes the steps probe -- is cached by
+table content in :mod:`repro.kernels.indexes`.
 """
 
 from __future__ import annotations
@@ -59,6 +60,9 @@ class KernelProgram:
     driver_load_keys: Tuple[str, ...]
     #: Output variable -> frontier source (-1 = driver, else step index).
     out_source: Dict[str, int] = field(default_factory=dict)
+    #: Step index -> its probe index (-1: the driver index), resolved from
+    #: the index cache on first use and kept for the program's one query.
+    indexes: Dict[int, object] = field(default_factory=dict)
 
 
 def compile_program(

@@ -26,8 +26,15 @@ lowered it (:func:`run_pipeline_steal`):
 * the two backends run one protocol (a command queue per worker, the shared
   task queue, one result queue, one cancel cell) and differ only in how
   workers start, what a query's setup carries and what a worker drops on
-  ``"stop"``.  Thread workers share the query's one task context, so a trie
-  is built once.  Forked process workers receive their inputs through the
+  ``"stop"``.  A query's tasks are enqueued right behind its setup message,
+  with no readiness barrier, and a sink that absorbs after the drain gets
+  its task outcomes with each worker's ``"drained"`` report: one message
+  per worker, not one per task.  Thread workers share the query's one task
+  context, so a trie is built and a kernel program compiled once; a thread
+  pool has at most one thread per CPU, and its workers take turns, one task
+  at a time (under the GIL two threads cannot run the join at once, and two
+  running numpy kernels side by side hand the GIL over at every array
+  operation).  Forked process workers receive their inputs through the
   shared-memory column plane (:mod:`repro.storage.shm`): a query ships only
   a plan and a handful of segment handles, workers attach the columns
   zero-copy and build their tries lazily, forcing only the parts their
@@ -84,16 +91,19 @@ import os
 import queue as queue_module
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.engine.pipeline import PhysicalPipeline, PipelineState, run_range
+from repro.engine.pipeline import PhysicalPipeline, PipelineState, compile_range, run_range
 from repro.errors import DeadlineExceeded, ExecutionError, QueryCancelled
 from repro.kernels import (
+    KernelCompileError,
     kernel_caches_clear,
     merge_stats as kernel_merge_stats,
     new_stats as kernel_new_stats,
+    resolve_indexes,
 )
 from repro.parallel.cancellation import DeadlineToken
 from repro.query.atoms import Atom
@@ -234,6 +244,7 @@ class _TaskContext:
     """One query's state of one pipeline, shared by the tasks a worker runs.
 
     The pinned pipeline description (what task ranges address), its
+    kernel program (compiled by the first task, shared by the rest), its
     row-path state (built on first use — kernel-serving workers never need
     it) and, in process workers, the shared-memory attachments the atoms'
     columns point into, pinned until the query ends.
@@ -252,18 +263,33 @@ class _TaskContext:
         self.state = state or PipelineState(pipeline.row_path, pipeline.atoms)
         self.attachments = attachments
         self.attach_seconds = attach_seconds
+        self._program = None
+        self._compile_lock = threading.Lock()
 
-    def run_task(
-        self, task: StealTask, task_sink, interrupt: Optional[DeadlineToken] = None
-    ) -> Dict[str, object]:
+    def kernel_program(self, stats: Dict[str, int]):
+        """The task-range program, compiled once (``None``: kernels off).
+
+        A pipeline the kernels cannot compile turns them off for every task
+        of the context, with the compile error as the fallback reason.
+        """
+        with self._compile_lock:
+            if self._program is None and self.kernels_off is None:
+                try:
+                    self._program = compile_range(self.pipeline, True, stats)
+                except KernelCompileError as exc:
+                    self.kernels_off = str(exc)
+            return self._program
+
+    def run_task(self, task: StealTask, task_sink, stats, interrupt=None) -> Dict[str, object]:
         """Run one task into a fresh ``task_sink()``; package its outcome.
 
-        ``task_sink`` is the query sink's recipe.  The outcome's one content
-        key is the task sink's ``payload``; the rest is telemetry
+        ``task_sink`` is the query sink's recipe and ``stats`` the running
+        worker's kernel counters, which the task adds to.  The outcome's one
+        content key is the task sink's ``payload``; the rest is telemetry
         (``outputs``: the join cardinality the task produced).
         """
         sink = task_sink()
-        stats = kernel_new_stats()
+        program = self.kernel_program(stats)
         counters, fallback = run_range(
             self.pipeline,
             self.state,
@@ -272,13 +298,13 @@ class _TaskContext:
             interrupt,
             stats,
             self.kernels_off,
+            program=program,
         )
         outcome = {
             "task_id": task.task_id,
             "payload": sink.payload(),
             "outputs": sink.result().count(),
             "stats": counters,
-            "kernels": stats,
         }
         if fallback:
             outcome["kernel_fallback"] = fallback
@@ -318,14 +344,16 @@ def _attach_atoms(
     return atoms, attachments
 
 
-def _build_worker_context(setup: Dict[str, object], cache: AttachmentCache):
+def _build_worker_context(setup: Dict[str, object], cache: AttachmentCache, stats):
     """Build a task context in a process worker from a pickled setup payload.
 
     The returned context records (and pins) the attachments its structures
     point into, which exempts them from the attachment LRU until the worker
-    unpins them at the query's end.  Kernel-serving workers defer the
-    row-path build to the first task that actually needs it (if any); with
-    kernels off it is setup work.
+    unpins them at the query's end.  Kernel-serving workers compile the
+    program and look its indexes up here (into ``stats``), so every worker's
+    index cache is warm for the next query whichever tasks it pulls, and
+    defer the row-path build to the first task that actually needs it (if
+    any); with kernels off that build is setup work.
     """
     started = time.perf_counter()
     atoms, attachments = _attach_atoms(setup["atoms"], cache)
@@ -335,12 +363,14 @@ def _build_worker_context(setup: Dict[str, object], cache: AttachmentCache):
         attachments=tuple(attachments),
         attach_seconds=time.perf_counter() - started,
     )
-    if context.kernels_off:
-        try:
+    try:
+        if context.kernels_off:
             context.state.get()
-        except Exception:
-            _unpin_attachments(attachments)
-            raise
+        elif (program := context.kernel_program(stats)) is not None:
+            resolve_indexes(program, stats)
+    except Exception:
+        _unpin_attachments(attachments)
+        raise
     return context
 
 
@@ -403,6 +433,7 @@ def _new_worker_report() -> Dict[str, object]:
         "busy_seconds": 0.0,
         "attach_seconds": 0.0,
         "setup_seconds": 0.0,
+        "kernels": kernel_new_stats(),
     }
 
 
@@ -443,32 +474,26 @@ def _worker_main(
                 cache.close_all()
             return
         _kind, query_id, setup = message
+        report = _new_worker_report()
         context = None
         try:
             started = time.perf_counter()
             if setup["deadline"] is not None and time.monotonic() >= setup["deadline"]:
                 raise DeadlineExceeded("query deadline passed before worker setup")
             context = (
-                _build_worker_context(setup, cache) if isolated else setup["context"]
+                _build_worker_context(setup, cache, report["kernels"])
+                if isolated
+                else setup["context"]
             )
-            result_queue.put(
-                (
-                    "ready",
-                    query_id,
-                    worker_id,
-                    {
-                        "setup_seconds": time.perf_counter() - started,
-                        "attach_seconds": context.attach_seconds,
-                    },
-                )
-            )
+            report["setup_seconds"] = time.perf_counter() - started
+            report["attach_seconds"] = context.attach_seconds
         except Exception as exc:  # noqa: BLE001 - reported to the parent
             result_queue.put(
-                ("ready_error", query_id, worker_id, f"{type(exc).__name__}: {exc}")
+                ("setup_error", query_id, worker_id, f"{type(exc).__name__}: {exc}")
             )
         try:
-            report = _drain_tasks(
-                worker_id, query_id, context, setup["task_sink"], task_queue,
+            outcomes = _drain_tasks(
+                worker_id, query_id, context, setup, report, task_queue,
                 result_queue, cancel_cell,
             )
         finally:
@@ -476,44 +501,53 @@ def _worker_main(
                 _unpin_attachments(context.attachments)
         # An idle worker holds no finished query: its context pins its tables.
         del message, setup, context
-        result_queue.put(("drained", query_id, worker_id, report))
+        result_queue.put(("drained", query_id, worker_id, report, outcomes))
 
 
 def _drain_tasks(
-    worker_id, query_id, context, task_sink, task_queue, result_queue, cancel_cell
-) -> Dict[str, object]:
-    """Run one query's tasks from the shared queue until its ``"end"``."""
-    report = _new_worker_report()
+    worker_id, query_id, context, setup, report, task_queue, result_queue, cancel_cell
+) -> List[Dict[str, object]]:
+    """Run one query's tasks from the shared queue until its ``"end"``.
+
+    Each outcome goes back as its own ``"result"`` message when the query's
+    sink absorbs on arrival; otherwise the outcomes are returned, to travel
+    with the worker's ``"drained"`` report.  Thread workers take turns: the
+    setup's ``"turn"`` lock is held from pulling a task to finishing it.
+    """
+    task_sink = setup["task_sink"]
+    held: Optional[List[Dict[str, object]]] = None if setup["absorb_on_arrival"] else []
+    turn = setup.get("turn") or nullcontext()
 
     def cancelled() -> bool:
         return cancel_cell.value >= query_id
 
     while True:
-        task_message = task_queue.get()
-        if task_message[0] == "end":
-            return report
-        _tag, task_query_id, task = task_message
-        if task_query_id != query_id or context is None:
-            result_queue.put(
-                ("task_error", task_query_id, task.task_id, "worker has no context")
-            )
-            continue
-        if cancelled():
-            result_queue.put(
-                ("task_error", query_id, task.task_id, "QueryCancelled: skipped")
-            )
-            continue
-        wait_seconds = max(0.0, time.monotonic() - task.enqueued)
-        started = time.perf_counter()
-        try:
-            token = DeadlineToken(at=task.deadline, cancel_probe=cancelled)
-            outcome = context.run_task(task, task_sink, token)
-        except Exception as exc:  # noqa: BLE001 - reported to the parent
-            result_queue.put(
-                ("task_error", query_id, task.task_id, f"{type(exc).__name__}: {exc}")
-            )
-            continue
-        seconds = time.perf_counter() - started
+        with turn:
+            task_message = task_queue.get()
+            if task_message[0] == "end":
+                return held or []
+            _tag, task_query_id, task = task_message
+            if task_query_id != query_id or context is None:
+                result_queue.put(
+                    ("task_error", task_query_id, task.task_id, "worker has no context")
+                )
+                continue
+            if cancelled():
+                result_queue.put(
+                    ("task_error", query_id, task.task_id, "QueryCancelled: skipped")
+                )
+                continue
+            wait_seconds = max(0.0, time.monotonic() - task.enqueued)
+            started = time.perf_counter()
+            try:
+                token = DeadlineToken(at=task.deadline, cancel_probe=cancelled)
+                outcome = context.run_task(task, task_sink, report["kernels"], token)
+            except Exception as exc:  # noqa: BLE001 - reported to the parent
+                result_queue.put(
+                    ("task_error", query_id, task.task_id, f"{type(exc).__name__}: {exc}")
+                )
+                continue
+            seconds = time.perf_counter() - started
         stolen = task.preferred != worker_id
         report["tasks"] += 1
         report["steals"] += int(stolen)
@@ -525,7 +559,10 @@ def _drain_tasks(
             seconds=seconds,
             wait_seconds=wait_seconds,
         )
-        result_queue.put(("result", query_id, outcome))
+        if held is None:
+            result_queue.put(("result", query_id, outcome))
+        else:
+            held.append(outcome)
 
 
 class StealPool:
@@ -534,7 +571,9 @@ class StealPool:
     ``backend`` says what a worker is; the protocol is the same for both.
     Thread workers (``"thread"``) run in this process over the query's one
     task context, so a trie or hash table is built once and shared; under
-    CPython the GIL serializes the join work itself.  Process workers
+    CPython the GIL serializes the join work itself, so they take turns (the
+    setup's ``"turn"`` lock, held from pulling a task to finishing it)
+    rather than trade the GIL at every numpy call.  Process workers
     (``"process"``, forked) receive their inputs through the shared-memory
     column plane: only plans, schemas and segment handles cross the command
     queues, and each worker caches its attachments (and the kernels'
@@ -672,29 +711,20 @@ class StealPool:
                 self._cancel_cell.value = query_id
                 signalled = True
 
-        for cmd_queue in self._cmd_queues:
-            cmd_queue.put(("query", query_id, setup))
-        ready: Dict[int, Optional[Dict[str, float]]] = {}
-        errors: List[str] = []
-        deadline_errors = False
-        while len(ready) < self.workers:
-            message = self._receive(hook=watch_interrupt)
-            if message[0] == "ready":
-                ready[message[2]] = message[3]
-            elif message[0] == "ready_error":
-                ready[message[2]] = None
-                errors.append(f"worker {message[2]} setup failed: {message[3]}")
-            else:
-                raise _PoolProtocolError(
-                    f"unexpected {message[0]!r} message during query setup"
-                )
-        expected = 0 if errors else len(tasks)
-        if not errors:
-            for task in tasks:
-                task.enqueued = time.monotonic()
-                self._task_queue.put(("task", query_id, task))
+        # No readiness barrier: the tasks wait in the queue before the query
+        # message wakes a worker, whose setup may fail — it then reports it
+        # and errors every task it pulls, and the first setup error cancels
+        # the rest.
+        for task in tasks:
+            task.enqueued = time.monotonic()
+            self._task_queue.put(("task", query_id, task))
         for _ in range(self.workers):
             self._task_queue.put(("end", query_id))
+        for cmd_queue in self._cmd_queues:
+            cmd_queue.put(("query", query_id, setup))
+        errors: List[str] = []
+        deadline_errors = False
+        expected = len(tasks)
         outcomes: List[Dict[str, object]] = []
         reports: Dict[int, Dict[str, object]] = {}
         delivery_failed = False
@@ -732,15 +762,17 @@ class StealPool:
                     deadline_errors = True
                     self._cancel_cell.value = query_id
                     signalled = True
+            elif message[0] == "setup_error":
+                errors.append(f"worker {message[2]} setup failed: {message[3]}")
+                self._cancel_cell.value = query_id
+                signalled = True
             elif message[0] == "drained":
                 reports[message[2]] = message[3]
+                outcomes.extend(message[4])
             else:
                 raise _PoolProtocolError(f"unexpected {message[0]!r} message")
         if errors:
             raise _classify_failure(errors, interrupt)
-        for worker_id, info in ready.items():
-            if info:
-                reports[worker_id].update(info)
         return outcomes, reports
 
     def _receive(self, poll_seconds: float = 0.05, hook=None):
@@ -884,17 +916,22 @@ def _short_circuit(workers: int, build_seconds: float) -> ShardedRunResult:
 
 def _drive(run: _StealRun) -> ShardedRunResult:
     effective = min(run.workers, len(run.tasks))
+    if run.backend == "thread":
+        # Under the GIL a thread beyond the CPU count adds handoffs, not work.
+        effective = min(effective, os.cpu_count() or 1)
     assign_preferred(run.tasks, effective)
     sink = run.sink
     join_started = time.perf_counter()
     if len(run.tasks) == 1:
         # One task cannot balance anything: run it inline, skip the pool.
-        outcome = run.context_factory().run_task(run.tasks[0], sink.task_sink(), run.interrupt)
+        report = _new_worker_report()
+        outcome = run.context_factory().run_task(
+            run.tasks[0], sink.task_sink(), report["kernels"], run.interrupt
+        )
         if sink.absorb_on_arrival:
             sink.absorb(outcome.pop("payload"))
         outcome.update(worker=0, stolen=False, wait_seconds=0.0)
         outcome["seconds"] = time.perf_counter() - join_started
-        report = _new_worker_report()
         report["tasks"] = 1
         report["outputs"] = outcome["outputs"]
         report["busy_seconds"] = outcome["seconds"]
@@ -922,10 +959,17 @@ def _merge(
     """
     outcomes.sort(key=lambda outcome: outcome["task_id"])
     stats: Dict[str, int] = {}
+    kernel_fallbacks: List[str] = []
     for outcome in outcomes:
         if not run.sink.absorb_on_arrival:
             run.sink.absorb(outcome.pop("payload"))
         kernel_merge_stats(stats, outcome.get("stats"))
+        reason = outcome.get("kernel_fallback")
+        if reason:
+            kernel_fallbacks.append(reason)
+    kernel_stats = kernel_new_stats()
+    for report in reports.values():
+        kernel_merge_stats(kernel_stats, report.pop("kernels"))
 
     per_shard = [
         {"shard": worker_id, **report} for worker_id, report in sorted(reports.items())
@@ -942,13 +986,6 @@ def _merge(
     attach_max = max(
         (report.get("attach_seconds", 0.0) for report in reports.values()), default=0.0
     )
-    kernel_stats = kernel_new_stats()
-    kernel_fallbacks: List[str] = []
-    for outcome in outcomes:
-        kernel_merge_stats(kernel_stats, outcome.get("kernels"))
-        reason = outcome.get("kernel_fallback")
-        if reason:
-            kernel_fallbacks.append(reason)
     extra = {
         "tasks": len(run.tasks),
         "steals": sum(report["steals"] for report in reports.values()),
@@ -1043,10 +1080,12 @@ def run_pipeline_steal(
     def setup_factory():
         setup = {
             "task_sink": sink.task_sink(),
+            "absorb_on_arrival": sink.absorb_on_arrival,
             "deadline": interrupt.at if interrupt is not None else None,
         }
         if shared:
             setup["context"] = context_factory()
+            setup["turn"] = threading.Lock()
         else:
             setup.update(
                 pipeline=replace(pipeline, atoms=[]),

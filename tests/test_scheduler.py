@@ -333,12 +333,14 @@ def test_thread_pool_persists_across_queries(star_query_database):
            "WHERE fact.k = dim_one.k AND fact.a = dim_two.a")
     first = database.execute(sql).scalar()
     pools = scheduler.active_pools()
-    assert list(pools) == [("thread", 3)]
-    pool = pools[("thread", 3)]
+    # Never more steal threads than CPUs.
+    key = ("thread", min(3, os.cpu_count() or 1))
+    assert list(pools) == [key]
+    pool = pools[key]
     second = database.execute(sql).scalar()
     assert first == second
     # Same pool object served both queries.
-    assert scheduler.active_pools()[("thread", 3)] is pool
+    assert scheduler.active_pools()[key] is pool
     scheduler.shutdown_pools()
     assert scheduler.active_pools() == {}
 
