@@ -6,7 +6,8 @@ value span is small, and bisects the rest.  Every probe here runs twice —
 on the built index and on a twin with its slots dropped, which bisects
 every level — and the two ``(lo, hi)`` answers must be identical, also for
 keys outside a dictionary's range and where ``key - table[0]`` would wrap
-in int64.
+in int64.  A bisected lookup searches its keys in sorted order; that too
+must answer as one plain ``searchsorted``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from repro.kernels.indexes import (
     SLOT_SPAN_FACTOR,
     SLOT_SPAN_FLOOR,
     ProbeIndex,
+    _lookup,
     build_probe_index,
 )
 from repro.query.atoms import Atom
@@ -133,6 +135,29 @@ def test_float_dictionaries_bisect_and_coded_ones_are_direct(key_count):
     fresh = _rotations([f"probe-lookup-{key_count}-{i}" for i in range(4)], key_count)
     index = _assert_same_answers(fresh, "c", probes + [tuple(c[2] for c in fresh)])
     assert all(slots is not None for slots in index.unique_slots + index.pair_slots)
+
+
+@pytest.mark.parametrize("kind", ["i", "f"])
+@pytest.mark.parametrize("count", [1, 300, 3000])
+def test_sorted_order_bisection_answers_in_frontier_order(kind, count):
+    # A bisected lookup argsorts the keys and scatters the positions back;
+    # it answers as one plain searchsorted in frontier order, repeated and
+    # out-of-range keys included.
+    rng = np.random.default_rng(count)
+    dtype = np.int64 if kind == "i" else np.float64
+    table = np.unique(rng.integers(-(2**40), 2**40, 500)).astype(dtype)
+    keys = np.concatenate(
+        [
+            rng.choice(table, count // 2),
+            rng.integers(-(2**41), 2**41, count - count // 2).astype(dtype),
+        ]
+    )
+    rng.shuffle(keys)
+    pos, found = _lookup(table, None, keys)
+    expected = np.minimum(np.searchsorted(table, keys), len(table) - 1)
+    assert pos.tolist() == expected.tolist()
+    assert found.tolist() == (table[expected] == keys).tolist()
+    assert found.sum() >= count // 2
 
 
 def test_knows_pair_level_is_direct_address():
