@@ -6,15 +6,16 @@ multi-core; see ROADMAP).  Three series:
 * intra-query: one explosive JOB-like query (``q13``, the paper's Q13a
   analogue) at shard counts 1/2/4.  The benchmark pins
   ``parallel_mode="thread"`` so the parallel code path (partition, per-task
-  recursion, merge) is actually exercised at benchmark scale — ``auto``
-  would collapse sub-threshold inputs to one shard — which means the series
-  measures *scheduling overhead*; real wall-clock speedup additionally needs
-  process mode, inputs past the fork threshold, and multiple cores;
-* scheduler overhead: a Zipf(1.2)-skewed synthetic join at 4 thread workers
-  vs the serial executor.  Threads on one core cannot beat serial wall-clock
-  (the GIL serializes the join work), but the steal scheduler shares one trie
-  build across its persistent pool, so its *overhead* — partitioning, task
-  dispatch, merge — is gated at <= 1.5x the serial wall time;
+  runs, merge) is actually exercised at benchmark scale — ``auto`` would
+  collapse sub-threshold inputs to one shard — which means the series
+  measures *scheduling overhead*: a thread session runs its tasks inline,
+  one after another; real wall-clock speedup needs process mode, inputs
+  past the fork threshold, and multiple cores;
+* scheduler overhead: a Zipf(1.2)-skewed synthetic join split into 16
+  inline tasks (a 4-worker thread session) vs the serial executor.  Run one
+  after another on the calling thread they cannot beat serial wall-clock,
+  so their *overhead* — partitioning, per-task kernel set-up, merge — is
+  gated at <= 1.5x the serial wall time;
 * inter-query: the shared JOB query subset pushed through
   ``Database.execute_many`` with 1 and 4 workers.
 
@@ -38,7 +39,7 @@ from repro.workloads.synthetic import zipf_sample
 SHARD_COUNTS = (1, 2, 4)
 #: The Q13a analogue: several large satellites joined on one skewed key.
 INTRA_QUERY = "q13"
-#: The scheduler-overhead gate: steal@4-thread wall time / serial wall time.
+#: The scheduler-overhead gate: 16 inline tasks' wall time / serial wall time.
 STEAL_OVERHEAD_GATE = 1.5
 #: Zipf exponent of the skewed synthetic join's key column.
 ZIPF_SKEW = 1.2
@@ -123,15 +124,16 @@ ZIPF_SQL = "SELECT COUNT(*) FROM R, S, T WHERE R.k = S.k AND R.k = T.k"
 
 
 def test_zipf_steal_overhead_bounded_at_four_workers(benchmark, zipf_join_database):
-    """Scheduler-overhead gate: steal@4-thread wall time <= 1.5x serial.
+    """Scheduler-overhead gate: 16 inline tasks' wall time <= 1.5x serial.
 
-    The thread backend at 4 workers is the deterministic configuration
-    (process workers additionally need multiple cores to show wall-clock
-    wins; that absolute claim is the multi-core gate below).  Under the GIL
-    the join work itself cannot speed up, so everything above 1.0x is
-    scheduling cost — partitioning, task dispatch, queue waits, merge — and
-    the gate pins it.  Exact result parity vs serial is asserted here and,
-    in depth, by the skew battery (``tests/test_parallel_skew.py``).
+    A 4-worker thread session splits the join into 16 tasks and runs them
+    inline, one after another: the deterministic configuration (process
+    workers additionally need multiple cores to show wall-clock wins; that
+    absolute claim is the multi-core gate below).  The join work itself
+    cannot speed up, so everything above 1.0x is scheduling cost —
+    partitioning, per-task kernel set-up, merge — and the gate pins it.
+    Exact result parity vs serial is asserted here and, in depth, by the
+    skew battery (``tests/test_parallel_skew.py``).
     """
     database = zipf_join_database
     expected = database.execute(ZIPF_SQL).scalar()  # also warms statistics
@@ -155,7 +157,7 @@ def test_zipf_steal_overhead_bounded_at_four_workers(benchmark, zipf_join_databa
         return best
 
     serial_seconds = best_of(serial_run)
-    steal_run()  # warm the persistent pool outside the timing
+    steal_run()  # warm the index cache outside the timing
     outcome = benchmark.pedantic(steal_run, rounds=2, iterations=1)
     steal_seconds = min(benchmark.stats.stats.data)
 
@@ -163,7 +165,7 @@ def test_zipf_steal_overhead_bounded_at_four_workers(benchmark, zipf_join_databa
     assert detail["shards"] == 4
     ratio = steal_seconds / serial_seconds
     print(
-        f"\nzipf({ZIPF_SKEW}) x {ZIPF_ROWS} rows, 4 thread workers: "
+        f"\nzipf({ZIPF_SKEW}) x {ZIPF_ROWS} rows, {detail['tasks']} inline tasks: "
         f"serial {serial_seconds * 1000:.1f} ms, steal {steal_seconds * 1000:.1f} ms, "
         f"ratio {ratio:.2f} (gate <= {STEAL_OVERHEAD_GATE}), "
         f"tasks {detail['tasks']}, steals {detail['steals']}"
@@ -231,7 +233,7 @@ MULTICORE_ROWS = 96_000
 def test_multicore_wall_clock_speedup(benchmark):
     """Process-backend steal scheduling must beat serial wall-clock.
 
-    The overhead gate above bounds the thread backend's scheduling cost;
+    The overhead gate above bounds the inline tasks' scheduling cost;
     this one pins the absolute claim — with real cores, 4 process workers
     finish the skewed join faster than one serial executor — so a
     regression in fork cost, shm attach, or task decomposition cannot hide

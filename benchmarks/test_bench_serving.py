@@ -82,8 +82,8 @@ def test_kernel_caches_warm_beat_cold(benchmark):
 
     def cold():
         # Cold = no cached derived structures: the kernels' sorted-index
-        # cache, which the thread workers share with us (programs compile
-        # on every run, warm or cold).
+        # cache, which the thread session's inline tasks share with us
+        # (programs compile on every run, warm or cold).
         kernel_caches_clear()
         outcome = parallel.execute(CACHE_SQL)
         assert outcome.scalar() == expected

@@ -49,10 +49,11 @@ def main() -> None:
     print()
 
     # --- Layer 2: one explosive query, parallelized across workers -------- #
-    # parallel_mode="thread" keeps the demo deterministic at small scale;
-    # the scheduler decomposes the join into fine-grained tasks served by
-    # a persistent work-stealing pool, and the per-worker
-    # accounting below (tasks, steals, outputs) is the point of the demo.
+    # The scheduler decomposes the join into fine-grained tasks, and the
+    # per-worker accounting below (tasks, steals, outputs) is the point of
+    # the demo.  parallel_mode="thread" keeps it deterministic at small
+    # scale: the tasks run inline, in task order (mode=inline, no steals);
+    # parallel_mode="process" serves them from the persistent steal pool.
     serial = database.execute(workload.query("q13").sql, name="q13")
     sharded_db = Database(workload.catalog, parallelism=shards, parallel_mode="thread")
     sharded = sharded_db.execute(workload.query("q13").sql, name="q13")

@@ -56,7 +56,7 @@ class BinaryRowPath(RowPath):
             interrupt=interrupt,
         )
 
-    def plan_tasks(self, pipeline, state, shared_build):
+    def plan_tasks(self, pipeline, state):
         return pipeline, pipeline.atoms[0].size
 
 

@@ -121,39 +121,27 @@ class LazyTrie(GHT):
         return self._map is not None
 
     def tuple_count(self) -> int:
-        # Snapshot-then-check ordering: the parallel thread backend shares
-        # tries, and force() publishes ``_map`` *before* clearing
-        # ``_offsets``.  Reading offsets first means a reader either sees the
-        # pre-force offsets (still correct) or, if it sees the cleared
-        # ``None``, is guaranteed to find the map set.  Reading in the other
-        # order could misreport a child node as "all rows of the table".
-        offsets = self._offsets
-        mapping = self._map
-        if mapping is not None:
-            return sum(child.tuple_count() for child in mapping.values())
-        if offsets is None:
+        if self._map is not None:
+            return sum(child.tuple_count() for child in self._map.values())
+        if self._offsets is None:
             return self.atom.size
-        return len(offsets)
+        return len(self._offsets)
 
     def key_count(self) -> int:
-        offsets = self._offsets  # snapshot before the map check, see tuple_count
-        mapping = self._map
-        if mapping is not None:
-            return len(mapping)
+        if self._map is not None:
+            return len(self._map)
         # Unforced vector: use the vector length as the estimate (Section 4.4).
-        if offsets is None:
+        if self._offsets is None:
             return self.atom.size
-        return len(offsets)
+        return len(self._offsets)
 
     def iter_entries(self) -> Iterator[Tuple[Row, Optional[GHT]]]:
-        offsets = self._offsets  # snapshot before the map check, see tuple_count
-        mapping = self._map
-        if mapping is not None:
-            return iter(mapping.items())
+        if self._map is not None:
+            return iter(self._map.items())
         if len(self.schema) == 1:
             # Last level: iterate the stored tuples directly from the columns,
             # without building any auxiliary structure.
-            return self._iter_vector(offsets)
+            return self._iter_vector(self._offsets)
         # Inner level still stored as a vector: force it first, then iterate.
         self.force()
         assert self._map is not None
@@ -182,19 +170,12 @@ class LazyTrie(GHT):
     def force(self) -> None:
         """Expand this node's vector of offsets into a hash map of children.
 
-        Safe under concurrent callers sharing one trie (the parallel thread
-        backend): the offsets are snapshotted *before* the forced check, and
-        the build iterates only that snapshot.  Two racing forcers then each
-        build an equivalent map from the same offsets and the loser's
-        assignment harmlessly replaces the winner's; a forcer can never
-        observe the winner's cleared ``_offsets`` and rebuild the node from
-        the whole base table.  (``_map`` is published before ``_offsets`` is
-        cleared, which is what the snapshot-then-check readers above rely
-        on.)
+        A trie belongs to one query's task context, which one thread runs,
+        so forcing needs no guard against a concurrent forcer.
         """
-        offsets = self._offsets
         if self._map is not None:
             return
+        offsets = self._offsets
         columns = self._level_columns()
         child_schema = self.schema[1:] if len(self.schema) > 1 else ((),)
         mapping: Dict[Row, LazyTrie] = {}

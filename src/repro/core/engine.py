@@ -88,30 +88,6 @@ def _cover_entry_total(trie) -> int:
     return len(set(zip(*columns)))
 
 
-def _preforce_shared_tries(plan: FreeJoinPlan, tries) -> None:
-    """Force shared tries' first levels once, before thread workers start.
-
-    Thread workers share one trie build, but COLT forcing is lazy: if all
-    workers hit the same unforced level at the same instant they each build
-    an (equivalent) map concurrently, re-paying the build K times under the
-    GIL — exactly the duplicated cost sharing is meant to remove.  Forcing
-    the contended levels up front makes the build genuinely once-per-query.
-
-    A root level is contended unless the relation sits alone in its first
-    node *and* is single-level (then it is only ever iterated as a leaf
-    vector, which never forces).  Deeper levels are keyed by bindings that
-    differ across tasks, so their forcing rarely collides.
-    """
-    first_node: Dict[str, int] = {}
-    for index, node in enumerate(plan.nodes):
-        for subatom in node.subatoms:
-            first_node.setdefault(subatom.relation, index)
-    for relation, trie in tries.items():
-        if trie.levels_remaining() == 1 and len(plan.nodes[first_node[relation]]) == 1:
-            continue
-        trie.force()
-
-
 @dataclass
 class FreeJoinRowPath(RowPath):
     """The paper's Free Join algorithm over COLT tries (Figure 7).
@@ -153,7 +129,7 @@ class FreeJoinRowPath(RowPath):
             executor.run_task(state, start, stop, self.cover)
         return executor.stats.as_dict()
 
-    def plan_tasks(self, pipeline: PhysicalPipeline, state: PipelineState, shared_build):
+    def plan_tasks(self, pipeline: PhysicalPipeline, state: PipelineState):
         """Choose the root cover ONCE and pin it into every task.
 
         Dynamic cover selection keys off ``key_count()`` estimates that
@@ -169,8 +145,6 @@ class FreeJoinRowPath(RowPath):
         prober = self._executor(RowSink(self.output_variables))
         root = prober._nodes[0]
         position = prober._choose_cover(root, dict(tries))
-        if shared_build:
-            _preforce_shared_tries(self.plan, tries)
         if position is None:
             # Probe-only root: one unit of work, owned by the first task.
             return replace(pipeline, skip_kernels="probe-only-root"), 1

@@ -85,8 +85,9 @@ class RunContext:
     #: (:mod:`repro.parallel.scheduler`) — except a final pipeline whose
     #: options ask for factorized output, which runs serially.
     workers: int = 1
-    #: Worker backend: ``"auto"`` (processes for large inputs, threads for
-    #: small ones), ``"process"`` or ``"thread"``.
+    #: Backend: ``"process"`` (a pool of forked workers), ``"thread"`` (the
+    #: tasks run inline, one after another, on the calling thread) or
+    #: ``"auto"`` (processes for large inputs, inline for small ones).
     parallel_mode: str = "auto"
     #: Ticked at every kernel chunk, trie expansion and probe row, and pushed
     #: into steal workers, so an expired or cancelled query aborts
@@ -120,14 +121,12 @@ class RowPath:
         raise NotImplementedError
 
     def plan_tasks(
-        self, pipeline: "PhysicalPipeline", state: "PipelineState", shared_build: bool
+        self, pipeline: "PhysicalPipeline", state: "PipelineState"
     ) -> Tuple["PhysicalPipeline", int]:
         """Fix what steal task ranges address: ``(pipeline, entry_total)``.
 
-        Called once per parallel query, in the parent.  The
-        returned pipeline is the one every task runs; ``shared_build`` says
-        that thread workers will share ``state`` on the row path, so building
-        contended parts up front is work the query needs anyway.
+        Called once per parallel query, in the parent.  The returned
+        pipeline is the one every task runs.
         """
         raise NotImplementedError
 

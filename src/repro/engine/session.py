@@ -104,9 +104,10 @@ class Database:
         ``parallelism`` is the session-wide intra-query worker count: every
         engine splits each join across that many workers unless the query's
         ``ExecOptions.parallelism`` (or, for routed queries, the router)
-        says otherwise.  ``parallel_mode``
-        selects the worker backend (``"auto"``, ``"process"``, ``"thread"``)
-        of the persistent work-stealing pool over shared-memory columns
+        says otherwise.  ``parallel_mode`` selects where the tasks run:
+        ``"process"`` on the persistent work-stealing pool of forked workers
+        over shared-memory columns, ``"thread"`` inline on the calling
+        thread, ``"auto"`` either by input size
         (:mod:`repro.parallel.scheduler`).
 
         ``default_engine="auto"`` (or ``engine="auto"`` per query) routes

@@ -67,10 +67,11 @@ from repro.workloads.generated import GeneratedQuery
 class EngineConfig:
     """One execution configuration of the differential matrix.
 
-    ``backend`` selects the parallel worker backend (``"thread"`` or
-    ``"process"``) and is only meaningful when ``parallel`` is true — the
-    process backend exercises the pickled task-outcome protocol (columnar
-    batch forwarding included), which the thread backend cannot.
+    ``backend`` selects the parallel backend (``"thread"``: the tasks run
+    inline on the calling thread, or ``"process"``) and is only meaningful
+    when ``parallel`` is true — the process backend exercises the pickled
+    task-outcome protocol (columnar batch forwarding included), which inline
+    tasks do not.
     """
 
     engine: str

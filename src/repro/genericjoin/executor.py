@@ -82,7 +82,7 @@ class GenericRowPath(RowPath):
             interrupt=interrupt,
         )
 
-    def plan_tasks(self, pipeline, state, shared_build):
+    def plan_tasks(self, pipeline, state):
         if pipeline.group_vars is None:
             # No atom binds the first variable: the recursion skips it, so
             # the whole join is the one entry of the one task.

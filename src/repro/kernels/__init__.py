@@ -5,7 +5,7 @@ numpy operations (Section 4.3's vectorization taken to its batch-at-a-time
 conclusion): a :class:`~repro.kernels.program.KernelProgram` is compiled
 for every serial run of a pipeline (once per steal task context on a
 parallel run), probes run as one lookup per key over the distinct values
-of fingerprint-cached sorted indexes — a direct-address slot read where an
+of content-keyed cached sorted indexes — a direct-address slot read where an
 integer dictionary's value span is small, else a ``searchsorted`` — then
 a ``starts`` gather, and projection/output assembly decodes whole
 frontiers at once into the sinks' batch entry points.

@@ -218,7 +218,7 @@ def _match_offsets(lo, counts, total: int):
 def _resolve_index(program: KernelProgram, step_index: int, stats):
     """A step's probe index (``-1``: the driver index), looked up once per program.
 
-    The cache lookup fingerprints the step's table and takes the cache lock:
+    The cache lookup digests the step's key columns and takes the cache lock:
     once per query (a program lives for one), not once per chunk and
     candidate.
     """

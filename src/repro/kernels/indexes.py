@@ -17,9 +17,11 @@ row-at-a-time engines build (Python dicts preserve insertion order), which
 is what lets the steal scheduler's entry ranges slice the same partition on
 both paths.
 
-Both are cached under ``(Table.fingerprint(), columns, encodings)`` with a
-bounded LRU; fingerprints are content hashes, so a table rebuilt from a
-shared-memory attachment in a worker process hits the same entry.
+Both are cached under the content digests of their key columns
+(:func:`~repro.storage.table.column_digest`) and the keys' encodings, with a
+bounded LRU.  The key names no table: the aliases of a self-joined table
+share one index per key content, and a table rebuilt from a shared-memory
+attachment in a worker process hits the same entry.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
 from repro.kernels.encoding import code_array, float_array, int_array, key_array
+from repro.storage.table import column_digest
 
 try:  # pragma: no cover
     import numpy as np
@@ -288,15 +291,20 @@ def build_driver_index(
     return DriverIndex(perm[rows], starts, len(counts), size)
 
 
-def probe_index(
-    atom, key_vars: Sequence[str], kinds: Dict[str, str], stats: Optional[dict] = None
-) -> ProbeIndex:
-    """Cached :func:`build_probe_index` keyed by table content."""
+def _cached(build, tag: str, atom, variables: Sequence[str], kinds, stats):
+    """``build(atom, variables, kinds)``, cached by the key columns' content.
+
+    The key is the kind tag, the row count (all a key-less index depends
+    on), each key column's dtype and content digest (an INT and a FLOAT
+    column can pack to the same bytes) and each key's encoding — no table
+    name, so every alias of one table shares the entry.
+    """
+    columns = [atom.table.column(atom.column_for(var)) for var in variables]
     key = (
-        "probe",
-        atom.table.fingerprint(),
-        tuple(atom.column_for(var) for var in key_vars),
-        tuple(kinds[var] for var in key_vars),
+        tag,
+        atom.size,
+        tuple((column.dtype, column_digest(column)) for column in columns),
+        tuple(kinds[var] for var in variables),
     )
     entry = _cache_get(key)
     if entry is not None:
@@ -305,28 +313,20 @@ def probe_index(
         return entry
     if stats is not None:
         stats["index_misses"] = stats.get("index_misses", 0) + 1
-    entry = build_probe_index(atom, key_vars, kinds)
+    entry = build(atom, variables, kinds)
     _cache_put(key, entry)
     return entry
+
+
+def probe_index(
+    atom, key_vars: Sequence[str], kinds: Dict[str, str], stats: Optional[dict] = None
+) -> ProbeIndex:
+    """Cached :func:`build_probe_index` keyed by key-column content."""
+    return _cached(build_probe_index, "probe", atom, key_vars, kinds, stats)
 
 
 def driver_index(
     atom, group_vars: Sequence[str], kinds: Dict[str, str], stats: Optional[dict] = None
 ) -> DriverIndex:
-    """Cached :func:`build_driver_index` keyed by table content."""
-    key = (
-        "driver",
-        atom.table.fingerprint(),
-        tuple(atom.column_for(var) for var in group_vars),
-        tuple(kinds[var] for var in group_vars),
-    )
-    entry = _cache_get(key)
-    if entry is not None:
-        if stats is not None:
-            stats["index_hits"] = stats.get("index_hits", 0) + 1
-        return entry
-    if stats is not None:
-        stats["index_misses"] = stats.get("index_misses", 0) + 1
-    entry = build_driver_index(atom, group_vars, kinds)
-    _cache_put(key, entry)
-    return entry
+    """Cached :func:`build_driver_index` keyed by key-column content."""
+    return _cached(build_driver_index, "driver", atom, group_vars, kinds, stats)

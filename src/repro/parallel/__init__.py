@@ -6,8 +6,9 @@ workloads in production:
 * :mod:`repro.parallel.scheduler` — *intra-query* parallelism: a lowered
   pipeline's root cover is decomposed into fine-grained tasks pulled from
   one shared queue by a persistent :class:`~repro.parallel.scheduler.StealPool`
-  of threads or forked processes (the latter attach inputs through the
-  shared-memory column plane, :mod:`repro.storage.shm`); per-task/per-worker
+  of forked processes, which attach inputs through the shared-memory column
+  plane (:mod:`repro.storage.shm`), or run inline on the calling thread
+  (``parallel_mode="thread"``); per-task/per-worker
   stats (steals, queue waits, attach times) are merged into
   ``RunReport.details["parallel"]``.
 * :mod:`repro.parallel.workload` — *inter-query* concurrency: a workload of

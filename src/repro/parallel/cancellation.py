@@ -18,12 +18,11 @@ Tokens are deliberately simple objects:
   a parent is meaningful in its forked steal-pool workers — tasks carry the
   timestamp, not the token.
 * ``cancelled`` is a plain attribute flip, shared directly by the threads
-  of one query (serial execution, ``AsyncDatabase``'s worker threads).  The
-  steal pool does not hand its workers the caller's token: it keeps one
-  cancel cell per pool — a plain attribute for thread workers, a
-  fork-inherited shared integer for process workers (see
-  :class:`repro.parallel.scheduler.StealPool`) — and the parent translates
-  token state into that cell while it drains results.
+  of one query (serial and inline execution, ``AsyncDatabase``'s worker
+  threads).  The steal pool does not hand its worker processes the
+  caller's token: it keeps one fork-inherited shared integer per pool as a
+  cancel cell (see :class:`repro.parallel.scheduler.StealPool`), and the
+  parent translates token state into that cell while it drains results.
 * ``cancel_probe`` is an optional extra callable consulted by :meth:`check`;
   steal workers use it to watch the pool's cancel cell.  It is never
   pickled: every worker builds its own token per task from the task's

@@ -17,28 +17,25 @@ lowered it (:func:`run_pipeline_steal`):
   into **one shared queue** that every worker pulls from; a worker that runs
   a task dealt to a sibling records a *steal*, so a block of hot tasks ends
   up spread across the pool instead of serializing on its owner;
-* workers are **persistent** — one :class:`StealPool` per (backend, worker
-  count) is kept for the life of the process and reused across queries (the
-  concurrent queries of one
+* workers are **persistent** forked processes — one :class:`StealPool` per
+  worker count is kept for the life of the process and reused across
+  queries (the concurrent queries of one
   :meth:`~repro.engine.session.Database.execute_many` run share it too:
   they run on threads of the caller's process), so repeated queries pay no
-  pool spin-up;
-* the two backends run one protocol (a command queue per worker, the shared
-  task queue, one result queue, one cancel cell) and differ only in how
-  workers start, what a query's setup carries and what a worker drops on
-  ``"stop"``.  A query's tasks are enqueued right behind its setup message,
-  with no readiness barrier, and a sink that absorbs after the drain gets
-  its task outcomes with each worker's ``"drained"`` report: one message
-  per worker, not one per task.  Thread workers share the query's one task
-  context, so a trie is built and a kernel program compiled once; a thread
-  pool has at most one thread per CPU, and its workers take turns, one task
-  at a time (under the GIL two threads cannot run the join at once, and two
-  running numpy kernels side by side hand the GIL over at every array
-  operation).  Forked process workers receive their inputs through the
-  shared-memory column plane (:mod:`repro.storage.shm`): a query ships only
-  a plan and a handful of segment handles, workers attach the columns
-  zero-copy and build their tries lazily, forcing only the parts their
-  tasks actually touch.
+  pool spin-up.  The workers receive their inputs through the shared-memory
+  column plane (:mod:`repro.storage.shm`): a query ships only a plan and a
+  handful of segment handles, workers attach the columns zero-copy and
+  build their tries lazily, forcing only the parts their tasks actually
+  touch.  A query's tasks are enqueued right behind its setup message, with
+  no readiness barrier, and a sink that absorbs after the drain gets its
+  task outcomes with each worker's ``"drained"`` report: one message per
+  worker, not one per task;
+* a run whose backend resolves to ``"thread"`` (see :func:`resolve_mode`)
+  starts no worker: its tasks run one after another, in task order, on the
+  submitting thread, over one task context — the same tasks, sinks and
+  accounting, labelled ``"inline"``.  Under the GIL, threads could only take
+  turns at the join: worker threads would add a hand-off per task and no
+  parallelism.
 
 **Deadlines and cancellation** are layered on top: tasks carry an absolute
 monotonic deadline and every executor ticks a :class:`DeadlineToken` at
@@ -47,17 +44,16 @@ trie-expansion boundaries, so an over-budget or cancelled query aborts
 sibling tasks are cancelled promptly: the parent bumps the pool's cancel
 cell, which every task's token probes.  A deadline abort completes the
 drain protocol cleanly, so the pool (and its caches) stays warm; a worker
-that dies — a process killed, a thread ended by a ``BaseException`` — is
-a protocol failure that tears the pool down for a fresh one.
+process that dies is a protocol failure that tears the pool down for a
+fresh one.  An inline task's exception propagates as raised.
 
 **The scheduler caches nothing of its own.**  Every parallel query plans
 its tasks once, in the parent, and builds task contexts that live for that
-query only: one shared context on the thread and inline paths, one per
-worker on the process path.  What makes a repeated query over unchanged
-tables cheap is the kernels' content-keyed index cache
-(:mod:`repro.kernels`), which lives per process — the parent's serves the
-thread and inline paths, each process worker keeps its own — plus each
-process worker's shm attachment LRU.
+query only: one on the inline path, one per worker on the process path.
+What makes a repeated query over unchanged tables cheap is the kernels'
+content-keyed index cache (:mod:`repro.kernels`), which lives per process —
+the parent's serves the inline path, each process worker keeps its own —
+plus each process worker's shm attachment LRU.
 
 **The scheduler is content-blind.**  What a task produces, and how it gets
 back into the query's sink, is the sink's business
@@ -67,10 +63,10 @@ and never stored on a context — the task's outcome carries that
 sink's ``payload()`` as its one content key, and the parent sink takes it
 in with ``absorb()``, always on the submitting thread.  A sink that declares
 ``absorb_on_arrival`` (the streaming sinks, the aggregate sinks) absorbs as
-each result message arrives, so a consumer sees a first batch — or a
-``GROUP BY`` delta per merged partial — while sibling tasks still run, and a
-failed delivery cancels the rest; every other sink absorbs after the drain,
-in task order.
+each task's outcome arrives (inline: as each task finishes), so a consumer
+sees a first batch — or a ``GROUP BY`` delta per merged partial — while
+later tasks still run, and a failed delivery cancels the rest; every other
+sink absorbs after the drain, in task order.
 
 Per-task and per-worker accounting (steal counts, queue waits, attach
 times, and the sink's own telemetry under ``stream``) is merged into the run's
@@ -91,9 +87,7 @@ import os
 import queue as queue_module
 import threading
 import time
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.engine.pipeline import PhysicalPipeline, PipelineState, compile_range, run_range
@@ -111,16 +105,19 @@ from repro.storage.shm import AttachmentCache, ShmTableHandle, export_table
 
 #: Below this many total input rows, parallel overhead dominates the join: a
 #: routed query stays serial (:mod:`repro.router.policy`), and ``mode="auto"``
-#: uses threads, since process workers' fork/pickle/rebuild would cost more.
+#: runs the tasks inline, since process workers' fork/pickle/rebuild would
+#: cost more.
 PARALLEL_ROW_THRESHOLD = 20_000
 
 
 def resolve_mode(mode: str, shard_count: int, input_tuples: int) -> str:
-    """Resolve a parallel mode into the worker backend, ``process`` or ``thread``.
+    """Resolve a parallel mode into the backend, ``process`` or ``thread``.
 
-    ``auto`` picks threads for small inputs: forking workers, attaching the
-    tables and building per worker costs more than the join saves.  Without
-    fork every mode resolves to threads — an explicit ``"process"`` too: the
+    ``thread`` runs the tasks inline, on the submitting thread (under the
+    GIL threads could only take turns at the join).  ``auto`` picks it for
+    small inputs: forking workers, attaching the tables and building per
+    worker costs more than the join saves.  Without fork every mode
+    resolves to ``thread`` — an explicit ``"process"`` too: the
     process pool relies on fork-inherited state (the cancel cell, the
     queues), and the shm column plane on forked workers sharing the
     exporter's ``resource_tracker`` (a *spawned* worker runs its own, which
@@ -236,7 +233,7 @@ def assign_preferred(tasks: List[StealTask], workers: int) -> None:
 
 
 # --------------------------------------------------------------------------- #
-# Worker-side task contexts (shared by the thread and process backends)
+# Task contexts (inline and in process workers)
 # --------------------------------------------------------------------------- #
 
 
@@ -264,7 +261,6 @@ class _TaskContext:
         self.attachments = attachments
         self.attach_seconds = attach_seconds
         self._program = None
-        self._compile_lock = threading.Lock()
 
     def kernel_program(self, stats: Dict[str, int]):
         """The task-range program, compiled once (``None``: kernels off).
@@ -272,13 +268,12 @@ class _TaskContext:
         A pipeline the kernels cannot compile turns them off for every task
         of the context, with the compile error as the fallback reason.
         """
-        with self._compile_lock:
-            if self._program is None and self.kernels_off is None:
-                try:
-                    self._program = compile_range(self.pipeline, True, stats)
-                except KernelCompileError as exc:
-                    self.kernels_off = str(exc)
-            return self._program
+        if self._program is None and self.kernels_off is None:
+            try:
+                self._program = compile_range(self.pipeline, True, stats)
+            except KernelCompileError as exc:
+                self.kernels_off = str(exc)
+        return self._program
 
     def run_task(self, task: StealTask, task_sink, stats, interrupt=None) -> Dict[str, object]:
         """Run one task into a fresh ``task_sink()``; package its outcome.
@@ -437,9 +432,7 @@ def _new_worker_report() -> Dict[str, object]:
     }
 
 
-def _worker_main(
-    worker_id, cmd_queue, task_queue, result_queue, cancel_cell, isolated
-) -> None:
+def _worker_main(worker_id, cmd_queue, task_queue, result_queue, cancel_cell) -> None:
     """Steal worker: take a query's context, then pull tasks until its end.
 
     Tasks sit in one shared queue tagged with a preferred owner; a worker
@@ -452,26 +445,23 @@ def _worker_main(
     task's deadline token probes it, so sibling tasks abort mid-flight
     instead of running to completion.
 
-    An ``isolated`` (process) worker attaches each query's atoms (re-using
-    its cached attachments) and builds one context that lives until the
-    query's ``"end"``; the kernels' index cache, which lives per process, is
-    what a repeated query over unchanged tables hits.  A thread worker takes
-    the query's one shared context from the setup and shares the parent's
-    cache, so it leaves it alone on ``"stop"``.
+    A worker attaches each query's atoms (re-using its cached attachments)
+    and builds one context that lives until the query's ``"end"``; the
+    kernels' index cache, which lives per process, is what a repeated query
+    over unchanged tables hits.
     """
-    cache = AttachmentCache() if isolated else None
+    cache = AttachmentCache()
     while True:
         try:
             message = cmd_queue.get()
         except (EOFError, OSError):  # pragma: no cover - parent died
             return
         if message[0] == "stop":
-            if isolated:
-                # Drop the kernels' indexes (built from attached tables) so
-                # close_all() can release every view and the segments close
-                # without "exported pointers exist" noise.
-                kernel_caches_clear()
-                cache.close_all()
+            # Drop the kernels' indexes (built from attached tables) so
+            # close_all() can release every view and the segments close
+            # without "exported pointers exist" noise.
+            kernel_caches_clear()
+            cache.close_all()
             return
         _kind, query_id, setup = message
         report = _new_worker_report()
@@ -480,11 +470,7 @@ def _worker_main(
             started = time.perf_counter()
             if setup["deadline"] is not None and time.monotonic() >= setup["deadline"]:
                 raise DeadlineExceeded("query deadline passed before worker setup")
-            context = (
-                _build_worker_context(setup, cache, report["kernels"])
-                if isolated
-                else setup["context"]
-            )
+            context = _build_worker_context(setup, cache, report["kernels"])
             report["setup_seconds"] = time.perf_counter() - started
             report["attach_seconds"] = context.attach_seconds
         except Exception as exc:  # noqa: BLE001 - reported to the parent
@@ -511,43 +497,38 @@ def _drain_tasks(
 
     Each outcome goes back as its own ``"result"`` message when the query's
     sink absorbs on arrival; otherwise the outcomes are returned, to travel
-    with the worker's ``"drained"`` report.  Thread workers take turns: the
-    setup's ``"turn"`` lock is held from pulling a task to finishing it.
+    with the worker's ``"drained"`` report.
     """
     task_sink = setup["task_sink"]
     held: Optional[List[Dict[str, object]]] = None if setup["absorb_on_arrival"] else []
-    turn = setup.get("turn") or nullcontext()
 
     def cancelled() -> bool:
         return cancel_cell.value >= query_id
 
     while True:
-        with turn:
-            task_message = task_queue.get()
-            if task_message[0] == "end":
-                return held or []
-            _tag, task_query_id, task = task_message
-            if task_query_id != query_id or context is None:
-                result_queue.put(
-                    ("task_error", task_query_id, task.task_id, "worker has no context")
-                )
-                continue
-            if cancelled():
-                result_queue.put(
-                    ("task_error", query_id, task.task_id, "QueryCancelled: skipped")
-                )
-                continue
-            wait_seconds = max(0.0, time.monotonic() - task.enqueued)
-            started = time.perf_counter()
-            try:
-                token = DeadlineToken(at=task.deadline, cancel_probe=cancelled)
-                outcome = context.run_task(task, task_sink, report["kernels"], token)
-            except Exception as exc:  # noqa: BLE001 - reported to the parent
-                result_queue.put(
-                    ("task_error", query_id, task.task_id, f"{type(exc).__name__}: {exc}")
-                )
-                continue
-            seconds = time.perf_counter() - started
+        task_message = task_queue.get()
+        if task_message[0] == "end":
+            return held or []
+        _tag, task_query_id, task = task_message
+        if task_query_id != query_id or context is None:
+            result_queue.put(
+                ("task_error", task_query_id, task.task_id, "worker has no context")
+            )
+            continue
+        if cancelled():
+            result_queue.put(("task_error", query_id, task.task_id, "QueryCancelled: skipped"))
+            continue
+        wait_seconds = max(0.0, time.monotonic() - task.enqueued)
+        started = time.perf_counter()
+        try:
+            token = DeadlineToken(at=task.deadline, cancel_probe=cancelled)
+            outcome = context.run_task(task, task_sink, report["kernels"], token)
+        except Exception as exc:  # noqa: BLE001 - reported to the parent
+            result_queue.put(
+                ("task_error", query_id, task.task_id, f"{type(exc).__name__}: {exc}")
+            )
+            continue
+        seconds = time.perf_counter() - started
         stolen = task.preferred != worker_id
         report["tasks"] += 1
         report["steals"] += int(stolen)
@@ -566,64 +547,45 @@ def _drain_tasks(
 
 
 class StealPool:
-    """A persistent pool of steal workers sharing one task queue.
+    """A persistent pool of forked steal workers sharing one task queue.
 
-    ``backend`` says what a worker is; the protocol is the same for both.
-    Thread workers (``"thread"``) run in this process over the query's one
-    task context, so a trie or hash table is built once and shared; under
-    CPython the GIL serializes the join work itself, so they take turns (the
-    setup's ``"turn"`` lock, held from pulling a task to finishing it)
-    rather than trade the GIL at every numpy call.  Process workers
-    (``"process"``, forked) receive their inputs through the shared-memory
-    column plane: only plans, schemas and segment handles cross the command
-    queues, and each worker caches its attachments (and the kernels'
-    indexes), so a session hammering the same tables attaches
-    each segment once per worker, until the attachment LRU evicts it.
+    Workers receive their inputs through the shared-memory column plane:
+    only plans, schemas and segment handles cross the command queues, and
+    each worker caches its attachments (and the kernels' indexes), so a
+    session hammering the same tables attaches each segment once per
+    worker, until the attachment LRU evicts it.
 
     Any protocol failure (a dead worker, an unexpected message) marks the
     pool broken and tears it down; the registry transparently builds a fresh
     pool on next use.
     """
 
-    def __init__(self, backend: str, workers: int) -> None:
-        if backend not in ("thread", "process"):
-            raise ExecutionError(f"unknown steal backend {backend!r}")
+    def __init__(self, workers: int) -> None:
         if workers <= 0:
             raise ExecutionError(f"worker count must be positive, got {workers}")
-        self.backend = backend
         self.workers = workers
         self.broken = False
         self._query_id = 0
         self._submit_lock = threading.Lock()
-        if backend == "thread":
-            self._cmd_queues = [queue_module.SimpleQueue() for _ in range(workers)]
-            self._task_queue = queue_module.SimpleQueue()
-            self._result_queue = queue_module.SimpleQueue()
-            # One writer (the parent) and plain attribute reads.
-            self._cancel_cell = SimpleNamespace(value=0)
-            spawn = threading.Thread
-        else:
-            # Start the shared-memory resource tracker *before* forking:
-            # workers must inherit the parent's tracker, not lazily spawn
-            # private ones whose caches never see the parent's unlinks (each
-            # private tracker would then warn about "leaked" segments at
-            # worker exit).
-            try:
-                from multiprocessing import resource_tracker
+        # Start the shared-memory resource tracker *before* forking: workers
+        # must inherit the parent's tracker, not lazily spawn private ones
+        # whose caches never see the parent's unlinks (each private tracker
+        # would then warn about "leaked" segments at worker exit).
+        try:
+            from multiprocessing import resource_tracker
 
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - tracker internals vary
-                pass
-            context = multiprocessing.get_context("fork")
-            self._cmd_queues = [context.SimpleQueue() for _ in range(workers)]
-            self._task_queue = context.SimpleQueue()
-            self._result_queue = context.Queue()
-            # Fork-inherited; lock=False: single-word reads/writes, one
-            # writer (the parent).
-            self._cancel_cell = context.Value("l", 0, lock=False)
-            spawn = context.Process
+            resource_tracker.ensure_running()
+        except Exception:  # pragma: no cover - tracker internals vary
+            pass
+        context = multiprocessing.get_context("fork")
+        self._cmd_queues = [context.SimpleQueue() for _ in range(workers)]
+        self._task_queue = context.SimpleQueue()
+        self._result_queue = context.Queue()
+        # Fork-inherited; lock=False: single-word reads/writes, one writer
+        # (the parent).
+        self._cancel_cell = context.Value("l", 0, lock=False)
         self._workers = [
-            spawn(
+            context.Process(
                 target=_worker_main,
                 args=(
                     index,
@@ -631,7 +593,6 @@ class StealPool:
                     self._task_queue,
                     self._result_queue,
                     self._cancel_cell,
-                    backend == "process",
                 ),
                 name=f"repro-steal-{index}",
                 daemon=True,
@@ -652,8 +613,7 @@ class StealPool:
 
         ``setup`` carries ``sink.task_sink()``, every task folds into a fresh
         sink built from it, worker-side, and what a worker runs the tasks
-        over: the shared context (thread) or the pipeline and atom segment
-        handles it attaches (process).
+        over: the pipeline and the atom segment handles it attaches.
 
         Raises :class:`ExecutionError` when any task or setup failed.  Only
         *protocol* failures (a dead worker, an out-of-sequence message) mark
@@ -790,8 +750,6 @@ class StealPool:
 
     def shutdown(self) -> None:
         self.broken = True
-        # Abort whatever is still in flight: a torn-down thread worker cannot
-        # be terminated, only told to stop at its next tick.
         self._cancel_cell.value = self._query_id
         for cmd_queue in self._cmd_queues:
             try:
@@ -800,19 +758,18 @@ class StealPool:
                 pass
         for worker in self._workers:
             worker.join(timeout=1.0)
-            if self.backend == "thread" or not worker.is_alive():
+            if not worker.is_alive():
                 continue
             worker.terminate()
             worker.join(timeout=1.0)
             if worker.is_alive():  # pragma: no cover - stuck in kernel
                 worker.kill()
                 worker.join()
-        if self.backend == "process":
-            try:
-                self._result_queue.close()
-                self._result_queue.cancel_join_thread()
-            except (OSError, ValueError):  # pragma: no cover
-                pass
+        try:
+            self._result_queue.close()
+            self._result_queue.cancel_join_thread()
+        except (OSError, ValueError):  # pragma: no cover
+            pass
 
 
 # --------------------------------------------------------------------------- #
@@ -820,13 +777,13 @@ class StealPool:
 # --------------------------------------------------------------------------- #
 
 
-_POOLS: Dict[Tuple[str, int], StealPool] = {}
+_POOLS: Dict[int, StealPool] = {}
 _POOLS_PID = os.getpid()
 _REGISTRY_LOCK = threading.Lock()
 
 
-def get_pool(backend: str, workers: int):
-    """Return the persistent pool for (backend, workers), creating on demand.
+def get_pool(workers: int) -> StealPool:
+    """Return the persistent pool of ``workers`` processes, creating on demand.
 
     Pools are process-wide: every session (and every concurrent query of an
     ``execute_many`` run) with the same shape reuses the same workers.  A
@@ -838,15 +795,14 @@ def get_pool(backend: str, workers: int):
         if _POOLS_PID != os.getpid():
             _POOLS.clear()
             _POOLS_PID = os.getpid()
-        key = (backend, workers)
-        pool = _POOLS.get(key)
+        pool = _POOLS.get(workers)
         if pool is None or pool.broken:
-            pool = StealPool(backend, workers)
-            _POOLS[key] = pool
+            pool = StealPool(workers)
+            _POOLS[workers] = pool
         return pool
 
 
-def active_pools() -> Dict[Tuple[str, int], StealPool]:
+def active_pools() -> Dict[int, StealPool]:
     """Snapshot of the live pools (for tests and diagnostics)."""
     with _REGISTRY_LOCK:
         if _POOLS_PID != os.getpid():
@@ -855,7 +811,7 @@ def active_pools() -> Dict[Tuple[str, int], StealPool]:
 
 
 def shutdown_pools() -> None:
-    """Shut every persistent pool down (threads joined, processes reaped)."""
+    """Shut every persistent pool down (its worker processes reaped)."""
     global _POOLS_PID
     with _REGISTRY_LOCK:
         if _POOLS_PID != os.getpid():
@@ -883,7 +839,7 @@ class _StealRun:
     tasks: List[StealTask]
     workers: int
     backend: str
-    #: The inline task's context.
+    #: The inline tasks' one context.
     context_factory: Callable[[], _TaskContext]
     #: The pool's query setup (see :meth:`StealPool.submit`).
     setup_factory: Callable[[], Dict[str, object]]
@@ -914,33 +870,42 @@ def _short_circuit(workers: int, build_seconds: float) -> ShardedRunResult:
     )
 
 
+def _run_inline(run: _StealRun):
+    """Run every task on this thread, in task order, over one context.
+
+    What a thread run and a single task get: one task cannot balance
+    anything, and under the GIL threads could only take turns.  A task's
+    exception propagates as raised.
+    """
+    context = run.context_factory()
+    task_sink = run.sink.task_sink()
+    report = _new_worker_report()
+    outcomes = []
+    for task in run.tasks:
+        started = time.perf_counter()
+        outcome = context.run_task(task, task_sink, report["kernels"], run.interrupt)
+        if run.sink.absorb_on_arrival:
+            run.sink.absorb(outcome.pop("payload"))
+        seconds = time.perf_counter() - started
+        outcome.update(worker=0, stolen=False, seconds=seconds, wait_seconds=0.0)
+        report["tasks"] += 1
+        report["outputs"] += outcome["outputs"]
+        report["busy_seconds"] += seconds
+        outcomes.append(outcome)
+    return outcomes, {0: report}
+
+
 def _drive(run: _StealRun) -> ShardedRunResult:
-    effective = min(run.workers, len(run.tasks))
-    if run.backend == "thread":
-        # Under the GIL a thread beyond the CPU count adds handoffs, not work.
-        effective = min(effective, os.cpu_count() or 1)
-    assign_preferred(run.tasks, effective)
-    sink = run.sink
     join_started = time.perf_counter()
-    if len(run.tasks) == 1:
-        # One task cannot balance anything: run it inline, skip the pool.
-        report = _new_worker_report()
-        outcome = run.context_factory().run_task(
-            run.tasks[0], sink.task_sink(), report["kernels"], run.interrupt
-        )
-        if sink.absorb_on_arrival:
-            sink.absorb(outcome.pop("payload"))
-        outcome.update(worker=0, stolen=False, wait_seconds=0.0)
-        outcome["seconds"] = time.perf_counter() - join_started
-        report["tasks"] = 1
-        report["outputs"] = outcome["outputs"]
-        report["busy_seconds"] = outcome["seconds"]
-        outcomes, reports = [outcome], {0: report}
+    if run.backend == "thread" or len(run.tasks) == 1:
+        outcomes, reports = _run_inline(run)
         backend_label = "inline"
     else:
-        pool = get_pool(run.backend, effective)
-        outcomes, reports = pool.submit(run.setup_factory(), sink, run.tasks, run.interrupt)
-        backend_label = run.backend
+        effective = min(run.workers, len(run.tasks))
+        assign_preferred(run.tasks, effective)
+        pool = get_pool(effective)
+        outcomes, reports = pool.submit(run.setup_factory(), run.sink, run.tasks, run.interrupt)
+        backend_label = "process"
     join_seconds = time.perf_counter() - join_started
     return _merge(run, outcomes, reports, backend_label, join_seconds)
 
@@ -1051,15 +1016,10 @@ def run_pipeline_steal(
     """
     kernels_off = kernels_off or pipeline.skip_kernels
     backend = resolve_mode(mode, workers, sum(atom.size for atom in pipeline.atoms))
-    # Thread workers (and the inline single task) run over one context in
-    # this process; process workers build their own from attached columns.
-    shared = backend != "process"
 
     build_started = time.perf_counter()
     state = PipelineState(pipeline.row_path, pipeline.atoms)
-    pipeline, entry_total = pipeline.row_path.plan_tasks(
-        pipeline, state, shared and kernels_off is not None
-    )
+    pipeline, entry_total = pipeline.row_path.plan_tasks(pipeline, state)
     build_seconds = time.perf_counter() - build_started
 
     tasks = decompose_entries(entry_total, workers)
@@ -1070,29 +1030,17 @@ def run_pipeline_steal(
             task.deadline = interrupt.at
 
     def context_factory():
-        context = _TaskContext(pipeline, kernels_off, state)
-        if kernels_off:
-            # Every task will need the row path: build it once, here, not
-            # racily in whichever workers start first.
-            context.state.get(interrupt)
-        return context
+        return _TaskContext(pipeline, kernels_off, state)
 
     def setup_factory():
-        setup = {
+        return {
             "task_sink": sink.task_sink(),
             "absorb_on_arrival": sink.absorb_on_arrival,
             "deadline": interrupt.at if interrupt is not None else None,
+            "pipeline": replace(pipeline, atoms=[]),
+            "atoms": _atom_specs(pipeline.atoms),
+            "kernels_off": kernels_off,
         }
-        if shared:
-            setup["context"] = context_factory()
-            setup["turn"] = threading.Lock()
-        else:
-            setup.update(
-                pipeline=replace(pipeline, atoms=[]),
-                atoms=_atom_specs(pipeline.atoms),
-                kernels_off=kernels_off,
-            )
-        return setup
 
     return _drive(
         _StealRun(

@@ -45,10 +45,11 @@ class Column:
             values if isinstance(values, (list, memoryview)) else list(values or [])
         )
         self.dtype = dtype if dtype is not None else infer_column_type(self.values)
-        # Memoized content digest (see repro.storage.table): the planner
-        # wraps catalog tables in fresh per-query Table objects *sharing*
-        # these column vectors, so the digest must live on the column for
-        # fingerprinting to stay O(1) per repeated query.
+        # Memoized content digest (repro.storage.table.column_digest): the
+        # planner wraps catalog tables in fresh per-query Table objects
+        # *sharing* these column vectors, so the digest must live on the
+        # column for fingerprinting and index-cache keys to stay O(1) per
+        # repeated query.
         self._digest: Optional[bytes] = None
         # Memoized numpy encodings of this column (int64 / float64 / interner
         # codes), built on demand by repro.kernels.encoding.  Lives on the

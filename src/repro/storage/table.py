@@ -61,7 +61,7 @@ def _column_payload(column: Column):
     return pickle.dumps(list(column.values), protocol=pickle.HIGHEST_PROTOCOL)
 
 
-def _column_digest(column: Column) -> bytes:
+def column_digest(column: Column) -> bytes:
     """The column's content digest, memoized **on the column object**.
 
     The planner wraps catalog tables in fresh per-query ``Table`` objects
@@ -258,17 +258,17 @@ class Table:
         """A content hash stable across processes and storage representations.
 
         Covers the table name, schema (column names and dtypes), row count,
-        and every cell value.  A table rebuilt in a worker from a
-        shared-memory attachment fingerprints identically to its source, so
-        the kernels' index cache keys on it in every worker.  Cached
-        per instance; in-place mutation (:meth:`append_rows`) invalidates it.
+        and every cell value (:func:`column_digest`).  A table rebuilt in a
+        worker from a shared-memory attachment fingerprints identically to
+        its source.  Cached per instance; in-place mutation
+        (:meth:`append_rows`) invalidates it.
         """
         if self._fingerprint is None:
             digest = hashlib.blake2b(digest_size=16)
             schema = tuple((c.name, c.dtype) for c in self.columns)
             digest.update(repr((self.name, schema, self.num_rows)).encode())
             for column in self.columns:
-                digest.update(_column_digest(column))
+                digest.update(column_digest(column))
             self._fingerprint = digest.hexdigest()
         return self._fingerprint
 

@@ -5,8 +5,8 @@ across processes and storage representations (list-backed columns vs
 shared-memory attachments), in-place table mutation invalidates every
 derived cache, and on a parallel session warm runs return byte-identical
 results to cold runs while the kernels' index cache reports its hits and
-misses in ``RunReport.details["kernels"]`` — in the parent for thread
-workers, in each process worker for the process backend.  A process
+misses in ``RunReport.details["kernels"]`` — in the parent for a thread
+session's inline tasks, in each process worker for the process backend.  A process
 worker's attachment pins belong to one query, so attachment churn beyond
 the worker's LRU capacity never breaks the pool.
 """
@@ -150,7 +150,7 @@ def test_cold_warm_parity_and_telemetry(mode):
     assert sorted(cold.rows(), key=repr) == sorted(serial, key=repr)
     assert warm.rows() == cold.rows()  # warm output is byte-identical
 
-    assert cold.report.details["parallel"][0]["mode"] == mode
+    assert cold.report.details["parallel"][0]["mode"] == {"thread": "inline"}.get(mode, mode)
     assert cold.report.details["kernels"]["indexes"]["misses"] >= 1
     assert warm.report.details["kernels"]["indexes"]["hits"] >= 1
     parallel.close()
@@ -195,10 +195,10 @@ def test_attachment_churn_beyond_lru_capacity_keeps_the_pool():
 
     first = parallel.execute(queries[0])
     assert first.report.details["parallel"][0]["mode"] == "process"
-    pool = scheduler.active_pools()[("process", 2)]
+    pool = scheduler.active_pools()[2]
     for sql in queries + queries[:1]:
         assert parallel.execute(sql).scalar() == database.execute(sql).scalar(), sql
-    assert scheduler.active_pools()[("process", 2)] is pool
+    assert scheduler.active_pools()[2] is pool
     parallel.close()
     assert shm.active_export_segments() == []
 

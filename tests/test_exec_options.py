@@ -282,10 +282,10 @@ def test_explicit_parallelism_wins_on_every_policy(engine):
 
     forced_parallel = ExecOptions(engine=engine, parallelism=2)
     outcome = serial_session.execute(ROWS_SQL, options=forced_parallel)
-    assert outcome.report.details["parallel"][0]["workers"] == 2
+    assert outcome.report.details["parallel"][0]["shards"] == 2
     assert Counter(outcome.rows()) == expected
     rows, report = _iter_report(serial_session, ROWS_SQL, forced_parallel)
-    assert report.details["parallel"][0]["workers"] == 2
+    assert report.details["parallel"][0]["shards"] == 2
     assert Counter(rows) == expected
 
     # The session default applies when the query says nothing.
@@ -308,7 +308,7 @@ def test_explicit_parallelism_beats_the_router_decision():
     outcome = db.execute(ROWS_SQL, options=ExecOptions(parallelism=2))
     # The record still says what the router chose; the run used the override.
     assert outcome.report.details["router"]["parallelism"] == 1
-    assert outcome.report.details["parallel"][0]["workers"] == 2
+    assert outcome.report.details["parallel"][0]["shards"] == 2
     assert Counter(outcome.rows()) == Counter(routed.rows())
 
 
@@ -338,7 +338,7 @@ def test_gated_async_caps_routed_queries_but_not_explicit_parallelism(monkeypatc
             explicit = await server.execute(
                 ROWS_SQL, options=ExecOptions(engine="auto", parallelism=2)
             )
-            assert explicit.report.details["parallel"][0]["workers"] == 2
+            assert explicit.report.details["parallel"][0]["shards"] == 2
             assert explicit.report.details["router"]["admission"]["workers"] == 2
             assert Counter(explicit.rows()) == Counter(routed.rows())
 

@@ -262,6 +262,47 @@ def test_index_cache_hits_on_repeat():
     assert second["indexes"]["misses"] == 0
 
 
+SELF_JOIN_SQL = (
+    "SELECT {} FROM e AS e1, e AS e2, e AS e3, e AS e4 "
+    "WHERE e1.dst = e2.src AND e2.dst = e3.src AND e3.dst = e4.src"
+)
+
+
+@pytest.mark.parametrize("select", ["COUNT(*)", "e1.src, e4.dst"], ids=["count", "rows"])
+@pytest.mark.parametrize("engine", ENGINES)
+def test_aliases_of_one_table_build_one_index_per_key_content(engine, select, monkeypatch):
+    """The index cache keys on the key columns' content, not on the table:
+    three probed aliases of one edge table share what they key on."""
+    from repro.kernels import indexes
+
+    database = Database()
+    database.register(Table.from_columns("e", {
+        "src": [(i * 7) % 50 for i in range(200)],
+        "dst": [(i * 13 + 5) % 50 for i in range(200)],
+    }))
+    sql = SELF_JOIN_SQL.format(select)
+    options = ExecOptions(engine=engine)
+    with kernels.kernels_enabled(False):
+        expected = Counter(database.execute(sql, options=options).rows())
+    built = []
+    build = indexes.build_probe_index
+
+    def recording_build(atom, key_vars, kinds):
+        built.append(tuple(
+            (tuple(atom.table.column(atom.column_for(var)).values), kinds[var])
+            for var in key_vars
+        ))
+        return build(atom, key_vars, kinds)
+
+    monkeypatch.setattr(indexes, "build_probe_index", recording_build)
+    kernels.kernel_caches_clear()
+    outcome = database.execute(sql, options=options)
+    assert Counter(outcome.rows()) == expected
+    assert outcome.report.details["kernels"]["mode"] == "vectorized"
+    assert built and len(built) == len(set(built)), built
+    assert outcome.report.details["kernels"]["indexes"]["hits"] >= 1
+
+
 # --------------------------------------------------------------------------- #
 # Deadline ticks at batch boundaries (the kernel-path deadline contract)
 # --------------------------------------------------------------------------- #
@@ -467,8 +508,9 @@ def test_frontier_guard_falls_back_on_parallel_session(engine, backend, monkeypa
     kernel_record = outcome.report.details["kernels"]
     assert "frontier-explosion" in kernel_record["fallbacks"]
     assert kernel_record["mode"] in ("fallback", "mixed")
-    # A fallback is not a failure: the pool that served the query survives.
-    assert [key for key in scheduler.active_pools() if key[0] == backend]
+    # A fallback is not a failure: the pool that served the query survives
+    # (a thread session runs its tasks inline and starts none).
+    assert (2 in scheduler.active_pools()) == (backend == "process")
     assert Counter(parallel.execute(SKEWED_SQL, options=options).rows()) == expected
     scheduler.shutdown_pools()
 

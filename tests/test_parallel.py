@@ -38,6 +38,8 @@ from repro.workloads.job import generate_job_workload
 from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
 
 ENGINES = ("freejoin", "binary", "generic")
+#: The run label each backend reports: a thread session runs its tasks inline.
+RUN_LABELS = {"thread": "inline", "process": "process"}
 
 
 # --------------------------------------------------------------------------- #
@@ -291,7 +293,7 @@ def test_caller_sink_on_a_parallel_run_matches_serial(
     assert sink.entered_from == {threading.current_thread().name}
     assert sink.overlaps == 0
     (detail,) = report.details["parallel"]
-    assert detail["mode"] == mode and detail["tasks"] > 1
+    assert detail["mode"] == RUN_LABELS[mode] and detail["tasks"] > 1
     assert "stream" not in detail  # a plain sink has no delivery telemetry
     assert sum(shard["outputs"] for shard in detail["per_shard"]) == serial.count()
     assert report.details["output"]["mode"] == sink.mode
@@ -330,12 +332,12 @@ def test_caller_sink_that_declares_on_arrival_is_entered_as_tasks_finish(fanout_
         query, plan, None, sink, context=RunContext(workers=2, parallel_mode=mode)
     )
     assert sorted(report.result.iter_rows()) == sorted(serial.iter_rows())
-    # On both backends the submitting thread absorbs each result message as
+    # On both backends the submitting thread absorbs each task's payload as
     # it arrives: never a pool thread, never two payloads at once.
     assert sink.entered_from == {threading.current_thread().name}
     assert sink.overlaps == 0
     (detail,) = report.details["parallel"]
-    assert detail["mode"] == mode and detail["tasks"] > 1
+    assert detail["mode"] == RUN_LABELS[mode] and detail["tasks"] > 1
 
 
 # --------------------------------------------------------------------------- #

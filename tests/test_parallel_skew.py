@@ -227,7 +227,7 @@ def _run_hot_block(hot_block, backend):
     return report.details["parallel"][0]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", ["process"])
 def test_steal_spreads_hot_keys_across_workers(hot_block, backend):
     """Absolute balance gate on the block a static split would serialize.
 
@@ -250,7 +250,7 @@ def test_steal_spreads_hot_keys_across_workers(hot_block, backend):
 
 
 def test_steal_mode_records_steals_and_queue_stats(hot_block):
-    detail = _run_hot_block(hot_block, "thread")
+    detail = _run_hot_block(hot_block, "process")
     assert detail["tasks"] == 16
     # The hot block is dealt to worker 0; its siblings must have stolen work.
     assert detail["steals"] > 0

@@ -325,22 +325,20 @@ def test_zero_key_count_output_short_circuits(empty_root_database):
 # --------------------------------------------------------------------------- #
 
 
-def test_thread_pool_persists_across_queries(star_query_database):
+def test_process_pool_persists_across_queries(star_query_database):
     scheduler.shutdown_pools()
     database = Database(star_query_database.catalog, parallelism=3,
-                        parallel_mode="thread")
+                        parallel_mode="process")
     sql = ("SELECT COUNT(*) FROM fact, dim_one, dim_two "
            "WHERE fact.k = dim_one.k AND fact.a = dim_two.a")
     first = database.execute(sql).scalar()
     pools = scheduler.active_pools()
-    # Never more steal threads than CPUs.
-    key = ("thread", min(3, os.cpu_count() or 1))
-    assert list(pools) == [key]
-    pool = pools[key]
+    assert list(pools) == [3]
+    pool = pools[3]
     second = database.execute(sql).scalar()
     assert first == second
     # Same pool object served both queries.
-    assert scheduler.active_pools()[key] is pool
+    assert scheduler.active_pools()[3] is pool
     scheduler.shutdown_pools()
     assert scheduler.active_pools() == {}
 

@@ -178,10 +178,10 @@ def test_steal_scheduler_enforces_deadlines_on_both_backends(slow_catalog, paral
 
 def test_deadline_stops_scheduler_sibling_tasks(slow_catalog):
     """After an abort the pool is drained — no task keeps running behind it."""
-    database = Database(slow_catalog.catalog, parallelism=2, parallel_mode="thread")
+    database = Database(slow_catalog.catalog, parallelism=2, parallel_mode="process")
     with pytest.raises(DeadlineExceeded):
         database.execute(SLOW_SQL, options=ExecOptions(timeout=0.05))
-    pool = scheduler.active_pools().get(("thread", 2))
+    pool = scheduler.active_pools().get(2)
     assert pool is not None and not pool.broken
     # The pool is idle again: the shared task queue drained, the query completed.
     started = time.perf_counter()

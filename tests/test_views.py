@@ -339,14 +339,14 @@ def test_replaced_dependency_keeps_the_snapshot_live(sql):
 
 
 def test_closing_a_delta_join_subscription_leaves_the_pools_running():
-    db = Database(parallelism=2, parallel_mode="thread")
+    db = Database(parallelism=2, parallel_mode="process")
     db.register(
         Table.from_rows(
             "fact", ["k", "d", "v"], [(i % 5, (i % 3) * 10, i) for i in range(60)]
         )
     )
     db.register(Table.from_rows("dim", ["d", "w"], [(0, 1), (10, 2), (20, 3)]))
-    db.execute(STAR_SQL)  # starts the session's thread pool
+    db.execute(STAR_SQL)  # starts the session's process pool
     pools = sorted(scheduler.active_pools())
     assert pools
     standing = db.subscribe(STAR_SQL)

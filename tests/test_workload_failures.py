@@ -16,7 +16,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -24,7 +23,6 @@ import pytest
 
 from repro.engine.options import ExecOptions
 from repro.engine.session import Database
-from repro.errors import ExecutionError
 from repro.parallel import scheduler
 from repro.storage import shm
 from repro.storage.table import Table
@@ -197,8 +195,8 @@ def test_pool_shutdown_leaves_no_shm_segments(monkeypatch):
 
     # The query exported its base tables and spun up a persistent pool.
     assert shm.active_export_segments()
-    assert ("process", 2) in scheduler.active_pools()
-    pool = scheduler.active_pools()[("process", 2)]
+    assert 2 in scheduler.active_pools()
+    pool = scheduler.active_pools()[2]
 
     parallel.close()
     gc.collect()
@@ -264,16 +262,16 @@ def test_execute_many_with_intra_query_steal_cleans_up_after_itself():
 
 def test_pool_registry_recovers_after_shutdown():
     database = _star_catalog()
-    parallel = Database(database.catalog, parallelism=2, parallel_mode="thread")
+    parallel = Database(database.catalog, parallelism=2, parallel_mode="process")
     expected = database.execute(COUNT_SQL).scalar()
     assert parallel.execute(COUNT_SQL).scalar() == expected
-    first = scheduler.active_pools().get(("thread", 2))
+    first = scheduler.active_pools().get(2)
     assert first is not None
     scheduler.shutdown_pools()
     assert scheduler.active_pools() == {}
     # The next query transparently builds a fresh pool.
     assert parallel.execute(COUNT_SQL).scalar() == expected
-    second = scheduler.active_pools().get(("thread", 2))
+    second = scheduler.active_pools().get(2)
     assert second is not None and second is not first
     scheduler.shutdown_pools()
 
@@ -283,7 +281,7 @@ def test_broken_process_pool_is_replaced_on_next_use():
     parallel = Database(database.catalog, parallelism=2, parallel_mode="process")
     expected = database.execute(COUNT_SQL).scalar()
     assert parallel.execute(COUNT_SQL).scalar() == expected
-    pool = scheduler.active_pools()[("process", 2)]
+    pool = scheduler.active_pools()[2]
     # Kill a worker behind the scheduler's back: the next submit must fail
     # loudly, and the one after that must get a fresh pool.
     pool._workers[0].terminate()
@@ -291,17 +289,17 @@ def test_broken_process_pool_is_replaced_on_next_use():
     with pytest.raises(Exception):
         parallel.execute(COUNT_SQL)
     assert parallel.execute(COUNT_SQL).scalar() == expected
-    replacement = scheduler.active_pools()[("process", 2)]
+    replacement = scheduler.active_pools()[2]
     assert replacement is not pool
     scheduler.shutdown_pools()
 
 
-@pytest.mark.filterwarnings("ignore::pytest.PytestUnhandledThreadExceptionWarning")
-def test_dead_thread_worker_fails_the_query_and_replaces_the_pool(monkeypatch):
-    """A thread worker ended by a ``BaseException`` is a dead worker.
+def test_system_exit_in_an_inline_task_propagates_out_of_execute(monkeypatch):
+    """A thread session runs its tasks on the calling thread.
 
-    It must fail the query and the pool, as a dead process does — not leave
-    its task's rows out of a silently wrong answer (7022 of 8044 here).
+    A ``BaseException`` one task raises leaves ``execute`` as raised — it
+    cannot drop that task's rows from a silently wrong answer (7022 of 8044
+    here) — and the session serves the next query in full.
     """
     database = Database(parallelism=2, parallel_mode="thread")
     database.register_all(fanout_tables(400, keys=20).values())
@@ -310,34 +308,18 @@ def test_dead_thread_worker_fails_the_query_and_replaces_the_pool(monkeypatch):
 
     def dies_on_task_one(self, task, *args):
         if task.task_id == 1:
-            raise SystemExit("worker thread ended")
+            raise SystemExit("task ended")
         return real_run_task(self, task, *args)
 
     monkeypatch.setattr(scheduler._TaskContext, "run_task", dies_on_task_one)
-    scheduler.shutdown_pools()
-    outcome = {}
-
-    def run() -> None:
-        try:
-            outcome["count"] = database.execute(sql).scalar()
-        except ExecutionError as exc:
-            outcome["error"] = exc
-
-    # A scheduler blind to the dead worker waits for it forever: run the
-    # query on a daemon thread so that shows up as a failure, not a hang.
-    runner = threading.Thread(target=run, daemon=True)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive(), "the query waited on a dead worker"
-    assert "error" in outcome, outcome
-    assert ("thread", 2) not in scheduler.active_pools()
+    with pytest.raises(SystemExit, match="task ended"):
+        database.execute(sql)
 
     monkeypatch.setattr(scheduler._TaskContext, "run_task", real_run_task)
     outcome = database.execute(sql)
-    assert outcome.report.details["parallel"][0]["mode"] == "thread"
+    assert outcome.report.details["parallel"][0]["mode"] == "inline"
     assert outcome.scalar() == 8044
-    assert ("thread", 2) in scheduler.active_pools()
-    scheduler.shutdown_pools()
+    assert scheduler.active_pools() == {}
 
 
 # --------------------------------------------------------------------------- #
