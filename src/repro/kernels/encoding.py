@@ -35,12 +35,14 @@ with their encoding memoized up front.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from itertools import chain, repeat
 from typing import List, Optional, Sequence
 
 from repro.datatypes import FLOAT, INT
 from repro.storage.column import Column
+from repro.storage.table import column_digest
 
 try:  # pragma: no cover - exercised by the fallback tests via REPRO_KERNELS
     import numpy as np
@@ -179,6 +181,23 @@ def code_array(column) -> "np.ndarray":
         arr = np.asarray(INTERNER.encode_all(column.values), dtype=np.int64)
         cache["c"] = arr
     return arr
+
+
+def key_digest(column, kind: str):
+    """What an index keyed on ``column`` in ``kind`` is built from.
+
+    An int or float key is the column's values: its dtype (an INT and a
+    FLOAT column can pack to the same bytes) and content digest.  A code key
+    is its interner codes, digested and memoized beside them: the content
+    digest cannot stand in, since two NaN objects pack and pickle alike but
+    each interns to its own code.
+    """
+    if kind != KIND_CODE:
+        return column.dtype, column_digest(column)
+    cache = _column_cache(column)
+    if "cd" not in cache:
+        cache["cd"] = hashlib.blake2b(code_array(column), digest_size=16).digest()
+    return cache["cd"]
 
 
 def choose_kind(columns: Sequence) -> str:

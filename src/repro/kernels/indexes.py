@@ -17,9 +17,10 @@ row-at-a-time engines build (Python dicts preserve insertion order), which
 is what lets the steal scheduler's entry ranges slice the same partition on
 both paths.
 
-Both are cached under the content digests of their key columns
-(:func:`~repro.storage.table.column_digest`) and the keys' encodings, with a
-bounded LRU.  The key names no table: the aliases of a self-joined table
+Both are cached, in a bounded LRU, under what they are built from
+(:func:`~repro.kernels.encoding.key_digest`): each key column's dtype and
+content digest for an int or float key, the digest of its interner codes
+for a code key, and the keys' encodings.  The key names no table: the aliases of a self-joined table
 share one index per key content, and a table rebuilt from a shared-memory
 attachment in a worker process hits the same entry.
 """
@@ -30,8 +31,7 @@ import threading
 from collections import OrderedDict
 from typing import Dict, Optional, Sequence, Tuple
 
-from repro.kernels.encoding import code_array, float_array, int_array, key_array
-from repro.storage.table import column_digest
+from repro.kernels.encoding import code_array, float_array, int_array, key_array, key_digest
 
 try:  # pragma: no cover
     import numpy as np
@@ -292,18 +292,17 @@ def build_driver_index(
 
 
 def _cached(build, tag: str, atom, variables: Sequence[str], kinds, stats):
-    """``build(atom, variables, kinds)``, cached by the key columns' content.
+    """``build(atom, variables, kinds)``, cached by what it is built from.
 
     The key is the kind tag, the row count (all a key-less index depends
-    on), each key column's dtype and content digest (an INT and a FLOAT
-    column can pack to the same bytes) and each key's encoding — no table
-    name, so every alias of one table shares the entry.
+    on), each key's :func:`~repro.kernels.encoding.key_digest` and each
+    key's encoding — no table name, so every alias of one table shares the
+    entry.
     """
-    columns = [atom.table.column(atom.column_for(var)) for var in variables]
     key = (
         tag,
         atom.size,
-        tuple((column.dtype, column_digest(column)) for column in columns),
+        tuple(key_digest(atom.table.column(atom.column_for(v)), kinds[v]) for v in variables),
         tuple(kinds[var] for var in variables),
     )
     entry = _cache_get(key)

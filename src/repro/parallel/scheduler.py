@@ -30,10 +30,10 @@ lowered it (:func:`run_pipeline_steal`):
   no readiness barrier, and a sink that absorbs after the drain gets its
   task outcomes with each worker's ``"drained"`` report: one message per
   worker, not one per task;
-* a run whose backend resolves to ``"thread"`` (see :func:`resolve_mode`)
+* a run whose mode resolves to ``"inline"`` (see :func:`resolve_mode`)
   starts no worker: its tasks run one after another, in task order, on the
   submitting thread, over one task context — the same tasks, sinks and
-  accounting, labelled ``"inline"``.  Under the GIL, threads could only take
+  accounting.  Under the GIL, threads could only take
   turns at the join: worker threads would add a hand-off per task and no
   parallelism.
 
@@ -111,13 +111,13 @@ PARALLEL_ROW_THRESHOLD = 20_000
 
 
 def resolve_mode(mode: str, shard_count: int, input_tuples: int) -> str:
-    """Resolve a parallel mode into the backend, ``process`` or ``thread``.
+    """Resolve a parallel mode into how its tasks run: ``process`` or ``inline``.
 
-    ``thread`` runs the tasks inline, on the submitting thread (under the
-    GIL threads could only take turns at the join).  ``auto`` picks it for
-    small inputs: forking workers, attaching the tables and building per
+    ``"thread"`` runs the tasks inline, on the submitting thread (under the
+    GIL threads could only take turns at the join).  ``auto`` picks inline
+    for small inputs: forking workers, attaching the tables and building per
     worker costs more than the join saves.  Without fork every mode
-    resolves to ``thread`` — an explicit ``"process"`` too: the
+    resolves to ``inline`` — an explicit ``"process"`` too: the
     process pool relies on fork-inherited state (the cancel cell, the
     queues), and the shm column plane on forked workers sharing the
     exporter's ``resource_tracker`` (a *spawned* worker runs its own, which
@@ -128,15 +128,15 @@ def resolve_mode(mode: str, shard_count: int, input_tuples: int) -> str:
             f"unknown parallel mode {mode!r}; choose 'auto', 'process' or 'thread'"
         )
     if mode == "thread" or "fork" not in multiprocessing.get_all_start_methods():
-        return "thread"
+        return "inline"
     if mode == "process":
         return mode
     if shard_count <= 1 or input_tuples < PARALLEL_ROW_THRESHOLD:
-        return "thread"
+        return "inline"
     if (multiprocessing.cpu_count() or 1) <= 1:
         # One core: processes only add fork/transfer overhead on top of the
         # same serialized CPU time.
-        return "thread"
+        return "inline"
     return "process"
 
 
@@ -838,7 +838,8 @@ class _StealRun:
 
     tasks: List[StealTask]
     workers: int
-    backend: str
+    #: ``"inline"`` or ``"process"`` (:func:`resolve_mode`).
+    mode: str
     #: The inline tasks' one context.
     context_factory: Callable[[], _TaskContext]
     #: The pool's query setup (see :meth:`StealPool.submit`).
@@ -873,7 +874,7 @@ def _short_circuit(workers: int, build_seconds: float) -> ShardedRunResult:
 def _run_inline(run: _StealRun):
     """Run every task on this thread, in task order, over one context.
 
-    What a thread run and a single task get: one task cannot balance
+    What an inline run and a single task get: one task cannot balance
     anything, and under the GIL threads could only take turns.  A task's
     exception propagates as raised.
     """
@@ -897,24 +898,23 @@ def _run_inline(run: _StealRun):
 
 def _drive(run: _StealRun) -> ShardedRunResult:
     join_started = time.perf_counter()
-    if run.backend == "thread" or len(run.tasks) == 1:
+    mode = "inline" if len(run.tasks) == 1 else run.mode
+    if mode == "inline":
         outcomes, reports = _run_inline(run)
-        backend_label = "inline"
     else:
         effective = min(run.workers, len(run.tasks))
         assign_preferred(run.tasks, effective)
         pool = get_pool(effective)
         outcomes, reports = pool.submit(run.setup_factory(), run.sink, run.tasks, run.interrupt)
-        backend_label = "process"
     join_seconds = time.perf_counter() - join_started
-    return _merge(run, outcomes, reports, backend_label, join_seconds)
+    return _merge(run, outcomes, reports, mode, join_seconds)
 
 
 def _merge(
     run: _StealRun,
     outcomes: List[Dict[str, object]],
     reports: Dict[int, Dict[str, object]],
-    backend_label: str,
+    mode: str,
     join_seconds: float,
 ) -> ShardedRunResult:
     """Merge task outcomes in task order (serial order parity; see module doc).
@@ -968,7 +968,7 @@ def _merge(
         stats=stats,
         build_seconds=run.build_seconds + setup_max,
         join_seconds=join_seconds,
-        mode=backend_label,
+        mode=mode,
         shard_count=run.workers,
         shard_details=per_shard,
         extra=extra,
@@ -1015,7 +1015,7 @@ def run_pipeline_steal(
     content-keyed index cache, per process.
     """
     kernels_off = kernels_off or pipeline.skip_kernels
-    backend = resolve_mode(mode, workers, sum(atom.size for atom in pipeline.atoms))
+    mode = resolve_mode(mode, workers, sum(atom.size for atom in pipeline.atoms))
 
     build_started = time.perf_counter()
     state = PipelineState(pipeline.row_path, pipeline.atoms)
@@ -1046,7 +1046,7 @@ def run_pipeline_steal(
         _StealRun(
             tasks=tasks,
             workers=workers,
-            backend=backend,
+            mode=mode,
             context_factory=context_factory,
             setup_factory=setup_factory,
             sink=sink,

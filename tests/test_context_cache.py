@@ -150,7 +150,7 @@ def test_cold_warm_parity_and_telemetry(mode):
     assert sorted(cold.rows(), key=repr) == sorted(serial, key=repr)
     assert warm.rows() == cold.rows()  # warm output is byte-identical
 
-    assert cold.report.details["parallel"][0]["mode"] == {"thread": "inline"}.get(mode, mode)
+    assert cold.report.details["parallel"][0]["mode"] == scheduler.resolve_mode(mode, 2, 0)
     assert cold.report.details["kernels"]["indexes"]["misses"] >= 1
     assert warm.report.details["kernels"]["indexes"]["hits"] >= 1
     parallel.close()

@@ -303,6 +303,35 @@ def test_aliases_of_one_table_build_one_index_per_key_content(engine, select, mo
     assert outcome.report.details["kernels"]["indexes"]["hits"] >= 1
 
 
+NAN_JOIN_SQLS = (
+    "SELECT a1.y, a2.y FROM a AS a1, a AS a2 WHERE a1.x = a2.x",
+    "SELECT a.y, b.y FROM a, b WHERE a.x = b.x",
+    "SELECT b1.y, b2.y FROM b AS b1, b AS b2 WHERE b1.x = b2.x",
+)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_equal_tables_with_their_own_nan_objects_share_no_code_index(engine):
+    """Two tables with equal content but their own NaN objects: each NaN
+    matches only itself, so a warm index over one table's codes must not
+    serve the other (a's NaN would match b's, b's would lose its own)."""
+    database = Database()
+    for name in ("a", "b"):
+        database.register(Table.from_columns(name, {"x": [float("nan"), 1.0], "y": [1, 2]}))
+    options = ExecOptions(engine=engine)
+    with kernels.kernels_enabled(False):
+        expected = [
+            Counter(database.execute(sql, options=options).rows()) for sql in NAN_JOIN_SQLS
+        ]
+    assert expected[1] == Counter({(2, 2): 1})
+    kernels.kernel_caches_clear()
+    for _ in range(2):  # the second pass runs on a warm index cache
+        for sql, want in zip(NAN_JOIN_SQLS, expected):
+            outcome = database.execute(sql, options=options)
+            assert outcome.report.details["kernels"]["mode"] == "vectorized"
+            assert Counter(outcome.rows()) == want, sql
+
+
 # --------------------------------------------------------------------------- #
 # Deadline ticks at batch boundaries (the kernel-path deadline contract)
 # --------------------------------------------------------------------------- #

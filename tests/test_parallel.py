@@ -30,6 +30,7 @@ from repro.engine.session import Database
 from repro.experiments.differential import canonicalize, reference_rows
 from repro.genericjoin.executor import GenericJoinEngine
 from repro.optimizer.join_order import optimize_query
+from repro.parallel import resolve_mode
 from repro.parallel.workload import normalize_queries
 from repro.query.planner import Planner
 from repro.query.sql import parse_sql
@@ -38,8 +39,6 @@ from repro.workloads.job import generate_job_workload
 from repro.workloads.synthetic import FANOUT_SQL, fanout_tables
 
 ENGINES = ("freejoin", "binary", "generic")
-#: The run label each backend reports: a thread session runs its tasks inline.
-RUN_LABELS = {"thread": "inline", "process": "process"}
 
 
 # --------------------------------------------------------------------------- #
@@ -293,7 +292,7 @@ def test_caller_sink_on_a_parallel_run_matches_serial(
     assert sink.entered_from == {threading.current_thread().name}
     assert sink.overlaps == 0
     (detail,) = report.details["parallel"]
-    assert detail["mode"] == RUN_LABELS[mode] and detail["tasks"] > 1
+    assert detail["mode"] == resolve_mode(mode, 2, 0) and detail["tasks"] > 1
     assert "stream" not in detail  # a plain sink has no delivery telemetry
     assert sum(shard["outputs"] for shard in detail["per_shard"]) == serial.count()
     assert report.details["output"]["mode"] == sink.mode
@@ -337,7 +336,7 @@ def test_caller_sink_that_declares_on_arrival_is_entered_as_tasks_finish(fanout_
     assert sink.entered_from == {threading.current_thread().name}
     assert sink.overlaps == 0
     (detail,) = report.details["parallel"]
-    assert detail["mode"] == RUN_LABELS[mode] and detail["tasks"] > 1
+    assert detail["mode"] == resolve_mode(mode, 2, 0) and detail["tasks"] > 1
 
 
 # --------------------------------------------------------------------------- #

@@ -227,8 +227,7 @@ def _run_hot_block(hot_block, backend):
     return report.details["parallel"][0]
 
 
-@pytest.mark.parametrize("backend", ["process"])
-def test_steal_spreads_hot_keys_across_workers(hot_block, backend):
+def test_steal_spreads_hot_keys_across_workers(hot_block):
     """Absolute balance gate on the block a static split would serialize.
 
     All four hot keys sit in the first quarter of the root iteration: a
@@ -244,7 +243,7 @@ def test_steal_spreads_hot_keys_across_workers(hot_block, backend):
     scheduler that does not spread the block at all — not on 2.0 itself,
     where it failed about one run in thirty.
     """
-    steal_detail = _run_hot_block(hot_block, backend)
+    steal_detail = _run_hot_block(hot_block, "process")
     steal_spread = _work_spread(steal_detail)
     assert steal_spread <= 2.25, (steal_detail, steal_spread)
 

@@ -73,13 +73,13 @@ BIG = scheduler.PARALLEL_ROW_THRESHOLD
     "mode, workers, tuples, fork, cpus, expected",
     [
         ("auto", 2, BIG, True, 4, "process"),
-        ("auto", 2, BIG - 1, True, 4, "thread"),  # small input
-        ("auto", 1, BIG, True, 4, "thread"),  # one worker
-        ("auto", 2, BIG, True, 1, "thread"),  # one core
-        ("auto", 2, BIG, False, 4, "thread"),
+        ("auto", 2, BIG - 1, True, 4, "inline"),  # small input
+        ("auto", 1, BIG, True, 4, "inline"),  # one worker
+        ("auto", 2, BIG, True, 1, "inline"),  # one core
+        ("auto", 2, BIG, False, 4, "inline"),
         ("process", 2, 10, True, 1, "process"),  # explicit wins over size and cores
-        ("process", 2, BIG, False, 4, "thread"),  # ... but not over a missing fork
-        ("thread", 2, BIG, True, 4, "thread"),
+        ("process", 2, BIG, False, 4, "inline"),  # ... but not over a missing fork
+        ("thread", 2, BIG, True, 4, "inline"),
     ],
 )
 def test_resolve_mode(monkeypatch, mode, workers, tuples, fork, cpus, expected):
